@@ -9,7 +9,6 @@ worst-case MSE constructions, and random-graph moment formulas with
 exhaustive and Monte Carlo oracles.
 """
 
-from ._kernels import active_backend
 from .designs import (
     ARM_A,
     ARM_B,

@@ -1,16 +1,8 @@
-"""Numeric hot loops: jitted kernels with a pure-numpy fallback.
+"""Numeric hot loops, vectorized with numpy.
 
 Two computations dominate runtime in this package: the pairwise closed-form
 variance of the exposure-weighted estimator, and exhaustive scans over every
-graph on n nodes (2^(n(n-1)/2) of them).  Both exist in two equivalent
-implementations:
-
-- a numba ``@njit`` version (default when numba imports), and
-- a vectorized numpy version.
-
-Set ``INTERFERENCE_LAB_BACKEND=numpy`` (or ``numba``) to force one; the
-dispatchers below read the flag at import time.  ``benchmarks/`` compares
-the two.  Results agree to float precision; tests pin that down.
+graph on n nodes (2^(n(n-1)/2) of them).
 
 Bitmask convention: node sets are int64 masks with bit j set when node j is
 in the set (so n <= 62).  Graph scans encode a graph as an integer whose
@@ -19,54 +11,7 @@ bit t is the t-th node pair in (0,1), (0,2), ..., (n-2,n-1) order.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-def _requested_backend() -> str:
-    flag = os.environ.get("INTERFERENCE_LAB_BACKEND", "").strip().lower()
-    if flag in ("numba", "numpy"):
-        return flag
-    if flag:
-        raise ValueError(
-            f"INTERFERENCE_LAB_BACKEND must be 'numba' or 'numpy', got {flag!r}"
-        )
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-_BACKEND = _requested_backend()
-if _BACKEND == "numba" and not HAS_NUMBA:
-    _BACKEND = "numpy"
-
-
-def active_backend() -> str:
-    return _BACKEND
-
-
-def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    left, right = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            left.append(i)
-            right.append(j)
-    return np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -77,42 +22,13 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 # cov  = -(1/n^2) [ sum_i ya_i yb_i + sum_{i != j} ya_i yb_j 1{N_i & N_j != 0} ]
 
 
-@njit(cache=True)
-def _ht_terms_nb(masks, y_a, y_b):  # pragma: no cover - exercised via dispatch
-    n = masks.shape[0]
-    va = 0.0
-    vb = 0.0
-    cv = 0.0
-    for i in range(n):
-        m = masks[i]
-        s = 0
-        while m:
-            m &= m - 1
-            s += 1
-        w = 2.0**s - 1.0
-        va += w * y_a[i] * y_a[i]
-        vb += w * y_b[i] * y_b[i]
-        cv += y_a[i] * y_b[i]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            inter = masks[i] & masks[j]
-            m = inter
-            s = 0
-            while m:
-                m &= m - 1
-                s += 1
-            w = 2.0**s - 1.0
-            va += w * y_a[i] * y_a[j]
-            vb += w * y_b[i] * y_b[j]
-            if inter != 0:
-                cv += y_a[i] * y_b[j]
-    nn = n * n
-    return va / nn, vb / nn, -cv / nn
-
-
-def _ht_terms_np(masks, y_a, y_b):
+def ht_variance_terms(
+    masks: np.ndarray, y_a: np.ndarray, y_b: np.ndarray
+) -> tuple[float, float, float]:
+    """(v_a, v_b, cov) from closed neighborhood masks and boundary outcomes."""
+    masks = np.ascontiguousarray(masks, dtype=np.int64)
+    y_a = np.ascontiguousarray(y_a, dtype=np.float64)
+    y_b = np.ascontiguousarray(y_b, dtype=np.float64)
     n = masks.shape[0]
     sizes = np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
     pow_i = np.ldexp(1.0, sizes) - 1.0
@@ -129,105 +45,13 @@ def _ht_terms_np(masks, y_a, y_b):
     return va, vb, -cv
 
 
-def ht_variance_terms(
-    masks: np.ndarray, y_a: np.ndarray, y_b: np.ndarray
-) -> tuple[float, float, float]:
-    """(v_a, v_b, cov) from closed neighborhood masks and boundary outcomes."""
-    masks = np.ascontiguousarray(masks, dtype=np.int64)
-    y_a = np.ascontiguousarray(y_a, dtype=np.float64)
-    y_b = np.ascontiguousarray(y_b, dtype=np.float64)
-    if _BACKEND == "numba":
-        va, vb, cv = _ht_terms_nb(masks, y_a, y_b)
-        return float(va), float(vb), float(cv)
-    return _ht_terms_np(masks, y_a, y_b)
-
-
 # ----------------------------------------------------------------------
 # Exhaustive scans over all graphs on n nodes (1-step closed neighborhoods).
 
 
-@njit(cache=True)
-def _er_moment_scan_nb(n, p, pair_i, pair_j):  # pragma: no cover
-    m = pair_i.shape[0]
-    mean_nbhd = 0.0
-    mean_shared = 0.0
-    prob_disjoint = 0.0
-    nbhd = np.empty(n, np.int64)
-    for g in range(1 << m):
-        gg = g
-        e = 0
-        while gg:
-            gg &= gg - 1
-            e += 1
-        w = p**e * (1.0 - p) ** (m - e)
-        for i in range(n):
-            nbhd[i] = 1 << i
-        for t in range(m):
-            if (g >> t) & 1:
-                nbhd[pair_i[t]] |= 1 << pair_j[t]
-                nbhd[pair_j[t]] |= 1 << pair_i[t]
-        s0 = 0
-        mm = nbhd[0]
-        while mm:
-            mm &= mm - 1
-            s0 += 1
-        inter = nbhd[0] & nbhd[1]
-        s01 = 0
-        mm = inter
-        while mm:
-            mm &= mm - 1
-            s01 += 1
-        mean_nbhd += w * 2.0**s0
-        mean_shared += w * 2.0**s01
-        if inter == 0:
-            prob_disjoint += w
-    return mean_nbhd, mean_shared, prob_disjoint
-
-
-@njit(cache=True)
-def _er_variance_scan_nb(n, p, pair_i, pair_j):  # pragma: no cover
-    m = pair_i.shape[0]
-    total = 0.0
-    nbhd = np.empty(n, np.int64)
-    for g in range(1 << m):
-        gg = g
-        e = 0
-        while gg:
-            gg &= gg - 1
-            e += 1
-        w = p**e * (1.0 - p) ** (m - e)
-        for i in range(n):
-            nbhd[i] = 1 << i
-        for t in range(m):
-            if (g >> t) & 1:
-                nbhd[pair_i[t]] |= 1 << pair_j[t]
-                nbhd[pair_j[t]] |= 1 << pair_i[t]
-        acc = float(n)  # the sum_i ya_i yb_i covariance piece, constant table
-        for i in range(n):
-            s = 0
-            mm = nbhd[i]
-            while mm:
-                mm &= mm - 1
-                s += 1
-            acc += 2.0**s - 1.0
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                inter = nbhd[i] & nbhd[j]
-                s = 0
-                mm = inter
-                while mm:
-                    mm &= mm - 1
-                    s += 1
-                acc += 2.0**s - 1.0
-                if inter != 0:
-                    acc += 1.0
-        total += w * acc
-    return total
-
-
-def _scan_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scan_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-graph closed neighborhood masks (rows = graph codes) and edge
+    counts."""
     m = n * (n - 1) // 2
     codes = np.arange(1 << m, dtype=np.int64)
     nbhd = np.empty((1 << m, n), dtype=np.int64)
@@ -241,17 +65,21 @@ def _scan_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             nbhd[:, j] |= bit << i
             t += 1
     edges = np.bitwise_count(codes.astype(np.uint64)).astype(np.int64)
-    return codes, nbhd, edges
+    return nbhd, edges
 
 
 def _weights(edges: np.ndarray, m: int, p: float) -> np.ndarray:
     return np.power(p, edges) * np.power(1.0 - p, m - edges)
 
 
-def _er_moment_scan_np(n, p):
+def er_moment_scan(n: int, p: float) -> tuple[float, float, float]:
+    """Exact graph-averages of 2^|N_0|, 2^|N_0 & N_1|, and 1{N_0 & N_1 = 0}
+    over all graphs on n nodes with independent edge probability p."""
+    if n < 2 or n > 7:
+        raise ValueError("exhaustive graph scans support 2 <= n <= 7")
     m = n * (n - 1) // 2
-    _, nbhd, edges = _scan_arrays(n)
-    w = _weights(edges, m, p)
+    nbhd, edges = _scan_arrays(n)
+    w = _weights(edges, m, float(p))
     s0 = np.bitwise_count(nbhd[:, 0].astype(np.uint64)).astype(np.int64)
     inter = nbhd[:, 0] & nbhd[:, 1]
     s01 = np.bitwise_count(inter.astype(np.uint64)).astype(np.int64)
@@ -261,10 +89,14 @@ def _er_moment_scan_np(n, p):
     return mean_nbhd, mean_shared, prob_disjoint
 
 
-def _er_variance_scan_np(n, p):
+def er_variance_scan(n: int, p: float, c: float) -> float:
+    """Exact graph-expectation of the closed-form estimator variance for a
+    constant outcome level c, k=1, over all graphs on n nodes."""
+    if n < 2 or n > 7:
+        raise ValueError("exhaustive graph scans support 2 <= n <= 7")
     m = n * (n - 1) // 2
-    _, nbhd, edges = _scan_arrays(n)
-    w = _weights(edges, m, p)
+    nbhd, edges = _scan_arrays(n)
+    w = _weights(edges, m, float(p))
     sizes = np.bitwise_count(nbhd.astype(np.uint64)).astype(np.int64)
     acc = np.full(1 << m, float(n))
     acc += (np.ldexp(1.0, sizes) - 1.0).sum(axis=1)
@@ -274,29 +106,4 @@ def _er_variance_scan_np(n, p):
             s = np.bitwise_count(inter.astype(np.uint64)).astype(np.int64)
             acc += 2.0 * (np.ldexp(1.0, s) - 1.0)
             acc += 2.0 * (inter != 0)
-    return float(np.dot(w, acc))
-
-
-def er_moment_scan(n: int, p: float) -> tuple[float, float, float]:
-    """Exact graph-averages of 2^|N_0|, 2^|N_0 & N_1|, and 1{N_0 & N_1 = 0}
-    over all graphs on n nodes with independent edge probability p."""
-    if n < 2 or n > 7:
-        raise ValueError("exhaustive graph scans support 2 <= n <= 7")
-    pair_i, pair_j = _pair_index(n)
-    if _BACKEND == "numba":
-        a, b, c = _er_moment_scan_nb(n, float(p), pair_i, pair_j)
-        return float(a), float(b), float(c)
-    return _er_moment_scan_np(n, float(p))
-
-
-def er_variance_scan(n: int, p: float, c: float) -> float:
-    """Exact graph-expectation of the closed-form estimator variance for a
-    constant outcome level c, k=1, over all graphs on n nodes."""
-    if n < 2 or n > 7:
-        raise ValueError("exhaustive graph scans support 2 <= n <= 7")
-    pair_i, pair_j = _pair_index(n)
-    if _BACKEND == "numba":
-        raw = float(_er_variance_scan_nb(n, float(p), pair_i, pair_j))
-    else:
-        raw = _er_variance_scan_np(n, float(p))
-    return raw * 2.0 * c * c / (n * n)
+    return float(np.dot(w, acc)) * 2.0 * c * c / (n * n)

@@ -2,8 +2,8 @@
 
 Subcommands: moments, feasibility, adversary, er-analysis, tables, regimes.
 Every command is deterministic given its config (seeds included): re-runs
-produce byte-identical output, independent of the thread cap set through
-INTERFERENCE_LAB_THREADS.  Exit codes: 0 success, 2 usage/config error,
+produce byte-identical output; Monte Carlo replicates run serially, each
+seeded by its index.  Exit codes: 0 success, 2 usage/config error,
 3 capacity error.
 """
 
@@ -140,7 +140,10 @@ def _parse_graph(cfg, seed: int | None, where="graph") -> Graph:
     if ("path" in cfg) == ("er" in cfg):
         raise ConfigError(f"{where}: give exactly one of path / er")
     if "path" in cfg:
-        return Graph.from_file(cfg["path"])
+        try:
+            return Graph.from_file(cfg["path"])
+        except FileNotFoundError as exc:
+            raise ConfigError(f"{where}.path: file not found: {exc.filename}") from exc
     er = cfg["er"]
     _check_keys(er, f"{where}.er", {"n": int, "p": _NUM}, {"seed": int})
     graph_seed = er.get("seed", seed)
@@ -182,9 +185,12 @@ def _parse_table(cfg, structure, seed, where="table") -> PotentialOutcomeTable:
         return PotentialOutcomeTable.random(
             structure, float(r["k_lower"]), float(r["m_upper"]), table_seed
         )
-    if "json_path" in cfg:
-        return PotentialOutcomeTable.from_json(cfg["json_path"])
-    return PotentialOutcomeTable.from_csv(cfg["csv_path"])
+    try:
+        if "json_path" in cfg:
+            return PotentialOutcomeTable.from_json(cfg["json_path"])
+        return PotentialOutcomeTable.from_csv(cfg["csv_path"])
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{where}: file not found: {exc.filename}") from exc
 
 
 def _parse_estimator(cfg, structure, n: int, seed, where="estimator"):

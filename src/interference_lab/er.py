@@ -22,8 +22,6 @@ the true value is finite in double precision).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Union
 
@@ -179,15 +177,17 @@ def expected_informative_fraction(spec: ERSpec) -> float:
 # Sampling and Monte Carlo
 
 
+def _draw_graph(spec: ERSpec, rng: np.random.Generator) -> Graph:
+    """Keep each node pair with probability p, one uniform draw per pair in
+    lexicographic (i, j) order."""
+    left, right = np.triu_indices(spec.n, 1)
+    keep = rng.random(left.size) < spec.p
+    return Graph.from_edges(spec.n, zip(left[keep].tolist(), right[keep].tolist()))
+
+
 def sample_er_graph(spec: ERSpec, seed: int) -> Graph:
-    """One graph draw; pair (i, j) order is lexicographic, deterministic."""
-    rng = np.random.default_rng(seed)
-    edges = []
-    for i in range(spec.n):
-        for j in range(i + 1, spec.n):
-            if rng.random() < spec.p:
-                edges.append((i, j))
-    return Graph.from_edges(spec.n, edges)
+    """One graph draw, deterministic in the seed."""
+    return _draw_graph(spec, np.random.default_rng(seed))
 
 
 @dataclass(frozen=True)
@@ -214,15 +214,6 @@ class MCVariance:
     stderr: float
     reps_used: int
     reps_rejected: int
-
-
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("INTERFERENCE_LAB_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 def _enumerated_variance(masks: np.ndarray, y_a: np.ndarray, y_b: np.ndarray) -> float:
@@ -256,12 +247,7 @@ def _replicate_variance(
 ) -> float:
     rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
     n = spec.n
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < spec.p:
-                edges.append((i, j))
-    index = NeighborhoodIndex.build(Graph.from_edges(n, edges), 1)
+    index = NeighborhoodIndex.build(_draw_graph(spec, rng), 1)
     if max(len(ball) for ball in index.closed) > max_nbhd:
         return math.nan
     if isinstance(policy, ConstantOutcomes):
@@ -282,7 +268,6 @@ def mc_expected_variance(
     reps: int,
     seed: int,
     k: int = 1,
-    threads: int | None = None,
     max_nbhd: int = MC_NEIGHBORHOOD_CAP,
     assignment_level: bool = False,
 ) -> MCVariance:
@@ -293,9 +278,9 @@ def mc_expected_variance(
     than walking assignments).  ``assignment_level=True`` switches each
     replicate to full support enumeration instead: exponentially slower, but
     an independent cross-check of the closed form (needs n within the
-    enumeration cap).  Replicates are seeded by (seed, index), so the
-    estimate is identical for any thread count.  Replicates whose largest
-    neighborhood exceeds the cap are rejected and counted.
+    enumeration cap).  Replicates run serially, each seeded by (seed, index),
+    so the estimate does not depend on the environment.  Replicates whose
+    largest neighborhood exceeds the cap are rejected and counted.
     """
     if reps < 2:
         raise InvalidArgumentError(f"need reps >= 2, got {reps}")
@@ -305,17 +290,10 @@ def mc_expected_variance(
         raise CapacityError(
             f"assignment-level cross-checks enumerate 2^n; capped at n={ENUMERATION_CAP}"
         )
-    workers = _thread_count(threads)
-    indices = range(reps)
-
-    def one(r: int) -> float:
-        return _replicate_variance(spec, policy, seed, r, max_nbhd, assignment_level)
-
-    if workers == 1:
-        values = [one(r) for r in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(one, indices))
+    values = [
+        _replicate_variance(spec, policy, seed, r, max_nbhd, assignment_level)
+        for r in range(reps)
+    ]
     kept = [v for v in values if not math.isnan(v)]
     rejected = reps - len(kept)
     if len(kept) < 2:

@@ -209,7 +209,8 @@ class TabularEstimator:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TabularEstimator":
-        rows = list(csv.reader(open(path, newline="")))
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
         if not rows or rows[0] != ["assignment", "ykey", "value"]:
             raise InvalidArgumentError(f"{path}: expected header assignment,ykey,value")
         mapping = {}

@@ -113,17 +113,6 @@ class Graph:
         lines += [f"{u} {v}" for u, v in sorted(self.edges)]
         Path(path).write_text("\n".join(lines) + "\n")
 
-    def neighbors(self, i: int) -> frozenset[int]:
-        if not 0 <= i < self.n:
-            raise InvalidArgumentError(f"node {i} out of range for n={self.n}")
-        out = set()
-        for u, v in self.edges:
-            if u == i:
-                out.add(v)
-            elif v == i:
-                out.add(u)
-        return frozenset(out)
-
     def adjacency_lists(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
@@ -138,13 +127,8 @@ class Graph:
         return m
 
 
-def k_step_neighborhood(graph: Graph, i: int, k: int) -> frozenset[int]:
+def _ball(adj: list[list[int]], i: int, k: int) -> frozenset[int]:
     """Closed ball of hop radius k around node i (breadth-first)."""
-    if not 0 <= i < graph.n:
-        raise InvalidArgumentError(f"node {i} out of range for n={graph.n}")
-    if k < 0:
-        raise InvalidArgumentError(f"radius must be >= 0, got {k}")
-    adj = graph.adjacency_lists()
     seen = {i}
     frontier = deque([(i, 0)])
     while frontier:
@@ -156,6 +140,15 @@ def k_step_neighborhood(graph: Graph, i: int, k: int) -> frozenset[int]:
                 seen.add(nxt)
                 frontier.append((nxt, dist + 1))
     return frozenset(seen)
+
+
+def k_step_neighborhood(graph: Graph, i: int, k: int) -> frozenset[int]:
+    """Closed ball of hop radius k around node i."""
+    if not 0 <= i < graph.n:
+        raise InvalidArgumentError(f"node {i} out of range for n={graph.n}")
+    if k < 0:
+        raise InvalidArgumentError(f"radius must be >= 0, got {k}")
+    return _ball(graph.adjacency_lists(), i, k)
 
 
 @dataclass(frozen=True)
@@ -171,20 +164,7 @@ class NeighborhoodIndex:
         if k < 0:
             raise InvalidArgumentError(f"radius must be >= 0, got {k}")
         adj = graph.adjacency_lists()
-        balls = []
-        for i in range(graph.n):
-            seen = {i}
-            frontier = deque([(i, 0)])
-            while frontier:
-                node, dist = frontier.popleft()
-                if dist == k:
-                    continue
-                for nxt in adj[node]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append((nxt, dist + 1))
-            balls.append(frozenset(seen))
-        return cls(graph, k, tuple(balls))
+        return cls(graph, k, tuple(_ball(adj, i, k) for i in range(graph.n)))
 
     @property
     def n(self) -> int:

@@ -238,7 +238,8 @@ class PotentialOutcomeTable:
         k_lower: float | None = None,
         m_upper: float | None = None,
     ) -> "PotentialOutcomeTable":
-        rows = list(csv.reader(open(path, newline="")))
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
         if not rows or rows[0] != ["assignment", "unit", "outcome"]:
             raise InvalidArgumentError(f"{path}: expected header assignment,unit,outcome")
         if len(rows) < 2:
@@ -286,17 +287,25 @@ class PotentialOutcomeTable:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PotentialOutcomeTable":
-        doc = json.loads(Path(path).read_text())
-        spec = doc["structure"]
-        if spec["kind"] == "no_interference":
-            structure: InterferenceStructure = NoInterference(int(spec["n"]))
-        elif spec["kind"] == "k_local":
-            graph = Graph.from_edges(int(spec["n"]), [tuple(e) for e in spec["edges"]])
-            structure = KLocal(graph, int(spec["k"]))
-        else:
-            raise InvalidArgumentError(f"{path}: unknown structure kind {spec['kind']!r}")
+        try:
+            doc = json.loads(Path(path).read_text())
+            spec = doc["structure"]
+            if spec["kind"] == "no_interference":
+                structure: InterferenceStructure = NoInterference(int(spec["n"]))
+            elif spec["kind"] == "k_local":
+                edges = [tuple(e) for e in spec["edges"]]
+                structure = KLocal(Graph.from_edges(int(spec["n"]), edges), int(spec["k"]))
+            else:
+                raise InvalidArgumentError(
+                    f"{path}: unknown structure kind {spec['kind']!r}"
+                )
+            units = doc["units"]
+        except json.JSONDecodeError as exc:
+            raise InvalidArgumentError(f"{path}: invalid JSON ({exc})") from exc
+        except KeyError as exc:
+            raise InvalidArgumentError(f"{path}: missing key {exc}") from exc
         maps: list[dict[int, float]] = []
-        for i, entry in enumerate(doc["units"]):
+        for i, entry in enumerate(units):
             g = sorted(reference_group(structure, i))
             m: dict[int, float] = {}
             for labels, v in entry.items():

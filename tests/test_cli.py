@@ -2,7 +2,8 @@
 
 Claims pinned here:
     - each subcommand runs a small config to completion with exit 0
-    - malformed JSON and unknown keys exit 2; over-cap sizes exit 3
+    - malformed JSON, unknown keys, and missing or incomplete input files
+      exit 2 without a traceback; over-cap sizes exit 3
     - re-running any command byte-identically reproduces its output,
       including across different INTERFERENCE_LAB_THREADS settings
     - --set overrides nested keys; --seed feeds seedless configs
@@ -206,6 +207,37 @@ def test_unknown_key_exits_2(tmp_path):
     result = run_cli(["moments", "--config", str(path)])
     assert result.returncode == 2
     assert "mystery" in result.stderr
+
+
+def _moments_with_table(tmp_path, table):
+    cfg = dict(MOMENTS_CFG, table=table)
+    cfg.pop("structure")
+    return run_cli(["moments", "--config", write_config(tmp_path, "m.json", cfg)])
+
+
+@pytest.mark.parametrize("key", ["json_path", "csv_path"])
+def test_missing_table_file_exits_2(tmp_path, key):
+    result = _moments_with_table(tmp_path, {key: str(tmp_path / "absent")})
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_table_json_without_structure_exits_2(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"units": [{"A": 1.0, "B": 0.0}] * 6}))
+    result = _moments_with_table(tmp_path, {"json_path": str(path)})
+    assert result.returncode == 2
+    assert "structure" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_missing_graph_file_exits_2(tmp_path):
+    cfg = dict(MOMENTS_CFG)
+    cfg["structure"] = {"kind": "k_local", "graph": {"path": str(tmp_path / "absent")}}
+    result = run_cli(["moments", "--config", write_config(tmp_path, "m.json", cfg)])
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
 
 
 def test_capacity_exits_3(tmp_path):

@@ -9,6 +9,9 @@ Claims pinned here:
       reproduce a materialized estimator over the whole support
 """
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,3 +135,13 @@ def test_tabular_csv_roundtrip(tmp_path):
     est.to_csv(path, n=2)
     back = TabularEstimator.from_csv(path)
     assert back.mapping == mapping
+
+
+def test_tabular_csv_load_closes_its_file(tmp_path):
+    path = tmp_path / "witness.csv"
+    TabularEstimator({(0, observed_key([0.5])): 1.0}).to_csv(path, n=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        TabularEstimator.from_csv(path)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

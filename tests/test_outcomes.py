@@ -10,6 +10,9 @@ Claims pinned here:
     - CSV (arbitrary) and JSON (keyed) serializations round-trip
 """
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,6 +180,16 @@ def test_csv_roundtrip(tmp_path):
     for code in range(8):
         z = Assignment(code, 3)
         assert list(back.observed_vector(z)) == list(t.observed_vector(z))
+
+
+def test_csv_load_closes_its_file(tmp_path):
+    path = tmp_path / "table.csv"
+    PotentialOutcomeTable.random(Arbitrary(2), 0.0, 1.0, seed=21).to_csv(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        PotentialOutcomeTable.from_csv(path)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_json_roundtrip(tmp_path):
