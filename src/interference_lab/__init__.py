@@ -51,7 +51,6 @@ from .errors import (
     IncompleteTableError,
     InterferenceLabError,
     InvalidArgumentError,
-    InvalidDesignError,
     UnsupportedDesignError,
     UnsupportedEstimandError,
 )
@@ -62,8 +61,6 @@ from .estimators import (
     PureArmIPW,
     SoloTreatedIPW,
     TabularEstimator,
-    diff_in_means,
-    ht_estimate,
     observed_key,
 )
 from .exact import (

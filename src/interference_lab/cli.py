@@ -15,7 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-from .designs import Design
+from .designs import Assignment, Design
 from .er import (
     DENSE,
     SPARSE,
@@ -40,7 +40,14 @@ from .estimators import (
 )
 from .exact import exact_moments, neyman_variance_terms
 from .feasibility import mse_adversary, unbiased_feasibility
-from .graphs import Arbitrary, Graph, KLocal, NoInterference
+from .graphs import (
+    Arbitrary,
+    Graph,
+    KLocal,
+    NoInterference,
+    effective_treatment_count,
+    informative_set,
+)
 from .outcomes import (
     ATE,
     PotentialOutcomeTable,
@@ -362,15 +369,16 @@ def cmd_tables(cfg: dict, out: str | None, seed: int | None) -> int:
     )
     seed = seed if seed is not None else cfg.get("seed")
     graph = _parse_graph(cfg["graph"], seed)
-    k = cfg.get("k", 1)
     unit = cfg["unit"]
     n = graph.n
-    local = KLocal(graph, k)
-    ball = len(local.index.closed[unit])
+    design, z = Design.bd(n), Assignment.all_a(n)
     structure_rows = [
-        ["none", 2, 0.5],
-        ["k_local", 1 << ball, 0.5**ball],
-        ["arbitrary", 1 << n, 0.5**n],
+        [name, effective_treatment_count(s, unit), informative_set(s, design, unit, z).fraction]
+        for name, s in (
+            ("none", NoInterference(n)),
+            ("k_local", KLocal(graph, cfg.get("k", 1))),
+            ("arbitrary", Arbitrary(n)),
+        )
     ]
     sweep_rows = []
     for value in cfg["sweep_n"]:

@@ -42,6 +42,19 @@ ARM_B = "B"
 ENUMERATION_CAP = 14
 
 
+def restrict_codes(codes, nodes: Sequence[int]):
+    """Bit-pack the bits of ``codes`` at ``nodes``: bit ``pos`` of the result
+    is bit ``nodes[pos]`` of the code.
+
+    ``codes`` is one Python int (any n) or an int64 array of codes (n <= 62),
+    gathered elementwise; the result has the same form.
+    """
+    sub = codes & 0
+    for pos, i in enumerate(nodes):
+        sub |= ((codes >> i) & 1) << pos
+    return sub
+
+
 @dataclass(frozen=True)
 class Assignment:
     """A length-n arm vector, bit-packed (bit i set <=> unit i in arm B)."""
@@ -110,11 +123,7 @@ class Assignment:
 
     def restrict_code(self, nodes: Sequence[int]) -> int:
         """Bit-pack the sub-vector over ``nodes`` taken in ascending order."""
-        sub = 0
-        for pos, i in enumerate(sorted(nodes)):
-            if (self.code >> i) & 1:
-                sub |= 1 << pos
-        return sub
+        return restrict_codes(self.code, sorted(nodes))
 
     def with_arm(self, i: int, arm: str) -> "Assignment":
         if arm not in (ARM_A, ARM_B):

@@ -28,7 +28,6 @@ from typing import Union
 import numpy as np
 
 from ._kernels import er_moment_scan, er_variance_scan, ht_variance_terms
-from .designs import ENUMERATION_CAP
 from .errors import CapacityError, InvalidArgumentError
 from .graphs import Graph, NeighborhoodIndex
 
@@ -156,11 +155,12 @@ def classify_regime(spec: ERSpec) -> str:
 
 
 def expected_effective_treatments(spec: ERSpec) -> float:
-    """Graph-average count of effective treatments per unit: 2 (1+p)^(n-1).
+    """Graph-average count of effective treatments per unit: 2 (1+p)^(n-1),
+    the average of 2^(closed neighborhood size).
 
     Along p = 1/n this converges to 2e; along p = 1/sqrt(n) it diverges.
     """
-    return 2.0 * _guarded_power(1.0 + spec.p, spec.n - 1)
+    return moment_two_pow_nbhd(spec)
 
 
 def expected_informative_fraction(spec: ERSpec) -> float:
@@ -216,34 +216,8 @@ class MCVariance:
     reps_rejected: int
 
 
-def _enumerated_variance(masks: np.ndarray, y_a: np.ndarray, y_b: np.ndarray) -> float:
-    """Assignment-level variance of the exposure-weighted estimator: iterate
-    the whole fair-coin support instead of using the pairwise closed form.
-    Exact and deterministic, exponential in n; the slow cross-check path."""
-    n = masks.shape[0]
-    weights = [2.0 ** int((int(m)).bit_count()) for m in masks]
-    int_masks = [int(m) for m in masks]
-    values = []
-    for code in range(1 << n):
-        total = 0.0
-        for i in range(n):
-            hit = code & int_masks[i]
-            if hit == 0:
-                total += weights[i] * y_a[i]
-            elif hit == int_masks[i]:
-                total -= weights[i] * y_b[i]
-        values.append(total / n)
-    mean = math.fsum(values) / len(values)
-    return math.fsum((v - mean) ** 2 for v in values) / len(values)
-
-
 def _replicate_variance(
-    spec: ERSpec,
-    policy: TablePolicy,
-    seed: int,
-    rep: int,
-    max_nbhd: int,
-    assignment_level: bool,
+    spec: ERSpec, policy: TablePolicy, seed: int, rep: int, max_nbhd: int
 ) -> float:
     rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
     n = spec.n
@@ -256,8 +230,6 @@ def _replicate_variance(
     else:
         y_a = rng.uniform(policy.k_lower, policy.m_upper, size=n)
         y_b = rng.uniform(policy.k_lower, policy.m_upper, size=n)
-    if assignment_level:
-        return _enumerated_variance(index.masks(), y_a, y_b)
     v_a, v_b, cov = ht_variance_terms(index.masks(), y_a, y_b)
     return v_a + v_b - 2.0 * cov
 
@@ -269,31 +241,23 @@ def mc_expected_variance(
     seed: int,
     k: int = 1,
     max_nbhd: int = MC_NEIGHBORHOOD_CAP,
-    assignment_level: bool = False,
 ) -> MCVariance:
     """Monte Carlo estimate of the graph-expected estimator variance.
 
     Each replicate draws a graph, builds pure-arm outcomes per the policy,
-    and evaluates the per-graph closed-form variance (cheaper and tighter
-    than walking assignments).  ``assignment_level=True`` switches each
-    replicate to full support enumeration instead: exponentially slower, but
-    an independent cross-check of the closed form (needs n within the
-    enumeration cap).  Replicates run serially, each seeded by (seed, index),
-    so the estimate does not depend on the environment.  Replicates whose
-    largest neighborhood exceeds the cap are rejected and counted.
+    and evaluates the per-graph pairwise closed form of the exposure-weighted
+    estimator's variance (``_kernels.ht_variance_terms``); that the closed
+    form equals the variance enumerated over the fair-coin support is checked
+    separately, through ``exact_moments``.  Replicates run serially, each
+    seeded by (seed, index), so the estimate does not depend on the
+    environment.  Replicates whose largest neighborhood exceeds the cap are
+    rejected and counted.
     """
     if reps < 2:
         raise InvalidArgumentError(f"need reps >= 2, got {reps}")
     if k != 1:
         raise InvalidArgumentError("the closed-form path is built for k=1")
-    if assignment_level and spec.n > ENUMERATION_CAP:
-        raise CapacityError(
-            f"assignment-level cross-checks enumerate 2^n; capped at n={ENUMERATION_CAP}"
-        )
-    values = [
-        _replicate_variance(spec, policy, seed, r, max_nbhd, assignment_level)
-        for r in range(reps)
-    ]
+    values = [_replicate_variance(spec, policy, seed, r, max_nbhd) for r in range(reps)]
     kept = [v for v in values if not math.isnan(v)]
     rejected = reps - len(kept)
     if len(kept) < 2:

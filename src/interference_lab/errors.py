@@ -14,10 +14,6 @@ class InvalidArgumentError(InterferenceLabError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class InvalidDesignError(InterferenceLabError, ValueError):
-    """A design is structurally unusable for the requested operation."""
-
-
 class UnsupportedDesignError(InterferenceLabError):
     """The operation has closed forms only for a different design family."""
 

@@ -15,11 +15,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .designs import ARM_A, Assignment, Design, enumerate_support
-from .errors import (
-    IncompleteEstimatorError,
-    InvalidArgumentError,
-    InvalidDesignError,
-)
+from .errors import IncompleteEstimatorError, InvalidArgumentError
 from .graphs import NeighborhoodIndex
 
 Estimator = Callable[[Assignment, np.ndarray], float]
@@ -43,20 +39,6 @@ class DifferenceInMeans:
         mean_a = float(y[~mask_b].sum() / n_a) if n_a else 0.0
         mean_b = float(y[mask_b].sum() / n_b) if n_b else 0.0
         return mean_a - mean_b
-
-
-def diff_in_means(z: Assignment, y_obs: np.ndarray, design: Design) -> float:
-    """Difference in means under a fixed-group-size design.
-
-    The design must be ``crd`` so both group sizes are fixed and positive.
-    """
-    if design.kind != "crd":
-        raise InvalidDesignError(
-            f"difference in means needs fixed positive group sizes (crd), got {design.kind!r}"
-        )
-    if z.n != design.n:
-        raise InvalidArgumentError(f"assignment has n={z.n}, design has n={design.n}")
-    return DifferenceInMeans()(z, y_obs)
 
 
 class HorvitzThompson:
@@ -88,19 +70,6 @@ class HorvitzThompson:
             elif zi == mask:  # ball uniformly in arm B
                 total -= self._weights[i] * y[i]
         return total / n
-
-
-def ht_estimate(
-    z: Assignment, y_obs: np.ndarray, index: NeighborhoodIndex, design: Design
-) -> float:
-    """One-shot form of ``HorvitzThompson``; the design must be ``bd``."""
-    if design.kind != "bd":
-        raise InvalidDesignError(
-            f"the exposure weights are fair-coin weights; got design {design.kind!r}"
-        )
-    if design.n != index.n:
-        raise InvalidArgumentError("design and index disagree on n")
-    return HorvitzThompson(index)(z, y_obs)
 
 
 class PureArmIPW:
@@ -194,8 +163,7 @@ class TabularEstimator:
     ) -> "TabularEstimator":
         """Tabulate an estimator over a design's support for one table."""
         mapping = {}
-        for z, _ in enumerate_support(design):
-            y = table.observed_vector(z)
+        for z, _, y in table.observed_support(enumerate_support(design)):
             mapping[(z.code, observed_key(y))] = float(estimator(z, y))
         return cls(mapping)
 
@@ -214,8 +182,12 @@ class TabularEstimator:
         if not rows or rows[0] != ["assignment", "ykey", "value"]:
             raise InvalidArgumentError(f"{path}: expected header assignment,ykey,value")
         mapping = {}
-        for labels, ykey, value in rows[1:]:
-            z = Assignment.from_arms(labels)
-            key = tuple(float(v) for v in ykey.split("|")) if ykey else ()
-            mapping[(z.code, key)] = float(value)
+        for r, row in enumerate(rows[1:], start=2):
+            try:
+                labels, ykey, value = row
+                z = Assignment.from_arms(labels)
+                key = tuple(float(v) for v in ykey.split("|")) if ykey else ()
+                mapping[(z.code, key)] = float(value)
+            except ValueError as exc:
+                raise InvalidArgumentError(f"{path}: row {r}: {exc}") from exc
         return cls(mapping)

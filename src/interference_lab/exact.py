@@ -57,9 +57,9 @@ def exact_moments(
     theta = estimand_value(estimand, table)
     probs = []
     values = []
-    for z, p in enumerate_support(design, cap):
+    for z, p, y in table.observed_support(enumerate_support(design, cap)):
         probs.append(p)
-        values.append(float(estimator(z, table.observed_vector(z))))
+        values.append(float(estimator(z, y)))
     expectation = math.fsum(p * v for p, v in zip(probs, values))
     variance = math.fsum(p * (v - expectation) ** 2 for p, v in zip(probs, values))
     mse = math.fsum(p * (v - theta) ** 2 for p, v in zip(probs, values))

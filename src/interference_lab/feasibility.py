@@ -142,8 +142,8 @@ def unbiased_feasibility(
     rhs = []
     for table in witness_family:
         coeffs: dict[int, float] = {}
-        for z, p in support:
-            key = (z.code, observed_key(table.observed_vector(z)))
+        for z, p, y in table.observed_support(support):
+            key = (z.code, observed_key(y))
             col = columns.setdefault(key, len(columns))
             coeffs[col] = coeffs.get(col, 0.0) + p
         rows.append(coeffs)
@@ -245,8 +245,8 @@ def mse_adversary(
     for table in candidates:
         theta = estimand_value(estimand, table)
         mse = math.fsum(
-            p * (float(estimator(z, table.observed_vector(z))) - theta) ** 2
-            for z, p in enumerate_support(design)
+            p * (float(estimator(z, y)) - theta) ** 2
+            for z, p, y in table.observed_support(enumerate_support(design))
         )
         if best is None or mse > best[0]:
             best = (mse, table, theta)

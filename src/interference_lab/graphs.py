@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
-from .designs import ARM_A, ARM_B, Assignment, Design
+from .designs import ARM_A, ARM_B, Assignment, Design, restrict_codes
 from .errors import (
     GraphFormatError,
     InvalidArgumentError,
@@ -260,7 +260,7 @@ def effective_treatment_key(
         raise InvalidArgumentError(
             f"assignment has n={z.n} but structure has n={structure.n}"
         )
-    return z.restrict_code(sorted(reference_group(structure, i)))
+    return restrict_codes(z.code, sorted(reference_group(structure, i)))
 
 
 def effective_treatment_count(structure: InterferenceStructure, i: int) -> int:
@@ -292,4 +292,4 @@ def informative_set(
         raise InvalidArgumentError("design, structure, and assignment sizes differ")
     g = reference_group(structure, i)
     size = 1 << (structure.n - len(g))
-    return InformativeSet(size, size / float(1 << structure.n))
+    return InformativeSet(size, size / (1 << structure.n))

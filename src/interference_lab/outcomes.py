@@ -3,11 +3,13 @@
 A table fixes, for every unit, the outcome it would exhibit under each of
 its effective treatments.  Outcomes are plain numbers in the units of the
 measured response; they carry no noise (the randomization law is the only
-source of randomness in this package).  Storage is keyed by effective
-treatment, so a unit's entry cannot depend on coordinates outside its
-reference group: structural consistency holds by construction, and memory is
-sum_i 2^|G_i| instead of n * 2^n.  Tables under arbitrary interference fall
-back to the full (2^n, n) matrix, indexed by assignment code.
+source of randomness in this package).  Unit i stores a float array of
+length 2^|G_i| indexed by its effective-treatment key (the assignment
+restricted to the reference group G_i, bit-packed in ascending node order);
+NaN marks an entry that is not stored.  A unit's entry cannot depend on
+coordinates outside G_i, so structural consistency holds by construction,
+and memory is sum_i 2^|G_i|.  Arbitrary interference is the case where G_i
+is every unit and the key is the assignment code.
 
 Declared bounds are open intervals: when an upper bound M is given, every
 value must lie strictly inside (0, M); a declared lower bound K tightens
@@ -22,12 +24,13 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
-from .designs import Assignment
+from .designs import Assignment, restrict_codes
 from .errors import (
     CapacityError,
     IncompleteTableError,
@@ -39,27 +42,30 @@ from .graphs import (
     InterferenceStructure,
     KLocal,
     NoInterference,
-    effective_treatment_key,
     reference_group,
 )
 
-# Caps for random-table generation: full-matrix storage is 2^n rows, and a
-# unit's map has 2^|G_i| entries.
+# Caps for table sizes: an arbitrary-interference table holds 2^n values per
+# unit, and a keyed unit holds 2^|G_i|.
 ARBITRARY_TABLE_CAP = 14
 KLOCAL_NEIGHBORHOOD_CAP = 20
 
 # Interior offset honoring the strict bound inequalities when sampling.
 _BOUNDS_EPS_REL = 1e-9
 
+# Assignments per `observed_support` block: amortizes the per-unit numpy
+# calls while keeping the block a negligible share of peak memory.
+_GATHER_BLOCK = 256
+
 
 class PotentialOutcomeTable:
-    """Per-unit outcome functions of the effective treatment."""
+    """Per-unit outcome functions of the effective treatment; ``values[i]``
+    holds unit i's outcomes by effective-treatment key."""
 
     def __init__(
         self,
         structure: InterferenceStructure,
-        unit_maps: list[dict[int, float]] | None = None,
-        matrix: np.ndarray | None = None,
+        values,
         k_lower: float | None = None,
         m_upper: float | None = None,
     ) -> None:
@@ -67,29 +73,16 @@ class PotentialOutcomeTable:
         self.k_lower = k_lower
         self.m_upper = m_upper
         n = structure.n
-        if isinstance(structure, Arbitrary):
-            if matrix is None:
-                raise InvalidArgumentError("arbitrary-interference tables need a matrix")
-            matrix = np.asarray(matrix, dtype=float)
-            if matrix.shape != (1 << n, n):
-                raise InvalidArgumentError(
-                    f"matrix must have shape {(1 << n, n)}, got {matrix.shape}"
-                )
-            self._matrix = matrix
-            self._unit_maps = None
-        else:
-            if unit_maps is None or len(unit_maps) != n:
-                raise InvalidArgumentError("need one effective-treatment map per unit")
-            self._matrix = None
-            self._unit_maps = [dict(m) for m in unit_maps]
+        if len(values) != n:
+            raise InvalidArgumentError(f"need one outcome array per unit, got {len(values)}")
+        self._groups = [sorted(reference_group(structure, i)) for i in range(n)]
+        self._values = []
+        for i, (g, v) in enumerate(zip(self._groups, values)):
+            v = np.asarray(v, dtype=float)
+            if v.shape != (1 << len(g),):
+                raise InvalidArgumentError(f"unit {i} needs {1 << len(g)} outcomes, got {v.shape}")
+            self._values.append(v)
         self._check_bounds()
-
-    def _iter_values(self):
-        if self._matrix is not None:
-            yield from self._matrix.ravel()
-        else:
-            for m in self._unit_maps:  # type: ignore[union-attr]
-                yield from m.values()
 
     def _check_bounds(self) -> None:
         if self.k_lower is not None and self.k_lower < 0:
@@ -103,14 +96,15 @@ class PotentialOutcomeTable:
         if self.m_upper is None and self.k_lower is None:
             return
         lo = self.k_lower if self.k_lower is not None else 0.0
-        for v in self._iter_values():
-            if math.isnan(v):
-                continue  # unfilled matrix slot
-            if not lo < v:
-                raise InvalidArgumentError(f"outcome {v} violates lower bound {lo}")
-            if self.m_upper is not None and not v < self.m_upper:
+        for v in self._values:
+            # fmin/fmax skip unstored (NaN) slots; an all-NaN unit compares False.
+            smallest = float(np.fmin.reduce(v))
+            if smallest <= lo:
+                raise InvalidArgumentError(f"outcome {smallest} violates lower bound {lo}")
+            largest = float(np.fmax.reduce(v))
+            if self.m_upper is not None and largest >= self.m_upper:
                 raise InvalidArgumentError(
-                    f"outcome {v} violates upper bound {self.m_upper}"
+                    f"outcome {largest} violates upper bound {self.m_upper}"
                 )
 
     @property
@@ -121,25 +115,48 @@ class PotentialOutcomeTable:
         """The value unit i exhibits under assignment z."""
         if z.n != self.n:
             raise InvalidArgumentError(f"assignment has n={z.n}, table has n={self.n}")
-        if self._matrix is not None:
-            v = float(self._matrix[z.code, i])
-            if math.isnan(v):
-                raise IncompleteTableError(
-                    f"no outcome stored for unit {i} under {z.labels}"
-                )
-            return v
-        key = effective_treatment_key(self.structure, i, z)
-        try:
-            return self._unit_maps[i][key]  # type: ignore[index]
-        except KeyError:
+        if not 0 <= i < self.n:
+            raise InvalidArgumentError(f"unit {i} out of range for n={self.n}")
+        key = restrict_codes(z.code, self._groups[i])
+        v = float(self._values[i][key])
+        if math.isnan(v):
             raise IncompleteTableError(
                 f"no outcome stored for unit {i} under effective treatment "
                 f"key {key} (assignment {z.labels})"
-            ) from None
+            )
+        return v
 
     def observed_vector(self, z: Assignment) -> np.ndarray:
         """All n outcomes revealed by assignment z."""
         return np.array([self.outcome(i, z) for i in range(self.n)], dtype=float)
+
+    def observed_support(
+        self, support: Iterable[tuple[Assignment, float]]
+    ) -> Iterator[tuple[Assignment, float, np.ndarray]]:
+        """Yield ``(z, p, y_obs)`` for each ``(z, p)`` of a design support,
+        ``y_obs`` being the n outcomes z reveals.
+
+        Outcomes are gathered a block of assignments at a time, one array
+        lookup per unit and block.  Codes are int64, so n <= 62.
+        """
+        it = iter(support)
+        while block := list(islice(it, _GATHER_BLOCK)):
+            if block[0][0].n != self.n:
+                raise InvalidArgumentError(
+                    f"assignment has n={block[0][0].n}, table has n={self.n}"
+                )
+            codes = np.array([z.code for z, _ in block], dtype=np.int64)
+            y = np.empty((len(block), self.n))
+            for i, (g, v) in enumerate(zip(self._groups, self._values)):
+                y[:, i] = v[restrict_codes(codes, g)]
+            missing = np.argwhere(np.isnan(y))
+            if missing.size:
+                row, i = missing[0]
+                raise IncompleteTableError(
+                    f"no outcome stored for unit {i} under {block[row][0].labels}"
+                )
+            for (z, p), y_obs in zip(block, y):
+                yield z, p, y_obs
 
     def boundary_vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """Outcome vectors under the all-A and all-B assignments."""
@@ -163,8 +180,8 @@ class PotentialOutcomeTable:
         y_b = np.asarray(y_b, dtype=float)
         if y_a.shape != y_b.shape or y_a.ndim != 1:
             raise InvalidArgumentError("need two equal-length outcome vectors")
-        maps = [{0: float(a), 1: float(b)} for a, b in zip(y_a, y_b)]
-        return cls(NoInterference(len(y_a)), unit_maps=maps, k_lower=k_lower, m_upper=m_upper)
+        values = np.stack([y_a, y_b], axis=1)  # key 0 = arm A, key 1 = arm B
+        return cls(NoInterference(len(y_a)), values, k_lower=k_lower, m_upper=m_upper)
 
     @classmethod
     def arbitrary(
@@ -173,9 +190,9 @@ class PotentialOutcomeTable:
         k_lower: float | None = None,
         m_upper: float | None = None,
     ) -> "PotentialOutcomeTable":
+        """From a (2^n, n) matrix: row = assignment code, column = unit."""
         matrix = np.asarray(matrix, dtype=float)
-        n = matrix.shape[1]
-        return cls(Arbitrary(n), matrix=matrix, k_lower=k_lower, m_upper=m_upper)
+        return cls(Arbitrary(matrix.shape[1]), matrix.T, k_lower=k_lower, m_upper=m_upper)
 
     @classmethod
     def random(
@@ -199,8 +216,8 @@ class PotentialOutcomeTable:
                     f"arbitrary-interference tables capped at n={ARBITRARY_TABLE_CAP}"
                 )
             matrix = rng.uniform(lo, hi, size=(1 << n, n))
-            return cls(structure, matrix=matrix, k_lower=k_lower, m_upper=m_upper)
-        maps = []
+            return cls(structure, matrix.T, k_lower=k_lower, m_upper=m_upper)
+        values = []
         for i in range(n):
             g = reference_group(structure, i)
             if len(g) > KLOCAL_NEIGHBORHOOD_CAP:
@@ -208,16 +225,15 @@ class PotentialOutcomeTable:
                     f"unit {i} has a reference group of size {len(g)} "
                     f"(cap {KLOCAL_NEIGHBORHOOD_CAP})"
                 )
-            draws = rng.uniform(lo, hi, size=1 << len(g))
-            maps.append({key: float(v) for key, v in enumerate(draws)})
-        return cls(structure, unit_maps=maps, k_lower=k_lower, m_upper=m_upper)
+            values.append(rng.uniform(lo, hi, size=1 << len(g)))
+        return cls(structure, values, k_lower=k_lower, m_upper=m_upper)
 
     # ------------------------------------------------------------------
     # Serialization
 
     def to_csv(self, path: str | Path) -> None:
         """Arbitrary-interference tables only: rows assignment,unit,outcome."""
-        if self._matrix is None:
+        if not isinstance(self.structure, Arbitrary):
             raise InvalidArgumentError(
                 "CSV form is for arbitrary-interference tables; use to_json"
             )
@@ -226,10 +242,9 @@ class PotentialOutcomeTable:
             w.writerow(["assignment", "unit", "outcome"])
             for code in range(1 << self.n):
                 labels = Assignment(code, self.n).labels
-                for i in range(self.n):
-                    v = self._matrix[code, i]
-                    if not math.isnan(v):
-                        w.writerow([labels, i, repr(float(v))])
+                for i, v in enumerate(self._values):
+                    if not math.isnan(v[code]):
+                        w.writerow([labels, i, repr(float(v[code]))])
 
     @classmethod
     def from_csv(
@@ -244,39 +259,50 @@ class PotentialOutcomeTable:
             raise InvalidArgumentError(f"{path}: expected header assignment,unit,outcome")
         if len(rows) < 2:
             raise InvalidArgumentError(f"{path}: no data rows")
-        n = len(rows[1][0])
+        n = len(rows[1][0]) if rows[1] else 0
+        if n > ARBITRARY_TABLE_CAP:
+            raise CapacityError(
+                f"{path}: assignments of length {n}; arbitrary-interference "
+                f"tables capped at n={ARBITRARY_TABLE_CAP}"
+            )
         matrix = np.full((1 << n, n), np.nan)
-        for labels, unit, outcome in rows[1:]:
-            z = Assignment.from_arms(labels)
+        for r, row in enumerate(rows[1:], start=2):
+            try:
+                labels, unit, outcome = row
+                z = Assignment.from_arms(labels)
+                i, v = int(unit), float(outcome)
+            except ValueError as exc:
+                raise InvalidArgumentError(f"{path}: row {r}: {exc}") from exc
             if z.n != n:
-                raise InvalidArgumentError(f"{path}: inconsistent assignment length")
-            matrix[z.code, int(unit)] = float(outcome)
+                raise InvalidArgumentError(f"{path}: row {r}: inconsistent assignment length")
+            if not 0 <= i < n:
+                raise InvalidArgumentError(f"{path}: row {r}: unit {i} out of range for n={n}")
+            matrix[z.code, i] = v
         return cls.arbitrary(matrix, k_lower=k_lower, m_upper=m_upper)
 
     def to_json(self, path: str | Path) -> None:
         """No-interference and k-local tables: per-unit effective-treatment maps."""
-        if self._unit_maps is None:
-            raise InvalidArgumentError(
-                "JSON form is for keyed tables; use to_csv for arbitrary interference"
-            )
         if isinstance(self.structure, NoInterference):
             spec: dict = {"kind": "no_interference", "n": self.n}
-        else:
-            assert isinstance(self.structure, KLocal)
+        elif isinstance(self.structure, KLocal):
             spec = {
                 "kind": "k_local",
                 "n": self.n,
                 "k": self.structure.k,
                 "edges": sorted([u, v] for u, v in self.structure.graph.edges),
             }
-        units = []
-        for i, m in enumerate(self._unit_maps):
-            g = sorted(reference_group(self.structure, i))
-            entry = {}
-            for key, v in sorted(m.items()):
-                labels = "".join("B" if (key >> pos) & 1 else "A" for pos in range(len(g)))
-                entry[labels] = v
-            units.append(entry)
+        else:
+            raise InvalidArgumentError(
+                "JSON form is for keyed tables; use to_csv for arbitrary interference"
+            )
+        units = [
+            {
+                Assignment(key, len(g)).labels: float(x)
+                for key, x in enumerate(v)
+                if not math.isnan(x)
+            }
+            for g, v in zip(self._groups, self._values)
+        ]
         doc = {
             "structure": spec,
             "k_lower": self.k_lower,
@@ -304,27 +330,38 @@ class PotentialOutcomeTable:
             raise InvalidArgumentError(f"{path}: invalid JSON ({exc})") from exc
         except KeyError as exc:
             raise InvalidArgumentError(f"{path}: missing key {exc}") from exc
-        maps: list[dict[int, float]] = []
-        for i, entry in enumerate(units):
-            g = sorted(reference_group(structure, i))
-            m: dict[int, float] = {}
-            for labels, v in entry.items():
+        except TypeError as exc:
+            raise InvalidArgumentError(f"{path}: malformed table ({exc})") from exc
+        if not isinstance(units, list) or len(units) != structure.n:
+            raise InvalidArgumentError(
+                f"{path}: \"units\" must list one object per unit (n={structure.n})"
+            )
+        groups = [reference_group(structure, i) for i in range(structure.n)]
+        for i, g in enumerate(groups):
+            if len(g) > KLOCAL_NEIGHBORHOOD_CAP:
+                raise CapacityError(
+                    f"{path}: unit {i} has a reference group of size {len(g)} "
+                    f"(cap {KLOCAL_NEIGHBORHOOD_CAP})"
+                )
+        values = []
+        for i, (g, entry) in enumerate(zip(groups, units)):
+            if not isinstance(entry, dict):
+                raise InvalidArgumentError(f"{path}: unit {i}: expected an object")
+            v = np.full(1 << len(g), np.nan)
+            for labels, x in entry.items():
                 if len(labels) != len(g):
                     raise InvalidArgumentError(
                         f"{path}: unit {i} key {labels!r} does not match its "
                         f"reference group size {len(g)}"
                     )
-                key = 0
-                for pos, ch in enumerate(labels):
-                    if ch == "B":
-                        key |= 1 << pos
-                    elif ch != "A":
-                        raise InvalidArgumentError(f"{path}: bad key {labels!r}")
-                m[key] = float(v)
-            maps.append(m)
+                try:
+                    v[Assignment.from_arms(labels).code] = float(x)
+                except (TypeError, ValueError) as exc:
+                    raise InvalidArgumentError(f"{path}: unit {i}: {exc}") from exc
+            values.append(v)
         return cls(
             structure,
-            unit_maps=maps,
+            values,
             k_lower=doc.get("k_lower"),
             m_upper=doc.get("m_upper"),
         )

@@ -13,10 +13,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from interference_lab import PotentialOutcomeTable, TabularEstimator
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def run_cli(args, threads=None):
@@ -229,6 +232,48 @@ def test_table_json_without_structure_exits_2(tmp_path):
     result = _moments_with_table(tmp_path, {"json_path": str(path)})
     assert result.returncode == 2
     assert "structure" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+_HUB_EDGES = [[0, j] for j in range(1, 22)]  # unit 0's reference group has 22 units
+
+
+@pytest.mark.parametrize(
+    "name,text,code",
+    [
+        ("table.csv", "assignment,unit,outcome\nAAA,0\n", 2),
+        ("table.csv", "assignment,unit,outcome\nAAA,0,x\n", 2),
+        ("table.csv", "assignment,unit,outcome\nAAA,7,0.5\n", 2),
+        ("table.csv", "assignment,unit,outcome\nAAA,-1,0.5\n", 2),
+        ("table.csv", "assignment,unit,outcome\n" + "A" * 15 + ",0,0.5\n", 3),
+        ("table.json", "[1, 2]", 2),
+        (
+            "table.json",
+            json.dumps(
+                {
+                    "structure": {"kind": "k_local", "n": 22, "k": 1, "edges": _HUB_EDGES},
+                    "units": [{}] * 22,
+                }
+            ),
+            3,
+        ),
+    ],
+)
+def test_malformed_table_file_exit_code(tmp_path, name, text, code):
+    path = tmp_path / name
+    path.write_text(text)
+    key = "csv_path" if name.endswith(".csv") else "json_path"
+    result = _moments_with_table(tmp_path, {key: str(path)})
+    assert result.returncode == code, result.stderr
+    assert str(path) in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("unit", [10, -1])
+def test_tables_unit_out_of_range_exits_2(tmp_path, unit):
+    cfg = str(CONFIGS / "tables.json")
+    result = run_cli(["tables", "--config", cfg, "--out", str(tmp_path), "--set", f"unit={unit}"])
+    assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
 
 

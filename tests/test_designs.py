@@ -8,10 +8,13 @@ Claims pinned here:
     - sampling is deterministic given the seed, lands in the support, and
       passes a chi-square goodness-of-fit check against the pmf
     - fair-coin exposure probabilities equal enumeration frequencies exactly
+    - the bit gather packs the same sub-codes from an int64 code array as
+      from each code alone, and from one Python int at any n
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from interference_lab import (
@@ -26,6 +29,7 @@ from interference_lab import (
     sample,
     support_size,
 )
+from interference_lab.designs import restrict_codes
 
 
 def test_assignment_roundtrip():
@@ -57,6 +61,20 @@ def test_restrict_code_ascending_order():
     assert z.restrict_code([3, 1]) == 0b11
     assert z.restrict_code([0, 2]) == 0
     assert z.restrict_code([0, 1]) == 0b10
+
+
+def test_restrict_codes_array_matches_scalar():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        n = int(rng.integers(1, 15))
+        nodes = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+        codes = rng.integers(0, 1 << n, size=64, dtype=np.int64)
+        packed = restrict_codes(codes, nodes)
+        assert packed.dtype == np.int64
+        assert packed.tolist() == [restrict_codes(int(c), nodes) for c in codes]
+        assert packed.tolist() == [Assignment(int(c), n).restrict_code(nodes) for c in codes]
+    wide = Assignment.from_arms("AB" * 50)  # n = 100, every odd unit in arm B
+    assert restrict_codes(wide.code, [1, 2, 97, 99]) == 0b1101
 
 
 def test_design_validation():

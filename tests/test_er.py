@@ -257,20 +257,6 @@ def test_mc_within_three_stderr_of_enumeration():
     assert abs(mc.mean - exact) <= 3 * mc.stderr
 
 
-def test_assignment_level_cross_check_agrees_with_closed_form():
-    spec = ERSpec(6, 0.4)
-    fast = mc_expected_variance(spec, UniformOutcomes(0.5, 1.5), reps=6, seed=21)
-    slow = mc_expected_variance(
-        spec, UniformOutcomes(0.5, 1.5), reps=6, seed=21, assignment_level=True
-    )
-    assert slow.mean == pytest.approx(fast.mean, rel=1e-10)
-    assert slow.stderr == pytest.approx(fast.stderr, rel=1e-8, abs=1e-12)
-    with pytest.raises(CapacityError):
-        mc_expected_variance(
-            ERSpec(20, 0.1), ConstantOutcomes(1.0), reps=2, seed=0, assignment_level=True
-        )
-
-
 def test_mc_rejection_accounting():
     spec = ERSpec(8, 1.0)  # complete graph surely; every ball has size 8
     with pytest.raises(CapacityError):

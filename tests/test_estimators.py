@@ -1,8 +1,7 @@
 """Estimator arithmetic and the tabular form.
 
 Claims pinned here:
-    - difference in means on worked examples; the fixed-count wrapper
-      rejects designs without fixed group sizes
+    - difference in means on worked examples
     - the exposure-weighted estimator on the hand-enumerated two-node cases
     - the pure-arm and solo-treated inverse-probability rules
     - tabular estimators look up, fail loudly on gaps, round-trip CSV, and
@@ -24,15 +23,13 @@ from interference_lab import (
     Graph,
     HorvitzThompson,
     IncompleteEstimatorError,
-    InvalidDesignError,
+    InvalidArgumentError,
     NeighborhoodIndex,
     PotentialOutcomeTable,
     PureArmIPW,
     SoloTreatedIPW,
     TabularEstimator,
-    diff_in_means,
     enumerate_support,
-    ht_estimate,
     observed_key,
 )
 
@@ -50,14 +47,6 @@ def test_diff_in_means_empty_arm_contributes_zero():
     assert dm(Assignment.all_b(3), np.array([1.0, 2.0, 3.0])) == -2.0
 
 
-def test_diff_in_means_design_gate():
-    z = Assignment.from_arms("AB")
-    y = np.array([5.0, 3.0])
-    assert diff_in_means(z, y, Design.crd(2, 1)) == 2.0
-    with pytest.raises(InvalidDesignError):
-        diff_in_means(z, y, Design.bd(2))
-
-
 def test_horvitz_thompson_two_node_complete():
     idx = NeighborhoodIndex.build(Graph.complete(2), 1)
     ht = HorvitzThompson(idx)
@@ -72,15 +61,6 @@ def test_horvitz_thompson_empty_graph():
     idx = NeighborhoodIndex.build(Graph.empty(2), 1)
     ht = HorvitzThompson(idx)
     assert ht(Assignment.from_arms("AB"), np.array([2.0, 4.0])) == -2.0
-
-
-def test_ht_estimate_design_gate():
-    idx = NeighborhoodIndex.build(Graph.empty(2), 1)
-    z = Assignment.from_arms("AB")
-    y = np.array([2.0, 4.0])
-    assert ht_estimate(z, y, idx, Design.bd(2)) == -2.0
-    with pytest.raises(InvalidDesignError):
-        ht_estimate(z, y, idx, Design.crd(2, 1))
 
 
 def test_pure_arm_ipw():
@@ -135,6 +115,13 @@ def test_tabular_csv_roundtrip(tmp_path):
     est.to_csv(path, n=2)
     back = TabularEstimator.from_csv(path)
     assert back.mapping == mapping
+
+
+def test_tabular_csv_short_row_is_an_argument_error(tmp_path):
+    path = tmp_path / "witness.csv"
+    path.write_text("assignment,ykey,value\nAB,0.5|0.5\n")
+    with pytest.raises(InvalidArgumentError, match="row 2"):
+        TabularEstimator.from_csv(path)
 
 
 def test_tabular_csv_load_closes_its_file(tmp_path):

@@ -38,11 +38,11 @@ from interference_lab import (
 
 def _constant_klocal_table(graph, k, value):
     structure = KLocal(graph, k)
-    maps = []
+    values = []
     for i in range(graph.n):
         size = len(structure.index.closed[i])
-        maps.append({key: value for key in range(1 << size)})
-    return PotentialOutcomeTable(structure, unit_maps=maps)
+        values.append(np.full(1 << size, value))
+    return PotentialOutcomeTable(structure, values)
 
 
 def test_diff_means_unbiased_crd_no_interference():

@@ -1,0 +1,56 @@
+"""Shipped configs against recorded outputs.
+
+Claims pinned here:
+    - every config under configs/ produces, byte for byte, the stdout and
+      the output files recorded in tests/golden/<config>/ (``stdout`` holds
+      the standard output; every other file is one the run writes, at the
+      same path relative to the working directory)
+
+Unlike the re-run checks in test_cli.py, which compare two runs of the same
+code, the recordings compare this version with the one that wrote them.  A
+change that alters output on purpose records the new output and says why.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from interference_lab.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+COMMANDS = {
+    "adversary_diff_means": "adversary",
+    "er_analysis": "er-analysis",
+    "feasibility_bd": "feasibility",
+    "feasibility_crd": "feasibility",
+    "moments_crd": "moments",
+    "moments_ht": "moments",
+    "regimes": "regimes",
+    "tables": "tables",
+}
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_every_shipped_config_is_recorded():
+    assert sorted(p.stem for p in (ROOT / "configs").glob("*.json")) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_shipped_config_output_matches_recording(name, tmp_path, monkeypatch, capsys):
+    argv = [COMMANDS[name], "--config", str(ROOT / "configs" / f"{name}.json")]
+    if COMMANDS[name] == "tables":
+        argv += ["--out", "out"]
+    monkeypatch.chdir(tmp_path)  # relative output paths land in tmp_path
+    assert main(argv) == 0
+    produced = _files(tmp_path)
+    produced["stdout"] = capsys.readouterr().out.encode()
+    assert produced == _files(GOLDEN / name)

@@ -134,6 +134,10 @@ def test_informative_set_examples():
     path = KLocal(Graph.path(3), 1)
     assert informative_set(path, d, 0, z) == (2, 0.25)
     assert informative_set(Arbitrary(3), d, 1, z) == (1, 0.125)
+    # past the float range of 2^n: the fraction is still exact (or underflows)
+    wide, all_a = Design.bd(1100), Assignment.all_a(1100)
+    assert informative_set(Arbitrary(1100), wide, 0, all_a).fraction == 0.0
+    assert informative_set(NoInterference(1100), wide, 0, all_a).fraction == 0.5
     with pytest.raises(UnsupportedDesignError):
         informative_set(NoInterference(3), Design.crd(3, 1), 0, z)
 

@@ -8,9 +8,12 @@ Claims pinned here:
     - the random generator honors the open bounds, is seed-deterministic,
       and respects the declared structure
     - CSV (arbitrary) and JSON (keyed) serializations round-trip
+    - the block gather over a support reveals the same outcomes as the
+      per-assignment lookup, and an unstored entry fails loudly through it
 """
 
 import gc
+import math
 import warnings
 
 import numpy as np
@@ -22,6 +25,8 @@ from interference_lab import (
     Arbitrary,
     Assignment,
     CapacityError,
+    ConstantEstimator,
+    Design,
     Graph,
     IncompleteTableError,
     InvalidArgumentError,
@@ -29,7 +34,9 @@ from interference_lab import (
     NoInterference,
     PotentialOutcomeTable,
     SoloTreatmentEffect,
+    enumerate_support,
     estimand_value,
+    exact_moments,
     reference_group,
 )
 
@@ -160,8 +167,8 @@ def test_declared_bounds_are_enforced():
 
 
 def test_missing_entry_raises():
-    maps = [{0: 1.0}, {0: 1.0, 1: 2.0}]  # unit 0 lacks its arm-B entry
-    t = PotentialOutcomeTable(NoInterference(2), unit_maps=maps)
+    values = [[1.0, np.nan], [1.0, 2.0]]  # unit 0 lacks its arm-B entry
+    t = PotentialOutcomeTable(NoInterference(2), values)
     with pytest.raises(IncompleteTableError):
         t.outcome(0, Assignment.from_arms("BA"))
     matrix = np.full((4, 2), np.nan)
@@ -170,6 +177,36 @@ def test_missing_entry_raises():
     assert t2.outcome(0, Assignment.all_a(2)) == 1.0
     with pytest.raises(IncompleteTableError):
         t2.outcome(0, Assignment.all_b(2))
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [
+        NoInterference(9),
+        KLocal(Graph.from_edges(9, [(0, 1), (1, 2), (3, 4), (4, 8)]), 2),
+        Arbitrary(9),
+    ],
+)
+def test_observed_support_matches_observed_vector(structure):
+    t = PotentialOutcomeTable.random(structure, 0.0, 1.0, seed=31)
+    rows = list(t.observed_support(enumerate_support(Design.bd(9))))
+    assert [z.code for z, _, _ in rows] == list(range(1 << 9))
+    for z, p, y in rows:
+        assert p == 0.5**9
+        assert y.tolist() == t.observed_vector(z).tolist()
+
+
+def test_unstored_entry_raises_through_the_gather():
+    matrix = np.full((8, 3), 0.5)
+    matrix[5, 2] = np.nan
+    t = PotentialOutcomeTable.arbitrary(matrix)
+    with pytest.raises(IncompleteTableError):
+        exact_moments(ConstantEstimator(0.0), Design.bd(3), t, ATE)
+
+
+def test_keyed_table_beyond_the_bitmask_width():
+    t = PotentialOutcomeTable.random(NoInterference(100), 0.0, 1.0, seed=0)
+    assert math.isfinite(estimand_value(ATE, t))
 
 
 def test_csv_roundtrip(tmp_path):
