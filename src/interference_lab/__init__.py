@@ -23,6 +23,7 @@ from .designs import (
 )
 from .er import (
     DENSE,
+    ORACLE_CAP,
     SPARSE,
     ConstantOutcomes,
     ERSpec,
@@ -47,6 +48,7 @@ from .errors import (
     ConfigError,
     FeasibilityPrecisionError,
     GraphFormatError,
+    IdentityViolationError,
     IncompleteEstimatorError,
     IncompleteTableError,
     InterferenceLabError,

@@ -1,17 +1,27 @@
 """Numeric hot loops, vectorized with numpy.
 
 Two computations dominate runtime in this package: the pairwise closed-form
-variance of the exposure-weighted estimator, and exhaustive scans over every
-graph on n nodes (2^(n(n-1)/2) of them).
+variance of the exposure-weighted estimator, and the exhaustive random-graph
+oracles, which scan the settings of the edges each term depends on rather
+than whole graphs.
 
 Bitmask convention: node sets are int64 masks with bit j set when node j is
-in the set (so n <= 62).  Graph scans encode a graph as an integer whose
-bit t is the t-th node pair in (0,1), (0,2), ..., (n-2,n-1) order.
+in the set (so n <= 62).  Setting s of a pair's scan has bit t set when the
+t-th edge touching the pair, in (0,1), (0,2), ..., (n-2,n-1) order, is
+present.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import CapacityError
+
+# Largest graph the exhaustive oracles take: n(n-1)/2 pair scans of 2^(2n-3)
+# edge settings each, 45 scans of 2^17 settings at n=10.
+ORACLE_CAP = 10
 
 
 # ----------------------------------------------------------------------
@@ -46,64 +56,66 @@ def ht_variance_terms(
 
 
 # ----------------------------------------------------------------------
-# Exhaustive scans over all graphs on n nodes (1-step closed neighborhoods).
+# Exhaustive oracles (1-step closed neighborhoods).  By linearity of
+# expectation a per-unit term depends only on the n-1 edges at the unit and
+# a per-pair term only on the 2n-3 edges touching the pair, so each term is
+# an exact scan over the settings of those edges alone.
 
 
-def _scan_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-graph closed neighborhood masks (rows = graph codes) and edge
-    counts."""
-    m = n * (n - 1) // 2
-    codes = np.arange(1 << m, dtype=np.int64)
-    nbhd = np.empty((1 << m, n), dtype=np.int64)
-    for i in range(n):
-        nbhd[:, i] = 1 << i
-    t = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            bit = (codes >> t) & 1
-            nbhd[:, i] |= bit << j
-            nbhd[:, j] |= bit << i
-            t += 1
-    edges = np.bitwise_count(codes.astype(np.uint64)).astype(np.int64)
-    return nbhd, edges
+def _pair_settings(n: int, i: int, j: int, p: float):
+    """Every setting of the edges touching nodes i and j (those at i alone
+    when i == j): the closed neighborhood masks of i and j, the number e of
+    edges present, and p^e (1-p)^(m'-e), the probability of a setting with e
+    of the m' edges present, indexed by e."""
+    if n > ORACLE_CAP:
+        raise CapacityError(
+            f"exhaustive oracles capped at n={ORACLE_CAP}, got n={n}; "
+            "use mc_expected_variance"
+        )
+    nbhd = np.array([[1 << i], [1 << j]], dtype=np.int64)
+    touching = [(u, v) for u in range(n) for v in range(u + 1, n) if {u, v} & {i, j}]
+    for u, v in touching:
+        bits = [[1 << (u + v - x) if x in (u, v) else 0] for x in (i, j)]
+        nbhd = np.concatenate([nbhd, nbhd | bits], axis=1)
+    m = len(touching)
+    e = np.arange(m + 1)
+    present = np.bitwise_count(np.arange(1 << m)).astype(np.int64)
+    return nbhd[0], nbhd[1], present, np.power(p, e) * np.power(1.0 - p, m - e)
 
 
-def _weights(edges: np.ndarray, m: int, p: float) -> np.ndarray:
-    return np.power(p, edges) * np.power(1.0 - p, m - edges)
+def _mean(masks: np.ndarray, present: np.ndarray, prob: np.ndarray, term: np.ndarray) -> float:
+    """Expectation of term[|mask|]: settings are counted exactly by (edges
+    present, set size), and the weighted counts are summed with fsum."""
+    key = present * term.size + np.bitwise_count(masks)
+    count = np.bincount(key, minlength=prob.size * term.size).reshape(prob.size, -1)
+    return math.fsum((prob[:, None] * count * term).ravel())
 
 
 def er_moment_scan(n: int, p: float) -> tuple[float, float, float]:
     """Exact graph-averages of 2^|N_0|, 2^|N_0 & N_1|, and 1{N_0 & N_1 = 0}
-    over all graphs on n nodes with independent edge probability p."""
-    if n < 2 or n > 7:
-        raise ValueError("exhaustive graph scans support 2 <= n <= 7")
-    m = n * (n - 1) // 2
-    nbhd, edges = _scan_arrays(n)
-    w = _weights(edges, m, float(p))
-    s0 = np.bitwise_count(nbhd[:, 0].astype(np.uint64)).astype(np.int64)
-    inter = nbhd[:, 0] & nbhd[:, 1]
-    s01 = np.bitwise_count(inter.astype(np.uint64)).astype(np.int64)
-    mean_nbhd = float(np.dot(w, np.ldexp(1.0, s0)))
-    mean_shared = float(np.dot(w, np.ldexp(1.0, s01)))
-    prob_disjoint = float(np.dot(w, (inter == 0).astype(float)))
-    return mean_nbhd, mean_shared, prob_disjoint
+    with independent edge probability p, from the edges touching (0, 1)."""
+    nbhd_0, nbhd_1, present, prob = _pair_settings(n, 0, 1, float(p))
+    sizes = np.arange(n + 1)
+    pow2 = np.ldexp(1.0, sizes)
+    shared = nbhd_0 & nbhd_1
+    return (
+        _mean(nbhd_0, present, prob, pow2),
+        _mean(shared, present, prob, pow2),
+        _mean(shared, present, prob, (sizes == 0).astype(float)),
+    )
 
 
 def er_variance_scan(n: int, p: float, c: float) -> float:
     """Exact graph-expectation of the closed-form estimator variance for a
-    constant outcome level c, k=1, over all graphs on n nodes."""
-    if n < 2 or n > 7:
-        raise ValueError("exhaustive graph scans support 2 <= n <= 7")
-    m = n * (n - 1) // 2
-    nbhd, edges = _scan_arrays(n)
-    w = _weights(edges, m, float(p))
-    sizes = np.bitwise_count(nbhd.astype(np.uint64)).astype(np.int64)
-    acc = np.full(1 << m, float(n))
-    acc += (np.ldexp(1.0, sizes) - 1.0).sum(axis=1)
+    constant outcome level c, k=1: n per-unit terms 2^|N_i| - 1 and n(n-1)/2
+    per-pair terms 2 (2^|N_i & N_j| - 1) + 2 1{N_i & N_j != 0}."""
+    sizes = np.arange(n + 1)
+    unit_term = np.ldexp(1.0, sizes) - 1.0
+    pair_term = 2.0 * unit_term + 2.0 * (sizes > 0)
+    terms = [float(n)]
     for i in range(n):
-        for j in range(i + 1, n):
-            inter = nbhd[:, i] & nbhd[:, j]
-            s = np.bitwise_count(inter.astype(np.uint64)).astype(np.int64)
-            acc += 2.0 * (np.ldexp(1.0, s) - 1.0)
-            acc += 2.0 * (inter != 0)
-    return float(np.dot(w, acc)) * 2.0 * c * c / (n * n)
+        for j in range(i, n):  # j == i scans the unit's own edges; N_i & N_i = N_i
+            nbhd_i, nbhd_j, present, prob = _pair_settings(n, i, j, float(p))
+            term = unit_term if i == j else pair_term
+            terms.append(_mean(nbhd_i & nbhd_j, present, prob, term))
+    return math.fsum(terms) * 2.0 * c * c / (n * n)

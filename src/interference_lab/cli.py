@@ -4,7 +4,7 @@ Subcommands: moments, feasibility, adversary, er-analysis, tables, regimes.
 Every command is deterministic given its config (seeds included): re-runs
 produce byte-identical output; Monte Carlo replicates run serially, each
 seeded by its index.  Exit codes: 0 success, 2 usage/config error,
-3 capacity error.
+3 capacity error, 4 identity violation.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .er import (
     regime_report,
     sample_er_graph,
 )
-from .errors import CapacityError, ConfigError, InterferenceLabError
+from .errors import CapacityError, ConfigError, IdentityViolationError, InterferenceLabError
 from .estimators import (
     ConstantEstimator,
     DifferenceInMeans,
@@ -488,6 +488,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
+    except IdentityViolationError as exc:
+        print(f"identity violation: {exc}", file=sys.stderr)
+        return 4
     except InterferenceLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

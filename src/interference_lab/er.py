@@ -27,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from ._kernels import er_moment_scan, er_variance_scan, ht_variance_terms
+from ._kernels import ORACLE_CAP, er_moment_scan, er_variance_scan, ht_variance_terms
 from .errors import CapacityError, InvalidArgumentError
 from .graphs import Graph, NeighborhoodIndex
 
@@ -271,12 +271,12 @@ def mc_expected_variance(
 
 
 # ----------------------------------------------------------------------
-# Exhaustive oracles (all 2^(n(n-1)/2) graphs; n <= 7)
+# Exhaustive oracles (each term scans the edges it depends on; n <= ORACLE_CAP)
 
 
 def exhaustive_expected_variance(spec: ERSpec, c: float) -> float:
     """Exact graph-expectation of the closed-form variance at constant
-    outcome level c, by enumerating every graph."""
+    outcome level c, by enumerating the edges at each unit and node pair."""
     return er_variance_scan(spec.n, spec.p, c)
 
 
@@ -288,6 +288,6 @@ class ERMomentOracle:
 
 
 def exhaustive_moments(spec: ERSpec) -> ERMomentOracle:
-    """The three closed-form moments recomputed by full graph enumeration."""
+    """The three closed-form moments recomputed by edge enumeration."""
     m1, m2, p0 = er_moment_scan(spec.n, spec.p)
     return ERMomentOracle(m1, m2, p0)

@@ -2,7 +2,7 @@
 
 Public functions raise these instead of bare ValueError/RuntimeError so the
 CLI can map failure classes to exit codes (config errors exit 2, capacity
-errors exit 3).
+errors exit 3, identity violations exit 4).
 """
 
 
@@ -24,6 +24,11 @@ class UnsupportedEstimandError(InterferenceLabError):
 
 class CapacityError(InterferenceLabError):
     """Exact enumeration was requested beyond the configured size cap."""
+
+
+class IdentityViolationError(InterferenceLabError):
+    """A result broke an identity that holds in exact arithmetic (the moment
+    identity, the MSE floor) by more than rounding explains."""
 
 
 class IncompleteTableError(InterferenceLabError, KeyError):

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._kernels import ht_variance_terms
 from .designs import Design, ENUMERATION_CAP, enumerate_support
-from .errors import InvalidArgumentError
+from .errors import IdentityViolationError, InvalidArgumentError
 from .estimators import Estimator
 from .graphs import Graph, NeighborhoodIndex, NoInterference
 from .outcomes import Estimand, PotentialOutcomeTable, estimand_value
@@ -65,7 +65,7 @@ def exact_moments(
     mse = math.fsum(p * (v - theta) ** 2 for p, v in zip(probs, values))
     check = variance + (expectation - theta) ** 2
     if abs(mse - check) > _IDENTITY_RTOL * max(1.0, abs(mse)):
-        raise RuntimeError(
+        raise IdentityViolationError(
             f"moment identity violated: mse={mse} vs var+bias^2={check}"
         )
     return MomentReport(expectation, variance, mse, len(values))

@@ -29,6 +29,7 @@ import numpy as np
 from .designs import Assignment, Design, enumerate_support
 from .errors import (
     FeasibilityPrecisionError,
+    IdentityViolationError,
     InvalidArgumentError,
     UnsupportedDesignError,
     UnsupportedEstimandError,
@@ -254,7 +255,7 @@ def mse_adversary(
     mse, table, theta = best
     floor = m * m / 8.0 * (1.0 - 10.0 * eps / m)
     if mse < floor:
-        raise RuntimeError(
+        raise IdentityViolationError(
             f"adversarial MSE {mse} fell below the guaranteed floor {floor}"
         )
     return AdversaryResult(table, mse, floor, theta)

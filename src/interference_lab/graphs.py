@@ -30,6 +30,7 @@ import numpy as np
 
 from .designs import ARM_A, ARM_B, Assignment, Design, restrict_codes
 from .errors import (
+    CapacityError,
     GraphFormatError,
     InvalidArgumentError,
     UnsupportedDesignError,
@@ -173,7 +174,7 @@ class NeighborhoodIndex:
     def masks(self) -> np.ndarray:
         """Neighborhoods as int64 bitmasks (requires n <= 62)."""
         if self.n > 62:
-            raise InvalidArgumentError("bitmask form needs n <= 62")
+            raise CapacityError(f"bitmask form needs n <= 62, got n={self.n}")
         out = np.zeros(self.n, dtype=np.int64)
         for i, ball in enumerate(self.closed):
             m = 0

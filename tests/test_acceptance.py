@@ -180,7 +180,7 @@ def test_criterion_5_er_moment_oracle():
                 assert moment_two_pow_nbhd(spec) == oracle.two_pow_nbhd
                 assert moment_two_pow_shared(spec) == oracle.two_pow_shared
                 assert prob_no_common(spec) == oracle.prob_no_common
-        # Monte Carlo vs the 2^15-graph exact value
+        # Monte Carlo vs the exact value of the edge-reduced oracle
         spec = ERSpec(6, 0.3)
         exact = exhaustive_expected_variance(spec, 1.0)
         mc = mc_expected_variance(spec, ConstantOutcomes(1.0), reps=2000, seed=55)

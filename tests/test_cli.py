@@ -3,7 +3,9 @@
 Claims pinned here:
     - each subcommand runs a small config to completion with exit 0
     - malformed JSON, unknown keys, and missing or incomplete input files
-      exit 2 without a traceback; over-cap sizes exit 3
+      exit 2 without a traceback; over-cap sizes, including Monte Carlo
+      beyond the 62-node bitmask ceiling, exit 3; a broken moment identity
+      or MSE floor exits 4 without a traceback
     - re-running any command byte-identically reproduces its output,
       including across different INTERFERENCE_LAB_THREADS settings
     - --set overrides nested keys; --seed feeds seedless configs
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from interference_lab import PotentialOutcomeTable, TabularEstimator
+from interference_lab import PotentialOutcomeTable, TabularEstimator, cli, exact, feasibility
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -291,6 +293,37 @@ def test_capacity_exits_3(tmp_path):
         ["moments", "--config", path, "--set", "design.n=20", "--set", "design.n_a=10"]
     )
     assert result.returncode == 3
+
+
+def test_er_analysis_beyond_bitmask_ceiling_exits_3(tmp_path):
+    cfg = {
+        "cases": [{"n": 100, "p": 0.01}],
+        "k_lower": 0.5,
+        "m_upper": 1.0,
+        "reps": 10,
+        "seed": 7,
+    }
+    result = run_cli(["er-analysis", "--config", write_config(tmp_path, "er.json", cfg)])
+    assert result.returncode == 3, result.stderr
+    assert "n <= 62" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_moment_identity_violation_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(exact, "_IDENTITY_RTOL", -1.0)  # any slack at all violates
+    assert cli.main(["moments", "--config", str(CONFIGS / "moments_ht.json")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("identity violation: moment identity violated")
+    assert "Traceback" not in err
+
+
+def test_mse_floor_violation_exits_4(monkeypatch, capsys):
+    # an estimand pinned at 0 lets the estimator's constant answer 0 reach MSE 0
+    monkeypatch.setattr(feasibility, "estimand_value", lambda estimand, table: 0.0)
+    assert cli.main(["adversary", "--config", str(CONFIGS / "adversary_diff_means.json")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("identity violation: adversarial MSE")
+    assert "Traceback" not in err
 
 
 def test_set_override_and_seed(tmp_path):

@@ -1,9 +1,15 @@
 """Random-graph closed forms against exhaustive and Monte Carlo oracles.
 
 Claims pinned here:
-    - the three product-form moments equal full graph enumeration bit for
-      bit at n in {2,3,4} on dyadic edge probabilities, and to 1e-12 off
+    - the three product-form moments equal the exhaustive oracle bit for
+      bit at n in 2..10 on dyadic edge probabilities, and to 1e-12 off
       the dyadic grid
+    - both oracles, which enumerate only the edges each term depends on,
+      equal a plain-Python enumeration of every graph in exact rational
+      arithmetic at n <= 5: bit for bit on dyadic edge probabilities, to
+      1e-12 off the grid
+    - the variance oracle equals the moment-based exact reference
+      2c^2 [M1/n + (n-1)/n (M2 - P0)] up to n=10; n=11 is over the cap
     - the variance envelope: value 4 C^2/n at p=0, hand value at n=3,
       monotone non-decreasing in p, and sandwiching the exact
       graph-expected variance for separated outcome levels
@@ -16,7 +22,9 @@ Claims pinned here:
       standard errors of enumeration
 """
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +36,7 @@ from interference_lab import (
     ERSpec,
     Graph,
     InvalidArgumentError,
+    ORACLE_CAP,
     UniformOutcomes,
     classify_regime,
     dense_lower_bound,
@@ -61,7 +70,7 @@ def test_moment_edge_probabilities():
     assert prob_no_common(ERSpec(5, 1.0)) == 0.0
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", range(2, 11))
 @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
 def test_moments_match_enumeration_exactly(n, p):
     spec = ERSpec(n, p)
@@ -78,6 +87,72 @@ def test_moments_match_enumeration_off_dyadic(n):
     assert moment_two_pow_nbhd(spec) == pytest.approx(oracle.two_pow_nbhd, rel=1e-12)
     assert moment_two_pow_shared(spec) == pytest.approx(oracle.two_pow_shared, rel=1e-12)
     assert prob_no_common(spec) == pytest.approx(oracle.prob_no_common, rel=1e-12)
+
+
+def _every_graph(n, p):
+    """Moments of node 0 and pair (0, 1), and the graph-expected sum inside
+    the constant-outcome closed-form variance, over every graph on n nodes
+    with edge probability p, in exact rational arithmetic."""
+    pairs = list(itertools.combinations(range(n), 2))
+    m1 = m2 = p0 = total = Fraction(0)
+    for present in itertools.product((False, True), repeat=len(pairs)):
+        prob = Fraction(1)
+        ball = [{i} for i in range(n)]
+        for (u, v), on in zip(pairs, present):
+            prob *= p if on else 1 - p
+            if on:
+                ball[u].add(v)
+                ball[v].add(u)
+        shared = ball[0] & ball[1]
+        m1 += prob * 2 ** len(ball[0])
+        m2 += prob * 2 ** len(shared)
+        p0 += prob * (not shared)
+        inner = n + sum(2 ** len(b) - 1 for b in ball)
+        for i, j in itertools.permutations(range(n), 2):
+            common = ball[i] & ball[j]
+            inner += 2 ** len(common) - 1 + (1 if common else 0)
+        total += prob * inner
+    return m1, m2, p0, total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "p", [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
+)
+def test_oracles_equal_every_graph_enumeration_on_dyadic_p(n, p):
+    m1, m2, p0, total = _every_graph(n, p)
+    c = Fraction(3, 2)
+    spec = ERSpec(n, float(p))
+    oracle = exhaustive_moments(spec)
+    assert oracle.two_pow_nbhd == float(m1)
+    assert oracle.two_pow_shared == float(m2)
+    assert oracle.prob_no_common == float(p0)
+    assert exhaustive_expected_variance(spec, float(c)) == float(total * 2 * c * c / n**2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_oracles_equal_every_graph_enumeration_off_dyadic(n):
+    p = Fraction(3, 10)
+    m1, m2, p0, total = _every_graph(n, p)
+    spec = ERSpec(n, float(p))
+    oracle = exhaustive_moments(spec)
+    assert oracle.two_pow_nbhd == pytest.approx(float(m1), rel=1e-12)
+    assert oracle.two_pow_shared == pytest.approx(float(m2), rel=1e-12)
+    assert oracle.prob_no_common == pytest.approx(float(p0), rel=1e-12)
+    want = float(total * 2 / n**2)
+    assert exhaustive_expected_variance(spec, 1.0) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, p", [(8, 0.3), (10, 0.25), (10, 0.3)])
+def test_variance_oracle_matches_moment_reference(n, p):
+    # linearity of expectation over the per-graph closed form, constant c
+    spec = ERSpec(n, p)
+    c = 1.3
+    m1 = moment_two_pow_nbhd(spec)
+    m2 = moment_two_pow_shared(spec)
+    p0 = prob_no_common(spec)
+    want = 2 * c * c * (m1 / n + (n - 1) / n * (m2 - p0))
+    assert exhaustive_expected_variance(spec, c) == pytest.approx(want, rel=1e-12)
 
 
 def test_h_bound_values():
@@ -111,8 +186,13 @@ def test_exhaustive_variance_closed_form_at_p_zero():
 
 
 def test_exhaustive_caps():
-    with pytest.raises(ValueError):
-        exhaustive_expected_variance(ERSpec(8, 0.5), 1.0)
+    assert ORACLE_CAP == 10
+    with pytest.raises(CapacityError):
+        exhaustive_expected_variance(ERSpec(11, 0.5), 1.0)
+    with pytest.raises(CapacityError):
+        exhaustive_moments(ERSpec(11, 0.5))
+    assert exhaustive_expected_variance(ERSpec(8, 0.5), 1.0) > 0
+    assert exhaustive_moments(ERSpec(8, 0.5)).two_pow_nbhd > 0
 
 
 def test_regime_reports():

@@ -15,6 +15,7 @@ import pytest
 from interference_lab import (
     Arbitrary,
     Assignment,
+    CapacityError,
     Design,
     Graph,
     GraphFormatError,
@@ -100,6 +101,8 @@ def test_neighborhood_index_masks_and_sizes():
     assert idx.closed == (frozenset({0, 1}), frozenset({0, 1, 2}), frozenset({1, 2}))
     assert list(idx.masks()) == [0b011, 0b111, 0b110]
     assert list(idx.sizes()) == [2, 3, 2]
+    with pytest.raises(CapacityError):
+        NeighborhoodIndex.build(Graph.empty(63), 1).masks()
 
 
 def test_reference_groups():
