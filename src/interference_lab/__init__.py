@@ -16,10 +16,6 @@ from .designs import (
     Assignment,
     Design,
     enumerate_support,
-    exposure_probability,
-    pmf,
-    sample,
-    support_size,
 )
 from .er import (
     DENSE,
@@ -87,11 +83,8 @@ from .graphs import (
     KLocal,
     NeighborhoodIndex,
     NoInterference,
-    effective_treatment,
     effective_treatment_count,
-    effective_treatment_key,
     informative_set,
-    is_exposed,
     k_step_neighborhood,
     reference_group,
 )

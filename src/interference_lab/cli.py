@@ -87,9 +87,7 @@ def _json_text(payload: dict) -> str:
 def _load_config(path: str, overrides: list[str]) -> dict:
     try:
         cfg = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -121,11 +119,16 @@ def _check_keys(obj, where: str, required: dict, optional: dict) -> None:
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
     for key, kind in {**required, **optional}.items():
-        if key in obj and kind is not None and not isinstance(obj[key], kind):
+        if key in obj and not _is(obj[key], kind):
             raise ConfigError(f"{where}.{key}: expected {kind}, got {type(obj[key])}")
 
 
 _NUM = (int, float)
+
+
+def _is(value, kind) -> bool:
+    """isinstance, except that a JSON boolean is not a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _parse_design(cfg, where="design") -> Design:
@@ -147,10 +150,7 @@ def _parse_graph(cfg, seed: int | None, where="graph") -> Graph:
     if ("path" in cfg) == ("er" in cfg):
         raise ConfigError(f"{where}: give exactly one of path / er")
     if "path" in cfg:
-        try:
-            return Graph.from_file(cfg["path"])
-        except FileNotFoundError as exc:
-            raise ConfigError(f"{where}.path: file not found: {exc.filename}") from exc
+        return Graph.from_file(cfg["path"])
     er = cfg["er"]
     _check_keys(er, f"{where}.er", {"n": int, "p": _NUM}, {"seed": int})
     graph_seed = er.get("seed", seed)
@@ -192,12 +192,9 @@ def _parse_table(cfg, structure, seed, where="table") -> PotentialOutcomeTable:
         return PotentialOutcomeTable.random(
             structure, float(r["k_lower"]), float(r["m_upper"]), table_seed
         )
-    try:
-        if "json_path" in cfg:
-            return PotentialOutcomeTable.from_json(cfg["json_path"])
-        return PotentialOutcomeTable.from_csv(cfg["csv_path"])
-    except FileNotFoundError as exc:
-        raise ConfigError(f"{where}: file not found: {exc.filename}") from exc
+    if "json_path" in cfg:
+        return PotentialOutcomeTable.from_json(cfg["json_path"])
+    return PotentialOutcomeTable.from_csv(cfg["csv_path"])
 
 
 def _parse_estimator(cfg, structure, n: int, seed, where="estimator"):
@@ -276,7 +273,7 @@ def cmd_feasibility(cfg: dict, out: str | None, seed: int | None) -> int:
     design = _parse_design(cfg["design"])
     estimand = _parse_estimand(cfg["estimand"])
     grid = cfg["grid"]
-    if not all(isinstance(v, _NUM) for v in grid):
+    if not all(_is(v, _NUM) for v in grid):
         raise ConfigError("grid: entries must be numbers")
     certificate = unbiased_feasibility(design, estimand, grid)
     payload = certificate.to_json_dict()
@@ -382,7 +379,7 @@ def cmd_tables(cfg: dict, out: str | None, seed: int | None) -> int:
     ]
     sweep_rows = []
     for value in cfg["sweep_n"]:
-        if not isinstance(value, int):
+        if not _is(value, int):
             raise ConfigError("sweep_n: entries must be integers")
         sparse = ERSpec(value, 1.0 / value)
         dense = ERSpec(value, 1.0 / math.sqrt(value))
@@ -426,7 +423,7 @@ def cmd_regimes(cfg: dict, out: str | None, seed: int | None) -> int:
     )
     rows = []
     for value in cfg["n_values"]:
-        if not isinstance(value, int):
+        if not _is(value, int):
             raise ConfigError("n_values: entries must be integers")
         sparse = regime_report(value, SPARSE, float(cfg["k_lower"]), float(cfg["m_upper"]))
         dense = regime_report(value, DENSE, float(cfg["k_lower"]), float(cfg["m_upper"]))
@@ -491,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
     except IdentityViolationError as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
         return 4
-    except InterferenceLabError as exc:
+    except (InterferenceLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -239,24 +239,22 @@ def mc_expected_variance(
     policy: TablePolicy,
     reps: int,
     seed: int,
-    k: int = 1,
     max_nbhd: int = MC_NEIGHBORHOOD_CAP,
 ) -> MCVariance:
     """Monte Carlo estimate of the graph-expected estimator variance.
 
     Each replicate draws a graph, builds pure-arm outcomes per the policy,
     and evaluates the per-graph pairwise closed form of the exposure-weighted
-    estimator's variance (``_kernels.ht_variance_terms``); that the closed
-    form equals the variance enumerated over the fair-coin support is checked
-    separately, through ``exact_moments``.  Replicates run serially, each
+    estimator's variance over closed 1-step balls
+    (``_kernels.ht_variance_terms``); that the closed form equals the
+    variance enumerated over the fair-coin support is checked separately,
+    through ``exact_moments``.  Replicates run serially, each
     seeded by (seed, index), so the estimate does not depend on the
     environment.  Replicates whose largest neighborhood exceeds the cap are
     rejected and counted.
     """
     if reps < 2:
         raise InvalidArgumentError(f"need reps >= 2, got {reps}")
-    if k != 1:
-        raise InvalidArgumentError("the closed-form path is built for k=1")
     values = [_replicate_variance(spec, policy, seed, r, max_nbhd) for r in range(reps)]
     kept = [v for v in values if not math.isnan(v)]
     rejected = reps - len(kept)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import ht_variance_terms
-from .designs import Design, ENUMERATION_CAP, enumerate_support
+from .designs import Design, enumerate_support
 from .errors import IdentityViolationError, InvalidArgumentError
 from .estimators import Estimator
 from .graphs import Graph, NeighborhoodIndex, NoInterference
@@ -49,7 +49,6 @@ def exact_moments(
     design: Design,
     table: PotentialOutcomeTable,
     estimand: Estimand,
-    cap: int = ENUMERATION_CAP,
 ) -> MomentReport:
     """Enumerate the design's support and reduce the estimator exactly."""
     if table.n != design.n:
@@ -57,7 +56,7 @@ def exact_moments(
     theta = estimand_value(estimand, table)
     probs = []
     values = []
-    for z, p, y in table.observed_support(enumerate_support(design, cap)):
+    for z, p, y in table.observed_support(enumerate_support(design)):
         probs.append(p)
         values.append(float(estimator(z, y)))
     expectation = math.fsum(p * v for p, v in zip(probs, values))

@@ -46,6 +46,8 @@ from .outcomes import (
 FEASIBLE_TOL = 1e-9
 INFEASIBLE_TOL = 1e-6
 _CONDITION_CAP = 1e10
+# The adversary's target M is approached within eps = _EPS_REL * M.
+_EPS_REL = 1e-6
 
 # Least-squares systems grow as |grid|^3 * 2^n rows/columns; these caps keep
 # them tiny and well scaled.
@@ -118,8 +120,6 @@ def unbiased_feasibility(
     estimand: Estimand,
     outcome_grid,
     witness_family: list[PotentialOutcomeTable] | None = None,
-    feasible_tol: float = FEASIBLE_TOL,
-    infeasible_tol: float = INFEASIBLE_TOL,
 ) -> FeasibilityCertificate:
     """Decide whether any estimator is unbiased across the witness family."""
     grid = tuple(float(v) for v in outcome_grid)
@@ -162,20 +162,20 @@ def unbiased_feasibility(
             f"(cond ~ {singular[0] / singular[rank - 1]:.2e})"
         )
     residual = float(np.linalg.norm(a @ solution - b))
-    if residual <= feasible_tol:
+    if residual <= FEASIBLE_TOL:
         witness = TabularEstimator(
             {key: float(solution[col]) for key, col in columns.items()}
         )
         return FeasibilityCertificate(
             True, residual, len(witness_family), len(columns), int(rank), witness
         )
-    if residual > infeasible_tol:
+    if residual > INFEASIBLE_TOL:
         return FeasibilityCertificate(
             False, residual, len(witness_family), len(columns), int(rank), None
         )
     raise FeasibilityPrecisionError(
-        f"residual {residual:.3e} falls between the feasible ({feasible_tol:.0e}) "
-        f"and infeasible ({infeasible_tol:.0e}) tolerances"
+        f"residual {residual:.3e} falls between the feasible ({FEASIBLE_TOL:.0e}) "
+        f"and infeasible ({INFEASIBLE_TOL:.0e}) tolerances"
     )
 
 
@@ -201,7 +201,6 @@ def mse_adversary(
     design: Design,
     estimand: Estimand,
     m_upper: float,
-    eps_rel: float = 1e-6,
 ) -> AdversaryResult:
     """Construct outcomes forcing MSE >= M^2/8 (up to the interior offset).
 
@@ -209,7 +208,7 @@ def mse_adversary(
     estimator sees identical data on the whole non-pure support; the pure
     rows are then set to push the estimand as far as possible from whatever
     the estimator answers there.  Both candidate targets (0, attained with
-    equal pure rows, and M, approached within the offset eps = eps_rel * M)
+    equal pure rows, and M, approached within the offset eps = _EPS_REL * M)
     are enumerated and the worse one for the estimator is returned.
 
     Only the mean-contrast estimand is supported: realizing an arbitrary
@@ -228,7 +227,7 @@ def mse_adversary(
     if m_upper <= 0:
         raise InvalidArgumentError(f"need m_upper > 0, got {m_upper}")
     m = float(m_upper)
-    eps = eps_rel * m
+    eps = _EPS_REL * m
     half = m / 2.0
 
     def bounded_table(a_value: float, b_value: float) -> PotentialOutcomeTable:

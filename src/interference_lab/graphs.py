@@ -13,9 +13,10 @@ vector can move a unit's outcome:
 - ``Arbitrary(n)``: the whole vector.
 
 The structure induces, per unit i, a reference group G_i (the coordinate
-set), the unit's effective treatment (the assignment restricted to G_i), a
-count of possible effective treatments, and, under the fair-coin design, the
-set of assignments sharing a given effective treatment.
+set), a count of possible effective treatments (restrictions of the
+assignment to G_i, gathered by ``designs.restrict_codes``), and, under the
+fair-coin design, the set of assignments sharing a given effective
+treatment.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
-from .designs import ARM_A, ARM_B, Assignment, Design, restrict_codes
+from .designs import Assignment, Design
 from .errors import (
     CapacityError,
     GraphFormatError,
@@ -84,9 +85,13 @@ class Graph:
 
         Nodes are 0-indexed.  Duplicate or self-loop lines are load errors.
         """
+        try:
+            text = Path(path).read_text()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"{path}: not UTF-8 text ({exc})") from exc
         lines = [
             ln.strip()
-            for ln in Path(path).read_text().splitlines()
+            for ln in text.splitlines()
             if ln.strip() and not ln.lstrip().startswith("#")
         ]
         if not lines:
@@ -120,12 +125,6 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         return adj
-
-    def adjacency_matrix(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n), dtype=bool)
-        for u, v in self.edges:
-            m[u, v] = m[v, u] = True
-        return m
 
 
 def _ball(adj: list[list[int]], i: int, k: int) -> frozenset[int]:
@@ -183,26 +182,6 @@ class NeighborhoodIndex:
             out[i] = m
         return out
 
-    def sizes(self) -> np.ndarray:
-        return np.array([len(b) for b in self.closed], dtype=np.int64)
-
-
-def is_exposed(index: NeighborhoodIndex, i: int, z: Assignment, arm: str) -> bool:
-    """True iff every unit in node i's closed ball has the given arm."""
-    if z.n != index.n:
-        raise InvalidArgumentError(
-            f"assignment has n={z.n} but index has n={index.n}"
-        )
-    if arm not in (ARM_A, ARM_B):
-        raise InvalidArgumentError(f"arm must be 'A' or 'B', got {arm!r}")
-    mask = 0
-    for j in index.closed[i]:
-        mask |= 1 << j
-    if arm == ARM_A:
-        return (z.code & mask) == 0
-    return (z.code & mask) == mask
-
-
 @dataclass(frozen=True)
 class NoInterference:
     n: int
@@ -239,29 +218,6 @@ def reference_group(structure: InterferenceStructure, i: int) -> frozenset[int]:
     if isinstance(structure, KLocal):
         return structure.index.closed[i]
     return frozenset(range(structure.n))
-
-
-def effective_treatment(
-    structure: InterferenceStructure, i: int, z: Assignment
-) -> tuple[str, ...]:
-    """Restriction of z to the reference group, in ascending-node order."""
-    if z.n != structure.n:
-        raise InvalidArgumentError(
-            f"assignment has n={z.n} but structure has n={structure.n}"
-        )
-    return tuple(z.arm(j) for j in sorted(reference_group(structure, i)))
-
-
-def effective_treatment_key(
-    structure: InterferenceStructure, i: int, z: Assignment
-) -> int:
-    """Canonical bit-packed form of the effective treatment (A=0 bit,
-    ordered by ascending node id within the reference group)."""
-    if z.n != structure.n:
-        raise InvalidArgumentError(
-            f"assignment has n={z.n} but structure has n={structure.n}"
-        )
-    return restrict_codes(z.code, sorted(reference_group(structure, i)))
 
 
 def effective_treatment_count(structure: InterferenceStructure, i: int) -> int:

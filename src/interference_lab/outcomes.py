@@ -253,8 +253,11 @@ class PotentialOutcomeTable:
         k_lower: float | None = None,
         m_upper: float | None = None,
     ) -> "PotentialOutcomeTable":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        try:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise InvalidArgumentError(f"{path}: not UTF-8 text ({exc})") from exc
         if not rows or rows[0] != ["assignment", "unit", "outcome"]:
             raise InvalidArgumentError(f"{path}: expected header assignment,unit,outcome")
         if len(rows) < 2:
@@ -326,7 +329,7 @@ class PotentialOutcomeTable:
                     f"{path}: unknown structure kind {spec['kind']!r}"
                 )
             units = doc["units"]
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidArgumentError(f"{path}: invalid JSON ({exc})") from exc
         except KeyError as exc:
             raise InvalidArgumentError(f"{path}: missing key {exc}") from exc

@@ -2,8 +2,10 @@
 
 Claims pinned here:
     - each subcommand runs a small config to completion with exit 0
-    - malformed JSON, unknown keys, and missing or incomplete input files
-      exit 2 without a traceback; over-cap sizes, including Monte Carlo
+    - malformed JSON, unknown keys, JSON booleans where numbers belong,
+      missing, unreadable, non-UTF-8 or incomplete input files, and
+      unwritable outputs exit 2 without a traceback, naming the offending
+      key or path; over-cap sizes, including Monte Carlo
       beyond the 62-node bitmask ceiling, exit 3; a broken moment identity
       or MSE floor exits 4 without a traceback
     - re-running any command byte-identically reproduces its output,
@@ -284,6 +286,75 @@ def test_missing_graph_file_exits_2(tmp_path):
     cfg["structure"] = {"kind": "k_local", "graph": {"path": str(tmp_path / "absent")}}
     result = run_cli(["moments", "--config", write_config(tmp_path, "m.json", cfg)])
     assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+
+
+def _file_error_args(tmp_path, case):
+    """Argv of a run that fails on one file, and that file's path."""
+    if case == "out:missing_dir":
+        bad = str(tmp_path / "missing" / "x.json")
+        return ["moments", "--config", str(CONFIGS / "moments_ht.json"), "--out", bad], bad
+    if case == "witness_csv:missing_dir":
+        bad = str(tmp_path / "missing" / "w.csv")
+        cfg = str(CONFIGS / "feasibility_bd.json")
+        return ["feasibility", "--config", cfg, "--set", f"witness_csv={bad}"], bad
+    if case == "tables_out:existing_file":
+        bad = tmp_path / "taken"
+        bad.write_text("")
+        return ["tables", "--config", str(CONFIGS / "tables.json"), "--out", str(bad)], str(bad)
+    where, kind = case.split(":")
+    if kind == "dir":
+        bad = str(tmp_path)
+    else:
+        bad = str(tmp_path / "latin1.txt")
+        Path(bad).write_bytes(b"\xff\xfe{}\n")
+    if where == "config":
+        return ["moments", "--config", bad], bad
+    cfg = dict(MOMENTS_CFG)
+    if where == "graph":
+        cfg["structure"] = {"kind": "k_local", "graph": {"path": bad}}
+    else:
+        cfg.pop("structure")
+        cfg["table"] = {where: bad}
+    return ["moments", "--config", write_config(tmp_path, "m.json", cfg)], bad
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        f"{where}:{kind}"
+        for where in ("config", "graph", "json_path", "csv_path")
+        for kind in ("dir", "non_utf8")
+    ]
+    + ["out:missing_dir", "witness_csv:missing_dir", "tables_out:existing_file"],
+)
+def test_file_errors_exit_2(tmp_path, case):
+    args, bad = _file_error_args(tmp_path, case)
+    result = run_cli(args)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert bad in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command,config,override",
+    [
+        ("feasibility", "feasibility_bd.json", "design.n=true"),
+        ("feasibility", "feasibility_bd.json", "grid=[0, true]"),
+        ("moments", "moments_ht.json", "table.random.seed=false"),
+        ("regimes", "regimes.json", "n_values=[true]"),
+        ("tables", "tables.json", "sweep_n=[true]"),
+    ],
+)
+def test_json_booleans_are_not_numbers(tmp_path, command, config, override):
+    key = override.split("=")[0]
+    result = run_cli(
+        [command, "--config", str(CONFIGS / config), "--set", override,
+         "--out", str(tmp_path / "out")]
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"error: {key}")
     assert "Traceback" not in result.stderr
 
 

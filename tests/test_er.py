@@ -351,8 +351,6 @@ def test_mc_rejection_accounting():
 def test_mc_validation():
     with pytest.raises(InvalidArgumentError):
         mc_expected_variance(ERSpec(6, 0.3), ConstantOutcomes(1.0), reps=1, seed=0)
-    with pytest.raises(InvalidArgumentError):
-        mc_expected_variance(ERSpec(6, 0.3), ConstantOutcomes(1.0), reps=10, seed=0, k=2)
 
 
 def test_erspec_validation():

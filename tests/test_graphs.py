@@ -4,8 +4,14 @@ Claims pinned here:
     - breadth-first balls agree with a matrix-power reachability oracle
     - balls are closed (contain the node) and monotone in the radius
     - reference groups are {i} / closed ball / everything per structure
+    - a table's effective-treatment key packs the reference group's arms in
+      ascending node order, and informative-set sizes match a brute-force
+      count of assignments sharing that key
+    - a unit is exposed, and enters the exposure-weighted estimate, exactly
+      when its closed ball is uniformly armed; the ball's bitmask sees that
+      exactly when the effective-treatment key is all-A or all-B
+    - effective-treatment keys ignore coordinate flips outside the group
     - count x fraction = 1 under the fair-coin design (count-fraction identity)
-    - effective treatments ignore coordinate flips outside the group
     - graph file I/O round-trips and rejects malformed input
 """
 
@@ -19,16 +25,15 @@ from interference_lab import (
     Design,
     Graph,
     GraphFormatError,
+    HorvitzThompson,
     InvalidArgumentError,
     KLocal,
     NeighborhoodIndex,
     NoInterference,
+    PotentialOutcomeTable,
     UnsupportedDesignError,
-    effective_treatment,
     effective_treatment_count,
-    effective_treatment_key,
     informative_set,
-    is_exposed,
     k_step_neighborhood,
     reference_group,
 )
@@ -64,7 +69,9 @@ def test_disconnected_nodes_never_enter_the_ball():
 
 def _reach_oracle(graph, i, k):
     # ((I + A)^k)[i, j] > 0  <=>  d(i, j) <= k
-    m = np.eye(graph.n, dtype=np.int64) + graph.adjacency_matrix().astype(np.int64)
+    m = np.eye(graph.n, dtype=np.int64)
+    for u, v in graph.edges:
+        m[u, v] = m[v, u] = 1
     power = np.linalg.matrix_power(m, max(k, 1)) if k > 0 else np.eye(graph.n, dtype=np.int64)
     return frozenset(int(j) for j in np.nonzero(power[i])[0])
 
@@ -100,7 +107,6 @@ def test_neighborhood_index_masks_and_sizes():
     idx = NeighborhoodIndex.build(Graph.path(3), 1)
     assert idx.closed == (frozenset({0, 1}), frozenset({0, 1, 2}), frozenset({1, 2}))
     assert list(idx.masks()) == [0b011, 0b111, 0b110]
-    assert list(idx.sizes()) == [2, 3, 2]
     with pytest.raises(CapacityError):
         NeighborhoodIndex.build(Graph.empty(63), 1).masks()
 
@@ -113,13 +119,20 @@ def test_reference_groups():
     assert reference_group(Arbitrary(5), 2) == {0, 1, 2, 3, 4}
 
 
+def _key_table(structure):
+    """A table whose outcome for unit i is its effective-treatment key."""
+    groups = [reference_group(structure, i) for i in range(structure.n)]
+    return PotentialOutcomeTable(structure, [np.arange(1 << len(g), dtype=float) for g in groups])
+
+
 def test_effective_treatment_examples():
     z = Assignment.from_arms("ABB")
-    assert effective_treatment(NoInterference(3), 0, z) == ("A",)
-    path = KLocal(Graph.path(3), 1)
-    assert effective_treatment(path, 1, Assignment.from_arms("ABA")) == ("A", "B", "A")
-    assert effective_treatment(path, 0, Assignment.from_arms("ABA")) == ("A", "B")
-    assert effective_treatment(Arbitrary(3), 1, z) == ("A", "B", "B")
+    assert _key_table(NoInterference(3)).outcome(0, z) == 0b0  # (A,)
+    path = _key_table(KLocal(Graph.path(3), 1))
+    assert path.outcome(1, Assignment.from_arms("ABA")) == 0b010  # (A, B, A)
+    assert path.outcome(0, Assignment.from_arms("ABA")) == 0b10  # (A, B)
+    assert path.outcome(2, Assignment.from_arms("ABB")) == 0b11  # (B, B)
+    assert _key_table(Arbitrary(3)).outcome(1, z) == 0b110  # (A, B, B)
 
 
 def test_effective_treatment_counts():
@@ -159,6 +172,7 @@ def test_count_fraction_identity():
 def test_informative_size_matches_brute_force():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     structure = KLocal(g, 1)
+    keys = _key_table(structure)
     d = Design.bd(4)
     for i in range(4):
         for code in (0, 5, 9):
@@ -166,35 +180,37 @@ def test_informative_size_matches_brute_force():
             want = sum(
                 1
                 for other in range(16)
-                if effective_treatment(structure, i, Assignment(other, 4))
-                == effective_treatment(structure, i, z)
+                if keys.outcome(i, Assignment(other, 4)) == keys.outcome(i, z)
             )
             assert informative_set(structure, d, i, z).size == want
 
 
 def test_is_exposed():
-    idx = NeighborhoodIndex.build(Graph.path(3), 1)
-    z = Assignment.from_arms("AAB")
-    assert is_exposed(idx, 0, z, "A")
-    assert not is_exposed(idx, 1, z, "A")
-    assert is_exposed(idx, 2, Assignment.all_b(3), "B")
-    assert all(is_exposed(idx, i, Assignment.all_b(3), "B") for i in range(3))
+    ht = HorvitzThompson(NeighborhoodIndex.build(Graph.path(3), 1))
+    y = np.array([3.0, 5.0, 7.0])
+    # under AAB only unit 0's ball {0, 1} is uniformly armed (A, weight 2^2)
+    assert ht(Assignment.from_arms("AAB"), y) == 4 * y[0] / 3
+    # under BBB every ball is in arm B, with weights 2^2, 2^3, 2^2
+    assert ht(Assignment.all_b(3), y) == -(4 * y[0] + 8 * y[1] + 4 * y[2]) / 3
 
 
 def test_exposure_implies_uniform_effective_treatment():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
     structure = KLocal(g, 1)
-    idx = structure.index
+    masks = [int(m) for m in structure.index.masks()]
+    keys = _key_table(structure)
     for code in range(16):
         z = Assignment(code, 4)
         for i in range(4):
-            if is_exposed(idx, i, z, "A"):
-                assert set(effective_treatment(structure, i, z)) == {"A"}
+            all_b = (1 << len(reference_group(structure, i))) - 1
+            assert ((code & masks[i]) == 0) == (keys.outcome(i, z) == 0)
+            assert ((code & masks[i]) == masks[i]) == (keys.outcome(i, z) == all_b)
 
 
 def test_effective_treatment_ignores_outside_flips():
     g = Graph.from_edges(5, [(0, 1), (2, 3)])
     structure = KLocal(g, 1)
+    keys = _key_table(structure)
     rng = np.random.default_rng(3)
     for _ in range(100):
         z = Assignment(int(rng.integers(0, 32)), 5)
@@ -204,10 +220,8 @@ def test_effective_treatment_ignores_outside_flips():
         if not outside:
             continue
         j = outside[int(rng.integers(0, len(outside)))]
-        flipped = z.with_arm(j, "B" if z.arm(j) == "A" else "A")
-        assert effective_treatment_key(structure, i, z) == effective_treatment_key(
-            structure, i, flipped
-        )
+        flipped = Assignment(z.code ^ (1 << j), 5)
+        assert keys.outcome(i, z) == keys.outcome(i, flipped)
 
 
 def test_graph_file_roundtrip(tmp_path):

@@ -143,7 +143,7 @@ def test_generator_structural_consistency_random_flips():
         if not outside:
             continue
         j = outside[int(rng.integers(0, len(outside)))]
-        flipped = z.with_arm(j, "B" if z.arm(j) == "A" else "A")
+        flipped = Assignment(z.code ^ (1 << j), 5)
         assert t.outcome(i, z) == t.outcome(i, flipped)
 
 
