@@ -1,12 +1,14 @@
 """Exact desk-scale analysis of randomized experiments on networks.
 
 The package enumerates small designs exactly: assignment laws and their
-support, exposure events on graphs, potential-outcome tables under three
-interference structures, estimators with a uniform (assignment, observed
-outcomes) signature, closed-form variance identities cross-checked against
-enumeration, least-squares existence certificates for unbiased estimators,
-worst-case MSE constructions, and random-graph moment formulas with
-exhaustive and Monte Carlo oracles.
+support as blocks of int64 assignment codes, exposure events on graphs,
+potential-outcome tables under three interference structures with one block
+gather of revealed outcomes, estimators with one array body
+``evaluate(codes, y)`` (``estimator(z, y_obs)`` runs it on one assignment),
+closed-form variance identities cross-checked against enumeration,
+least-squares existence certificates for unbiased estimators, worst-case MSE
+constructions, and random-graph moment formulas with exhaustive and Monte
+Carlo oracles.
 """
 
 from .designs import (
@@ -84,7 +86,6 @@ from .graphs import (
     NeighborhoodIndex,
     NoInterference,
     effective_treatment_count,
-    informative_set,
     k_step_neighborhood,
     reference_group,
 )

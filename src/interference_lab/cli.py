@@ -15,7 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-from .designs import Assignment, Design
+from .designs import Design
 from .er import (
     DENSE,
     SPARSE,
@@ -46,7 +46,6 @@ from .graphs import (
     KLocal,
     NoInterference,
     effective_treatment_count,
-    informative_set,
 )
 from .outcomes import (
     ATE,
@@ -368,15 +367,15 @@ def cmd_tables(cfg: dict, out: str | None, seed: int | None) -> int:
     graph = _parse_graph(cfg["graph"], seed)
     unit = cfg["unit"]
     n = graph.n
-    design, z = Design.bd(n), Assignment.all_a(n)
-    structure_rows = [
-        [name, effective_treatment_count(s, unit), informative_set(s, design, unit, z).fraction]
-        for name, s in (
-            ("none", NoInterference(n)),
-            ("k_local", KLocal(graph, cfg.get("k", 1))),
-            ("arbitrary", Arbitrary(n)),
-        )
-    ]
+    structure_rows = []
+    for name, s in (
+        ("none", NoInterference(n)),
+        ("k_local", KLocal(graph, cfg.get("k", 1))),
+        ("arbitrary", Arbitrary(n)),
+    ):
+        # under the fair coin, a share 1/count of assignments informs the unit
+        count = effective_treatment_count(s, unit)
+        structure_rows.append([name, count, 1 / count])
     sweep_rows = []
     for value in cfg["sweep_n"]:
         if not _is(value, int):

@@ -1,24 +1,32 @@
 """Estimators: rules mapping (assignment, observed outcomes) to a number.
 
-Every estimator here is a callable with the uniform signature
-``estimator(z, y_obs) -> float`` so the exact-analysis machinery can treat
-them interchangeably.  ``y_obs`` is the length-n vector of outcomes actually
-revealed by ``z``; no estimator peeks at unrevealed potential outcomes.
+Every estimator here has one evaluation body, ``evaluate(codes, y)``: for an
+int64 block of assignment codes and the ``(len(codes), n)`` outcomes each
+reveals, it returns one value per code.  ``estimator(z, y_obs) -> float`` is
+that body on the single assignment ``z``.  ``y_obs`` is the length-n vector
+of outcomes actually revealed by ``z``; no estimator peeks at unrevealed
+potential outcomes.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
-from .designs import ARM_A, Assignment, Design, enumerate_support
+from .designs import Assignment
 from .errors import IncompleteEstimatorError, InvalidArgumentError
 from .graphs import NeighborhoodIndex
 
-Estimator = Callable[[Assignment, np.ndarray], float]
+
+def _one_row(self, z: Assignment, y_obs: np.ndarray) -> float:
+    """``evaluate`` on one assignment and the n outcomes it reveals."""
+    y = np.asarray(y_obs, dtype=float)
+    if y.shape != (z.n,):
+        raise InvalidArgumentError(f"need {z.n} outcomes, got shape {y.shape}")
+    return float(self.evaluate(np.array([z.code], dtype=np.int64), y[None, :])[0])
 
 
 class DifferenceInMeans:
@@ -29,16 +37,24 @@ class DifferenceInMeans:
     pure vectors have positive probability).
     """
 
-    def __call__(self, z: Assignment, y_obs: np.ndarray) -> float:
-        y = np.asarray(y_obs, dtype=float)
-        if y.shape != (z.n,):
-            raise InvalidArgumentError(f"need {z.n} outcomes, got shape {y.shape}")
-        mask_b = np.array([(z.code >> i) & 1 for i in range(z.n)], dtype=bool)
-        n_b = int(mask_b.sum())
-        n_a = z.n - n_b
-        mean_a = float(y[~mask_b].sum() / n_a) if n_a else 0.0
-        mean_b = float(y[mask_b].sum() / n_b) if n_b else 0.0
-        return mean_a - mean_b
+    def evaluate(self, codes: np.ndarray, y: np.ndarray) -> np.ndarray:
+        n = y.shape[1]
+        in_b = ((codes[:, None] >> np.arange(n)) & 1).astype(bool)
+        n_b = np.bitwise_count(codes)
+        out = np.empty(len(codes))
+        # Rows sharing an arm-B count reshape into (rows, count) arm blocks,
+        # whose row sums add in the same order as one row's masked sum.
+        for k in range(n + 1):
+            rows = n_b == k
+            if not rows.any():
+                continue
+            y_k, b_k = y[rows], in_b[rows]
+            mean_a = y_k[~b_k].reshape(-1, n - k).sum(axis=1) / (n - k) if k < n else 0.0
+            mean_b = y_k[b_k].reshape(-1, k).sum(axis=1) / k if k else 0.0
+            out[rows] = mean_a - mean_b
+        return out
+
+    __call__ = _one_row
 
 
 class HorvitzThompson:
@@ -56,20 +72,20 @@ class HorvitzThompson:
         self._masks = [int(m) for m in index.masks()]
         self._weights = [2.0 ** len(ball) for ball in index.closed]
 
-    def __call__(self, z: Assignment, y_obs: np.ndarray) -> float:
+    def evaluate(self, codes: np.ndarray, y: np.ndarray) -> np.ndarray:
         n = self.index.n
-        if z.n != n:
-            raise InvalidArgumentError(f"assignment has n={z.n}, index has n={n}")
-        y = np.asarray(y_obs, dtype=float)
-        total = 0.0
-        for i in range(n):
-            mask = self._masks[i]
-            zi = z.code & mask
-            if zi == 0:  # ball uniformly in arm A
-                total += self._weights[i] * y[i]
-            elif zi == mask:  # ball uniformly in arm B
-                total -= self._weights[i] * y[i]
+        if y.shape[1] != n:
+            raise InvalidArgumentError(f"outcomes for {y.shape[1]} units, index has n={n}")
+        total = np.zeros(len(codes))
+        # Unit by unit, so each row adds its terms in unit order; adding 0.0
+        # for a unit whose ball is mixed is exact.
+        for i, (mask, weight) in enumerate(zip(self._masks, self._weights)):
+            ball = codes & mask  # 0: ball all in arm A; mask: all in arm B
+            term = weight * y[:, i]
+            total += np.where(ball == 0, term, np.where(ball == mask, -term, 0.0))
         return total / n
+
+    __call__ = _one_row
 
 
 class PureArmIPW:
@@ -89,15 +105,15 @@ class PureArmIPW:
         self.g1 = g1 if g1 is not None else lambda y: float(np.mean(y))
         self.g2 = g2 if g2 is not None else lambda y: -float(np.mean(y))
 
-    def __call__(self, z: Assignment, y_obs: np.ndarray) -> float:
-        y = np.asarray(y_obs, dtype=float)
-        if y.shape != (z.n,):
-            raise InvalidArgumentError(f"need {z.n} outcomes, got shape {y.shape}")
-        if z.code == 0:
-            return float(2.0 ** z.n) * float(self.g1(y))
-        if z.code == (1 << z.n) - 1:
-            return float(2.0 ** z.n) * float(self.g2(y))
-        return 0.0
+    def evaluate(self, codes: np.ndarray, y: np.ndarray) -> np.ndarray:
+        n = y.shape[1]
+        out = np.zeros(len(codes))
+        for code, g in ((0, self.g1), ((1 << n) - 1, self.g2)):
+            for r in np.flatnonzero(codes == code):
+                out[r] = 2.0**n * float(g(y[r]))
+        return out
+
+    __call__ = _one_row
 
 
 class SoloTreatedIPW:
@@ -108,14 +124,15 @@ class SoloTreatedIPW:
     average solo-treatment effect under the fair-coin design.
     """
 
-    def __call__(self, z: Assignment, y_obs: np.ndarray) -> float:
-        y = np.asarray(y_obs, dtype=float)
-        if y.shape != (z.n,):
-            raise InvalidArgumentError(f"need {z.n} outcomes, got shape {y.shape}")
-        if z.n_a != 1:
-            return 0.0
-        i = next(j for j in range(z.n) if z.arm(j) == ARM_A)
-        return (2.0 ** z.n / z.n) * float(y[i])
+    def evaluate(self, codes: np.ndarray, y: np.ndarray) -> np.ndarray:
+        n = y.shape[1]
+        out = np.zeros(len(codes))
+        for i in range(n):
+            solo = codes == ((1 << n) - 1) ^ (1 << i)  # unit i alone in arm A
+            out[solo] = (2.0**n / n) * y[solo, i]
+        return out
+
+    __call__ = _one_row
 
 
 class ConstantEstimator:
@@ -124,8 +141,10 @@ class ConstantEstimator:
     def __init__(self, value: float = 0.0) -> None:
         self.value = float(value)
 
-    def __call__(self, z: Assignment, y_obs: np.ndarray) -> float:
-        return self.value
+    def evaluate(self, codes: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.full(len(codes), self.value)
+
+    __call__ = _one_row
 
 
 def observed_key(y_obs: Iterable[float]) -> tuple[float, ...]:
@@ -144,28 +163,23 @@ class TabularEstimator:
     def __init__(self, mapping: dict[tuple[int, tuple[float, ...]], float]) -> None:
         self.mapping = dict(mapping)
 
-    def __call__(self, z: Assignment, y_obs: np.ndarray) -> float:
-        key = (z.code, observed_key(y_obs))
-        try:
-            return self.mapping[key]
-        except KeyError:
-            raise IncompleteEstimatorError(
-                f"tabular estimator has no value for assignment {z.labels} "
-                f"with observed vector {key[1]}"
-            ) from None
+    def evaluate(self, codes: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = np.empty(len(codes))
+        for r, key in enumerate(zip(codes.tolist(), map(observed_key, y.tolist()))):
+            try:
+                out[r] = self.mapping[key]
+            except KeyError:
+                z = Assignment(key[0], y.shape[1])
+                raise IncompleteEstimatorError(
+                    f"tabular estimator has no value for assignment {z.labels} "
+                    f"with observed vector {key[1]}"
+                ) from None
+        return out
+
+    __call__ = _one_row
 
     def __len__(self) -> int:
         return len(self.mapping)
-
-    @classmethod
-    def materialize(
-        cls, estimator: Estimator, design: Design, table
-    ) -> "TabularEstimator":
-        """Tabulate an estimator over a design's support for one table."""
-        mapping = {}
-        for z, _, y in table.observed_support(enumerate_support(design)):
-            mapping[(z.code, observed_key(y))] = float(estimator(z, y))
-        return cls(mapping)
 
     def to_csv(self, path: str | Path, n: int) -> None:
         with open(path, "w", newline="") as fh:
@@ -177,8 +191,11 @@ class TabularEstimator:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TabularEstimator":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        try:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise InvalidArgumentError(f"{path}: not UTF-8 text ({exc})") from exc
         if not rows or rows[0] != ["assignment", "ykey", "value"]:
             raise InvalidArgumentError(f"{path}: expected header assignment,ykey,value")
         mapping = {}
@@ -191,3 +208,13 @@ class TabularEstimator:
             except ValueError as exc:
                 raise InvalidArgumentError(f"{path}: row {r}: {exc}") from exc
         return cls(mapping)
+
+
+Estimator = Union[
+    DifferenceInMeans,
+    HorvitzThompson,
+    PureArmIPW,
+    SoloTreatedIPW,
+    ConstantEstimator,
+    TabularEstimator,
+]

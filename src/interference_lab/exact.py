@@ -54,14 +54,13 @@ def exact_moments(
     if table.n != design.n:
         raise InvalidArgumentError(f"table has n={table.n}, design has n={design.n}")
     theta = estimand_value(estimand, table)
-    probs = []
-    values = []
-    for z, p, y in table.observed_support(enumerate_support(design)):
-        probs.append(p)
-        values.append(float(estimator(z, y)))
-    expectation = math.fsum(p * v for p, v in zip(probs, values))
-    variance = math.fsum(p * (v - expectation) ** 2 for p, v in zip(probs, values))
-    mse = math.fsum(p * (v - theta) ** 2 for p, v in zip(probs, values))
+    values: list[float] = []
+    for codes, p in enumerate_support(design):
+        values += estimator.evaluate(codes, table.observed(codes)).tolist()
+    # every design law is uniform on its support: one p for all values
+    expectation = math.fsum(p * v for v in values)
+    variance = math.fsum(p * (v - expectation) ** 2 for v in values)
+    mse = math.fsum(p * (v - theta) ** 2 for v in values)
     check = variance + (expectation - theta) ** 2
     if abs(mse - check) > _IDENTITY_RTOL * max(1.0, abs(mse)):
         raise IdentityViolationError(

@@ -82,36 +82,32 @@ class FeasibilityCertificate:
         }
 
 
-def _constant_table(n: int, off_value: float, a_value: float, b_value: float) -> PotentialOutcomeTable:
-    matrix = np.full((1 << n, n), float(off_value))
-    matrix[0, :] = float(a_value)
-    matrix[(1 << n) - 1, :] = float(b_value)
-    return PotentialOutcomeTable.arbitrary(matrix)
-
-
-def _solo_perturbed_table(
-    n: int, off_value: float, boundary_value: float, unit: int, solo_value: float
+def _witness_table(
+    n: int, off_value: float, rows: dict[int, float], m_upper: float | None = None
 ) -> PotentialOutcomeTable:
-    matrix = np.full((1 << n, n), float(off_value))
-    matrix[0, :] = float(boundary_value)
-    matrix[(1 << n) - 1, :] = float(boundary_value)
-    matrix[Assignment.solo_a(unit, n).code, :] = float(solo_value)
-    return PotentialOutcomeTable.arbitrary(matrix)
+    """The arbitrary-interference table constant at ``off_value`` except on
+    the assignment rows ``rows`` maps (code -> the row's constant value)."""
+    matrix = np.full((1 << n, n), off_value, dtype=float)
+    for code, value in rows.items():
+        matrix[code, :] = value
+    return PotentialOutcomeTable.arbitrary(matrix, m_upper=m_upper)
 
 
 def default_witness_family(
     n: int, estimand: Estimand, grid: tuple[float, ...]
 ) -> list[PotentialOutcomeTable]:
     """The minimal table family that decides unbiasedness for the estimand."""
+    all_b = (1 << n) - 1
     family = [
-        _constant_table(n, y0, a, b) for y0, a, b in product(grid, repeat=3)
+        _witness_table(n, y0, {0: a, all_b: b}) for y0, a, b in product(grid, repeat=3)
     ]
     if isinstance(estimand, SoloTreatmentEffect):
         for y0 in grid:
             for unit in range(n):
                 for v in grid:
                     if v != y0:
-                        family.append(_solo_perturbed_table(n, y0, y0, unit, v))
+                        solo = Assignment.solo_a(unit, n).code
+                        family.append(_witness_table(n, y0, {solo: v}))
     return family
 
 
@@ -143,10 +139,11 @@ def unbiased_feasibility(
     rhs = []
     for table in witness_family:
         coeffs: dict[int, float] = {}
-        for z, p, y in table.observed_support(support):
-            key = (z.code, observed_key(y))
-            col = columns.setdefault(key, len(columns))
-            coeffs[col] = coeffs.get(col, 0.0) + p
+        for codes, p in support:
+            ykeys = map(observed_key, table.observed(codes).tolist())
+            for key in zip(codes.tolist(), ykeys):
+                col = columns.setdefault(key, len(columns))
+                coeffs[col] = coeffs.get(col, 0.0) + p
         rows.append(coeffs)
         rhs.append(estimand_value(estimand, table))
 
@@ -230,23 +227,18 @@ def mse_adversary(
     eps = _EPS_REL * m
     half = m / 2.0
 
-    def bounded_table(a_value: float, b_value: float) -> PotentialOutcomeTable:
-        n = design.n
-        matrix = np.full((1 << n, n), half)
-        matrix[0, :] = a_value
-        matrix[(1 << n) - 1, :] = b_value
-        return PotentialOutcomeTable.arbitrary(matrix, m_upper=m)
-
+    all_b = (1 << design.n) - 1
     candidates = (
-        bounded_table(half, half),  # target 0 exactly
-        bounded_table(m - eps, eps),  # target m - 2 eps
+        _witness_table(design.n, half, {0: half, all_b: half}, m),  # target 0 exactly
+        _witness_table(design.n, half, {0: m - eps, all_b: eps}, m),  # target m - 2 eps
     )
     best: tuple[float, PotentialOutcomeTable, float] | None = None
     for table in candidates:
         theta = estimand_value(estimand, table)
         mse = math.fsum(
-            p * (float(estimator(z, y)) - theta) ** 2
-            for z, p, y in table.observed_support(enumerate_support(design))
+            p * (v - theta) ** 2
+            for codes, p in enumerate_support(design)
+            for v in estimator.evaluate(codes, table.observed(codes)).tolist()
         )
         if best is None or mse > best[0]:
             best = (mse, table, theta)

@@ -13,10 +13,10 @@ vector can move a unit's outcome:
 - ``Arbitrary(n)``: the whole vector.
 
 The structure induces, per unit i, a reference group G_i (the coordinate
-set), a count of possible effective treatments (restrictions of the
-assignment to G_i, gathered by ``designs.restrict_codes``), and, under the
-fair-coin design, the set of assignments sharing a given effective
-treatment.
+set) and a count of possible effective treatments (restrictions of the
+assignment to G_i, gathered by ``designs.restrict_codes``).  Under the
+fair-coin design every effective treatment is equally likely, so the share
+of assignments informative about a unit is one over that count.
 """
 
 from __future__ import annotations
@@ -25,17 +25,11 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Union
 
 import numpy as np
 
-from .designs import Assignment, Design
-from .errors import (
-    CapacityError,
-    GraphFormatError,
-    InvalidArgumentError,
-    UnsupportedDesignError,
-)
+from .errors import CapacityError, GraphFormatError, InvalidArgumentError
 
 
 @dataclass(frozen=True)
@@ -70,10 +64,6 @@ class Graph:
     @classmethod
     def empty(cls, n: int) -> "Graph":
         return cls(n, frozenset())
-
-    @classmethod
-    def complete(cls, n: int) -> "Graph":
-        return cls(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
 
     @classmethod
     def path(cls, n: int) -> "Graph":
@@ -113,11 +103,6 @@ class Graph:
             return cls.from_edges(n, edges)
         except GraphFormatError as exc:
             raise GraphFormatError(f"{path}: {exc}") from exc
-
-    def to_file(self, path: str | Path) -> None:
-        lines = [str(self.n)]
-        lines += [f"{u} {v}" for u, v in sorted(self.edges)]
-        Path(path).write_text("\n".join(lines) + "\n")
 
     def adjacency_lists(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -225,28 +210,3 @@ def effective_treatment_count(structure: InterferenceStructure, i: int) -> int:
     full assignment space has positive probability everywhere."""
     return 1 << len(reference_group(structure, i))
 
-
-class InformativeSet(NamedTuple):
-    size: int
-    fraction: float
-
-
-def informative_set(
-    structure: InterferenceStructure, design: Design, i: int, z: Assignment
-) -> InformativeSet:
-    """Count assignments sharing unit i's effective treatment under ``z``.
-
-    Under the fair-coin design the count is 2^(n - |G_i|) regardless of z,
-    and the fraction of all assignments is exactly one over the number of
-    effective treatments.  Other designs have no such closed form here.
-    """
-    if design.kind != "bd":
-        raise UnsupportedDesignError(
-            "informative-set counting is closed-form under the fair-coin "
-            f"design only (got {design.kind!r})"
-        )
-    if design.n != structure.n or z.n != structure.n:
-        raise InvalidArgumentError("design, structure, and assignment sizes differ")
-    g = reference_group(structure, i)
-    size = 1 << (structure.n - len(g))
-    return InformativeSet(size, size / (1 << structure.n))

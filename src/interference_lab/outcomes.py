@@ -24,9 +24,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -52,10 +51,6 @@ KLOCAL_NEIGHBORHOOD_CAP = 20
 
 # Interior offset honoring the strict bound inequalities when sampling.
 _BOUNDS_EPS_REL = 1e-9
-
-# Assignments per `observed_support` block: amortizes the per-unit numpy
-# calls while keeping the block a negligible share of peak memory.
-_GATHER_BLOCK = 256
 
 
 class PotentialOutcomeTable:
@@ -130,33 +125,21 @@ class PotentialOutcomeTable:
         """All n outcomes revealed by assignment z."""
         return np.array([self.outcome(i, z) for i in range(self.n)], dtype=float)
 
-    def observed_support(
-        self, support: Iterable[tuple[Assignment, float]]
-    ) -> Iterator[tuple[Assignment, float, np.ndarray]]:
-        """Yield ``(z, p, y_obs)`` for each ``(z, p)`` of a design support,
-        ``y_obs`` being the n outcomes z reveals.
+    def observed(self, codes: np.ndarray) -> np.ndarray:
+        """The outcomes revealed by each of an int64 block of assignment codes
+        (n <= 62): row r holds the n outcomes under ``codes[r]``.
 
-        Outcomes are gathered a block of assignments at a time, one array
-        lookup per unit and block.  Codes are int64, so n <= 62.
+        One array lookup per unit gathers the whole block.
         """
-        it = iter(support)
-        while block := list(islice(it, _GATHER_BLOCK)):
-            if block[0][0].n != self.n:
-                raise InvalidArgumentError(
-                    f"assignment has n={block[0][0].n}, table has n={self.n}"
-                )
-            codes = np.array([z.code for z, _ in block], dtype=np.int64)
-            y = np.empty((len(block), self.n))
-            for i, (g, v) in enumerate(zip(self._groups, self._values)):
-                y[:, i] = v[restrict_codes(codes, g)]
-            missing = np.argwhere(np.isnan(y))
-            if missing.size:
-                row, i = missing[0]
-                raise IncompleteTableError(
-                    f"no outcome stored for unit {i} under {block[row][0].labels}"
-                )
-            for (z, p), y_obs in zip(block, y):
-                yield z, p, y_obs
+        y = np.empty((len(codes), self.n))
+        for i, (g, v) in enumerate(zip(self._groups, self._values)):
+            y[:, i] = v[restrict_codes(codes, g)]
+        missing = np.argwhere(np.isnan(y))
+        if missing.size:
+            row, i = missing[0]
+            z = Assignment(int(codes[row]), self.n)
+            raise IncompleteTableError(f"no outcome stored for unit {i} under {z.labels}")
+        return y
 
     def boundary_vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """Outcome vectors under the all-A and all-B assignments."""

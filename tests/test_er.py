@@ -285,7 +285,8 @@ def test_sample_er_graph_determinism_and_extremes():
     g2 = sample_er_graph(ERSpec(8, 0.4), seed=5)
     assert g1 == g2
     assert sample_er_graph(ERSpec(5, 0.0), seed=1) == Graph.empty(5)
-    assert sample_er_graph(ERSpec(5, 1.0), seed=1) == Graph.complete(5)
+    complete = Graph.from_edges(5, itertools.combinations(range(5), 2))
+    assert sample_er_graph(ERSpec(5, 1.0), seed=1) == complete
 
 
 def test_mc_constant_at_p_zero_is_degenerate():

@@ -4,12 +4,14 @@ Claims pinned here:
     - difference in means on worked examples
     - the exposure-weighted estimator on the hand-enumerated two-node cases
     - the pure-arm and solo-treated inverse-probability rules
-    - tabular estimators look up, fail loudly on gaps, round-trip CSV, and
-      reproduce a materialized estimator over the whole support
+    - tabular estimators look up, fail loudly on gaps, round-trip CSV, refuse
+      a non-UTF-8 file with its path, and reproduce a rule tabulated over the
+      whole support
 """
 
 import gc
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -48,7 +50,7 @@ def test_diff_in_means_empty_arm_contributes_zero():
 
 
 def test_horvitz_thompson_two_node_complete():
-    idx = NeighborhoodIndex.build(Graph.complete(2), 1)
+    idx = NeighborhoodIndex.build(Graph.from_edges(2, combinations(range(2), 2)), 1)
     ht = HorvitzThompson(idx)
     ones = np.ones(2)
     assert ht(Assignment.from_arms("AA"), ones) == 4.0
@@ -96,13 +98,19 @@ def test_tabular_lookup_and_missing_key():
 
 
 def test_tabular_materialization_matches_source():
-    design = Design.bd(2)
+    # a rule tabulated over the whole support reproduces it there
     table = PotentialOutcomeTable.random(Arbitrary(2), 0.0, 1.0, seed=3)
     source = PureArmIPW()
-    tab = TabularEstimator.materialize(source, design, table)
-    for z, _ in enumerate_support(design):
-        y = table.observed_vector(z)
-        assert tab(z, y) == source(z, y)
+    ((codes, _),) = enumerate_support(Design.bd(2))
+    y = table.observed(codes)
+    values = source.evaluate(codes, y).tolist()
+    tab = TabularEstimator(
+        {(c, observed_key(row)): v for c, row, v in zip(codes.tolist(), y, values)}
+    )
+    assert tab.evaluate(codes, y).tolist() == values
+    for code, row in zip(codes.tolist(), y):
+        z = Assignment(code, 2)
+        assert tab(z, row) == source(z, row)
 
 
 def test_tabular_csv_roundtrip(tmp_path):
@@ -121,6 +129,13 @@ def test_tabular_csv_short_row_is_an_argument_error(tmp_path):
     path = tmp_path / "witness.csv"
     path.write_text("assignment,ykey,value\nAB,0.5|0.5\n")
     with pytest.raises(InvalidArgumentError, match="row 2"):
+        TabularEstimator.from_csv(path)
+
+
+def test_tabular_csv_not_utf8_is_an_argument_error(tmp_path):
+    path = tmp_path / "witness.csv"
+    path.write_bytes(b"\xff\xfeassignment,ykey,value\n")
+    with pytest.raises(InvalidArgumentError, match="witness.csv: not UTF-8"):
         TabularEstimator.from_csv(path)
 
 

@@ -18,6 +18,7 @@ import pytest
 
 from interference_lab import (
     ATE,
+    Assignment,
     Design,
     FeasibilityCertificate,
     InvalidArgumentError,
@@ -61,11 +62,20 @@ def test_feasible_fair_coin_solo_effect():
     assert cert.min_residual <= 1e-9
 
 
+def _support(design):
+    """The support as (assignment, p) pairs."""
+    return [
+        (Assignment(code, design.n), p)
+        for codes, p in enumerate_support(design)
+        for code in codes.tolist()
+    ]
+
+
 def _witness_reproduces(cert: FeasibilityCertificate, design, estimand, family):
     for table in family:
         expectation = math.fsum(
             p * cert.witness(z, table.observed_vector(z))
-            for z, p in enumerate_support(design)
+            for z, p in _support(design)
         )
         assert expectation == pytest.approx(
             estimand_value(estimand, table), abs=1e-9
@@ -87,7 +97,7 @@ def _offset_against(reference, cert, design, level):
     zero-sum assignment offset."""
     vec = np.full(design.n, level)
     total = 0.0
-    for z, _ in enumerate_support(design):
+    for z, _ in _support(design):
         total += cert.witness(z, vec) - reference(z, vec)
     return total
 
@@ -104,7 +114,7 @@ def test_ate_witness_is_pure_arm_rule_plus_zero_sum_offset():
         vec = np.full(3, level)
         interior = [
             cert.witness(z, vec)
-            for z, _ in enumerate_support(design)
+            for z, _ in _support(design)
             if z.code not in (0, 7)
         ]
         assert math.fsum(interior) == pytest.approx(0.0, abs=1e-9)

@@ -5,15 +5,18 @@ Claims pinned here:
     - balls are closed (contain the node) and monotone in the radius
     - reference groups are {i} / closed ball / everything per structure
     - a table's effective-treatment key packs the reference group's arms in
-      ascending node order, and informative-set sizes match a brute-force
-      count of assignments sharing that key
+      ascending node order, and 2^n over the effective-treatment count
+      matches a brute-force count of assignments sharing that key
     - a unit is exposed, and enters the exposure-weighted estimate, exactly
       when its closed ball is uniformly armed; the ball's bitmask sees that
       exactly when the effective-treatment key is all-A or all-B
     - effective-treatment keys ignore coordinate flips outside the group
-    - count x fraction = 1 under the fair-coin design (count-fraction identity)
-    - graph file I/O round-trips and rejects malformed input
+    - count x informative-set size = 2^n, and one over the count is the
+      informative share to the last bit (count-fraction identity)
+    - graph files load back the graph they list and reject malformed input
 """
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,7 +25,6 @@ from interference_lab import (
     Arbitrary,
     Assignment,
     CapacityError,
-    Design,
     Graph,
     GraphFormatError,
     HorvitzThompson,
@@ -31,9 +33,7 @@ from interference_lab import (
     NeighborhoodIndex,
     NoInterference,
     PotentialOutcomeTable,
-    UnsupportedDesignError,
     effective_treatment_count,
-    informative_set,
     k_step_neighborhood,
     reference_group,
 )
@@ -53,7 +53,7 @@ def test_k_step_neighborhood_examples():
     assert k_step_neighborhood(path, 1, 1) == {0, 1, 2}
     assert k_step_neighborhood(path, 0, 2) == {0, 1, 2}
     assert k_step_neighborhood(path, 0, 1) == {0, 1}
-    for g in (path, Graph.complete(4), Graph.empty(4)):
+    for g in (path, Graph.from_edges(4, combinations(range(4), 2)), Graph.empty(4)):
         for i in range(g.n):
             assert k_step_neighborhood(g, i, 0) == {i}
     with pytest.raises(InvalidArgumentError):
@@ -144,36 +144,37 @@ def test_effective_treatment_counts():
 
 
 def test_informative_set_examples():
-    d = Design.bd(3)
-    z = Assignment.from_arms("ABA")
-    assert informative_set(NoInterference(3), d, 0, z) == (4, 0.5)
+    # under the fair coin, one over the count is the share of assignments
+    # sharing the unit's effective treatment (the tables command's f_i)
+    assert 1 / effective_treatment_count(NoInterference(3), 0) == 0.5
     path = KLocal(Graph.path(3), 1)
-    assert informative_set(path, d, 0, z) == (2, 0.25)
-    assert informative_set(Arbitrary(3), d, 1, z) == (1, 0.125)
+    assert 1 / effective_treatment_count(path, 0) == 0.25
+    assert 1 / effective_treatment_count(Arbitrary(3), 1) == 0.125
     # past the float range of 2^n: the fraction is still exact (or underflows)
-    wide, all_a = Design.bd(1100), Assignment.all_a(1100)
-    assert informative_set(Arbitrary(1100), wide, 0, all_a).fraction == 0.0
-    assert informative_set(NoInterference(1100), wide, 0, all_a).fraction == 0.5
-    with pytest.raises(UnsupportedDesignError):
-        informative_set(NoInterference(3), Design.crd(3, 1), 0, z)
+    assert 1 / effective_treatment_count(Arbitrary(1100), 0) == 0.0
+    assert 1 / effective_treatment_count(NoInterference(1100), 0) == 0.5
 
 
 def test_count_fraction_identity():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
-    d = Design.bd(5)
-    z = Assignment.from_arms("ABABA")
     for structure in (NoInterference(5), KLocal(g, 1), KLocal(g, 2), Arbitrary(5)):
         for i in range(5):
             count = effective_treatment_count(structure, i)
-            _, fraction = informative_set(structure, d, i, z)
-            assert count * fraction == 1.0
+            size = 1 << (5 - len(reference_group(structure, i)))
+            assert count * size == 1 << 5
+    # one over the count is the informative share size / 2^n to the last
+    # bit, at every group size and n, underflow included
+    assert all(
+        1 / (1 << group) == (1 << (n - group)) / (1 << n)
+        for n in range(1, 1200)
+        for group in range(n + 1)
+    )
 
 
 def test_informative_size_matches_brute_force():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     structure = KLocal(g, 1)
     keys = _key_table(structure)
-    d = Design.bd(4)
     for i in range(4):
         for code in (0, 5, 9):
             z = Assignment(code, 4)
@@ -182,7 +183,7 @@ def test_informative_size_matches_brute_force():
                 for other in range(16)
                 if keys.outcome(i, Assignment(other, 4)) == keys.outcome(i, z)
             )
-            assert informative_set(structure, d, i, z).size == want
+            assert 2**4 // effective_treatment_count(structure, i) == want
 
 
 def test_is_exposed():
@@ -227,7 +228,7 @@ def test_effective_treatment_ignores_outside_flips():
 def test_graph_file_roundtrip(tmp_path):
     g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 3)])
     path = tmp_path / "g.txt"
-    g.to_file(path)
+    path.write_text("4\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)))
     assert Graph.from_file(path) == g
 
 

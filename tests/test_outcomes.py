@@ -34,7 +34,6 @@ from interference_lab import (
     NoInterference,
     PotentialOutcomeTable,
     SoloTreatmentEffect,
-    enumerate_support,
     estimand_value,
     exact_moments,
     reference_group,
@@ -189,18 +188,18 @@ def test_missing_entry_raises():
 )
 def test_observed_support_matches_observed_vector(structure):
     t = PotentialOutcomeTable.random(structure, 0.0, 1.0, seed=31)
-    rows = list(t.observed_support(enumerate_support(Design.bd(9))))
-    assert [z.code for z, _, _ in rows] == list(range(1 << 9))
-    for z, p, y in rows:
-        assert p == 0.5**9
-        assert y.tolist() == t.observed_vector(z).tolist()
+    codes = np.arange(1 << 9, dtype=np.int64)
+    y = t.observed(codes)
+    assert y.shape == (1 << 9, 9)
+    for code, row in zip(codes.tolist(), y):
+        assert row.tolist() == t.observed_vector(Assignment(code, 9)).tolist()
 
 
 def test_unstored_entry_raises_through_the_gather():
     matrix = np.full((8, 3), 0.5)
     matrix[5, 2] = np.nan
     t = PotentialOutcomeTable.arbitrary(matrix)
-    with pytest.raises(IncompleteTableError):
+    with pytest.raises(IncompleteTableError, match="unit 2 under BAB"):
         exact_moments(ConstantEstimator(0.0), Design.bd(3), t, ATE)
 
 

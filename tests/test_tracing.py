@@ -1,0 +1,60 @@
+"""The benchmark's tracer still finds every name it wraps.
+
+Claims pinned here:
+    - ``perfbench/tracing.py``'s ``Tracer().install()`` binds its spans to the
+      package without error, and a traced ``moments`` run and ``feasibility``
+      run then count calls at the layers the per-layer metrics read; a
+      refactor that moves or renames a wrapped name fails here first
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer, layer_totals
+tracer = Tracer()
+tracer.install()
+from interference_lab.cli import main
+assert main(["moments", "--config", sys.argv[2]]) == 0
+assert main(["feasibility", "--config", sys.argv[3], "--out", "cert.json"]) == 0
+totals = layer_totals(tracer.dump())
+print(json.dumps({k: v for k, v in totals.items() if not k.endswith(".self_s")}))
+"""
+
+
+def test_tracer_installs_and_counts_a_moments_and_a_feasibility_run(tmp_path):
+    feasibility = json.loads((ROOT / "configs" / "feasibility_bd.json").read_text())
+    del feasibility["witness_csv"]
+    feasibility_path = tmp_path / "feasibility.json"
+    feasibility_path.write_text(json.dumps(feasibility))
+    run = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            SCRIPT,
+            str(ROOT / "perfbench"),
+            str(ROOT / "configs" / "moments_ht.json"),
+            str(feasibility_path),
+        ],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert run.returncode == 0, run.stderr
+    counts = json.loads(run.stdout.strip().splitlines()[-1])
+    assert counts["cli.main.calls"] == 2
+    assert counts["designs.enumerate_support.calls"] == 2
+    assert counts["designs.support_points"] > 0
+    assert counts["exact.exact_moments.calls"] == 1
+    assert counts["feasibility.unbiased_feasibility.calls"] == 1
+    assert counts["feasibility.system_rows"] > 0
+    assert counts["outcomes.estimand_value.calls"] > 0
+    assert counts["graphs.NeighborhoodIndex.build.calls"] > 0
