@@ -130,6 +130,19 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _sizes(cfg: dict, key: str) -> list[int]:
+    """The node counts listed under ``key``: positive integers that convert
+    to float, since the sweeps divide by them."""
+    for idx, value in enumerate(cfg[key]):
+        if not _is(value, int):
+            raise ConfigError(f"{key}: entries must be integers")
+        if value < 1:
+            raise ConfigError(f"{key}[{idx}]: must be positive, got {value}")
+        if value > sys.float_info.max:
+            raise ConfigError(f"{key}[{idx}]: exceeds the float range")
+    return cfg[key]
+
+
 def _parse_design(cfg, where="design") -> Design:
     _check_keys(cfg, where, {"design": str, "n": int}, {"n_a": int})
     kind = cfg["design"]
@@ -377,9 +390,7 @@ def cmd_tables(cfg: dict, out: str | None, seed: int | None) -> int:
         count = effective_treatment_count(s, unit)
         structure_rows.append([name, count, 1 / count])
     sweep_rows = []
-    for value in cfg["sweep_n"]:
-        if not _is(value, int):
-            raise ConfigError("sweep_n: entries must be integers")
+    for value in _sizes(cfg, "sweep_n"):
         sparse = ERSpec(value, 1.0 / value)
         dense = ERSpec(value, 1.0 / math.sqrt(value))
         sweep_rows.append(
@@ -421,9 +432,7 @@ def cmd_regimes(cfg: dict, out: str | None, seed: int | None) -> int:
         {"seed": int},
     )
     rows = []
-    for value in cfg["n_values"]:
-        if not _is(value, int):
-            raise ConfigError("n_values: entries must be integers")
+    for value in _sizes(cfg, "n_values"):
         sparse = regime_report(value, SPARSE, float(cfg["k_lower"]), float(cfg["m_upper"]))
         dense = regime_report(value, DENSE, float(cfg["k_lower"]), float(cfg["m_upper"]))
         rows.append(

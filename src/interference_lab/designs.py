@@ -7,7 +7,9 @@ assignment vector is bit-packed into a plain integer: bit i is 0 when unit i
 is in arm A and 1 when it is in arm B.  Enumeration in ascending code order
 is therefore lexicographic with A sorting first, which fixes a canonical,
 reproducible iteration order.  Code 0 is the all-A vector and code 2^n - 1
-the all-B vector.
+the all-B vector.  Blocks of codes are int64 arrays, so every array-side
+structure (outcome tables, neighborhood bitmasks) stops at ``CODE_BITS``
+units; ``restrict_codes`` gathers a node subset's bits from such a block.
 
 Three designs are supported:
 
@@ -36,23 +38,21 @@ ARM_B = "B"
 # worked example.
 ENUMERATION_CAP = 14
 
+# Bits of a non-negative int64 assignment code: the most units an outcome
+# table, a neighborhood bitmask or a Monte Carlo graph can hold.
+CODE_BITS = 63
+
 # Codes per `enumerate_support` block: amortizes the per-unit numpy calls of
 # the gather and the estimators while keeping a block a negligible share of
 # peak memory.
 SUPPORT_BLOCK = 256
 
 
-def restrict_codes(codes, nodes: Sequence[int]):
-    """Bit-pack the bits of ``codes`` at ``nodes``: bit ``pos`` of the result
-    is bit ``nodes[pos]`` of the code.
-
-    ``codes`` is one Python int (any n) or an int64 array of codes (n <= 62),
-    gathered elementwise; the result has the same form.
-    """
-    sub = codes & 0
-    for pos, i in enumerate(nodes):
-        sub |= ((codes >> i) & 1) << pos
-    return sub
+def restrict_codes(codes: np.ndarray, nodes: Sequence[int]) -> np.ndarray:
+    """Bit-pack the bits of an int64 block of ``codes`` at ``nodes``: bit
+    ``pos`` of each result is bit ``nodes[pos]`` of its code."""
+    bits = (codes[:, None] >> np.asarray(nodes, dtype=np.int64)) & 1
+    return bits @ (1 << np.arange(len(nodes), dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -79,21 +79,6 @@ class Assignment:
             elif arm != ARM_A:
                 raise InvalidArgumentError(f"arm must be 'A' or 'B', got {arm!r}")
         return cls(code, len(arms))
-
-    @classmethod
-    def all_a(cls, n: int) -> "Assignment":
-        return cls(0, n)
-
-    @classmethod
-    def all_b(cls, n: int) -> "Assignment":
-        return cls((1 << n) - 1, n)
-
-    @classmethod
-    def solo_a(cls, i: int, n: int) -> "Assignment":
-        """The vector assigning arm A to unit i alone, arm B to the rest."""
-        if not 0 <= i < n:
-            raise InvalidArgumentError(f"unit {i} out of range for n={n}")
-        return cls(((1 << n) - 1) ^ (1 << i), n)
 
     @property
     def labels(self) -> str:

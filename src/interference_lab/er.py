@@ -28,6 +28,7 @@ from typing import Union
 import numpy as np
 
 from ._kernels import ORACLE_CAP, er_moment_scan, er_variance_scan, ht_variance_terms
+from .designs import CODE_BITS
 from .errors import CapacityError, InvalidArgumentError
 from .graphs import Graph, NeighborhoodIndex
 
@@ -117,15 +118,6 @@ class RegimeReport:
     p: float
     value: float
     trend: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "regime": self.regime,
-            "p": self.p,
-            "value": self.value,
-            "trend": self.trend,
-        }
 
 
 def regime_report(n: int, regime: str, k_lower: float, m_upper: float) -> RegimeReport:
@@ -251,10 +243,15 @@ def mc_expected_variance(
     through ``exact_moments``.  Replicates run serially, each
     seeded by (seed, index), so the estimate does not depend on the
     environment.  Replicates whose largest neighborhood exceeds the cap are
-    rejected and counted.
+    rejected and counted.  Graphs above ``CODE_BITS`` nodes are refused
+    before any is drawn: the closed form reads int64 neighborhood bitmasks.
     """
     if reps < 2:
         raise InvalidArgumentError(f"need reps >= 2, got {reps}")
+    if spec.n > CODE_BITS:
+        raise CapacityError(
+            f"Monte Carlo needs n <= {CODE_BITS} (int64 neighborhood bitmasks), got n={spec.n}"
+        )
     values = [_replicate_variance(spec, policy, seed, r, max_nbhd) for r in range(reps)]
     kept = [v for v in values if not math.isnan(v)]
     rejected = reps - len(kept)

@@ -126,9 +126,6 @@ class HTVarianceTerms:
     cov: float
     total: float
 
-    def to_json_dict(self) -> dict:
-        return {"v_a": self.v_a, "v_b": self.v_b, "cov": self.cov, "total": self.total}
-
 
 def ht_variance_closed_form(
     graph: Graph, k: int, table: PotentialOutcomeTable

@@ -26,7 +26,7 @@ from itertools import product
 
 import numpy as np
 
-from .designs import Assignment, Design, enumerate_support
+from .designs import Design, enumerate_support
 from .errors import (
     FeasibilityPrecisionError,
     IdentityViolationError,
@@ -106,8 +106,7 @@ def default_witness_family(
             for unit in range(n):
                 for v in grid:
                     if v != y0:
-                        solo = Assignment.solo_a(unit, n).code
-                        family.append(_witness_table(n, y0, {solo: v}))
+                        family.append(_witness_table(n, y0, {all_b ^ (1 << unit): v}))
     return family
 
 
@@ -134,23 +133,23 @@ def unbiased_feasibility(
             raise InvalidArgumentError("family table size does not match the design")
 
     support = list(enumerate_support(design))
+    # Every design law is uniform on its support, and a table reveals one
+    # observed vector per code, so each column of a row has coefficient p.
+    p = support[0][1]
     columns: dict[tuple[int, tuple[float, ...]], int] = {}
     rows = []
     rhs = []
     for table in witness_family:
-        coeffs: dict[int, float] = {}
-        for codes, p in support:
-            ykeys = map(observed_key, table.observed(codes).tolist())
-            for key in zip(codes.tolist(), ykeys):
-                col = columns.setdefault(key, len(columns))
-                coeffs[col] = coeffs.get(col, 0.0) + p
-        rows.append(coeffs)
+        cols: list[int] = []
+        for codes, _ in support:
+            keys = zip(codes.tolist(), map(observed_key, table.observed(codes).tolist()))
+            cols.extend(columns.setdefault(key, len(columns)) for key in keys)
+        rows.append(cols)
         rhs.append(estimand_value(estimand, table))
 
     a = np.zeros((len(rows), len(columns)))
-    for r, coeffs in enumerate(rows):
-        for col, p in coeffs.items():
-            a[r, col] = p
+    for r, cols in enumerate(rows):
+        a[r, cols] = p
     b = np.array(rhs)
     solution, _, rank, singular = np.linalg.lstsq(a, b, rcond=None)
     if rank > 0 and singular[0] / singular[rank - 1] > _CONDITION_CAP:

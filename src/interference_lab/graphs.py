@@ -29,6 +29,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
+from .designs import CODE_BITS
 from .errors import CapacityError, GraphFormatError, InvalidArgumentError
 
 
@@ -156,9 +157,9 @@ class NeighborhoodIndex:
         return self.graph.n
 
     def masks(self) -> np.ndarray:
-        """Neighborhoods as int64 bitmasks (requires n <= 62)."""
-        if self.n > 62:
-            raise CapacityError(f"bitmask form needs n <= 62, got n={self.n}")
+        """Neighborhoods as int64 bitmasks (requires n <= ``CODE_BITS``)."""
+        if self.n > CODE_BITS:
+            raise CapacityError(f"bitmask form needs n <= {CODE_BITS}, got n={self.n}")
         out = np.zeros(self.n, dtype=np.int64)
         for i, ball in enumerate(self.closed):
             m = 0

@@ -11,6 +11,11 @@ coordinates outside G_i, so structural consistency holds by construction,
 and memory is sum_i 2^|G_i|.  Arbitrary interference is the case where G_i
 is every unit and the key is the assignment code.
 
+Every read goes through one lookup, ``PotentialOutcomeTable.observed``,
+which gathers the outcomes an int64 block of assignment codes reveals; the
+single-assignment, boundary and solo reads are small blocks.  A table
+therefore holds at most ``designs.CODE_BITS`` units.
+
 Declared bounds are open intervals: when an upper bound M is given, every
 value must lie strictly inside (0, M); a declared lower bound K tightens
 that to (K, M).  Tables without declared bounds skip the check (the
@@ -29,7 +34,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .designs import Assignment, restrict_codes
+from .designs import CODE_BITS, Assignment, restrict_codes
 from .errors import (
     CapacityError,
     IncompleteTableError,
@@ -53,6 +58,16 @@ KLOCAL_NEIGHBORHOOD_CAP = 20
 _BOUNDS_EPS_REL = 1e-9
 
 
+def _check_width(n: int, where: str = "") -> None:
+    """Tables are read by int64 assignment codes, so they hold at most
+    ``CODE_BITS`` units."""
+    if n > CODE_BITS:
+        raise CapacityError(
+            f"{where}outcome tables hold at most n={CODE_BITS} units "
+            f"(one int64 assignment code), got n={n}"
+        )
+
+
 class PotentialOutcomeTable:
     """Per-unit outcome functions of the effective treatment; ``values[i]``
     holds unit i's outcomes by effective-treatment key."""
@@ -68,6 +83,7 @@ class PotentialOutcomeTable:
         self.k_lower = k_lower
         self.m_upper = m_upper
         n = structure.n
+        _check_width(n)
         if len(values) != n:
             raise InvalidArgumentError(f"need one outcome array per unit, got {len(values)}")
         self._groups = [sorted(reference_group(structure, i)) for i in range(n)]
@@ -106,30 +122,12 @@ class PotentialOutcomeTable:
     def n(self) -> int:
         return self.structure.n
 
-    def outcome(self, i: int, z: Assignment) -> float:
-        """The value unit i exhibits under assignment z."""
-        if z.n != self.n:
-            raise InvalidArgumentError(f"assignment has n={z.n}, table has n={self.n}")
-        if not 0 <= i < self.n:
-            raise InvalidArgumentError(f"unit {i} out of range for n={self.n}")
-        key = restrict_codes(z.code, self._groups[i])
-        v = float(self._values[i][key])
-        if math.isnan(v):
-            raise IncompleteTableError(
-                f"no outcome stored for unit {i} under effective treatment "
-                f"key {key} (assignment {z.labels})"
-            )
-        return v
-
-    def observed_vector(self, z: Assignment) -> np.ndarray:
-        """All n outcomes revealed by assignment z."""
-        return np.array([self.outcome(i, z) for i in range(self.n)], dtype=float)
-
     def observed(self, codes: np.ndarray) -> np.ndarray:
-        """The outcomes revealed by each of an int64 block of assignment codes
-        (n <= 62): row r holds the n outcomes under ``codes[r]``.
+        """The outcomes revealed by each of an int64 block of assignment
+        codes: row r holds the n outcomes under ``codes[r]``.
 
-        One array lookup per unit gathers the whole block.
+        This is the one outcome lookup; one array gather per unit serves
+        the whole block.
         """
         y = np.empty((len(codes), self.n))
         for i, (g, v) in enumerate(zip(self._groups, self._values)):
@@ -141,12 +139,16 @@ class PotentialOutcomeTable:
             raise IncompleteTableError(f"no outcome stored for unit {i} under {z.labels}")
         return y
 
+    def observed_vector(self, z: Assignment) -> np.ndarray:
+        """All n outcomes revealed by assignment z."""
+        if z.n != self.n:
+            raise InvalidArgumentError(f"assignment has n={z.n}, table has n={self.n}")
+        return self.observed(np.array([z.code], dtype=np.int64))[0]
+
     def boundary_vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """Outcome vectors under the all-A and all-B assignments."""
-        return (
-            self.observed_vector(Assignment.all_a(self.n)),
-            self.observed_vector(Assignment.all_b(self.n)),
-        )
+        y_a, y_b = self.observed(np.array([0, (1 << self.n) - 1], dtype=np.int64))
+        return y_a, y_b
 
     # ------------------------------------------------------------------
     # Constructors
@@ -189,6 +191,7 @@ class PotentialOutcomeTable:
         one per (unit, effective treatment); deterministic given seed."""
         if not 0 <= k_lower < m_upper:
             raise InvalidArgumentError("need 0 <= k_lower < m_upper")
+        _check_width(structure.n)
         rng = np.random.default_rng(seed)
         eps = _BOUNDS_EPS_REL * (m_upper - k_lower)
         lo, hi = k_lower + eps, m_upper - eps
@@ -318,6 +321,7 @@ class PotentialOutcomeTable:
             raise InvalidArgumentError(f"{path}: missing key {exc}") from exc
         except TypeError as exc:
             raise InvalidArgumentError(f"{path}: malformed table ({exc})") from exc
+        _check_width(structure.n, f"{path}: ")
         if not isinstance(units, list) or len(units) != structure.n:
             raise InvalidArgumentError(
                 f"{path}: \"units\" must list one object per unit (n={structure.n})"
@@ -390,8 +394,7 @@ def estimand_value(estimand: Estimand, table: PotentialOutcomeTable) -> float:
         y_a, y_b = table.boundary_vectors()
         return float(estimand.g1(y_a)) + float(estimand.g2(y_b))
     if isinstance(estimand, SoloTreatmentEffect):
-        total = math.fsum(
-            table.outcome(i, Assignment.solo_a(i, n)) for i in range(n)
-        )
-        return total / n
+        # row i is the vector assigning arm A to unit i alone
+        y = table.observed(((1 << n) - 1) ^ (1 << np.arange(n, dtype=np.int64)))
+        return math.fsum(np.diagonal(y).tolist()) / n
     raise InvalidArgumentError(f"unknown estimand {estimand!r}")

@@ -5,9 +5,12 @@ Claims pinned here:
     - malformed JSON, unknown keys, JSON booleans where numbers belong,
       missing, unreadable, non-UTF-8 or incomplete input files, and
       unwritable outputs exit 2 without a traceback, naming the offending
-      key or path; over-cap sizes, including Monte Carlo
-      beyond the 62-node bitmask ceiling, exit 3; a broken moment identity
-      or MSE floor exits 4 without a traceback
+      key or path; over-cap sizes, including tables and Monte Carlo
+      beyond the 63-node code width, exit 3; sweep sizes that are not
+      positive or overflow a float exit 2 naming the entry; a broken
+      moment identity or MSE floor exits 4 without a traceback
+    - the exposure-weighted estimator takes an inline graph when the
+      structure carries none, and without either it exits 2
     - re-running any command byte-identically reproduces its output,
       including across different INTERFERENCE_LAB_THREADS settings
     - --set overrides nested keys; --seed feeds seedless configs
@@ -251,6 +254,7 @@ _HUB_EDGES = [[0, j] for j in range(1, 22)]  # unit 0's reference group has 22 u
         ("table.csv", "assignment,unit,outcome\nAAA,-1,0.5\n", 2),
         ("table.csv", "assignment,unit,outcome\n" + "A" * 15 + ",0,0.5\n", 3),
         ("table.json", "[1, 2]", 2),
+        ("table.json", json.dumps({"structure": {"kind": "no_interference", "n": 64}, "units": []}), 3),
         (
             "table.json",
             json.dumps(
@@ -376,8 +380,57 @@ def test_er_analysis_beyond_bitmask_ceiling_exits_3(tmp_path):
     }
     result = run_cli(["er-analysis", "--config", write_config(tmp_path, "er.json", cfg)])
     assert result.returncode == 3, result.stderr
-    assert "n <= 62" in result.stderr
+    assert "Monte Carlo needs n <= 63" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_er_analysis_with_a_huge_n_exits_3(tmp_path, capsys):
+    cfg = {
+        "cases": [{"n": 10**400, "p": 0.01}],
+        "k_lower": 0.5,
+        "m_upper": 1.0,
+        "reps": 10,
+        "seed": 7,
+    }
+    assert cli.main(["er-analysis", "--config", write_config(tmp_path, "er.json", cfg)]) == 3
+    assert capsys.readouterr().err.startswith("capacity error: Monte Carlo needs n <= 63")
+
+
+@pytest.mark.parametrize(
+    "command,key,value,message",
+    [
+        ("regimes", "n_values", 10**400, "n_values[1]: exceeds the float range"),
+        ("tables", "sweep_n", 10**400, "sweep_n[1]: exceeds the float range"),
+        ("tables", "sweep_n", 0, "sweep_n[1]: must be positive, got 0"),
+    ],
+    ids=["regimes-huge", "tables-huge", "tables-zero"],
+)
+def test_sweep_sizes_out_of_range_exit_2(tmp_path, capsys, command, key, value, message):
+    cfg = json.loads((CONFIGS / f"{command}.json").read_text())
+    cfg[key] = [cfg[key][0], value]
+    path = write_config(tmp_path, "c.json", cfg)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_horvitz_thompson_with_an_inline_graph(tmp_path, capsys):
+    ht = {"kind": "horvitz_thompson", "graph": {"er": {"n": 6, "p": 0.3, "seed": 1}}}
+    adversary = {"design": {"design": "bd", "n": 6}, "estimator": ht, "m_upper": 1.0}
+    assert cli.main(["adversary", "--config", write_config(tmp_path, "a.json", adversary)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["mse"] > report["floor"]
+    moments = dict(
+        MOMENTS_CFG,
+        design={"design": "bd", "n": 6},
+        structure={"kind": "arbitrary"},
+        estimator=ht,
+    )
+    assert cli.main(["moments", "--config", write_config(tmp_path, "m.json", moments)]) == 0
+    assert json.loads(capsys.readouterr().out)["support_size"] == 64
+    moments["estimator"] = {"kind": "horvitz_thompson"}
+    assert cli.main(["moments", "--config", write_config(tmp_path, "m.json", moments)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: estimator: horvitz_thompson needs a k_local structure or an inline graph\n"
 
 
 def test_moment_identity_violation_exits_4(monkeypatch, capsys):

@@ -11,9 +11,9 @@ Claims pinned here:
       design kills everything with the wrong arm count
     - the exposure-weighted estimator's weight is 2^|ball|, the inverse of
       the fair-coin exposure probability counted by enumeration
-    - the bit gather packs the node bits in the order given, the same
-      sub-codes from an int64 code array as from each code alone, and from
-      one Python int at any n
+    - the bit gather packs the node bits in the order given, matches a
+      per-bit reference loop on int64 code blocks, and reads every bit of
+      a CODE_BITS-wide code
 """
 
 import math
@@ -31,7 +31,7 @@ from interference_lab import (
     NeighborhoodIndex,
     enumerate_support,
 )
-from interference_lab.designs import SUPPORT_BLOCK, restrict_codes
+from interference_lab.designs import CODE_BITS, SUPPORT_BLOCK, restrict_codes
 
 
 def test_assignment_roundtrip():
@@ -39,9 +39,9 @@ def test_assignment_roundtrip():
     assert z.labels == "ABBA"
     assert z.code == 0b0110
     assert Assignment(z.code, 4) == z
-    assert Assignment.all_a(3).labels == "AAA"
-    assert Assignment.all_b(3).labels == "BBB"
-    assert Assignment.solo_a(1, 3).labels == "BAB"
+    assert Assignment(0, 3).labels == "AAA"
+    assert Assignment((1 << 3) - 1, 3).labels == "BBB"
+    assert Assignment(((1 << 3) - 1) ^ (1 << 1), 3).labels == "BAB"
     assert Assignment(z.code ^ 1, 4).labels == "BBBA"
 
 
@@ -53,12 +53,12 @@ def test_assignment_validation():
 
 
 def test_restrict_code_ascending_order():
-    z = Assignment.from_arms("ABAB")
+    codes = np.array([Assignment.from_arms("ABAB").code], dtype=np.int64)
     # nodes {1, 3} are both B -> sub-code 0b11
-    assert restrict_codes(z.code, [1, 3]) == 0b11
-    assert restrict_codes(z.code, [0, 2]) == 0
-    assert restrict_codes(z.code, [0, 1]) == 0b10
-    assert restrict_codes(z.code, [1, 0]) == 0b01  # bit pos holds nodes[pos]
+    assert restrict_codes(codes, [1, 3]).tolist() == [0b11]
+    assert restrict_codes(codes, [0, 2]).tolist() == [0]
+    assert restrict_codes(codes, [0, 1]).tolist() == [0b10]
+    assert restrict_codes(codes, [1, 0]).tolist() == [0b01]  # bit pos holds nodes[pos]
 
 
 def test_restrict_codes_array_matches_scalar():
@@ -69,9 +69,13 @@ def test_restrict_codes_array_matches_scalar():
         codes = rng.integers(0, 1 << n, size=64, dtype=np.int64)
         packed = restrict_codes(codes, nodes)
         assert packed.dtype == np.int64
-        assert packed.tolist() == [restrict_codes(int(c), nodes) for c in codes]
-    wide = Assignment.from_arms("AB" * 50)  # n = 100, every odd unit in arm B
-    assert restrict_codes(wide.code, [1, 2, 97, 99]) == 0b1101
+        want = [sum(((c >> i) & 1) << pos for pos, i in enumerate(nodes)) for c in codes.tolist()]
+        assert packed.tolist() == want
+    # n = CODE_BITS: every odd unit and the top unit in arm B
+    wide = Assignment.from_arms("AB" * (CODE_BITS // 2) + "B")
+    codes = np.array([wide.code], dtype=np.int64)
+    assert restrict_codes(codes, [1, 2, CODE_BITS - 2, CODE_BITS - 1]).tolist() == [0b1101]
+    assert restrict_codes(codes, range(CODE_BITS)).tolist() == [wide.code]
 
 
 def test_design_validation():
@@ -162,8 +166,8 @@ def test_exposure_probability_single():
     ht = HorvitzThompson(NeighborhoodIndex.build(star, 1))
     for i, size in enumerate([3, 2, 2, 1, 1]):
         y = np.eye(5)[i]
-        assert ht(Assignment.all_a(5), y) == 2.0**size / 5
-        assert ht(Assignment.all_b(5), y) == -(2.0**size) / 5
+        assert ht(Assignment(0, 5), y) == 2.0**size / 5
+        assert ht(Assignment((1 << 5) - 1, 5), y) == -(2.0**size) / 5
 
 
 def test_exposure_probability_matches_enumeration_exactly():
@@ -172,4 +176,4 @@ def test_exposure_probability_matches_enumeration_exactly():
     support = _points(Design.bd(5))
     for i, mask in enumerate(index.masks().tolist()):
         hits = sum(p for code, p in support if code & mask == 0)
-        assert ht(Assignment.all_a(5), np.eye(5)[i]) == (1 / hits) / 5
+        assert ht(Assignment(0, 5), np.eye(5)[i]) == (1 / hits) / 5

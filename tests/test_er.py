@@ -19,7 +19,9 @@ Claims pinned here:
       their analytic limits
     - Monte Carlo replication is seed-deterministic, reproduces literal
       streams recorded from earlier versions, and lands within three
-      standard errors of enumeration
+      standard errors of enumeration, and of the moment-based exact
+      reference at n = CODE_BITS; above it, Monte Carlo is refused before
+      any graph is drawn
 """
 
 import itertools
@@ -40,6 +42,7 @@ from interference_lab import (
     UniformOutcomes,
     classify_regime,
     dense_lower_bound,
+    er,
     exhaustive_expected_variance,
     exhaustive_moments,
     expected_effective_treatments,
@@ -52,6 +55,7 @@ from interference_lab import (
     regime_report,
     sample_er_graph,
 )
+from interference_lab.designs import CODE_BITS
 
 
 def test_moment_values():
@@ -336,6 +340,28 @@ def test_mc_within_three_stderr_of_enumeration():
     exact = exhaustive_expected_variance(spec, 1.0)
     mc = mc_expected_variance(spec, ConstantOutcomes(1.0), reps=500, seed=12)
     assert abs(mc.mean - exact) <= 3 * mc.stderr
+
+
+def test_mc_at_the_code_width_matches_the_moment_reference():
+    spec = ERSpec(CODE_BITS, 1 / CODE_BITS)
+    n = spec.n
+    m1 = moment_two_pow_nbhd(spec)
+    m2 = moment_two_pow_shared(spec)
+    p0 = prob_no_common(spec)
+    want = 2 * (m1 / n + (n - 1) / n * (m2 - p0))  # c = 1
+    mc = mc_expected_variance(spec, ConstantOutcomes(1.0), reps=400, seed=7)
+    assert (mc.reps_used, mc.reps_rejected) == (400, 0)
+    assert abs(mc.mean - want) <= 3 * mc.stderr
+
+
+def test_mc_refuses_wide_graphs_before_drawing(monkeypatch):
+    def no_draw(spec, rng):
+        pytest.fail("a graph was drawn above the code width")
+
+    monkeypatch.setattr(er, "_draw_graph", no_draw)
+    for n in (CODE_BITS + 1, 100, 10**400):
+        with pytest.raises(CapacityError):
+            mc_expected_variance(ERSpec(n, 0.01), ConstantOutcomes(1.0), reps=10, seed=7)
 
 
 def test_mc_rejection_accounting():

@@ -45,8 +45,8 @@ def test_diff_in_means_examples():
 
 def test_diff_in_means_empty_arm_contributes_zero():
     dm = DifferenceInMeans()
-    assert dm(Assignment.all_a(3), np.array([1.0, 2.0, 3.0])) == 2.0
-    assert dm(Assignment.all_b(3), np.array([1.0, 2.0, 3.0])) == -2.0
+    assert dm(Assignment(0, 3), np.array([1.0, 2.0, 3.0])) == 2.0
+    assert dm(Assignment((1 << 3) - 1, 3), np.array([1.0, 2.0, 3.0])) == -2.0
 
 
 def test_horvitz_thompson_two_node_complete():

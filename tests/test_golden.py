@@ -5,6 +5,10 @@ Claims pinned here:
       the output files recorded in tests/golden/<config>/ (``stdout`` holds
       the standard output; every other file is one the run writes, at the
       same path relative to the working directory)
+    - the ``*_scale`` configs run the exact layer at the benchmark's size,
+      n = 14, where every support block holds the full 256 codes: HT moments
+      under bd on an ER(14, 0.2) graph, and the MSE adversary for
+      difference in means under crd and for the pure-arm IPW under bd
 
 Unlike the re-run checks in test_cli.py, which compare two runs of the same
 code, the recordings compare this version with the one that wrote them.  A
@@ -21,12 +25,15 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 COMMANDS = {
+    "adversary_bd_ipw_scale": "adversary",
+    "adversary_crd_scale": "adversary",
     "adversary_diff_means": "adversary",
     "er_analysis": "er-analysis",
     "feasibility_bd": "feasibility",
     "feasibility_crd": "feasibility",
     "moments_crd": "moments",
     "moments_ht": "moments",
+    "moments_ht_scale": "moments",
     "regimes": "regimes",
     "tables": "tables",
 }

@@ -13,6 +13,8 @@ Claims pinned here:
     - effective-treatment keys ignore coordinate flips outside the group
     - count x informative-set size = 2^n, and one over the count is the
       informative share to the last bit (count-fraction identity)
+    - the bitmask form reaches n = CODE_BITS, the top node's bit included,
+      and stops one node later
     - graph files load back the graph they list and reject malformed input
 """
 
@@ -37,6 +39,7 @@ from interference_lab import (
     k_step_neighborhood,
     reference_group,
 )
+from interference_lab.designs import CODE_BITS
 
 
 def test_graph_construction_rejects_bad_edges():
@@ -107,8 +110,10 @@ def test_neighborhood_index_masks_and_sizes():
     idx = NeighborhoodIndex.build(Graph.path(3), 1)
     assert idx.closed == (frozenset({0, 1}), frozenset({0, 1, 2}), frozenset({1, 2}))
     assert list(idx.masks()) == [0b011, 0b111, 0b110]
+    cycle = Graph.from_edges(CODE_BITS, [(i, (i + 1) % CODE_BITS) for i in range(CODE_BITS)])
+    assert int(NeighborhoodIndex.build(cycle, 1).masks()[-1]) == 0x6000000000000001
     with pytest.raises(CapacityError):
-        NeighborhoodIndex.build(Graph.empty(63), 1).masks()
+        NeighborhoodIndex.build(Graph.empty(CODE_BITS + 1), 1).masks()
 
 
 def test_reference_groups():
@@ -127,12 +132,12 @@ def _key_table(structure):
 
 def test_effective_treatment_examples():
     z = Assignment.from_arms("ABB")
-    assert _key_table(NoInterference(3)).outcome(0, z) == 0b0  # (A,)
+    assert _key_table(NoInterference(3)).observed_vector(z)[0] == 0b0  # (A,)
     path = _key_table(KLocal(Graph.path(3), 1))
-    assert path.outcome(1, Assignment.from_arms("ABA")) == 0b010  # (A, B, A)
-    assert path.outcome(0, Assignment.from_arms("ABA")) == 0b10  # (A, B)
-    assert path.outcome(2, Assignment.from_arms("ABB")) == 0b11  # (B, B)
-    assert _key_table(Arbitrary(3)).outcome(1, z) == 0b110  # (A, B, B)
+    assert path.observed_vector(Assignment.from_arms("ABA"))[1] == 0b010  # (A, B, A)
+    assert path.observed_vector(Assignment.from_arms("ABA"))[0] == 0b10  # (A, B)
+    assert path.observed_vector(Assignment.from_arms("ABB"))[2] == 0b11  # (B, B)
+    assert _key_table(Arbitrary(3)).observed_vector(z)[1] == 0b110  # (A, B, B)
 
 
 def test_effective_treatment_counts():
@@ -181,7 +186,7 @@ def test_informative_size_matches_brute_force():
             want = sum(
                 1
                 for other in range(16)
-                if keys.outcome(i, Assignment(other, 4)) == keys.outcome(i, z)
+                if keys.observed_vector(Assignment(other, 4))[i] == keys.observed_vector(z)[i]
             )
             assert 2**4 // effective_treatment_count(structure, i) == want
 
@@ -192,7 +197,7 @@ def test_is_exposed():
     # under AAB only unit 0's ball {0, 1} is uniformly armed (A, weight 2^2)
     assert ht(Assignment.from_arms("AAB"), y) == 4 * y[0] / 3
     # under BBB every ball is in arm B, with weights 2^2, 2^3, 2^2
-    assert ht(Assignment.all_b(3), y) == -(4 * y[0] + 8 * y[1] + 4 * y[2]) / 3
+    assert ht(Assignment((1 << 3) - 1, 3), y) == -(4 * y[0] + 8 * y[1] + 4 * y[2]) / 3
 
 
 def test_exposure_implies_uniform_effective_treatment():
@@ -204,8 +209,8 @@ def test_exposure_implies_uniform_effective_treatment():
         z = Assignment(code, 4)
         for i in range(4):
             all_b = (1 << len(reference_group(structure, i))) - 1
-            assert ((code & masks[i]) == 0) == (keys.outcome(i, z) == 0)
-            assert ((code & masks[i]) == masks[i]) == (keys.outcome(i, z) == all_b)
+            assert ((code & masks[i]) == 0) == (keys.observed_vector(z)[i] == 0)
+            assert ((code & masks[i]) == masks[i]) == (keys.observed_vector(z)[i] == all_b)
 
 
 def test_effective_treatment_ignores_outside_flips():
@@ -222,7 +227,7 @@ def test_effective_treatment_ignores_outside_flips():
             continue
         j = outside[int(rng.integers(0, len(outside)))]
         flipped = Assignment(z.code ^ (1 << j), 5)
-        assert keys.outcome(i, z) == keys.outcome(i, flipped)
+        assert keys.observed_vector(z)[i] == keys.observed_vector(flipped)[i]
 
 
 def test_graph_file_roundtrip(tmp_path):

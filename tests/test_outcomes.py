@@ -9,7 +9,10 @@ Claims pinned here:
       and respects the declared structure
     - CSV (arbitrary) and JSON (keyed) serializations round-trip
     - the block gather over a support reveals the same outcomes as the
-      per-assignment lookup, and an unstored entry fails loudly through it
+      one-assignment lookup, and an unstored entry fails loudly through it
+    - a table holds up to CODE_BITS units, the width of an int64
+      assignment code; one unit more is a capacity error, raised by the
+      loaders before they allocate
 """
 
 import gc
@@ -38,20 +41,21 @@ from interference_lab import (
     exact_moments,
     reference_group,
 )
+from interference_lab.designs import CODE_BITS
 
 
 def test_no_interference_lookup():
     t = PotentialOutcomeTable.no_interference([2.0, 5.0], [1.0, 3.0])
-    assert t.outcome(0, Assignment.from_arms("AB")) == 2.0
-    assert t.outcome(1, Assignment.from_arms("AB")) == 3.0
+    assert t.observed_vector(Assignment.from_arms("AB"))[0] == 2.0
+    assert t.observed_vector(Assignment.from_arms("AB"))[1] == 3.0
     assert list(t.observed_vector(Assignment.from_arms("AB"))) == [2.0, 3.0]
 
 
 def test_klocal_flip_of_non_neighbor_leaves_value():
     g = Graph.path(3)  # unit 0 only sees {0, 1}
     t = PotentialOutcomeTable.random(KLocal(g, 1), 0.0, 1.0, seed=2)
-    base = t.outcome(0, Assignment.from_arms("ABA"))
-    assert t.outcome(0, Assignment.from_arms("ABB")) == base
+    base = t.observed_vector(Assignment.from_arms("ABA"))[0]
+    assert t.observed_vector(Assignment.from_arms("ABB"))[0] == base
 
 
 def test_arbitrary_rows_are_independent_entries():
@@ -64,7 +68,7 @@ def test_arbitrary_rows_are_independent_entries():
         ]
     )
     t = PotentialOutcomeTable.arbitrary(matrix)
-    assert t.outcome(0, Assignment.from_arms("AB")) == 3.0
+    assert t.observed_vector(Assignment.from_arms("AB"))[0] == 3.0
     assert list(t.observed_vector(Assignment.from_arms("AB"))) == [3.0, 30.0]
     assert list(t.observed_vector(Assignment.from_arms("BA"))) == [2.0, 20.0]
 
@@ -112,15 +116,15 @@ def test_ate_antisymmetric_under_arm_swap():
 
 def test_generator_bounds_and_determinism():
     t = PotentialOutcomeTable.random(Arbitrary(3), 0.0, 1.0, seed=9)
-    values = [t.outcome(i, Assignment(code, 3)) for code in range(8) for i in range(3)]
+    values = [t.observed_vector(Assignment(code, 3))[i] for code in range(8) for i in range(3)]
     assert all(0.0 < v < 1.0 for v in values)
     again = PotentialOutcomeTable.random(Arbitrary(3), 0.0, 1.0, seed=9)
     assert values == [
-        again.outcome(i, Assignment(code, 3)) for code in range(8) for i in range(3)
+        again.observed_vector(Assignment(code, 3))[i] for code in range(8) for i in range(3)
     ]
     shifted = PotentialOutcomeTable.random(Arbitrary(3), 0.0, 1.0, seed=10)
     assert values != [
-        shifted.outcome(i, Assignment(code, 3)) for code in range(8) for i in range(3)
+        shifted.observed_vector(Assignment(code, 3))[i] for code in range(8) for i in range(3)
     ]
 
 
@@ -143,7 +147,7 @@ def test_generator_structural_consistency_random_flips():
             continue
         j = outside[int(rng.integers(0, len(outside)))]
         flipped = Assignment(z.code ^ (1 << j), 5)
-        assert t.outcome(i, z) == t.outcome(i, flipped)
+        assert t.observed_vector(z)[i] == t.observed_vector(flipped)[i]
 
 
 def test_generator_caps():
@@ -169,13 +173,13 @@ def test_missing_entry_raises():
     values = [[1.0, np.nan], [1.0, 2.0]]  # unit 0 lacks its arm-B entry
     t = PotentialOutcomeTable(NoInterference(2), values)
     with pytest.raises(IncompleteTableError):
-        t.outcome(0, Assignment.from_arms("BA"))
+        t.observed_vector(Assignment.from_arms("BA"))[0]
     matrix = np.full((4, 2), np.nan)
     matrix[0] = [1.0, 2.0]
     t2 = PotentialOutcomeTable.arbitrary(matrix)
-    assert t2.outcome(0, Assignment.all_a(2)) == 1.0
+    assert t2.observed_vector(Assignment(0, 2))[0] == 1.0
     with pytest.raises(IncompleteTableError):
-        t2.outcome(0, Assignment.all_b(2))
+        t2.observed_vector(Assignment((1 << 2) - 1, 2))[0]
 
 
 @pytest.mark.parametrize(
@@ -203,9 +207,28 @@ def test_unstored_entry_raises_through_the_gather():
         exact_moments(ConstantEstimator(0.0), Design.bd(3), t, ATE)
 
 
-def test_keyed_table_beyond_the_bitmask_width():
-    t = PotentialOutcomeTable.random(NoInterference(100), 0.0, 1.0, seed=0)
+def test_table_width_stops_at_the_code_bits(tmp_path):
+    t = PotentialOutcomeTable.random(NoInterference(CODE_BITS), 0.0, 1.0, seed=0)
     assert math.isfinite(estimand_value(ATE, t))
+    y_a, y_b = t.boundary_vectors()
+    assert estimand_value(SoloTreatmentEffect(), t) == math.fsum(y_a) / CODE_BITS
+    top = Assignment(1 << (CODE_BITS - 1), CODE_BITS)  # the top unit alone in arm B
+    assert t.observed_vector(top).tolist() == y_a[:-1].tolist() + [y_b[-1]]
+    wide = CODE_BITS + 1
+    with pytest.raises(CapacityError):
+        PotentialOutcomeTable.random(NoInterference(wide), 0.0, 1.0, seed=0)
+    with pytest.raises(CapacityError):
+        PotentialOutcomeTable.no_interference(np.ones(wide), np.ones(wide))
+    path = tmp_path / "wide.json"
+    path.write_text('{"structure": {"kind": "no_interference", "n": %d}, "units": []}' % wide)
+    with pytest.raises(CapacityError):
+        PotentialOutcomeTable.from_json(path)
+
+
+def test_observed_vector_checks_the_assignment_size():
+    t = PotentialOutcomeTable.no_interference([1.0, 2.0], [3.0, 4.0])
+    with pytest.raises(InvalidArgumentError):
+        t.observed_vector(Assignment(0, 3))
 
 
 def test_csv_roundtrip(tmp_path):
