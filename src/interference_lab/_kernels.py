@@ -6,9 +6,9 @@ oracles, which scan the settings of the edges each term depends on rather
 than whole graphs.
 
 Bitmask convention: node sets are int64 masks with bit j set when node j is
-in the set (so n <= ``designs.CODE_BITS``).  Setting s of a pair's scan has bit t set when the
-t-th edge touching the pair, in (0,1), (0,2), ..., (n-2,n-1) order, is
-present.
+in the set (so n <= ``designs.CODE_BITS``).  Setting s of a pair's scan has
+bit t set when the t-th edge touching the pair, in (0,1), (0,2), ...,
+(n-2,n-1) order, is present.
 """
 
 from __future__ import annotations

@@ -254,7 +254,11 @@ _HUB_EDGES = [[0, j] for j in range(1, 22)]  # unit 0's reference group has 22 u
         ("table.csv", "assignment,unit,outcome\nAAA,-1,0.5\n", 2),
         ("table.csv", "assignment,unit,outcome\n" + "A" * 15 + ",0,0.5\n", 3),
         ("table.json", "[1, 2]", 2),
-        ("table.json", json.dumps({"structure": {"kind": "no_interference", "n": 64}, "units": []}), 3),
+        (
+            "table.json",
+            json.dumps({"structure": {"kind": "no_interference", "n": 64}, "units": []}),
+            3,
+        ),
         (
             "table.json",
             json.dumps(
@@ -429,8 +433,9 @@ def test_horvitz_thompson_with_an_inline_graph(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["support_size"] == 64
     moments["estimator"] = {"kind": "horvitz_thompson"}
     assert cli.main(["moments", "--config", write_config(tmp_path, "m.json", moments)]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: estimator: horvitz_thompson needs a k_local structure or an inline graph\n"
+    assert capsys.readouterr().err == (
+        "error: estimator: horvitz_thompson needs a k_local structure or an inline graph\n"
+    )
 
 
 def test_moment_identity_violation_exits_4(monkeypatch, capsys):
