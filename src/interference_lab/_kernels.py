@@ -31,6 +31,9 @@ ORACLE_CAP = 10
 #                  + sum_{i != j} (2^|N_i & N_j| - 1) ya_i ya_j ]
 # cov  = -(1/n^2) [ sum_i ya_i yb_i + sum_{i != j} ya_i yb_j 1{N_i & N_j != 0} ]
 
+# 2^s - 1 for every popcount s of an int64 mask
+_TWO_POW_MINUS_ONE = np.ldexp(1.0, np.arange(64)) - 1.0
+
 
 def ht_variance_terms(
     masks: np.ndarray, y_a: np.ndarray, y_b: np.ndarray
@@ -40,13 +43,12 @@ def ht_variance_terms(
     y_a = np.ascontiguousarray(y_a, dtype=np.float64)
     y_b = np.ascontiguousarray(y_b, dtype=np.float64)
     n = masks.shape[0]
-    sizes = np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
-    pow_i = np.ldexp(1.0, sizes) - 1.0
-    inter = masks[:, None] & masks[None, :]
-    s_ij = np.bitwise_count(inter.astype(np.uint64)).astype(np.int64)
-    w_ij = np.ldexp(1.0, s_ij) - 1.0
+    # masks are non-negative (bits below CODE_BITS), so popcounts are set bits
+    pow_i = _TWO_POW_MINUS_ONE[np.bitwise_count(masks)]
+    s_ij = np.bitwise_count(masks[:, None] & masks[None, :])
+    w_ij = _TWO_POW_MINUS_ONE[s_ij]
     np.fill_diagonal(w_ij, 0.0)
-    touch = (inter != 0).astype(float)
+    touch = (s_ij != 0).astype(float)
     np.fill_diagonal(touch, 0.0)
     nn = float(n * n)
     va = (float(np.dot(pow_i, y_a * y_a)) + float(y_a @ w_ij @ y_a)) / nn

@@ -86,7 +86,7 @@ def _json_text(payload: dict) -> str:
 def _load_config(path: str, overrides: list[str]) -> dict:
     try:
         cfg = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an int past the digit limit
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -98,6 +98,8 @@ def _load_config(path: str, overrides: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except ValueError as exc:  # valid JSON, but an int past the digit limit
+            raise ConfigError(f"--set {key}: {exc}") from exc
         node = cfg
         parts = key.split(".")
         for part in parts[:-1]:

@@ -30,7 +30,7 @@ import numpy as np
 from ._kernels import ORACLE_CAP, er_moment_scan, er_variance_scan, ht_variance_terms
 from .designs import CODE_BITS
 from .errors import CapacityError, InvalidArgumentError
-from .graphs import Graph, NeighborhoodIndex
+from .graphs import Graph
 
 SPARSE = "sparse"
 DENSE = "dense"
@@ -169,12 +169,20 @@ def expected_informative_fraction(spec: ERSpec) -> float:
 # Sampling and Monte Carlo
 
 
-def _draw_graph(spec: ERSpec, rng: np.random.Generator) -> Graph:
-    """Keep each node pair with probability p, one uniform draw per pair in
-    lexicographic (i, j) order."""
-    left, right = np.triu_indices(spec.n, 1)
+def _draw_edges(
+    spec: ERSpec, rng: np.random.Generator, left: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one ER coin draw: keep each candidate pair (left[t], right[t])
+    with probability p, one uniform draw per pair in the order given."""
     keep = rng.random(left.size) < spec.p
-    return Graph.from_edges(spec.n, zip(left[keep].tolist(), right[keep].tolist()))
+    return left[keep], right[keep]
+
+
+def _draw_graph(spec: ERSpec, rng: np.random.Generator) -> Graph:
+    """A graph from the coins of ``_draw_edges`` over every node pair in
+    lexicographic (i, j) order."""
+    left, right = _draw_edges(spec, rng, *np.triu_indices(spec.n, 1))
+    return Graph.from_edges(spec.n, zip(left.tolist(), right.tolist()))
 
 
 def sample_er_graph(spec: ERSpec, seed: int) -> Graph:
@@ -208,13 +216,28 @@ class MCVariance:
     reps_rejected: int
 
 
+def _closed_masks(own: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Closed 1-step neighborhood bitmasks from edge arrays: node i's own bit
+    ``own[i]`` OR-ed with the bit of every node it shares an edge with."""
+    masks = own.copy()
+    np.bitwise_or.at(masks, left, own[right])
+    np.bitwise_or.at(masks, right, own[left])
+    return masks
+
+
 def _replicate_variance(
-    spec: ERSpec, policy: TablePolicy, seed: int, rep: int, max_nbhd: int
+    spec: ERSpec,
+    policy: TablePolicy,
+    seed: int,
+    rep: int,
+    max_nbhd: int,
+    pairs: tuple[np.ndarray, np.ndarray],
+    own: np.ndarray,
 ) -> float:
     rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
     n = spec.n
-    index = NeighborhoodIndex.build(_draw_graph(spec, rng), 1)
-    if max(len(ball) for ball in index.closed) > max_nbhd:
+    masks = _closed_masks(own, *_draw_edges(spec, rng, *pairs))
+    if np.bitwise_count(masks).max() > max_nbhd:
         return math.nan
     if isinstance(policy, ConstantOutcomes):
         y_a = np.full(n, policy.value)
@@ -222,7 +245,7 @@ def _replicate_variance(
     else:
         y_a = rng.uniform(policy.k_lower, policy.m_upper, size=n)
         y_b = rng.uniform(policy.k_lower, policy.m_upper, size=n)
-    v_a, v_b, cov = ht_variance_terms(index.masks(), y_a, y_b)
+    v_a, v_b, cov = ht_variance_terms(masks, y_a, y_b)
     return v_a + v_b - 2.0 * cov
 
 
@@ -235,16 +258,22 @@ def mc_expected_variance(
 ) -> MCVariance:
     """Monte Carlo estimate of the graph-expected estimator variance.
 
-    Each replicate draws a graph, builds pure-arm outcomes per the policy,
-    and evaluates the per-graph pairwise closed form of the exposure-weighted
-    estimator's variance over closed 1-step balls
+    Each replicate draws its edges with ``_draw_edges``, the coin stream
+    ``sample_er_graph`` reads, and builds the closed 1-step neighborhood
+    bitmasks straight from the two edge arrays: node i's mask is bit i
+    OR-ed with the bit of every endpoint i shares an edge with.  No
+    ``Graph`` is built per replicate; the node pairs come from one
+    ``triu_indices`` per call, so they are distinct, ordered and in range
+    by construction.  It then draws pure-arm outcomes per the policy, on
+    the same stream after the coins, and evaluates the per-graph pairwise
+    closed form of the exposure-weighted estimator's variance
     (``_kernels.ht_variance_terms``); that the closed form equals the
     variance enumerated over the fair-coin support is checked separately,
-    through ``exact_moments``.  Replicates run serially, each
-    seeded by (seed, index), so the estimate does not depend on the
-    environment.  Replicates whose largest neighborhood exceeds the cap are
-    rejected and counted.  Graphs above ``CODE_BITS`` nodes are refused
-    before any is drawn: the closed form reads int64 neighborhood bitmasks.
+    through ``exact_moments``.  Replicates run serially, each seeded by
+    (seed, index), so the estimate does not depend on the environment.
+    Replicates whose largest neighborhood exceeds the cap are rejected and
+    counted.  Graphs above ``CODE_BITS`` nodes are refused before any is
+    drawn: the closed form reads int64 neighborhood bitmasks.
     """
     if reps < 2:
         raise InvalidArgumentError(f"need reps >= 2, got {reps}")
@@ -252,7 +281,11 @@ def mc_expected_variance(
         raise CapacityError(
             f"Monte Carlo needs n <= {CODE_BITS} (int64 neighborhood bitmasks), got n={spec.n}"
         )
-    values = [_replicate_variance(spec, policy, seed, r, max_nbhd) for r in range(reps)]
+    pairs = np.triu_indices(spec.n, 1)
+    own = np.left_shift(1, np.arange(spec.n, dtype=np.int64))
+    values = [
+        _replicate_variance(spec, policy, seed, r, max_nbhd, pairs, own) for r in range(reps)
+    ]
     kept = [v for v in values if not math.isnan(v)]
     rejected = reps - len(kept)
     if len(kept) < 2:

@@ -5,7 +5,8 @@ Claims pinned here:
     - malformed JSON, unknown keys, JSON booleans where numbers belong,
       missing, unreadable, non-UTF-8 or incomplete input files, and
       unwritable outputs exit 2 without a traceback, naming the offending
-      key or path; over-cap sizes, including tables and Monte Carlo
+      key or path, as do integers past Python's 4300-digit conversion
+      limit, in a config file or a --set value; over-cap sizes, including tables and Monte Carlo
       beyond the 63-node code width, exit 3; sweep sizes that are not
       positive or overflow a float exit 2 naming the entry; a broken
       moment identity or MSE floor exits 4 without a traceback
@@ -398,6 +399,25 @@ def test_er_analysis_with_a_huge_n_exits_3(tmp_path, capsys):
     }
     assert cli.main(["er-analysis", "--config", write_config(tmp_path, "er.json", cfg)]) == 3
     assert capsys.readouterr().err.startswith("capacity error: Monte Carlo needs n <= 63")
+
+
+# int() refuses decimal strings of more than 4300 digits
+LONG_INT = "1" * 5000
+
+
+def test_config_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text('{"n_values": [%s], "k_lower": 1.0, "m_upper": 1.0}' % LONG_INT)
+    assert cli.main(["regimes", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: invalid JSON (") and "4300" in err
+
+
+def test_set_integer_past_the_digit_limit_exits_2(capsys):
+    config = str(CONFIGS / "regimes.json")
+    assert cli.main(["regimes", "--config", config, "--set", f"n_values=[{LONG_INT}]"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --set n_values: ") and "4300" in err
 
 
 @pytest.mark.parametrize(

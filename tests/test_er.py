@@ -22,6 +22,9 @@ Claims pinned here:
       standard errors of enumeration, and of the moment-based exact
       reference at n = CODE_BITS; above it, Monte Carlo is refused before
       any graph is drawn
+    - the replicate's neighborhood masks, built from the edge arrays of
+      the one coin draw, equal the BFS balls of the graph drawn from the
+      same stream, and its rejections equal a count over those balls
 """
 
 import itertools
@@ -355,10 +358,10 @@ def test_mc_at_the_code_width_matches_the_moment_reference():
 
 
 def test_mc_refuses_wide_graphs_before_drawing(monkeypatch):
-    def no_draw(spec, rng):
-        pytest.fail("a graph was drawn above the code width")
+    def no_draw(spec, rng, left, right):
+        pytest.fail("edges were drawn above the code width")
 
-    monkeypatch.setattr(er, "_draw_graph", no_draw)
+    monkeypatch.setattr(er, "_draw_edges", no_draw)
     for n in (CODE_BITS + 1, 100, 10**400):
         with pytest.raises(CapacityError):
             mc_expected_variance(ERSpec(n, 0.01), ConstantOutcomes(1.0), reps=10, seed=7)
@@ -373,6 +376,30 @@ def test_mc_rejection_accounting():
     )
     assert mixed.reps_rejected > 0
     assert mixed.reps_used + mixed.reps_rejected == 40
+
+
+@pytest.mark.parametrize("n", [2, 5, 15, 62, CODE_BITS])
+def test_masks_from_edges_equal_the_bfs_balls(n):
+    for p in (0.0, 1 / n, 0.5, 1.0):
+        for seed in range(4):
+            spec = ERSpec(n, p)
+            edges = er._draw_edges(spec, np.random.default_rng(seed), *np.triu_indices(n, 1))
+            masks = er._closed_masks(np.left_shift(1, np.arange(n, dtype=np.int64)), *edges)
+            graph = er._draw_graph(spec, np.random.default_rng(seed))
+            want = NeighborhoodIndex.build(graph, 1).masks()
+            assert masks.dtype == want.dtype and (masks == want).all()
+
+
+def test_rejections_match_a_count_over_the_bfs_balls():
+    spec, reps, cap = ERSpec(8, 0.5), 40, 6
+    over = 0
+    for rep in range(reps):
+        rng = np.random.default_rng(np.random.SeedSequence([0, rep]))
+        index = NeighborhoodIndex.build(er._draw_graph(spec, rng), 1)
+        over += max(len(ball) for ball in index.closed) > cap
+    mc = mc_expected_variance(spec, ConstantOutcomes(1.0), reps=reps, seed=0, max_nbhd=cap)
+    assert 0 < over < reps - 1
+    assert mc.reps_rejected == over
 
 
 def test_mc_validation():

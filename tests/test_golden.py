@@ -9,6 +9,12 @@ Claims pinned here:
       n = 14, where every support block holds the full 256 codes: HT moments
       under bd on an ER(14, 0.2) graph, and the MSE adversary for
       difference in means under crd and for the pure-arm IPW under bd
+    - ``er_analysis_scale`` runs Monte Carlo at the benchmark's size (n = 15,
+      30, 60 along p = 1/n, 500 replicates) with constant outcomes at 1.37,
+      and ``er_analysis_uniform`` at n = 60 with uniform outcomes; unlike the
+      shipped c = 1.0 config, whose terms are integers below 2^53 and so
+      sum to the same bits in any order, these pin the closed form's float
+      summation order
 
 Unlike the re-run checks in test_cli.py, which compare two runs of the same
 code, the recordings compare this version with the one that wrote them.  A
@@ -29,6 +35,8 @@ COMMANDS = {
     "adversary_crd_scale": "adversary",
     "adversary_diff_means": "adversary",
     "er_analysis": "er-analysis",
+    "er_analysis_scale": "er-analysis",
+    "er_analysis_uniform": "er-analysis",
     "feasibility_bd": "feasibility",
     "feasibility_crd": "feasibility",
     "moments_crd": "moments",
