@@ -153,7 +153,7 @@ def observed_key(y_obs: Iterable[float]) -> tuple[float, ...]:
     Values are used verbatim - callers working with tabular estimators keep
     outcome levels on exact binary fractions so keys never drift.
     """
-    return tuple(float(v) for v in y_obs)
+    return tuple(map(float, y_obs))
 
 
 class TabularEstimator:

@@ -28,6 +28,7 @@ import numpy as np
 
 from .designs import Design, enumerate_support
 from .errors import (
+    CapacityError,
     FeasibilityPrecisionError,
     IdentityViolationError,
     InvalidArgumentError,
@@ -121,9 +122,13 @@ def unbiased_feasibility(
     if not grid:
         raise InvalidArgumentError("outcome grid must be nonempty")
     if len(grid) > FEASIBILITY_GRID_CAP:
-        raise InvalidArgumentError(f"grid capped at {FEASIBILITY_GRID_CAP} levels")
+        raise CapacityError(
+            f"feasibility grids capped at {FEASIBILITY_GRID_CAP} levels (got {len(grid)})"
+        )
     if design.n > FEASIBILITY_N_CAP:
-        raise InvalidArgumentError(f"feasibility checks capped at n={FEASIBILITY_N_CAP}")
+        raise CapacityError(
+            f"feasibility checks capped at n={FEASIBILITY_N_CAP} (got n={design.n})"
+        )
     if witness_family is None:
         witness_family = default_witness_family(design.n, estimand, grid)
     if not witness_family:

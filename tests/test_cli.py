@@ -6,10 +6,11 @@ Claims pinned here:
       missing, unreadable, non-UTF-8 or incomplete input files, and
       unwritable outputs exit 2 without a traceback, naming the offending
       key or path, as do integers past Python's 4300-digit conversion
-      limit, in a config file or a --set value; over-cap sizes, including tables and Monte Carlo
-      beyond the 63-node code width, exit 3; sweep sizes that are not
-      positive or overflow a float exit 2 naming the entry; a broken
-      moment identity or MSE floor exits 4 without a traceback
+      limit, in a config file or a --set value; over-cap sizes, including
+      feasibility systems past their unit or grid-level cap, and tables and
+      Monte Carlo beyond the 63-node code width, exit 3; sweep sizes that
+      are not positive or overflow a float exit 2 naming the entry; a
+      broken moment identity or MSE floor exits 4 without a traceback
     - the exposure-weighted estimator takes an inline graph when the
       structure carries none, and without either it exits 2
     - re-running any command byte-identically reproduces its output,
@@ -373,6 +374,18 @@ def test_capacity_exits_3(tmp_path):
         ["moments", "--config", path, "--set", "design.n=20", "--set", "design.n_a=10"]
     )
     assert result.returncode == 3
+
+
+@pytest.mark.parametrize(
+    "override", ["design.n=7", "grid=[0, 0.25, 0.5, 0.75, 1]"], ids=["n", "grid"]
+)
+def test_feasibility_beyond_its_caps_exits_3(tmp_path, capsys, override):
+    config = str(CONFIGS / "feasibility_bd.json")
+    out = tmp_path / "out.json"
+    argv = ["feasibility", "--config", config, "--set", override, "--out", str(out)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("capacity error: feasibility ")
+    assert not out.exists()
 
 
 def test_er_analysis_beyond_bitmask_ceiling_exits_3(tmp_path):

@@ -13,13 +13,18 @@ Claims pinned here:
       the fair-coin exposure probability counted by enumeration
     - the bit gather packs the node bits in the order given, matches a
       per-bit reference loop on int64 code blocks, and reads every bit of
-      a CODE_BITS-wide code
+      a CODE_BITS-wide code; it equals that reference (``==``) on sorted
+      node lists built from runs of every length, on unsorted lists, on
+      the empty list, a single node and every unit, for codes up to
+      2^63 - 1
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from interference_lab import (
     Assignment,
@@ -76,6 +81,55 @@ def test_restrict_codes_array_matches_scalar():
     codes = np.array([wide.code], dtype=np.int64)
     assert restrict_codes(codes, [1, 2, CODE_BITS - 2, CODE_BITS - 1]).tolist() == [0b1101]
     assert restrict_codes(codes, range(CODE_BITS)).tolist() == [wide.code]
+
+
+def _gather_reference(codes, nodes):
+    """The gather one code and one bit at a time, in Python integers."""
+    return [sum(((c >> i) & 1) << pos for pos, i in enumerate(nodes)) for c in codes]
+
+
+@st.composite
+def _sorted_runs(draw):
+    """A sorted node list made of maximal runs: gaps of at least one
+    missing node between runs of 1..CODE_BITS consecutive nodes."""
+    nodes: list[int] = []
+    node = draw(st.integers(0, CODE_BITS - 1))
+    while node < CODE_BITS:
+        length = draw(st.integers(1, CODE_BITS - node))
+        nodes.extend(range(node, node + length))
+        node += length + draw(st.integers(1, CODE_BITS))
+    return nodes
+
+
+_CODE_BLOCKS = st.lists(st.integers(0, (1 << CODE_BITS) - 1), min_size=1, max_size=16)
+_NODE_LISTS = st.one_of(
+    _sorted_runs(),
+    st.lists(st.integers(0, CODE_BITS - 1), unique=True, max_size=CODE_BITS),
+    st.permutations(range(CODE_BITS)),
+)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(codes=_CODE_BLOCKS, nodes=_NODE_LISTS)
+@example(codes=[0, 1, (1 << CODE_BITS) - 1], nodes=[])
+@example(codes=[0, 1 << (CODE_BITS - 1), (1 << CODE_BITS) - 1], nodes=[CODE_BITS - 1])
+@example(codes=[0, 5, (1 << CODE_BITS) - 2], nodes=[0])
+@example(codes=[0, 12345, (1 << CODE_BITS) - 1], nodes=list(range(CODE_BITS)))
+def test_restrict_codes_equals_the_per_bit_reference(codes, nodes):
+    packed = restrict_codes(np.array(codes, dtype=np.int64), nodes)
+    assert packed.dtype == np.int64 and packed.shape == (len(codes),)
+    assert packed.tolist() == _gather_reference(codes, nodes)
+
+
+def test_restrict_codes_runs_of_every_length():
+    rng = np.random.default_rng(11)
+    codes = rng.integers(0, 1 << CODE_BITS, size=32, dtype=np.int64).tolist()
+    codes += [0, (1 << CODE_BITS) - 1]
+    block = np.array(codes, dtype=np.int64)
+    for length in range(1, CODE_BITS + 1):
+        for start in {0, (CODE_BITS - length) // 2, CODE_BITS - length}:
+            nodes = list(range(start, start + length))
+            assert restrict_codes(block, nodes).tolist() == _gather_reference(codes, nodes)
 
 
 def test_design_validation():

@@ -9,6 +9,8 @@ Claims pinned here:
     - witnesses equal the corresponding inverse-probability rule up to an
       assignment-indexed offset summing to zero over the support
     - enlarging the family never turns infeasible into feasible
+    - more than FEASIBILITY_N_CAP units or FEASIBILITY_GRID_CAP grid levels
+      is a capacity error
 """
 
 import math
@@ -19,6 +21,7 @@ import pytest
 from interference_lab import (
     ATE,
     Assignment,
+    CapacityError,
     Design,
     FeasibilityCertificate,
     InvalidArgumentError,
@@ -148,9 +151,10 @@ def test_monotone_in_family():
 def test_validation():
     with pytest.raises(InvalidArgumentError):
         unbiased_feasibility(Design.bd(3), ATE, [])
-    with pytest.raises(InvalidArgumentError):
+    # the size caps are capacity limits, not malformed arguments
+    with pytest.raises(CapacityError):
         unbiased_feasibility(Design.bd(3), ATE, [0, 0.25, 0.5, 0.75, 1.0])
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(CapacityError):
         unbiased_feasibility(Design.bd(7), ATE, [0, 1])
     with pytest.raises(InvalidArgumentError):
         unbiased_feasibility(Design.bd(3), ATE, [0, 1], [])
