@@ -35,10 +35,6 @@ from .graphs import Graph
 SPARSE = "sparse"
 DENSE = "dense"
 
-# Largest closed neighborhood an MC replicate may carry: 2^30 weights keep
-# the per-graph closed form comfortably inside double range.
-MC_NEIGHBORHOOD_CAP = 30
-
 _EXP_OVERFLOW = 709.0  # exp() overflows just above this
 
 
@@ -213,7 +209,7 @@ class MCVariance:
     mean: float
     stderr: float
     reps_used: int
-    reps_rejected: int
+    reps_rejected: int  # always 0: every replicate counts
 
 
 def _closed_masks(own: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -230,15 +226,12 @@ def _replicate_variance(
     policy: TablePolicy,
     seed: int,
     rep: int,
-    max_nbhd: int,
     pairs: tuple[np.ndarray, np.ndarray],
     own: np.ndarray,
 ) -> float:
     rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
     n = spec.n
     masks = _closed_masks(own, *_draw_edges(spec, rng, *pairs))
-    if np.bitwise_count(masks).max() > max_nbhd:
-        return math.nan
     if isinstance(policy, ConstantOutcomes):
         y_a = np.full(n, policy.value)
         y_b = np.full(n, policy.value)
@@ -250,11 +243,7 @@ def _replicate_variance(
 
 
 def mc_expected_variance(
-    spec: ERSpec,
-    policy: TablePolicy,
-    reps: int,
-    seed: int,
-    max_nbhd: int = MC_NEIGHBORHOOD_CAP,
+    spec: ERSpec, policy: TablePolicy, reps: int, seed: int
 ) -> MCVariance:
     """Monte Carlo estimate of the graph-expected estimator variance.
 
@@ -271,9 +260,9 @@ def mc_expected_variance(
     variance enumerated over the fair-coin support is checked separately,
     through ``exact_moments``.  Replicates run serially, each seeded by
     (seed, index), so the estimate does not depend on the environment.
-    Replicates whose largest neighborhood exceeds the cap are rejected and
-    counted.  Graphs above ``CODE_BITS`` nodes are refused before any is
-    drawn: the closed form reads int64 neighborhood bitmasks.
+    Graphs above ``CODE_BITS`` nodes are refused before any is drawn: the
+    closed form reads int64 neighborhood bitmasks, and no ball of at most
+    ``CODE_BITS`` nodes overflows its 2^s weights, so every replicate counts.
     """
     if reps < 2:
         raise InvalidArgumentError(f"need reps >= 2, got {reps}")
@@ -283,19 +272,10 @@ def mc_expected_variance(
         )
     pairs = np.triu_indices(spec.n, 1)
     own = np.left_shift(1, np.arange(spec.n, dtype=np.int64))
-    values = [
-        _replicate_variance(spec, policy, seed, r, max_nbhd, pairs, own) for r in range(reps)
-    ]
-    kept = [v for v in values if not math.isnan(v)]
-    rejected = reps - len(kept)
-    if len(kept) < 2:
-        raise CapacityError(
-            f"{rejected} of {reps} replicates exceeded the neighborhood cap "
-            f"({max_nbhd}); nothing left to average"
-        )
-    mean = math.fsum(kept) / len(kept)
-    sample_var = math.fsum((v - mean) ** 2 for v in kept) / (len(kept) - 1)
-    return MCVariance(mean, math.sqrt(sample_var / len(kept)), len(kept), rejected)
+    values = [_replicate_variance(spec, policy, seed, r, pairs, own) for r in range(reps)]
+    mean = math.fsum(values) / reps
+    sample_var = math.fsum((v - mean) ** 2 for v in values) / (reps - 1)
+    return MCVariance(mean, math.sqrt(sample_var / reps), reps, 0)
 
 
 # ----------------------------------------------------------------------

@@ -112,12 +112,10 @@ def default_witness_family(
 
 
 def unbiased_feasibility(
-    design: Design,
-    estimand: Estimand,
-    outcome_grid,
-    witness_family: list[PotentialOutcomeTable] | None = None,
+    design: Design, estimand: Estimand, outcome_grid
 ) -> FeasibilityCertificate:
-    """Decide whether any estimator is unbiased across the witness family."""
+    """Decide whether any estimator is unbiased across the default witness
+    family built on the grid."""
     grid = tuple(float(v) for v in outcome_grid)
     if not grid:
         raise InvalidArgumentError("outcome grid must be nonempty")
@@ -129,13 +127,7 @@ def unbiased_feasibility(
         raise CapacityError(
             f"feasibility checks capped at n={FEASIBILITY_N_CAP} (got n={design.n})"
         )
-    if witness_family is None:
-        witness_family = default_witness_family(design.n, estimand, grid)
-    if not witness_family:
-        raise InvalidArgumentError("witness family must be nonempty")
-    for table in witness_family:
-        if table.n != design.n:
-            raise InvalidArgumentError("family table size does not match the design")
+    family = default_witness_family(design.n, estimand, grid)
 
     support = list(enumerate_support(design))
     # Every design law is uniform on its support, and a table reveals one
@@ -144,7 +136,7 @@ def unbiased_feasibility(
     columns: dict[tuple[int, tuple[float, ...]], int] = {}
     rows = []
     rhs = []
-    for table in witness_family:
+    for table in family:
         cols: list[int] = []
         for codes, _ in support:
             keys = zip(codes.tolist(), map(observed_key, table.observed(codes).tolist()))
@@ -168,11 +160,11 @@ def unbiased_feasibility(
             {key: float(solution[col]) for key, col in columns.items()}
         )
         return FeasibilityCertificate(
-            True, residual, len(witness_family), len(columns), int(rank), witness
+            True, residual, len(family), len(columns), int(rank), witness
         )
     if residual > INFEASIBLE_TOL:
         return FeasibilityCertificate(
-            False, residual, len(witness_family), len(columns), int(rank), None
+            False, residual, len(family), len(columns), int(rank), None
         )
     raise FeasibilityPrecisionError(
         f"residual {residual:.3e} falls between the feasible ({FEASIBLE_TOL:.0e}) "

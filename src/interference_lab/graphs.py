@@ -63,14 +63,6 @@ class Graph:
         return cls(n, frozenset(normalized))
 
     @classmethod
-    def empty(cls, n: int) -> "Graph":
-        return cls(n, frozenset())
-
-    @classmethod
-    def path(cls, n: int) -> "Graph":
-        return cls(n, frozenset((i, i + 1) for i in range(n - 1)))
-
-    @classmethod
     def from_file(cls, path: str | Path) -> "Graph":
         """Load the plain-text format: first line n, then one "u v" per line.
 

@@ -58,14 +58,30 @@ KLOCAL_NEIGHBORHOOD_CAP = 20
 _BOUNDS_EPS_REL = 1e-9
 
 
-def _check_width(n: int, where: str = "") -> None:
-    """Tables are read by int64 assignment codes, so they hold at most
-    ``CODE_BITS`` units."""
+def _reference_groups(structure: InterferenceStructure, where: str = "") -> list[list[int]]:
+    """Each unit's reference group in ascending node order, once a table on
+    ``structure`` fits every size cap: ``CODE_BITS`` units (tables are read
+    by int64 assignment codes), ``ARBITRARY_TABLE_CAP`` units under
+    arbitrary interference, and ``KLOCAL_NEIGHBORHOOD_CAP`` nodes per
+    group.  Every constructor calls this before it allocates."""
+    n = structure.n
     if n > CODE_BITS:
         raise CapacityError(
             f"{where}outcome tables hold at most n={CODE_BITS} units "
             f"(one int64 assignment code), got n={n}"
         )
+    if isinstance(structure, Arbitrary) and n > ARBITRARY_TABLE_CAP:
+        raise CapacityError(
+            f"{where}arbitrary-interference tables capped at n={ARBITRARY_TABLE_CAP}, got n={n}"
+        )
+    groups = [sorted(reference_group(structure, i)) for i in range(n)]
+    for i, g in enumerate(groups):
+        if len(g) > KLOCAL_NEIGHBORHOOD_CAP:
+            raise CapacityError(
+                f"{where}unit {i} has a reference group of size {len(g)} "
+                f"(cap {KLOCAL_NEIGHBORHOOD_CAP})"
+            )
+    return groups
 
 
 class PotentialOutcomeTable:
@@ -82,11 +98,9 @@ class PotentialOutcomeTable:
         self.structure = structure
         self.k_lower = k_lower
         self.m_upper = m_upper
-        n = structure.n
-        _check_width(n)
-        if len(values) != n:
+        self._groups = _reference_groups(structure)
+        if len(values) != structure.n:
             raise InvalidArgumentError(f"need one outcome array per unit, got {len(values)}")
-        self._groups = [sorted(reference_group(structure, i)) for i in range(n)]
         self._values = []
         for i, (g, v) in enumerate(zip(self._groups, values)):
             v = np.asarray(v, dtype=float)
@@ -191,27 +205,15 @@ class PotentialOutcomeTable:
         one per (unit, effective treatment); deterministic given seed."""
         if not 0 <= k_lower < m_upper:
             raise InvalidArgumentError("need 0 <= k_lower < m_upper")
-        _check_width(structure.n)
+        groups = _reference_groups(structure)
         rng = np.random.default_rng(seed)
         eps = _BOUNDS_EPS_REL * (m_upper - k_lower)
         lo, hi = k_lower + eps, m_upper - eps
-        n = structure.n
         if isinstance(structure, Arbitrary):
-            if n > ARBITRARY_TABLE_CAP:
-                raise CapacityError(
-                    f"arbitrary-interference tables capped at n={ARBITRARY_TABLE_CAP}"
-                )
-            matrix = rng.uniform(lo, hi, size=(1 << n, n))
-            return cls(structure, matrix.T, k_lower=k_lower, m_upper=m_upper)
-        values = []
-        for i in range(n):
-            g = reference_group(structure, i)
-            if len(g) > KLOCAL_NEIGHBORHOOD_CAP:
-                raise CapacityError(
-                    f"unit {i} has a reference group of size {len(g)} "
-                    f"(cap {KLOCAL_NEIGHBORHOOD_CAP})"
-                )
-            values.append(rng.uniform(lo, hi, size=1 << len(g)))
+            n = structure.n
+            values = rng.uniform(lo, hi, size=(1 << n, n)).T
+        else:
+            values = [rng.uniform(lo, hi, size=1 << len(g)) for g in groups]
         return cls(structure, values, k_lower=k_lower, m_upper=m_upper)
 
     # ------------------------------------------------------------------
@@ -249,11 +251,7 @@ class PotentialOutcomeTable:
         if len(rows) < 2:
             raise InvalidArgumentError(f"{path}: no data rows")
         n = len(rows[1][0]) if rows[1] else 0
-        if n > ARBITRARY_TABLE_CAP:
-            raise CapacityError(
-                f"{path}: assignments of length {n}; arbitrary-interference "
-                f"tables capped at n={ARBITRARY_TABLE_CAP}"
-            )
+        _reference_groups(Arbitrary(n), f"{path}: ")
         matrix = np.full((1 << n, n), np.nan)
         for r, row in enumerate(rows[1:], start=2):
             try:
@@ -321,18 +319,11 @@ class PotentialOutcomeTable:
             raise InvalidArgumentError(f"{path}: missing key {exc}") from exc
         except TypeError as exc:
             raise InvalidArgumentError(f"{path}: malformed table ({exc})") from exc
-        _check_width(structure.n, f"{path}: ")
+        groups = _reference_groups(structure, f"{path}: ")
         if not isinstance(units, list) or len(units) != structure.n:
             raise InvalidArgumentError(
                 f"{path}: \"units\" must list one object per unit (n={structure.n})"
             )
-        groups = [reference_group(structure, i) for i in range(structure.n)]
-        for i, g in enumerate(groups):
-            if len(g) > KLOCAL_NEIGHBORHOOD_CAP:
-                raise CapacityError(
-                    f"{path}: unit {i} has a reference group of size {len(g)} "
-                    f"(cap {KLOCAL_NEIGHBORHOOD_CAP})"
-                )
         values = []
         for i, (g, entry) in enumerate(zip(groups, units)):
             if not isinstance(entry, dict):

@@ -11,6 +11,8 @@ Claims pinned here:
       Monte Carlo beyond the 63-node code width, exit 3; sweep sizes that
       are not positive or overflow a float exit 2 naming the entry; a
       broken moment identity or MSE floor exits 4 without a traceback
+    - er-analysis on a dense graph at the 63-node code width exits 0 with a
+      finite Monte Carlo mean
     - the exposure-weighted estimator takes an inline graph when the
       structure carries none, and without either it exits 2
     - re-running any command byte-identically reproduces its output,
@@ -19,6 +21,7 @@ Claims pinned here:
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -400,6 +403,21 @@ def test_er_analysis_beyond_bitmask_ceiling_exits_3(tmp_path):
     assert result.returncode == 3, result.stderr
     assert "Monte Carlo needs n <= 63" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_er_analysis_on_a_dense_graph_at_the_code_width_exits_0(tmp_path, capsys):
+    # balls of up to 63 nodes: every replicate counts, none is rejected
+    cfg = {
+        "cases": [{"n": 63, "p": 0.5}],
+        "k_lower": 0.5,
+        "m_upper": 1.0,
+        "reps": 20,
+        "seed": 7,
+    }
+    assert cli.main(["er-analysis", "--config", write_config(tmp_path, "er.json", cfg)]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    mc_mean = float(row.split(",")[header.split(",").index("mc_mean")])
+    assert math.isfinite(mc_mean) and mc_mean > 0
 
 
 def test_er_analysis_with_a_huge_n_exits_3(tmp_path, capsys):

@@ -20,11 +20,11 @@ Claims pinned here:
     - Monte Carlo replication is seed-deterministic, reproduces literal
       streams recorded from earlier versions, and lands within three
       standard errors of enumeration, and of the moment-based exact
-      reference at n = CODE_BITS; above it, Monte Carlo is refused before
-      any graph is drawn
+      reference up to n = CODE_BITS, sparse and dense, with no replicate
+      rejected; above it, Monte Carlo is refused before any graph is drawn
     - the replicate's neighborhood masks, built from the edge arrays of
       the one coin draw, equal the BFS balls of the graph drawn from the
-      same stream, and its rejections equal a count over those balls
+      same stream
 """
 
 import itertools
@@ -59,6 +59,7 @@ from interference_lab import (
     sample_er_graph,
 )
 from interference_lab.designs import CODE_BITS
+from graph_builders import empty_graph
 
 
 def test_moment_values():
@@ -291,7 +292,7 @@ def test_sample_er_graph_determinism_and_extremes():
     g1 = sample_er_graph(ERSpec(8, 0.4), seed=5)
     g2 = sample_er_graph(ERSpec(8, 0.4), seed=5)
     assert g1 == g2
-    assert sample_er_graph(ERSpec(5, 0.0), seed=1) == Graph.empty(5)
+    assert sample_er_graph(ERSpec(5, 0.0), seed=1) == empty_graph(5)
     complete = Graph.from_edges(5, itertools.combinations(range(5), 2))
     assert sample_er_graph(ERSpec(5, 1.0), seed=1) == complete
 
@@ -345,8 +346,14 @@ def test_mc_within_three_stderr_of_enumeration():
     assert abs(mc.mean - exact) <= 3 * mc.stderr
 
 
-def test_mc_at_the_code_width_matches_the_moment_reference():
-    spec = ERSpec(CODE_BITS, 1 / CODE_BITS)
+@pytest.mark.parametrize(
+    "spec",
+    [ERSpec(CODE_BITS, 1 / CODE_BITS), ERSpec(40, 0.6), ERSpec(CODE_BITS, 0.5)],
+    ids=["sparse-63", "dense-40", "dense-63"],
+)
+def test_mc_at_the_code_width_matches_the_moment_reference(spec):
+    # the dense cases carry balls of up to CODE_BITS nodes; every replicate
+    # must count, or the average leaves the ER law
     n = spec.n
     m1 = moment_two_pow_nbhd(spec)
     m2 = moment_two_pow_shared(spec)
@@ -367,17 +374,6 @@ def test_mc_refuses_wide_graphs_before_drawing(monkeypatch):
             mc_expected_variance(ERSpec(n, 0.01), ConstantOutcomes(1.0), reps=10, seed=7)
 
 
-def test_mc_rejection_accounting():
-    spec = ERSpec(8, 1.0)  # complete graph surely; every ball has size 8
-    with pytest.raises(CapacityError):
-        mc_expected_variance(spec, ConstantOutcomes(1.0), reps=5, seed=0, max_nbhd=2)
-    mixed = mc_expected_variance(
-        ERSpec(8, 0.5), ConstantOutcomes(1.0), reps=40, seed=0, max_nbhd=6
-    )
-    assert mixed.reps_rejected > 0
-    assert mixed.reps_used + mixed.reps_rejected == 40
-
-
 @pytest.mark.parametrize("n", [2, 5, 15, 62, CODE_BITS])
 def test_masks_from_edges_equal_the_bfs_balls(n):
     for p in (0.0, 1 / n, 0.5, 1.0):
@@ -388,18 +384,6 @@ def test_masks_from_edges_equal_the_bfs_balls(n):
             graph = er._draw_graph(spec, np.random.default_rng(seed))
             want = NeighborhoodIndex.build(graph, 1).masks()
             assert masks.dtype == want.dtype and (masks == want).all()
-
-
-def test_rejections_match_a_count_over_the_bfs_balls():
-    spec, reps, cap = ERSpec(8, 0.5), 40, 6
-    over = 0
-    for rep in range(reps):
-        rng = np.random.default_rng(np.random.SeedSequence([0, rep]))
-        index = NeighborhoodIndex.build(er._draw_graph(spec, rng), 1)
-        over += max(len(ball) for ball in index.closed) > cap
-    mc = mc_expected_variance(spec, ConstantOutcomes(1.0), reps=reps, seed=0, max_nbhd=cap)
-    assert 0 < over < reps - 1
-    assert mc.reps_rejected == over
 
 
 def test_mc_validation():

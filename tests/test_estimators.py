@@ -34,6 +34,7 @@ from interference_lab import (
     enumerate_support,
     observed_key,
 )
+from graph_builders import empty_graph
 
 
 def test_diff_in_means_examples():
@@ -60,7 +61,7 @@ def test_horvitz_thompson_two_node_complete():
 
 
 def test_horvitz_thompson_empty_graph():
-    idx = NeighborhoodIndex.build(Graph.empty(2), 1)
+    idx = NeighborhoodIndex.build(empty_graph(2), 1)
     ht = HorvitzThompson(idx)
     assert ht(Assignment.from_arms("AB"), np.array([2.0, 4.0])) == -2.0
 

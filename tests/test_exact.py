@@ -36,6 +36,7 @@ from interference_lab import (
     sample_er_graph,
     ERSpec,
 )
+from graph_builders import empty_graph
 
 
 def _constant_klocal_table(graph, k, value):
@@ -133,13 +134,13 @@ def test_ht_closed_form_two_node_complete():
 
 def test_ht_closed_form_empty_graph_covariance():
     table = PotentialOutcomeTable.no_interference([1.5] * 3, [1.5] * 3)
-    terms = ht_variance_closed_form(Graph.empty(3), 1, table)
+    terms = ht_variance_closed_form(empty_graph(3), 1, table)
     assert terms.cov == pytest.approx(-(1.5**2) / 3)
 
 
 def test_ht_closed_form_single_node():
     table = PotentialOutcomeTable.no_interference([2.0], [3.0])
-    terms = ht_variance_closed_form(Graph.empty(1), 1, table)
+    terms = ht_variance_closed_form(empty_graph(1), 1, table)
     assert terms.v_a == (2 - 1) * 4.0
     assert terms.total == pytest.approx((2.0 + 3.0) ** 2)
 

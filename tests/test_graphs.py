@@ -40,6 +40,7 @@ from interference_lab import (
     reference_group,
 )
 from interference_lab.designs import CODE_BITS
+from graph_builders import empty_graph, path_graph
 
 
 def test_graph_construction_rejects_bad_edges():
@@ -52,11 +53,11 @@ def test_graph_construction_rejects_bad_edges():
 
 
 def test_k_step_neighborhood_examples():
-    path = Graph.path(3)
+    path = path_graph(3)
     assert k_step_neighborhood(path, 1, 1) == {0, 1, 2}
     assert k_step_neighborhood(path, 0, 2) == {0, 1, 2}
     assert k_step_neighborhood(path, 0, 1) == {0, 1}
-    for g in (path, Graph.from_edges(4, combinations(range(4), 2)), Graph.empty(4)):
+    for g in (path, Graph.from_edges(4, combinations(range(4), 2)), empty_graph(4)):
         for i in range(g.n):
             assert k_step_neighborhood(g, i, 0) == {i}
     with pytest.raises(InvalidArgumentError):
@@ -96,7 +97,7 @@ def test_bfs_matches_matrix_power_oracle():
 
 
 def test_neighborhood_monotone_in_radius():
-    g = Graph.path(6)
+    g = path_graph(6)
     for i in range(6):
         prev = frozenset()
         for k in range(6):
@@ -107,13 +108,13 @@ def test_neighborhood_monotone_in_radius():
 
 
 def test_neighborhood_index_masks_and_sizes():
-    idx = NeighborhoodIndex.build(Graph.path(3), 1)
+    idx = NeighborhoodIndex.build(path_graph(3), 1)
     assert idx.closed == (frozenset({0, 1}), frozenset({0, 1, 2}), frozenset({1, 2}))
     assert list(idx.masks()) == [0b011, 0b111, 0b110]
     cycle = Graph.from_edges(CODE_BITS, [(i, (i + 1) % CODE_BITS) for i in range(CODE_BITS)])
     assert int(NeighborhoodIndex.build(cycle, 1).masks()[-1]) == 0x6000000000000001
     with pytest.raises(CapacityError):
-        NeighborhoodIndex.build(Graph.empty(CODE_BITS + 1), 1).masks()
+        NeighborhoodIndex.build(empty_graph(CODE_BITS + 1), 1).masks()
 
 
 def test_reference_groups():
@@ -133,7 +134,7 @@ def _key_table(structure):
 def test_effective_treatment_examples():
     z = Assignment.from_arms("ABB")
     assert _key_table(NoInterference(3)).observed_vector(z)[0] == 0b0  # (A,)
-    path = _key_table(KLocal(Graph.path(3), 1))
+    path = _key_table(KLocal(path_graph(3), 1))
     assert path.observed_vector(Assignment.from_arms("ABA"))[1] == 0b010  # (A, B, A)
     assert path.observed_vector(Assignment.from_arms("ABA"))[0] == 0b10  # (A, B)
     assert path.observed_vector(Assignment.from_arms("ABB"))[2] == 0b11  # (B, B)
@@ -142,7 +143,7 @@ def test_effective_treatment_examples():
 
 def test_effective_treatment_counts():
     assert effective_treatment_count(NoInterference(4), 0) == 2
-    path = KLocal(Graph.path(3), 1)
+    path = KLocal(path_graph(3), 1)
     assert effective_treatment_count(path, 1) == 8
     assert effective_treatment_count(path, 0) == 4
     assert effective_treatment_count(Arbitrary(4), 3) == 16
@@ -152,7 +153,7 @@ def test_informative_set_examples():
     # under the fair coin, one over the count is the share of assignments
     # sharing the unit's effective treatment (the tables command's f_i)
     assert 1 / effective_treatment_count(NoInterference(3), 0) == 0.5
-    path = KLocal(Graph.path(3), 1)
+    path = KLocal(path_graph(3), 1)
     assert 1 / effective_treatment_count(path, 0) == 0.25
     assert 1 / effective_treatment_count(Arbitrary(3), 1) == 0.125
     # past the float range of 2^n: the fraction is still exact (or underflows)
@@ -192,7 +193,7 @@ def test_informative_size_matches_brute_force():
 
 
 def test_is_exposed():
-    ht = HorvitzThompson(NeighborhoodIndex.build(Graph.path(3), 1))
+    ht = HorvitzThompson(NeighborhoodIndex.build(path_graph(3), 1))
     y = np.array([3.0, 5.0, 7.0])
     # under AAB only unit 0's ball {0, 1} is uniformly armed (A, weight 2^2)
     assert ht(Assignment.from_arms("AAB"), y) == 4 * y[0] / 3

@@ -13,6 +13,9 @@ Claims pinned here:
     - a table holds up to CODE_BITS units, the width of an int64
       assignment code; one unit more is a capacity error, raised by the
       loaders before they allocate
+    - the arbitrary-interference width and reference-group caps are
+      capacity errors for direct construction, the generator and both
+      loaders alike
 """
 
 import gc
@@ -42,6 +45,8 @@ from interference_lab import (
     reference_group,
 )
 from interference_lab.designs import CODE_BITS
+from interference_lab.outcomes import ARBITRARY_TABLE_CAP
+from graph_builders import path_graph
 
 
 def test_no_interference_lookup():
@@ -52,7 +57,7 @@ def test_no_interference_lookup():
 
 
 def test_klocal_flip_of_non_neighbor_leaves_value():
-    g = Graph.path(3)  # unit 0 only sees {0, 1}
+    g = path_graph(3)  # unit 0 only sees {0, 1}
     t = PotentialOutcomeTable.random(KLocal(g, 1), 0.0, 1.0, seed=2)
     base = t.observed_vector(Assignment.from_arms("ABA"))[0]
     assert t.observed_vector(Assignment.from_arms("ABB"))[0] == base
@@ -150,12 +155,28 @@ def test_generator_structural_consistency_random_flips():
         assert t.observed_vector(z)[i] == t.observed_vector(flipped)[i]
 
 
-def test_generator_caps():
-    with pytest.raises(CapacityError):
-        PotentialOutcomeTable.random(Arbitrary(15), 0.0, 1.0, seed=0)
+def test_generator_caps(tmp_path):
     hub = Graph.from_edges(22, [(0, j) for j in range(1, 22)])
+    for structure in (Arbitrary(ARBITRARY_TABLE_CAP + 1), KLocal(hub, 1)):
+        with pytest.raises(CapacityError):
+            PotentialOutcomeTable.random(structure, 0.0, 1.0, seed=0)
+        # direct construction checks the caps before it reads the values
+        with pytest.raises(CapacityError):
+            PotentialOutcomeTable(structure, [])
+    path = tmp_path / "hub.json"
+    edges = [[0, j] for j in range(1, 22)]
+    path.write_text(
+        '{"structure": {"kind": "k_local", "n": 22, "k": 1, "edges": %s}, "units": []}'
+        % edges
+    )
     with pytest.raises(CapacityError):
-        PotentialOutcomeTable.random(KLocal(hub, 1), 0.0, 1.0, seed=0)
+        PotentialOutcomeTable.from_json(path)
+    # the CSV loader checks the width of the first row before it allocates
+    for n in (ARBITRARY_TABLE_CAP + 1, CODE_BITS + 1):
+        path = tmp_path / f"wide{n}.csv"
+        path.write_text(f"assignment,unit,outcome\n{'A' * n},0,1.0\n")
+        with pytest.raises(CapacityError):
+            PotentialOutcomeTable.from_csv(path)
 
 
 def test_declared_bounds_are_enforced():
@@ -252,7 +273,7 @@ def test_csv_load_closes_its_file(tmp_path):
 
 
 def test_json_roundtrip(tmp_path):
-    g = Graph.path(4)
+    g = path_graph(4)
     t = PotentialOutcomeTable.random(KLocal(g, 1), 0.0, 1.0, seed=23)
     path = tmp_path / "table.json"
     t.to_json(path)

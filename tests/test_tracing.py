@@ -2,9 +2,10 @@
 
 Claims pinned here:
     - ``perfbench/tracing.py``'s ``Tracer().install()`` binds its spans to the
-      package without error, and a traced ``moments`` run and ``feasibility``
-      run then count calls at the layers the per-layer metrics read; a
-      refactor that moves or renames a wrapped name fails here first
+      package without error, and a traced ``moments``, ``feasibility`` and
+      ``er-analysis`` run then count calls and Monte Carlo replicates at the
+      layers the per-layer metrics read; a refactor that moves or renames a
+      wrapped name, or a field the replicate count reads, fails here first
 """
 
 import json
@@ -24,6 +25,7 @@ tracer.install()
 from interference_lab.cli import main
 assert main(["moments", "--config", sys.argv[2]]) == 0
 assert main(["feasibility", "--config", sys.argv[3], "--out", "cert.json"]) == 0
+assert main(["er-analysis", "--config", sys.argv[4], "--out", "er.csv"]) == 0
 totals = layer_totals(tracer.dump())
 print(json.dumps({k: v for k, v in totals.items() if not k.endswith(".self_s")}))
 """
@@ -42,6 +44,7 @@ def test_tracer_installs_and_counts_a_moments_and_a_feasibility_run(tmp_path):
             str(ROOT / "perfbench"),
             str(ROOT / "configs" / "moments_ht.json"),
             str(feasibility_path),
+            str(ROOT / "configs" / "er_analysis.json"),
         ],
         capture_output=True,
         text=True,
@@ -50,7 +53,7 @@ def test_tracer_installs_and_counts_a_moments_and_a_feasibility_run(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     counts = json.loads(run.stdout.strip().splitlines()[-1])
-    assert counts["cli.main.calls"] == 2
+    assert counts["cli.main.calls"] == 3
     assert counts["designs.enumerate_support.calls"] == 2
     assert counts["designs.support_points"] > 0
     assert counts["exact.exact_moments.calls"] == 1
@@ -58,3 +61,8 @@ def test_tracer_installs_and_counts_a_moments_and_a_feasibility_run(tmp_path):
     assert counts["feasibility.system_rows"] > 0
     assert counts["outcomes.estimand_value.calls"] > 0
     assert counts["graphs.NeighborhoodIndex.build.calls"] > 0
+    er_analysis = json.loads((ROOT / "configs" / "er_analysis.json").read_text())
+    reps = er_analysis["reps"] * len(er_analysis["cases"])
+    assert counts["er.mc_expected_variance.calls"] == len(er_analysis["cases"])
+    assert counts["er.mc.reps_attempted"] == reps
+    assert counts["er.mc.reps_used"] == reps
