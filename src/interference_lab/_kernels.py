@@ -3,7 +3,9 @@
 Two computations dominate runtime in this package: the pairwise closed-form
 variance of the exposure-weighted estimator, and the exhaustive random-graph
 oracles, which scan the settings of the edges each term depends on rather
-than whole graphs.
+than whole graphs.  The closed form takes a block of graphs, so that Monte
+Carlo pays its numpy call overhead once per block of replicates; a single
+graph is a one-row block.
 
 Bitmask convention: node sets are int64 masks with bit j set when node j is
 in the set (so n <= ``designs.CODE_BITS``).  Setting s of a pair's scan has
@@ -31,29 +33,53 @@ ORACLE_CAP = 10
 #                  + sum_{i != j} (2^|N_i & N_j| - 1) ya_i ya_j ]
 # cov  = -(1/n^2) [ sum_i ya_i yb_i + sum_{i != j} ya_i yb_j 1{N_i & N_j != 0} ]
 
-# 2^s - 1 for every popcount s of an int64 mask
-_TWO_POW_MINUS_ONE = np.ldexp(1.0, np.arange(64)) - 1.0
+
+def _two_pow_minus_one(sizes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """2^s - 1 in float64 for every popcount s in ``sizes``."""
+    return np.subtract(np.ldexp(1.0, sizes, out=out), 1.0, out=out)
+
+
+def _quadratic(x: np.ndarray, mat: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_r . mat_r y_r per row r: one gemv and one dot per row, as the 1-d
+    ``x @ mat @ y`` of each row alone."""
+    return ((x[:, None, :] @ mat) @ y[:, :, None])[:, 0, 0]
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_r . y_r per row r: one dot per row, as ``np.dot`` of each row alone."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def ht_variance_terms(
     masks: np.ndarray, y_a: np.ndarray, y_b: np.ndarray
-) -> tuple[float, float, float]:
-    """(v_a, v_b, cov) from closed neighborhood masks and boundary outcomes."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(v_a, v_b, cov), one entry per graph, from a block of R graphs: row r
+    of the (R, n) ``masks`` holds graph r's closed neighborhood masks and
+    row r of ``y_a``, ``y_b`` its boundary outcomes.
+
+    The (R, n, n) pair arrays are built in single numpy passes; the sums go
+    through stacked matmul, which makes the same BLAS gemv and dot calls
+    per row as a one-graph evaluation, so a graph's terms do not depend on
+    the block it is evaluated in.
+    """
     masks = np.ascontiguousarray(masks, dtype=np.int64)
     y_a = np.ascontiguousarray(y_a, dtype=np.float64)
     y_b = np.ascontiguousarray(y_b, dtype=np.float64)
-    n = masks.shape[0]
-    # masks are non-negative (bits below CODE_BITS), so popcounts are set bits
-    pow_i = _TWO_POW_MINUS_ONE[np.bitwise_count(masks)]
-    s_ij = np.bitwise_count(masks[:, None] & masks[None, :])
-    w_ij = _TWO_POW_MINUS_ONE[s_ij]
-    np.fill_diagonal(w_ij, 0.0)
-    touch = (s_ij != 0).astype(float)
-    np.fill_diagonal(touch, 0.0)
+    n = masks.shape[1]
+    # masks are non-negative (bits below CODE_BITS), so popcounts are set
+    # bits, and 2^s - 1 is finite for every popcount
+    pow_i = _two_pow_minus_one(np.bitwise_count(masks))
+    shared = masks[:, :, None] & masks[:, None, :]
+    # the weights overwrite the shared masks once they are counted
+    w_ij = _two_pow_minus_one(np.bitwise_count(shared), out=shared.view(np.float64))
+    w_ij.reshape(len(w_ij), n * n)[:, :: n + 1] = 0.0
     nn = float(n * n)
-    va = (float(np.dot(pow_i, y_a * y_a)) + float(y_a @ w_ij @ y_a)) / nn
-    vb = (float(np.dot(pow_i, y_b * y_b)) + float(y_b @ w_ij @ y_b)) / nn
-    cv = (float(np.dot(y_a, y_b)) + float(y_a @ touch @ y_b)) / nn
+    va = (_dot(pow_i, y_a * y_a) + _quadratic(y_a, w_ij, y_a)) / nn
+    vb = (_dot(pow_i, y_b * y_b) + _quadratic(y_b, w_ij, y_b)) / nn
+    # w_ij >= 1 exactly where two balls meet and its diagonal is 0, so the
+    # touch indicator overwrites it in place
+    touch = np.minimum(w_ij, 1.0, out=w_ij)
+    cv = (_dot(y_a, y_b) + _quadratic(y_a, touch, y_b)) / nn
     return va, vb, -cv
 
 

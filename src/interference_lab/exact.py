@@ -141,5 +141,6 @@ def ht_variance_closed_form(
         raise InvalidArgumentError(f"table has n={table.n}, graph has n={graph.n}")
     index = NeighborhoodIndex.build(graph, k)
     y_a, y_b = table.boundary_vectors()
-    v_a, v_b, cov = ht_variance_terms(index.masks(), y_a, y_b)
+    terms = ht_variance_terms(index.masks()[None], y_a[None], y_b[None])
+    v_a, v_b, cov = (float(t[0]) for t in terms)
     return HTVarianceTerms(v_a, v_b, cov, v_a + v_b - 2.0 * cov)

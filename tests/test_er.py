@@ -22,8 +22,10 @@ Claims pinned here:
       standard errors of enumeration, and of the moment-based exact
       reference up to n = CODE_BITS, sparse and dense, with no replicate
       rejected; above it, Monte Carlo is refused before any graph is drawn
-    - the replicate's neighborhood masks, built from the edge arrays of
-      the one coin draw, equal the BFS balls of the graph drawn from the
+    - Monte Carlo evaluated in blocks of replicates equals a loop over one
+      replicate at a time bit for bit, at every block size
+    - each row of a block's neighborhood masks, built from the coin rows of
+      the one coin draw, equals the BFS balls of the graph drawn from the
       same stream
 """
 
@@ -58,6 +60,7 @@ from interference_lab import (
     regime_report,
     sample_er_graph,
 )
+from interference_lab._kernels import ht_variance_terms
 from interference_lab.designs import CODE_BITS
 from graph_builders import empty_graph
 
@@ -346,11 +349,11 @@ def test_mc_within_three_stderr_of_enumeration():
     assert abs(mc.mean - exact) <= 3 * mc.stderr
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [ERSpec(CODE_BITS, 1 / CODE_BITS), ERSpec(40, 0.6), ERSpec(CODE_BITS, 0.5)],
-    ids=["sparse-63", "dense-40", "dense-63"],
-)
+CODE_WIDTH_SPECS = [ERSpec(CODE_BITS, 1 / CODE_BITS), ERSpec(40, 0.6), ERSpec(CODE_BITS, 0.5)]
+POLICIES = [ConstantOutcomes(1.37), UniformOutcomes(0.5, 1.0)]
+
+
+@pytest.mark.parametrize("spec", CODE_WIDTH_SPECS, ids=["sparse-63", "dense-40", "dense-63"])
 def test_mc_at_the_code_width_matches_the_moment_reference(spec):
     # the dense cases carry balls of up to CODE_BITS nodes; every replicate
     # must count, or the average leaves the ER law
@@ -364,26 +367,76 @@ def test_mc_at_the_code_width_matches_the_moment_reference(spec):
     assert abs(mc.mean - want) <= 3 * mc.stderr
 
 
-def test_mc_refuses_wide_graphs_before_drawing(monkeypatch):
-    def no_draw(spec, rng, left, right):
-        pytest.fail("edges were drawn above the code width")
+def _mc_one_replicate_at_a_time(spec, policy, reps, seed):
+    """Monte Carlo as a loop over replicates: each graph built from its own
+    coin draw, its masks from the BFS balls, and its closed form evaluated
+    as a one-graph block."""
+    n = spec.n
+    left, right = np.triu_indices(n, 1)
+    values = []
+    for rep in range(reps):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
+        keep = er._draw_edges(spec, rng, np.empty(left.size, dtype=bool))
+        graph = Graph.from_edges(n, zip(left[keep].tolist(), right[keep].tolist()))
+        masks = NeighborhoodIndex.build(graph, 1).masks()
+        if isinstance(policy, ConstantOutcomes):
+            y_a = y_b = np.full(n, policy.value)
+        else:
+            y_a = rng.uniform(policy.k_lower, policy.m_upper, size=n)
+            y_b = rng.uniform(policy.k_lower, policy.m_upper, size=n)
+        terms = ht_variance_terms(masks[None], y_a[None], y_b[None])
+        v_a, v_b, cov = (float(t[0]) for t in terms)
+        values.append(v_a + v_b - 2.0 * cov)
+    mean = math.fsum(values) / reps
+    sample_var = math.fsum((v - mean) ** 2 for v in values) / (reps - 1)
+    return er.MCVariance(mean, math.sqrt(sample_var / reps), reps, 0)
 
-    monkeypatch.setattr(er, "_draw_edges", no_draw)
+
+@pytest.mark.parametrize("policy", POLICIES, ids=["constant", "uniform"])
+@pytest.mark.parametrize("spec", CODE_WIDTH_SPECS, ids=["sparse-63", "dense-40", "dense-63"])
+def test_mc_blocks_equal_one_replicate_at_a_time(spec, policy, monkeypatch):
+    # 23 reps fill no whole number of blocks (4 at n = 63, 10 at n = 40)
+    reps, seed = 23, 5
+    want = _mc_one_replicate_at_a_time(spec, policy, reps, seed)
+    assert reps % max(1, er.MC_BLOCK_PAIRS // spec.n**2) != 0
+    assert mc_expected_variance(spec, policy, reps, seed) == want
+    for pairs in (1, reps * spec.n**2):  # one replicate per block, the whole run in one
+        monkeypatch.setattr(er, "MC_BLOCK_PAIRS", pairs)
+        assert mc_expected_variance(spec, policy, reps, seed) == want
+
+
+def test_mc_refuses_wide_graphs_before_drawing(monkeypatch):
+    drawn = []
+    draw_edges = er._draw_edges
+
+    def counted_draw(spec, rng, out):
+        drawn.append(spec.n)
+        return draw_edges(spec, rng, out)
+
+    monkeypatch.setattr(er, "_draw_edges", counted_draw)
+    # positive control: at the code width, every replicate draws through it
+    mc_expected_variance(ERSpec(CODE_BITS, 0.01), ConstantOutcomes(1.0), reps=10, seed=7)
+    assert drawn == [CODE_BITS] * 10
+    drawn.clear()
     for n in (CODE_BITS + 1, 100, 10**400):
         with pytest.raises(CapacityError):
             mc_expected_variance(ERSpec(n, 0.01), ConstantOutcomes(1.0), reps=10, seed=7)
+    assert drawn == []
 
 
 @pytest.mark.parametrize("n", [2, 5, 15, 62, CODE_BITS])
 def test_masks_from_edges_equal_the_bfs_balls(n):
-    for p in (0.0, 1 / n, 0.5, 1.0):
-        for seed in range(4):
-            spec = ERSpec(n, p)
-            edges = er._draw_edges(spec, np.random.default_rng(seed), *np.triu_indices(n, 1))
-            masks = er._closed_masks(np.left_shift(1, np.arange(n, dtype=np.int64)), *edges)
-            graph = er._draw_graph(spec, np.random.default_rng(seed))
-            want = NeighborhoodIndex.build(graph, 1).masks()
-            assert masks.dtype == want.dtype and (masks == want).all()
+    # one block of graphs, one row per (p, seed), built from the coin rows
+    draws = [(ERSpec(n, p), seed) for p in (0.0, 1 / n, 0.5, 1.0) for seed in range(4)]
+    pairs = np.triu_indices(n, 1)
+    keep = np.empty((len(draws), pairs[0].size), dtype=bool)
+    for row, (spec, seed) in zip(keep, draws):
+        er._draw_edges(spec, np.random.default_rng(seed), row)
+    masks = er._block_masks(keep, pairs, np.empty((len(draws), n), dtype=np.int64))
+    for row, (spec, seed) in zip(masks, draws):
+        graph = er._draw_graph(spec, np.random.default_rng(seed))
+        want = NeighborhoodIndex.build(graph, 1).masks()
+        assert row.dtype == want.dtype and (row == want).all()
 
 
 def test_mc_validation():
