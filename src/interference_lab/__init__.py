@@ -31,7 +31,6 @@ from .er import (
     dense_lower_bound,
     exhaustive_expected_variance,
     exhaustive_moments,
-    expected_effective_treatments,
     expected_informative_fraction,
     h_bound,
     mc_expected_variance,
@@ -91,7 +90,6 @@ from .graphs import (
 )
 from .outcomes import (
     ATE,
-    AdditiveEstimand,
     AverageTreatmentEffect,
     Estimand,
     PotentialOutcomeTable,

@@ -3,9 +3,10 @@
 Two computations dominate runtime in this package: the pairwise closed-form
 variance of the exposure-weighted estimator, and the exhaustive random-graph
 oracles, which scan the settings of the edges each term depends on rather
-than whole graphs.  The closed form takes a block of graphs, so that Monte
-Carlo pays its numpy call overhead once per block of replicates; a single
-graph is a one-row block.
+than whole graphs, and scan one unit and one pair since ER nodes are
+exchangeable.  The closed form takes a block of graphs, so that Monte Carlo
+pays its numpy call overhead once per block of replicates; a single graph
+is a one-row block.
 
 Bitmask convention: node sets are int64 masks with bit j set when node j is
 in the set (so n <= ``designs.CODE_BITS``).  Setting s of a pair's scan has
@@ -21,8 +22,8 @@ import numpy as np
 
 from .errors import CapacityError
 
-# Largest graph the exhaustive oracles take: n(n-1)/2 pair scans of 2^(2n-3)
-# edge settings each, 45 scans of 2^17 settings at n=10.
+# Largest graph the exhaustive oracles take: a pair scan covers the 2^(2n-3)
+# settings of the edges touching the pair, 2^17 at n=10.
 ORACLE_CAP = 10
 
 
@@ -87,7 +88,9 @@ def ht_variance_terms(
 # Exhaustive oracles (1-step closed neighborhoods).  By linearity of
 # expectation a per-unit term depends only on the n-1 edges at the unit and
 # a per-pair term only on the 2n-3 edges touching the pair, so each term is
-# an exact scan over the settings of those edges alone.
+# an exact scan over the settings of those edges alone.  ER nodes are
+# exchangeable, so every unit term equals that of unit 0 and every pair term
+# that of pair (0, 1), bit for bit: the settings are counted exactly.
 
 
 def _pair_settings(n: int, i: int, j: int, p: float):
@@ -136,14 +139,14 @@ def er_moment_scan(n: int, p: float) -> tuple[float, float, float]:
 def er_variance_scan(n: int, p: float, c: float) -> float:
     """Exact graph-expectation of the closed-form estimator variance for a
     constant outcome level c, k=1: n per-unit terms 2^|N_i| - 1 and n(n-1)/2
-    per-pair terms 2 (2^|N_i & N_j| - 1) + 2 1{N_i & N_j != 0}."""
+    per-pair terms 2 (2^|N_i & N_j| - 1) + 2 1{N_i & N_j != 0}, scanned at
+    unit 0 and pair (0, 1)."""
     sizes = np.arange(n + 1)
     unit_term = np.ldexp(1.0, sizes) - 1.0
     pair_term = 2.0 * unit_term + 2.0 * (sizes > 0)
-    terms = [float(n)]
-    for i in range(n):
-        for j in range(i, n):  # j == i scans the unit's own edges; N_i & N_i = N_i
-            nbhd_i, nbhd_j, present, prob = _pair_settings(n, i, j, float(p))
-            term = unit_term if i == j else pair_term
-            terms.append(_mean(nbhd_i & nbhd_j, present, prob, term))
+    unit_0, _, present, prob = _pair_settings(n, 0, 0, float(p))
+    unit = _mean(unit_0, present, prob, unit_term)
+    nbhd_0, nbhd_1, present, prob = _pair_settings(n, 0, 1, float(p))
+    pair = _mean(nbhd_0 & nbhd_1, present, prob, pair_term)
+    terms = [float(n)] + [unit] * n + [pair] * (n * (n - 1) // 2)
     return math.fsum(terms) * 2.0 * c * c / (n * n)

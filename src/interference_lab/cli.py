@@ -10,6 +10,7 @@ seeded by its index.  Exit codes: 0 success, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -23,10 +24,10 @@ from .er import (
     ERSpec,
     UniformOutcomes,
     classify_regime,
-    expected_effective_treatments,
     expected_informative_fraction,
     h_bound,
     mc_expected_variance,
+    moment_two_pow_nbhd,
     regime_report,
     sample_er_graph,
 )
@@ -147,16 +148,7 @@ def _sizes(cfg: dict, key: str) -> list[int]:
 
 def _parse_design(cfg, where="design") -> Design:
     _check_keys(cfg, where, {"design": str, "n": int}, {"n_a": int})
-    kind = cfg["design"]
-    if kind == "crd":
-        if "n_a" not in cfg:
-            raise ConfigError(f"{where}: crd needs n_a")
-        return Design.crd(cfg["n"], cfg["n_a"])
-    if kind == "bd":
-        return Design.bd(cfg["n"])
-    if kind == "cbd":
-        return Design.cbd(cfg["n"])
-    raise ConfigError(f"{where}.design: must be crd, bd or cbd, got {kind!r}")
+    return Design(cfg["design"], cfg["n"], cfg.get("n_a"))
 
 
 def _parse_graph(cfg, seed: int | None, where="graph") -> Graph:
@@ -257,22 +249,19 @@ def cmd_moments(cfg: dict, out: str | None, seed: int | None) -> int:
         {"design": dict, "table": dict, "estimator": dict},
         {"structure": dict, "estimand": dict, "seed": int},
     )
-    seed = seed if seed is not None else cfg.get("seed")
     design = _parse_design(cfg["design"])
     structure = None
     if "structure" in cfg:
         structure = _parse_structure(cfg["structure"], design.n, seed)
     table = _parse_table(cfg["table"], structure, seed)
-    if table.n != design.n:
-        raise ConfigError(f"table has n={table.n}, design has n={design.n}")
     structure = structure if structure is not None else table.structure
     estimator = _parse_estimator(cfg["estimator"], structure, design.n, seed)
     estimand = _parse_estimand(cfg.get("estimand", {"kind": "ate"}))
     report = exact_moments(estimator, design, table, estimand)
-    payload = report.to_json_dict()
+    payload = dataclasses.asdict(report)
     payload["estimand_value"] = estimand_value(estimand, table)
     if design.kind == "crd" and isinstance(table.structure, NoInterference):
-        payload["neyman"] = neyman_variance_terms(table, design.n_a).to_json_dict()
+        payload["neyman"] = dataclasses.asdict(neyman_variance_terms(table, design.n_a))
     _emit(_json_text(payload), out)
     return 0
 
@@ -305,7 +294,6 @@ def cmd_adversary(cfg: dict, out: str | None, seed: int | None) -> int:
         {"design": dict, "estimator": dict, "m_upper": _NUM},
         {"table_csv": str, "seed": int},
     )
-    seed = seed if seed is not None else cfg.get("seed")
     design = _parse_design(cfg["design"])
     estimator = _parse_estimator(cfg["estimator"], None, design.n, seed)
     result = mse_adversary(estimator, design, ATE, float(cfg["m_upper"]))
@@ -325,7 +313,6 @@ def cmd_er_analysis(cfg: dict, out: str | None, seed: int | None) -> int:
         {"cases": list, "k_lower": _NUM, "m_upper": _NUM, "reps": int},
         {"policy": dict, "seed": int},
     )
-    seed = seed if seed is not None else cfg.get("seed")
     if seed is None:
         raise ConfigError("er-analysis needs a seed (config key or --seed)")
     k_lower = float(cfg["k_lower"])
@@ -352,7 +339,7 @@ def cmd_er_analysis(cfg: dict, out: str | None, seed: int | None) -> int:
                 h_bound(m_upper, spec),
                 mc.mean,
                 mc.stderr,
-                expected_effective_treatments(spec),
+                moment_two_pow_nbhd(spec),
                 expected_informative_fraction(spec),
             ]
         )
@@ -378,7 +365,6 @@ def cmd_tables(cfg: dict, out: str | None, seed: int | None) -> int:
         {"unit": int, "graph": dict, "sweep_n": list},
         {"k": int, "seed": int},
     )
-    seed = seed if seed is not None else cfg.get("seed")
     graph = _parse_graph(cfg["graph"], seed)
     unit = cfg["unit"]
     n = graph.n
@@ -393,24 +379,11 @@ def cmd_tables(cfg: dict, out: str | None, seed: int | None) -> int:
         structure_rows.append([name, count, 1 / count])
     sweep_rows = []
     for value in _sizes(cfg, "sweep_n"):
-        sparse = ERSpec(value, 1.0 / value)
-        dense = ERSpec(value, 1.0 / math.sqrt(value))
-        sweep_rows.append(
-            [
-                value,
-                "1/N",
-                expected_effective_treatments(sparse),
-                expected_informative_fraction(sparse),
-            ]
-        )
-        sweep_rows.append(
-            [
-                value,
-                "1/sqrt(N)",
-                expected_effective_treatments(dense),
-                expected_informative_fraction(dense),
-            ]
-        )
+        for rule, p in (("1/N", 1.0 / value), ("1/sqrt(N)", 1.0 / math.sqrt(value))):
+            spec = ERSpec(value, p)
+            sweep_rows.append(
+                [value, rule, moment_two_pow_nbhd(spec), expected_informative_fraction(spec)]
+            )
     sweep_rows.append(["limit", "1/N", 2.0 * math.e, 0.5 * math.exp(-0.5)])
     sweep_rows.append(["limit", "1/sqrt(N)", math.inf, 0.0])
     if out is None:
@@ -491,7 +464,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config, args.overrides)
-        return _COMMANDS[args.command](cfg, args.out, args.seed)
+        seed = args.seed if args.seed is not None else cfg.get("seed")
+        return _COMMANDS[args.command](cfg, args.out, seed)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3

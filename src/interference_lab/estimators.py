@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -91,26 +91,18 @@ class HorvitzThompson:
 class PureArmIPW:
     """Estimator supported on the two pure assignments only.
 
-    Evaluates to 2^n * g1(y) when every unit is in arm A, 2^n * g2(y) when
-    every unit is in arm B, and 0 otherwise.  With g1 = mean and g2 = -mean
-    this is the unique zero-offset unbiased rule for the mean contrast under
-    the fair-coin design when interference is unrestricted.
+    Evaluates to 2^n times the mean outcome when every unit is in arm A,
+    minus that when every unit is in arm B, and 0 otherwise: the unique
+    zero-offset unbiased rule for the mean contrast under the fair-coin
+    design when interference is unrestricted.
     """
-
-    def __init__(
-        self,
-        g1: Callable[[np.ndarray], float] | None = None,
-        g2: Callable[[np.ndarray], float] | None = None,
-    ) -> None:
-        self.g1 = g1 if g1 is not None else lambda y: float(np.mean(y))
-        self.g2 = g2 if g2 is not None else lambda y: -float(np.mean(y))
 
     def evaluate(self, codes: np.ndarray, y: np.ndarray) -> np.ndarray:
         n = y.shape[1]
         out = np.zeros(len(codes))
-        for code, g in ((0, self.g1), ((1 << n) - 1, self.g2)):
+        for code, sign in ((0, 1.0), ((1 << n) - 1, -1.0)):
             for r in np.flatnonzero(codes == code):
-                out[r] = 2.0**n * float(g(y[r]))
+                out[r] = sign * 2.0**n * float(np.mean(y[r]))
         return out
 
     __call__ = _one_row

@@ -35,14 +35,6 @@ class MomentReport:
     mse_vs_estimand: float
     support_size: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "expectation": self.expectation,
-            "variance": self.variance,
-            "mse_vs_estimand": self.mse_vs_estimand,
-            "support_size": self.support_size,
-        }
-
 
 def exact_moments(
     estimator: Estimator,
@@ -84,15 +76,6 @@ class NeymanTerms:
     v_theta: float
     variance: float
     bound: float | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "v_a": self.v_a,
-            "v_b": self.v_b,
-            "v_theta": self.v_theta,
-            "variance": self.variance,
-            "bound": self.bound,
-        }
 
 
 def neyman_variance_terms(table: PotentialOutcomeTable, n_a: int) -> NeymanTerms:

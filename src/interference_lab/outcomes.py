@@ -30,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -349,7 +349,7 @@ class PotentialOutcomeTable:
 
 
 # ----------------------------------------------------------------------
-# Estimands
+# Estimands: the mean contrast and the solo-treatment effect
 
 
 @dataclass(frozen=True)
@@ -357,20 +357,12 @@ class AverageTreatmentEffect:
     """Mean outcome under all-A minus mean outcome under all-B."""
 
 
-@dataclass(frozen=True, eq=False)
-class AdditiveEstimand:
-    """g1 applied to the all-A outcomes plus g2 applied to the all-B ones."""
-
-    g1: Callable[[np.ndarray], float]
-    g2: Callable[[np.ndarray], float]
-
-
 @dataclass(frozen=True)
 class SoloTreatmentEffect:
     """Average outcome of each unit when it alone receives arm A."""
 
 
-Estimand = Union[AverageTreatmentEffect, AdditiveEstimand, SoloTreatmentEffect]
+Estimand = Union[AverageTreatmentEffect, SoloTreatmentEffect]
 
 ATE = AverageTreatmentEffect()
 
@@ -381,9 +373,6 @@ def estimand_value(estimand: Estimand, table: PotentialOutcomeTable) -> float:
     if isinstance(estimand, AverageTreatmentEffect):
         y_a, y_b = table.boundary_vectors()
         return float(np.mean(y_a) - np.mean(y_b))
-    if isinstance(estimand, AdditiveEstimand):
-        y_a, y_b = table.boundary_vectors()
-        return float(estimand.g1(y_a)) + float(estimand.g2(y_b))
     if isinstance(estimand, SoloTreatmentEffect):
         # row i is the vector assigning arm A to unit i alone
         y = table.observed(((1 << n) - 1) ^ (1 << np.arange(n, dtype=np.int64)))

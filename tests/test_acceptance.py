@@ -33,7 +33,6 @@ from interference_lab import (
     exact_moments,
     exhaustive_expected_variance,
     exhaustive_moments,
-    expected_effective_treatments,
     expected_informative_fraction,
     ht_variance_closed_form,
     mc_expected_variance,
@@ -215,7 +214,7 @@ def test_criterion_6_example_regimes():
 
 def test_criterion_7_limit_values():
     with _Timer(1.0) as t:
-        count = expected_effective_treatments(ERSpec(200, 1 / 200))
+        count = moment_two_pow_nbhd(ERSpec(200, 1 / 200))
         count_limit = 2 * math.e
         assert abs(count - count_limit) / count_limit < 0.01
         fraction = expected_informative_fraction(ERSpec(200, 1 / 200))

@@ -11,6 +11,9 @@ Claims pinned here:
       Monte Carlo beyond the 63-node code width, exit 3; sweep sizes that
       are not positive or overflow a float exit 2 naming the entry; a
       broken moment identity or MSE floor exits 4 without a traceback
+    - a design block of unknown kind, a crd block without n_a, a bd or cbd
+      block with n_a, and a table whose size differs from the design's
+      exit 2 naming the fault
     - er-analysis on a dense graph at the 63-node code width exits 0 with a
       finite Monte Carlo mean
     - the exposure-weighted estimator takes an inline graph when the
@@ -222,6 +225,30 @@ def test_unknown_key_exits_2(tmp_path):
     result = run_cli(["moments", "--config", str(path)])
     assert result.returncode == 2
     assert "mystery" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "design, message",
+    [
+        ({"design": "zz", "n": 3}, "unknown design kind 'zz'"),
+        ({"design": "crd", "n": 3}, "crd requires n_a"),
+        ({"design": "bd", "n": 3, "n_a": 1}, "bd takes no n_a"),
+        ({"design": "cbd", "n": 3, "n_a": 1}, "cbd takes no n_a"),
+    ],
+)
+def test_malformed_design_block_exits_2(tmp_path, capsys, design, message):
+    cfg = {"design": design, "estimand": {"kind": "ate"}, "grid": [0, 1]}
+    assert cli.main(["feasibility", "--config", write_config(tmp_path, "f.json", cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_table_of_another_size_exits_2(tmp_path, capsys):
+    table = tmp_path / "t.json"
+    PotentialOutcomeTable.no_interference([1.0] * 4, [0.5] * 4).to_json(table)
+    cfg = dict(MOMENTS_CFG, table={"json_path": str(table)})
+    cfg.pop("structure")
+    assert cli.main(["moments", "--config", write_config(tmp_path, "m.json", cfg)]) == 2
+    assert capsys.readouterr().err == "error: table has n=4, design has n=6\n"
 
 
 def _moments_with_table(tmp_path, table):

@@ -10,13 +10,17 @@ Claims pinned here:
       1e-12 off the grid
     - the variance oracle equals the moment-based exact reference
       2c^2 [M1/n + (n-1)/n (M2 - P0)] up to n=10; n=11 is over the cap
+    - the variance oracle, which scans unit 0 and pair (0, 1) once each,
+      equals bit for bit a scan of every unit and every pair term, since
+      ER nodes are exchangeable
     - the variance envelope: value 4 C^2/n at p=0, hand value at n=3,
       monotone non-decreasing in p, and sandwiching the exact
       graph-expected variance for separated outcome levels
     - sweep behavior: n * h bounded along p=1/n, strictly increasing lower
       bound along p=1/sqrt(n)
-    - the expected effective-treatment count and informative fraction hit
-      their analytic limits
+    - the expected effective-treatment count, which is the per-node moment
+      under a second name, and the informative fraction hit their analytic
+      limits
     - Monte Carlo replication is seed-deterministic, reproduces literal
       streams recorded from earlier versions, and lands within three
       standard errors of enumeration, and of the moment-based exact
@@ -50,7 +54,6 @@ from interference_lab import (
     er,
     exhaustive_expected_variance,
     exhaustive_moments,
-    expected_effective_treatments,
     expected_informative_fraction,
     h_bound,
     mc_expected_variance,
@@ -60,7 +63,7 @@ from interference_lab import (
     regime_report,
     sample_er_graph,
 )
-from interference_lab._kernels import ht_variance_terms
+from interference_lab._kernels import _mean, _pair_settings, ht_variance_terms
 from interference_lab.designs import CODE_BITS
 from graph_builders import empty_graph
 
@@ -166,6 +169,23 @@ def test_variance_oracle_matches_moment_reference(n, p):
     assert exhaustive_expected_variance(spec, c) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9, 1.0])
+def test_variance_oracle_equals_every_term_scan(n, p):
+    sizes = np.arange(n + 1)
+    unit_term = np.ldexp(1.0, sizes) - 1.0
+    pair_term = 2.0 * unit_term + 2.0 * (sizes > 0)
+    terms = [float(n)]
+    for i in range(n):
+        for j in range(i, n):  # j == i scans the unit's own edges; N_i & N_i = N_i
+            nbhd_i, nbhd_j, present, prob = _pair_settings(n, i, j, p)
+            term = unit_term if i == j else pair_term
+            terms.append(_mean(nbhd_i & nbhd_j, present, prob, term))
+    for c in (1.0, 1.37, 1.5):
+        want = math.fsum(terms) * 2.0 * c * c / (n * n)
+        assert exhaustive_expected_variance(ERSpec(n, p), c) == want
+
+
 def test_h_bound_values():
     assert h_bound(1.0, ERSpec(5, 0.0)) == pytest.approx(4.0 / 5)
     assert h_bound(1.0, ERSpec(3, 0.5)) == pytest.approx(8.5)
@@ -251,12 +271,13 @@ def test_classify_regime():
 
 
 def test_effective_treatment_expectations():
-    assert expected_effective_treatments(ERSpec(10, 0.0)) == 2.0
+    assert er.expected_effective_treatments is er.moment_two_pow_nbhd
+    assert moment_two_pow_nbhd(ERSpec(10, 0.0)) == 2.0
     assert expected_informative_fraction(ERSpec(10, 0.0)) == 0.5
-    assert expected_effective_treatments(ERSpec(4, 1.0)) == 16.0
+    assert moment_two_pow_nbhd(ERSpec(4, 1.0)) == 16.0
     assert expected_informative_fraction(ERSpec(4, 1.0)) == 0.5**4
 
-    near = expected_effective_treatments(ERSpec(200, 1 / 200))
+    near = moment_two_pow_nbhd(ERSpec(200, 1 / 200))
     assert abs(near - 2 * math.e) / (2 * math.e) < 0.01
     frac = expected_informative_fraction(ERSpec(200, 1 / 200))
     limit = 0.5 * math.exp(-0.5)
@@ -267,7 +288,7 @@ def test_effective_treatment_expectations():
 def test_expected_counts_match_graph_enumeration():
     spec = ERSpec(4, 0.25)
     oracle = exhaustive_moments(spec)
-    assert expected_effective_treatments(spec) == oracle.two_pow_nbhd
+    assert moment_two_pow_nbhd(spec) == oracle.two_pow_nbhd
 
 
 def test_moments_match_monte_carlo_at_n8():
@@ -434,7 +455,7 @@ def test_masks_from_edges_equal_the_bfs_balls(n):
         er._draw_edges(spec, np.random.default_rng(seed), row)
     masks = er._block_masks(keep, pairs, np.empty((len(draws), n), dtype=np.int64))
     for row, (spec, seed) in zip(masks, draws):
-        graph = er._draw_graph(spec, np.random.default_rng(seed))
+        graph = sample_er_graph(spec, seed)
         want = NeighborhoodIndex.build(graph, 1).masks()
         assert row.dtype == want.dtype and (row == want).all()
 

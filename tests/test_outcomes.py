@@ -3,8 +3,8 @@
 Claims pinned here:
     - lookups go through the effective treatment, so flips outside the
       reference group never change a value
-    - the mean contrast equals its additive form with g1=mean, g2=-mean,
-      and is antisymmetric under swapping the roles of the two arms
+    - the mean contrast is antisymmetric under swapping the roles of the
+      two arms
     - the random generator honors the open bounds, is seed-deterministic,
       and respects the declared structure
     - CSV (arbitrary) and JSON (keyed) serializations round-trip
@@ -27,7 +27,6 @@ import pytest
 
 from interference_lab import (
     ATE,
-    AdditiveEstimand,
     Arbitrary,
     Assignment,
     CapacityError,
@@ -95,16 +94,6 @@ def test_estimand_examples():
     matrix[Assignment.from_arms("BA").code] = [99.0, 2.0]  # unit 1 solo-treated
     t2 = PotentialOutcomeTable.arbitrary(matrix)
     assert estimand_value(SoloTreatmentEffect(), t2) == 3.0
-
-
-def test_ate_is_the_additive_special_case():
-    t = PotentialOutcomeTable.random(Arbitrary(3), 0.0, 2.0, seed=5)
-    additive = AdditiveEstimand(
-        lambda y: float(np.mean(y)), lambda y: -float(np.mean(y))
-    )
-    assert estimand_value(ATE, t) == pytest.approx(
-        estimand_value(additive, t), abs=1e-15
-    )
 
 
 def test_ate_antisymmetric_under_arm_swap():
