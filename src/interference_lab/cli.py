@@ -1,9 +1,11 @@
 """Batch front door: JSON-configured runs emitting JSON reports and CSVs.
 
 Subcommands: moments, feasibility, adversary, er-analysis, tables, regimes.
-Every command is deterministic given its config (seeds included): re-runs
-produce byte-identical output; Monte Carlo replicates run serially, each
-seeded by its index.  Exit codes: 0 success, 2 usage/config error,
+Each value has one key: a random draw reads its seed only from ``seed``
+(er-analysis), ``graph.er.seed`` or ``table.random.seed``, each required and
+non-negative, and a block refuses any key its kind does not read.  So every
+command is deterministic given its config, and re-runs are byte-identical.
+Exit codes: 0 success, 2 usage/config error (float overflow included),
 3 capacity error, 4 identity violation.
 """
 
@@ -146,116 +148,122 @@ def _sizes(cfg: dict, key: str) -> list[int]:
     return cfg[key]
 
 
+def _check_kind(cfg, where: str, kinds: dict) -> str:
+    """The block's kind, once the block holds only the keys that kind reads
+    (``kinds`` maps each kind to those keys and their types)."""
+    _check_keys(cfg, where, {"kind": str}, {k: t for ks in kinds.values() for k, t in ks.items()})
+    kind = cfg["kind"]
+    if kind not in kinds:
+        raise ConfigError(f"{where}.kind: must be one of {', '.join(kinds)}, got {kind!r}")
+    unread = sorted(set(cfg) - {"kind"} - set(kinds[kind]))
+    if unread:
+        raise ConfigError(f"{where}: {kind} takes no {', '.join(unread)}")
+    return kind
+
+
+def _seed(cfg: dict, key: str) -> int:
+    """The block's seed, which numpy needs non-negative."""
+    if cfg["seed"] < 0:
+        raise ConfigError(f"{key}: must be non-negative, got {cfg['seed']}")
+    return cfg["seed"]
+
+
 def _parse_design(cfg, where="design") -> Design:
     _check_keys(cfg, where, {"design": str, "n": int}, {"n_a": int})
     return Design(cfg["design"], cfg["n"], cfg.get("n_a"))
 
 
-def _parse_graph(cfg, seed: int | None, where="graph") -> Graph:
+def _parse_graph(cfg, where="graph") -> Graph:
     _check_keys(cfg, where, {}, {"path": str, "er": dict})
     if ("path" in cfg) == ("er" in cfg):
         raise ConfigError(f"{where}: give exactly one of path / er")
     if "path" in cfg:
         return Graph.from_file(cfg["path"])
     er = cfg["er"]
-    _check_keys(er, f"{where}.er", {"n": int, "p": _NUM}, {"seed": int})
-    graph_seed = er.get("seed", seed)
-    if graph_seed is None:
-        raise ConfigError(f"{where}.er: needs a seed (inline or top-level)")
-    return sample_er_graph(ERSpec(er["n"], float(er["p"])), graph_seed)
+    _check_keys(er, f"{where}.er", {"n": int, "p": _NUM, "seed": int}, {})
+    return sample_er_graph(ERSpec(er["n"], float(er["p"])), _seed(er, f"{where}.er.seed"))
 
 
-def _parse_structure(cfg, n: int, seed: int | None, where="structure"):
-    _check_keys(cfg, where, {"kind": str}, {"k": int, "graph": dict})
-    kind = cfg["kind"]
+def _parse_structure(cfg, n: int, where="structure"):
+    kinds = {"none": {}, "k_local": {"k": int, "graph": dict}, "arbitrary": {}}
+    kind = _check_kind(cfg, where, kinds)
     if kind == "none":
         return NoInterference(n)
     if kind == "arbitrary":
         return Arbitrary(n)
-    if kind == "k_local":
-        if "graph" not in cfg:
-            raise ConfigError(f"{where}: k_local needs a graph")
-        graph = _parse_graph(cfg["graph"], seed, f"{where}.graph")
-        if graph.n != n:
-            raise ConfigError(f"{where}: graph has n={graph.n}, design has n={n}")
-        return KLocal(graph, cfg.get("k", 1))
-    raise ConfigError(f"{where}.kind: must be none, k_local or arbitrary, got {kind!r}")
+    if "graph" not in cfg:
+        raise ConfigError(f"{where}: k_local needs a graph")
+    graph = _parse_graph(cfg["graph"], f"{where}.graph")
+    if graph.n != n:
+        raise ConfigError(f"{where}: graph has n={graph.n}, design has n={n}")
+    return KLocal(graph, cfg.get("k", 1))
 
 
-def _parse_table(cfg, structure, seed, where="table") -> PotentialOutcomeTable:
+def _parse_table(cfg, structure, where="table") -> PotentialOutcomeTable:
     _check_keys(cfg, where, {}, {"random": dict, "json_path": str, "csv_path": str})
     sources = [k for k in ("random", "json_path", "csv_path") if k in cfg]
     if len(sources) != 1:
         raise ConfigError(f"{where}: give exactly one of random / json_path / csv_path")
     if "random" in cfg:
         r = cfg["random"]
-        _check_keys(r, f"{where}.random", {"k_lower": _NUM, "m_upper": _NUM}, {"seed": int})
-        table_seed = r.get("seed", seed)
-        if table_seed is None:
-            raise ConfigError(f"{where}.random: needs a seed (inline or top-level)")
+        _check_keys(r, f"{where}.random", {"k_lower": _NUM, "m_upper": _NUM, "seed": int}, {})
+        seed = _seed(r, f"{where}.random.seed")
         if structure is None:
             raise ConfigError(f"{where}: random tables need a structure block")
         return PotentialOutcomeTable.random(
-            structure, float(r["k_lower"]), float(r["m_upper"]), table_seed
+            structure, float(r["k_lower"]), float(r["m_upper"]), seed
         )
     if "json_path" in cfg:
         return PotentialOutcomeTable.from_json(cfg["json_path"])
     return PotentialOutcomeTable.from_csv(cfg["csv_path"])
 
 
-def _parse_estimator(cfg, structure, n: int, seed, where="estimator"):
-    _check_keys(cfg, where, {"kind": str}, {"value": _NUM, "k": int, "graph": dict})
-    kind = cfg["kind"]
-    if kind == "diff_means":
-        return DifferenceInMeans()
+def _parse_estimator(cfg, structure, n: int, where="estimator"):
+    plain = dict(diff_means=DifferenceInMeans, pure_arm_ipw=PureArmIPW, solo_ipw=SoloTreatedIPW)
+    kinds = {kind: {} for kind in plain}
+    kinds.update(constant={"value": _NUM}, horvitz_thompson={"k": int, "graph": dict})
+    kind = _check_kind(cfg, where, kinds)
+    if kind in plain:
+        return plain[kind]()
     if kind == "constant":
         return ConstantEstimator(float(cfg.get("value", 0.0)))
-    if kind == "pure_arm_ipw":
-        return PureArmIPW()
-    if kind == "solo_ipw":
-        return SoloTreatedIPW()
-    if kind == "horvitz_thompson":
-        if isinstance(structure, KLocal):
-            return HorvitzThompson(structure.index)
-        if "graph" not in cfg:
-            raise ConfigError(
-                f"{where}: horvitz_thompson needs a k_local structure or an inline graph"
-            )
-        graph = _parse_graph(cfg["graph"], seed, f"{where}.graph")
-        if graph.n != n:
-            raise ConfigError(f"{where}: graph has n={graph.n}, expected n={n}")
-        return HorvitzThompson(KLocal(graph, cfg.get("k", 1)).index)
-    raise ConfigError(f"{where}.kind: unknown estimator {kind!r}")
+    if isinstance(structure, KLocal):
+        if "k" in cfg or "graph" in cfg:
+            raise ConfigError(f"{where}: horvitz_thompson reads k and graph from the structure")
+        return HorvitzThompson(structure.index)
+    if "graph" not in cfg:
+        raise ConfigError(
+            f"{where}: horvitz_thompson needs a k_local structure or an inline graph"
+        )
+    graph = _parse_graph(cfg["graph"], f"{where}.graph")
+    if graph.n != n:
+        raise ConfigError(f"{where}: graph has n={graph.n}, expected n={n}")
+    return HorvitzThompson(KLocal(graph, cfg.get("k", 1)).index)
 
 
 def _parse_estimand(cfg, where="estimand"):
-    _check_keys(cfg, where, {"kind": str}, {})
-    kind = cfg["kind"]
-    if kind == "ate":
-        return ATE
-    if kind == "solo":
-        return SoloTreatmentEffect()
-    raise ConfigError(f"{where}.kind: must be ate or solo, got {kind!r}")
+    kind = _check_kind(cfg, where, {"ate": {}, "solo": {}})
+    return ATE if kind == "ate" else SoloTreatmentEffect()
 
 
 # ----------------------------------------------------------------------
 # Commands
 
 
-def cmd_moments(cfg: dict, out: str | None, seed: int | None) -> int:
+def cmd_moments(cfg: dict, out: str | None) -> int:
     _check_keys(
         cfg,
         "config",
         {"design": dict, "table": dict, "estimator": dict},
-        {"structure": dict, "estimand": dict, "seed": int},
+        {"structure": dict, "estimand": dict},
     )
     design = _parse_design(cfg["design"])
     structure = None
     if "structure" in cfg:
-        structure = _parse_structure(cfg["structure"], design.n, seed)
-    table = _parse_table(cfg["table"], structure, seed)
+        structure = _parse_structure(cfg["structure"], design.n)
+    table = _parse_table(cfg["table"], structure)
     structure = structure if structure is not None else table.structure
-    estimator = _parse_estimator(cfg["estimator"], structure, design.n, seed)
+    estimator = _parse_estimator(cfg["estimator"], structure, design.n)
     estimand = _parse_estimand(cfg.get("estimand", {"kind": "ate"}))
     report = exact_moments(estimator, design, table, estimand)
     payload = dataclasses.asdict(report)
@@ -266,12 +274,12 @@ def cmd_moments(cfg: dict, out: str | None, seed: int | None) -> int:
     return 0
 
 
-def cmd_feasibility(cfg: dict, out: str | None, seed: int | None) -> int:
+def cmd_feasibility(cfg: dict, out: str | None) -> int:
     _check_keys(
         cfg,
         "config",
         {"design": dict, "estimand": dict, "grid": list},
-        {"witness_csv": str, "seed": int},
+        {"witness_csv": str},
     )
     design = _parse_design(cfg["design"])
     estimand = _parse_estimand(cfg["estimand"])
@@ -287,15 +295,15 @@ def cmd_feasibility(cfg: dict, out: str | None, seed: int | None) -> int:
     return 0
 
 
-def cmd_adversary(cfg: dict, out: str | None, seed: int | None) -> int:
+def cmd_adversary(cfg: dict, out: str | None) -> int:
     _check_keys(
         cfg,
         "config",
         {"design": dict, "estimator": dict, "m_upper": _NUM},
-        {"table_csv": str, "seed": int},
+        {"table_csv": str},
     )
     design = _parse_design(cfg["design"])
-    estimator = _parse_estimator(cfg["estimator"], None, design.n, seed)
+    estimator = _parse_estimator(cfg["estimator"], None, design.n)
     result = mse_adversary(estimator, design, ATE, float(cfg["m_upper"]))
     payload = result.to_json_dict()
     payload["estimator"] = cfg["estimator"]["kind"]
@@ -306,25 +314,22 @@ def cmd_adversary(cfg: dict, out: str | None, seed: int | None) -> int:
     return 0
 
 
-def cmd_er_analysis(cfg: dict, out: str | None, seed: int | None) -> int:
+def cmd_er_analysis(cfg: dict, out: str | None) -> int:
     _check_keys(
         cfg,
         "config",
-        {"cases": list, "k_lower": _NUM, "m_upper": _NUM, "reps": int},
-        {"policy": dict, "seed": int},
+        {"cases": list, "k_lower": _NUM, "m_upper": _NUM, "reps": int, "seed": int},
+        {"policy": dict},
     )
-    if seed is None:
-        raise ConfigError("er-analysis needs a seed (config key or --seed)")
+    seed = _seed(cfg, "seed")
     k_lower = float(cfg["k_lower"])
     m_upper = float(cfg["m_upper"])
-    policy_cfg = cfg.get("policy", {"kind": "constant", "value": 1.0})
-    _check_keys(policy_cfg, "policy", {"kind": str}, {"value": _NUM})
-    if policy_cfg["kind"] == "constant":
+    policy_cfg = cfg.get("policy", {"kind": "constant"})
+    kinds = {"constant": {"value": _NUM}, "uniform": {}}
+    if _check_kind(policy_cfg, "policy", kinds) == "constant":
         policy = ConstantOutcomes(float(policy_cfg.get("value", 1.0)))
-    elif policy_cfg["kind"] == "uniform":
-        policy = UniformOutcomes(k_lower, m_upper)
     else:
-        raise ConfigError(f"policy.kind: must be constant or uniform, got {policy_cfg['kind']!r}")
+        policy = UniformOutcomes(k_lower, m_upper)
     rows = []
     for idx, case in enumerate(cfg["cases"]):
         _check_keys(case, f"cases[{idx}]", {"n": int, "p": _NUM}, {})
@@ -358,14 +363,9 @@ def cmd_er_analysis(cfg: dict, out: str | None, seed: int | None) -> int:
     return 0
 
 
-def cmd_tables(cfg: dict, out: str | None, seed: int | None) -> int:
-    _check_keys(
-        cfg,
-        "config",
-        {"unit": int, "graph": dict, "sweep_n": list},
-        {"k": int, "seed": int},
-    )
-    graph = _parse_graph(cfg["graph"], seed)
+def cmd_tables(cfg: dict, out: str | None) -> int:
+    _check_keys(cfg, "config", {"unit": int, "graph": dict, "sweep_n": list}, {"k": int})
+    graph = _parse_graph(cfg["graph"])
     unit = cfg["unit"]
     n = graph.n
     structure_rows = []
@@ -399,13 +399,8 @@ def cmd_tables(cfg: dict, out: str | None, seed: int | None) -> int:
     return 0
 
 
-def cmd_regimes(cfg: dict, out: str | None, seed: int | None) -> int:
-    _check_keys(
-        cfg,
-        "config",
-        {"n_values": list, "k_lower": _NUM, "m_upper": _NUM},
-        {"seed": int},
-    )
+def cmd_regimes(cfg: dict, out: str | None) -> int:
+    _check_keys(cfg, "config", {"n_values": list, "k_lower": _NUM, "m_upper": _NUM}, {})
     rows = []
     for value in _sizes(cfg, "n_values"):
         sparse = regime_report(value, SPARSE, float(cfg["k_lower"]), float(cfg["m_upper"]))
@@ -452,7 +447,6 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the run-config JSON")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument(
             "--set",
             action="append",
@@ -463,9 +457,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config, args.overrides)
-        seed = args.seed if args.seed is not None else cfg.get("seed")
-        return _COMMANDS[args.command](cfg, args.out, seed)
+        return _COMMANDS[args.command](_load_config(args.config, args.overrides), args.out)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
@@ -474,6 +466,9 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except (InterferenceLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a float result past the double range
+        print(f"error: float overflow {exc}", file=sys.stderr)
         return 2
 
 

@@ -8,11 +8,11 @@ in which the closed forms are available; general radii stay available in the
 exact-analysis module.
 
 The envelope ``h_bound`` plugs those moments into the closed-form variance
-with all outcome products frozen at a single level C, giving the sandwich
-h(K) <= E_graph[variance] <= h(M) for outcome levels separated from the
-bounds.  Its behavior splits by density: along p = 1/n the product moments
-stay bounded and the envelope decays like 1/n, while along p = 1/sqrt(n)
-the per-node moment alone forces a diverging lower bound.
+with every outcome product frozen at one level C and the (n-1)/n factors
+dropped, so h(M) bounds E_graph[variance] from above but h(K) does not bound
+it from below (h(1) = 6.879 > 6.145 exact at n = 6, p = 0.3).  Along p = 1/n
+the product moments stay bounded and the envelope decays like 1/n; along
+p = 1/sqrt(n) the per-node moment diverges.
 
 Closed forms are evaluated directly up to the float range and fall back to
 a log-space overflow guard beyond it (n up to 10^6 stays finite wherever
@@ -99,7 +99,9 @@ def h_bound(c: float, spec: ERSpec) -> float:
 
 
 def dense_lower_bound(n: int, k_lower: float) -> float:
-    """4 e^((n-1)/sqrt(n)) K^2 / n, the diverging floor along p = 1/sqrt(n)."""
+    """4 e^((n-1)/sqrt(n)) K^2 / n along p = 1/sqrt(n).  Not a lower bound:
+    e^(p(n-1)) exceeds (1+p)^(n-1), so at n = 64 it reads 164.4 against the
+    exact 110.8."""
     if k_lower <= 0:
         raise InvalidArgumentError(f"lower outcome level must be positive, got {k_lower}")
     arg = (n - 1) / math.sqrt(n)
@@ -110,8 +112,8 @@ def dense_lower_bound(n: int, k_lower: float) -> float:
 
 @dataclass(frozen=True)
 class RegimeReport:
-    """One point of an Example-style sweep: the bound value at this n and
-    whether the regime's variance envelope vanishes or diverges with n."""
+    """One point of an Example-style sweep: the envelope value at this n and
+    whether it vanishes or diverges with n."""
 
     n: int
     regime: str
@@ -121,11 +123,11 @@ class RegimeReport:
 
 
 def regime_report(n: int, regime: str, k_lower: float, m_upper: float) -> RegimeReport:
-    """Evaluate the regime's bound at one n.
+    """Evaluate the regime's envelope at one n.
 
     Sparse (p = 1/n): the upper envelope h(M); n * value stays bounded over
-    a sweep.  Dense (p = 1/sqrt(n)): the lower bound with K; strictly
-    increasing in n.
+    a sweep.  Dense (p = 1/sqrt(n)): ``dense_lower_bound`` with K, strictly
+    increasing in n but above the exact variance, so not a lower bound.
     """
     if n < 4:
         raise InvalidArgumentError(f"regime sweeps need n >= 4, got {n}")

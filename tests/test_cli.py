@@ -1,7 +1,8 @@
 """End-to-end command runs: outputs, exit codes, determinism.
 
 Claims pinned here:
-    - each subcommand runs a small config to completion with exit 0
+    - each subcommand runs a small config to completion with exit 0, and
+      ``python -m interference_lab`` prints the recorded ``regimes`` output
     - malformed JSON, unknown keys, JSON booleans where numbers belong,
       missing, unreadable, non-UTF-8 or incomplete input files, and
       unwritable outputs exit 2 without a traceback, naming the offending
@@ -10,7 +11,9 @@ Claims pinned here:
       feasibility systems past their unit or grid-level cap, and tables and
       Monte Carlo beyond the 63-node code width, exit 3; sweep sizes that
       are not positive or overflow a float exit 2 naming the entry; a
-      broken moment identity or MSE floor exits 4 without a traceback
+      broken moment identity or MSE floor exits 4 without a traceback; a
+      negative seed, in any of its three keys, and a float overflow in a
+      moment or MSE reduction exit 2 without a traceback
     - a design block of unknown kind, a crd block without n_a, a bd or cbd
       block with n_a, and a table whose size differs from the design's
       exit 2 naming the fault
@@ -20,7 +23,10 @@ Claims pinned here:
       structure carries none, and without either it exits 2
     - re-running any command byte-identically reproduces its output,
       including across different INTERFERENCE_LAB_THREADS settings
-    - --set overrides nested keys; --seed feeds seedless configs
+    - a block refuses, naming it, any key its kind does not read, and a
+      top-level seed outside er-analysis, which no draw reads
+    - --set overrides nested keys and feeds a seedless config; --seed is
+      not a flag
 """
 
 import json
@@ -533,6 +539,107 @@ def test_mse_floor_violation_exits_4(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command,config,key",
+    [
+        ("er-analysis", "er_analysis.json", "seed"),
+        ("tables", "tables.json", "graph.er.seed"),
+        ("moments", "moments_crd.json", "table.random.seed"),
+    ],
+)
+def test_negative_seed_exits_2(tmp_path, command, config, key):
+    result = run_cli(
+        [command, "--config", str(CONFIGS / config), "--set", f"{key}=-1",
+         "--out", str(tmp_path / "out")]
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == f"error: {key}: must be non-negative, got -1\n"
+    assert "Traceback" not in result.stderr
+
+
+# crd n=6 with difference in means, whose squared deviations pass the double range
+_HUGE_TABLE = {"random": {"k_lower": 0.0, "m_upper": 1e200, "seed": 3}}
+_HUGE_ADVERSARY = {"design": MOMENTS_CFG["design"], "estimator": {"kind": "diff_means"}}
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("moments", dict(MOMENTS_CFG, table=_HUGE_TABLE)),
+        ("adversary", dict(_HUGE_ADVERSARY, m_upper=1e200)),
+    ],
+)
+def test_float_overflow_exits_2(tmp_path, command, config):
+    result = run_cli([command, "--config", write_config(tmp_path, "c.json", config)])
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: float overflow ")
+    assert result.stderr.count("\n") == 1
+    assert result.stdout == ""
+
+
+_UNREAD = {"value": 1.0, "k": 1, "graph": {"er": {"n": 8, "p": 0.25, "seed": 4}}}
+
+
+@pytest.mark.parametrize(
+    "command,config,block,kind,key",
+    [
+        ("moments", "moments_crd", "structure", "none", "k"),
+        ("moments", "moments_crd", "structure", "none", "graph"),
+        ("moments", "moments_crd", "structure", "arbitrary", "k"),
+        ("moments", "moments_crd", "structure", "arbitrary", "graph"),
+        ("moments", "moments_crd", "estimator", "diff_means", "value"),
+        ("moments", "moments_crd", "estimator", "diff_means", "k"),
+        ("moments", "moments_crd", "estimator", "diff_means", "graph"),
+        ("adversary", "adversary_diff_means", "estimator", "pure_arm_ipw", "value"),
+        ("adversary", "adversary_diff_means", "estimator", "solo_ipw", "k"),
+        ("adversary", "adversary_diff_means", "estimator", "constant", "k"),
+        ("adversary", "adversary_diff_means", "estimator", "constant", "graph"),
+        ("adversary", "adversary_diff_means", "estimator", "horvitz_thompson", "value"),
+        ("er-analysis", "er_analysis_uniform", "policy", "uniform", "value"),
+    ],
+)
+def test_key_the_kind_does_not_read_exits_2(tmp_path, capsys, command, config, block, kind, key):
+    cfg = json.loads((CONFIGS / f"{config}.json").read_text())
+    cfg[block] = {"kind": kind, key: _UNREAD[key]}
+    assert cli.main([command, "--config", write_config(tmp_path, "c.json", cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {block}: {kind} takes no {key}\n"
+
+
+@pytest.mark.parametrize("key", ["k", "graph"])
+def test_horvitz_thompson_on_a_k_local_structure_takes_no_graph(tmp_path, capsys, key):
+    cfg = json.loads((CONFIGS / "moments_ht.json").read_text())
+    cfg["estimator"][key] = _UNREAD[key]
+    assert cli.main(["moments", "--config", write_config(tmp_path, "m.json", cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: estimator: horvitz_thompson reads k and graph from the structure\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("moments", "moments_crd"),
+        ("feasibility", "feasibility_bd"),
+        ("adversary", "adversary_diff_means"),
+        ("tables", "tables"),
+        ("regimes", "regimes"),
+    ],
+)
+def test_top_level_seed_outside_er_analysis_exits_2(tmp_path, capsys, command, config):
+    argv = [command, "--config", str(CONFIGS / f"{config}.json"), "--set", "seed=7",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: config: unknown keys ['seed']\n"
+
+
+def test_package_entry_point_prints_the_recorded_regimes():
+    argv = ["regimes", "--config", str(CONFIGS / "regimes.json")]
+    result = subprocess.run([sys.executable, "-m", "interference_lab", *argv], capture_output=True)
+    assert result.returncode == 0, result.stderr
+    golden = Path(__file__).resolve().parent / "golden" / "regimes" / "stdout"
+    assert result.stdout == golden.read_bytes()
+
+
 def test_set_override_and_seed(tmp_path):
     cfg = {
         "design": {"design": "bd", "n": 3},
@@ -553,9 +660,14 @@ def test_set_override_and_seed(tmp_path):
         "reps": 10,
     }
     er_path = write_config(tmp_path, "er.json", er_cfg)
-    assert run_cli(["er-analysis", "--config", er_path]).returncode == 2  # no seed
+    result = run_cli(["er-analysis", "--config", er_path])
+    assert result.returncode == 2
+    assert result.stderr == "error: config: missing keys ['seed']\n"
+    result = run_cli(["er-analysis", "--config", er_path, "--set", "seed=7"])
+    assert result.returncode == 0, result.stderr
     result = run_cli(["er-analysis", "--config", er_path, "--seed", "7"])
-    assert result.returncode == 0
+    assert result.returncode == 2
+    assert "unrecognized arguments: --seed 7" in result.stderr
 
 
 @pytest.mark.parametrize(
