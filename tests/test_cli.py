@@ -8,12 +8,14 @@ Claims pinned here:
       unwritable outputs exit 2 without a traceback, naming the offending
       key or path, as do integers past Python's 4300-digit conversion
       limit, in a config file or a --set value; over-cap sizes, including
-      feasibility systems past their unit or grid-level cap, and tables and
-      Monte Carlo beyond the 63-node code width, exit 3; sweep sizes that
-      are not positive or overflow a float exit 2 naming the entry; a
-      broken moment identity or MSE floor exits 4 without a traceback; a
-      negative seed, in any of its three keys, and a float overflow in a
-      moment or MSE reduction exit 2 without a traceback
+      feasibility systems past their unit or grid-level cap, tables and
+      Monte Carlo beyond the 63-node code width, and Monte Carlo past 2^32
+      replicates, exit 3; sweep sizes that are not positive or overflow a
+      float exit 2 naming the entry; a broken moment identity or MSE floor
+      exits 4 without a traceback; a negative seed, in any of its three
+      keys, and a float overflow in a moment, MSE or Monte Carlo reduction
+      exit 2 without a traceback
+    - importing the CLI leaves numpy.random unloaded until Monte Carlo runs
     - a design block of unknown kind, a crd block without n_a, a bd or cbd
       block with n_a, and a table whose size differs from the design's
       exit 2 naming the fault
@@ -465,6 +467,29 @@ def test_er_analysis_with_a_huge_n_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("capacity error: Monte Carlo needs n <= 63")
 
 
+def test_er_analysis_with_more_replicates_than_one_index_word_exits_3(capsys):
+    config = str(CONFIGS / "er_analysis.json")
+    assert cli.main(["er-analysis", "--config", config, "--set", "reps=4294967297"]) == 3
+    assert capsys.readouterr().err == (
+        "capacity error: Monte Carlo needs reps <= 2^32, got reps=4294967297\n"
+    )
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random loads at the first Monte Carlo run, not with the package,
+    # so commands that never draw do not pay for its import
+    code = (
+        "import sys, interference_lab.cli\n"
+        "print('numpy.random' in sys.modules)\n"
+        "from interference_lab.er import ConstantOutcomes, ERSpec, mc_expected_variance\n"
+        "mc_expected_variance(ERSpec(5, 0.5), ConstantOutcomes(1.0), 2, 0)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\nTrue\n"
+
+
 # int() refuses decimal strings of more than 4300 digits
 LONG_INT = "1" * 5000
 
@@ -557,7 +582,9 @@ def test_negative_seed_exits_2(tmp_path, command, config, key):
     assert "Traceback" not in result.stderr
 
 
-# crd n=6 with difference in means, whose squared deviations pass the double range
+# crd n=6 with difference in means, whose squared deviations pass the double
+# range; Monte Carlo variances past it, from outcomes at 1e200
+ER_CFG = json.loads((CONFIGS / "er_analysis.json").read_text())
 _HUGE_TABLE = {"random": {"k_lower": 0.0, "m_upper": 1e200, "seed": 3}}
 _HUGE_ADVERSARY = {"design": MOMENTS_CFG["design"], "estimator": {"kind": "diff_means"}}
 
@@ -567,6 +594,7 @@ _HUGE_ADVERSARY = {"design": MOMENTS_CFG["design"], "estimator": {"kind": "diff_
     [
         ("moments", dict(MOMENTS_CFG, table=_HUGE_TABLE)),
         ("adversary", dict(_HUGE_ADVERSARY, m_upper=1e200)),
+        ("er-analysis", dict(ER_CFG, policy={"kind": "constant", "value": 1e200})),
     ],
 )
 def test_float_overflow_exits_2(tmp_path, command, config):

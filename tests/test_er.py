@@ -27,7 +27,13 @@ Claims pinned here:
       reference up to n = CODE_BITS, sparse and dense, with no replicate
       rejected; above it, Monte Carlo is refused before any graph is drawn
     - Monte Carlo evaluated in blocks of replicates equals a loop over one
-      replicate at a time bit for bit, at every block size
+      replicate at a time bit for bit, at every block size and seed chunk,
+      for one-word and multiword seeds
+    - the vectorized replicate seeding gives numpy's own PCG64 state of
+      SeedSequence([seed, r]), for seeds of one to six 32-bit words and
+      replicates on both sides of a seed-chunk boundary and up to 2^32 - 1;
+      more than 2^32 replicates are refused before any graph is drawn
+    - a Monte Carlo variance past the double range raises OverflowError
     - each row of a block's neighborhood masks, built from the coin rows of
       the one coin draw, equals the BFS balls of the graph drawn from the
       same stream
@@ -39,6 +45,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from interference_lab import (
     CapacityError,
@@ -417,13 +425,58 @@ def _mc_one_replicate_at_a_time(spec, policy, reps, seed):
 @pytest.mark.parametrize("spec", CODE_WIDTH_SPECS, ids=["sparse-63", "dense-40", "dense-63"])
 def test_mc_blocks_equal_one_replicate_at_a_time(spec, policy, monkeypatch):
     # 23 reps fill no whole number of blocks (4 at n = 63, 10 at n = 40)
-    reps, seed = 23, 5
-    want = _mc_one_replicate_at_a_time(spec, policy, reps, seed)
+    # nor of 5-replicate seed chunks; 2^64 + 5 is a three-word seed
+    reps = 23
     assert reps % max(1, er.MC_BLOCK_PAIRS // spec.n**2) != 0
-    assert mc_expected_variance(spec, policy, reps, seed) == want
-    for pairs in (1, reps * spec.n**2):  # one replicate per block, the whole run in one
-        monkeypatch.setattr(er, "MC_BLOCK_PAIRS", pairs)
-        assert mc_expected_variance(spec, policy, reps, seed) == want
+    for seed in (5, 2**64 + 5):
+        want = _mc_one_replicate_at_a_time(spec, policy, reps, seed)
+        with monkeypatch.context() as patch:
+            assert mc_expected_variance(spec, policy, reps, seed) == want
+            # one replicate per block, the whole run in one
+            for pairs in (1, reps * spec.n**2):
+                patch.setattr(er, "MC_BLOCK_PAIRS", pairs)
+                assert mc_expected_variance(spec, policy, reps, seed) == want
+            patch.setattr(er, "SEED_CHUNK", 5)
+            assert mc_expected_variance(spec, policy, reps, seed) == want
+
+
+# seeds of 1, 1, 2, 3, 4 and 6 words: the last two carry entropy words past
+# SeedSequence's 4-word pool
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**200),
+    start=st.integers(0, er.MAX_REPS - 4),
+    count=st.integers(1, 4),
+)
+@example(seed=0, start=0, count=er.SEED_CHUNK + 1)
+@example(seed=2**32 - 1, start=0, count=er.SEED_CHUNK + 1)
+@example(seed=2**32, start=0, count=er.SEED_CHUNK + 1)
+@example(seed=2**64 + 1, start=0, count=er.SEED_CHUNK + 1)
+@example(seed=2**127, start=0, count=er.SEED_CHUNK + 1)
+@example(seed=2**160 + 9, start=0, count=er.SEED_CHUNK + 1)
+@example(seed=2**160 + 9, start=er.MAX_REPS - 2, count=2)
+def test_replicate_states_equal_numpy_seeding(seed, start, count):
+    want = []
+    for r in range(start, start + count):
+        state = np.random.PCG64(np.random.SeedSequence([seed, r])).state["state"]
+        want.append((state["state"], state["inc"]))
+    assert er._replicate_states(seed, start, count) == want
+
+
+def test_mc_refuses_more_replicates_than_one_index_word(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(er, "_draw_edges", lambda spec, rng, out: drawn.append(spec.n))
+    with pytest.raises(CapacityError, match=r"reps <= 2\^32"):
+        mc_expected_variance(ERSpec(6, 0.3), ConstantOutcomes(1.0), er.MAX_REPS + 1, seed=7)
+    assert drawn == []
+
+
+@pytest.mark.parametrize(
+    "policy", [ConstantOutcomes(1e200), UniformOutcomes(1e200, 2e200)], ids=["constant", "uniform"]
+)
+def test_mc_past_the_double_range_raises_overflow(policy):
+    with pytest.raises(OverflowError, match="Monte Carlo variance past the double range"):
+        mc_expected_variance(ERSpec(15, 1 / 15), policy, reps=10, seed=7)
 
 
 def test_mc_refuses_wide_graphs_before_drawing(monkeypatch):
@@ -463,6 +516,8 @@ def test_masks_from_edges_equal_the_bfs_balls(n):
 def test_mc_validation():
     with pytest.raises(InvalidArgumentError):
         mc_expected_variance(ERSpec(6, 0.3), ConstantOutcomes(1.0), reps=1, seed=0)
+    with pytest.raises(InvalidArgumentError):
+        mc_expected_variance(ERSpec(6, 0.3), ConstantOutcomes(1.0), reps=2, seed=-1)
 
 
 def test_erspec_validation():
