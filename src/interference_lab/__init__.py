@@ -9,7 +9,21 @@ closed-form variance identities cross-checked against enumeration,
 least-squares existence certificates for unbiased estimators, worst-case MSE
 constructions, and random-graph moment formulas with exhaustive and Monte
 Carlo oracles.
+
+Importing the package before numpy sets ``OPENBLAS_NUM_THREADS=1`` unless
+the variable is already set, so BLAS runs on the calling thread: every BLAS
+call here is small (gemv rows of at most 63 entries, least squares on a few
+hundred columns), and OpenBLAS's worker threads only cost start-up time.
+An explicit value is kept, and a caller that imported numpy first keeps its
+BLAS threads.  Results are the same at any BLAS thread count.
 """
+
+import os
+import sys
+
+# Before numpy loads, which the first import below does.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .designs import (
     ARM_A,

@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 usage/config error (float overflow included),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -266,10 +265,10 @@ def cmd_moments(cfg: dict, out: str | None) -> int:
     estimator = _parse_estimator(cfg["estimator"], structure, design.n)
     estimand = _parse_estimand(cfg.get("estimand", {"kind": "ate"}))
     report = exact_moments(estimator, design, table, estimand)
-    payload = dataclasses.asdict(report)
+    payload = report._asdict()
     payload["estimand_value"] = estimand_value(estimand, table)
     if design.kind == "crd" and isinstance(table.structure, NoInterference):
-        payload["neyman"] = dataclasses.asdict(neyman_variance_terms(table, design.n_a))
+        payload["neyman"] = neyman_variance_terms(table, design.n_a)._asdict()
     _emit(_json_text(payload), out)
     return 0
 

@@ -24,8 +24,7 @@ operations are pure; values are immutable and safe to share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,20 +92,25 @@ def _runs(nodes: Sequence[int]) -> list[tuple[int, int]]:
     return runs
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """A length-n arm vector, bit-packed (bit i set <=> unit i in arm B)."""
-
+# Records are NamedTuples, which cost no code generation at import.  A record
+# that checks its fields is a subclass of its field tuple, validating in
+# ``__new__`` (a NamedTuple body may not define one).
+class _AssignmentFields(NamedTuple):
     code: int
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidArgumentError(f"need at least one unit, got n={self.n}")
-        if not 0 <= self.code < (1 << self.n):
-            raise InvalidArgumentError(
-                f"code {self.code} out of range for n={self.n}"
-            )
+
+class Assignment(_AssignmentFields):
+    """A length-n arm vector, bit-packed (bit i set <=> unit i in arm B)."""
+
+    __slots__ = ()
+
+    def __new__(cls, code: int, n: int) -> "Assignment":
+        if n < 1:
+            raise InvalidArgumentError(f"need at least one unit, got n={n}")
+        if not 0 <= code < (1 << n):
+            raise InvalidArgumentError(f"code {code} out of range for n={n}")
+        return super().__new__(cls, code, n)
 
     @classmethod
     def from_arms(cls, arms: Sequence[str]) -> "Assignment":
@@ -124,35 +128,37 @@ class Assignment:
         return "".join(ARM_B if (self.code >> i) & 1 else ARM_A for i in range(self.n))
 
 
-@dataclass(frozen=True)
-class Design:
+class _DesignFields(NamedTuple):
+    kind: str
+    n: int
+    n_a: int | None = None
+
+
+class Design(_DesignFields):
     """A randomization law over arm vectors.
 
     ``kind`` is one of ``"crd"``, ``"bd"``, ``"cbd"``.  ``n_a`` (the fixed
     arm-A count) is required for ``crd`` and must be absent otherwise.
     """
 
-    kind: str
-    n: int
-    n_a: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("crd", "bd", "cbd"):
-            raise InvalidArgumentError(f"unknown design kind {self.kind!r}")
-        if self.n < 1:
-            raise InvalidArgumentError(f"need at least one unit, got n={self.n}")
-        if self.kind == "crd":
-            if self.n_a is None:
+    def __new__(cls, kind: str, n: int, n_a: int | None = None) -> "Design":
+        if kind not in ("crd", "bd", "cbd"):
+            raise InvalidArgumentError(f"unknown design kind {kind!r}")
+        if n < 1:
+            raise InvalidArgumentError(f"need at least one unit, got n={n}")
+        if kind == "crd":
+            if n_a is None:
                 raise InvalidArgumentError("crd requires n_a")
-            if not 0 < self.n_a < self.n:
-                raise InvalidArgumentError(
-                    f"crd needs 0 < n_a < n, got n_a={self.n_a}, n={self.n}"
-                )
+            if not 0 < n_a < n:
+                raise InvalidArgumentError(f"crd needs 0 < n_a < n, got n_a={n_a}, n={n}")
         else:
-            if self.n_a is not None:
-                raise InvalidArgumentError(f"{self.kind} takes no n_a")
-            if self.kind == "cbd" and self.n < 2:
+            if n_a is not None:
+                raise InvalidArgumentError(f"{kind} takes no n_a")
+            if kind == "cbd" and n < 2:
                 raise InvalidArgumentError("cbd needs n >= 2 (its support is empty otherwise)")
+        return super().__new__(cls, kind, n, n_a)
 
     @classmethod
     def crd(cls, n: int, n_a: int) -> "Design":

@@ -22,8 +22,7 @@ the true value is finite in double precision).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -38,18 +37,22 @@ DENSE = "dense"
 _EXP_OVERFLOW = 709.0  # exp() overflows just above this
 
 
-@dataclass(frozen=True)
-class ERSpec:
-    """Node count and edge probability of the random-graph model."""
-
+class _ERSpecFields(NamedTuple):
     n: int
     p: float
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+
+class ERSpec(_ERSpecFields):
+    """Node count and edge probability of the random-graph model."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, p: float) -> "ERSpec":
+        if n < 2:
             raise InvalidArgumentError("pairwise moments need n >= 2")
-        if not 0.0 <= self.p <= 1.0:
-            raise InvalidArgumentError(f"edge probability must be in [0,1], got {self.p}")
+        if not 0.0 <= p <= 1.0:
+            raise InvalidArgumentError(f"edge probability must be in [0,1], got {p}")
+        return super().__new__(cls, n, p)
 
 
 def _guarded_power(base: float, exponent: int) -> float:
@@ -110,8 +113,7 @@ def dense_lower_bound(n: int, k_lower: float) -> float:
     return 4.0 * math.exp(arg) * k_lower * k_lower / n
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     """One point of an Example-style sweep: the envelope value at this n and
     whether it vanishes or diverges with n."""
 
@@ -181,15 +183,13 @@ def sample_er_graph(spec: ERSpec, seed: int) -> Graph:
     return Graph.from_edges(spec.n, zip(left[keep].tolist(), right[keep].tolist()))
 
 
-@dataclass(frozen=True)
-class ConstantOutcomes:
+class ConstantOutcomes(NamedTuple):
     """Every unit's pure-arm outcomes pinned at one level."""
 
     value: float
 
 
-@dataclass(frozen=True)
-class UniformOutcomes:
+class UniformOutcomes(NamedTuple):
     """Pure-arm outcomes drawn uniformly in (k_lower, m_upper) per replicate."""
 
     k_lower: float
@@ -199,8 +199,7 @@ class UniformOutcomes:
 TablePolicy = Union[ConstantOutcomes, UniformOutcomes]
 
 
-@dataclass(frozen=True)
-class MCVariance:
+class MCVariance(NamedTuple):
     mean: float
     stderr: float
     reps_used: int
@@ -404,8 +403,7 @@ def exhaustive_expected_variance(spec: ERSpec, c: float) -> float:
     return er_variance_scan(spec.n, spec.p, c)
 
 
-@dataclass(frozen=True)
-class ERMomentOracle:
+class ERMomentOracle(NamedTuple):
     two_pow_nbhd: float
     two_pow_shared: float
     prob_no_common: float

@@ -9,7 +9,7 @@ ascending-code order and reductions use exact compensated summation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .outcomes import Estimand, PotentialOutcomeTable, estimand_value
 _IDENTITY_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     """Design-expectation, variance, and MSE of an estimator, plus the
     number of support points enumerated."""
 
@@ -61,8 +60,7 @@ def exact_moments(
     return MomentReport(expectation, variance, mse, len(values))
 
 
-@dataclass(frozen=True)
-class NeymanTerms:
+class NeymanTerms(NamedTuple):
     """Finite-population variance pieces of the difference in means under a
     fixed-group-size design with no interference.
 
@@ -98,8 +96,7 @@ def neyman_variance_terms(table: PotentialOutcomeTable, n_a: int) -> NeymanTerms
     return NeymanTerms(v_a, v_b, v_theta, variance, bound)
 
 
-@dataclass(frozen=True)
-class HTVarianceTerms:
+class HTVarianceTerms(NamedTuple):
     """Closed-form variance pieces of the exposure-weighted estimator under
     the fair-coin design: per-arm terms, the cross-arm covariance, and the
     total v_a + v_b - 2 cov."""

@@ -21,8 +21,8 @@ drift; the shipped defaults use {0, 1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ FEASIBILITY_N_CAP = 6
 FEASIBILITY_GRID_CAP = 4
 
 
-@dataclass(frozen=True)
-class FeasibilityCertificate:
+class FeasibilityCertificate(NamedTuple):
     """Outcome of the least-squares existence check.
 
     Feasible certificates carry a tabular witness whose design-expectation
@@ -172,8 +171,7 @@ def unbiased_feasibility(
     )
 
 
-@dataclass(frozen=True)
-class AdversaryResult:
+class AdversaryResult(NamedTuple):
     """Worst-case table found for an estimator, with its enumerated MSE."""
 
     table: PotentialOutcomeTable

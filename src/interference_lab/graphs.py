@@ -22,10 +22,9 @@ of assignments informative about a unit is one over that count.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -33,21 +32,25 @@ from .designs import CODE_BITS
 from .errors import CapacityError, GraphFormatError, InvalidArgumentError
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph on nodes 0..n-1."""
-
+class _GraphFields(NamedTuple):
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidArgumentError(f"need at least one node, got n={self.n}")
-        for u, v in self.edges:
+
+class Graph(_GraphFields):
+    """Simple undirected graph on nodes 0..n-1."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, edges: frozenset[tuple[int, int]]) -> "Graph":
+        if n < 1:
+            raise InvalidArgumentError(f"need at least one node, got n={n}")
+        for u, v in edges:
             if u == v:
                 raise GraphFormatError(f"self-loop at node {u}")
-            if not (0 <= u < v < self.n):
-                raise GraphFormatError(f"bad edge ({u}, {v}) for n={self.n}")
+            if not (0 <= u < v < n):
+                raise GraphFormatError(f"bad edge ({u}, {v}) for n={n}")
+        return super().__new__(cls, n, edges)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -129,8 +132,7 @@ def k_step_neighborhood(graph: Graph, i: int, k: int) -> frozenset[int]:
     return _ball(graph.adjacency_lists(), i, k)
 
 
-@dataclass(frozen=True)
-class NeighborhoodIndex:
+class NeighborhoodIndex(NamedTuple):
     """Precomputed closed k-step balls for every node of a graph."""
 
     graph: Graph
@@ -160,15 +162,18 @@ class NeighborhoodIndex:
             out[i] = m
         return out
 
-@dataclass(frozen=True)
-class NoInterference:
+
+class NoInterference(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
-class KLocal:
+class _KLocalFields(NamedTuple):
     graph: Graph
     k: int
+
+
+class KLocal(_KLocalFields):
+    # No ``__slots__ = ()``: the instance dict holds the cached index.
 
     @cached_property
     def index(self) -> NeighborhoodIndex:
@@ -179,8 +184,7 @@ class KLocal:
         return self.graph.n
 
 
-@dataclass(frozen=True)
-class Arbitrary:
+class Arbitrary(NamedTuple):
     n: int
 
 

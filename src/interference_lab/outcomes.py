@@ -28,7 +28,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -352,12 +351,10 @@ class PotentialOutcomeTable:
 # Estimands: the mean contrast and the solo-treatment effect
 
 
-@dataclass(frozen=True)
 class AverageTreatmentEffect:
     """Mean outcome under all-A minus mean outcome under all-B."""
 
 
-@dataclass(frozen=True)
 class SoloTreatmentEffect:
     """Average outcome of each unit when it alone receives arm A."""
 

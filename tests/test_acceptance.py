@@ -2,6 +2,11 @@
 runtime budget.  Each test prints a single pass line on success; a failing
 criterion shows up as an ordinary pytest failure.
 
+Criterion 8 re-runs every command, and the shipped least-squares config
+``configs/feasibility_bd.json`` with the witness it writes, in fresh
+processes with OPENBLAS_NUM_THREADS unset, 1 and 4, and compares stdout and
+written files byte for byte.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
@@ -11,9 +16,11 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import interference_lab
 from interference_lab import (
     ATE,
     Arbitrary,
@@ -45,6 +52,9 @@ from interference_lab import (
     sample_er_graph,
     unbiased_feasibility,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SRC = str(Path(interference_lab.__file__).resolve().parents[1])
 
 
 class _Timer:
@@ -230,16 +240,25 @@ def test_criterion_7_limit_values():
     )
 
 
-def _run_cli(args, threads):
+def _run_cli(args, threads, cwd):
+    """stdout and every file written under ``cwd`` of one CLI run of this
+    package with OPENBLAS_NUM_THREADS at ``threads`` (None: unset, as an
+    in-process import of the package may have set it)."""
     env = dict(os.environ)
-    env["INTERFERENCE_LAB_THREADS"] = str(threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    cwd.mkdir()
     result = subprocess.run(
         [sys.executable, "-m", "interference_lab.cli", *args],
         capture_output=True,
         env=env,
+        cwd=cwd,
     )
     assert result.returncode == 0, result.stderr.decode()
-    return result.stdout
+    files = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
+    return result.stdout, files
 
 
 def test_criterion_8_byte_identical_cli(tmp_path):
@@ -277,23 +296,23 @@ def test_criterion_8_byte_identical_cli(tmp_path):
             "sweep_n": [64, 256],
         },
     }
+    runs = []
     for command, cfg in configs.items():
         cfg_path = tmp_path / f"{command}.json"
         cfg_path.write_text(json.dumps(cfg))
-        outputs = []
-        for threads in (1, 4):
-            if command == "tables":
-                out_dir = tmp_path / f"tables_{threads}"
-                _run_cli(
-                    ["tables", "--config", str(cfg_path), "--out", str(out_dir)],
-                    threads,
-                )
-                blob = (out_dir / "structure_table.csv").read_bytes() + (
-                    out_dir / "limits_table.csv"
-                ).read_bytes()
-            else:
-                blob = _run_cli([command, "--config", str(cfg_path)], threads)
-            outputs.append(blob)
-        assert outputs[0] == outputs[1], f"{command} output differs across runs"
-    print("ACCEPTANCE 8: PASS - all six commands byte-identical across re-runs "
-          "and thread counts", flush=True)
+        runs.append((command, cfg_path))
+    # the shipped least-squares run, which writes its witness to the cwd
+    runs.append(("feasibility", CONFIGS / "feasibility_bd.json"))
+    for command, cfg_path in runs:
+        args = [command, "--config", str(cfg_path)]
+        if command == "tables":
+            args += ["--out", "out"]
+        outputs = [
+            _run_cli(args, threads, tmp_path / f"{cfg_path.stem}_{threads}")
+            for threads in (None, 1, 4)
+        ]
+        assert outputs[0] == outputs[1] == outputs[2], f"{cfg_path.stem} output differs"
+    assert "witness.csv" in outputs[0][1]  # of the last run, feasibility_bd
+    print("ACCEPTANCE 8: PASS - all six commands and the shipped feasibility_bd "
+          "config byte-identical across re-runs with OPENBLAS_NUM_THREADS unset, "
+          "1 and 4", flush=True)

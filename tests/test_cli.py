@@ -15,7 +15,10 @@ Claims pinned here:
       exits 4 without a traceback; a negative seed, in any of its three
       keys, and a float overflow in a moment, MSE or Monte Carlo reduction
       exit 2 without a traceback
-    - importing the CLI leaves numpy.random unloaded until Monte Carlo runs
+    - importing the CLI leaves numpy.random unloaded until Monte Carlo runs,
+      imports no dataclasses, and runs BLAS on the calling thread: it sets
+      OPENBLAS_NUM_THREADS to 1 unless the variable is already set, and
+      starts no thread
     - a design block of unknown kind, a crd block without n_a, a bd or cbd
       block with n_a, and a table whose size differs from the design's
       exit 2 naming the fault
@@ -23,8 +26,9 @@ Claims pinned here:
       finite Monte Carlo mean
     - the exposure-weighted estimator takes an inline graph when the
       structure carries none, and without either it exits 2
-    - re-running any command byte-identically reproduces its output,
-      including across different INTERFERENCE_LAB_THREADS settings
+    - re-running any command byte-identically reproduces its output and the
+      files it writes, with OPENBLAS_NUM_THREADS unset, 1 and 4, including
+      the least-squares witness of configs/feasibility_bd.json
     - a block refuses, naming it, any key its kind does not read, and a
       top-level seed outside er-analysis, which no draw reads
     - --set overrides nested keys and feeds a seedless config; --seed is
@@ -40,21 +44,32 @@ from pathlib import Path
 
 import pytest
 
+import interference_lab
 from interference_lab import PotentialOutcomeTable, TabularEstimator, cli, exact, feasibility
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SRC = str(Path(interference_lab.__file__).resolve().parents[1])
 
 
-def run_cli(args, threads=None):
+def blas_env(threads=None):
+    """os.environ with OPENBLAS_NUM_THREADS set to ``threads``, or unset for
+    None (an in-process import of the package may have set it), and this
+    package first on PYTHONPATH, so a child in any cwd runs the same code."""
     env = dict(os.environ)
-    env.pop("INTERFERENCE_LAB_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
     if threads is not None:
-        env["INTERFERENCE_LAB_THREADS"] = str(threads)
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    return env
+
+
+def run_cli(args, threads=None, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "interference_lab.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=blas_env(threads),
+        cwd=cwd,
     )
 
 
@@ -477,17 +492,28 @@ def test_er_analysis_with_more_replicates_than_one_index_word_exits_3(capsys):
 
 def test_cli_import_leaves_numpy_random_unloaded():
     # numpy.random loads at the first Monte Carlo run, not with the package,
-    # so commands that never draw do not pay for its import
+    # so commands that never draw do not pay for its import; nor does the
+    # import generate dataclass code or start OpenBLAS worker threads
+    linux = sys.platform.startswith("linux")
     code = (
-        "import sys, interference_lab.cli\n"
-        "print('numpy.random' in sys.modules)\n"
+        "import os, sys, interference_lab.cli\n"
+        "print('numpy.random' in sys.modules, 'dataclasses' in sys.modules)\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        "if sys.platform.startswith('linux'):\n"
+        "    status = open('/proc/self/status').read()\n"
+        "    print(status.split('Threads:')[1].split()[0])\n"
         "from interference_lab.er import ConstantOutcomes, ERSpec, mc_expected_variance\n"
         "mc_expected_variance(ERSpec(5, 0.5), ConstantOutcomes(1.0), 2, 0)\n"
         "print('numpy.random' in sys.modules)\n"
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    run = [sys.executable, "-c", code]
+    result = subprocess.run(run, capture_output=True, text=True, env=blas_env())
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\nTrue\n"
+    assert result.stdout == "False False\n1\n" + ("1\n" if linux else "") + "True\n"
+    # an explicit value is kept
+    result = subprocess.run(run, capture_output=True, text=True, env=blas_env(3))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[1] == "3"
 
 
 # int() refuses decimal strings of more than 4300 digits
@@ -724,15 +750,22 @@ def test_set_override_and_seed(tmp_path):
             "regimes",
             {"n_values": [8, 16], "k_lower": 1.0, "m_upper": 1.0},
         ),
+        # the least-squares run that writes a witness, relative to the cwd
+        ("feasibility", json.loads((CONFIGS / "feasibility_bd.json").read_text())),
     ],
 )
 def test_rerun_byte_identical_across_thread_counts(tmp_path, command, config):
     cfg = write_config(tmp_path, "c.json", config)
     outputs = []
     for threads in (None, 1, 4):
-        result = run_cli([command, "--config", cfg], threads=threads)
+        cwd = tmp_path / f"run_{threads}"
+        cwd.mkdir()
+        result = run_cli([command, "--config", cfg], threads=threads, cwd=cwd)
         assert result.returncode == 0, result.stderr
-        outputs.append(result.stdout)
+        files = {path.name: path.read_bytes() for path in sorted(cwd.iterdir())}
+        outputs.append((result.stdout, files))
+    if "witness_csv" in config:
+        assert config["witness_csv"] in outputs[0][1]
     assert outputs[0] == outputs[1] == outputs[2]
 
 
@@ -744,12 +777,12 @@ def test_tables_rerun_byte_identical(tmp_path):
         {"unit": 1, "k": 1, "graph": {"path": str(tmp_path / "g.txt")}, "sweep_n": [64, 256]},
     )
     blobs = []
-    for threads, out_name in ((1, "t1"), (4, "t4")):
-        out_dir = tmp_path / out_name
+    for threads in (None, 1, 4):
+        out_dir = tmp_path / f"t{threads}"
         result = run_cli(["tables", "--config", cfg, "--out", str(out_dir)], threads=threads)
         assert result.returncode == 0
         blobs.append(
             (out_dir / "structure_table.csv").read_bytes()
             + (out_dir / "limits_table.csv").read_bytes()
         )
-    assert blobs[0] == blobs[1]
+    assert blobs[0] == blobs[1] == blobs[2]
