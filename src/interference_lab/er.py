@@ -29,6 +29,7 @@ import numpy as np
 from ._kernels import ORACLE_CAP, er_moment_scan, er_variance_scan, ht_variance_terms
 from .designs import CODE_BITS
 from .errors import CapacityError, InvalidArgumentError
+from .exact import _weighted_square_sum
 from .graphs import Graph
 
 SPARSE = "sparse"
@@ -88,7 +89,8 @@ def prob_no_common(spec: ERSpec) -> float:
 
 
 def h_bound(c: float, spec: ERSpec) -> float:
-    """The four-term finite-n envelope at outcome level c (c > 0)."""
+    """The four-term finite-n envelope at outcome level c (c > 0); an
+    envelope past the double range raises OverflowError."""
     if c <= 0:
         raise InvalidArgumentError(f"outcome level must be positive, got {c}")
     n = spec.n
@@ -98,7 +100,10 @@ def h_bound(c: float, spec: ERSpec) -> float:
         + 1.0 / n
         + (1.0 - prob_no_common(spec))
     )
-    return 2.0 * terms * c * c
+    bound = 2.0 * terms * c * c
+    if not math.isfinite(bound):
+        raise OverflowError(f"envelope h({c}) past the double range at n={n}, p={spec.p}")
+    return bound
 
 
 def dense_lower_bound(n: int, k_lower: float) -> float:
@@ -366,7 +371,7 @@ def mc_expected_variance(
         for first in range(0, reps, SEED_CHUNK)
         for state in _replicate_states(seed, first, min(SEED_CHUNK, reps - first))
     )
-    values: list[float] = []
+    blocks = []
     for start in range(0, reps, block):
         size = min(block, reps - start)
         for r, (state, inc) in zip(range(size), states):
@@ -384,11 +389,12 @@ def mc_expected_variance(
             v_a, v_b, cov = ht_variance_terms(
                 _block_masks(keep[:size], pairs, masks[:size]), y_a[:size], y_b[:size]
             )
-            values.extend((v_a + v_b - 2.0 * cov).tolist())
-    if not all(map(math.isfinite, values)):
+            blocks.append(v_a + v_b - 2.0 * cov)
+    values = np.concatenate(blocks)
+    if not np.isfinite(values).all():
         raise OverflowError(f"Monte Carlo variance past the double range at n={n}, p={spec.p}")
     mean = math.fsum(values) / reps
-    sample_var = math.fsum((v - mean) ** 2 for v in values) / (reps - 1)
+    sample_var = _weighted_square_sum(values, 1.0, mean) / (reps - 1)
     return MCVariance(mean, math.sqrt(sample_var / reps), reps, 0)
 
 

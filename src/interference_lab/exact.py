@@ -35,6 +35,33 @@ class MomentReport(NamedTuple):
     support_size: int
 
 
+def _support_values(
+    estimator: Estimator, design: Design, table: PotentialOutcomeTable
+) -> tuple[np.ndarray, float]:
+    """The estimator's value at every support code, in ascending code order,
+    and the probability p of each code (every design law is uniform on its
+    support, so one p serves all values)."""
+    blocks = []
+    for codes, p in enumerate_support(design):
+        blocks.append(estimator.evaluate(codes, table.observed(codes)))
+    return np.concatenate(blocks), p
+
+
+def _weighted_square_sum(values: np.ndarray, p: float, c: float) -> float:
+    """``math.fsum(p * (v - c) ** 2 for v in values)`` over a float64 array,
+    bit for bit: ``np.float_power(x, 2.0)`` rounds as CPython's ``x ** 2``
+    does, where ``x * x`` and ``np.square`` do not.  One buffer is updated
+    in place.  numpy returns inf where ``**`` raises, so a square past the
+    double range raises ``OverflowError`` here too."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        buf = np.subtract(values, c)
+        np.float_power(buf, 2.0, out=buf)
+    if not np.isfinite(buf).all():
+        raise OverflowError(f"squared deviation from {c} past the double range")
+    buf *= p
+    return math.fsum(buf)
+
+
 def exact_moments(
     estimator: Estimator,
     design: Design,
@@ -45,13 +72,10 @@ def exact_moments(
     if table.n != design.n:
         raise InvalidArgumentError(f"table has n={table.n}, design has n={design.n}")
     theta = estimand_value(estimand, table)
-    values: list[float] = []
-    for codes, p in enumerate_support(design):
-        values += estimator.evaluate(codes, table.observed(codes)).tolist()
-    # every design law is uniform on its support: one p for all values
-    expectation = math.fsum(p * v for v in values)
-    variance = math.fsum(p * (v - expectation) ** 2 for v in values)
-    mse = math.fsum(p * (v - theta) ** 2 for v in values)
+    values, p = _support_values(estimator, design, table)
+    expectation = math.fsum(values * p)
+    variance = _weighted_square_sum(values, p, expectation)
+    mse = _weighted_square_sum(values, p, theta)
     check = variance + (expectation - theta) ** 2
     if abs(mse - check) > _IDENTITY_RTOL * max(1.0, abs(mse)):
         raise IdentityViolationError(

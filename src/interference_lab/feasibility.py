@@ -14,13 +14,18 @@ sweeping constant vectors over the grid.  For the solo-treatment estimand
 the family additionally perturbs one single-treated row at a time, since
 constant tables cannot distinguish the single-treated assignments.
 
+Every family table is constant across units on each assignment row, so its
+n units share one length-2^n outcome column.  The unknowns are the distinct
+(code, observed vector) pairs the family reveals, numbered by first
+appearance (table by table, codes ascending); one ``np.unique`` over the
+stacked (table, code) rows finds them.
+
 Grid levels should be exact binary fractions so observed-vector keys never
 drift; the shipped defaults use {0, 1}.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import product
 from typing import NamedTuple
 
@@ -35,7 +40,9 @@ from .errors import (
     UnsupportedDesignError,
     UnsupportedEstimandError,
 )
-from .estimators import Estimator, TabularEstimator, observed_key
+from .estimators import Estimator, TabularEstimator
+from .exact import _support_values, _weighted_square_sum
+from .graphs import Arbitrary
 from .outcomes import (
     AverageTreatmentEffect,
     Estimand,
@@ -86,11 +93,15 @@ def _witness_table(
     n: int, off_value: float, rows: dict[int, float], m_upper: float | None = None
 ) -> PotentialOutcomeTable:
     """The arbitrary-interference table constant at ``off_value`` except on
-    the assignment rows ``rows`` maps (code -> the row's constant value)."""
-    matrix = np.full((1 << n, n), off_value, dtype=float)
+    the assignment rows ``rows`` maps (code -> the row's constant value).
+
+    Every row is constant across units, so all n units share one length-2^n
+    outcome column (tables never write to their values); no (2^n, n) matrix
+    is built, and the bounds check scans the column once."""
+    column = np.full(1 << n, off_value, dtype=float)
     for code, value in rows.items():
-        matrix[code, :] = value
-    return PotentialOutcomeTable.arbitrary(matrix, m_upper=m_upper)
+        column[code] = value
+    return PotentialOutcomeTable(Arbitrary(n), [column] * n, m_upper=m_upper)
 
 
 def default_witness_family(
@@ -110,6 +121,40 @@ def default_witness_family(
     return family
 
 
+def _constraint_system(
+    design: Design, estimand: Estimand, family: list[PotentialOutcomeTable]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unbiasedness constraints ``a x = b`` of the family: one row per
+    table, one column per unknown, and ``unknowns``, whose row j is column
+    j's key (the code, then the observed vector).
+
+    A table reveals one observed vector per support code, and each distinct
+    (code, observed vector) pair is one unknown, numbered by first
+    appearance: table by table in family order, codes ascending within a
+    table.  ``np.unique`` over the (table, code) rows finds the distinct
+    pairs; it merges -0.0 with 0.0, and the first row's key is kept.
+    """
+    blocks = list(enumerate_support(design))
+    # Every design law is uniform on its support, so each column of a row
+    # has coefficient p.
+    p = blocks[0][1]
+    codes = np.concatenate([block for block, _ in blocks])
+    # Codes stay below 2^FEASIBILITY_N_CAP, so column 0 holds them exactly.
+    keys = np.empty((len(family), len(codes), design.n + 1))
+    keys[:, :, 0] = codes
+    for t, table in enumerate(family):
+        keys[t, :, 1:] = table.observed(codes)
+    keys = keys.reshape(-1, design.n + 1)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    column = np.empty(len(order), dtype=np.intp)
+    column[order] = np.arange(len(order))
+    a = np.zeros((len(family), len(order)))
+    a[np.arange(len(family)).repeat(len(codes)), column[inverse.reshape(-1)]] = p
+    b = np.array([estimand_value(estimand, table) for table in family])
+    return a, b, keys[first[order]]
+
+
 def unbiased_feasibility(
     design: Design, estimand: Estimand, outcome_grid
 ) -> FeasibilityCertificate:
@@ -127,26 +172,7 @@ def unbiased_feasibility(
             f"feasibility checks capped at n={FEASIBILITY_N_CAP} (got n={design.n})"
         )
     family = default_witness_family(design.n, estimand, grid)
-
-    support = list(enumerate_support(design))
-    # Every design law is uniform on its support, and a table reveals one
-    # observed vector per code, so each column of a row has coefficient p.
-    p = support[0][1]
-    columns: dict[tuple[int, tuple[float, ...]], int] = {}
-    rows = []
-    rhs = []
-    for table in family:
-        cols: list[int] = []
-        for codes, _ in support:
-            keys = zip(codes.tolist(), map(observed_key, table.observed(codes).tolist()))
-            cols.extend(columns.setdefault(key, len(columns)) for key in keys)
-        rows.append(cols)
-        rhs.append(estimand_value(estimand, table))
-
-    a = np.zeros((len(rows), len(columns)))
-    for r, cols in enumerate(rows):
-        a[r, cols] = p
-    b = np.array(rhs)
+    a, b, unknowns = _constraint_system(design, estimand, family)
     solution, _, rank, singular = np.linalg.lstsq(a, b, rcond=None)
     if rank > 0 and singular[0] / singular[rank - 1] > _CONDITION_CAP:
         raise FeasibilityPrecisionError(
@@ -156,14 +182,17 @@ def unbiased_feasibility(
     residual = float(np.linalg.norm(a @ solution - b))
     if residual <= FEASIBLE_TOL:
         witness = TabularEstimator(
-            {key: float(solution[col]) for key, col in columns.items()}
+            {
+                (int(key[0]), tuple(key[1:])): value
+                for key, value in zip(unknowns.tolist(), solution.tolist())
+            }
         )
         return FeasibilityCertificate(
-            True, residual, len(family), len(columns), int(rank), witness
+            True, residual, len(family), len(unknowns), int(rank), witness
         )
     if residual > INFEASIBLE_TOL:
         return FeasibilityCertificate(
-            False, residual, len(family), len(columns), int(rank), None
+            False, residual, len(family), len(unknowns), int(rank), None
         )
     raise FeasibilityPrecisionError(
         f"residual {residual:.3e} falls between the feasible ({FEASIBLE_TOL:.0e}) "
@@ -229,11 +258,8 @@ def mse_adversary(
     best: tuple[float, PotentialOutcomeTable, float] | None = None
     for table in candidates:
         theta = estimand_value(estimand, table)
-        mse = math.fsum(
-            p * (v - theta) ** 2
-            for codes, p in enumerate_support(design)
-            for v in estimator.evaluate(codes, table.observed(codes)).tolist()
-        )
+        values, p = _support_values(estimator, design, table)
+        mse = _weighted_square_sum(values, p, theta)
         if best is None or mse > best[0]:
             best = (mse, table, theta)
     assert best is not None

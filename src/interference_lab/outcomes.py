@@ -106,6 +106,12 @@ class PotentialOutcomeTable:
             if v.shape != (1 << len(g),):
                 raise InvalidArgumentError(f"unit {i} needs {1 << len(g)} outcomes, got {v.shape}")
             self._values.append(v)
+        # Units sharing a reference group share its key: (group, [(unit, values)])
+        # in order of each group's first unit.
+        shared: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}
+        for i, (g, v) in enumerate(zip(self._groups, self._values)):
+            shared.setdefault(tuple(g), []).append((i, v))
+        self._gathers = list(shared.items())
         self._check_bounds()
 
     def _check_bounds(self) -> None:
@@ -120,7 +126,8 @@ class PotentialOutcomeTable:
         if self.m_upper is None and self.k_lower is None:
             return
         lo = self.k_lower if self.k_lower is not None else 0.0
-        for v in self._values:
+        # units may share one value array (witness tables do); scan each once
+        for v in {id(v): v for v in self._values}.values():
             # fmin/fmax skip unstored (NaN) slots; an all-NaN unit compares False.
             smallest = float(np.fmin.reduce(v))
             if smallest <= lo:
@@ -139,12 +146,14 @@ class PotentialOutcomeTable:
         """The outcomes revealed by each of an int64 block of assignment
         codes: row r holds the n outcomes under ``codes[r]``.
 
-        This is the one outcome lookup; one array gather per unit serves
-        the whole block.
+        This is the one outcome lookup; one key per distinct reference
+        group and one array gather per unit serve the whole block.
         """
         y = np.empty((len(codes), self.n))
-        for i, (g, v) in enumerate(zip(self._groups, self._values)):
-            y[:, i] = v[restrict_codes(codes, g)]
+        for g, units in self._gathers:
+            key = restrict_codes(codes, g)
+            for i, v in units:
+                y[:, i] = v[key]
         missing = np.argwhere(np.isnan(y))
         if missing.size:
             row, i = missing[0]

@@ -14,7 +14,7 @@ Claims pinned here:
       float exit 2 naming the entry; a broken moment identity or MSE floor
       exits 4 without a traceback; a negative seed, in any of its three
       keys, and a float overflow in a moment, MSE or Monte Carlo reduction
-      exit 2 without a traceback
+      or in the envelope h(M) exit 2 without a traceback
     - importing the CLI leaves numpy.random unloaded until Monte Carlo runs,
       imports no dataclasses, and runs BLAS on the calling thread: it sets
       OPENBLAS_NUM_THREADS to 1 unless the variable is already set, and
@@ -609,8 +609,10 @@ def test_negative_seed_exits_2(tmp_path, command, config, key):
 
 
 # crd n=6 with difference in means, whose squared deviations pass the double
-# range; Monte Carlo variances past it, from outcomes at 1e200
+# range; Monte Carlo variances past it, from outcomes at 1e200; and the
+# envelope h(M) past it, at M = 1e200
 ER_CFG = json.loads((CONFIGS / "er_analysis.json").read_text())
+REGIMES_CFG = json.loads((CONFIGS / "regimes.json").read_text())
 _HUGE_TABLE = {"random": {"k_lower": 0.0, "m_upper": 1e200, "seed": 3}}
 _HUGE_ADVERSARY = {"design": MOMENTS_CFG["design"], "estimator": {"kind": "diff_means"}}
 
@@ -621,6 +623,8 @@ _HUGE_ADVERSARY = {"design": MOMENTS_CFG["design"], "estimator": {"kind": "diff_
         ("moments", dict(MOMENTS_CFG, table=_HUGE_TABLE)),
         ("adversary", dict(_HUGE_ADVERSARY, m_upper=1e200)),
         ("er-analysis", dict(ER_CFG, policy={"kind": "constant", "value": 1e200})),
+        ("er-analysis", dict(ER_CFG, m_upper=1e200)),
+        ("regimes", dict(REGIMES_CFG, m_upper=1e200)),
     ],
 )
 def test_float_overflow_exits_2(tmp_path, command, config):

@@ -9,12 +9,18 @@ Claims pinned here:
     - mse = variance + bias^2 holds for every report
     - difference in means is demonstrably biased once interference is
       unrestricted (a concrete table with |bias| > 0.1 M)
+    - the array reduction of squared deviations equals the scalar
+      ``math.fsum(p * (v - c) ** 2 ...)`` bit for bit, and raises
+      OverflowError wherever that does
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from interference_lab import (
     ATE,
@@ -36,6 +42,7 @@ from interference_lab import (
     sample_er_graph,
     ERSpec,
 )
+from interference_lab.exact import _weighted_square_sum
 from graph_builders import empty_graph
 
 
@@ -177,3 +184,41 @@ def test_diff_means_biased_under_arbitrary_interference():
     report = exact_moments(DifferenceInMeans(), Design.crd(4, 2), table, ATE)
     bias = report.expectation - estimand_value(ATE, table)
     assert abs(bias) > 0.1  # M = 1 here
+
+
+# |v - c| stays below 2e300, so a deviation never overflows before it is
+# squared; squares of deviations near 1e200 do, and fsum's sum can too.
+_DOUBLES = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300))
+
+
+def _check_square_reduction(values, p, c):
+    values = np.array(values, dtype=float)
+    try:
+        expected = math.fsum(p * (v - c) ** 2 for v in values.tolist())
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _weighted_square_sum(values, p, c)
+        return
+    assert _weighted_square_sum(values, p, c) == expected
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    values=st.lists(_DOUBLES, min_size=1, max_size=40),
+    p=st.sampled_from([1.0, 0.5**14, 1.0 / 3432, 1.0 / 62, 0.3]),
+    c=_DOUBLES,
+)
+@example(values=[1e200, -3.0], p=0.5, c=0.0)
+@example(values=[1.3e154, 1.3e154], p=1.0, c=0.0)
+def test_square_reduction_matches_the_scalar_fsum(values, p, c):
+    _check_square_reduction(values, p, c)
+
+
+def test_square_reduction_matches_on_uniform_draws():
+    # x * x and np.square round differently from x ** 2 on about one such
+    # draw in a thousand, a difference a long sum rounds away, so each draw
+    # is reduced alone; np.float_power rounds as ** does
+    rng = np.random.default_rng(0)
+    c = rng.uniform(-1.0, 1.0)
+    for v in rng.uniform(-10.0, 10.0, 20000).tolist():
+        _check_square_reduction([v], 0.5**14, c)

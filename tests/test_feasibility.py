@@ -10,12 +10,22 @@ Claims pinned here:
       assignment-indexed offset summing to zero over the support
     - more than FEASIBILITY_N_CAP units or FEASIBILITY_GRID_CAP grid levels
       is a capacity error
+    - the constraint system built by one np.unique equals, bit for bit, the
+      one a dict of (code, observed vector) keys builds table by table: the
+      same matrix, right-hand side, unknowns in order (signed zeros
+      included), rank, residual and witness
+    - a witness table's n units share one outcome column, which reads and
+      serializes exactly as the full (2^n, n) matrix; both n = 14 adversary
+      tables together stay below 0.5 MB of allocations
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from interference_lab import (
     ATE,
@@ -23,7 +33,9 @@ from interference_lab import (
     CapacityError,
     Design,
     FeasibilityCertificate,
+    FeasibilityPrecisionError,
     InvalidArgumentError,
+    PotentialOutcomeTable,
     PureArmIPW,
     SoloTreatedIPW,
     SoloTreatmentEffect,
@@ -31,6 +43,15 @@ from interference_lab import (
     enumerate_support,
     estimand_value,
     unbiased_feasibility,
+)
+from interference_lab.estimators import observed_key
+from interference_lab.feasibility import (
+    _CONDITION_CAP,
+    FEASIBILITY_GRID_CAP,
+    FEASIBLE_TOL,
+    INFEASIBLE_TOL,
+    _constraint_system,
+    _witness_table,
 )
 
 
@@ -159,3 +180,116 @@ def test_certificate_serialization():
     doc = cert.to_json_dict()
     assert doc["status"] == "infeasible"
     assert doc["family_size"] == 8
+
+
+def _reference_system(design, estimand, family):
+    """The system as a dict of keys builds it: table by table, each new
+    (code, observed vector) key gets the next column."""
+    support = list(enumerate_support(design))
+    p = support[0][1]
+    columns = {}
+    rows = []
+    for table in family:
+        cols = []
+        for codes, _ in support:
+            keys = zip(codes.tolist(), map(observed_key, table.observed(codes).tolist()))
+            cols.extend(columns.setdefault(key, len(columns)) for key in keys)
+        rows.append(cols)
+    a = np.zeros((len(rows), len(columns)))
+    for r, cols in enumerate(rows):
+        a[r, cols] = p
+    b = np.array([estimand_value(estimand, table) for table in family])
+    return a, b, columns
+
+
+# dyadic levels, so keys are exact; -0.0 and 0.0 are distinct grid levels
+_LEVELS = (-0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, -1.0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    kind=st.sampled_from(["crd", "cbd", "bd"]),
+    solo=st.booleans(),
+    grid=st.lists(
+        st.sampled_from(_LEVELS), min_size=1, max_size=FEASIBILITY_GRID_CAP, unique_by=repr
+    ),
+)
+@example(n=6, kind="bd", solo=True, grid=[0.0, 0.25, 1.5, 2.0])
+@example(n=6, kind="crd", solo=False, grid=[0.0, 0.5, 1.0, 2.0])
+@example(n=4, kind="cbd", solo=True, grid=[-0.0, 1.0, 0.0])
+def test_system_equals_the_dict_build(n, kind, solo, grid):
+    design = Design.crd(n, n // 2) if kind == "crd" else Design(kind, n)
+    estimand = SoloTreatmentEffect() if solo else ATE
+    family = default_witness_family(n, estimand, tuple(grid))
+    a, b, unknowns = _constraint_system(design, estimand, family)
+    a_ref, b_ref, columns = _reference_system(design, estimand, family)
+    assert np.array_equal(a, a_ref)
+    assert np.array_equal(b, b_ref)
+    keys = [(int(row[0]), tuple(row[1:])) for row in unknowns.tolist()]
+    assert keys == list(columns)
+    assert repr(keys) == repr(list(columns))  # signed zeros kept as first seen
+
+    solution, _, rank, singular = np.linalg.lstsq(a_ref, b_ref, rcond=None)
+    residual = float(np.linalg.norm(a_ref @ solution - b_ref))
+    try:
+        cert = unbiased_feasibility(design, estimand, grid)
+    except FeasibilityPrecisionError:
+        assert rank > 0 and (
+            singular[0] / singular[rank - 1] > _CONDITION_CAP
+            or FEASIBLE_TOL < residual <= INFEASIBLE_TOL
+        )
+        return
+    assert cert.rank == rank
+    assert cert.min_residual == residual
+    assert cert.n_unknowns == len(columns)
+    if cert.feasible:
+        assert cert.witness.mapping == {
+            key: float(solution[col]) for key, col in columns.items()
+        }
+        assert repr(list(cert.witness.mapping)) == repr(list(columns))
+    else:
+        assert cert.witness is None
+
+
+def _full_matrix_table(n, off_value, rows, m_upper=None):
+    matrix = np.full((1 << n, n), off_value, dtype=float)
+    for code, value in rows.items():
+        matrix[code, :] = value
+    return PotentialOutcomeTable.arbitrary(matrix, m_upper=m_upper)
+
+
+def test_witness_table_writes_the_full_matrix_csv(tmp_path):
+    n, all_b = 6, (1 << 6) - 1
+    for off, rows, m in [
+        (0.5, {0: 0.5, all_b: 0.5}, 1.0),
+        (1.5, {0: 3.0 - 3e-6, all_b: 3e-6}, 3.0),
+        (0.0, {all_b ^ 4: 0.25}, None),
+    ]:
+        _witness_table(n, off, rows, m).to_csv(tmp_path / "shared.csv")
+        _full_matrix_table(n, off, rows, m).to_csv(tmp_path / "full.csv")
+        assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+
+def test_witness_table_reads_as_the_full_matrix():
+    n, all_b = 14, (1 << 14) - 1
+    rows = {0: 2.0 - 2e-6, all_b: 2e-6}
+    codes = np.arange(1 << n, dtype=np.int64)
+    shared = _witness_table(n, 1.0, rows, 2.0).observed(codes)
+    assert np.array_equal(shared, _full_matrix_table(n, 1.0, rows, 2.0).observed(codes))
+
+
+def test_adversary_tables_allocate_one_column_each():
+    n, m = 14, 1.0
+    all_b, half, eps = (1 << n) - 1, m / 2, 1e-6 * m
+    tracemalloc.start()
+    try:
+        tables = (
+            _witness_table(n, half, {0: half, all_b: half}, m),
+            _witness_table(n, half, {0: m - eps, all_b: eps}, m),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tables) == 2
+    assert peak < 0.5e6
