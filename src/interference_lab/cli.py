@@ -17,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from .designs import Design
+from .designs import Design, check_enumerable
 from .er import (
     DENSE,
     SPARSE,
@@ -257,6 +257,7 @@ def cmd_moments(cfg: dict, out: str | None) -> int:
         {"structure": dict, "estimand": dict},
     )
     design = _parse_design(cfg["design"])
+    check_enumerable(design)  # before any graph is read or table drawn
     structure = None
     if "structure" in cfg:
         structure = _parse_structure(cfg["structure"], design.n)

@@ -173,6 +173,16 @@ class Design(_DesignFields):
         return cls("cbd", n)
 
 
+def check_enumerable(design: Design) -> None:
+    """Raise ``CapacityError`` if the design's support is past exact
+    enumeration, above ``ENUMERATION_CAP`` units."""
+    if design.n > ENUMERATION_CAP:
+        raise CapacityError(
+            f"support enumeration capped at n={ENUMERATION_CAP} (got n={design.n}); "
+            "exact analysis does not run beyond it"
+        )
+
+
 def enumerate_support(design: Design) -> Iterator[tuple[np.ndarray, float]]:
     """Yield the positive-probability vectors as ``(codes, p)``: ``codes`` an
     int64 block of at most ``SUPPORT_BLOCK`` codes, every code once, in
@@ -183,11 +193,7 @@ def enumerate_support(design: Design) -> Iterator[tuple[np.ndarray, float]]:
     within 1e-12 over the enumerated support.  Raises ``CapacityError``
     above ``ENUMERATION_CAP`` units.
     """
-    if design.n > ENUMERATION_CAP:
-        raise CapacityError(
-            f"support enumeration capped at n={ENUMERATION_CAP} (got n={design.n}); "
-            "exact analysis does not run beyond it"
-        )
+    check_enumerable(design)
     n = design.n
     codes = np.arange(1 << n, dtype=np.int64)
     if design.kind == "bd":

@@ -14,6 +14,13 @@ it from below (h(1) = 6.879 > 6.145 exact at n = 6, p = 0.3).  Along p = 1/n
 the product moments stay bounded and the envelope decays like 1/n; along
 p = 1/sqrt(n) the per-node moment diverges.
 
+Graph coins and Monte Carlo draw on numpy's Generator: a graph takes
+n(n-1)/2 coins without bound, on a fresh stream per replicate, where numpy's
+3-6.5 ns a draw and 12 us per loaded stream beat the 20 ns a draw and the
+0.1-0.7 ms per stream of the package's own PCG64 (``_pcg64``, which serves
+the bounded random outcome tables instead); ``_pcg64`` still computes the
+replicate seeding.
+
 Closed forms are evaluated directly up to the float range and fall back to
 a log-space overflow guard beyond it (n up to 10^6 stays finite wherever
 the true value is finite in double precision).
@@ -27,6 +34,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from ._kernels import ORACLE_CAP, er_moment_scan, er_variance_scan, ht_variance_terms
+from ._pcg64 import seed_states, seed_words
 from .designs import CODE_BITS
 from .errors import CapacityError, InvalidArgumentError
 from .exact import _weighted_square_sum
@@ -252,70 +260,6 @@ SEED_CHUNK = 2**10
 # Replicate indices below 2^32 are one 32-bit entropy word to SeedSequence.
 MAX_REPS = 2**32
 
-# numpy's SeedSequence hash constants (4-word pool) and PCG64's multiplier.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-
-
-def _replicate_states(seed: int, start: int, count: int) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``SeedSequence([seed, r])`` for each
-    replicate r in start .. start + count - 1 (r < ``MAX_REPS``).
-
-    SeedSequence hashes its entropy words (``seed``'s 32-bit words, lowest
-    first, then r) into a 4-word pool, and the pool into four 64-bit seed
-    words; PCG64 then runs its set-seed recurrence on them.  Each step is
-    fixed integer arithmetic, so here the uint32 hash runs once over arrays
-    of every replicate and the 128-bit recurrence on Python ints, giving
-    numpy's own states bit for bit.
-    """
-    words = []
-    while True:
-        words.append(np.full(count, seed & _MASK32, dtype=np.uint32))
-        seed >>= 32
-        if not seed:
-            break
-    words.append(np.arange(start, start + count, dtype=np.uint32))
-    const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value *= const
-        return value ^ (value >> 16)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return result ^ (result >> 16)
-
-    zero = np.zeros(count, dtype=np.uint32)
-    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    out = []
-    const = _INIT_B
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * _MULT_B & _MASK32
-        value *= const
-        out.append((value ^ (value >> 16)).astype(np.uint64))
-    # the four little-endian 64-bit words: initstate high, low, initseq high, low
-    seeds = [(out[2 * k + 1] << 32 | out[2 * k]).tolist() for k in range(4)]
-    states = []
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*seeds):
-        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
-        state = (((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
-
 
 def mc_expected_variance(
     spec: ERSpec, policy: TablePolicy, reps: int, seed: int
@@ -326,7 +270,7 @@ def mc_expected_variance(
     first the coins of ``_draw_edges``, the draw ``sample_er_graph`` reads,
     over the node pairs of one ``triu_indices`` per call, then pure-arm
     outcomes per the policy.  The stream states are computed by one
-    vectorized hash per ``SEED_CHUNK`` replicates (``_replicate_states``),
+    vectorized hash per ``SEED_CHUNK`` replicates (``_pcg64.seed_states``),
     identical to numpy's own, and loaded into one generator.  Replicates
     are evaluated in blocks of ``MC_BLOCK_PAIRS`` mask pairs: the coins and
     outcomes of a block's replicates go into the rows of preallocated
@@ -366,10 +310,13 @@ def mc_expected_variance(
         y_a.fill(policy.value)
         y_b.fill(policy.value)
     rng = np.random.Generator(np.random.PCG64())  # state set per replicate
+    chunks = ((first, min(SEED_CHUNK, reps - first)) for first in range(0, reps, SEED_CHUNK))
     states = (
         state
-        for first in range(0, reps, SEED_CHUNK)
-        for state in _replicate_states(seed, first, min(SEED_CHUNK, reps - first))
+        for first, count in chunks
+        for state in seed_states(
+            seed_words(seed, count) + [np.arange(first, first + count, dtype=np.uint32)]
+        )
     )
     blocks = []
     for start in range(0, reps, block):

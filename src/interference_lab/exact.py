@@ -40,11 +40,16 @@ def _support_values(
 ) -> tuple[np.ndarray, float]:
     """The estimator's value at every support code, in ascending code order,
     and the probability p of each code (every design law is uniform on its
-    support, so one p serves all values)."""
+    support, so one p serves all values).  A value past the double range
+    raises OverflowError."""
     blocks = []
-    for codes, p in enumerate_support(design):
-        blocks.append(estimator.evaluate(codes, table.observed(codes)))
-    return np.concatenate(blocks), p
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        for codes, p in enumerate_support(design):
+            blocks.append(estimator.evaluate(codes, table.observed(codes)))
+    values = np.concatenate(blocks)
+    if not np.isfinite(values).all():
+        raise OverflowError("estimator value past the double range")
+    return values, p
 
 
 def _weighted_square_sum(values: np.ndarray, p: float, c: float) -> float:

@@ -26,6 +26,7 @@ drift; the shipped defaults use {0, 1}.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 from typing import NamedTuple
 
@@ -163,6 +164,9 @@ def unbiased_feasibility(
     grid = tuple(float(v) for v in outcome_grid)
     if not grid:
         raise InvalidArgumentError("outcome grid must be nonempty")
+    for idx, level in enumerate(grid):
+        if not math.isfinite(level):
+            raise InvalidArgumentError(f"grid[{idx}]: outcome levels must be finite, got {level}")
     if len(grid) > FEASIBILITY_GRID_CAP:
         raise CapacityError(
             f"feasibility grids capped at {FEASIBILITY_GRID_CAP} levels (got {len(grid)})"

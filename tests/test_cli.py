@@ -10,15 +10,18 @@ Claims pinned here:
       limit, in a config file or a --set value; over-cap sizes, including
       feasibility systems past their unit or grid-level cap, tables and
       Monte Carlo beyond the 63-node code width, and Monte Carlo past 2^32
-      replicates, exit 3; sweep sizes that are not positive or overflow a
-      float exit 2 naming the entry; a broken moment identity or MSE floor
-      exits 4 without a traceback; a negative seed, in any of its three
-      keys, and a float overflow in a moment, MSE or Monte Carlo reduction
-      or in the envelope h(M) exit 2 without a traceback
-    - importing the CLI leaves numpy.random unloaded until Monte Carlo runs,
-      imports no dataclasses, and runs BLAS on the calling thread: it sets
-      OPENBLAS_NUM_THREADS to 1 unless the variable is already set, and
-      starts no thread
+      replicates, exit 3; moments past the enumeration cap exits 3 before
+      it reads a graph or draws a table; sweep sizes that are not positive
+      or overflow a float, and a NaN feasibility grid level, exit 2 naming
+      the entry; a broken moment identity or MSE floor exits 4 without a
+      traceback; a negative seed, in any of its three keys, and a float
+      overflow in an estimand, a moment, MSE or Monte Carlo reduction or in
+      the envelope h(M) exit 2 with one stderr line
+    - numpy.random stays unloaded through importing the CLI and running
+      moments on a random table, feasibility, adversary and regimes, until
+      Monte Carlo runs; the import generates no dataclass code and runs
+      BLAS on the calling thread: it sets OPENBLAS_NUM_THREADS to 1 unless
+      the variable is already set, and starts no thread
     - a design block of unknown kind, a crd block without n_a, a bd or cbd
       block with n_a, and a table whose size differs from the design's
       exit 2 naming the fault
@@ -408,6 +411,8 @@ def test_file_errors_exit_2(tmp_path, case):
         ("moments", "moments_ht.json", "table.random.seed=false"),
         ("regimes", "regimes.json", "n_values=[true]"),
         ("tables", "tables.json", "sweep_n=[true]"),
+        # nor is NaN: a grid level must be finite
+        ("feasibility", "feasibility_bd.json", "grid=[NaN, 1]"),
     ],
 )
 def test_json_booleans_are_not_numbers(tmp_path, command, config, override):
@@ -427,6 +432,26 @@ def test_capacity_exits_3(tmp_path):
         ["moments", "--config", path, "--set", "design.n=20", "--set", "design.n_a=10"]
     )
     assert result.returncode == 3
+
+
+def test_moments_past_the_enumeration_cap_exits_3_before_drawing(tmp_path, capsys, monkeypatch):
+    # the cap is refused once the design is parsed: no graph is read (this
+    # one does not exist) and no table is drawn
+    drawn = []
+    monkeypatch.setattr(PotentialOutcomeTable, "random", lambda *args: drawn.append(args))
+    graph = {"path": str(tmp_path / "absent.txt")}
+    cfg = dict(
+        MOMENTS_CFG,
+        design={"design": "bd", "n": 15},
+        structure={"kind": "k_local", "k": 1, "graph": graph},
+        estimator={"kind": "horvitz_thompson"},
+    )
+    assert cli.main(["moments", "--config", write_config(tmp_path, "m.json", cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "capacity error: support enumeration capped at n=14 (got n=15); "
+        "exact analysis does not run beyond it\n"
+    )
+    assert drawn == []
 
 
 @pytest.mark.parametrize(
@@ -490,11 +515,23 @@ def test_er_analysis_with_more_replicates_than_one_index_word_exits_3(capsys):
     )
 
 
-def test_cli_import_leaves_numpy_random_unloaded():
-    # numpy.random loads at the first Monte Carlo run, not with the package,
-    # so commands that never draw do not pay for its import; nor does the
-    # import generate dataclass code or start OpenBLAS worker threads
+# commands that draw no graph: a random outcome table comes from the
+# package's own PCG64 stream
+NO_GRAPH_RUNS = [
+    ("moments", "moments_crd.json"),
+    ("feasibility", "feasibility_bd.json"),
+    ("adversary", "adversary_diff_means.json"),
+    ("regimes", "regimes.json"),
+]
+
+
+def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
+    # numpy.random loads at the first Monte Carlo run, not with the package
+    # nor with a command that draws no graph, so those do not pay for its
+    # import; nor does the import generate dataclass code or start OpenBLAS
+    # worker threads
     linux = sys.platform.startswith("linux")
+    runs = [(command, str(CONFIGS / config)) for command, config in NO_GRAPH_RUNS]
     code = (
         "import os, sys, interference_lab.cli\n"
         "print('numpy.random' in sys.modules, 'dataclasses' in sys.modules)\n"
@@ -502,16 +539,24 @@ def test_cli_import_leaves_numpy_random_unloaded():
         "if sys.platform.startswith('linux'):\n"
         "    status = open('/proc/self/status').read()\n"
         "    print(status.split('Threads:')[1].split()[0])\n"
+        f"for command, config in {runs!r}:\n"
+        "    argv = [command, '--config', config, '--out', os.devnull]\n"
+        "    assert interference_lab.cli.main(argv) == 0, command\n"
+        "print('numpy.random' in sys.modules)\n"
         "from interference_lab.er import ConstantOutcomes, ERSpec, mc_expected_variance\n"
         "mc_expected_variance(ERSpec(5, 0.5), ConstantOutcomes(1.0), 2, 0)\n"
         "print('numpy.random' in sys.modules)\n"
     )
     run = [sys.executable, "-c", code]
-    result = subprocess.run(run, capture_output=True, text=True, env=blas_env())
+    # feasibility writes its witness CSV into the working directory
+    result = subprocess.run(run, capture_output=True, text=True, env=blas_env(), cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False False\n1\n" + ("1\n" if linux else "") + "True\n"
+    threads = "1\n" if linux else ""
+    assert result.stdout == "False False\n1\n" + threads + "False\nTrue\n"
     # an explicit value is kept
-    result = subprocess.run(run, capture_output=True, text=True, env=blas_env(3))
+    result = subprocess.run(
+        run, capture_output=True, text=True, env=blas_env(3), cwd=tmp_path
+    )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[1] == "3"
 
@@ -614,6 +659,10 @@ def test_negative_seed_exits_2(tmp_path, command, config, key):
 ER_CFG = json.loads((CONFIGS / "er_analysis.json").read_text())
 REGIMES_CFG = json.loads((CONFIGS / "regimes.json").read_text())
 _HUGE_TABLE = {"random": {"k_lower": 0.0, "m_upper": 1e200, "seed": 3}}
+# the exposure-weighted estimator and the mean contrast on outcomes up to
+# 1.7e308, both of whose sums pass the double range
+HT_CFG = json.loads((CONFIGS / "moments_ht.json").read_text())
+_LARGEST_TABLE = {"random": {"k_lower": 0.0, "m_upper": 1.7e308, "seed": 12}}
 _HUGE_ADVERSARY = {"design": MOMENTS_CFG["design"], "estimator": {"kind": "diff_means"}}
 
 
@@ -625,6 +674,7 @@ _HUGE_ADVERSARY = {"design": MOMENTS_CFG["design"], "estimator": {"kind": "diff_
         ("er-analysis", dict(ER_CFG, policy={"kind": "constant", "value": 1e200})),
         ("er-analysis", dict(ER_CFG, m_upper=1e200)),
         ("regimes", dict(REGIMES_CFG, m_upper=1e200)),
+        ("moments", dict(HT_CFG, table=_LARGEST_TABLE)),
     ],
 )
 def test_float_overflow_exits_2(tmp_path, command, config):

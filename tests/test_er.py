@@ -29,9 +29,10 @@ Claims pinned here:
     - Monte Carlo evaluated in blocks of replicates equals a loop over one
       replicate at a time bit for bit, at every block size and seed chunk,
       for one-word and multiword seeds
-    - the vectorized replicate seeding gives numpy's own PCG64 state of
-      SeedSequence([seed, r]), for seeds of one to six 32-bit words and
-      replicates on both sides of a seed-chunk boundary and up to 2^32 - 1;
+    - the vectorized replicate seeding (``_pcg64.seed_states``) gives
+      numpy's own PCG64 state of SeedSequence([seed, r]), for seeds of one
+      to six 32-bit words and replicates on both sides of a seed-chunk
+      boundary and up to 2^32 - 1;
       more than 2^32 replicates are refused before any graph is drawn
     - a Monte Carlo variance past the double range raises OverflowError
     - each row of a block's neighborhood masks, built from the coin rows of
@@ -71,6 +72,7 @@ from interference_lab import (
     regime_report,
     sample_er_graph,
 )
+from interference_lab import _pcg64
 from interference_lab._kernels import _mean, _pair_settings, ht_variance_terms
 from interference_lab.designs import CODE_BITS
 from graph_builders import empty_graph
@@ -460,7 +462,8 @@ def test_replicate_states_equal_numpy_seeding(seed, start, count):
     for r in range(start, start + count):
         state = np.random.PCG64(np.random.SeedSequence([seed, r])).state["state"]
         want.append((state["state"], state["inc"]))
-    assert er._replicate_states(seed, start, count) == want
+    words = _pcg64.seed_words(seed, count) + [np.arange(start, start + count, dtype=np.uint32)]
+    assert _pcg64.seed_states(words) == want
 
 
 def test_mc_refuses_more_replicates_than_one_index_word(monkeypatch):

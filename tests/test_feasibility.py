@@ -9,7 +9,8 @@ Claims pinned here:
     - witnesses equal the corresponding inverse-probability rule up to an
       assignment-indexed offset summing to zero over the support
     - more than FEASIBILITY_N_CAP units or FEASIBILITY_GRID_CAP grid levels
-      is a capacity error
+      is a capacity error; an empty grid, or a grid level that is NaN or
+      infinite, is an invalid argument naming the entry
     - the constraint system built by one np.unique equals, bit for bit, the
       one a dict of (code, observed vector) keys builds table by table: the
       same matrix, right-hand side, unknowns in order (signed zeros
@@ -162,6 +163,9 @@ def test_solo_witness_is_solo_rule_plus_zero_sum_offset():
 def test_validation():
     with pytest.raises(InvalidArgumentError):
         unbiased_feasibility(Design.bd(3), ATE, [])
+    for level in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgumentError, match=rf"grid\[1\]: .* finite, got {level}"):
+            unbiased_feasibility(Design.bd(3), ATE, [0, level])
     # the size caps are capacity limits, not malformed arguments
     with pytest.raises(CapacityError):
         unbiased_feasibility(Design.bd(3), ATE, [0, 0.25, 0.5, 0.75, 1.0])
