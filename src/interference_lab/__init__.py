@@ -65,7 +65,6 @@ from .errors import (
     InterferenceLabError,
     InvalidArgumentError,
     UnsupportedDesignError,
-    UnsupportedEstimandError,
 )
 from .estimators import (
     ConstantEstimator,

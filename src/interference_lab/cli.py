@@ -304,7 +304,7 @@ def cmd_adversary(cfg: dict, out: str | None) -> int:
     )
     design = _parse_design(cfg["design"])
     estimator = _parse_estimator(cfg["estimator"], None, design.n)
-    result = mse_adversary(estimator, design, ATE, float(cfg["m_upper"]))
+    result = mse_adversary(estimator, design, float(cfg["m_upper"]))
     payload = result.to_json_dict()
     payload["estimator"] = cfg["estimator"]["kind"]
     if cfg.get("table_csv"):

@@ -18,10 +18,6 @@ class UnsupportedDesignError(InterferenceLabError):
     """The operation has closed forms only for a different design family."""
 
 
-class UnsupportedEstimandError(InterferenceLabError):
-    """The operation cannot handle this estimand shape."""
-
-
 class CapacityError(InterferenceLabError):
     """Exact enumeration was requested beyond the configured size cap."""
 
@@ -31,11 +27,11 @@ class IdentityViolationError(InterferenceLabError):
     identity, the MSE floor) by more than rounding explains."""
 
 
-class IncompleteTableError(InterferenceLabError, KeyError):
+class IncompleteTableError(InterferenceLabError):
     """A potential-outcome table lacks an entry the query needs."""
 
 
-class IncompleteEstimatorError(InterferenceLabError, KeyError):
+class IncompleteEstimatorError(InterferenceLabError):
     """A tabular estimator was queried at a key it does not define."""
 
 

@@ -170,9 +170,6 @@ class TabularEstimator:
 
     __call__ = _one_row
 
-    def __len__(self) -> int:
-        return len(self.mapping)
-
     def to_csv(self, path: str | Path, n: int) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
@@ -180,26 +177,6 @@ class TabularEstimator:
             for (code, ykey), value in sorted(self.mapping.items()):
                 labels = Assignment(code, n).labels
                 w.writerow([labels, "|".join(repr(v) for v in ykey), repr(value)])
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "TabularEstimator":
-        try:
-            with open(path, newline="") as fh:
-                rows = list(csv.reader(fh))
-        except UnicodeDecodeError as exc:
-            raise InvalidArgumentError(f"{path}: not UTF-8 text ({exc})") from exc
-        if not rows or rows[0] != ["assignment", "ykey", "value"]:
-            raise InvalidArgumentError(f"{path}: expected header assignment,ykey,value")
-        mapping = {}
-        for r, row in enumerate(rows[1:], start=2):
-            try:
-                labels, ykey, value = row
-                z = Assignment.from_arms(labels)
-                key = tuple(float(v) for v in ykey.split("|")) if ykey else ()
-                mapping[(z.code, key)] = float(value)
-            except ValueError as exc:
-                raise InvalidArgumentError(f"{path}: row {r}: {exc}") from exc
-        return cls(mapping)
 
 
 Estimator = Union[

@@ -39,13 +39,12 @@ from .errors import (
     IdentityViolationError,
     InvalidArgumentError,
     UnsupportedDesignError,
-    UnsupportedEstimandError,
 )
 from .estimators import Estimator, TabularEstimator
 from .exact import _support_values, _weighted_square_sum
 from .graphs import Arbitrary
 from .outcomes import (
-    AverageTreatmentEffect,
+    ATE,
     Estimand,
     PotentialOutcomeTable,
     SoloTreatmentEffect,
@@ -223,7 +222,6 @@ class AdversaryResult(NamedTuple):
 def mse_adversary(
     estimator: Estimator,
     design: Design,
-    estimand: Estimand,
     m_upper: float,
 ) -> AdversaryResult:
     """Construct outcomes forcing MSE >= M^2/8 (up to the interior offset).
@@ -235,18 +233,12 @@ def mse_adversary(
     equal pure rows, and M, approached within the offset eps = _EPS_REL * M)
     are enumerated and the worse one for the estimator is returned.
 
-    Only the mean-contrast estimand is supported: realizing an arbitrary
-    target requires inverting the estimand on constant vectors, which the
-    mean contrast admits in closed form.
+    The estimand is the mean contrast: the construction realizes its
+    targets on constant boundary rows, where it inverts in closed form.
     """
     if design.kind not in ("crd", "bd"):
         raise UnsupportedDesignError(
             f"the MSE floor is established for crd and bd, got {design.kind!r}"
-        )
-    if not isinstance(estimand, AverageTreatmentEffect):
-        raise UnsupportedEstimandError(
-            "the adversary construction needs the mean-contrast estimand "
-            "(it must realize targets 0 and M on constant boundary rows)"
         )
     if m_upper <= 0:
         raise InvalidArgumentError(f"need m_upper > 0, got {m_upper}")
@@ -261,7 +253,7 @@ def mse_adversary(
     )
     best: tuple[float, PotentialOutcomeTable, float] | None = None
     for table in candidates:
-        theta = estimand_value(estimand, table)
+        theta = estimand_value(ATE, table)
         values, p = _support_values(estimator, design, table)
         mse = _weighted_square_sum(values, p, theta)
         if best is None or mse > best[0]:

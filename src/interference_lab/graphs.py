@@ -108,28 +108,11 @@ class Graph(_GraphFields):
         return adj
 
 
-def _ball(adj: list[list[int]], i: int, k: int) -> frozenset[int]:
-    """Closed ball of hop radius k around node i (breadth-first)."""
-    seen = {i}
-    frontier = deque([(i, 0)])
-    while frontier:
-        node, dist = frontier.popleft()
-        if dist == k:
-            continue
-        for nxt in adj[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append((nxt, dist + 1))
-    return frozenset(seen)
-
-
 def k_step_neighborhood(graph: Graph, i: int, k: int) -> frozenset[int]:
     """Closed ball of hop radius k around node i."""
     if not 0 <= i < graph.n:
         raise InvalidArgumentError(f"node {i} out of range for n={graph.n}")
-    if k < 0:
-        raise InvalidArgumentError(f"radius must be >= 0, got {k}")
-    return _ball(graph.adjacency_lists(), i, k)
+    return NeighborhoodIndex.build(graph, k).closed[i]
 
 
 class NeighborhoodIndex(NamedTuple):
@@ -144,7 +127,20 @@ class NeighborhoodIndex(NamedTuple):
         if k < 0:
             raise InvalidArgumentError(f"radius must be >= 0, got {k}")
         adj = graph.adjacency_lists()
-        return cls(graph, k, tuple(_ball(adj, i, k) for i in range(graph.n)))
+        balls = []
+        for i in range(graph.n):  # breadth-first from each node
+            seen = {i}
+            frontier = deque([(i, 0)])
+            while frontier:
+                node, dist = frontier.popleft()
+                if dist == k:
+                    continue
+                for nxt in adj[node]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        frontier.append((nxt, dist + 1))
+            balls.append(frozenset(seen))
+        return cls(graph, k, tuple(balls))
 
     @property
     def n(self) -> int:

@@ -243,7 +243,8 @@ class PotentialOutcomeTable:
         """Arbitrary-interference tables only: rows assignment,unit,outcome."""
         if not isinstance(self.structure, Arbitrary):
             raise InvalidArgumentError(
-                "CSV form is for arbitrary-interference tables; use to_json"
+                "CSV form is for arbitrary-interference tables; keyed tables "
+                "are read from JSON (table.json_path)"
             )
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
@@ -286,37 +287,6 @@ class PotentialOutcomeTable:
                 raise InvalidArgumentError(f"{path}: row {r}: unit {i} out of range for n={n}")
             matrix[z.code, i] = v
         return cls.arbitrary(matrix, k_lower=k_lower, m_upper=m_upper)
-
-    def to_json(self, path: str | Path) -> None:
-        """No-interference and k-local tables: per-unit effective-treatment maps."""
-        if isinstance(self.structure, NoInterference):
-            spec: dict = {"kind": "no_interference", "n": self.n}
-        elif isinstance(self.structure, KLocal):
-            spec = {
-                "kind": "k_local",
-                "n": self.n,
-                "k": self.structure.k,
-                "edges": sorted([u, v] for u, v in self.structure.graph.edges),
-            }
-        else:
-            raise InvalidArgumentError(
-                "JSON form is for keyed tables; use to_csv for arbitrary interference"
-            )
-        units = [
-            {
-                Assignment(key, len(g)).labels: float(x)
-                for key, x in enumerate(v)
-                if not math.isnan(x)
-            }
-            for g, v in zip(self._groups, self._values)
-        ]
-        doc = {
-            "structure": spec,
-            "k_lower": self.k_lower,
-            "m_upper": self.m_upper,
-            "units": units,
-        }
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PotentialOutcomeTable":

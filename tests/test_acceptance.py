@@ -2,7 +2,8 @@
 runtime budget.  Each test prints a single pass line on success; a failing
 criterion shows up as an ordinary pytest failure.
 
-Criterion 8 re-runs every command, and the shipped least-squares config
+Criterion 8 re-runs every command, the adversary under both of its designs
+(bd and crd), and the shipped least-squares config
 ``configs/feasibility_bd.json`` with the witness it writes, in fresh
 processes with OPENBLAS_NUM_THREADS unset, 1 and 4, and compares stdout and
 written files byte for byte.
@@ -135,7 +136,7 @@ def test_criterion_3_mse_floor():
         results = []
         for design in (Design.crd(6, 3), Design.bd(6)):
             for estimator in (DifferenceInMeans(), ConstantEstimator(0.0), PureArmIPW()):
-                res = mse_adversary(estimator, design, ATE, 1.0)
+                res = mse_adversary(estimator, design, 1.0)
                 results.append(res.mse)
                 assert res.mse >= 0.125 - 1e-6
     _report(3, t, f"six worst-case MSEs all >= 0.125 (min {min(results):.4f})")
@@ -301,6 +302,10 @@ def test_criterion_8_byte_identical_cli(tmp_path):
         cfg_path = tmp_path / f"{command}.json"
         cfg_path.write_text(json.dumps(cfg))
         runs.append((command, cfg_path))
+    # the adversary under its other design
+    crd = dict(configs["adversary"], design={"design": "crd", "n": 6, "n_a": 3})
+    (tmp_path / "adversary_crd.json").write_text(json.dumps(crd))
+    runs.append(("adversary", tmp_path / "adversary_crd.json"))
     # the shipped least-squares run, which writes its witness to the cwd
     runs.append(("feasibility", CONFIGS / "feasibility_bd.json"))
     for command, cfg_path in runs:
@@ -313,6 +318,6 @@ def test_criterion_8_byte_identical_cli(tmp_path):
         ]
         assert outputs[0] == outputs[1] == outputs[2], f"{cfg_path.stem} output differs"
     assert "witness.csv" in outputs[0][1]  # of the last run, feasibility_bd
-    print("ACCEPTANCE 8: PASS - all six commands and the shipped feasibility_bd "
-          "config byte-identical across re-runs with OPENBLAS_NUM_THREADS unset, "
-          "1 and 4", flush=True)
+    print("ACCEPTANCE 8: PASS - all six commands, the adversary under bd and crd, "
+          "and the shipped feasibility_bd config byte-identical across re-runs "
+          "with OPENBLAS_NUM_THREADS unset, 1 and 4", flush=True)

@@ -6,17 +6,19 @@ Claims pinned here:
     - malformed JSON, unknown keys, JSON booleans where numbers belong,
       missing, unreadable, non-UTF-8 or incomplete input files, and
       unwritable outputs exit 2 without a traceback, naming the offending
-      key or path, as do integers past Python's 4300-digit conversion
-      limit, in a config file or a --set value; over-cap sizes, including
-      feasibility systems past their unit or grid-level cap, tables and
-      Monte Carlo beyond the 63-node code width, and Monte Carlo past 2^32
-      replicates, exit 3; moments past the enumeration cap exits 3 before
-      it reads a graph or draws a table; sweep sizes that are not positive
-      or overflow a float, and a NaN feasibility grid level, exit 2 naming
-      the entry; a broken moment identity or MSE floor exits 4 without a
-      traceback; a negative seed, in any of its three keys, and a float
-      overflow in an estimand, a moment, MSE or Monte Carlo reduction or in
-      the envelope h(M) exit 2 with one stderr line
+      key or path, as do a table entry the run needs but the table does
+      not store, printed unquoted, and integers past Python's 4300-digit
+      conversion limit, in a config file or a --set value; over-cap sizes,
+      including feasibility systems past their unit or grid-level cap,
+      tables and Monte Carlo beyond the 63-node code width, and Monte
+      Carlo past 2^32 replicates, exit 3; moments past the enumeration cap
+      exits 3 before it reads a graph or draws a table; sweep sizes that
+      are not positive or overflow a float, and a NaN feasibility grid
+      level, exit 2 naming the entry; a broken moment identity or MSE
+      floor exits 4 without a traceback; a negative seed, in any of its
+      three keys, and a float overflow in an estimand, a moment, MSE or
+      Monte Carlo reduction or in the envelope h(M) exit 2 with one stderr
+      line
     - numpy.random stays unloaded through importing the CLI and running
       moments on a random table, feasibility, adversary and regimes, until
       Monte Carlo runs; the import generates no dataclass code and runs
@@ -29,6 +31,8 @@ Claims pinned here:
       finite Monte Carlo mean
     - the exposure-weighted estimator takes an inline graph when the
       structure carries none, and without either it exits 2
+    - the witness CSV that feasibility writes is the in-process
+      certificate's witness, byte for byte
     - re-running any command byte-identically reproduces its output and the
       files it writes, with OPENBLAS_NUM_THREADS unset, 1 and 4, including
       the least-squares witness of configs/feasibility_bd.json
@@ -48,7 +52,7 @@ from pathlib import Path
 import pytest
 
 import interference_lab
-from interference_lab import PotentialOutcomeTable, TabularEstimator, cli, exact, feasibility
+from interference_lab import ATE, Design, PotentialOutcomeTable, cli, exact, feasibility
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SRC = str(Path(interference_lab.__file__).resolve().parents[1])
@@ -148,8 +152,10 @@ def test_feasibility_command(tmp_path):
     result = run_cli(["feasibility", "--config", cfg2])
     assert result.returncode == 0
     assert json.loads(result.stdout)["status"] == "feasible"
-    witness = TabularEstimator.from_csv(witness_csv)
-    assert len(witness) > 0
+    # the written witness is the in-process certificate's, byte for byte
+    in_process = tmp_path / "in_process.csv"
+    feasibility.unbiased_feasibility(Design.bd(3), ATE, [0, 1]).witness.to_csv(in_process, 3)
+    assert witness_csv.read_bytes() == in_process.read_bytes()
 
 
 def test_adversary_command(tmp_path):
@@ -270,11 +276,22 @@ def test_malformed_design_block_exits_2(tmp_path, capsys, design, message):
 
 def test_table_of_another_size_exits_2(tmp_path, capsys):
     table = tmp_path / "t.json"
-    PotentialOutcomeTable.no_interference([1.0] * 4, [0.5] * 4).to_json(table)
+    doc = {"structure": {"kind": "no_interference", "n": 4}, "units": [{"A": 1.0, "B": 0.5}] * 4}
+    table.write_text(json.dumps(doc))
     cfg = dict(MOMENTS_CFG, table={"json_path": str(table)})
     cfg.pop("structure")
     assert cli.main(["moments", "--config", write_config(tmp_path, "m.json", cfg)]) == 2
     assert capsys.readouterr().err == "error: table has n=4, design has n=6\n"
+
+
+def test_missing_table_entry_exits_2_unquoted(tmp_path, capsys):
+    table = tmp_path / "t.json"
+    doc = {"structure": {"kind": "no_interference", "n": 2}, "units": [{"A": 1.0}, {"A": 1.0, "B": 0.5}]}
+    table.write_text(json.dumps(doc))
+    cfg = dict(MOMENTS_CFG, design={"design": "crd", "n": 2, "n_a": 1}, table={"json_path": str(table)})
+    cfg.pop("structure")
+    assert cli.main(["moments", "--config", write_config(tmp_path, "m.json", cfg)]) == 2
+    assert capsys.readouterr().err == "error: no outcome stored for unit 0 under BB\n"
 
 
 def _moments_with_table(tmp_path, table):

@@ -4,13 +4,11 @@ Claims pinned here:
     - difference in means on worked examples
     - the exposure-weighted estimator on the hand-enumerated two-node cases
     - the pure-arm and solo-treated inverse-probability rules
-    - tabular estimators look up, fail loudly on gaps, round-trip CSV, refuse
-      a non-UTF-8 file with its path, and reproduce a rule tabulated over the
-      whole support
+    - tabular estimators look up, fail loudly on gaps, write CSV that reads
+      back exactly, and reproduce a rule tabulated over the whole support
 """
 
-import gc
-import warnings
+import csv
 from itertools import combinations
 
 import numpy as np
@@ -25,7 +23,6 @@ from interference_lab import (
     Graph,
     HorvitzThompson,
     IncompleteEstimatorError,
-    InvalidArgumentError,
     NeighborhoodIndex,
     PotentialOutcomeTable,
     PureArmIPW,
@@ -115,36 +112,18 @@ def test_tabular_materialization_matches_source():
 
 
 def test_tabular_csv_roundtrip(tmp_path):
+    # the written text carries every key and value exactly
     mapping = {
         (0, observed_key([0.5, 0.5])): 4.0,
-        (3, observed_key([1.0, 0.0])): -4.0,
+        (3, observed_key([1.0, 0.1])): -4.0 / 3.0,
     }
-    est = TabularEstimator(mapping)
     path = tmp_path / "witness.csv"
-    est.to_csv(path, n=2)
-    back = TabularEstimator.from_csv(path)
-    assert back.mapping == mapping
-
-
-def test_tabular_csv_short_row_is_an_argument_error(tmp_path):
-    path = tmp_path / "witness.csv"
-    path.write_text("assignment,ykey,value\nAB,0.5|0.5\n")
-    with pytest.raises(InvalidArgumentError, match="row 2"):
-        TabularEstimator.from_csv(path)
-
-
-def test_tabular_csv_not_utf8_is_an_argument_error(tmp_path):
-    path = tmp_path / "witness.csv"
-    path.write_bytes(b"\xff\xfeassignment,ykey,value\n")
-    with pytest.raises(InvalidArgumentError, match="witness.csv: not UTF-8"):
-        TabularEstimator.from_csv(path)
-
-
-def test_tabular_csv_load_closes_its_file(tmp_path):
-    path = tmp_path / "witness.csv"
-    TabularEstimator({(0, observed_key([0.5])): 1.0}).to_csv(path, n=1)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        TabularEstimator.from_csv(path)
-        gc.collect()
-    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    TabularEstimator(mapping).to_csv(path, n=2)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    back = {
+        (Assignment.from_arms(r["assignment"]).code, tuple(map(float, r["ykey"].split("|")))):
+        float(r["value"])
+        for r in rows
+    }
+    assert back == mapping

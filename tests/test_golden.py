@@ -16,9 +16,9 @@ Claims pinned here:
       sum to the same bits in any order, these pin the closed form's float
       summation order
 
-Unlike the re-run checks in test_cli.py, which compare two runs of the same
-code, the recordings compare this version with the one that wrote them.  A
-change that alters output on purpose records the new output and says why.
+Unlike the re-runs of acceptance criterion 8, which compare two runs of the
+same code, the recordings compare this version with the one that wrote them.
+A change that alters output on purpose records the new output and says why.
 """
 
 from pathlib import Path

@@ -7,7 +7,8 @@ Claims pinned here:
       two arms
     - the random generator honors the open bounds, is seed-deterministic,
       and respects the declared structure
-    - CSV (arbitrary) and JSON (keyed) serializations round-trip
+    - arbitrary tables round-trip through CSV, and literal keyed JSON
+      documents load with the outcomes they store
     - the block gather over a support reveals the same outcomes as the
       one-assignment lookup, and an unstored entry fails loudly through it
     - a table holds up to CODE_BITS units, the width of an int64
@@ -19,8 +20,10 @@ Claims pinned here:
 """
 
 import gc
+import json
 import math
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -261,20 +264,30 @@ def test_csv_load_closes_its_file(tmp_path):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
-def test_json_roundtrip(tmp_path):
-    g = path_graph(4)
-    t = PotentialOutcomeTable.random(KLocal(g, 1), 0.0, 1.0, seed=23)
+def test_json_reads_literal_documents(tmp_path):
+    # path 0-1-2 at k = 1: unit i keys its outcome by the arms of its
+    # closed ball, in ascending node order
+    balls = [(0, 1), (0, 1, 2), (1, 2)]
+    units = [
+        {"".join(arms): 10.0 * i + code for code, arms in enumerate(product("AB", repeat=len(g)))}
+        for i, g in enumerate(balls)
+    ]
+    doc = {"structure": {"kind": "k_local", "n": 3, "k": 1, "edges": [[0, 1], [1, 2]]}, "units": units}
     path = tmp_path / "table.json"
-    t.to_json(path)
-    back = PotentialOutcomeTable.from_json(path)
-    assert back.structure == t.structure
-    for code in range(16):
-        z = Assignment(code, 4)
-        assert list(back.observed_vector(z)) == list(t.observed_vector(z))
+    path.write_text(json.dumps(doc))
+    t = PotentialOutcomeTable.from_json(path)
+    assert t.structure == KLocal(path_graph(3), 1)
+    for code in range(8):
+        z = Assignment(code, 3)
+        want = [units[i]["".join(z.labels[j] for j in g)] for i, g in enumerate(balls)]
+        assert t.observed_vector(z).tolist() == want
 
-    flat = PotentialOutcomeTable.no_interference([1.0, 2.0], [3.0, 4.0], m_upper=5.0)
-    path2 = tmp_path / "flat.json"
-    flat.to_json(path2)
-    back2 = PotentialOutcomeTable.from_json(path2)
-    assert back2.m_upper == 5.0
-    assert list(back2.observed_vector(Assignment.from_arms("AB"))) == [1.0, 4.0]
+    flat = {
+        "structure": {"kind": "no_interference", "n": 2},
+        "m_upper": 5.0,
+        "units": [{"A": 1.0, "B": 3.0}, {"A": 2.0, "B": 4.0}],
+    }
+    path.write_text(json.dumps(flat))
+    t = PotentialOutcomeTable.from_json(path)
+    assert t.m_upper == 5.0
+    assert t.observed_vector(Assignment.from_arms("AB")).tolist() == [1.0, 4.0]

@@ -51,7 +51,7 @@ def _dim_moments_cbd():
 
 
 def _adversary(estimator, design):
-    result = mse_adversary(estimator, design, ATE, 1.0)
+    result = mse_adversary(estimator, design, 1.0)
     return result.mse, result.floor, result.estimand_target
 
 
