@@ -160,18 +160,6 @@ class Design(_DesignFields):
                 raise InvalidArgumentError("cbd needs n >= 2 (its support is empty otherwise)")
         return super().__new__(cls, kind, n, n_a)
 
-    @classmethod
-    def crd(cls, n: int, n_a: int) -> "Design":
-        return cls("crd", n, n_a)
-
-    @classmethod
-    def bd(cls, n: int) -> "Design":
-        return cls("bd", n)
-
-    @classmethod
-    def cbd(cls, n: int) -> "Design":
-        return cls("cbd", n)
-
 
 def check_enumerable(design: Design) -> None:
     """Raise ``CapacityError`` if the design's support is past exact

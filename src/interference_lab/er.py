@@ -15,11 +15,10 @@ the product moments stay bounded and the envelope decays like 1/n; along
 p = 1/sqrt(n) the per-node moment diverges.
 
 Graph coins and Monte Carlo draw on numpy's Generator: a graph takes
-n(n-1)/2 coins without bound, on a fresh stream per replicate, where numpy's
-3-6.5 ns a draw and 12 us per loaded stream beat the 20 ns a draw and the
-0.1-0.7 ms per stream of the package's own PCG64 (``_pcg64``, which serves
-the bounded random outcome tables instead); ``_pcg64`` still computes the
-replicate seeding.
+n(n-1)/2 coins without bound, on a fresh stream per replicate, where numpy
+draws and starts streams faster than the package's own PCG64 (``_pcg64``
+gives the costs; it serves the bounded random outcome tables instead);
+``_pcg64`` still computes the replicate seeding.
 
 Closed forms are evaluated directly up to the float range and fall back to
 a log-space overflow guard beyond it (n up to 10^6 stays finite wherever
@@ -65,9 +64,8 @@ class ERSpec(_ERSpecFields):
 
 
 def _guarded_power(base: float, exponent: int) -> float:
-    """base**exponent with a log-space overflow guard (base >= 0, int exp)."""
-    if exponent < 0:
-        raise InvalidArgumentError("negative exponents not used here")
+    """base**exponent with a log-space overflow guard (base >= 0, int exp
+    >= 0: every caller passes n - 1 or n - 2, and ``ERSpec`` has n >= 2)."""
     if base == 0.0:
         return 1.0 if exponent == 0 else 0.0
     if exponent * math.log(base) > _EXP_OVERFLOW:
@@ -99,7 +97,7 @@ def prob_no_common(spec: ERSpec) -> float:
 def h_bound(c: float, spec: ERSpec) -> float:
     """The four-term finite-n envelope at outcome level c (c > 0); an
     envelope past the double range raises OverflowError."""
-    if c <= 0:
+    if not c > 0:  # NaN fails too
         raise InvalidArgumentError(f"outcome level must be positive, got {c}")
     n = spec.n
     terms = (
@@ -118,8 +116,8 @@ def dense_lower_bound(n: int, k_lower: float) -> float:
     """4 e^((n-1)/sqrt(n)) K^2 / n along p = 1/sqrt(n).  Not a lower bound:
     e^(p(n-1)) exceeds (1+p)^(n-1), so at n = 64 it reads 164.4 against the
     exact 110.8."""
-    if k_lower <= 0:
-        raise InvalidArgumentError(f"lower outcome level must be positive, got {k_lower}")
+    if not k_lower > 0:  # NaN fails too
+        raise InvalidArgumentError(f"k_lower: must be positive, got {k_lower}")
     arg = (n - 1) / math.sqrt(n)
     if arg > _EXP_OVERFLOW:
         return math.inf
@@ -156,7 +154,8 @@ def regime_report(n: int, regime: str, k_lower: float, m_upper: float) -> Regime
 
 
 def classify_regime(spec: ERSpec) -> str:
-    if spec.p < 1.0 / spec.n:
+    """Sparse at or below p = 1/n, dense at or above p = 1/sqrt(n)."""
+    if spec.p <= 1.0 / spec.n:
         return SPARSE
     if spec.p >= 1.0 / math.sqrt(spec.n):
         return DENSE

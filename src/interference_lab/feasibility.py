@@ -40,7 +40,7 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedDesignError,
 )
-from .estimators import Estimator, TabularEstimator
+from .estimators import Estimator, TabularEstimator, observed_key
 from .exact import _support_values, _weighted_square_sum
 from .graphs import Arbitrary
 from .outcomes import (
@@ -186,7 +186,7 @@ def unbiased_feasibility(
     if residual <= FEASIBLE_TOL:
         witness = TabularEstimator(
             {
-                (int(key[0]), tuple(key[1:])): value
+                (int(key[0]), observed_key(key[1:])): value
                 for key, value in zip(unknowns.tolist(), solution.tolist())
             }
         )
@@ -240,8 +240,8 @@ def mse_adversary(
         raise UnsupportedDesignError(
             f"the MSE floor is established for crd and bd, got {design.kind!r}"
         )
-    if m_upper <= 0:
-        raise InvalidArgumentError(f"need m_upper > 0, got {m_upper}")
+    if not m_upper > 0:  # NaN fails too
+        raise InvalidArgumentError(f"m_upper: must be positive, got {m_upper}")
     m = float(m_upper)
     eps = _EPS_REL * m
     half = m / 2.0

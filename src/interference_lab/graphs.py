@@ -100,13 +100,6 @@ class Graph(_GraphFields):
         except GraphFormatError as exc:
             raise GraphFormatError(f"{path}: {exc}") from exc
 
-    def adjacency_lists(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
 
 def k_step_neighborhood(graph: Graph, i: int, k: int) -> frozenset[int]:
     """Closed ball of hop radius k around node i."""
@@ -126,7 +119,10 @@ class NeighborhoodIndex(NamedTuple):
     def build(cls, graph: Graph, k: int) -> "NeighborhoodIndex":
         if k < 0:
             raise InvalidArgumentError(f"radius must be >= 0, got {k}")
-        adj = graph.adjacency_lists()
+        adj: list[list[int]] = [[] for _ in range(graph.n)]
+        for u, v in graph.edges:
+            adj[u].append(v)
+            adj[v].append(u)
         balls = []
         for i in range(graph.n):  # breadth-first from each node
             seen = {i}

@@ -18,9 +18,8 @@ therefore holds at most ``designs.CODE_BITS`` units.
 
 Random tables are the one draw that does not load ``numpy.random``: they
 take numpy's ``default_rng(seed).uniform`` stream from the package's own
-PCG64 (``_pcg64``), which costs about 20 ns a draw against numpy's 3-6.5 ns
-but saves numpy.random's 13 ms import; a table's size caps bound it at
-14 * 2^14 draws, 3-5 ms.  Graph coins and Monte Carlo stay on numpy's
+PCG64 (``_pcg64``, which says what that costs); a table's size caps bound
+it at 14 * 2^14 draws.  Graph coins and Monte Carlo stay on numpy's
 Generator (see ``er``).
 
 Declared bounds are open intervals: when an upper bound M is given, every
@@ -123,8 +122,11 @@ class PotentialOutcomeTable:
         self._check_bounds()
 
     def _check_bounds(self) -> None:
-        if self.k_lower is not None and self.k_lower < 0:
-            raise InvalidArgumentError("lower bound must be >= 0")
+        # each test is written so that a NaN bound fails it
+        if self.k_lower is not None and not self.k_lower >= 0:
+            raise InvalidArgumentError(f"k_lower: must be >= 0, got {self.k_lower}")
+        if self.m_upper is not None and not self.m_upper > 0:
+            raise InvalidArgumentError(f"m_upper: must be positive, got {self.m_upper}")
         if (
             self.k_lower is not None
             and self.m_upper is not None
@@ -184,32 +186,6 @@ class PotentialOutcomeTable:
     # Constructors
 
     @classmethod
-    def no_interference(
-        cls,
-        y_a,
-        y_b,
-        k_lower: float | None = None,
-        m_upper: float | None = None,
-    ) -> "PotentialOutcomeTable":
-        y_a = np.asarray(y_a, dtype=float)
-        y_b = np.asarray(y_b, dtype=float)
-        if y_a.shape != y_b.shape or y_a.ndim != 1:
-            raise InvalidArgumentError("need two equal-length outcome vectors")
-        values = np.stack([y_a, y_b], axis=1)  # key 0 = arm A, key 1 = arm B
-        return cls(NoInterference(len(y_a)), values, k_lower=k_lower, m_upper=m_upper)
-
-    @classmethod
-    def arbitrary(
-        cls,
-        matrix,
-        k_lower: float | None = None,
-        m_upper: float | None = None,
-    ) -> "PotentialOutcomeTable":
-        """From a (2^n, n) matrix: row = assignment code, column = unit."""
-        matrix = np.asarray(matrix, dtype=float)
-        return cls(Arbitrary(matrix.shape[1]), matrix.T, k_lower=k_lower, m_upper=m_upper)
-
-    @classmethod
     def random(
         cls,
         structure: InterferenceStructure,
@@ -256,12 +232,8 @@ class PotentialOutcomeTable:
                         w.writerow([labels, i, repr(float(v[code]))])
 
     @classmethod
-    def from_csv(
-        cls,
-        path: str | Path,
-        k_lower: float | None = None,
-        m_upper: float | None = None,
-    ) -> "PotentialOutcomeTable":
+    def from_csv(cls, path: str | Path) -> "PotentialOutcomeTable":
+        """Read the arbitrary-interference CSV form that ``to_csv`` writes."""
         try:
             with open(path, newline="") as fh:
                 rows = list(csv.reader(fh))
@@ -286,7 +258,7 @@ class PotentialOutcomeTable:
             if not 0 <= i < n:
                 raise InvalidArgumentError(f"{path}: row {r}: unit {i} out of range for n={n}")
             matrix[z.code, i] = v
-        return cls.arbitrary(matrix, k_lower=k_lower, m_upper=m_upper)
+        return cls(Arbitrary(n), matrix.T)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PotentialOutcomeTable":
@@ -330,12 +302,10 @@ class PotentialOutcomeTable:
                 except (TypeError, ValueError) as exc:
                     raise InvalidArgumentError(f"{path}: unit {i}: {exc}") from exc
             values.append(v)
-        return cls(
-            structure,
-            values,
-            k_lower=doc.get("k_lower"),
-            m_upper=doc.get("m_upper"),
-        )
+        try:
+            return cls(structure, values, k_lower=doc.get("k_lower"), m_upper=doc.get("m_upper"))
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"{path}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

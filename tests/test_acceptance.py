@@ -87,7 +87,7 @@ def test_criterion_1_unbiasedness_suite():
             n = int(rng.integers(4, 11))
             n_a = int(rng.integers(1, n))
             table = PotentialOutcomeTable.random(NoInterference(n), 0.0, 1.0, seed=trial)
-            rep = exact_moments(DifferenceInMeans(), Design.crd(n, n_a), table, ATE)
+            rep = exact_moments(DifferenceInMeans(), Design("crd", n, n_a), table, ATE)
             worst = max(worst, abs(rep.expectation - estimand_value(ATE, table)))
         # exposure-weighted estimator under the fair-coin design, k-local
         for trial in range(20):
@@ -96,17 +96,17 @@ def test_criterion_1_unbiasedness_suite():
             structure = KLocal(graph, int(rng.integers(1, 3)))
             table = PotentialOutcomeTable.random(structure, 0.0, 1.0, seed=900 + trial)
             rep = exact_moments(
-                HorvitzThompson(structure.index), Design.bd(n), table, ATE
+                HorvitzThompson(structure.index), Design("bd", n), table, ATE
             )
             worst = max(worst, abs(rep.expectation - estimand_value(ATE, table)))
         # pure-arm and solo-treated rules under arbitrary interference
         for trial in range(5):
             n = int(rng.integers(2, 7))
             table = PotentialOutcomeTable.random(Arbitrary(n), 0.0, 1.0, seed=300 + trial)
-            rep = exact_moments(PureArmIPW(), Design.bd(n), table, ATE)
+            rep = exact_moments(PureArmIPW(), Design("bd", n), table, ATE)
             worst = max(worst, abs(rep.expectation - estimand_value(ATE, table)))
             solo = SoloTreatmentEffect()
-            rep = exact_moments(SoloTreatedIPW(), Design.bd(n), table, solo)
+            rep = exact_moments(SoloTreatedIPW(), Design("bd", n), table, solo)
             worst = max(worst, abs(rep.expectation - estimand_value(solo, table)))
         assert worst <= 1e-10
     _report(1, t, f"worst enumeration bias {worst:.2e}")
@@ -114,10 +114,10 @@ def test_criterion_1_unbiasedness_suite():
 
 def test_criterion_2_feasibility_certificates():
     with _Timer(5.0) as t:
-        infeasible_crd = unbiased_feasibility(Design.crd(3, 1), ATE, [0, 1])
-        infeasible_cbd = unbiased_feasibility(Design.cbd(3), ATE, [0, 1])
-        feasible_bd = unbiased_feasibility(Design.bd(3), ATE, [0, 1])
-        feasible_solo = unbiased_feasibility(Design.bd(3), SoloTreatmentEffect(), [0, 1])
+        infeasible_crd = unbiased_feasibility(Design("crd", 3, 1), ATE, [0, 1])
+        infeasible_cbd = unbiased_feasibility(Design("cbd", 3), ATE, [0, 1])
+        feasible_bd = unbiased_feasibility(Design("bd", 3), ATE, [0, 1])
+        feasible_solo = unbiased_feasibility(Design("bd", 3), SoloTreatmentEffect(), [0, 1])
         assert not infeasible_crd.feasible
         assert not infeasible_cbd.feasible
         assert feasible_bd.feasible
@@ -134,7 +134,7 @@ def test_criterion_2_feasibility_certificates():
 def test_criterion_3_mse_floor():
     with _Timer(5.0) as t:
         results = []
-        for design in (Design.crd(6, 3), Design.bd(6)):
+        for design in (Design("crd", 6, 3), Design("bd", 6)):
             for estimator in (DifferenceInMeans(), ConstantEstimator(0.0), PureArmIPW()):
                 res = mse_adversary(estimator, design, 1.0)
                 results.append(res.mse)
@@ -155,7 +155,7 @@ def test_criterion_4_variance_identities():
             table = PotentialOutcomeTable.random(structure, 0.0, 1.0, seed=1100 + trial)
             closed = ht_variance_closed_form(graph, k, table)
             rep = exact_moments(
-                HorvitzThompson(structure.index), Design.bd(n), table, ATE
+                HorvitzThompson(structure.index), Design("bd", n), table, ATE
             )
             worst_ht = max(worst_ht, abs(closed.total - rep.variance))
         assert worst_ht <= 1e-10
@@ -168,7 +168,7 @@ def test_criterion_4_variance_identities():
                 NoInterference(n), 0.0, 1.0, seed=1500 + trial
             )
             terms = neyman_variance_terms(table, n_a)
-            rep = exact_moments(DifferenceInMeans(), Design.crd(n, n_a), table, ATE)
+            rep = exact_moments(DifferenceInMeans(), Design("crd", n, n_a), table, ATE)
             worst_neyman = max(worst_neyman, abs(terms.variance - rep.variance))
             assert rep.variance <= terms.bound
         assert worst_neyman <= 1e-10

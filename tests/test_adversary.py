@@ -26,19 +26,19 @@ from interference_lab import (
 
 
 def test_constant_zero_estimator_gets_full_contrast():
-    result = mse_adversary(ConstantEstimator(0.0), Design.crd(4, 2), 1.0)
+    result = mse_adversary(ConstantEstimator(0.0), Design("crd", 4, 2), 1.0)
     assert result.estimand_target == pytest.approx(1.0, abs=1e-5)
     assert result.mse >= 0.25  # (C - g)^2 with C = 0, g ~ M
     assert result.mse == pytest.approx(1.0, abs=1e-5)
 
 
 def test_constant_m_estimator_gets_null_contrast():
-    result = mse_adversary(ConstantEstimator(1.0), Design.crd(4, 2), 1.0)
+    result = mse_adversary(ConstantEstimator(1.0), Design("crd", 4, 2), 1.0)
     assert result.estimand_target == 0.0
     assert result.mse == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("design", [Design.crd(6, 3), Design.bd(6)])
+@pytest.mark.parametrize("design", [Design("crd", 6, 3), Design("bd", 6)])
 @pytest.mark.parametrize(
     "estimator",
     [DifferenceInMeans(), ConstantEstimator(0.0), PureArmIPW(), SoloTreatedIPW()],
@@ -50,13 +50,13 @@ def test_floor_holds_across_estimators(design, estimator):
 
 
 def test_floor_scales_with_m():
-    result = mse_adversary(DifferenceInMeans(), Design.crd(4, 2), 3.0)
+    result = mse_adversary(DifferenceInMeans(), Design("crd", 4, 2), 3.0)
     assert result.mse >= 9.0 / 8.0 - 1e-5
     assert result.floor == pytest.approx(9.0 / 8.0, rel=1e-4)
 
 
 def test_adversarial_table_shape():
-    result = mse_adversary(ConstantEstimator(0.0), Design.bd(3), 1.0)
+    result = mse_adversary(ConstantEstimator(0.0), Design("bd", 3), 1.0)
     table = result.table
     assert table.m_upper == 1.0
     half = np.full(3, 0.5)
@@ -71,4 +71,4 @@ def test_adversarial_table_shape():
 
 def test_rejections():
     with pytest.raises(UnsupportedDesignError):
-        mse_adversary(ConstantEstimator(0.0), Design.cbd(4), 1.0)
+        mse_adversary(ConstantEstimator(0.0), Design("cbd", 4), 1.0)

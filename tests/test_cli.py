@@ -13,12 +13,13 @@ Claims pinned here:
       tables and Monte Carlo beyond the 63-node code width, and Monte
       Carlo past 2^32 replicates, exit 3; moments past the enumeration cap
       exits 3 before it reads a graph or draws a table; sweep sizes that
-      are not positive or overflow a float, and a NaN feasibility grid
-      level, exit 2 naming the entry; a broken moment identity or MSE
-      floor exits 4 without a traceback; a negative seed, in any of its
-      three keys, and a float overflow in an estimand, a moment, MSE or
-      Monte Carlo reduction or in the envelope h(M) exit 2 with one stderr
-      line
+      are not positive or overflow a float, a NaN feasibility grid level,
+      and a NaN outcome level or bound (regimes' k_lower, the adversary's
+      m_upper, a table file's m_upper), exit 2 naming the entry on one
+      stderr line; a broken moment identity or MSE floor exits 4 without a
+      traceback; a negative seed, in any of its three keys, and a float
+      overflow in an estimand, a moment, MSE or Monte Carlo reduction or
+      in the envelope h(M) exit 2 with one stderr line
     - numpy.random stays unloaded through importing the CLI and running
       moments on a random table, feasibility, adversary and regimes, until
       Monte Carlo runs; the import generates no dataclass code and runs
@@ -154,7 +155,7 @@ def test_feasibility_command(tmp_path):
     assert json.loads(result.stdout)["status"] == "feasible"
     # the written witness is the in-process certificate's, byte for byte
     in_process = tmp_path / "in_process.csv"
-    feasibility.unbiased_feasibility(Design.bd(3), ATE, [0, 1]).witness.to_csv(in_process, 3)
+    feasibility.unbiased_feasibility(Design("bd", 3), ATE, [0, 1]).witness.to_csv(in_process, 3)
     assert witness_csv.read_bytes() == in_process.read_bytes()
 
 
@@ -344,6 +345,18 @@ _HUB_EDGES = [[0, j] for j in range(1, 22)]  # unit 0's reference group has 22 u
             ),
             3,
         ),
+        # a NaN bound, which JSON-loading Python accepts, fails its check
+        (
+            "table.json",
+            json.dumps(
+                {
+                    "m_upper": math.nan,
+                    "structure": {"kind": "no_interference", "n": 6},
+                    "units": [{"A": 1.0, "B": 0.5}] * 6,
+                }
+            ),
+            2,
+        ),
     ],
 )
 def test_malformed_table_file_exit_code(tmp_path, name, text, code):
@@ -428,8 +441,11 @@ def test_file_errors_exit_2(tmp_path, case):
         ("moments", "moments_ht.json", "table.random.seed=false"),
         ("regimes", "regimes.json", "n_values=[true]"),
         ("tables", "tables.json", "sweep_n=[true]"),
-        # nor is NaN: a grid level must be finite
+        # nor is NaN: a grid level must be finite, and an outcome level or
+        # bound positive
         ("feasibility", "feasibility_bd.json", "grid=[NaN, 1]"),
+        ("regimes", "regimes.json", "k_lower=NaN"),
+        ("adversary", "adversary_diff_means.json", "m_upper=NaN"),
     ],
 )
 def test_json_booleans_are_not_numbers(tmp_path, command, config, override):
@@ -440,6 +456,7 @@ def test_json_booleans_are_not_numbers(tmp_path, command, config, override):
     )
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith(f"error: {key}")
+    assert result.stderr.count("\n") == 1
     assert "Traceback" not in result.stderr
 
 
@@ -759,7 +776,9 @@ def test_top_level_seed_outside_er_analysis_exits_2(tmp_path, capsys, command, c
 
 def test_package_entry_point_prints_the_recorded_regimes():
     argv = ["regimes", "--config", str(CONFIGS / "regimes.json")]
-    result = subprocess.run([sys.executable, "-m", "interference_lab", *argv], capture_output=True)
+    result = subprocess.run(
+        [sys.executable, "-m", "interference_lab", *argv], capture_output=True, env=blas_env()
+    )
     assert result.returncode == 0, result.stderr
     golden = Path(__file__).resolve().parent / "golden" / "regimes" / "stdout"
     assert result.stdout == golden.read_bytes()

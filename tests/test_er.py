@@ -17,7 +17,8 @@ Claims pinned here:
       monotone non-decreasing in p, and sandwiching the exact
       graph-expected variance for separated outcome levels
     - sweep behavior: n * h bounded along p=1/n, strictly increasing lower
-      bound along p=1/sqrt(n)
+      bound along p=1/sqrt(n); a graph exactly on p=1/n classifies as
+      sparse and one on p=1/sqrt(n) as dense
     - the expected effective-treatment count, which is the per-node moment
       under a second name, and the informative fraction hit their analytic
       limits
@@ -278,6 +279,9 @@ def test_classify_regime():
     assert classify_regime(ERSpec(100, 0.001)) == "sparse"
     assert classify_regime(ERSpec(100, 0.5)) == "dense"
     assert classify_regime(ERSpec(100, 0.05)) == "intermediate"
+    # the boundaries belong to the regimes, as in regime_report
+    assert classify_regime(ERSpec(15, 1 / 15)) == "sparse"
+    assert classify_regime(ERSpec(16, 1 / 4)) == "dense"
 
 
 def test_effective_treatment_expectations():

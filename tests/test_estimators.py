@@ -99,7 +99,7 @@ def test_tabular_materialization_matches_source():
     # a rule tabulated over the whole support reproduces it there
     table = PotentialOutcomeTable.random(Arbitrary(2), 0.0, 1.0, seed=3)
     source = PureArmIPW()
-    ((codes, _),) = enumerate_support(Design.bd(2))
+    ((codes, _),) = enumerate_support(Design("bd", 2))
     y = table.observed(codes)
     values = source.evaluate(codes, y).tolist()
     tab = TabularEstimator(

@@ -86,22 +86,22 @@ def _ht(k):
     structure = KLocal(sample_er_graph(ERSpec(10, 0.25), seed=3), k)
     table = PotentialOutcomeTable.random(structure, 0.0, 1.0, seed=k)
     estimator = HorvitzThompson(NeighborhoodIndex.build(structure.graph, k))
-    return estimator, _ref_horvitz_thompson, Design.bd(10), table
+    return estimator, _ref_horvitz_thompson, Design("bd", 10), table
 
 
 def _pure_arm():
     estimator = PureArmIPW()
     table = PotentialOutcomeTable.random(Arbitrary(8), 0.0, 1.0, seed=5)
-    return estimator, _ref_pure_arm, Design.bd(8), table
+    return estimator, _ref_pure_arm, Design("bd", 8), table
 
 
 def _solo():
     table = PotentialOutcomeTable.random(Arbitrary(8), 0.0, 1.0, seed=6)
-    return SoloTreatedIPW(), _ref_solo, Design.bd(8), table
+    return SoloTreatedIPW(), _ref_solo, Design("bd", 8), table
 
 
 def _tabular():
-    design = Design.bd(6)
+    design = Design("bd", 6)
     table = PotentialOutcomeTable.random(Arbitrary(6), 0.0, 1.0, seed=7)
     rng = np.random.default_rng(7)
     mapping = {
@@ -113,9 +113,9 @@ def _tabular():
 
 
 CASES = {
-    "dim-bd-12": lambda: _dim(Design.bd(12)),
-    "dim-crd-12-4": lambda: _dim(Design.crd(12, 4)),
-    "dim-cbd-11": lambda: _dim(Design.cbd(11)),
+    "dim-bd-12": lambda: _dim(Design("bd", 12)),
+    "dim-crd-12-4": lambda: _dim(Design("crd", 12, 4)),
+    "dim-cbd-11": lambda: _dim(Design("cbd", 11)),
     "ht-k1": lambda: _ht(1),
     "ht-k2": lambda: _ht(2),
     "pure-arm": _pure_arm,

@@ -5,7 +5,8 @@ Claims pinned here:
       interference, and its variance matches the three-term decomposition
     - the decomposition obeys the coarse 4 M^2/(n-1) envelope at these sizes
     - the exposure-weighted estimator's pairwise closed form reproduces the
-      enumerated variance exactly (to 1e-10) on random graphs and tables
+      enumerated variance exactly (to 1e-10) on random graphs and tables,
+      at radius k = 0, 1 and 2
     - mse = variance + bias^2 holds for every report
     - difference in means is demonstrably biased once interference is
       unrestricted (a concrete table with |bias| > 0.1 M)
@@ -57,7 +58,7 @@ def _constant_klocal_table(graph, k, value):
 
 def test_diff_means_unbiased_crd_no_interference():
     table = PotentialOutcomeTable.random(NoInterference(6), 0.0, 1.0, seed=4)
-    report = exact_moments(DifferenceInMeans(), Design.crd(6, 2), table, ATE)
+    report = exact_moments(DifferenceInMeans(), Design("crd", 6, 2), table, ATE)
     assert abs(report.expectation - estimand_value(ATE, table)) <= 1e-12
 
 
@@ -65,7 +66,7 @@ def test_ht_moments_two_node_complete():
     graph = Graph.from_edges(2, combinations(range(2), 2))
     table = _constant_klocal_table(graph, 1, 1.0)
     ht = HorvitzThompson(KLocal(graph, 1).index)
-    report = exact_moments(ht, Design.bd(2), table, ATE)
+    report = exact_moments(ht, Design("bd", 2), table, ATE)
     assert report.expectation == 0.0
     assert report.variance == 8.0
     assert report.mse_vs_estimand == 8.0
@@ -75,7 +76,7 @@ def test_ht_moments_two_node_complete():
 def test_constant_estimator_moments():
     table = PotentialOutcomeTable.random(NoInterference(4), 0.0, 1.0, seed=6)
     theta = estimand_value(ATE, table)
-    report = exact_moments(ConstantEstimator(0.25), Design.crd(4, 2), table, ATE)
+    report = exact_moments(ConstantEstimator(0.25), Design("crd", 4, 2), table, ATE)
     assert report.variance == 0.0
     assert report.mse_vs_estimand == pytest.approx((0.25 - theta) ** 2, abs=1e-15)
 
@@ -86,7 +87,7 @@ def test_mse_identity_across_cases():
         n = int(rng.integers(3, 7))
         table = PotentialOutcomeTable.random(Arbitrary(n), 0.0, 1.0, seed=seed)
         report = exact_moments(
-            DifferenceInMeans(), Design.crd(n, max(1, n // 2)), table, ATE
+            DifferenceInMeans(), Design("crd", n, max(1, n // 2)), table, ATE
         )
         bias = report.expectation - estimand_value(ATE, table)
         assert report.mse_vs_estimand == pytest.approx(
@@ -95,13 +96,13 @@ def test_mse_identity_across_cases():
 
 
 def test_exact_moments_capacity():
-    table = PotentialOutcomeTable.no_interference(np.ones(16), np.ones(16) * 2)
+    table = PotentialOutcomeTable(NoInterference(16), [[1.0, 2.0]] * 16)
     with pytest.raises(CapacityError):
-        exact_moments(DifferenceInMeans(), Design.crd(16, 8), table, ATE)
+        exact_moments(DifferenceInMeans(), Design("crd", 16, 8), table, ATE)
 
 
 def test_neyman_constant_outcomes():
-    table = PotentialOutcomeTable.no_interference([1.0, 1.0], [0.5, 0.5], m_upper=2.0)
+    table = PotentialOutcomeTable(NoInterference(2), [[1.0, 0.5]] * 2, m_upper=2.0)
     terms = neyman_variance_terms(table, n_a=1)
     assert terms.v_a == 0.0 and terms.v_b == 0.0 and terms.v_theta == 0.0
     assert terms.variance == 0.0
@@ -118,7 +119,7 @@ def test_neyman_bound_value():
 def test_neyman_identity_matches_enumeration(n, n_a, seed):
     table = PotentialOutcomeTable.random(NoInterference(n), 0.0, 1.0, seed=seed)
     terms = neyman_variance_terms(table, n_a)
-    report = exact_moments(DifferenceInMeans(), Design.crd(n, n_a), table, ATE)
+    report = exact_moments(DifferenceInMeans(), Design("crd", n, n_a), table, ATE)
     assert abs(report.variance - terms.variance) <= 1e-10
     assert report.variance <= terms.bound
 
@@ -140,13 +141,13 @@ def test_ht_closed_form_two_node_complete():
 
 
 def test_ht_closed_form_empty_graph_covariance():
-    table = PotentialOutcomeTable.no_interference([1.5] * 3, [1.5] * 3)
+    table = PotentialOutcomeTable(NoInterference(3), [[1.5, 1.5]] * 3)
     terms = ht_variance_closed_form(empty_graph(3), 1, table)
     assert terms.cov == pytest.approx(-(1.5**2) / 3)
 
 
 def test_ht_closed_form_single_node():
-    table = PotentialOutcomeTable.no_interference([2.0], [3.0])
+    table = PotentialOutcomeTable(NoInterference(1), [[2.0, 3.0]])
     terms = ht_variance_closed_form(empty_graph(1), 1, table)
     assert terms.v_a == (2 - 1) * 4.0
     assert terms.total == pytest.approx((2.0 + 3.0) ** 2)
@@ -157,14 +158,15 @@ def test_ht_closed_form_matches_enumeration(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 8))
     graph = sample_er_graph(ERSpec(n, float(rng.uniform(0.1, 0.7))), seed + 100)
-    structure = KLocal(graph, int(rng.integers(1, 3)))
-    table = PotentialOutcomeTable.random(structure, 0.0, 1.0, seed=seed + 200)
-    terms = ht_variance_closed_form(graph, structure.k, table)
-    ht = HorvitzThompson(structure.index)
-    report = exact_moments(ht, Design.bd(n), table, ATE)
-    assert abs(terms.total - report.variance) <= 1e-10
-    # unbiasedness rides along
-    assert abs(report.expectation - estimand_value(ATE, table)) <= 1e-10
+    for k in (0, 1, 2):  # k = 0: every ball is the unit alone
+        structure = KLocal(graph, k)
+        table = PotentialOutcomeTable.random(structure, 0.0, 1.0, seed=seed + 200)
+        terms = ht_variance_closed_form(graph, k, table)
+        ht = HorvitzThompson(structure.index)
+        report = exact_moments(ht, Design("bd", n), table, ATE)
+        assert abs(terms.total - report.variance) <= 1e-10
+        # unbiasedness rides along
+        assert abs(report.expectation - estimand_value(ATE, table)) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -172,16 +174,16 @@ def test_pure_arm_and_solo_rules_exactly_unbiased(n):
     from interference_lab import PureArmIPW, SoloTreatedIPW, SoloTreatmentEffect
 
     table = PotentialOutcomeTable.random(Arbitrary(n), 0.0, 1.0, seed=n)
-    rep = exact_moments(PureArmIPW(), Design.bd(n), table, ATE)
+    rep = exact_moments(PureArmIPW(), Design("bd", n), table, ATE)
     assert abs(rep.expectation - estimand_value(ATE, table)) <= 1e-12
     solo = SoloTreatmentEffect()
-    rep = exact_moments(SoloTreatedIPW(), Design.bd(n), table, solo)
+    rep = exact_moments(SoloTreatedIPW(), Design("bd", n), table, solo)
     assert abs(rep.expectation - estimand_value(solo, table)) <= 1e-12
 
 
 def test_diff_means_biased_under_arbitrary_interference():
     table = PotentialOutcomeTable.random(Arbitrary(4), 0.0, 1.0, seed=0)
-    report = exact_moments(DifferenceInMeans(), Design.crd(4, 2), table, ATE)
+    report = exact_moments(DifferenceInMeans(), Design("crd", 4, 2), table, ATE)
     bias = report.expectation - estimand_value(ATE, table)
     assert abs(bias) > 0.1  # M = 1 here
 

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from interference_lab import (
     ATE,
+    Arbitrary,
     Assignment,
     CapacityError,
     Design,
@@ -57,7 +58,7 @@ from interference_lab.feasibility import (
 
 
 def test_infeasible_when_pure_vectors_have_no_mass():
-    for design in (Design.crd(3, 1), Design.cbd(3), Design.cbd(2), Design.crd(4, 2)):
+    for design in (Design("crd", 3, 1), Design("cbd", 3), Design("cbd", 2), Design("crd", 4, 2)):
         cert = unbiased_feasibility(design, ATE, [0, 1])
         assert not cert.feasible
         assert cert.min_residual > 1e-6
@@ -68,20 +69,20 @@ def test_crd_residual_value():
     # all constraints for a fixed off-pure level share one left-hand side
     # while the targets range over {-1, 0, 1}: least squares leaves
     # sqrt(2) per level, i.e. residual 2 for the two-level grid.
-    cert = unbiased_feasibility(Design.crd(3, 1), ATE, [0, 1])
+    cert = unbiased_feasibility(Design("crd", 3, 1), ATE, [0, 1])
     assert cert.min_residual == pytest.approx(2.0, abs=1e-12)
 
 
 def test_feasible_fair_coin_mean_contrast():
     for n in (2, 3):
-        cert = unbiased_feasibility(Design.bd(n), ATE, [0, 1])
+        cert = unbiased_feasibility(Design("bd", n), ATE, [0, 1])
         assert cert.feasible
         assert cert.min_residual <= 1e-9
         assert cert.witness is not None
 
 
 def test_feasible_fair_coin_solo_effect():
-    cert = unbiased_feasibility(Design.bd(3), SoloTreatmentEffect(), [0, 1])
+    cert = unbiased_feasibility(Design("bd", 3), SoloTreatmentEffect(), [0, 1])
     assert cert.feasible
     assert cert.min_residual <= 1e-9
 
@@ -107,7 +108,7 @@ def _witness_reproduces(cert: FeasibilityCertificate, design, estimand, family):
 
 
 def test_witness_reproduces_estimand_on_family():
-    design = Design.bd(3)
+    design = Design("bd", 3)
     for estimand in (ATE, SoloTreatmentEffect()):
         cert = unbiased_feasibility(design, estimand, [0, 1])
         assert cert.feasible
@@ -128,7 +129,7 @@ def _offset_against(reference, cert, design, level):
 
 
 def test_ate_witness_is_pure_arm_rule_plus_zero_sum_offset():
-    design = Design.bd(3)
+    design = Design("bd", 3)
     cert = unbiased_feasibility(design, ATE, [0, 1])
     for level in (0.0, 1.0):
         assert _offset_against(PureArmIPW(), cert, design, level) == pytest.approx(
@@ -146,7 +147,7 @@ def test_ate_witness_is_pure_arm_rule_plus_zero_sum_offset():
 
 
 def test_solo_witness_is_solo_rule_plus_zero_sum_offset():
-    design = Design.bd(3)
+    design = Design("bd", 3)
     cert = unbiased_feasibility(design, SoloTreatmentEffect(), [0, 1])
     for level in (0.0, 1.0):
         assert _offset_against(SoloTreatedIPW(), cert, design, level) == pytest.approx(
@@ -162,25 +163,25 @@ def test_solo_witness_is_solo_rule_plus_zero_sum_offset():
 
 def test_validation():
     with pytest.raises(InvalidArgumentError):
-        unbiased_feasibility(Design.bd(3), ATE, [])
+        unbiased_feasibility(Design("bd", 3), ATE, [])
     for level in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidArgumentError, match=rf"grid\[1\]: .* finite, got {level}"):
-            unbiased_feasibility(Design.bd(3), ATE, [0, level])
+            unbiased_feasibility(Design("bd", 3), ATE, [0, level])
     # the size caps are capacity limits, not malformed arguments
     with pytest.raises(CapacityError):
-        unbiased_feasibility(Design.bd(3), ATE, [0, 0.25, 0.5, 0.75, 1.0])
+        unbiased_feasibility(Design("bd", 3), ATE, [0, 0.25, 0.5, 0.75, 1.0])
     with pytest.raises(CapacityError):
-        unbiased_feasibility(Design.bd(7), ATE, [0, 1])
+        unbiased_feasibility(Design("bd", 7), ATE, [0, 1])
 
 
 def test_witness_keys_come_from_the_grid():
-    cert = unbiased_feasibility(Design.bd(2), ATE, [0, 1])
+    cert = unbiased_feasibility(Design("bd", 2), ATE, [0, 1])
     for (_, ykey) in cert.witness.mapping:
         assert set(ykey) <= {0.0, 1.0}
 
 
 def test_certificate_serialization():
-    cert = unbiased_feasibility(Design.crd(3, 1), ATE, [0, 1])
+    cert = unbiased_feasibility(Design("crd", 3, 1), ATE, [0, 1])
     doc = cert.to_json_dict()
     assert doc["status"] == "infeasible"
     assert doc["family_size"] == 8
@@ -223,7 +224,7 @@ _LEVELS = (-0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, -1.0)
 @example(n=6, kind="crd", solo=False, grid=[0.0, 0.5, 1.0, 2.0])
 @example(n=4, kind="cbd", solo=True, grid=[-0.0, 1.0, 0.0])
 def test_system_equals_the_dict_build(n, kind, solo, grid):
-    design = Design.crd(n, n // 2) if kind == "crd" else Design(kind, n)
+    design = Design("crd", n, n // 2) if kind == "crd" else Design(kind, n)
     estimand = SoloTreatmentEffect() if solo else ATE
     family = default_witness_family(n, estimand, tuple(grid))
     a, b, unknowns = _constraint_system(design, estimand, family)
@@ -260,7 +261,7 @@ def _full_matrix_table(n, off_value, rows, m_upper=None):
     matrix = np.full((1 << n, n), off_value, dtype=float)
     for code, value in rows.items():
         matrix[code, :] = value
-    return PotentialOutcomeTable.arbitrary(matrix, m_upper=m_upper)
+    return PotentialOutcomeTable(Arbitrary(n), matrix.T, m_upper=m_upper)
 
 
 def test_witness_table_writes_the_full_matrix_csv(tmp_path):

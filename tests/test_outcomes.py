@@ -52,7 +52,7 @@ from graph_builders import path_graph
 
 
 def test_no_interference_lookup():
-    t = PotentialOutcomeTable.no_interference([2.0, 5.0], [1.0, 3.0])
+    t = PotentialOutcomeTable(NoInterference(2), [[2.0, 1.0], [5.0, 3.0]])  # [arm A, arm B]
     assert t.observed_vector(Assignment.from_arms("AB"))[0] == 2.0
     assert t.observed_vector(Assignment.from_arms("AB"))[1] == 3.0
     assert list(t.observed_vector(Assignment.from_arms("AB"))) == [2.0, 3.0]
@@ -74,28 +74,28 @@ def test_arbitrary_rows_are_independent_entries():
             [4.0, 40.0],  # BB
         ]
     )
-    t = PotentialOutcomeTable.arbitrary(matrix)
+    t = PotentialOutcomeTable(Arbitrary(2), matrix.T)
     assert t.observed_vector(Assignment.from_arms("AB"))[0] == 3.0
     assert list(t.observed_vector(Assignment.from_arms("AB"))) == [3.0, 30.0]
     assert list(t.observed_vector(Assignment.from_arms("BA"))) == [2.0, 20.0]
 
 
 def test_constant_table_observed_everywhere():
-    t = PotentialOutcomeTable.arbitrary(np.full((8, 3), 2.5))
+    t = PotentialOutcomeTable(Arbitrary(3), np.full((3, 8), 2.5))
     for code in range(8):
         assert list(t.observed_vector(Assignment(code, 3))) == [2.5, 2.5, 2.5]
 
 
 def test_estimand_examples():
-    t = PotentialOutcomeTable.no_interference([3.0, 1.0], [1.0, 1.0])
+    t = PotentialOutcomeTable(NoInterference(2), [[3.0, 1.0], [1.0, 1.0]])
     assert estimand_value(ATE, t) == 1.0
-    sym = PotentialOutcomeTable.no_interference([2.0, 4.0], [2.0, 4.0])
+    sym = PotentialOutcomeTable(NoInterference(2), [[2.0, 2.0], [4.0, 4.0]])
     assert estimand_value(ATE, sym) == 0.0
 
     matrix = np.full((4, 2), 9.0)
     matrix[Assignment.from_arms("AB").code] = [4.0, 99.0]  # unit 0 solo-treated
     matrix[Assignment.from_arms("BA").code] = [99.0, 2.0]  # unit 1 solo-treated
-    t2 = PotentialOutcomeTable.arbitrary(matrix)
+    t2 = PotentialOutcomeTable(Arbitrary(2), matrix.T)
     assert estimand_value(SoloTreatmentEffect(), t2) == 3.0
 
 
@@ -106,8 +106,8 @@ def test_ate_antisymmetric_under_arm_swap():
     swapped = np.empty_like(matrix)
     for code in range(8):
         swapped[code] = matrix[7 - code]  # complementing the code swaps arms
-    t = PotentialOutcomeTable.arbitrary(matrix)
-    s = PotentialOutcomeTable.arbitrary(swapped)
+    t = PotentialOutcomeTable(Arbitrary(n), matrix.T)
+    s = PotentialOutcomeTable(Arbitrary(n), swapped.T)
     assert estimand_value(ATE, t) == pytest.approx(-estimand_value(ATE, s), abs=1e-15)
 
 
@@ -173,13 +173,15 @@ def test_generator_caps(tmp_path):
 
 def test_declared_bounds_are_enforced():
     with pytest.raises(InvalidArgumentError):
-        PotentialOutcomeTable.no_interference([0.5, 1.5], [0.5, 0.5], m_upper=1.0)
+        PotentialOutcomeTable(NoInterference(2), [[0.5, 0.5], [1.5, 0.5]], m_upper=1.0)
     with pytest.raises(InvalidArgumentError):
-        PotentialOutcomeTable.no_interference([0.0, 0.5], [0.5, 0.5], m_upper=1.0)
+        PotentialOutcomeTable(NoInterference(2), [[0.0, 0.5], [0.5, 0.5]], m_upper=1.0)
     with pytest.raises(InvalidArgumentError):
-        PotentialOutcomeTable.no_interference([0.2, 0.5], [0.5, 0.5], k_lower=0.3, m_upper=1.0)
+        PotentialOutcomeTable(
+            NoInterference(2), [[0.2, 0.5], [0.5, 0.5]], k_lower=0.3, m_upper=1.0
+        )
     # no declared bounds: anything goes, including zeros
-    PotentialOutcomeTable.no_interference([0.0, 5.0], [-1.0, 0.5])
+    PotentialOutcomeTable(NoInterference(2), [[0.0, -1.0], [5.0, 0.5]])
 
 
 def test_missing_entry_raises():
@@ -189,7 +191,7 @@ def test_missing_entry_raises():
         t.observed_vector(Assignment.from_arms("BA"))[0]
     matrix = np.full((4, 2), np.nan)
     matrix[0] = [1.0, 2.0]
-    t2 = PotentialOutcomeTable.arbitrary(matrix)
+    t2 = PotentialOutcomeTable(Arbitrary(2), matrix.T)
     assert t2.observed_vector(Assignment(0, 2))[0] == 1.0
     with pytest.raises(IncompleteTableError):
         t2.observed_vector(Assignment((1 << 2) - 1, 2))[0]
@@ -215,9 +217,9 @@ def test_observed_support_matches_observed_vector(structure):
 def test_unstored_entry_raises_through_the_gather():
     matrix = np.full((8, 3), 0.5)
     matrix[5, 2] = np.nan
-    t = PotentialOutcomeTable.arbitrary(matrix)
+    t = PotentialOutcomeTable(Arbitrary(3), matrix.T)
     with pytest.raises(IncompleteTableError, match="unit 2 under BAB"):
-        exact_moments(ConstantEstimator(0.0), Design.bd(3), t, ATE)
+        exact_moments(ConstantEstimator(0.0), Design("bd", 3), t, ATE)
 
 
 def test_table_width_stops_at_the_code_bits(tmp_path):
@@ -231,7 +233,7 @@ def test_table_width_stops_at_the_code_bits(tmp_path):
     with pytest.raises(CapacityError):
         PotentialOutcomeTable.random(NoInterference(wide), 0.0, 1.0, seed=0)
     with pytest.raises(CapacityError):
-        PotentialOutcomeTable.no_interference(np.ones(wide), np.ones(wide))
+        PotentialOutcomeTable(NoInterference(wide), np.ones((wide, 2)))
     path = tmp_path / "wide.json"
     path.write_text('{"structure": {"kind": "no_interference", "n": %d}, "units": []}' % wide)
     with pytest.raises(CapacityError):
@@ -239,7 +241,7 @@ def test_table_width_stops_at_the_code_bits(tmp_path):
 
 
 def test_observed_vector_checks_the_assignment_size():
-    t = PotentialOutcomeTable.no_interference([1.0, 2.0], [3.0, 4.0])
+    t = PotentialOutcomeTable(NoInterference(2), [[1.0, 3.0], [2.0, 4.0]])
     with pytest.raises(InvalidArgumentError):
         t.observed_vector(Assignment(0, 3))
 
