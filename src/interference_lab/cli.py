@@ -1,6 +1,10 @@
 """Batch front door: JSON-configured runs emitting JSON reports and CSVs.
 
-Subcommands: moments, feasibility, adversary, er-analysis, tables, regimes.
+Usage: ``interference-lab COMMAND --config PATH [--out PATH] [--set
+KEY=VALUE]...``, one grammar for the commands moments, feasibility,
+adversary, er-analysis, tables and regimes.  It is parsed by hand, since
+building argparse parsers (and the gettext and locale imports they bring)
+costs several milliseconds of every run.
 Each value has one key: a random draw reads its seed only from ``seed``
 (er-analysis), ``graph.er.seed`` or ``table.random.seed``, each required and
 non-negative, and a block refuses any key its kind does not read.  So every
@@ -11,7 +15,6 @@ Exit codes: 0 success, 2 usage/config error (float overflow included),
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -324,6 +327,13 @@ def cmd_er_analysis(cfg: dict, out: str | None) -> int:
     seed = _seed(cfg, "seed")
     k_lower = float(cfg["k_lower"])
     m_upper = float(cfg["m_upper"])
+    # checked before any replicate draws from them; each test fails on NaN
+    if not 0 < k_lower < math.inf:
+        raise ConfigError(f"k_lower: must be positive and finite, got {k_lower}")
+    if not m_upper < math.inf:
+        raise ConfigError(f"m_upper: must be finite, got {m_upper}")
+    if not k_lower < m_upper:
+        raise ConfigError(f"k_lower: must be below m_upper={m_upper}, got {k_lower}")
     policy_cfg = cfg.get("policy", {"kind": "constant"})
     kinds = {"constant": {"value": _NUM}, "uniform": {}}
     if _check_kind(policy_cfg, "policy", kinds) == "constant":
@@ -437,27 +447,80 @@ _COMMANDS = {
 }
 
 
+_PROG = "interference-lab"
+_USAGE = f"usage: {_PROG} COMMAND --config PATH [--out PATH] [--set KEY=VALUE]...\n"
+_HELP = (
+    _USAGE
+    + """
+Exact analysis of randomized experiments under network interference
+
+commands: moments, feasibility, adversary, er-analysis, tables, regimes
+
+options:
+  -h, --help       show this help message and exit
+  --config PATH    path to the run-config JSON
+  --out PATH       output path (default: stdout)
+  --set KEY=VALUE  override a config entry (dot paths, JSON values); repeatable
+"""
+)
+
+
+class _UsageError(Exception):
+    pass
+
+
+def _is_flag(token: str) -> bool:
+    """Whether a token reads as an option rather than a value: it starts
+    with '-' and is neither '-' alone nor a negative number."""
+    return token.startswith("-") and token != "-" and not token[1:].replace(".", "", 1).isdigit()
+
+
+def _parse_args(argv: list[str]) -> tuple[str, str, str | None, list[str]] | None:
+    """``COMMAND --config PATH [--out PATH] [--set KEY=VALUE]...``, each flag
+    also as ``--flag=VALUE``: the command, config path, output path and
+    overrides, or None when help was asked for.  A repeated --config or
+    --out keeps its last value; --set values apply in order."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    if not argv:
+        raise _UsageError("the following arguments are required: command")
+    command = argv[0]
+    if command not in _COMMANDS:
+        choices = ", ".join(repr(name) for name in _COMMANDS)
+        raise _UsageError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    values: dict[str, list[str]] = {"--config": [], "--out": [], "--set": []}
+    extras = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in values:
+            extras.append(token)
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or _is_flag(value):
+                raise _UsageError(f"argument {flag}: expected one argument")
+        values[flag].append(value)
+    if not values["--config"]:
+        raise _UsageError("the following arguments are required: --config")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    out = values["--out"][-1] if values["--out"] else None
+    return command, values["--config"][-1], out, values["--set"]
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="interference-lab",
-        description="Exact analysis of randomized experiments under network interference",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the run-config JSON")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            dest="overrides",
-            help="override a config entry (dot paths, JSON values)",
-        )
-    args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](_load_config(args.config, args.overrides), args.out)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        sys.stderr.write(f"{_USAGE}{_PROG}: error: {exc}\n")
+        return 2
+    if args is None:
+        sys.stdout.write(_HELP)
+        return 0
+    command, config, out, overrides = args
+    try:
+        return _COMMANDS[command](_load_config(config, overrides), out)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3

@@ -90,6 +90,16 @@ def _reference_groups(structure: InterferenceStructure, where: str = "") -> list
     return groups
 
 
+def _columns(units: list[int]) -> int | slice | np.ndarray:
+    """An index of the ascending ``units``: the unit itself when it is alone,
+    a slice when they run contiguously, else an index array."""
+    if len(units) == 1:
+        return units[0]
+    if units[-1] - units[0] == len(units) - 1:
+        return slice(units[0], units[-1] + 1)
+    return np.array(units)
+
+
 class PotentialOutcomeTable:
     """Per-unit outcome functions of the effective treatment; ``values[i]``
     holds unit i's outcomes by effective-treatment key."""
@@ -113,20 +123,26 @@ class PotentialOutcomeTable:
             if v.shape != (1 << len(g),):
                 raise InvalidArgumentError(f"unit {i} needs {1 << len(g)} outcomes, got {v.shape}")
             self._values.append(v)
-        # Units sharing a reference group share its key: (group, [(unit, values)])
-        # in order of each group's first unit.
-        shared: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}
+        # Units sharing a reference group share its key, and units sharing a
+        # value array too (witness tables do) share its gather:
+        # (group, [(columns, values)]) in order of each group's first unit.
+        shared: dict[tuple[int, ...], dict[int, tuple[list[int], np.ndarray]]] = {}
         for i, (g, v) in enumerate(zip(self._groups, self._values)):
-            shared.setdefault(tuple(g), []).append((i, v))
-        self._gathers = list(shared.items())
+            shared.setdefault(tuple(g), {}).setdefault(id(v), ([], v))[0].append(i)
+        self._gathers = [
+            (g, [(_columns(units), v) for units, v in arrays.values()])
+            for g, arrays in shared.items()
+        ]
         self._check_bounds()
 
     def _check_bounds(self) -> None:
         # each test is written so that a NaN bound fails it
-        if self.k_lower is not None and not self.k_lower >= 0:
-            raise InvalidArgumentError(f"k_lower: must be >= 0, got {self.k_lower}")
-        if self.m_upper is not None and not self.m_upper > 0:
-            raise InvalidArgumentError(f"m_upper: must be positive, got {self.m_upper}")
+        if self.k_lower is not None and not 0 <= self.k_lower < math.inf:
+            raise InvalidArgumentError(f"k_lower: must be finite and >= 0, got {self.k_lower}")
+        if self.m_upper is not None and not 0 < self.m_upper < math.inf:
+            raise InvalidArgumentError(
+                f"m_upper: must be finite and positive, got {self.m_upper}"
+            )
         if (
             self.k_lower is not None
             and self.m_upper is not None
@@ -157,16 +173,17 @@ class PotentialOutcomeTable:
         codes: row r holds the n outcomes under ``codes[r]``.
 
         This is the one outcome lookup; one key per distinct reference
-        group and one array gather per unit serve the whole block.
+        group and one array gather per distinct value array serve the whole
+        block.
         """
         y = np.empty((len(codes), self.n))
-        for g, units in self._gathers:
+        for g, arrays in self._gathers:
             key = restrict_codes(codes, g)
-            for i, v in units:
-                y[:, i] = v[key]
-        missing = np.argwhere(np.isnan(y))
-        if missing.size:
-            row, i = missing[0]
+            for columns, v in arrays:
+                y.T[columns] = v[key]  # one column, or broadcast to several
+        missing = np.isnan(y)
+        if missing.any():  # argwhere alone costs several times more
+            row, i = np.argwhere(missing)[0]
             z = Assignment(int(codes[row]), self.n)
             raise IncompleteTableError(f"no outcome stored for unit {i} under {z.labels}")
         return y
@@ -200,8 +217,8 @@ class PotentialOutcomeTable:
         taken from the package's own PCG64 (``_pcg64.uniform``), so building
         a table never imports ``numpy.random``.  A keyed table takes it in
         unit order; an arbitrary one fills its (2^n, n) matrix row-major."""
-        if not 0 <= k_lower < m_upper:
-            raise InvalidArgumentError("need 0 <= k_lower < m_upper")
+        if not 0 <= k_lower < m_upper < math.inf:
+            raise InvalidArgumentError("need 0 <= k_lower < m_upper, both finite")
         groups = _reference_groups(structure)
         eps = _BOUNDS_EPS_REL * (m_upper - k_lower)
         sizes = [1 << len(g) for g in groups]

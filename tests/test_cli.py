@@ -14,9 +14,10 @@ Claims pinned here:
       Carlo past 2^32 replicates, exit 3; moments past the enumeration cap
       exits 3 before it reads a graph or draws a table; sweep sizes that
       are not positive or overflow a float, a NaN feasibility grid level,
-      and a NaN outcome level or bound (regimes' k_lower, the adversary's
-      m_upper, a table file's m_upper), exit 2 naming the entry on one
-      stderr line; a broken moment identity or MSE floor exits 4 without a
+      a NaN outcome level or bound (regimes' k_lower, the adversary's
+      m_upper, a table file's m_upper), an infinite table bound, and
+      er-analysis levels outside 0 < k_lower < m_upper, both finite,
+      exit 2 naming the entry on one stderr line; a broken moment identity or MSE floor exits 4 without a
       traceback; a negative seed, in any of its three keys, and a float
       overflow in an estimand, a moment, MSE or Monte Carlo reduction or
       in the envelope h(M) exit 2 with one stderr line
@@ -24,7 +25,8 @@ Claims pinned here:
       moments on a random table, feasibility, adversary and regimes, until
       Monte Carlo runs; the import generates no dataclass code and runs
       BLAS on the calling thread: it sets OPENBLAS_NUM_THREADS to 1 unless
-      the variable is already set, and starts no thread
+      the variable is already set, and starts no thread; argparse, gettext
+      and locale stay unloaded through a run of every command
     - a design block of unknown kind, a crd block without n_a, a bd or cbd
       block with n_a, and a table whose size differs from the design's
       exit 2 naming the fault
@@ -39,8 +41,15 @@ Claims pinned here:
       the least-squares witness of configs/feasibility_bd.json
     - a block refuses, naming it, any key its kind does not read, and a
       top-level seed outside er-analysis, which no draw reads
-    - --set overrides nested keys and feeds a seedless config; --seed is
-      not a flag
+    - the grammar is COMMAND --config PATH [--out PATH] [--set
+      KEY=VALUE]...: --set overrides nested keys and feeds a seedless
+      config; each flag also takes --flag=VALUE; a repeated --config or
+      --out keeps its last value and --set values apply in order; -h and
+      --help print one usage text and return 0; and every usage error (no
+      or an unknown command, no --config, an abbreviated or unknown flag
+      such as --seed, a flag without its value, an extra argument) returns
+      2 in process, not SystemExit, writing the usage line and argparse's
+      wording of the error on exactly two stderr lines
 """
 
 import json
@@ -345,17 +354,21 @@ _HUB_EDGES = [[0, j] for j in range(1, 22)]  # unit 0's reference group has 22 u
             ),
             3,
         ),
-        # a NaN bound, which JSON-loading Python accepts, fails its check
-        (
-            "table.json",
-            json.dumps(
-                {
-                    "m_upper": math.nan,
-                    "structure": {"kind": "no_interference", "n": 6},
-                    "units": [{"A": 1.0, "B": 0.5}] * 6,
-                }
-            ),
-            2,
+        # a NaN or infinite bound, which JSON-loading Python accepts, fails
+        # its check (the report would print Infinity back, which is not JSON)
+        *(
+            (
+                "table.json",
+                json.dumps(
+                    {
+                        "m_upper": bound,
+                        "structure": {"kind": "no_interference", "n": 6},
+                        "units": [{"A": 1.0, "B": 0.5}] * 6,
+                    }
+                ),
+                2,
+            )
+            for bound in (math.nan, math.inf)
         ),
     ],
 )
@@ -446,6 +459,12 @@ def test_file_errors_exit_2(tmp_path, case):
         ("feasibility", "feasibility_bd.json", "grid=[NaN, 1]"),
         ("regimes", "regimes.json", "k_lower=NaN"),
         ("adversary", "adversary_diff_means.json", "m_upper=NaN"),
+        # er-analysis levels must satisfy 0 < k_lower < m_upper, both
+        # finite, before any replicate runs
+        ("er-analysis", "er_analysis_uniform.json", "k_lower=2.0"),
+        ("er-analysis", "er_analysis_uniform.json", "k_lower=NaN"),
+        ("er-analysis", "er_analysis_uniform.json", "m_upper=Infinity"),
+        ("er-analysis", "er_analysis.json", "m_upper=NaN"),
     ],
 )
 def test_json_booleans_are_not_numbers(tmp_path, command, config, override):
@@ -563,9 +582,16 @@ def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
     # numpy.random loads at the first Monte Carlo run, not with the package
     # nor with a command that draws no graph, so those do not pay for its
     # import; nor does the import generate dataclass code or start OpenBLAS
-    # worker threads
+    # worker threads; and no command, graph-drawing ones included, loads
+    # argparse, gettext or locale
     linux = sys.platform.startswith("linux")
     runs = [(command, str(CONFIGS / config)) for command, config in NO_GRAPH_RUNS]
+    graph_runs = [
+        ["er-analysis", "--config", str(CONFIGS / "er_analysis.json"), "--set", "reps=10",
+         "--out", os.devnull],
+        ["tables", "--config", str(CONFIGS / "tables.json"), "--out", "tables_out"],
+        ["moments", "--config", str(CONFIGS / "moments_ht.json"), "--out", os.devnull],
+    ]
     code = (
         "import os, sys, interference_lab.cli\n"
         "print('numpy.random' in sys.modules, 'dataclasses' in sys.modules)\n"
@@ -580,13 +606,16 @@ def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
         "from interference_lab.er import ConstantOutcomes, ERSpec, mc_expected_variance\n"
         "mc_expected_variance(ERSpec(5, 0.5), ConstantOutcomes(1.0), 2, 0)\n"
         "print('numpy.random' in sys.modules)\n"
+        f"for argv in {graph_runs!r}:\n"
+        "    assert interference_lab.cli.main(argv) == 0, argv\n"
+        "print([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n"
     )
     run = [sys.executable, "-c", code]
     # feasibility writes its witness CSV into the working directory
     result = subprocess.run(run, capture_output=True, text=True, env=blas_env(), cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     threads = "1\n" if linux else ""
-    assert result.stdout == "False False\n1\n" + threads + "False\nTrue\n"
+    assert result.stdout == "False False\n1\n" + threads + "False\nTrue\n[]\n"
     # an explicit value is kept
     result = subprocess.run(
         run, capture_output=True, text=True, env=blas_env(3), cwd=tmp_path
@@ -812,6 +841,86 @@ def test_set_override_and_seed(tmp_path):
     result = run_cli(["er-analysis", "--config", er_path, "--seed", "7"])
     assert result.returncode == 2
     assert "unrecognized arguments: --seed 7" in result.stderr
+
+
+USAGE = "usage: interference-lab COMMAND --config PATH [--out PATH] [--set KEY=VALUE]...\n"
+REGIMES = str(CONFIGS / "regimes.json")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "the following arguments are required: command"),
+        (
+            ["bogus"],
+            "argument command: invalid choice: 'bogus' (choose from 'moments', "
+            "'feasibility', 'adversary', 'er-analysis', 'tables', 'regimes')",
+        ),
+        (["regimes"], "the following arguments are required: --config"),
+        (["regimes", "--out", "x.csv"], "the following arguments are required: --config"),
+        # a flag is spelled out in full
+        (["regimes", "--conf", REGIMES], "the following arguments are required: --config"),
+        (["regimes", "--config"], "argument --config: expected one argument"),
+        (["regimes", "--config", "--out", "x.csv"], "argument --config: expected one argument"),
+        (["regimes", "--config", REGIMES, "--set"], "argument --set: expected one argument"),
+        (["regimes", "--config", REGIMES, "--seed", "7"], "unrecognized arguments: --seed 7"),
+        (["regimes", "--config", REGIMES, "a", "b"], "unrecognized arguments: a b"),
+    ],
+    ids=[
+        "no-command",
+        "unknown-command",
+        "no-config",
+        "out-without-config",
+        "abbreviated-flag",
+        "config-without-value",
+        "config-followed-by-a-flag",
+        "set-without-value",
+        "unknown-flag",
+        "extra-arguments",
+    ],
+)
+def test_usage_error_returns_2(capsys, argv, message):
+    # in process too: a usage error is a return value, not SystemExit
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == USAGE + f"interference-lab: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["--help"], ["moments", "--help"], ["regimes", "--config", REGIMES, "-h"]],
+    ids=["short", "long", "after-command", "after-config"],
+)
+def test_help_returns_0(capsys, argv):
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(USAGE)
+    assert "--set KEY=VALUE" in captured.out
+    assert captured.err == ""
+
+
+def test_equals_form_last_value_wins_and_sets_apply_in_order(tmp_path, capsys):
+    out = tmp_path / "regimes.csv"
+    argv = [
+        "regimes",
+        f"--config={tmp_path / 'absent.json'}",
+        "--config",
+        REGIMES,
+        "--out",
+        str(tmp_path / "first.csv"),
+        f"--out={out}",
+        "--set=k_lower=NaN",
+        "--set",
+        "k_lower=1.0",
+    ]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    golden = Path(__file__).resolve().parent / "golden" / "regimes" / "stdout"
+    assert out.read_bytes() == golden.read_bytes()
+    assert not (tmp_path / "first.csv").exists()
+    # the other order leaves k_lower at NaN
+    assert cli.main(argv[:-3] + ["--set", "k_lower=1.0", argv[-3]]) == 2
+    assert capsys.readouterr().err == "error: k_lower: must be positive, got nan\n"
 
 
 @pytest.mark.parametrize(

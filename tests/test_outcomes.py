@@ -10,7 +10,10 @@ Claims pinned here:
     - arbitrary tables round-trip through CSV, and literal keyed JSON
       documents load with the outcomes they store
     - the block gather over a support reveals the same outcomes as the
-      one-assignment lookup, and an unstored entry fails loudly through it
+      one-assignment lookup, units sharing one value array read the same
+      outcomes as copies of it, and an unstored entry fails loudly
+      through the gather
+    - declared bounds are finite, and outcomes lie strictly inside them
     - a table holds up to CODE_BITS units, the width of an int64
       assignment code; one unit more is a capacity error, raised by the
       loaders before they allocate
@@ -182,6 +185,11 @@ def test_declared_bounds_are_enforced():
         )
     # no declared bounds: anything goes, including zeros
     PotentialOutcomeTable(NoInterference(2), [[0.0, -1.0], [5.0, 0.5]])
+    # a bound must be finite
+    with pytest.raises(InvalidArgumentError, match="m_upper: must be finite"):
+        PotentialOutcomeTable(NoInterference(2), [[0.5, 0.5], [0.5, 0.5]], m_upper=math.inf)
+    with pytest.raises(InvalidArgumentError, match="k_lower: must be finite"):
+        PotentialOutcomeTable(NoInterference(2), [[0.5, 0.5], [0.5, 0.5]], k_lower=math.inf)
 
 
 def test_missing_entry_raises():
@@ -212,6 +220,17 @@ def test_observed_support_matches_observed_vector(structure):
     assert y.shape == (1 << 9, 9)
     for code, row in zip(codes.tolist(), y):
         assert row.tolist() == t.observed_vector(Assignment(code, 9)).tolist()
+
+
+@pytest.mark.parametrize("owners", [[0, 0, 0, 0, 0], [0, 1, 0, 0, 2], [0, 1, 2, 1, 0]])
+def test_shared_value_arrays_gather_as_copies(owners):
+    # units sharing one value array (witness tables share one column) share
+    # its gather, contiguous or not, with the same outcomes as copies
+    columns = PotentialOutcomeTable.random(Arbitrary(5), 0.0, 1.0, seed=7)._values
+    shared = PotentialOutcomeTable(Arbitrary(5), [columns[k] for k in owners])
+    copies = PotentialOutcomeTable(Arbitrary(5), [columns[k].copy() for k in owners])
+    codes = np.arange(1 << 5, dtype=np.int64)
+    assert shared.observed(codes).tolist() == copies.observed(codes).tolist()
 
 
 def test_unstored_entry_raises_through_the_gather():
