@@ -317,6 +317,18 @@ def cmd_adversary(cfg: dict, out: str | None) -> int:
     return 0
 
 
+def _levels(cfg: dict) -> tuple[float, float]:
+    """The config's outcome levels ``k_lower`` and ``m_upper``, each
+    positive and finite."""
+    levels = float(cfg["k_lower"]), float(cfg["m_upper"])
+    for key, level in zip(("k_lower", "m_upper"), levels):
+        if not level > 0:  # NaN fails too
+            raise ConfigError(f"{key}: must be positive, got {level}")
+        if level == math.inf:
+            raise ConfigError(f"{key}: must be finite, got {level}")
+    return levels
+
+
 def cmd_er_analysis(cfg: dict, out: str | None) -> int:
     _check_keys(
         cfg,
@@ -325,13 +337,8 @@ def cmd_er_analysis(cfg: dict, out: str | None) -> int:
         {"policy": dict},
     )
     seed = _seed(cfg, "seed")
-    k_lower = float(cfg["k_lower"])
-    m_upper = float(cfg["m_upper"])
-    # checked before any replicate draws from them; each test fails on NaN
-    if not 0 < k_lower < math.inf:
-        raise ConfigError(f"k_lower: must be positive and finite, got {k_lower}")
-    if not m_upper < math.inf:
-        raise ConfigError(f"m_upper: must be finite, got {m_upper}")
+    # checked before any replicate draws from them
+    k_lower, m_upper = _levels(cfg)
     if not k_lower < m_upper:
         raise ConfigError(f"k_lower: must be below m_upper={m_upper}, got {k_lower}")
     policy_cfg = cfg.get("policy", {"kind": "constant"})
@@ -411,10 +418,14 @@ def cmd_tables(cfg: dict, out: str | None) -> int:
 
 def cmd_regimes(cfg: dict, out: str | None) -> int:
     _check_keys(cfg, "config", {"n_values": list, "k_lower": _NUM, "m_upper": _NUM}, {})
+    # checked before any row is computed; equal levels are allowed
+    k_lower, m_upper = _levels(cfg)
+    if m_upper < k_lower:
+        raise ConfigError(f"m_upper: must be at least k_lower={k_lower}, got {m_upper}")
     rows = []
     for value in _sizes(cfg, "n_values"):
-        sparse = regime_report(value, SPARSE, float(cfg["k_lower"]), float(cfg["m_upper"]))
-        dense = regime_report(value, DENSE, float(cfg["k_lower"]), float(cfg["m_upper"]))
+        sparse = regime_report(value, SPARSE, k_lower, m_upper)
+        dense = regime_report(value, DENSE, k_lower, m_upper)
         rows.append(
             [
                 value,

@@ -17,8 +17,10 @@ constant tables cannot distinguish the single-treated assignments.
 Every family table is constant across units on each assignment row, so its
 n units share one length-2^n outcome column.  The unknowns are the distinct
 (code, observed vector) pairs the family reveals, numbered by first
-appearance (table by table, codes ascending); one ``np.unique`` over the
-stacked (table, code) rows finds them.
+appearance (table by table, codes ascending).  One stable ``np.lexsort``
+over the stacked (table, code) key rows groups equal keys, comparing them as
+floats, so -0.0 and 0.0 are one unknown that keeps the key it was first seen
+with.
 
 Grid levels should be exact binary fractions so observed-vector keys never
 drift; the shipped defaults use {0, 1}.
@@ -131,8 +133,10 @@ def _constraint_system(
     A table reveals one observed vector per support code, and each distinct
     (code, observed vector) pair is one unknown, numbered by first
     appearance: table by table in family order, codes ascending within a
-    table.  ``np.unique`` over the (table, code) rows finds the distinct
-    pairs; it merges -0.0 with 0.0, and the first row's key is kept.
+    table.  One stable ``np.lexsort`` over the (table, code) key rows puts
+    equal keys next to each other; a group starts wherever a sorted row
+    differs from the one before it as floats, so -0.0 and 0.0 merge, and
+    each unknown keeps its earliest row's key, signed zeros as first seen.
     """
     blocks = list(enumerate_support(design))
     # Every design law is uniform on its support, so each column of a row
@@ -145,14 +149,23 @@ def _constraint_system(
     for t, table in enumerate(family):
         keys[t, :, 1:] = table.observed(codes)
     keys = keys.reshape(-1, design.n + 1)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    column = np.empty(len(order), dtype=np.intp)
-    column[order] = np.arange(len(order))
-    a = np.zeros((len(family), len(order)))
-    a[np.arange(len(family)).repeat(len(codes)), column[inverse.reshape(-1)]] = p
+    # The sort is stable, so each group's first sorted row is its earliest
+    # row. Keys are finite (grid levels are checked), so != groups them.
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    start = np.empty(len(keys), dtype=bool)
+    start[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=start[1:])
+    first = order[start]
+    appearance = np.argsort(first)
+    number = np.empty(len(first), dtype=np.intp)
+    number[appearance] = np.arange(len(first))
+    column = np.empty(len(keys), dtype=np.intp)
+    column[order] = number[np.cumsum(start) - 1]
+    a = np.zeros((len(family), len(first)))
+    a[np.arange(len(family)).repeat(len(codes)), column] = p
     b = np.array([estimand_value(estimand, table) for table in family])
-    return a, b, keys[first[order]]
+    return a, b, keys[first[appearance]]
 
 
 def unbiased_feasibility(

@@ -459,6 +459,11 @@ def test_file_errors_exit_2(tmp_path, case):
         ("feasibility", "feasibility_bd.json", "grid=[NaN, 1]"),
         ("regimes", "regimes.json", "k_lower=NaN"),
         ("adversary", "adversary_diff_means.json", "m_upper=NaN"),
+        # regimes levels must be finite, with k_lower <= m_upper (the
+        # shipped config sets both to 1.0), before any row is computed
+        ("regimes", "regimes.json", "m_upper=Infinity"),
+        ("regimes", "regimes.json", "k_lower=Infinity"),
+        ("regimes", "regimes.json", "m_upper=0.5"),
         # er-analysis levels must satisfy 0 < k_lower < m_upper, both
         # finite, before any replicate runs
         ("er-analysis", "er_analysis_uniform.json", "k_lower=2.0"),

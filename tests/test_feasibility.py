@@ -11,10 +11,11 @@ Claims pinned here:
     - more than FEASIBILITY_N_CAP units or FEASIBILITY_GRID_CAP grid levels
       is a capacity error; an empty grid, or a grid level that is NaN or
       infinite, is an invalid argument naming the entry
-    - the constraint system built by one np.unique equals, bit for bit, the
-      one a dict of (code, observed vector) keys builds table by table: the
-      same matrix, right-hand side, unknowns in order (signed zeros
-      included), rank, residual and witness
+    - the constraint system built by one stable np.lexsort equals, bit for
+      bit, the one a dict of (code, observed vector) keys builds table by
+      table: the same matrix, right-hand side, unknowns in order (signed
+      zeros included), rank, residual and witness; the grouping is pinned
+      above the size cap too, at n = 8
     - a witness table's n units share one outcome column, which reads and
       serializes exactly as the full (2^n, n) matrix; both n = 14 adversary
       tables together stay below 0.5 MB of allocations
@@ -255,6 +256,25 @@ def test_system_equals_the_dict_build(n, kind, solo, grid):
         assert repr(list(cert.witness.mapping)) == repr(list(columns))
     else:
         assert cert.witness is None
+
+
+@pytest.mark.parametrize(
+    "design,unknowns",
+    [(Design("bd", 8), 768), (Design("crd", 8, 3), 168)],
+    ids=["bd", "crd"],
+)
+def test_system_equals_the_dict_build_above_the_cap(design, unknowns):
+    # the builder itself has no cap, so the grouping is checked at a size
+    # unbiased_feasibility refuses
+    estimand = SoloTreatmentEffect()
+    family = default_witness_family(design.n, estimand, (-0.0, 0.0, 0.25, 1.5))
+    a, b, keys = _constraint_system(design, estimand, family)
+    a_ref, b_ref, columns = _reference_system(design, estimand, family)
+    assert a.shape == (144, unknowns)
+    assert np.array_equal(a, a_ref)
+    assert np.array_equal(b, b_ref)
+    keys = [(int(row[0]), tuple(row[1:])) for row in keys.tolist()]
+    assert repr(keys) == repr(list(columns))
 
 
 def _full_matrix_table(n, off_value, rows, m_upper=None):
