@@ -163,11 +163,19 @@ def _check_kind(cfg, where: str, kinds: dict) -> str:
     return kind
 
 
-def _seed(cfg: dict, key: str) -> int:
-    """The block's seed, which numpy needs non-negative."""
-    if cfg["seed"] < 0:
-        raise ConfigError(f"{key}: must be non-negative, got {cfg['seed']}")
-    return cfg["seed"]
+def _non_negative(value: int, key: str) -> int:
+    """A seed, which numpy needs non-negative, or a radius ``k``."""
+    if value < 0:
+        raise ConfigError(f"{key}: must be non-negative, got {value}")
+    return value
+
+
+def _finite(value, key: str) -> float:
+    """A constant estimator's or policy's ``value`` as a finite float."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {value}")
+    return value
 
 
 def _parse_design(cfg, where="design") -> Design:
@@ -175,15 +183,21 @@ def _parse_design(cfg, where="design") -> Design:
     return Design(cfg["design"], cfg["n"], cfg.get("n_a"))
 
 
-def _parse_graph(cfg, where="graph") -> Graph:
+def _parse_graph(cfg, where="graph", n: int | None = None) -> Graph:
+    """The block's graph, refused if not of size ``n`` (an ER one undrawn)."""
     _check_keys(cfg, where, {}, {"path": str, "er": dict})
     if ("path" in cfg) == ("er" in cfg):
         raise ConfigError(f"{where}: give exactly one of path / er")
     if "path" in cfg:
-        return Graph.from_file(cfg["path"])
-    er = cfg["er"]
-    _check_keys(er, f"{where}.er", {"n": int, "p": _NUM, "seed": int}, {})
-    return sample_er_graph(ERSpec(er["n"], float(er["p"])), _seed(er, f"{where}.er.seed"))
+        graph = Graph.from_file(cfg["path"])
+    else:
+        er = cfg["er"]
+        _check_keys(er, f"{where}.er", {"n": int, "p": _NUM, "seed": int}, {})
+        seed = _non_negative(er["seed"], f"{where}.er.seed")
+    size = graph.n if "path" in cfg else er["n"]
+    if n is not None and size != n:
+        raise ConfigError(f"{where}: graph has n={size}, design has n={n}")
+    return graph if "path" in cfg else sample_er_graph(ERSpec(er["n"], float(er["p"])), seed)
 
 
 def _parse_structure(cfg, n: int, where="structure"):
@@ -195,10 +209,8 @@ def _parse_structure(cfg, n: int, where="structure"):
         return Arbitrary(n)
     if "graph" not in cfg:
         raise ConfigError(f"{where}: k_local needs a graph")
-    graph = _parse_graph(cfg["graph"], f"{where}.graph")
-    if graph.n != n:
-        raise ConfigError(f"{where}: graph has n={graph.n}, design has n={n}")
-    return KLocal(graph, cfg.get("k", 1))
+    k = _non_negative(cfg.get("k", 1), f"{where}.k")
+    return KLocal(_parse_graph(cfg["graph"], f"{where}.graph", n), k)
 
 
 def _parse_table(cfg, structure, where="table") -> PotentialOutcomeTable:
@@ -209,7 +221,7 @@ def _parse_table(cfg, structure, where="table") -> PotentialOutcomeTable:
     if "random" in cfg:
         r = cfg["random"]
         _check_keys(r, f"{where}.random", {"k_lower": _NUM, "m_upper": _NUM, "seed": int}, {})
-        seed = _seed(r, f"{where}.random.seed")
+        seed = _non_negative(r["seed"], f"{where}.random.seed")
         if structure is None:
             raise ConfigError(f"{where}: random tables need a structure block")
         return PotentialOutcomeTable.random(
@@ -228,7 +240,7 @@ def _parse_estimator(cfg, structure, n: int, where="estimator"):
     if kind in plain:
         return plain[kind]()
     if kind == "constant":
-        return ConstantEstimator(float(cfg.get("value", 0.0)))
+        return ConstantEstimator(_finite(cfg.get("value", 0.0), f"{where}.value"))
     if isinstance(structure, KLocal):
         if "k" in cfg or "graph" in cfg:
             raise ConfigError(f"{where}: horvitz_thompson reads k and graph from the structure")
@@ -237,10 +249,8 @@ def _parse_estimator(cfg, structure, n: int, where="estimator"):
         raise ConfigError(
             f"{where}: horvitz_thompson needs a k_local structure or an inline graph"
         )
-    graph = _parse_graph(cfg["graph"], f"{where}.graph")
-    if graph.n != n:
-        raise ConfigError(f"{where}: graph has n={graph.n}, expected n={n}")
-    return HorvitzThompson(KLocal(graph, cfg.get("k", 1)).index)
+    k = _non_negative(cfg.get("k", 1), f"{where}.k")
+    return HorvitzThompson(KLocal(_parse_graph(cfg["graph"], f"{where}.graph", n), k).index)
 
 
 def _parse_estimand(cfg, where="estimand"):
@@ -336,7 +346,7 @@ def cmd_er_analysis(cfg: dict, out: str | None) -> int:
         {"cases": list, "k_lower": _NUM, "m_upper": _NUM, "reps": int, "seed": int},
         {"policy": dict},
     )
-    seed = _seed(cfg, "seed")
+    seed = _non_negative(cfg["seed"], "seed")
     # checked before any replicate draws from them
     k_lower, m_upper = _levels(cfg)
     if not k_lower < m_upper:
@@ -344,7 +354,7 @@ def cmd_er_analysis(cfg: dict, out: str | None) -> int:
     policy_cfg = cfg.get("policy", {"kind": "constant"})
     kinds = {"constant": {"value": _NUM}, "uniform": {}}
     if _check_kind(policy_cfg, "policy", kinds) == "constant":
-        policy = ConstantOutcomes(float(policy_cfg.get("value", 1.0)))
+        policy = ConstantOutcomes(_finite(policy_cfg.get("value", 1.0), "policy.value"))
     else:
         policy = UniformOutcomes(k_lower, m_upper)
     rows = []
@@ -382,13 +392,16 @@ def cmd_er_analysis(cfg: dict, out: str | None) -> int:
 
 def cmd_tables(cfg: dict, out: str | None) -> int:
     _check_keys(cfg, "config", {"unit": int, "graph": dict, "sweep_n": list}, {"k": int})
+    if out is None:
+        raise ConfigError("tables writes two CSVs; --out must name a directory")
+    k = _non_negative(cfg.get("k", 1), "k")
     graph = _parse_graph(cfg["graph"])
     unit = cfg["unit"]
     n = graph.n
     structure_rows = []
     for name, s in (
         ("none", NoInterference(n)),
-        ("k_local", KLocal(graph, cfg.get("k", 1))),
+        ("k_local", KLocal(graph, k)),
         ("arbitrary", Arbitrary(n)),
     ):
         # under the fair coin, a share 1/count of assignments informs the unit
@@ -403,8 +416,6 @@ def cmd_tables(cfg: dict, out: str | None) -> int:
             )
     sweep_rows.append(["limit", "1/N", 2.0 * math.e, 0.5 * math.exp(-0.5)])
     sweep_rows.append(["limit", "1/sqrt(N)", math.inf, 0.0])
-    if out is None:
-        raise ConfigError("tables writes two CSVs; --out must name a directory")
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "structure_table.csv").write_text(

@@ -17,6 +17,10 @@ set) and a count of possible effective treatments (restrictions of the
 assignment to G_i, gathered by ``designs.restrict_codes``).  Under the
 fair-coin design every effective treatment is equally likely, so the share
 of assignments informative about a unit is one over that count.
+
+``Graph.from_file`` parses a graph file inside one error handler: any failure
+raises one ``GraphFormatError`` that starts with the path and quotes the edge
+line at fault; a file that cannot be opened raises its ``OSError``.
 """
 
 from __future__ import annotations
@@ -57,8 +61,6 @@ class Graph(_GraphFields):
         normalized = set()
         for u, v in edges:
             u, v = int(u), int(v)
-            if u == v:
-                raise GraphFormatError(f"self-loop at node {u}")
             pair = (u, v) if u < v else (v, u)
             if pair in normalized:
                 raise GraphFormatError(f"duplicate edge {pair}")
@@ -71,34 +73,23 @@ class Graph(_GraphFields):
 
         Nodes are 0-indexed.  Duplicate or self-loop lines are load errors.
         """
+        where = ""  # context: the line being parsed
         try:
-            text = Path(path).read_text()
-        except UnicodeDecodeError as exc:
-            raise GraphFormatError(f"{path}: not UTF-8 text ({exc})") from exc
-        lines = [
-            ln.strip()
-            for ln in text.splitlines()
-            if ln.strip() and not ln.lstrip().startswith("#")
-        ]
-        if not lines:
-            raise GraphFormatError(f"{path}: empty graph file")
-        try:
+            lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
+            lines = [ln for ln in lines if ln and not ln.startswith("#")]
+            if not lines:
+                raise GraphFormatError("empty graph file")
+            where = "first line, the node count: "
             n = int(lines[0])
-        except ValueError as exc:
-            raise GraphFormatError(f"{path}: first line must be the node count") from exc
-        edges = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 2:
-                raise GraphFormatError(f"{path}: bad edge line {ln!r}")
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-            except ValueError as exc:
-                raise GraphFormatError(f"{path}: bad edge line {ln!r}") from exc
-        try:
+            edges = []
+            for ln in lines[1:]:
+                where = f"bad edge line {ln!r}: "
+                u, v = ln.split()
+                edges.append((int(u), int(v)))
+            where = ""
             return cls.from_edges(n, edges)
-        except GraphFormatError as exc:
-            raise GraphFormatError(f"{path}: {exc}") from exc
+        except ValueError as exc:  # a UnicodeDecodeError or InvalidArgumentError too
+            raise GraphFormatError(f"{path}: {where}{exc}") from exc
 
 
 def k_step_neighborhood(graph: Graph, i: int, k: int) -> frozenset[int]:

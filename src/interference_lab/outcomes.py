@@ -27,6 +27,10 @@ value must lie strictly inside (0, M); a declared lower bound K tightens
 that to (K, M).  Tables without declared bounds skip the check (the
 feasibility machinery builds witness tables on arbitrary grids, including
 zero).
+
+``from_json`` and ``from_csv`` parse a file inside one error handler: any
+failure raises one ``InvalidArgumentError`` (``CapacityError`` past a cap) led
+by the path and the unit or row at fault; an unopenable file, its ``OSError``.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ KLOCAL_NEIGHBORHOOD_CAP = 20
 _BOUNDS_EPS_REL = 1e-9
 
 
-def _reference_groups(structure: InterferenceStructure, where: str = "") -> list[list[int]]:
+def _reference_groups(structure: InterferenceStructure) -> list[list[int]]:
     """Each unit's reference group in ascending node order, once a table on
     ``structure`` fits every size cap: ``CODE_BITS`` units (tables are read
     by int64 assignment codes), ``ARBITRARY_TABLE_CAP`` units under
@@ -73,18 +77,18 @@ def _reference_groups(structure: InterferenceStructure, where: str = "") -> list
     n = structure.n
     if n > CODE_BITS:
         raise CapacityError(
-            f"{where}outcome tables hold at most n={CODE_BITS} units "
+            f"outcome tables hold at most n={CODE_BITS} units "
             f"(one int64 assignment code), got n={n}"
         )
     if isinstance(structure, Arbitrary) and n > ARBITRARY_TABLE_CAP:
         raise CapacityError(
-            f"{where}arbitrary-interference tables capped at n={ARBITRARY_TABLE_CAP}, got n={n}"
+            f"arbitrary-interference tables capped at n={ARBITRARY_TABLE_CAP}, got n={n}"
         )
     groups = [sorted(reference_group(structure, i)) for i in range(n)]
     for i, g in enumerate(groups):
         if len(g) > KLOCAL_NEIGHBORHOOD_CAP:
             raise CapacityError(
-                f"{where}unit {i} has a reference group of size {len(g)} "
+                f"unit {i} has a reference group of size {len(g)} "
                 f"(cap {KLOCAL_NEIGHBORHOOD_CAP})"
             )
     return groups
@@ -251,78 +255,71 @@ class PotentialOutcomeTable:
     @classmethod
     def from_csv(cls, path: str | Path) -> "PotentialOutcomeTable":
         """Read the arbitrary-interference CSV form that ``to_csv`` writes."""
+        where = ""  # context: the data row being parsed
         try:
             with open(path, newline="") as fh:
                 rows = list(csv.reader(fh))
-        except UnicodeDecodeError as exc:
-            raise InvalidArgumentError(f"{path}: not UTF-8 text ({exc})") from exc
-        if not rows or rows[0] != ["assignment", "unit", "outcome"]:
-            raise InvalidArgumentError(f"{path}: expected header assignment,unit,outcome")
-        if len(rows) < 2:
-            raise InvalidArgumentError(f"{path}: no data rows")
-        n = len(rows[1][0]) if rows[1] else 0
-        _reference_groups(Arbitrary(n), f"{path}: ")
-        matrix = np.full((1 << n, n), np.nan)
-        for r, row in enumerate(rows[1:], start=2):
-            try:
+            if not rows or rows[0] != ["assignment", "unit", "outcome"]:
+                raise InvalidArgumentError("expected header assignment,unit,outcome")
+            if len(rows) < 2:
+                raise InvalidArgumentError("no data rows")
+            n = len(rows[1][0]) if rows[1] else 0
+            _reference_groups(Arbitrary(n))  # the caps, before the matrix is allocated
+            matrix = np.full((1 << n, n), np.nan)
+            for r, row in enumerate(rows[1:], start=2):
+                where = f"row {r}: "
                 labels, unit, outcome = row
                 z = Assignment.from_arms(labels)
                 i, v = int(unit), float(outcome)
-            except ValueError as exc:
-                raise InvalidArgumentError(f"{path}: row {r}: {exc}") from exc
-            if z.n != n:
-                raise InvalidArgumentError(f"{path}: row {r}: inconsistent assignment length")
-            if not 0 <= i < n:
-                raise InvalidArgumentError(f"{path}: row {r}: unit {i} out of range for n={n}")
-            matrix[z.code, i] = v
-        return cls(Arbitrary(n), matrix.T)
+                if z.n != n:
+                    raise InvalidArgumentError("inconsistent assignment length")
+                if not 0 <= i < n:
+                    raise InvalidArgumentError(f"unit {i} out of range for n={n}")
+                matrix[z.code, i] = v
+            return cls(Arbitrary(n), matrix.T)
+        except (csv.Error, ValueError) as exc:  # a UnicodeDecodeError too
+            raise InvalidArgumentError(f"{path}: {where}{exc}") from exc
+        except CapacityError as exc:
+            raise CapacityError(f"{path}: {exc}") from exc
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PotentialOutcomeTable":
+        """Read a keyed (no-interference or k-local) table document."""
+        where = ""  # context: the unit being parsed
         try:
             doc = json.loads(Path(path).read_text())
             spec = doc["structure"]
             if spec["kind"] == "no_interference":
                 structure: InterferenceStructure = NoInterference(int(spec["n"]))
             elif spec["kind"] == "k_local":
-                edges = [tuple(e) for e in spec["edges"]]
-                structure = KLocal(Graph.from_edges(int(spec["n"]), edges), int(spec["k"]))
+                structure = KLocal(Graph.from_edges(int(spec["n"]), spec["edges"]), int(spec["k"]))
             else:
-                raise InvalidArgumentError(
-                    f"{path}: unknown structure kind {spec['kind']!r}"
-                )
+                raise InvalidArgumentError(f"unknown structure kind {spec['kind']!r}")
+            groups = _reference_groups(structure)
             units = doc["units"]
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise InvalidArgumentError(f"{path}: invalid JSON ({exc})") from exc
+            if not isinstance(units, list) or len(units) != structure.n:
+                raise InvalidArgumentError(f"units: need one object per unit (n={structure.n})")
+            values = []
+            for i, (g, entry) in enumerate(zip(groups, units)):
+                where = f"unit {i}: "
+                if not isinstance(entry, dict):
+                    raise InvalidArgumentError("expected an object")
+                v = np.full(1 << len(g), np.nan)
+                for labels, x in entry.items():
+                    if len(labels) != len(g):
+                        raise InvalidArgumentError(
+                            f"key {labels!r} does not match its reference group size {len(g)}"
+                        )
+                    v[Assignment.from_arms(labels).code] = float(x)
+                values.append(v)
+            where = ""
+            return cls(structure, values, k_lower=doc.get("k_lower"), m_upper=doc.get("m_upper"))
         except KeyError as exc:
             raise InvalidArgumentError(f"{path}: missing key {exc}") from exc
-        except TypeError as exc:
-            raise InvalidArgumentError(f"{path}: malformed table ({exc})") from exc
-        groups = _reference_groups(structure, f"{path}: ")
-        if not isinstance(units, list) or len(units) != structure.n:
-            raise InvalidArgumentError(
-                f"{path}: \"units\" must list one object per unit (n={structure.n})"
-            )
-        values = []
-        for i, (g, entry) in enumerate(zip(groups, units)):
-            if not isinstance(entry, dict):
-                raise InvalidArgumentError(f"{path}: unit {i}: expected an object")
-            v = np.full(1 << len(g), np.nan)
-            for labels, x in entry.items():
-                if len(labels) != len(g):
-                    raise InvalidArgumentError(
-                        f"{path}: unit {i} key {labels!r} does not match its "
-                        f"reference group size {len(g)}"
-                    )
-                try:
-                    v[Assignment.from_arms(labels).code] = float(x)
-                except (TypeError, ValueError) as exc:
-                    raise InvalidArgumentError(f"{path}: unit {i}: {exc}") from exc
-            values.append(v)
-        try:
-            return cls(structure, values, k_lower=doc.get("k_lower"), m_upper=doc.get("m_upper"))
-        except InvalidArgumentError as exc:
-            raise InvalidArgumentError(f"{path}: {exc}") from exc
+        except (OverflowError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors too
+            raise InvalidArgumentError(f"{path}: {where}{exc}") from exc
+        except CapacityError as exc:
+            raise CapacityError(f"{path}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

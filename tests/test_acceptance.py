@@ -250,6 +250,7 @@ def _run_cli(args, threads, cwd):
     env.pop("OPENBLAS_NUM_THREADS", None)
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = str(threads)
+    env["PYTHONWARNINGS"] = "error"  # a warning in the child fails as it does in process
     cwd.mkdir()
     result = subprocess.run(
         [sys.executable, "-m", "interference_lab.cli", *args],

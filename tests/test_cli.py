@@ -16,8 +16,14 @@ Claims pinned here:
       are not positive or overflow a float, a NaN feasibility grid level,
       a NaN outcome level or bound (regimes' k_lower, the adversary's
       m_upper, a table file's m_upper), an infinite table bound, and
-      er-analysis levels outside 0 < k_lower < m_upper, both finite,
-      exit 2 naming the entry on one stderr line; a broken moment identity or MSE floor exits 4 without a
+      er-analysis levels outside 0 < k_lower < m_upper, both finite, a
+      constant estimator's or policy's value that is not finite, and a
+      negative radius k, exit 2 naming the entry on one stderr line; a
+      malformed table file (a bad n, edge or radius included) or graph
+      file (a node count below 1, an edge line of three fields) exits 2
+      naming the file; tables without --out, and an ER graph whose n is
+      not the design's, exit 2 before any graph is drawn; a broken moment
+      identity or MSE floor exits 4 without a
       traceback; a negative seed, in any of its three keys, and a float
       overflow in an estimand, a moment, MSE or Monte Carlo reduction or
       in the envelope h(M) exit 2 with one stderr line
@@ -70,13 +76,15 @@ SRC = str(Path(interference_lab.__file__).resolve().parents[1])
 
 def blas_env(threads=None):
     """os.environ with OPENBLAS_NUM_THREADS set to ``threads``, or unset for
-    None (an in-process import of the package may have set it), and this
-    package first on PYTHONPATH, so a child in any cwd runs the same code."""
+    None (an in-process import of the package may have set it), this
+    package first on PYTHONPATH, so a child in any cwd runs the same code,
+    and warnings turned into errors."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env.pop("OPENBLAS_NUM_THREADS", None)
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = str(threads)
+    env["PYTHONWARNINGS"] = "error"  # a warning in the child fails as it does in process
     return env
 
 
@@ -370,6 +378,17 @@ _HUB_EDGES = [[0, j] for j in range(1, 22)]  # unit 0's reference group has 22 u
             )
             for bound in (math.nan, math.inf)
         ),
+        # a malformed structure fails inside the reader, naming the file
+        *(
+            ("table.json", json.dumps({"structure": s, "units": [{"A": 1.0, "B": 0.5}] * 6}), 2)
+            for s in (
+                {"kind": "no_interference", "n": "abc"},
+                {"kind": "k_local", "n": 6, "k": 1, "edges": [[0, 1, 2]]},
+                {"kind": "k_local", "n": 6, "k": 1, "edges": [["a", "b"]]},
+                {"kind": "k_local", "n": 6, "k": 1, "edges": [[0, 0]]},
+                {"kind": "k_local", "n": 6, "k": -1, "edges": [[0, 1]]},
+            )
+        ),
     ],
 )
 def test_malformed_table_file_exit_code(tmp_path, name, text, code):
@@ -387,6 +406,19 @@ def test_tables_unit_out_of_range_exits_2(tmp_path, unit):
     cfg = str(CONFIGS / "tables.json")
     result = run_cli(["tables", "--config", cfg, "--out", str(tmp_path), "--set", f"unit={unit}"])
     assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("text", ["0\n", "-3\n", "6\n0 1\n0 1 2\n"])
+def test_malformed_graph_file_exits_2_naming_it(tmp_path, text):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    cfg = dict(MOMENTS_CFG)
+    cfg["structure"] = {"kind": "k_local", "graph": {"path": str(path)}}
+    result = run_cli(["moments", "--config", write_config(tmp_path, "m.json", cfg)])
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"error: {path}: ")
+    assert result.stderr.count("\n") == 1
     assert "Traceback" not in result.stderr
 
 
@@ -470,6 +502,23 @@ def test_file_errors_exit_2(tmp_path, case):
         ("er-analysis", "er_analysis_uniform.json", "k_lower=NaN"),
         ("er-analysis", "er_analysis_uniform.json", "m_upper=Infinity"),
         ("er-analysis", "er_analysis.json", "m_upper=NaN"),
+        # a constant's value must be finite, and a radius non-negative
+        ("er-analysis", "er_analysis.json", "policy.value=NaN"),
+        ("er-analysis", "er_analysis.json", "policy.value=Infinity"),
+        ("moments", "moments_crd.json", 'estimator={"kind": "constant", "value": NaN}'),
+        (
+            "adversary",
+            "adversary_diff_means.json",
+            'estimator={"kind": "constant", "value": Infinity}',
+        ),
+        ("moments", "moments_ht.json", "structure.k=-1"),
+        (
+            "moments",
+            "moments_crd.json",
+            'estimator={"kind": "horvitz_thompson", "k": -1, '
+            '"graph": {"er": {"n": 8, "p": 0.25, "seed": 4}}}',
+        ),
+        ("tables", "tables.json", "k=-1"),
     ],
 )
 def test_json_booleans_are_not_numbers(tmp_path, command, config, override):
@@ -482,6 +531,39 @@ def test_json_booleans_are_not_numbers(tmp_path, command, config, override):
     assert result.stderr.startswith(f"error: {key}")
     assert result.stderr.count("\n") == 1
     assert "Traceback" not in result.stderr
+
+
+@pytest.fixture
+def er_draws(monkeypatch):
+    """The ER graphs the CLI draws, recorded instead of drawn."""
+    drawn = []
+    monkeypatch.setattr(cli, "sample_er_graph", lambda *args: drawn.append(args))
+    return drawn
+
+
+def test_tables_without_out_exits_2_before_drawing(capsys, er_draws):
+    assert cli.main(["tables", "--config", str(CONFIGS / "tables.json")]) == 2
+    assert capsys.readouterr().err == "error: tables writes two CSVs; --out must name a directory\n"
+    assert er_draws == []
+
+
+@pytest.mark.parametrize(
+    "config,override,where",
+    [
+        ("moments_ht.json", "structure.graph.er.n=9", "structure.graph"),
+        (
+            "moments_crd.json",
+            'estimator={"kind": "horvitz_thompson", '
+            '"graph": {"er": {"n": 9, "p": 0.25, "seed": 4}}}',
+            "estimator.graph",
+        ),
+    ],
+    ids=["structure", "inline"],
+)
+def test_er_graph_of_another_size_exits_2_before_drawing(capsys, er_draws, config, override, where):
+    assert cli.main(["moments", "--config", str(CONFIGS / config), "--set", override]) == 2
+    assert capsys.readouterr().err == f"error: {where}: graph has n=9, design has n=8\n"
+    assert er_draws == []
 
 
 def test_capacity_exits_3(tmp_path):

@@ -20,6 +20,9 @@ Claims pinned here:
     - the arbitrary-interference width and reference-group caps are
       capacity errors for direct construction, the generator and both
       loaders alike
+    - on any malformed graph file, table JSON document or table CSV, the
+      three readers either return or raise a package error whose message
+      starts with the file's path
 """
 
 import gc
@@ -30,6 +33,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interference_lab import (
     ATE,
@@ -40,6 +45,7 @@ from interference_lab import (
     Design,
     Graph,
     IncompleteTableError,
+    InterferenceLabError,
     InvalidArgumentError,
     KLocal,
     NoInterference,
@@ -312,3 +318,86 @@ def test_json_reads_literal_documents(tmp_path):
     t = PotentialOutcomeTable.from_json(path)
     assert t.m_upper == 5.0
     assert t.observed_vector(Assignment.from_arms("AB")).tolist() == [1.0, 4.0]
+
+
+# Input files that are valid or broken in a few places, kept small: a
+# k-local table allocates 2^|ball| floats per unit, so n stays at most 8.
+_JUNK = st.sampled_from(
+    ["x", "", "A", 1.5, -1, 9, None, True, [], [0, 1, 2], math.nan, math.inf, 10**400]
+)
+
+
+def _encoded(draw, text: str) -> bytes:
+    """The text as UTF-8, or now and then arbitrary bytes (not UTF-8 either)."""
+    if draw(st.integers(0, 9)) == 7:  # not 0, which hypothesis draws often
+        return draw(st.binary(max_size=12))
+    return text.encode()
+
+
+@st.composite
+def _graph_files(draw):
+    """A node count and edge lines, up to two of them replaced or added."""
+    n = draw(st.integers(-1, 8))
+    edges = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=6))
+    lines = [str(n)] + [f"{u} {v}" for u, v in edges]
+    token = st.one_of(st.integers(-2, 8).map(str), st.sampled_from(["x", "#", "1.5"]))
+    for _ in range(draw(st.integers(0, 2))):  # replace or add a line of 0-3 tokens
+        i = draw(st.integers(0, len(lines)))
+        lines[i : i + 1] = [" ".join(draw(st.lists(token, max_size=3)))]
+    return _encoded(draw, "\n".join(lines))
+
+
+@st.composite
+def _json_files(draw):
+    """A table document, up to two fields dropped or junk, maybe a stray key."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["no_interference", "k_local"]))
+    k = draw(st.integers(0, 2))
+    edges = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=2), max_size=n))
+    width = 1 if kind == "no_interference" or k == 0 else draw(st.integers(1, 4))
+    entry = st.dictionaries(st.text("AB", min_size=width, max_size=width), st.floats(0.1, 0.9))
+    structure = {"kind": kind, "n": n, "k": k, "edges": edges}
+    units = draw(st.lists(entry, min_size=n, max_size=n))
+    doc = {"structure": structure, "units": units, "m_upper": 1.0}
+    fields = [(doc, key) for key in ("structure", "units", "k_lower", "m_upper")]
+    fields += [(structure, key) for key in structure] + [(units, 0)]
+    for block, key in draw(st.lists(st.sampled_from(fields), max_size=2)):
+        if draw(st.booleans()) and isinstance(block, dict):
+            block.pop(key, None)
+        else:
+            block[key] = draw(_JUNK)
+    if draw(st.booleans()) and isinstance(units[-1], dict):  # one stray key
+        units[-1][draw(st.text("ABX", max_size=3))] = draw(_JUNK)
+    return _encoded(draw, json.dumps(doc))
+
+
+@st.composite
+def _csv_files(draw):
+    """An arbitrary-interference table CSV, up to two lines replaced or added."""
+    n = draw(st.integers(1, 3))
+    row = st.tuples(st.text("AB", min_size=n, max_size=n), st.integers(0, n - 1), st.floats(0, 1))
+    rows = draw(st.lists(row, max_size=6))
+    lines = ["assignment,unit,outcome"] + [f"{z},{i},{v!r}" for z, i, v in rows]
+    field = st.sampled_from(["A", "AB", "A" * 15, "0", "-1", "9", "0.5", "x", "", "1e400"])
+    for _ in range(draw(st.integers(0, 2))):  # replace or add a line of 0-4 fields
+        i = draw(st.integers(0, len(lines)))
+        lines[i : i + 1] = [",".join(draw(st.lists(field, max_size=4)))]
+    return _encoded(draw, "\n".join(lines))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just(Graph.from_file), _graph_files()),
+        st.tuples(st.just(PotentialOutcomeTable.from_json), _json_files()),
+        st.tuples(st.just(PotentialOutcomeTable.from_csv), _csv_files()),
+    )
+)
+def test_readers_fail_only_with_an_error_naming_the_file(tmp_path_factory, case):
+    reader, content = case
+    path = tmp_path_factory.getbasetemp() / "reader_input"
+    path.write_bytes(content)
+    try:
+        reader(path)
+    except InterferenceLabError as exc:
+        assert str(exc).startswith(f"{path}: ")

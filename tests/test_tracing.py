@@ -63,7 +63,8 @@ def test_tracer_installs_and_counts_a_moments_and_a_feasibility_run(tmp_path):
         capture_output=True,
         text=True,
         cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        # a warning in the child fails as it does in process
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error"),
     )
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.strip().splitlines()[-1])
