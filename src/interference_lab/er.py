@@ -36,7 +36,7 @@ from ._kernels import ORACLE_CAP, er_moment_scan, er_variance_scan, ht_variance_
 from ._pcg64 import seed_states, seed_words
 from .designs import CODE_BITS
 from .errors import CapacityError, InvalidArgumentError
-from .exact import _weighted_square_sum
+from .exact import _exact_sum, _weighted_square_sum
 from .graphs import Graph
 
 SPARSE = "sparse"
@@ -187,9 +187,21 @@ def _draw_edges(spec: ERSpec, rng: np.random.Generator, out: np.ndarray) -> np.n
     return np.less(rng.random(out.size), spec.p, out=out)
 
 
+# Node pairs one explicit graph draw may hold.  Each pair costs about 25
+# bytes while drawn (16 for its two int64 endpoints, 8 for its uniform coin,
+# 1 for its keep flag), so 2^22 pairs (n <= 2896) is about 100 MB.
+ER_DRAW_PAIR_CAP = 2**22
+
+
 def sample_er_graph(spec: ERSpec, seed: int) -> Graph:
     """One graph draw, deterministic in the seed: the coins of
-    ``_draw_edges`` over every node pair in lexicographic (i, j) order."""
+    ``_draw_edges`` over every node pair in lexicographic (i, j) order.
+    More than ``ER_DRAW_PAIR_CAP`` pairs are refused before any is made."""
+    pairs = spec.n * (spec.n - 1) // 2
+    if pairs > ER_DRAW_PAIR_CAP:
+        raise CapacityError(
+            f"ER graph draws capped at {ER_DRAW_PAIR_CAP} node pairs, got n={spec.n} ({pairs} pairs)"
+        )
     left, right = np.triu_indices(spec.n, 1)
     keep = _draw_edges(spec, np.random.default_rng(seed), np.empty(left.size, dtype=bool))
     return Graph.from_edges(spec.n, zip(left[keep].tolist(), right[keep].tolist()))
@@ -339,7 +351,7 @@ def mc_expected_variance(
     values = np.concatenate(blocks)
     if not np.isfinite(values).all():
         raise OverflowError(f"Monte Carlo variance past the double range at n={n}, p={spec.p}")
-    mean = math.fsum(values) / reps
+    mean = _exact_sum(values) / reps
     sample_var = _weighted_square_sum(values, 1.0, mean) / (reps - 1)
     return MCVariance(mean, math.sqrt(sample_var / reps), reps, 0)
 

@@ -36,6 +36,13 @@ from .designs import CODE_BITS
 from .errors import CapacityError, GraphFormatError, InvalidArgumentError
 
 
+def _node(x) -> int:
+    """An edge endpoint as an int; a float or a bool is refused, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise GraphFormatError(f"node {x!r} is not an integer")
+    return int(x)
+
+
 class _GraphFields(NamedTuple):
     n: int
     edges: frozenset[tuple[int, int]]
@@ -60,7 +67,7 @@ class Graph(_GraphFields):
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         normalized = set()
         for u, v in edges:
-            u, v = int(u), int(v)
+            u, v = _node(u), _node(v)
             pair = (u, v) if u < v else (v, u)
             if pair in normalized:
                 raise GraphFormatError(f"duplicate edge {pair}")

@@ -104,6 +104,15 @@ def _columns(units: list[int]) -> int | slice | np.ndarray:
     return np.array(units)
 
 
+def _integer(spec: dict, key: str) -> int:
+    """A table document's ``structure.<key>``, refused unless a JSON integer
+    (a float is not truncated, and a boolean is not 0 or 1)."""
+    value = spec[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidArgumentError(f"structure.{key}: must be an integer, got {value!r}")
+    return value
+
+
 class PotentialOutcomeTable:
     """Per-unit outcome functions of the effective treatment; ``values[i]``
     holds unit i's outcomes by effective-treatment key."""
@@ -290,9 +299,10 @@ class PotentialOutcomeTable:
             doc = json.loads(Path(path).read_text())
             spec = doc["structure"]
             if spec["kind"] == "no_interference":
-                structure: InterferenceStructure = NoInterference(int(spec["n"]))
+                structure: InterferenceStructure = NoInterference(_integer(spec, "n"))
             elif spec["kind"] == "k_local":
-                structure = KLocal(Graph.from_edges(int(spec["n"]), spec["edges"]), int(spec["k"]))
+                graph = Graph.from_edges(_integer(spec, "n"), spec["edges"])
+                structure = KLocal(graph, _integer(spec, "k"))
             else:
                 raise InvalidArgumentError(f"unknown structure kind {spec['kind']!r}")
             groups = _reference_groups(structure)

@@ -10,8 +10,9 @@ Claims pinned here:
       not store, printed unquoted, and integers past Python's 4300-digit
       conversion limit, in a config file or a --set value; over-cap sizes,
       including feasibility systems past their unit or grid-level cap,
-      tables and Monte Carlo beyond the 63-node code width, and Monte
-      Carlo past 2^32 replicates, exit 3; moments past the enumeration cap
+      tables and Monte Carlo beyond the 63-node code width, Monte Carlo
+      past 2^32 replicates, and an ER graph draw past 2^22 node pairs,
+      before any pair is allocated, exit 3; moments past the enumeration cap
       exits 3 before it reads a graph or draws a table; sweep sizes that
       are not positive or overflow a float, a NaN feasibility grid level,
       a NaN outcome level or bound (regimes' k_lower, the adversary's
@@ -19,7 +20,8 @@ Claims pinned here:
       er-analysis levels outside 0 < k_lower < m_upper, both finite, a
       constant estimator's or policy's value that is not finite, and a
       negative radius k, exit 2 naming the entry on one stderr line; a
-      malformed table file (a bad n, edge or radius included) or graph
+      malformed table file (a bad n, edge or radius included, and a float
+      or boolean one, refused rather than truncated) or graph
       file (a node count below 1, an edge line of three fields) exits 2
       naming the file; tables without --out, and an ER graph whose n is
       not the design's, exit 2 before any graph is drawn; a broken moment
@@ -65,6 +67,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import interference_lab
@@ -336,6 +339,9 @@ def test_table_json_without_structure_exits_2(tmp_path):
 
 
 _HUB_EDGES = [[0, j] for j in range(1, 22)]  # unit 0's reference group has 22 units
+_ARM_UNITS = [{"A": 1.0, "B": 0.5}]
+# units of a k = 1 table on n = 6 with the one edge (0, 1)
+_PAIR_UNITS = [{"AA": 1.0, "AB": 0.75, "BA": 0.75, "BB": 0.5}] * 2 + _ARM_UNITS * 4
 
 
 @pytest.mark.parametrize(
@@ -387,6 +393,21 @@ _HUB_EDGES = [[0, j] for j in range(1, 22)]  # unit 0's reference group has 22 u
                 {"kind": "k_local", "n": 6, "k": 1, "edges": [["a", "b"]]},
                 {"kind": "k_local", "n": 6, "k": 1, "edges": [[0, 0]]},
                 {"kind": "k_local", "n": 6, "k": -1, "edges": [[0, 1]]},
+            )
+        ),
+        # a size, radius or edge endpoint that is not an integer is refused,
+        # not truncated into a table that loads (each units list fits the
+        # truncated structure)
+        *(
+            ("table.json", json.dumps({"structure": s, "units": units}), 2)
+            for s, units in (
+                ({"kind": "no_interference", "n": 6.5}, _ARM_UNITS * 6),
+                ({"kind": "no_interference", "n": 6.0}, _ARM_UNITS * 6),
+                ({"kind": "no_interference", "n": True}, _ARM_UNITS),
+                ({"kind": "k_local", "n": 6, "k": 0.5, "edges": []}, _ARM_UNITS * 6),
+                ({"kind": "k_local", "n": 6, "k": True, "edges": []}, _ARM_UNITS * 6),
+                ({"kind": "k_local", "n": 6, "k": 1, "edges": [[0, 1.5]]}, _PAIR_UNITS),
+                ({"kind": "k_local", "n": 6, "k": 1, "edges": [[0, True]]}, _PAIR_UNITS),
             )
         ),
     ],
@@ -564,6 +585,20 @@ def test_er_graph_of_another_size_exits_2_before_drawing(capsys, er_draws, confi
     assert cli.main(["moments", "--config", str(CONFIGS / config), "--set", override]) == 2
     assert capsys.readouterr().err == f"error: {where}: graph has n=9, design has n=8\n"
     assert er_draws == []
+
+
+def test_er_draw_past_the_pair_cap_exits_3_before_allocating(tmp_path, capsys, monkeypatch):
+    # n = 2897 is the least size past 2^22 node pairs; the draw would first
+    # allocate every pair with np.triu_indices
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.triu_indices ran")
+
+    monkeypatch.setattr(np, "triu_indices", refuse)
+    argv = ["tables", "--config", str(CONFIGS / "tables.json"), "--out", str(tmp_path)]
+    assert cli.main([*argv, "--set", "graph.er.n=2897"]) == 3
+    assert capsys.readouterr().err == (
+        "capacity error: ER graph draws capped at 4194304 node pairs, got n=2897 (4194856 pairs)\n"
+    )
 
 
 def test_capacity_exits_3(tmp_path):

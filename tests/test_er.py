@@ -36,6 +36,8 @@ Claims pinned here:
       boundary and up to 2^32 - 1;
       more than 2^32 replicates are refused before any graph is drawn
     - a Monte Carlo variance past the double range raises OverflowError
+    - a graph draw past ``ER_DRAW_PAIR_CAP`` node pairs is refused before
+      any pair is allocated, and one at the cap is not
     - each row of a block's neighborhood masks, built from the coin rows of
       the one coin draw, equals the BFS balls of the graph drawn from the
       same stream
@@ -333,6 +335,22 @@ def test_sample_er_graph_determinism_and_extremes():
     assert sample_er_graph(ERSpec(5, 0.0), seed=1) == empty_graph(5)
     complete = Graph.from_edges(5, itertools.combinations(range(5), 2))
     assert sample_er_graph(ERSpec(5, 1.0), seed=1) == complete
+
+
+@pytest.mark.parametrize("n,refused", [(2896, False), (2897, True)])
+def test_er_draw_cap_is_checked_before_any_pair_is_made(monkeypatch, n, refused):
+    # n = 2896 is the largest size within 2^22 node pairs, so its draw goes
+    # on to allocate them; one node more is refused before that
+    class Allocated(Exception):
+        pass
+
+    def allocate(*args, **kwargs):
+        raise Allocated
+
+    assert (n * (n - 1) // 2 > er.ER_DRAW_PAIR_CAP) == refused
+    monkeypatch.setattr(np, "triu_indices", allocate)
+    with pytest.raises(CapacityError if refused else Allocated):
+        sample_er_graph(ERSpec(n, 0.5), seed=0)
 
 
 def test_mc_constant_at_p_zero_is_degenerate():

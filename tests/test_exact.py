@@ -13,6 +13,11 @@ Claims pinned here:
     - the array reduction of squared deviations equals the scalar
       ``math.fsum(p * (v - c) ** 2 ...)`` bit for bit, and raises
       OverflowError wherever that does
+    - the vectorized exact sum equals ``math.fsum`` bit for bit, the sign
+      of a zero included, or raises the same exception class: on mixed
+      signs and exponents, subnormals, values near the double range,
+      exactly cancelling pairs, non-finite values, and seeded arrays of
+      2^14 and 2^20 values, in one block or in many
 """
 
 import math
@@ -43,7 +48,8 @@ from interference_lab import (
     sample_er_graph,
     ERSpec,
 )
-from interference_lab.exact import _weighted_square_sum
+from interference_lab import exact
+from interference_lab.exact import _exact_sum, _weighted_square_sum
 from graph_builders import empty_graph
 
 
@@ -224,3 +230,72 @@ def test_square_reduction_matches_on_uniform_draws():
     c = rng.uniform(-1.0, 1.0)
     for v in rng.uniform(-10.0, 10.0, 20000).tolist():
         _check_square_reduction([v], 0.5**14, c)
+
+
+# Every finite double (subnormals, +-0.0 and +-max included), small values,
+# and the extremes by name.
+_SUMMANDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-10.0, 10.0),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.0**1022, -(2.0**1023)]
+    ),
+)
+
+
+@st.composite
+def _summand_lists(draw):
+    """A list of summands and, shuffled in, the negations of some of them."""
+    values = draw(st.lists(_SUMMANDS, max_size=60))
+    cancelled = values[: draw(st.integers(0, len(values)))]
+    return draw(st.permutations(values + [-v for v in cancelled]))
+
+
+def _check_exact_sum(values):
+    array = np.array(values, dtype=float)
+    try:
+        expected = math.fsum(values)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            _exact_sum(array)
+        return
+    got = _exact_sum(array)
+    if math.isnan(expected):
+        assert math.isnan(got)
+        return
+    assert got == expected
+    assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(values=_summand_lists())
+@example(values=[])
+@example(values=[-0.0])
+@example(values=[-0.0, -0.0])
+@example(values=[5e-324] * 3)
+@example(values=[1e308, 1e308, -1e308])  # fsum raises OverflowError
+@example(values=[1.7976931348623157e308, -1.7976931348623157e308, 1.0])
+@example(values=[math.inf, 1.0])
+@example(values=[math.inf, -math.inf])
+@example(values=[math.nan, 1.0])
+def test_exact_sum_matches_fsum(values):
+    _check_exact_sum(values)
+
+
+@pytest.mark.parametrize("size", [2**14, 2**20])
+def test_exact_sum_matches_fsum_on_seeded_arrays(size):
+    rng = np.random.default_rng(size)
+    spread = rng.uniform(-1.0, 1.0, size) * 2.0 ** rng.integers(-80, 80, size)
+    for values in (rng.uniform(0.0, 3.0, size), spread):
+        _check_exact_sum(values.tolist())
+
+
+def test_exact_sum_matches_fsum_across_blocks(monkeypatch):
+    # blocks of 2^8 values in passes of 2^4: every block's bucket sums go to
+    # fsum on their own
+    monkeypatch.setattr(exact, "_EXACT_BLOCK", 2**8)
+    monkeypatch.setattr(exact, "_SUM_CHUNK", 2**4)
+    rng = np.random.default_rng(3)
+    values = rng.uniform(-1.0, 1.0, 5000) * 2.0 ** rng.integers(-1074, 1000, 5000)
+    _check_exact_sum(values.tolist())
+    _check_exact_sum(np.concatenate((values, -values[::-1])).tolist())

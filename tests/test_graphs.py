@@ -15,7 +15,8 @@ Claims pinned here:
       informative share to the last bit (count-fraction identity)
     - the bitmask form reaches n = CODE_BITS, the top node's bit included,
       and stops one node later
-    - graph files load back the graph they list and reject malformed input
+    - graph files load back the graph they list and reject malformed input;
+      an edge endpoint that is a float or a bool is refused, not truncated
 """
 
 from itertools import combinations
@@ -50,6 +51,13 @@ def test_graph_construction_rejects_bad_edges():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(GraphFormatError):
         Graph.from_edges(3, [(0, 3)])
+    # an endpoint that is not an integer is refused, not truncated
+    for bad in (1.0, 1.5, True, "1", None):
+        with pytest.raises(GraphFormatError, match="is not an integer"):
+            Graph.from_edges(3, [(0, bad)])
+        with pytest.raises(GraphFormatError, match="is not an integer"):
+            Graph.from_edges(3, [(bad, 2)])
+    assert Graph.from_edges(3, [(np.int64(0), np.int32(2))]) == Graph.from_edges(3, [(0, 2)])
 
 
 def test_k_step_neighborhood_examples():
