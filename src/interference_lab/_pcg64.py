@@ -32,6 +32,8 @@ import math
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 # numpy's SeedSequence hash constants (4-word pool) and PCG64's multiplier.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -46,10 +48,17 @@ _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 LANES = 2**13
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a negative seed, which has no 32-bit words (numpy refuses it)."""
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
+
+
 def seed_words(value: int, count: int) -> list[np.ndarray]:
     """The entropy words SeedSequence reads from a non-negative int:
     its 32-bit words, lowest first (one word for 0), each as a uint32
     array of ``count`` equal lanes."""
+    check_seed(value)
     words = []
     while True:
         words.append(np.full(count, value & _MASK32, dtype=np.uint32))

@@ -27,6 +27,7 @@ from .er import (
     ConstantOutcomes,
     ERSpec,
     UniformOutcomes,
+    check_monte_carlo,
     classify_regime,
     expected_informative_fraction,
     h_bound,
@@ -214,10 +215,9 @@ def _parse_structure(cfg, n: int, where="structure"):
 
 
 def _parse_table(cfg, structure, where="table") -> PotentialOutcomeTable:
-    _check_keys(cfg, where, {}, {"random": dict, "json_path": str, "csv_path": str})
-    sources = [k for k in ("random", "json_path", "csv_path") if k in cfg]
-    if len(sources) != 1:
-        raise ConfigError(f"{where}: give exactly one of random / json_path / csv_path")
+    _check_keys(cfg, where, {}, {"random": dict, "json_path": str})
+    if ("random" in cfg) == ("json_path" in cfg):
+        raise ConfigError(f"{where}: give exactly one of random / json_path")
     if "random" in cfg:
         r = cfg["random"]
         _check_keys(r, f"{where}.random", {"k_lower": _NUM, "m_upper": _NUM, "seed": int}, {})
@@ -227,9 +227,7 @@ def _parse_table(cfg, structure, where="table") -> PotentialOutcomeTable:
         return PotentialOutcomeTable.random(
             structure, float(r["k_lower"]), float(r["m_upper"]), seed
         )
-    if "json_path" in cfg:
-        return PotentialOutcomeTable.from_json(cfg["json_path"])
-    return PotentialOutcomeTable.from_csv(cfg["csv_path"])
+    return PotentialOutcomeTable.from_json(cfg["json_path"])
 
 
 def _parse_estimator(cfg, structure, n: int, where="estimator"):
@@ -313,16 +311,16 @@ def cmd_adversary(cfg: dict, out: str | None) -> int:
         cfg,
         "config",
         {"design": dict, "estimator": dict, "m_upper": _NUM},
-        {"table_csv": str},
+        {"table_json": str},
     )
     design = _parse_design(cfg["design"])
     estimator = _parse_estimator(cfg["estimator"], None, design.n)
     result = mse_adversary(estimator, design, float(cfg["m_upper"]))
     payload = result.to_json_dict()
     payload["estimator"] = cfg["estimator"]["kind"]
-    if cfg.get("table_csv"):
-        result.table.to_csv(cfg["table_csv"])
-        payload["table_csv"] = cfg["table_csv"]
+    if cfg.get("table_json"):
+        result.table.to_json(cfg["table_json"])
+        payload["table_json"] = cfg["table_json"]
     _emit(_json_text(payload), out)
     return 0
 
@@ -357,18 +355,22 @@ def cmd_er_analysis(cfg: dict, out: str | None) -> int:
         policy = ConstantOutcomes(_finite(policy_cfg.get("value", 1.0), "policy.value"))
     else:
         policy = UniformOutcomes(k_lower, m_upper)
-    rows = []
-    for idx, case in enumerate(cfg["cases"]):
+    cases = []
+    for idx, case in enumerate(cfg["cases"]):  # every case, and its envelope, before any replicate
         _check_keys(case, f"cases[{idx}]", {"n": int, "p": _NUM}, {})
         spec = ERSpec(case["n"], float(case["p"]))
+        check_monte_carlo(spec, cfg["reps"])
+        cases.append((spec, h_bound(k_lower, spec), h_bound(m_upper, spec)))
+    rows = []
+    for spec, h_lower, h_upper in cases:
         mc = mc_expected_variance(spec, policy, cfg["reps"], seed)
         rows.append(
             [
                 spec.n,
                 spec.p,
                 classify_regime(spec),
-                h_bound(k_lower, spec),
-                h_bound(m_upper, spec),
+                h_lower,
+                h_upper,
                 mc.mean,
                 mc.stderr,
                 moment_two_pow_nbhd(spec),
@@ -395,6 +397,15 @@ def cmd_tables(cfg: dict, out: str | None) -> int:
     if out is None:
         raise ConfigError("tables writes two CSVs; --out must name a directory")
     k = _non_negative(cfg.get("k", 1), "k")
+    sweep_rows = []  # before the graph is drawn, since they refuse bad sizes
+    for value in _sizes(cfg, "sweep_n"):
+        for rule, p in (("1/N", 1.0 / value), ("1/sqrt(N)", 1.0 / math.sqrt(value))):
+            spec = ERSpec(value, p)
+            sweep_rows.append(
+                [value, rule, moment_two_pow_nbhd(spec), expected_informative_fraction(spec)]
+            )
+    sweep_rows.append(["limit", "1/N", 2.0 * math.e, 0.5 * math.exp(-0.5)])
+    sweep_rows.append(["limit", "1/sqrt(N)", math.inf, 0.0])
     graph = _parse_graph(cfg["graph"])
     unit = cfg["unit"]
     n = graph.n
@@ -407,15 +418,6 @@ def cmd_tables(cfg: dict, out: str | None) -> int:
         # under the fair coin, a share 1/count of assignments informs the unit
         count = effective_treatment_count(s, unit)
         structure_rows.append([name, count, 1 / count])
-    sweep_rows = []
-    for value in _sizes(cfg, "sweep_n"):
-        for rule, p in (("1/N", 1.0 / value), ("1/sqrt(N)", 1.0 / math.sqrt(value))):
-            spec = ERSpec(value, p)
-            sweep_rows.append(
-                [value, rule, moment_two_pow_nbhd(spec), expected_informative_fraction(spec)]
-            )
-    sweep_rows.append(["limit", "1/N", 2.0 * math.e, 0.5 * math.exp(-0.5)])
-    sweep_rows.append(["limit", "1/sqrt(N)", math.inf, 0.0])
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "structure_table.csv").write_text(

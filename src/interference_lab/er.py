@@ -33,7 +33,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from ._kernels import ORACLE_CAP, er_moment_scan, er_variance_scan, ht_variance_terms
-from ._pcg64 import seed_states, seed_words
+from ._pcg64 import check_seed, seed_states, seed_words
 from .designs import CODE_BITS
 from .errors import CapacityError, InvalidArgumentError
 from .exact import _exact_sum, _weighted_square_sum
@@ -197,6 +197,7 @@ def sample_er_graph(spec: ERSpec, seed: int) -> Graph:
     """One graph draw, deterministic in the seed: the coins of
     ``_draw_edges`` over every node pair in lexicographic (i, j) order.
     More than ``ER_DRAW_PAIR_CAP`` pairs are refused before any is made."""
+    check_seed(seed)
     pairs = spec.n * (spec.n - 1) // 2
     if pairs > ER_DRAW_PAIR_CAP:
         raise CapacityError(
@@ -272,6 +273,18 @@ SEED_CHUNK = 2**10
 MAX_REPS = 2**32
 
 
+def check_monte_carlo(spec: ERSpec, reps: int) -> None:
+    """Refuse the runs ``mc_expected_variance`` refuses, before it starts."""
+    if reps < 2:
+        raise InvalidArgumentError(f"need reps >= 2, got {reps}")
+    if reps > MAX_REPS:
+        raise CapacityError(f"Monte Carlo needs reps <= 2^32, got reps={reps}")
+    if spec.n > CODE_BITS:
+        raise CapacityError(
+            f"Monte Carlo needs n <= {CODE_BITS} (int64 neighborhood bitmasks), got n={spec.n}"
+        )
+
+
 def mc_expected_variance(
     spec: ERSpec, policy: TablePolicy, reps: int, seed: int
 ) -> MCVariance:
@@ -299,16 +312,7 @@ def mc_expected_variance(
     ``MAX_REPS`` replicates are refused too, since each index hashes as one
     32-bit word, and a variance past the double range raises OverflowError.
     """
-    if reps < 2:
-        raise InvalidArgumentError(f"need reps >= 2, got {reps}")
-    if reps > MAX_REPS:
-        raise CapacityError(f"Monte Carlo needs reps <= 2^32, got reps={reps}")
-    if seed < 0:
-        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
-    if spec.n > CODE_BITS:
-        raise CapacityError(
-            f"Monte Carlo needs n <= {CODE_BITS} (int64 neighborhood bitmasks), got n={spec.n}"
-        )
+    check_monte_carlo(spec, reps)
     n = spec.n
     pairs = np.triu_indices(n, 1)
     block = min(reps, max(1, MC_BLOCK_PAIRS // (n * n)))

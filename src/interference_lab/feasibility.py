@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .designs import Design, enumerate_support
+from .designs import Design, check_enumerable, enumerate_support
 from .errors import (
     CapacityError,
     FeasibilityPrecisionError,
@@ -255,6 +255,7 @@ def mse_adversary(
         )
     if not m_upper > 0:  # NaN fails too
         raise InvalidArgumentError(f"m_upper: must be positive, got {m_upper}")
+    check_enumerable(design)  # before the 2^n-row tables are allocated
     m = float(m_upper)
     eps = _EPS_REL * m
     half = m / 2.0

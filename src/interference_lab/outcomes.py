@@ -28,14 +28,14 @@ that to (K, M).  Tables without declared bounds skip the check (the
 feasibility machinery builds witness tables on arbitrary grids, including
 zero).
 
-``from_json`` and ``from_csv`` parse a file inside one error handler: any
-failure raises one ``InvalidArgumentError`` (``CapacityError`` past a cap) led
-by the path and the unit or row at fault; an unopenable file, its ``OSError``.
+A table of any structure has one file form, the JSON document ``to_json``
+writes.  ``from_json`` parses it inside one error handler: any failure raises
+one ``InvalidArgumentError`` (``CapacityError`` past a cap) led by the path
+and the unit at fault; an unopenable file, its ``OSError``.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from pathlib import Path
@@ -245,61 +245,41 @@ class PotentialOutcomeTable:
     # ------------------------------------------------------------------
     # Serialization
 
-    def to_csv(self, path: str | Path) -> None:
-        """Arbitrary-interference tables only: rows assignment,unit,outcome."""
-        if not isinstance(self.structure, Arbitrary):
-            raise InvalidArgumentError(
-                "CSV form is for arbitrary-interference tables; keyed tables "
-                "are read from JSON (table.json_path)"
-            )
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["assignment", "unit", "outcome"])
-            for code in range(1 << self.n):
-                labels = Assignment(code, self.n).labels
-                for i, v in enumerate(self._values):
-                    if not math.isnan(v[code]):
-                        w.writerow([labels, i, repr(float(v[code]))])
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "PotentialOutcomeTable":
-        """Read the arbitrary-interference CSV form that ``to_csv`` writes."""
-        where = ""  # context: the data row being parsed
-        try:
-            with open(path, newline="") as fh:
-                rows = list(csv.reader(fh))
-            if not rows or rows[0] != ["assignment", "unit", "outcome"]:
-                raise InvalidArgumentError("expected header assignment,unit,outcome")
-            if len(rows) < 2:
-                raise InvalidArgumentError("no data rows")
-            n = len(rows[1][0]) if rows[1] else 0
-            _reference_groups(Arbitrary(n))  # the caps, before the matrix is allocated
-            matrix = np.full((1 << n, n), np.nan)
-            for r, row in enumerate(rows[1:], start=2):
-                where = f"row {r}: "
-                labels, unit, outcome = row
-                z = Assignment.from_arms(labels)
-                i, v = int(unit), float(outcome)
-                if z.n != n:
-                    raise InvalidArgumentError("inconsistent assignment length")
-                if not 0 <= i < n:
-                    raise InvalidArgumentError(f"unit {i} out of range for n={n}")
-                matrix[z.code, i] = v
-            return cls(Arbitrary(n), matrix.T)
-        except (csv.Error, ValueError) as exc:  # a UnicodeDecodeError too
-            raise InvalidArgumentError(f"{path}: {where}{exc}") from exc
-        except CapacityError as exc:
-            raise CapacityError(f"{path}: {exc}") from exc
+    def to_json(self, path: str | Path) -> None:
+        """Write the document ``from_json`` reads: the structure, any declared
+        bounds, and each unit's stored outcomes keyed by the arms of its
+        reference group in ascending node order, codes ascending; unstored
+        entries are left out."""
+        s = self.structure
+        kind = {NoInterference: "no_interference", KLocal: "k_local", Arbitrary: "arbitrary"}
+        spec = {"kind": kind[type(s)], "n": s.n}
+        if isinstance(s, KLocal):
+            spec.update(k=s.k, edges=sorted(s.graph.edges))
+        doc: dict = {"structure": spec}
+        for key, bound in (("k_lower", self.k_lower), ("m_upper", self.m_upper)):
+            if bound is not None:
+                doc[key] = bound
+        keys: dict[int, list[str]] = {}  # the arms of every code, by group size
+        doc["units"] = []
+        for g, v in zip(self._groups, self._values):
+            if len(g) not in keys:
+                keys[len(g)] = [Assignment(code, len(g)).labels for code in range(len(v))]
+            stored = zip(keys[len(g)], v.tolist())
+            doc["units"].append({labels: x for labels, x in stored if not math.isnan(x)})
+        Path(path).write_text(json.dumps(doc) + "\n")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PotentialOutcomeTable":
-        """Read a keyed (no-interference or k-local) table document."""
+        """Read a table document: a no-interference, k-local or arbitrary
+        structure, whose units key their outcomes as ``to_json`` writes."""
         where = ""  # context: the unit being parsed
         try:
             doc = json.loads(Path(path).read_text())
             spec = doc["structure"]
             if spec["kind"] == "no_interference":
                 structure: InterferenceStructure = NoInterference(_integer(spec, "n"))
+            elif spec["kind"] == "arbitrary":
+                structure = Arbitrary(_integer(spec, "n"))
             elif spec["kind"] == "k_local":
                 graph = Graph.from_edges(_integer(spec, "n"), spec["edges"])
                 structure = KLocal(graph, _integer(spec, "k"))

@@ -13,7 +13,10 @@ Claims pinned here:
       tables and Monte Carlo beyond the 63-node code width, Monte Carlo
       past 2^32 replicates, and an ER graph draw past 2^22 node pairs,
       before any pair is allocated, exit 3; moments past the enumeration cap
-      exits 3 before it reads a graph or draws a table; sweep sizes that
+      exits 3 before it reads a graph or draws a table, and the adversary
+      (n = 15, 24, 64 and 2^63) before it builds a table, on one stderr
+      line; er-analysis refuses any case (a bad key, edge probability,
+      size or envelope) before its first replicate; sweep sizes that
       are not positive or overflow a float, a NaN feasibility grid level,
       a NaN outcome level or bound (regimes' k_lower, the adversary's
       m_upper, a table file's m_upper), an infinite table bound, and
@@ -23,8 +26,9 @@ Claims pinned here:
       malformed table file (a bad n, edge or radius included, and a float
       or boolean one, refused rather than truncated) or graph
       file (a node count below 1, an edge line of three fields) exits 2
-      naming the file; tables without --out, and an ER graph whose n is
-      not the design's, exit 2 before any graph is drawn; a broken moment
+      naming the file; tables without --out or with a sweep size it
+      cannot evaluate, and an ER graph whose n is not the design's, exit 2
+      before any graph is drawn; a broken moment
       identity or MSE floor exits 4 without a
       traceback; a negative seed, in any of its three keys, and a float
       overflow in an estimand, a moment, MSE or Monte Carlo reduction or
@@ -43,7 +47,9 @@ Claims pinned here:
     - the exposure-weighted estimator takes an inline graph when the
       structure carries none, and without either it exits 2
     - the witness CSV that feasibility writes is the in-process
-      certificate's witness, byte for byte
+      certificate's witness, byte for byte, and the worst-case table the
+      adversary writes (``table_json``) reads back through ``moments``
+      (``table.json_path``) to the adversary's MSE, bit for bit
     - re-running any command byte-identically reproduces its output and the
       files it writes, with OPENBLAS_NUM_THREADS unset, 1 and 4, including
       the least-squares witness of configs/feasibility_bd.json
@@ -180,7 +186,7 @@ def test_feasibility_command(tmp_path):
 
 
 def test_adversary_command(tmp_path):
-    table_csv = tmp_path / "adversary_table.csv"
+    table_json = tmp_path / "adversary_table.json"
     cfg = write_config(
         tmp_path,
         "a.json",
@@ -188,15 +194,28 @@ def test_adversary_command(tmp_path):
             "design": {"design": "bd", "n": 6},
             "estimator": {"kind": "diff_means"},
             "m_upper": 1.0,
-            "table_csv": str(table_csv),
+            "table_json": str(table_json),
         },
     )
     result = run_cli(["adversary", "--config", cfg])
     assert result.returncode == 0
     report = json.loads(result.stdout)
     assert report["mse"] >= 0.125 - 1e-6
-    table = PotentialOutcomeTable.from_csv(table_csv)
+    assert report["table_json"] == str(table_json)
+    table = PotentialOutcomeTable.from_json(table_json)
     assert table.n == 6
+
+
+@pytest.mark.parametrize("estimator", ["diff_means", "pure_arm_ipw"])
+def test_adversary_table_reads_back_to_its_mse(tmp_path, capsys, estimator):
+    table = str(tmp_path / "adversary_table.json")
+    design = {"design": "bd", "n": 6}
+    cfg = {"design": design, "estimator": {"kind": estimator}, "m_upper": 1.0, "table_json": table}
+    assert cli.main(["adversary", "--config", write_config(tmp_path, "a.json", cfg)]) == 0
+    mse = json.loads(capsys.readouterr().out)["mse"]
+    cfg = {"design": design, "table": {"json_path": table}, "estimator": {"kind": estimator}}
+    assert cli.main(["moments", "--config", write_config(tmp_path, "m.json", cfg)]) == 0
+    assert repr(json.loads(capsys.readouterr().out)["mse_vs_estimand"]) == repr(mse)
 
 
 def test_er_analysis_command(tmp_path):
@@ -321,9 +340,8 @@ def _moments_with_table(tmp_path, table):
     return run_cli(["moments", "--config", write_config(tmp_path, "m.json", cfg)])
 
 
-@pytest.mark.parametrize("key", ["json_path", "csv_path"])
-def test_missing_table_file_exits_2(tmp_path, key):
-    result = _moments_with_table(tmp_path, {key: str(tmp_path / "absent")})
+def test_missing_table_file_exits_2(tmp_path):
+    result = _moments_with_table(tmp_path, {"json_path": str(tmp_path / "absent")})
     assert result.returncode == 2
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
@@ -344,14 +362,20 @@ _ARM_UNITS = [{"A": 1.0, "B": 0.5}]
 _PAIR_UNITS = [{"AA": 1.0, "AB": 0.75, "BA": 0.75, "BB": 0.5}] * 2 + _ARM_UNITS * 4
 
 
+def _whole(units, n=3):
+    """An arbitrary-interference table document on n units."""
+    return json.dumps({"structure": {"kind": "arbitrary", "n": n}, "units": units})
+
+
 @pytest.mark.parametrize(
     "name,text,code",
     [
-        ("table.csv", "assignment,unit,outcome\nAAA,0\n", 2),
-        ("table.csv", "assignment,unit,outcome\nAAA,0,x\n", 2),
-        ("table.csv", "assignment,unit,outcome\nAAA,7,0.5\n", 2),
-        ("table.csv", "assignment,unit,outcome\nAAA,-1,0.5\n", 2),
-        ("table.csv", "assignment,unit,outcome\n" + "A" * 15 + ",0,0.5\n", 3),
+        ("table.json", _whole([["AAA", 0.5], {}, {}]), 2),
+        ("table.json", _whole([{"AAA": "x"}, {}, {}]), 2),
+        ("table.json", _whole([{"AAA": 0.5}, {}, {}, {}]), 2),
+        ("table.json", _whole([{"AAAA": 0.5}, {}, {}]), 2),
+        ("table.json", _whole([{"AXA": 0.5}, {}, {}]), 2),
+        ("table.json", _whole([{}] * 15, n=15), 3),
         ("table.json", "[1, 2]", 2),
         (
             "table.json",
@@ -415,8 +439,7 @@ _PAIR_UNITS = [{"AA": 1.0, "AB": 0.75, "BA": 0.75, "BB": 0.5}] * 2 + _ARM_UNITS 
 def test_malformed_table_file_exit_code(tmp_path, name, text, code):
     path = tmp_path / name
     path.write_text(text)
-    key = "csv_path" if name.endswith(".csv") else "json_path"
-    result = _moments_with_table(tmp_path, {key: str(path)})
+    result = _moments_with_table(tmp_path, {"json_path": str(path)})
     assert result.returncode == code, result.stderr
     assert str(path) in result.stderr
     assert "Traceback" not in result.stderr
@@ -485,7 +508,7 @@ def _file_error_args(tmp_path, case):
     "case",
     [
         f"{where}:{kind}"
-        for where in ("config", "graph", "json_path", "csv_path")
+        for where in ("config", "graph", "json_path")
         for kind in ("dir", "non_utf8")
     ]
     + ["out:missing_dir", "witness_csv:missing_dir", "tables_out:existing_file"],
@@ -569,6 +592,56 @@ def test_tables_without_out_exits_2_before_drawing(capsys, er_draws):
 
 
 @pytest.mark.parametrize(
+    "sweep,message",
+    [("[0]", "sweep_n[0]: must be positive, got 0"), ("[50, 1]", "pairwise moments need n >= 2")],
+)
+def test_tables_refuses_its_sweep_before_drawing(tmp_path, capsys, er_draws, sweep, message):
+    argv = ["tables", "--config", str(CONFIGS / "tables.json"), "--out", str(tmp_path)]
+    assert cli.main([*argv, "--set", f"sweep_n={sweep}"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert er_draws == []
+
+
+@pytest.fixture
+def mc_runs(monkeypatch):
+    """The Monte Carlo runs the CLI makes, recorded instead of run."""
+    runs = []
+    monkeypatch.setattr(cli, "mc_expected_variance", lambda *args: runs.append(args))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "case,m_upper,code,message",
+    [
+        ({"n": 6, "p": 1.5}, 1.0, 2, "error: edge probability must be in [0,1], got 1.5"),
+        ({"n": 6, "p": 0.1, "k": 1}, 1.0, 2, "error: cases[3]: unknown keys ['k']"),
+        (
+            {"n": 64, "p": 0.1},
+            1.0,
+            3,
+            "capacity error: Monte Carlo needs n <= 63 (int64 neighborhood bitmasks), got n=64",
+        ),
+        # h(1e150) is finite on the three shipped cases and not on this one
+        (
+            {"n": 63, "p": 1.0},
+            1e150,
+            2,
+            "error: float overflow envelope h(1e+150) past the double range at n=63, p=1.0",
+        ),
+    ],
+)
+def test_er_analysis_refuses_every_case_before_any_replicate(
+    tmp_path, capsys, mc_runs, case, m_upper, code, message
+):
+    cfg = json.loads((CONFIGS / "er_analysis.json").read_text())
+    cfg["cases"].append(case)  # after three good cases
+    cfg["m_upper"] = m_upper
+    assert cli.main(["er-analysis", "--config", write_config(tmp_path, "er.json", cfg)]) == code
+    assert capsys.readouterr().err == f"{message}\n"
+    assert mc_runs == []
+
+
+@pytest.mark.parametrize(
     "config,override,where",
     [
         ("moments_ht.json", "structure.graph.er.n=9", "structure.graph"),
@@ -598,6 +671,22 @@ def test_er_draw_past_the_pair_cap_exits_3_before_allocating(tmp_path, capsys, m
     assert cli.main([*argv, "--set", "graph.er.n=2897"]) == 3
     assert capsys.readouterr().err == (
         "capacity error: ER graph draws capped at 4194304 node pairs, got n=2897 (4194856 pairs)\n"
+    )
+
+
+@pytest.mark.parametrize("n", [15, 24, 64, 2**63])
+def test_adversary_past_the_enumeration_cap_exits_3_before_allocating(capsys, monkeypatch, n):
+    # each worst-case table holds 2^n outcomes (8 GB at n = 30), and past
+    # n = 62 the allocation itself fails
+    def refuse(*args, **kwargs):
+        raise AssertionError("_witness_table ran")
+
+    monkeypatch.setattr(feasibility, "_witness_table", refuse)
+    argv = ["adversary", "--config", str(CONFIGS / "adversary_bd_ipw_scale.json")]
+    assert cli.main([*argv, "--set", f"design.n={n}"]) == 3
+    assert capsys.readouterr().err == (
+        f"capacity error: support enumeration capped at n=14 (got n={n}); "
+        "exact analysis does not run beyond it\n"
     )
 
 

@@ -1,0 +1,90 @@
+"""Every shipped config, with up to two leaves replaced or deleted, run in process.
+
+Claims pinned here:
+    - ``cli.main`` on any shipped config with up to two leaves deleted, or
+      replaced by a size (0, -1, 63, 64, 100, 2^63, 2^64 + 1), an extreme
+      or special float (+-1e308, 1e-320, -0.0, NaN), the string "x" or a
+      value of another JSON type, returns 0, 2, 3 or 4 and raises nothing
+      (no warning either); a failing run writes exactly one stderr line and
+      a passing one none
+"""
+
+import copy
+import io
+import json
+import math
+import os
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from interference_lab import cli
+from test_golden import COMMANDS, ROOT
+
+# fresh copies, since a later mutation may write into a drawn list or object
+_VALUES = st.sampled_from(
+    [0, -1, 63, 64, 100, 2**63, 2**64 + 1]
+    + [1e308, -1e308, 1e-320, -0.0, math.nan]
+    + ["x", True, None, [], {}, [1], {"x": 1}]
+).map(copy.deepcopy)
+
+
+def _leaves(node, path=()):
+    """The paths to every scalar in a JSON value, and to every empty list or
+    object."""
+    if isinstance(node, (dict, list)) and node:
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(child, (*path, key))
+    else:
+        yield path
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A shipped config's name, and the config with up to two leaves
+    replaced or deleted."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    cfg = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    reps = cfg.get("reps")
+    for _ in range(draw(st.integers(1, 2))):
+        *parents, last = draw(st.sampled_from([p for p in _leaves(cfg) if p]))
+        block = cfg
+        for key in parents:
+            block = block[key]
+        if draw(st.booleans()):
+            del block[last]
+            continue
+        value = draw(_VALUES)
+        # Replicates stay at or below the shipped count: a larger one only
+        # makes a legitimate run longer. This bounds runtime and hides no
+        # defect, since the refusal past er.MAX_REPS is tested on its own.
+        if last == "reps" and type(value) in (int, float) and value > reps:
+            value = reps
+        block[last] = value
+    return name, cfg
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_mutated_configs())
+def test_mutated_shipped_configs_exit_cleanly(tmp_path_factory, case):
+    name, cfg = case
+    work = tmp_path_factory.getbasetemp() / "mutated_config"
+    work.mkdir(exist_ok=True)
+    config = work / "config.json"
+    config.write_text(json.dumps(cfg))
+    out = work / ("out" if COMMANDS[name] == "tables" else "out.txt")
+    stderr = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)  # a relative output path, like witness.csv, lands here
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = cli.main([COMMANDS[name], "--config", str(config), "--out", str(out)])
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2, 3, 4)
+    err = stderr.getvalue()
+    if code:
+        assert err.endswith("\n") and err.count("\n") == 1, err
+    else:
+        assert err == ""

@@ -284,16 +284,16 @@ def _full_matrix_table(n, off_value, rows, m_upper=None):
     return PotentialOutcomeTable(Arbitrary(n), matrix.T, m_upper=m_upper)
 
 
-def test_witness_table_writes_the_full_matrix_csv(tmp_path):
+def test_witness_table_writes_the_full_matrix_json(tmp_path):
     n, all_b = 6, (1 << 6) - 1
     for off, rows, m in [
         (0.5, {0: 0.5, all_b: 0.5}, 1.0),
         (1.5, {0: 3.0 - 3e-6, all_b: 3e-6}, 3.0),
         (0.0, {all_b ^ 4: 0.25}, None),
     ]:
-        _witness_table(n, off, rows, m).to_csv(tmp_path / "shared.csv")
-        _full_matrix_table(n, off, rows, m).to_csv(tmp_path / "full.csv")
-        assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+        _witness_table(n, off, rows, m).to_json(tmp_path / "shared.json")
+        _full_matrix_table(n, off, rows, m).to_json(tmp_path / "full.json")
+        assert (tmp_path / "shared.json").read_bytes() == (tmp_path / "full.json").read_bytes()
 
 
 def test_witness_table_reads_as_the_full_matrix():

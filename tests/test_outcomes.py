@@ -7,8 +7,10 @@ Claims pinned here:
       two arms
     - the random generator honors the open bounds, is seed-deterministic,
       and respects the declared structure
-    - arbitrary tables round-trip through CSV, and literal keyed JSON
-      documents load with the outcomes they store
+    - tables of every structure round-trip through the one JSON document
+      with equal structure, bounds and outcomes under every code, unstored
+      entries and absent bounds left out, and literal documents, an
+      arbitrary one included, load with the outcomes they store
     - the block gather over a support reveals the same outcomes as the
       one-assignment lookup, units sharing one value array read the same
       outcomes as copies of it, and an unstored entry fails loudly
@@ -18,10 +20,10 @@ Claims pinned here:
       assignment code; one unit more is a capacity error, raised by the
       loaders before they allocate
     - the arbitrary-interference width and reference-group caps are
-      capacity errors for direct construction, the generator and both
-      loaders alike
-    - on any malformed graph file, table JSON document or table CSV, the
-      three readers either return or raise a package error whose message
+      capacity errors for direct construction, the generator and the
+      loader alike
+    - on any malformed graph file or table document of any structure, the
+      two readers either return or raise a package error whose message
       starts with the file's path
 """
 
@@ -172,12 +174,12 @@ def test_generator_caps(tmp_path):
     )
     with pytest.raises(CapacityError):
         PotentialOutcomeTable.from_json(path)
-    # the CSV loader checks the width of the first row before it allocates
+    # the loader checks an arbitrary structure's width before it allocates
     for n in (ARBITRARY_TABLE_CAP + 1, CODE_BITS + 1):
-        path = tmp_path / f"wide{n}.csv"
-        path.write_text(f"assignment,unit,outcome\n{'A' * n},0,1.0\n")
+        path = tmp_path / f"wide{n}.json"
+        path.write_text('{"structure": {"kind": "arbitrary", "n": %d}, "units": [{}]}' % n)
         with pytest.raises(CapacityError):
-            PotentialOutcomeTable.from_csv(path)
+            PotentialOutcomeTable.from_json(path)
 
 
 def test_declared_bounds_are_enforced():
@@ -271,22 +273,41 @@ def test_observed_vector_checks_the_assignment_size():
         t.observed_vector(Assignment(0, 3))
 
 
-def test_csv_roundtrip(tmp_path):
-    t = PotentialOutcomeTable.random(Arbitrary(3), 0.0, 1.0, seed=21)
-    path = tmp_path / "table.csv"
-    t.to_csv(path)
-    back = PotentialOutcomeTable.from_csv(path)
-    for code in range(8):
-        z = Assignment(code, 3)
-        assert list(back.observed_vector(z)) == list(t.observed_vector(z))
+@pytest.mark.parametrize(
+    "structure",
+    [Arbitrary(3), NoInterference(4), KLocal(Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]), 1)],
+    ids=["arbitrary", "no_interference", "k_local"],
+)
+def test_json_roundtrip(tmp_path, structure):
+    t = PotentialOutcomeTable.random(structure, 0.25, 1.0, seed=21)
+    path = tmp_path / "table.json"
+    t.to_json(path)
+    back = PotentialOutcomeTable.from_json(path)
+    assert back.structure == structure
+    assert (back.k_lower, back.m_upper) == (0.25, 1.0)
+    codes = np.arange(1 << structure.n, dtype=np.int64)
+    assert np.array_equal(back.observed(codes), t.observed(codes))
 
 
-def test_csv_load_closes_its_file(tmp_path):
-    path = tmp_path / "table.csv"
-    PotentialOutcomeTable.random(Arbitrary(2), 0.0, 1.0, seed=21).to_csv(path)
+def test_json_leaves_unstored_entries_and_absent_bounds_out(tmp_path):
+    path = tmp_path / "table.json"
+    PotentialOutcomeTable(NoInterference(2), [[1.0, math.nan], [-0.0, 4.0]]).to_json(path)
+    structure = {"kind": "no_interference", "n": 2}
+    units = [{"A": 1.0}, {"A": -0.0, "B": 4.0}]
+    assert json.loads(path.read_text()) == {"structure": structure, "units": units}
+    back = PotentialOutcomeTable.from_json(path)
+    assert (back.k_lower, back.m_upper) == (None, None)
+    assert math.copysign(1.0, back.observed_vector(Assignment.from_arms("AA"))[1]) == -1.0
+    with pytest.raises(IncompleteTableError):
+        back.observed_vector(Assignment.from_arms("BA"))
+
+
+def test_json_load_closes_its_file(tmp_path):
+    path = tmp_path / "table.json"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        PotentialOutcomeTable.from_csv(path)
+        PotentialOutcomeTable.random(Arbitrary(2), 0.0, 1.0, seed=21).to_json(path)
+        PotentialOutcomeTable.from_json(path)
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
@@ -319,6 +340,16 @@ def test_json_reads_literal_documents(tmp_path):
     assert t.m_upper == 5.0
     assert t.observed_vector(Assignment.from_arms("AB")).tolist() == [1.0, 4.0]
 
+    # under arbitrary interference every unit keys by the whole assignment
+    whole = [{"AA": 1.0, "BA": 2.0, "AB": 3.0, "BB": 4.0}, {"AA": 5.0, "BA": 6.0, "AB": 7.0}]
+    path.write_text(json.dumps({"structure": {"kind": "arbitrary", "n": 2}, "units": whole}))
+    t = PotentialOutcomeTable.from_json(path)
+    assert t.structure == Arbitrary(2)
+    assert t.observed_vector(Assignment.from_arms("BA")).tolist() == [2.0, 6.0]
+    assert t.observed_vector(Assignment.from_arms("AB")).tolist() == [3.0, 7.0]
+    with pytest.raises(IncompleteTableError):
+        t.observed_vector(Assignment.from_arms("BB"))
+
 
 # Input files that are valid or broken in a few places, kept small: a
 # k-local table allocates 2^|ball| floats per unit, so n stays at most 8.
@@ -349,12 +380,16 @@ def _graph_files(draw):
 
 @st.composite
 def _json_files(draw):
-    """A table document, up to two fields dropped or junk, maybe a stray key."""
+    """A table document of any structure kind, up to two fields dropped or
+    junk, maybe a stray key."""
     n = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(["no_interference", "k_local"]))
+    kind = draw(st.sampled_from(["no_interference", "k_local", "arbitrary"]))
     k = draw(st.integers(0, 2))
     edges = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=2), max_size=n))
-    width = 1 if kind == "no_interference" or k == 0 else draw(st.integers(1, 4))
+    if kind == "arbitrary":
+        width = n
+    else:
+        width = 1 if kind == "no_interference" or k == 0 else draw(st.integers(1, 4))
     entry = st.dictionaries(st.text("AB", min_size=width, max_size=width), st.floats(0.1, 0.9))
     structure = {"kind": kind, "n": n, "k": k, "edges": edges}
     units = draw(st.lists(entry, min_size=n, max_size=n))
@@ -371,26 +406,11 @@ def _json_files(draw):
     return _encoded(draw, json.dumps(doc))
 
 
-@st.composite
-def _csv_files(draw):
-    """An arbitrary-interference table CSV, up to two lines replaced or added."""
-    n = draw(st.integers(1, 3))
-    row = st.tuples(st.text("AB", min_size=n, max_size=n), st.integers(0, n - 1), st.floats(0, 1))
-    rows = draw(st.lists(row, max_size=6))
-    lines = ["assignment,unit,outcome"] + [f"{z},{i},{v!r}" for z, i, v in rows]
-    field = st.sampled_from(["A", "AB", "A" * 15, "0", "-1", "9", "0.5", "x", "", "1e400"])
-    for _ in range(draw(st.integers(0, 2))):  # replace or add a line of 0-4 fields
-        i = draw(st.integers(0, len(lines)))
-        lines[i : i + 1] = [",".join(draw(st.lists(field, max_size=4)))]
-    return _encoded(draw, "\n".join(lines))
-
-
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(
     st.one_of(
         st.tuples(st.just(Graph.from_file), _graph_files()),
         st.tuples(st.just(PotentialOutcomeTable.from_json), _json_files()),
-        st.tuples(st.just(PotentialOutcomeTable.from_csv), _csv_files()),
     )
 )
 def test_readers_fail_only_with_an_error_naming_the_file(tmp_path_factory, case):

@@ -10,22 +10,34 @@ Claims pinned here:
     - ``PotentialOutcomeTable.random`` equals a table built from numpy's own
       draws: one stream in unit order for no-interference and k-local
       tables, the (2^n, n) matrix row-major for arbitrary ones
+    - a negative seed is refused with one ``InvalidArgumentError`` by every
+      draw: a random table, an ER graph and Monte Carlo
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import interference_lab
 from interference_lab import (
     Arbitrary,
+    ConstantOutcomes,
+    ERSpec,
     Graph,
+    InvalidArgumentError,
     KLocal,
     NoInterference,
     PotentialOutcomeTable,
+    mc_expected_variance,
     reference_group,
+    sample_er_graph,
 )
 from interference_lab import _pcg64
 from interference_lab.outcomes import _BOUNDS_EPS_REL
@@ -101,3 +113,34 @@ def test_random_table_equals_numpy_draws(name, seed):
         assert got.shape == ref.shape
         assert np.array_equal(got, ref)
         assert math.isfinite(float(got.max()))
+
+
+# A negative seed has no 32-bit words (-1 >> 32 == -1), so hashing one
+# would never end; the table draw runs in a child capped in time and in
+# address space, so that such a loop fails the test instead of hanging it.
+_NEGATIVE_SEED_TABLE = """
+import resource
+from interference_lab import InvalidArgumentError, NoInterference, PotentialOutcomeTable
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+try:
+    PotentialOutcomeTable.random(NoInterference(3), 0.0, 1.0, seed=-1)
+except InvalidArgumentError as exc:
+    print(exc)
+"""
+
+
+def test_every_draw_refuses_a_negative_seed():
+    src = str(Path(interference_lab.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _NEGATIVE_SEED_TABLE],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.stdout == "seed must be non-negative, got -1\n", result.stderr
+    refusal = "^seed must be non-negative, got -1$"
+    with pytest.raises(InvalidArgumentError, match=refusal):
+        sample_er_graph(ERSpec(6, 0.3), -1)
+    with pytest.raises(InvalidArgumentError, match=refusal):
+        mc_expected_variance(ERSpec(6, 0.3), ConstantOutcomes(1.0), reps=2, seed=-1)
