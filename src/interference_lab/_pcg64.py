@@ -21,8 +21,8 @@ The limb arithmetic costs about 20 ns a draw on long streams against
 numpy's 3-6.5 ns, and starting a stream costs 0.1-0.7 ms (the seed hash and
 the doubling rounds) against numpy's 12 us to load a state and draw 1,770
 values (2-core x86-64).  So it serves the bounded, once-per-process draw
-only: a random outcome table, at most 14 * 2^14 = 229,376 values.  Graph
-coins and Monte Carlo, which draw millions of coins on a stream per
+only: a random outcome table, at most ``outcomes.TABLE_VALUE_CAP`` values.
+Graph coins and Monte Carlo, which draw millions of coins on a stream per
 replicate, stay on numpy's Generator, seeded from ``seed_states``.
 """
 

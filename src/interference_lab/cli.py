@@ -20,7 +20,7 @@ import math
 import sys
 from pathlib import Path
 
-from .designs import Design, check_enumerable
+from .designs import Assignment, Design, check_enumerable
 from .er import (
     DENSE,
     SPARSE,
@@ -43,6 +43,7 @@ from .estimators import (
     HorvitzThompson,
     PureArmIPW,
     SoloTreatedIPW,
+    TabularEstimator,
 )
 from .exact import exact_moments, neyman_variance_terms
 from .feasibility import mse_adversary, unbiased_feasibility
@@ -61,17 +62,18 @@ from .outcomes import (
 )
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _csv_lines(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """The one CSV writer: a float prints as its shortest round-trip repr,
+    which ``str`` gives."""
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+
+
+def _witness_csv(witness: TabularEstimator, n: int) -> str:
+    """A tabular estimator as CSV: one row per (assignment, observed vector)
+    pair, the vector's outcomes joined by ``|``."""
+    items = sorted(witness.mapping.items())
+    rows = [[Assignment(code, n).labels, "|".join(map(str, y)), v] for (code, y), v in items]
+    return _csv_lines(["assignment", "ykey", "value"], rows)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -184,21 +186,28 @@ def _parse_design(cfg, where="design") -> Design:
     return Design(cfg["design"], cfg["n"], cfg.get("n_a"))
 
 
-def _parse_graph(cfg, where="graph", n: int | None = None) -> Graph:
-    """The block's graph, refused if not of size ``n`` (an ER one undrawn)."""
+def _graph_block(cfg, where="graph"):
+    """The block's node count, and a function that builds its graph (an
+    ER one is drawn only then)."""
     _check_keys(cfg, where, {}, {"path": str, "er": dict})
     if ("path" in cfg) == ("er" in cfg):
         raise ConfigError(f"{where}: give exactly one of path / er")
     if "path" in cfg:
         graph = Graph.from_file(cfg["path"])
-    else:
-        er = cfg["er"]
-        _check_keys(er, f"{where}.er", {"n": int, "p": _NUM, "seed": int}, {})
-        seed = _non_negative(er["seed"], f"{where}.er.seed")
-    size = graph.n if "path" in cfg else er["n"]
-    if n is not None and size != n:
+        return graph.n, lambda: graph
+    er = cfg["er"]
+    _check_keys(er, f"{where}.er", {"n": int, "p": _NUM, "seed": int}, {})
+    seed = _non_negative(er["seed"], f"{where}.er.seed")
+    spec = ERSpec(er["n"], float(er["p"]))
+    return spec.n, lambda: sample_er_graph(spec, seed)
+
+
+def _parse_graph(cfg, where: str, n: int) -> Graph:
+    """The block's graph, refused if not of size ``n`` (an ER one undrawn)."""
+    size, build = _graph_block(cfg, where)
+    if size != n:
         raise ConfigError(f"{where}: graph has n={size}, design has n={n}")
-    return graph if "path" in cfg else sample_er_graph(ERSpec(er["n"], float(er["p"])), seed)
+    return build()
 
 
 def _parse_structure(cfg, n: int, where="structure"):
@@ -214,20 +223,24 @@ def _parse_structure(cfg, n: int, where="structure"):
     return KLocal(_parse_graph(cfg["graph"], f"{where}.graph", n), k)
 
 
-def _parse_table(cfg, structure, where="table") -> PotentialOutcomeTable:
+def _parse_table(cfg, structure, n: int, where="table") -> PotentialOutcomeTable:
+    """The config's table: a random one on the config's ``structure`` block,
+    or a ``json_path`` document, which states its own structure."""
     _check_keys(cfg, where, {}, {"random": dict, "json_path": str})
     if ("random" in cfg) == ("json_path" in cfg):
         raise ConfigError(f"{where}: give exactly one of random / json_path")
-    if "random" in cfg:
-        r = cfg["random"]
-        _check_keys(r, f"{where}.random", {"k_lower": _NUM, "m_upper": _NUM, "seed": int}, {})
-        seed = _non_negative(r["seed"], f"{where}.random.seed")
-        if structure is None:
-            raise ConfigError(f"{where}: random tables need a structure block")
-        return PotentialOutcomeTable.random(
-            structure, float(r["k_lower"]), float(r["m_upper"]), seed
-        )
-    return PotentialOutcomeTable.from_json(cfg["json_path"])
+    if "json_path" in cfg:
+        if structure is not None:
+            raise ConfigError(f"structure: a {where}.json_path document states its own")
+        return PotentialOutcomeTable.from_json(cfg["json_path"])
+    r = cfg["random"]
+    _check_keys(r, f"{where}.random", {"k_lower": _NUM, "m_upper": _NUM, "seed": int}, {})
+    seed = _non_negative(r["seed"], f"{where}.random.seed")
+    if structure is None:
+        raise ConfigError(f"{where}: random tables need a structure block")
+    return PotentialOutcomeTable.random(
+        _parse_structure(structure, n), float(r["k_lower"]), float(r["m_upper"]), seed
+    )
 
 
 def _parse_estimator(cfg, structure, n: int, where="estimator"):
@@ -269,12 +282,8 @@ def cmd_moments(cfg: dict, out: str | None) -> int:
     )
     design = _parse_design(cfg["design"])
     check_enumerable(design)  # before any graph is read or table drawn
-    structure = None
-    if "structure" in cfg:
-        structure = _parse_structure(cfg["structure"], design.n)
-    table = _parse_table(cfg["table"], structure)
-    structure = structure if structure is not None else table.structure
-    estimator = _parse_estimator(cfg["estimator"], structure, design.n)
+    table = _parse_table(cfg["table"], cfg.get("structure"), design.n)
+    estimator = _parse_estimator(cfg["estimator"], table.structure, design.n)
     estimand = _parse_estimand(cfg.get("estimand", {"kind": "ate"}))
     report = exact_moments(estimator, design, table, estimand)
     payload = report._asdict()
@@ -300,7 +309,7 @@ def cmd_feasibility(cfg: dict, out: str | None) -> int:
     certificate = unbiased_feasibility(design, estimand, grid)
     payload = certificate.to_json_dict()
     if certificate.feasible and cfg.get("witness_csv"):
-        certificate.witness.to_csv(cfg["witness_csv"], design.n)
+        Path(cfg["witness_csv"]).write_text(_witness_csv(certificate.witness, design.n))
         payload["witness_csv"] = cfg["witness_csv"]
     _emit(_json_text(payload), out)
     return 0
@@ -392,6 +401,9 @@ def cmd_er_analysis(cfg: dict, out: str | None) -> int:
     return 0
 
 
+_TABLES_NODE_CAP = 1074  # 2^-1074 is the least positive double
+
+
 def cmd_tables(cfg: dict, out: str | None) -> int:
     _check_keys(cfg, "config", {"unit": int, "graph": dict, "sweep_n": list}, {"k": int})
     if out is None:
@@ -406,9 +418,15 @@ def cmd_tables(cfg: dict, out: str | None) -> int:
             )
     sweep_rows.append(["limit", "1/N", 2.0 * math.e, 0.5 * math.exp(-0.5)])
     sweep_rows.append(["limit", "1/sqrt(N)", math.inf, 0.0])
-    graph = _parse_graph(cfg["graph"])
+    n, build = _graph_block(cfg["graph"])  # checked before it is drawn
+    if n > _TABLES_NODE_CAP:
+        raise CapacityError(
+            f"tables capped at n={_TABLES_NODE_CAP}, past which f_i = 2^-n underflows; got n={n}"
+        )
     unit = cfg["unit"]
-    n = graph.n
+    if not 0 <= unit < n:
+        raise ConfigError(f"unit: {unit} out of range for n={n}")
+    graph = build()
     structure_rows = []
     for name, s in (
         ("none", NoInterference(n)),

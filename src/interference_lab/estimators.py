@@ -10,8 +10,6 @@ potential outcomes.
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
 from typing import Iterable, Union
 
 import numpy as np
@@ -169,14 +167,6 @@ class TabularEstimator:
         return out
 
     __call__ = _one_row
-
-    def to_csv(self, path: str | Path, n: int) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["assignment", "ykey", "value"])
-            for (code, ykey), value in sorted(self.mapping.items()):
-                labels = Assignment(code, n).labels
-                w.writerow([labels, "|".join(repr(v) for v in ykey), repr(value)])
 
 
 Estimator = Union[

@@ -8,8 +8,9 @@ length 2^|G_i| indexed by its effective-treatment key (the assignment
 restricted to the reference group G_i, bit-packed in ascending node order);
 NaN marks an entry that is not stored.  A unit's entry cannot depend on
 coordinates outside G_i, so structural consistency holds by construction,
-and memory is sum_i 2^|G_i|.  Arbitrary interference is the case where G_i
-is every unit and the key is the assignment code.
+and memory is sum_i 2^|G_i| outcomes, at most ``TABLE_VALUE_CAP``.
+Arbitrary interference is the case where G_i is every unit and the key is
+the assignment code.
 
 Every read goes through one lookup, ``PotentialOutcomeTable.observed``,
 which gathers the outcomes an int64 block of assignment codes reveals; the
@@ -18,9 +19,9 @@ therefore holds at most ``designs.CODE_BITS`` units.
 
 Random tables are the one draw that does not load ``numpy.random``: they
 take numpy's ``default_rng(seed).uniform`` stream from the package's own
-PCG64 (``_pcg64``, which says what that costs); a table's size caps bound
-it at 14 * 2^14 draws.  Graph coins and Monte Carlo stay on numpy's
-Generator (see ``er``).
+PCG64 (``_pcg64``, which says what that costs), one value per stored
+outcome, so at most ``TABLE_VALUE_CAP`` draws.  Graph coins and Monte Carlo
+stay on numpy's Generator (see ``er``).
 
 Declared bounds are open intervals: when an upper bound M is given, every
 value must lie strictly inside (0, M); a declared lower bound K tightens
@@ -59,10 +60,9 @@ from .graphs import (
     reference_group,
 )
 
-# Caps for table sizes: an arbitrary-interference table holds 2^n values per
-# unit, and a keyed unit holds 2^|G_i|.
-ARBITRARY_TABLE_CAP = 14
-KLOCAL_NEIGHBORHOOD_CAP = 20
+# Stored outcomes per table, sum_i 2^|G_i|: an arbitrary-interference
+# table on the 14 units of the largest enumerable design.
+TABLE_VALUE_CAP = 14 * 2**14
 
 # Interior offset honoring the strict bound inequalities when sampling.
 _BOUNDS_EPS_REL = 1e-9
@@ -70,27 +70,19 @@ _BOUNDS_EPS_REL = 1e-9
 
 def _reference_groups(structure: InterferenceStructure) -> list[list[int]]:
     """Each unit's reference group in ascending node order, once a table on
-    ``structure`` fits every size cap: ``CODE_BITS`` units (tables are read
-    by int64 assignment codes), ``ARBITRARY_TABLE_CAP`` units under
-    arbitrary interference, and ``KLOCAL_NEIGHBORHOOD_CAP`` nodes per
-    group.  Every constructor calls this before it allocates."""
+    ``structure`` fits its size caps: ``CODE_BITS`` units (tables are read
+    by int64 assignment codes) and ``TABLE_VALUE_CAP`` stored outcomes.
+    Every constructor calls this before it allocates."""
     n = structure.n
     if n > CODE_BITS:
         raise CapacityError(
             f"outcome tables hold at most n={CODE_BITS} units "
             f"(one int64 assignment code), got n={n}"
         )
-    if isinstance(structure, Arbitrary) and n > ARBITRARY_TABLE_CAP:
-        raise CapacityError(
-            f"arbitrary-interference tables capped at n={ARBITRARY_TABLE_CAP}, got n={n}"
-        )
     groups = [sorted(reference_group(structure, i)) for i in range(n)]
-    for i, g in enumerate(groups):
-        if len(g) > KLOCAL_NEIGHBORHOOD_CAP:
-            raise CapacityError(
-                f"unit {i} has a reference group of size {len(g)} "
-                f"(cap {KLOCAL_NEIGHBORHOOD_CAP})"
-            )
+    values = sum(1 << len(g) for g in groups)
+    if values > TABLE_VALUE_CAP:
+        raise CapacityError(f"outcome tables hold at most {TABLE_VALUE_CAP} outcomes, got {values}")
     return groups
 
 
@@ -228,18 +220,15 @@ class PotentialOutcomeTable:
 
         The draws are one stream, ``default_rng(seed).uniform`` bit for bit,
         taken from the package's own PCG64 (``_pcg64.uniform``), so building
-        a table never imports ``numpy.random``.  A keyed table takes it in
-        unit order; an arbitrary one fills its (2^n, n) matrix row-major."""
+        a table never imports ``numpy.random``; unit by unit, each unit's
+        outcomes by effective-treatment key."""
         if not 0 <= k_lower < m_upper < math.inf:
             raise InvalidArgumentError("need 0 <= k_lower < m_upper, both finite")
         groups = _reference_groups(structure)
         eps = _BOUNDS_EPS_REL * (m_upper - k_lower)
         sizes = [1 << len(g) for g in groups]
         draws = uniform(seed, k_lower + eps, m_upper - eps, sum(sizes))
-        if isinstance(structure, Arbitrary):
-            values = draws.reshape(-1, structure.n).T
-        else:
-            values = np.split(draws, np.cumsum(sizes)[:-1])
+        values = np.split(draws, np.cumsum(sizes)[:-1])
         return cls(structure, values, k_lower=k_lower, m_upper=m_upper)
 
     # ------------------------------------------------------------------

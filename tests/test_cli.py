@@ -11,8 +11,9 @@ Claims pinned here:
       conversion limit, in a config file or a --set value; over-cap sizes,
       including feasibility systems past their unit or grid-level cap,
       tables and Monte Carlo beyond the 63-node code width, Monte Carlo
-      past 2^32 replicates, and an ER graph draw past 2^22 node pairs,
-      before any pair is allocated, exit 3; moments past the enumeration cap
+      past 2^32 replicates, and tables past 1074 nodes (an ER graph past
+      2^22 node pairs among them), before any pair is allocated, exit 3;
+      moments past the enumeration cap
       exits 3 before it reads a graph or draws a table, and the adversary
       (n = 15, 24, 64 and 2^63) before it builds a table, on one stderr
       line; er-analysis refuses any case (a bad key, edge probability,
@@ -26,9 +27,14 @@ Claims pinned here:
       malformed table file (a bad n, edge or radius included, and a float
       or boolean one, refused rather than truncated) or graph
       file (a node count below 1, an edge line of three fields) exits 2
-      naming the file; tables without --out or with a sweep size it
-      cannot evaluate, and an ER graph whose n is not the design's, exit 2
-      before any graph is drawn; a broken moment
+      naming the file; tables without --out, with a sweep size it
+      cannot evaluate or a unit outside its graph, and an ER graph whose n
+      is not the design's, exit 2 before any graph is drawn; tables on a
+      graph past 1074 nodes, ER or file, exits 3 before it draws the graph
+      or builds a ball, and at 1074 prints f_i = 2^-1074; a table document
+      past the outcome budget (63 units of 19-node balls) exits 3 before it
+      allocates, and one beside a structure block exits 2 naming the
+      block; a broken moment
       identity or MSE floor exits 4 without a
       traceback; a negative seed, in any of its three keys, and a float
       overflow in an estimand, a moment, MSE or Monte Carlo reduction or
@@ -47,9 +53,10 @@ Claims pinned here:
     - the exposure-weighted estimator takes an inline graph when the
       structure carries none, and without either it exits 2
     - the witness CSV that feasibility writes is the in-process
-      certificate's witness, byte for byte, and the worst-case table the
-      adversary writes (``table_json``) reads back through ``moments``
-      (``table.json_path``) to the adversary's MSE, bit for bit
+      certificate's witness through the CLI's one CSV writer, byte for
+      byte, and the worst-case table the adversary writes (``table_json``)
+      reads back through ``moments`` (``table.json_path``) to the
+      adversary's MSE, bit for bit
     - re-running any command byte-identically reproduces its output and the
       files it writes, with OPENBLAS_NUM_THREADS unset, 1 and 4, including
       the least-squares witness of configs/feasibility_bd.json
@@ -77,7 +84,7 @@ import numpy as np
 import pytest
 
 import interference_lab
-from interference_lab import ATE, Design, PotentialOutcomeTable, cli, exact, feasibility
+from interference_lab import ATE, Design, PotentialOutcomeTable, cli, exact, feasibility, graphs
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SRC = str(Path(interference_lab.__file__).resolve().parents[1])
@@ -180,9 +187,8 @@ def test_feasibility_command(tmp_path):
     assert result.returncode == 0
     assert json.loads(result.stdout)["status"] == "feasible"
     # the written witness is the in-process certificate's, byte for byte
-    in_process = tmp_path / "in_process.csv"
-    feasibility.unbiased_feasibility(Design("bd", 3), ATE, [0, 1]).witness.to_csv(in_process, 3)
-    assert witness_csv.read_bytes() == in_process.read_bytes()
+    witness = feasibility.unbiased_feasibility(Design("bd", 3), ATE, [0, 1]).witness
+    assert witness_csv.read_bytes() == cli._witness_csv(witness, 3).encode()
 
 
 def test_adversary_command(tmp_path):
@@ -334,6 +340,41 @@ def test_missing_table_entry_exits_2_unquoted(tmp_path, capsys):
     assert capsys.readouterr().err == "error: no outcome stored for unit 0 under BB\n"
 
 
+def test_structure_beside_a_table_document_exits_2(tmp_path, capsys):
+    # the document states its own structure; a second statement is refused
+    # rather than silently preferred
+    table = tmp_path / "t.json"
+    doc = {"structure": {"kind": "no_interference", "n": 6}, "units": _ARM_UNITS * 6}
+    table.write_text(json.dumps(doc))
+    cfg = dict(MOMENTS_CFG, table={"json_path": str(table)})
+    assert cli.main(["moments", "--config", write_config(tmp_path, "m.json", cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: structure: a table.json_path document states its own\n"
+    )
+
+
+def test_table_document_past_the_value_cap_exits_3_before_allocating(
+    tmp_path, capsys, monkeypatch
+):
+    # 63 units, each with a closed ball of 19 nodes (every node joined to the
+    # nine on either side): 63 * 2^19 outcomes, refused before a slot is
+    # allocated and before the table's size is held against the design's
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.full ran")
+
+    edges = sorted([i, (i + d) % 63] for i in range(63) for d in range(1, 10))
+    structure = {"kind": "k_local", "n": 63, "k": 1, "edges": edges}
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps({"structure": structure, "units": [{}] * 63}))
+    monkeypatch.setattr(np, "full", refuse)
+    cfg = dict(MOMENTS_CFG, table={"json_path": str(table)})
+    cfg.pop("structure")
+    assert cli.main(["moments", "--config", write_config(tmp_path, "m.json", cfg)]) == 3
+    assert capsys.readouterr().err == (
+        f"capacity error: {table}: outcome tables hold at most 229376 outcomes, got 33030144\n"
+    )
+
+
 def _moments_with_table(tmp_path, table):
     cfg = dict(MOMENTS_CFG, table=table)
     cfg.pop("structure")
@@ -446,11 +487,12 @@ def test_malformed_table_file_exit_code(tmp_path, name, text, code):
 
 
 @pytest.mark.parametrize("unit", [10, -1])
-def test_tables_unit_out_of_range_exits_2(tmp_path, unit):
-    cfg = str(CONFIGS / "tables.json")
-    result = run_cli(["tables", "--config", cfg, "--out", str(tmp_path), "--set", f"unit={unit}"])
-    assert result.returncode == 2, result.stderr
-    assert "Traceback" not in result.stderr
+def test_tables_unit_out_of_range_exits_2(tmp_path, capsys, er_draws, unit):
+    # refused before the graph is drawn
+    argv = ["tables", "--config", str(CONFIGS / "tables.json"), "--out", str(tmp_path)]
+    assert cli.main([*argv, "--set", f"unit={unit}"]) == 2
+    assert capsys.readouterr().err == f"error: unit: {unit} out of range for n=10\n"
+    assert er_draws == []
 
 
 @pytest.mark.parametrize("text", ["0\n", "-3\n", "6\n0 1\n0 1 2\n"])
@@ -602,6 +644,42 @@ def test_tables_refuses_its_sweep_before_drawing(tmp_path, capsys, er_draws, swe
     assert er_draws == []
 
 
+@pytest.mark.parametrize(
+    "n,source",
+    [(1075, "er"), (2897, "er"), (1075, "path"), (20000, "path"), (10**6, "path")],
+)
+def test_tables_past_its_size_exits_3_before_drawing_or_building_balls(
+    tmp_path, capsys, monkeypatch, er_draws, n, source
+):
+    # past n = 1074 the arbitrary row's f_i = 2^-n underflows to 0.0, and
+    # from n = 14,285 on its e_i = 2^n has more digits than int-to-str allows;
+    # so the ER draw's own cap, 2^22 node pairs (n = 2897), is never reached
+    def refuse(*args, **kwargs):
+        raise AssertionError("NeighborhoodIndex.build ran")
+
+    monkeypatch.setattr(graphs.NeighborhoodIndex, "build", refuse)
+    graph = tmp_path / "g.txt"
+    graph.write_text(f"{n}\n0 1\n")
+    block = {"path": str(graph)} if source == "path" else {"er": {"n": n, "p": 0.1, "seed": 0}}
+    argv = ["tables", "--config", str(CONFIGS / "tables.json"), "--out", str(tmp_path / "out")]
+    assert cli.main([*argv, "--set", f"graph={json.dumps(block)}"]) == 3
+    assert capsys.readouterr().err == (
+        f"capacity error: tables capped at n=1074, past which f_i = 2^-n underflows; got n={n}\n"
+    )
+    assert er_draws == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_tables_at_its_size_cap_prints_the_least_positive_double(tmp_path):
+    graph = tmp_path / "g.txt"
+    graph.write_text("1074\n0 1\n")
+    cfg = {"unit": 1073, "graph": {"path": str(graph)}, "sweep_n": [50]}
+    cfg = write_config(tmp_path, "t.json", cfg)
+    assert cli.main(["tables", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "structure_table.csv").read_text().splitlines()
+    assert rows[1:] == ["none,2,0.5", "k_local,2,0.5", f"arbitrary,{2**1074},5e-324"]
+
+
 @pytest.fixture
 def mc_runs(monkeypatch):
     """The Monte Carlo runs the CLI makes, recorded instead of run."""
@@ -658,20 +736,6 @@ def test_er_graph_of_another_size_exits_2_before_drawing(capsys, er_draws, confi
     assert cli.main(["moments", "--config", str(CONFIGS / config), "--set", override]) == 2
     assert capsys.readouterr().err == f"error: {where}: graph has n=9, design has n=8\n"
     assert er_draws == []
-
-
-def test_er_draw_past_the_pair_cap_exits_3_before_allocating(tmp_path, capsys, monkeypatch):
-    # n = 2897 is the least size past 2^22 node pairs; the draw would first
-    # allocate every pair with np.triu_indices
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.triu_indices ran")
-
-    monkeypatch.setattr(np, "triu_indices", refuse)
-    argv = ["tables", "--config", str(CONFIGS / "tables.json"), "--out", str(tmp_path)]
-    assert cli.main([*argv, "--set", "graph.er.n=2897"]) == 3
-    assert capsys.readouterr().err == (
-        "capacity error: ER graph draws capped at 4194304 node pairs, got n=2897 (4194856 pairs)\n"
-    )
 
 
 @pytest.mark.parametrize("n", [15, 24, 64, 2**63])

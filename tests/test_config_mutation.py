@@ -7,6 +7,8 @@ Claims pinned here:
       value of another JSON type, returns 0, 2, 3 or 4 and raises nothing
       (no warning either); a failing run writes exactly one stderr line and
       a passing one none
+    - so does ``tables`` with its graph read from a file whose node count is
+      0, -1, 64, 1075, 20000 or 2^63, before or after its leaves are mutated
 """
 
 import copy
@@ -16,7 +18,7 @@ import math
 import os
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interference_lab import cli
@@ -28,6 +30,16 @@ _VALUES = st.sampled_from(
     + [1e308, -1e308, 1e-320, -0.0, math.nan]
     + ["x", True, None, [], {}, [1], {"x": 1}]
 ).map(copy.deepcopy)
+
+
+# node counts of a two-line graph file for tables: not positive, past the
+# code width, past the tables cap, past int-to-str's digit limit for 2^n
+_GRAPH_FILE_SIZES = [0, -1, 64, 1075, 20000, 2**63]
+_GRAPH_FILE = "graph.txt"  # relative to the run's working directory
+
+
+def _shipped(name):
+    return json.loads((ROOT / "configs" / f"{name}.json").read_text())
 
 
 def _leaves(node, path=()):
@@ -42,10 +54,15 @@ def _leaves(node, path=()):
 
 @st.composite
 def _mutated_configs(draw):
-    """A shipped config's name, and the config with up to two leaves
-    replaced or deleted."""
+    """A shipped config's name, the config with up to two leaves replaced
+    or deleted, and the node count of the graph file it reads, if any (a
+    tables config may read one in place of its ER graph)."""
     name = draw(st.sampled_from(sorted(COMMANDS)))
-    cfg = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    cfg = _shipped(name)
+    nodes = None
+    if COMMANDS[name] == "tables" and draw(st.booleans()):
+        nodes = draw(st.sampled_from(_GRAPH_FILE_SIZES))
+        cfg["graph"] = {"path": _GRAPH_FILE}
     reps = cfg.get("reps")
     for _ in range(draw(st.integers(1, 2))):
         *parents, last = draw(st.sampled_from([p for p in _leaves(cfg) if p]))
@@ -62,17 +79,28 @@ def _mutated_configs(draw):
         if last == "reps" and type(value) in (int, float) and value > reps:
             value = reps
         block[last] = value
-    return name, cfg
+    return name, cfg, nodes
+
+
+def _unmutated_graph_files(test):
+    """The shipped tables config on a graph file of each size, as examples."""
+    cfg = dict(_shipped("tables"), graph={"path": _GRAPH_FILE})
+    for nodes in _GRAPH_FILE_SIZES:
+        test = example(("tables", cfg, nodes))(test)
+    return test
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(_mutated_configs())
+@_unmutated_graph_files
 def test_mutated_shipped_configs_exit_cleanly(tmp_path_factory, case):
-    name, cfg = case
+    name, cfg, nodes = case
     work = tmp_path_factory.getbasetemp() / "mutated_config"
     work.mkdir(exist_ok=True)
     config = work / "config.json"
     config.write_text(json.dumps(cfg))
+    if nodes is not None:
+        (work / _GRAPH_FILE).write_text(f"{nodes}\n0 1\n")
     out = work / ("out" if COMMANDS[name] == "tables" else "out.txt")
     stderr = io.StringIO()
     cwd = os.getcwd()

@@ -4,11 +4,13 @@ Claims pinned here:
     - difference in means on worked examples
     - the exposure-weighted estimator on the hand-enumerated two-node cases
     - the pure-arm and solo-treated inverse-probability rules
-    - tabular estimators look up, fail loudly on gaps, write CSV that reads
-      back exactly, and reproduce a rule tabulated over the whole support
+    - tabular estimators look up, fail loudly on gaps, reproduce a rule
+      tabulated over the whole support, and the CLI's one CSV writer
+      writes one that reads back exactly
 """
 
 import csv
+import io
 from itertools import combinations
 
 import numpy as np
@@ -31,6 +33,7 @@ from interference_lab import (
     enumerate_support,
     observed_key,
 )
+from interference_lab.cli import _witness_csv
 from graph_builders import empty_graph
 
 
@@ -111,16 +114,13 @@ def test_tabular_materialization_matches_source():
         assert tab(z, row) == source(z, row)
 
 
-def test_tabular_csv_roundtrip(tmp_path):
+def test_tabular_csv_roundtrip():
     # the written text carries every key and value exactly
     mapping = {
         (0, observed_key([0.5, 0.5])): 4.0,
         (3, observed_key([1.0, 0.1])): -4.0 / 3.0,
     }
-    path = tmp_path / "witness.csv"
-    TabularEstimator(mapping).to_csv(path, n=2)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = list(csv.DictReader(io.StringIO(_witness_csv(TabularEstimator(mapping), 2))))
     back = {
         (Assignment.from_arms(r["assignment"]).code, tuple(map(float, r["ykey"].split("|")))):
         float(r["value"])

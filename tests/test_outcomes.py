@@ -19,9 +19,12 @@ Claims pinned here:
     - a table holds up to CODE_BITS units, the width of an int64
       assignment code; one unit more is a capacity error, raised by the
       loaders before they allocate
-    - the arbitrary-interference width and reference-group caps are
-      capacity errors for direct construction, the generator and the
-      loader alike
+    - a table stores at most TABLE_VALUE_CAP outcomes, sum_i 2^|G_i|,
+      whatever its structure: one table past it (an arbitrary one at n = 15,
+      a hub's 22-node ball, or a circulant graph's twenty 15-node balls,
+      which no per-structure cap caught) is a capacity error for direct
+      construction, the generator and the loader alike, raised before any
+      of them allocates, and the arbitrary table at n = 14 fits exactly
     - on any malformed graph file or table document of any structure, the
       two readers either return or raise a package error whose message
       starts with the file's path
@@ -58,7 +61,7 @@ from interference_lab import (
     reference_group,
 )
 from interference_lab.designs import CODE_BITS
-from interference_lab.outcomes import ARBITRARY_TABLE_CAP
+from interference_lab.outcomes import TABLE_VALUE_CAP
 from graph_builders import path_graph
 
 
@@ -158,28 +161,42 @@ def test_generator_structural_consistency_random_flips():
         assert t.observed_vector(z)[i] == t.observed_vector(flipped)[i]
 
 
-def test_generator_caps(tmp_path):
+def _document(structure, units) -> str:
+    """A table document's text: the structure of ``to_json`` and ``units``."""
+    spec = {"kind": "arbitrary", "n": structure.n}
+    if isinstance(structure, KLocal):
+        spec = {"kind": "k_local", "n": structure.n, "k": structure.k}
+        spec["edges"] = sorted(structure.graph.edges)
+    return json.dumps({"structure": spec, "units": units})
+
+
+def test_generator_caps(tmp_path, monkeypatch):
     hub = Graph.from_edges(22, [(0, j) for j in range(1, 22)])
-    for structure in (Arbitrary(ARBITRARY_TABLE_CAP + 1), KLocal(hub, 1)):
-        with pytest.raises(CapacityError):
+    # every node joined to the seven on either side: twenty closed balls of
+    # 15 nodes, 20 * 2^15 = 655,360 outcomes
+    circulant = Graph.from_edges(20, [(i, (i + d) % 20) for i in range(20) for d in range(1, 8)])
+    assert 20 * 2**15 > TABLE_VALUE_CAP
+    past = [Arbitrary(15), KLocal(hub, 1), KLocal(circulant, 1)]
+    for structure in past:
+        with pytest.raises(CapacityError, match=f"at most {TABLE_VALUE_CAP} outcomes"):
             PotentialOutcomeTable.random(structure, 0.0, 1.0, seed=0)
-        # direct construction checks the caps before it reads the values
+        # direct construction checks the cap before it reads the values
         with pytest.raises(CapacityError):
             PotentialOutcomeTable(structure, [])
-    path = tmp_path / "hub.json"
-    edges = [[0, j] for j in range(1, 22)]
-    path.write_text(
-        '{"structure": {"kind": "k_local", "n": 22, "k": 1, "edges": %s}, "units": []}'
-        % edges
-    )
-    with pytest.raises(CapacityError):
-        PotentialOutcomeTable.from_json(path)
-    # the loader checks an arbitrary structure's width before it allocates
-    for n in (ARBITRARY_TABLE_CAP + 1, CODE_BITS + 1):
-        path = tmp_path / f"wide{n}.json"
-        path.write_text('{"structure": {"kind": "arbitrary", "n": %d}, "units": [{}]}' % n)
+    # the loader checks the cap, and the code width, before it allocates
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.full ran")
+
+    monkeypatch.setattr(np, "full", refuse)
+    for i, structure in enumerate([*past, Arbitrary(CODE_BITS + 1)]):
+        path = tmp_path / f"past{i}.json"
+        path.write_text(_document(structure, [{}] * structure.n))
         with pytest.raises(CapacityError):
             PotentialOutcomeTable.from_json(path)
+    monkeypatch.undo()
+    # the largest arbitrary table fills the budget exactly
+    table = PotentialOutcomeTable.random(Arbitrary(14), 0.0, 1.0, seed=0)
+    assert sum(v.size for v in table._values) == TABLE_VALUE_CAP
 
 
 def test_declared_bounds_are_enforced():

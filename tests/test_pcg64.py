@@ -4,12 +4,13 @@ Claims pinned here:
     - ``_pcg64.uniform(seed, low, high, count)`` equals
       ``np.random.default_rng(seed).uniform(low, high, size=count)`` bit for
       bit, for seeds of one to six 32-bit words, counts on both sides of the
-      lane width and its double, up to the largest random table the CLI
-      builds (14 * 2^14 = 229,376 draws), and bounds up to (5e-324, 1.7e308);
+      lane width and its double, up to the largest random table
+      (``TABLE_VALUE_CAP`` = 14 * 2^14 = 229,376 draws), and bounds up to
+      (5e-324, 1.7e308);
       a range past the double range raises OverflowError, as numpy does
     - ``PotentialOutcomeTable.random`` equals a table built from numpy's own
-      draws: one stream in unit order for no-interference and k-local
-      tables, the (2^n, n) matrix row-major for arbitrary ones
+      draws: one stream in unit order, each unit's outcomes by key, for every
+      structure
     - a negative seed is refused with one ``InvalidArgumentError`` by every
       draw: a random table, an ER graph and Monte Carlo
 """
@@ -40,10 +41,10 @@ from interference_lab import (
     sample_er_graph,
 )
 from interference_lab import _pcg64
-from interference_lab.outcomes import _BOUNDS_EPS_REL
+from interference_lab.outcomes import _BOUNDS_EPS_REL, TABLE_VALUE_CAP
 
 LANES = _pcg64.LANES
-COUNTS = [1, 2, 3, LANES - 1, LANES, LANES + 1, 2 * LANES - 1, 2 * LANES + 1, 229_376]
+COUNTS = [1, 2, 3, LANES - 1, LANES, LANES + 1, 2 * LANES - 1, 2 * LANES + 1, TABLE_VALUE_CAP]
 
 
 def _numpy_uniform(seed, low, high, count):
@@ -62,7 +63,7 @@ def _numpy_uniform(seed, low, high, count):
 @example(seed=0, count=1, low=0.0, width=1.0)
 @example(seed=2**32 - 1, count=2, low=5e-324, width=1.7e308)
 @example(seed=2**32, count=LANES + 1, low=5e-324, width=1.7e308)
-@example(seed=2**64 + 1, count=229_376, low=0.0, width=1.0)
+@example(seed=2**64 + 1, count=TABLE_VALUE_CAP, low=0.0, width=1.0)
 @example(seed=2**127, count=LANES - 1, low=1e-9, width=1.0 - 2e-9)
 @example(seed=2**160 + 9, count=2 * LANES + 1, low=5e-324, width=1.7e308)
 def test_uniform_equals_numpy(seed, count, low, width):
@@ -86,8 +87,6 @@ def _numpy_table(structure, k_lower, m_upper, seed):
     rng = np.random.default_rng(seed)
     eps = _BOUNDS_EPS_REL * (m_upper - k_lower)
     lo, hi = k_lower + eps, m_upper - eps
-    if isinstance(structure, Arbitrary):
-        return list(rng.uniform(lo, hi, size=(1 << structure.n, structure.n)).T)
     sizes = [1 << len(reference_group(structure, i)) for i in range(structure.n)]
     return [rng.uniform(lo, hi, size=size) for size in sizes]
 
