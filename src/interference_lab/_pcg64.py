@@ -20,10 +20,12 @@ fixed count of array calls.
 The limb arithmetic costs about 20 ns a draw on long streams against
 numpy's 3-6.5 ns, and starting a stream costs 0.1-0.7 ms (the seed hash and
 the doubling rounds) against numpy's 12 us to load a state and draw 1,770
-values (2-core x86-64).  So it serves the bounded, once-per-process draw
-only: a random outcome table, at most ``outcomes.TABLE_VALUE_CAP`` values.
-Graph coins and Monte Carlo, which draw millions of coins on a stream per
-replicate, stay on numpy's Generator, seeded from ``seed_states``.
+values (2-core x86-64).  So it serves the bounded, once-per-process draws
+only, where numpy's import would cost more than the draw: a random outcome
+table (at most ``outcomes.TABLE_VALUE_CAP`` values) and a one-off graph's
+coins (``er.sample_er_graph``, at most ``er.ER_DRAW_PAIR_CAP``).  Monte
+Carlo, which starts a stream per replicate and draws millions of coins in
+all, stays on numpy's Generator, seeded from ``seed_states``.
 """
 
 from __future__ import annotations

@@ -53,6 +53,7 @@ from .graphs import (
     KLocal,
     NoInterference,
     effective_treatment_count,
+    k_step_neighborhood,
 )
 from .outcomes import (
     ATE,
@@ -426,15 +427,14 @@ def cmd_tables(cfg: dict, out: str | None) -> int:
     unit = cfg["unit"]
     if not 0 <= unit < n:
         raise ConfigError(f"unit: {unit} out of range for n={n}")
-    graph = build()
+    ball = k_step_neighborhood(build(), unit, k)  # one search, from the unit
     structure_rows = []
-    for name, s in (
-        ("none", NoInterference(n)),
-        ("k_local", KLocal(graph, k)),
-        ("arbitrary", Arbitrary(n)),
+    for name, count in (
+        ("none", effective_treatment_count(NoInterference(n), unit)),
+        ("k_local", 1 << len(ball)),
+        ("arbitrary", effective_treatment_count(Arbitrary(n), unit)),
     ):
         # under the fair coin, a share 1/count of assignments informs the unit
-        count = effective_treatment_count(s, unit)
         structure_rows.append([name, count, 1 / count])
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)

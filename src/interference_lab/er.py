@@ -14,10 +14,12 @@ it from below (h(1) = 6.879 > 6.145 exact at n = 6, p = 0.3).  Along p = 1/n
 the product moments stay bounded and the envelope decays like 1/n; along
 p = 1/sqrt(n) the per-node moment diverges.
 
-Graph coins and Monte Carlo draw on numpy's Generator: a graph takes
-n(n-1)/2 coins without bound, on a fresh stream per replicate, where numpy
-draws and starts streams faster than the package's own PCG64 (``_pcg64``
-gives the costs; it serves the bounded random outcome tables instead);
+A one-off graph draw (``sample_er_graph``) takes its coins from the
+package's own PCG64 stream (``_pcg64.uniform``), numpy's
+``default_rng(seed).random`` bit for bit, so it does not load
+``numpy.random``.  Monte Carlo alone draws on numpy's Generator: it starts
+a fresh stream per replicate and draws n(n-1)/2 coins on each, where numpy
+starts streams and draws faster than ``_pcg64`` (which gives the costs);
 ``_pcg64`` still computes the replicate seeding.
 
 Closed forms are evaluated directly up to the float range and fall back to
@@ -33,7 +35,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from ._kernels import ORACLE_CAP, er_moment_scan, er_variance_scan, ht_variance_terms
-from ._pcg64 import check_seed, seed_states, seed_words
+from ._pcg64 import check_seed, seed_states, seed_words, uniform
 from .designs import CODE_BITS
 from .errors import CapacityError, InvalidArgumentError
 from .exact import _exact_sum, _weighted_square_sum
@@ -182,21 +184,31 @@ def expected_informative_fraction(spec: ERSpec) -> float:
 
 
 def _draw_edges(spec: ERSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """The one ER coin draw: ``out[t]`` is set when candidate node pair t
-    is kept, with probability p, one uniform draw per pair in order."""
+    """A Monte Carlo replicate's ER coins: ``out[t]`` is set when candidate
+    node pair t is kept, with probability p, one uniform draw per pair in
+    order (the coins ``sample_er_graph`` draws from its seed)."""
     return np.less(rng.random(out.size), spec.p, out=out)
 
 
 # Node pairs one explicit graph draw may hold.  Each pair costs about 25
 # bytes while drawn (16 for its two int64 endpoints, 8 for its uniform coin,
-# 1 for its keep flag), so 2^22 pairs (n <= 2896) is about 100 MB.
+# 1 for its keep flag), so 2^22 pairs (n <= 2896) is about 100 MB.  The
+# coins come from the package's own stream (``_pcg64``), which beats
+# numpy's import plus draw below about 1M pairs and loses past it: 2^22
+# pairs take 59 ms against numpy's 15 ms plus its 15-20 ms import (2-core
+# x86-64).  No command draws that many: ``tables`` stops at n = 1074
+# (576,201 pairs, 7.9 ms against 1.4 ms plus the import) and ``moments``
+# at 91 pairs.
 ER_DRAW_PAIR_CAP = 2**22
 
 
 def sample_er_graph(spec: ERSpec, seed: int) -> Graph:
-    """One graph draw, deterministic in the seed: the coins of
-    ``_draw_edges`` over every node pair in lexicographic (i, j) order.
-    More than ``ER_DRAW_PAIR_CAP`` pairs are refused before any is made."""
+    """One graph draw, deterministic in the seed: node pair t, in
+    lexicographic (i, j) order, is kept when the t-th draw of
+    ``default_rng(seed).random`` is below p, the coins ``_draw_edges``
+    draws.  They come from ``_pcg64.uniform``, bit for bit the same, so the
+    draw does not load ``numpy.random``.  More than ``ER_DRAW_PAIR_CAP``
+    pairs are refused before any is made."""
     check_seed(seed)
     pairs = spec.n * (spec.n - 1) // 2
     if pairs > ER_DRAW_PAIR_CAP:
@@ -204,7 +216,7 @@ def sample_er_graph(spec: ERSpec, seed: int) -> Graph:
             f"ER graph draws capped at {ER_DRAW_PAIR_CAP} node pairs, got n={spec.n} ({pairs} pairs)"
         )
     left, right = np.triu_indices(spec.n, 1)
-    keep = _draw_edges(spec, np.random.default_rng(seed), np.empty(left.size, dtype=bool))
+    keep = uniform(seed, 0.0, 1.0, left.size) < spec.p
     return Graph.from_edges(spec.n, zip(left[keep].tolist(), right[keep].tolist()))
 
 
@@ -263,6 +275,16 @@ def _block_masks(
     return out
 
 
+# Coins per Monte Carlo coin buffer, in whole MC blocks (at least one).
+# One ``_block_masks`` call builds a buffer's masks, so at n = 60, where a
+# block holds 4 replicates, its fixed cost is paid once per 36 replicates
+# instead of once per 4.  The three er-mc benchmark cases (n = 15, 30, 60
+# along p = 1/n, 500 replicates each) took 24.5 ms at 2^16 coins (64 KB of
+# bool) against 28.1 ms with one mask build per block; 2^14 took 25.1 ms
+# and 2^18 24.9 ms (best of six medians of 25, 2-core x86-64).
+MC_COIN_BUFFER = 2**16
+
+
 # Replicates whose stream states are hashed together.  One hash makes about
 # 180 numpy calls, 0.23 ms on 2-core x86-64 at any small count: hashed per
 # MC block (4 replicates at n = 60) that is 58 us per replicate, against
@@ -291,35 +313,38 @@ def mc_expected_variance(
     """Monte Carlo estimate of the graph-expected estimator variance.
 
     Replicate r runs on the PCG64 stream of ``SeedSequence([seed, r])``:
-    first the coins of ``_draw_edges``, the draw ``sample_er_graph`` reads,
-    over the node pairs of one ``triu_indices`` per call, then pure-arm
-    outcomes per the policy.  The stream states are computed by one
-    vectorized hash per ``SEED_CHUNK`` replicates (``_pcg64.seed_states``),
-    identical to numpy's own, and loaded into one generator.  Replicates
-    are evaluated in blocks of ``MC_BLOCK_PAIRS`` mask pairs: the coins and
-    outcomes of a block's replicates go into the rows of preallocated
-    buffers, one ``bitwise_or.at`` builds every closed 1-step neighborhood
-    bitmask of the block from its kept pairs (no ``Graph`` and no BFS), and
-    one ``_kernels.ht_variance_terms`` call evaluates the per-graph
-    pairwise closed form of the exposure-weighted estimator's variance for
-    the whole block, each graph bit for bit as on its own.  That the closed
-    form equals the variance enumerated over the fair-coin support is
-    checked separately, through ``exact_moments``.  The estimate depends on
-    neither the block size nor the environment.  Graphs above ``CODE_BITS``
-    nodes are refused before any is drawn: the closed form reads int64
-    neighborhood bitmasks, and no ball of at most ``CODE_BITS`` nodes
-    overflows its 2^s weights, so every replicate counts.  More than
-    ``MAX_REPS`` replicates are refused too, since each index hashes as one
-    32-bit word, and a variance past the double range raises OverflowError.
+    first the coins of ``_draw_edges`` over the node pairs of one
+    ``triu_indices`` per call (the coins ``sample_er_graph`` draws from a
+    seed), then pure-arm outcomes per the policy.  The stream states are
+    computed by one vectorized hash per ``SEED_CHUNK`` replicates
+    (``_pcg64.seed_states``), identical to numpy's own, and loaded into one
+    numpy generator, the one draw in the package that loads
+    ``numpy.random``.  Replicates are drawn into the rows of preallocated
+    buffers, whole blocks of ``MC_BLOCK_PAIRS`` mask pairs at a time, up to
+    ``MC_COIN_BUFFER`` coins.  One ``bitwise_or.at`` builds every closed
+    1-step neighborhood bitmask of a coin buffer from its kept pairs (no
+    ``Graph`` and no BFS), and one ``_kernels.ht_variance_terms`` call per
+    block evaluates the per-graph pairwise closed form of the
+    exposure-weighted estimator's variance, each graph bit for bit as on its
+    own.  That the closed form equals the variance enumerated over the
+    fair-coin support is checked separately, through ``exact_moments``.
+    The estimate depends on neither the block nor the buffer size, nor on
+    the environment.  Graphs above ``CODE_BITS`` nodes are refused before
+    any is drawn: the closed form reads int64 neighborhood bitmasks, and no
+    ball of at most ``CODE_BITS`` nodes overflows its 2^s weights, so every
+    replicate counts.  More than ``MAX_REPS`` replicates are refused too,
+    since each index hashes as one 32-bit word, and a variance past the
+    double range raises OverflowError.
     """
     check_monte_carlo(spec, reps)
     n = spec.n
     pairs = np.triu_indices(n, 1)
     block = min(reps, max(1, MC_BLOCK_PAIRS // (n * n)))
-    keep = np.empty((block, pairs[0].size), dtype=bool)
-    masks = np.empty((block, n), dtype=np.int64)
-    y_a = np.empty((block, n))
-    y_b = np.empty((block, n))
+    rows = min(reps, block * max(1, MC_COIN_BUFFER // (block * pairs[0].size)))
+    keep = np.empty((rows, pairs[0].size), dtype=bool)
+    masks = np.empty((rows, n), dtype=np.int64)
+    y_a = np.empty((rows, n))
+    y_b = np.empty((rows, n))
     constant = isinstance(policy, ConstantOutcomes)
     if constant:
         y_a.fill(policy.value)
@@ -334,8 +359,8 @@ def mc_expected_variance(
         )
     )
     blocks = []
-    for start in range(0, reps, block):
-        size = min(block, reps - start)
+    for first in range(0, reps, rows):
+        size = min(rows, reps - first)
         for r, (state, inc) in zip(range(size), states):
             rng.bit_generator.state = {
                 "bit_generator": "PCG64",
@@ -347,11 +372,14 @@ def mc_expected_variance(
             if not constant:
                 y_a[r] = rng.uniform(policy.k_lower, policy.m_upper, size=n)
                 y_b[r] = rng.uniform(policy.k_lower, policy.m_upper, size=n)
+        _block_masks(keep[:size], pairs, masks[:size])
         with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-            v_a, v_b, cov = ht_variance_terms(
-                _block_masks(keep[:size], pairs, masks[:size]), y_a[:size], y_b[:size]
-            )
-            blocks.append(v_a + v_b - 2.0 * cov)
+            for start in range(0, size, block):
+                stop = min(start + block, size)
+                v_a, v_b, cov = ht_variance_terms(
+                    masks[start:stop], y_a[start:stop], y_b[start:stop]
+                )
+                blocks.append(v_a + v_b - 2.0 * cov)
     values = np.concatenate(blocks)
     if not np.isfinite(values).all():
         raise OverflowError(f"Monte Carlo variance past the double range at n={n}, p={spec.p}")

@@ -99,11 +99,37 @@ class Graph(_GraphFields):
             raise GraphFormatError(f"{path}: {where}{exc}") from exc
 
 
+def _balls(graph: Graph, k: int, nodes: Iterable[int]) -> list[frozenset[int]]:
+    """Closed balls of hop radius k around ``nodes``, one breadth-first
+    search from each."""
+    if k < 0:
+        raise InvalidArgumentError(f"radius must be >= 0, got {k}")
+    adj: list[list[int]] = [[] for _ in range(graph.n)]
+    for u, v in graph.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    balls = []
+    for i in nodes:
+        seen = {i}
+        frontier = deque([(i, 0)])
+        while frontier:
+            node, dist = frontier.popleft()
+            if dist == k:
+                continue
+            for nxt in adj[node]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append((nxt, dist + 1))
+        balls.append(frozenset(seen))
+    return balls
+
+
 def k_step_neighborhood(graph: Graph, i: int, k: int) -> frozenset[int]:
-    """Closed ball of hop radius k around node i."""
+    """Closed ball of hop radius k around node i, by one breadth-first
+    search from i (no other node's ball is built)."""
     if not 0 <= i < graph.n:
         raise InvalidArgumentError(f"node {i} out of range for n={graph.n}")
-    return NeighborhoodIndex.build(graph, k).closed[i]
+    return _balls(graph, k, [i])[0]
 
 
 class NeighborhoodIndex(NamedTuple):
@@ -115,26 +141,7 @@ class NeighborhoodIndex(NamedTuple):
 
     @classmethod
     def build(cls, graph: Graph, k: int) -> "NeighborhoodIndex":
-        if k < 0:
-            raise InvalidArgumentError(f"radius must be >= 0, got {k}")
-        adj: list[list[int]] = [[] for _ in range(graph.n)]
-        for u, v in graph.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        balls = []
-        for i in range(graph.n):  # breadth-first from each node
-            seen = {i}
-            frontier = deque([(i, 0)])
-            while frontier:
-                node, dist = frontier.popleft()
-                if dist == k:
-                    continue
-                for nxt in adj[node]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append((nxt, dist + 1))
-            balls.append(frozenset(seen))
-        return cls(graph, k, tuple(balls))
+        return cls(graph, k, tuple(_balls(graph, k, range(graph.n))))
 
     @property
     def n(self) -> int:

@@ -17,11 +17,11 @@ which gathers the outcomes an int64 block of assignment codes reveals; the
 single-assignment, boundary and solo reads are small blocks.  A table
 therefore holds at most ``designs.CODE_BITS`` units.
 
-Random tables are the one draw that does not load ``numpy.random``: they
-take numpy's ``default_rng(seed).uniform`` stream from the package's own
-PCG64 (``_pcg64``, which says what that costs), one value per stored
-outcome, so at most ``TABLE_VALUE_CAP`` draws.  Graph coins and Monte Carlo
-stay on numpy's Generator (see ``er``).
+Random tables do not load ``numpy.random``: they take numpy's
+``default_rng(seed).uniform`` stream from the package's own PCG64
+(``_pcg64``, which says what that costs), one value per stored outcome, so
+at most ``TABLE_VALUE_CAP`` draws.  One-off graph coins do the same; only
+Monte Carlo draws on numpy's Generator (see ``er``).
 
 Declared bounds are open intervals: when an upper bound M is given, every
 value must lie strictly inside (0, M); a declared lower bound K tightens

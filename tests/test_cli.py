@@ -31,7 +31,9 @@ Claims pinned here:
       cannot evaluate or a unit outside its graph, and an ER graph whose n
       is not the design's, exit 2 before any graph is drawn; tables on a
       graph past 1074 nodes, ER or file, exits 3 before it draws the graph
-      or builds a ball, and at 1074 prints f_i = 2^-1074; a table document
+      or builds a ball, and at 1074 prints f_i = 2^-1074; its k-local e_i
+      is 2^|ball| of the unit's ball, read from one search from the unit
+      without building every node's ball; a table document
       past the outcome budget (63 units of 19-node balls) exits 3 before it
       allocates, and one beside a structure block exits 2 naming the
       block; a broken moment
@@ -40,8 +42,8 @@ Claims pinned here:
       overflow in an estimand, a moment, MSE or Monte Carlo reduction or
       in the envelope h(M) exit 2 with one stderr line
     - numpy.random stays unloaded through importing the CLI and running
-      moments on a random table, feasibility, adversary and regimes, until
-      Monte Carlo runs; the import generates no dataclass code and runs
+      moments on a random table and on an inline ER graph, feasibility,
+      adversary, regimes and tables, until er-analysis runs Monte Carlo; the import generates no dataclass code and runs
       BLAS on the calling thread: it sets OPENBLAS_NUM_THREADS to 1 unless
       the variable is already set, and starts no thread; argparse, gettext
       and locale stay unloaded through a run of every command
@@ -76,6 +78,7 @@ Claims pinned here:
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -680,6 +683,28 @@ def test_tables_at_its_size_cap_prints_the_least_positive_double(tmp_path):
     assert rows[1:] == ["none,2,0.5", "k_local,2,0.5", f"arbitrary,{2**1074},5e-324"]
 
 
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_tables_reads_the_units_ball_from_one_search(tmp_path, monkeypatch, k):
+    # the k_local row's e_i is 2^|ball| of the unit's own ball, found by one
+    # breadth-first search from the unit, with no ball of every node built
+    build = graphs.NeighborhoodIndex.build
+    builds = []
+    monkeypatch.setattr(graphs.NeighborhoodIndex, "build", lambda *args: builds.append(args))
+    rng = random.Random(k)
+    argv = ["tables", "--config", str(CONFIGS / "tables.json"), "--out", str(tmp_path)]
+    for _ in range(8):
+        n = rng.randint(2, 40)
+        graph = {"n": n, "p": rng.uniform(0.0, 0.3), "seed": rng.randrange(2**32)}
+        unit = rng.randrange(n)
+        overrides = [f"graph={json.dumps({'er': graph})}", f"unit={unit}", f"k={k}"]
+        assert cli.main([*argv, *(arg for o in overrides for arg in ("--set", o))]) == 0
+        rows = (tmp_path / "structure_table.csv").read_text().splitlines()
+        g = interference_lab.sample_er_graph(interference_lab.ERSpec(n, graph["p"]), graph["seed"])
+        count = 1 << len(build(g, k).closed[unit])
+        assert rows[2] == f"k_local,{count},{1 / count}"
+    assert builds == []
+
+
 @pytest.fixture
 def mc_runs(monkeypatch):
     """The Monte Carlo runs the CLI makes, recorded instead of run."""
@@ -843,30 +868,33 @@ def test_er_analysis_with_more_replicates_than_one_index_word_exits_3(capsys):
     )
 
 
-# commands that draw no graph: a random outcome table comes from the
-# package's own PCG64 stream
-NO_GRAPH_RUNS = [
+# commands that run no Monte Carlo: a random outcome table and the coins of
+# an inline graph.er block (tables, moments_ht) come from the package's own
+# PCG64 stream
+NO_MONTE_CARLO_RUNS = [
     ("moments", "moments_crd.json"),
     ("feasibility", "feasibility_bd.json"),
     ("adversary", "adversary_diff_means.json"),
     ("regimes", "regimes.json"),
+    ("tables", "tables.json"),
+    ("moments", "moments_ht.json"),
 ]
 
 
 def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
-    # numpy.random loads at the first Monte Carlo run, not with the package
-    # nor with a command that draws no graph, so those do not pay for its
+    # numpy.random loads at the first Monte Carlo run (er-analysis), not with
+    # the package nor with any other command, so those do not pay for its
     # import; nor does the import generate dataclass code or start OpenBLAS
-    # worker threads; and no command, graph-drawing ones included, loads
-    # argparse, gettext or locale
+    # worker threads; and no command, er-analysis included, loads argparse,
+    # gettext or locale
     linux = sys.platform.startswith("linux")
-    runs = [(command, str(CONFIGS / config)) for command, config in NO_GRAPH_RUNS]
-    graph_runs = [
-        ["er-analysis", "--config", str(CONFIGS / "er_analysis.json"), "--set", "reps=10",
-         "--out", os.devnull],
-        ["tables", "--config", str(CONFIGS / "tables.json"), "--out", "tables_out"],
-        ["moments", "--config", str(CONFIGS / "moments_ht.json"), "--out", os.devnull],
+    runs = [
+        [command, "--config", str(CONFIGS / config), "--out",
+         "tables_out" if command == "tables" else os.devnull]
+        for command, config in NO_MONTE_CARLO_RUNS
     ]
+    monte_carlo = ["er-analysis", "--config", str(CONFIGS / "er_analysis.json"), "--set",
+                   "reps=10", "--out", os.devnull]
     code = (
         "import os, sys, interference_lab.cli\n"
         "print('numpy.random' in sys.modules, 'dataclasses' in sys.modules)\n"
@@ -874,15 +902,11 @@ def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
         "if sys.platform.startswith('linux'):\n"
         "    status = open('/proc/self/status').read()\n"
         "    print(status.split('Threads:')[1].split()[0])\n"
-        f"for command, config in {runs!r}:\n"
-        "    argv = [command, '--config', config, '--out', os.devnull]\n"
-        "    assert interference_lab.cli.main(argv) == 0, command\n"
-        "print('numpy.random' in sys.modules)\n"
-        "from interference_lab.er import ConstantOutcomes, ERSpec, mc_expected_variance\n"
-        "mc_expected_variance(ERSpec(5, 0.5), ConstantOutcomes(1.0), 2, 0)\n"
-        "print('numpy.random' in sys.modules)\n"
-        f"for argv in {graph_runs!r}:\n"
+        f"for argv in {runs!r}:\n"
         "    assert interference_lab.cli.main(argv) == 0, argv\n"
+        "print('numpy.random' in sys.modules)\n"
+        f"assert interference_lab.cli.main({monte_carlo!r}) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
         "print([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n"
     )
     run = [sys.executable, "-c", code]

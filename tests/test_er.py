@@ -28,8 +28,12 @@ Claims pinned here:
       reference up to n = CODE_BITS, sparse and dense, with no replicate
       rejected; above it, Monte Carlo is refused before any graph is drawn
     - Monte Carlo evaluated in blocks of replicates equals a loop over one
-      replicate at a time bit for bit, at every block size and seed chunk,
-      for one-word and multiword seeds
+      replicate at a time bit for bit, at every block, coin-buffer and seed
+      chunk size, for one-word and multiword seeds, past one seed chunk, and
+      with a partial last coin buffer
+    - a one-off graph draw, whose coins come from the package's own stream,
+      keeps the pairs numpy's ``default_rng(seed).random`` keeps, across
+      one and two rows of stream lanes
     - the vectorized replicate seeding (``_pcg64.seed_states``) gives
       numpy's own PCG64 state of SeedSequence([seed, r]), for seeds of one
       to six 32-bit words and replicates on both sides of a seed-chunk
@@ -337,6 +341,19 @@ def test_sample_er_graph_determinism_and_extremes():
     assert sample_er_graph(ERSpec(5, 1.0), seed=1) == complete
 
 
+# pair counts 8128, 8256, 16471 and 576201: one row of stream lanes, just
+# past one, just past two, and the largest tables graph
+@pytest.mark.parametrize("n,lane_rows", [(128, 1), (129, 2), (182, 3), (1074, 71)])
+@pytest.mark.parametrize("seed", [7, 2**32 + 7])
+def test_graph_coins_equal_numpy_random(n, lane_rows, seed):
+    assert -(-n * (n - 1) // 2 // _pcg64.LANES) == lane_rows
+    p = 4 / n
+    left, right = np.triu_indices(n, 1)
+    keep = np.random.default_rng(seed).random(left.size) < p
+    want = set(zip(left[keep].tolist(), right[keep].tolist()))
+    assert sample_er_graph(ERSpec(n, p), seed).edges == want
+
+
 @pytest.mark.parametrize("n,refused", [(2896, False), (2897, True)])
 def test_er_draw_cap_is_checked_before_any_pair_is_made(monkeypatch, n, refused):
     # n = 2896 is the largest size within 2^22 node pairs, so its draw goes
@@ -460,8 +477,39 @@ def test_mc_blocks_equal_one_replicate_at_a_time(spec, policy, monkeypatch):
             for pairs in (1, reps * spec.n**2):
                 patch.setattr(er, "MC_BLOCK_PAIRS", pairs)
                 assert mc_expected_variance(spec, policy, reps, seed) == want
+            # one block per coin buffer
+            patch.setattr(er, "MC_COIN_BUFFER", 1)
+            assert mc_expected_variance(spec, policy, reps, seed) == want
             patch.setattr(er, "SEED_CHUNK", 5)
             assert mc_expected_variance(spec, policy, reps, seed) == want
+
+
+@pytest.mark.parametrize(
+    "spec,reps,buffers",
+    [
+        # past one seed chunk, in 36-replicate buffers of 4-replicate
+        # blocks; the last buffer ends in a one-replicate block
+        (ERSpec(60, 1 / 60), er.SEED_CHUNK + 5, [36] * 28 + [21]),
+        # 576-replicate buffers of 72-replicate blocks
+        (ERSpec(15, 1 / 15), 600, [576, 24]),
+        # fewer replicates than one block
+        (ERSpec(CODE_BITS, 1 / CODE_BITS), 3, [3]),
+    ],
+    ids=["n60-seed-chunk", "n15-partial-buffer", "n63-three"],
+)
+@pytest.mark.parametrize("policy", POLICIES, ids=["constant", "uniform"])
+def test_mc_coin_buffers_equal_one_replicate_at_a_time(spec, reps, buffers, policy, monkeypatch):
+    block_masks = er._block_masks
+    sizes = []
+
+    def counted_masks(keep, pairs, out):
+        sizes.append(len(keep))
+        return block_masks(keep, pairs, out)
+
+    want = _mc_one_replicate_at_a_time(spec, policy, reps, 5)
+    monkeypatch.setattr(er, "_block_masks", counted_masks)
+    assert mc_expected_variance(spec, policy, reps, 5) == want
+    assert sizes == buffers
 
 
 # seeds of 1, 1, 2, 3, 4 and 6 words: the last two carry entropy words past
