@@ -18,7 +18,7 @@ Three designs are supported:
 - ``cbd``: the fair-coin law conditioned on not being all-A or all-B.
 
 Exact support enumeration is capped at ``ENUMERATION_CAP`` units.  All
-operations are pure; values are immutable and safe to share across workers.
+operations are pure; values are immutable.
 """
 
 from __future__ import annotations

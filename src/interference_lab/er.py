@@ -243,16 +243,18 @@ class MCVariance(NamedTuple):
     reps_rejected: int  # always 0: every replicate counts
 
 
-# Mask pairs (replicates x n^2) per Monte Carlo block.  Each block costs a
-# fixed count of numpy calls for its masks and closed form, so at n <= 60
-# Monte Carlo is bound by per-call overhead, not arithmetic: 2^14 pairs put
-# 72 replicates in a block at n = 15 and 4 at n = 60, and took the er-mc
-# benchmark's compute time from 0.183 to 0.116 s; 2^12 leaves one replicate
-# per block at n = 60 and measured no faster overall than one replicate at a
-# time.  Larger blocks gained nothing measurable and grow the kernel's
-# (R, n, n) arrays, near 128 KB each at 2^14.  Results do not depend on the
-# block size.
-MC_BLOCK_PAIRS = 2**14
+# Mask pairs (replicates x n^2) per Monte Carlo pass.  A pass draws its
+# replicates' coins, builds their masks with one ``_block_masks`` call and
+# evaluates their closed forms with one ``ht_variance_terms`` call, so at
+# n <= 60 Monte Carlo is bound by per-call overhead, not arithmetic, and
+# larger passes pay it less often but grow the kernel's (R, n, n) arrays.
+# On the three er-mc benchmark cases (n = 15, 30, 60 along p = 1/n, 500
+# replicates each; best of 40 runs, 2-core x86-64) 2^14 pairs took 27-31
+# ms, 2^15 took 23-26 ms and 2^16 21-23 ms, with traced peaks of 0.34-0.38,
+# 0.49-0.55 and 0.77-0.88 MB: 2^15 takes most of the gain for about half of
+# 2^16's memory.  It puts 145 replicates in a pass at n = 15 and 9 at n = 60,
+# and each (R, n, n) array is 256 KB.  Results do not depend on the pass size.
+MC_BLOCK_PAIRS = 2**15
 
 
 def _block_masks(
@@ -275,21 +277,11 @@ def _block_masks(
     return out
 
 
-# Coins per Monte Carlo coin buffer, in whole MC blocks (at least one).
-# One ``_block_masks`` call builds a buffer's masks, so at n = 60, where a
-# block holds 4 replicates, its fixed cost is paid once per 36 replicates
-# instead of once per 4.  The three er-mc benchmark cases (n = 15, 30, 60
-# along p = 1/n, 500 replicates each) took 24.5 ms at 2^16 coins (64 KB of
-# bool) against 28.1 ms with one mask build per block; 2^14 took 25.1 ms
-# and 2^18 24.9 ms (best of six medians of 25, 2-core x86-64).
-MC_COIN_BUFFER = 2**16
-
-
 # Replicates whose stream states are hashed together.  One hash makes about
 # 180 numpy calls, 0.23 ms on 2-core x86-64 at any small count: hashed per
-# MC block (4 replicates at n = 60) that is 58 us per replicate, against
-# 17 us for one SeedSequence and generator; a chunk of 2^10 costs 1.3 us per
-# replicate (2^12: 1.1 us) and keeps memory independent of reps.
+# Monte Carlo pass (9 replicates at n = 60) that is 26 us per replicate,
+# against 17 us for one SeedSequence and generator; a chunk of 2^10 costs
+# 1.3 us per replicate (2^12: 1.1 us) and keeps memory independent of reps.
 SEED_CHUNK = 2**10
 # Replicate indices below 2^32 are one 32-bit entropy word to SeedSequence.
 MAX_REPS = 2**32
@@ -319,16 +311,15 @@ def mc_expected_variance(
     computed by one vectorized hash per ``SEED_CHUNK`` replicates
     (``_pcg64.seed_states``), identical to numpy's own, and loaded into one
     numpy generator, the one draw in the package that loads
-    ``numpy.random``.  Replicates are drawn into the rows of preallocated
-    buffers, whole blocks of ``MC_BLOCK_PAIRS`` mask pairs at a time, up to
-    ``MC_COIN_BUFFER`` coins.  One ``bitwise_or.at`` builds every closed
-    1-step neighborhood bitmask of a coin buffer from its kept pairs (no
-    ``Graph`` and no BFS), and one ``_kernels.ht_variance_terms`` call per
-    block evaluates the per-graph pairwise closed form of the
-    exposure-weighted estimator's variance, each graph bit for bit as on its
-    own.  That the closed form equals the variance enumerated over the
-    fair-coin support is checked separately, through ``exact_moments``.
-    The estimate depends on neither the block nor the buffer size, nor on
+    ``numpy.random``.  Replicates run in passes of up to ``MC_BLOCK_PAIRS``
+    mask pairs, drawn into the rows of preallocated buffers.  In each pass
+    one ``bitwise_or.at`` builds every closed 1-step neighborhood bitmask
+    from the kept pairs (no ``Graph`` and no BFS), and one
+    ``_kernels.ht_variance_terms`` call evaluates the per-graph pairwise
+    closed form of the exposure-weighted estimator's variance, each graph
+    bit for bit as on its own.  That the closed form equals the variance
+    enumerated over the fair-coin support is checked separately, through
+    ``exact_moments``.  The estimate depends on neither the pass size nor
     the environment.  Graphs above ``CODE_BITS`` nodes are refused before
     any is drawn: the closed form reads int64 neighborhood bitmasks, and no
     ball of at most ``CODE_BITS`` nodes overflows its 2^s weights, so every
@@ -339,8 +330,7 @@ def mc_expected_variance(
     check_monte_carlo(spec, reps)
     n = spec.n
     pairs = np.triu_indices(n, 1)
-    block = min(reps, max(1, MC_BLOCK_PAIRS // (n * n)))
-    rows = min(reps, block * max(1, MC_COIN_BUFFER // (block * pairs[0].size)))
+    rows = min(reps, max(1, MC_BLOCK_PAIRS // (n * n)))
     keep = np.empty((rows, pairs[0].size), dtype=bool)
     masks = np.empty((rows, n), dtype=np.int64)
     y_a = np.empty((rows, n))
@@ -358,7 +348,7 @@ def mc_expected_variance(
             seed_words(seed, count) + [np.arange(first, first + count, dtype=np.uint32)]
         )
     )
-    blocks = []
+    passes = []
     for first in range(0, reps, rows):
         size = min(rows, reps - first)
         for r, (state, inc) in zip(range(size), states):
@@ -374,13 +364,9 @@ def mc_expected_variance(
                 y_b[r] = rng.uniform(policy.k_lower, policy.m_upper, size=n)
         _block_masks(keep[:size], pairs, masks[:size])
         with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-            for start in range(0, size, block):
-                stop = min(start + block, size)
-                v_a, v_b, cov = ht_variance_terms(
-                    masks[start:stop], y_a[start:stop], y_b[start:stop]
-                )
-                blocks.append(v_a + v_b - 2.0 * cov)
-    values = np.concatenate(blocks)
+            v_a, v_b, cov = ht_variance_terms(masks[:size], y_a[:size], y_b[:size])
+            passes.append(v_a + v_b - 2.0 * cov)
+    values = np.concatenate(passes)
     if not np.isfinite(values).all():
         raise OverflowError(f"Monte Carlo variance past the double range at n={n}, p={spec.p}")
     mean = _exact_sum(values) / reps

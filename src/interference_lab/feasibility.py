@@ -29,6 +29,7 @@ drift; the shipped defaults use {0, 1}.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import product
 from typing import NamedTuple
 
@@ -72,6 +73,9 @@ class FeasibilityCertificate(NamedTuple):
     reproduces the estimand on every family member within the feasibility
     tolerance.  Infeasible certificates report the smallest attainable
     residual over the family, which exceeds the infeasibility tolerance.
+    Both tolerances are relative to the largest |estimand value| over the
+    family, so the verdict depends on neither the grid's units nor its
+    offset; ``min_residual`` is in the grid's units.
     """
 
     feasible: bool
@@ -195,8 +199,18 @@ def unbiased_feasibility(
             f"constraint system too ill-conditioned to certify "
             f"(cond ~ {singular[0] / singular[rank - 1]:.2e})"
         )
-    residual = float(np.linalg.norm(a @ solution - b))
-    if residual <= FEASIBLE_TOL:
+    # Unbiasedness is linear in the outcomes, so the residual is judged
+    # relative to the largest target |b|, which no least-squares residual
+    # exceeds by more than sqrt(len(b)); shifting every level leaves b and
+    # the verdict alone.  The norm runs on scaled values so it neither
+    # overflows nor underflows.
+    scale = float(np.max(np.abs(b))) or 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        relative = float(np.linalg.norm((a @ solution - b) / scale))
+    residual = scale * relative  # not finite when relative is not
+    if not math.isfinite(residual):
+        raise OverflowError(f"feasibility residual past the double range on grid {list(grid)}")
+    if relative <= FEASIBLE_TOL:
         witness = TabularEstimator(
             {
                 (int(key[0]), observed_key(key[1:])): value
@@ -206,13 +220,13 @@ def unbiased_feasibility(
         return FeasibilityCertificate(
             True, residual, len(family), len(unknowns), int(rank), witness
         )
-    if residual > INFEASIBLE_TOL:
+    if relative > INFEASIBLE_TOL:
         return FeasibilityCertificate(
             False, residual, len(family), len(unknowns), int(rank), None
         )
     raise FeasibilityPrecisionError(
-        f"residual {residual:.3e} falls between the feasible ({FEASIBLE_TOL:.0e}) "
-        f"and infeasible ({INFEASIBLE_TOL:.0e}) tolerances"
+        f"residual {relative:.3e} (relative to the largest target |b|) falls between "
+        f"the feasible ({FEASIBLE_TOL:.0e}) and infeasible ({INFEASIBLE_TOL:.0e}) tolerances"
     )
 
 
@@ -248,6 +262,8 @@ def mse_adversary(
 
     The estimand is the mean contrast: the construction realizes its
     targets on constant boundary rows, where it inverts in closed form.
+    An ``m_upper`` whose floor M^2/8 falls below the normal double range is
+    refused, since a zero or subnormal floor checks nothing.
     """
     if design.kind not in ("crd", "bd"):
         raise UnsupportedDesignError(
@@ -255,8 +271,12 @@ def mse_adversary(
         )
     if not m_upper > 0:  # NaN fails too
         raise InvalidArgumentError(f"m_upper: must be positive, got {m_upper}")
-    check_enumerable(design)  # before the 2^n-row tables are allocated
     m = float(m_upper)
+    if m * m / 8.0 < sys.float_info.min:
+        raise InvalidArgumentError(
+            f"m_upper: the MSE floor M^2/8 at {m_upper} is below the normal double range"
+        )
+    check_enumerable(design)  # before the 2^n-row tables are allocated
     eps = _EPS_REL * m
     half = m / 2.0
 

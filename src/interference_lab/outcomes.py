@@ -105,6 +105,11 @@ def _integer(spec: dict, key: str) -> int:
     return value
 
 
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number (a boolean or a string is not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class PotentialOutcomeTable:
     """Per-unit outcome functions of the effective treatment; ``values[i]``
     holds unit i's outcomes by effective-treatment key."""
@@ -289,10 +294,18 @@ class PotentialOutcomeTable:
                         raise InvalidArgumentError(
                             f"key {labels!r} does not match its reference group size {len(g)}"
                         )
+                    if not (_is_number(x) and math.isfinite(x)):
+                        raise InvalidArgumentError(
+                            f"key {labels!r}: outcome must be a finite number, got {x!r}"
+                        )
                     v[Assignment.from_arms(labels).code] = float(x)
                 values.append(v)
             where = ""
-            return cls(structure, values, k_lower=doc.get("k_lower"), m_upper=doc.get("m_upper"))
+            bounds = {key: doc.get(key) for key in ("k_lower", "m_upper")}
+            for key, bound in bounds.items():
+                if bound is not None and not _is_number(bound):
+                    raise InvalidArgumentError(f"{key}: must be a number, got {bound!r}")
+            return cls(structure, values, **bounds)
         except KeyError as exc:
             raise InvalidArgumentError(f"{path}: missing key {exc}") from exc
         except (OverflowError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors too

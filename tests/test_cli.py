@@ -402,6 +402,7 @@ def test_table_json_without_structure_exits_2(tmp_path):
 
 _HUB_EDGES = [[0, j] for j in range(1, 22)]  # unit 0's reference group has 22 units
 _ARM_UNITS = [{"A": 1.0, "B": 0.5}]
+_BELOW_ONE = [{"A": 0.75, "B": 0.5}]  # a unit inside the bounds (0, 1)
 # units of a k = 1 table on n = 6 with the one edge (0, 1)
 _PAIR_UNITS = [{"AA": 1.0, "AB": 0.75, "BA": 0.75, "BB": 0.5}] * 2 + _ARM_UNITS * 4
 
@@ -476,6 +477,29 @@ def _whole(units, n=3):
                 ({"kind": "k_local", "n": 6, "k": True, "edges": []}, _ARM_UNITS * 6),
                 ({"kind": "k_local", "n": 6, "k": 1, "edges": [[0, 1.5]]}, _PAIR_UNITS),
                 ({"kind": "k_local", "n": 6, "k": 1, "edges": [[0, True]]}, _PAIR_UNITS),
+            )
+        ),
+        # an outcome must be a finite JSON number and a bound a JSON number:
+        # a boolean is not 1 or 0, a string is not parsed, and "nan" is not
+        # an unstored entry (each table loads once the entry is a number)
+        *(
+            (
+                "table.json",
+                json.dumps(
+                    {
+                        **bounds,
+                        "structure": {"kind": "no_interference", "n": 6},
+                        "units": [*_BELOW_ONE * 3, unit, *_BELOW_ONE * 2],
+                    }
+                ),
+                2,
+            )
+            for bounds, unit in (
+                ({}, {"A": True, "B": 0.5}),
+                ({}, {"A": 0.75, "B": "1e3"}),
+                ({}, {"A": 0.75, "B": "nan"}),
+                ({"m_upper": True}, _BELOW_ONE[0]),
+                ({"k_lower": False, "m_upper": 1.0}, _BELOW_ONE[0]),
             )
         ),
     ],
@@ -580,6 +604,10 @@ def test_file_errors_exit_2(tmp_path, case):
         ("feasibility", "feasibility_bd.json", "grid=[NaN, 1]"),
         ("regimes", "regimes.json", "k_lower=NaN"),
         ("adversary", "adversary_diff_means.json", "m_upper=NaN"),
+        # nor is an m_upper whose M^2/8 floor is subnormal or zero, where
+        # the floor gate would check nothing
+        ("adversary", "adversary_diff_means.json", "m_upper=1e-170"),
+        ("adversary", "adversary_diff_means.json", "m_upper=1e-320"),
         # regimes levels must be finite, with k_lower <= m_upper (the
         # shipped config sets both to 1.0), before any row is computed
         ("regimes", "regimes.json", "m_upper=Infinity"),

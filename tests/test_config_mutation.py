@@ -6,7 +6,8 @@ Claims pinned here:
       or special float (+-1e308, 1e-320, -0.0, NaN), the string "x" or a
       value of another JSON type, returns 0, 2, 3 or 4 and raises nothing
       (no warning either); a failing run writes exactly one stderr line and
-      a passing one none
+      a passing one none, and a passing ``moments``, ``feasibility`` or
+      ``adversary`` run reports strict JSON (no NaN or Infinity)
     - so does ``tables`` with its graph read from a file whose node count is
       0, -1, 64, 1075, 20000 or 2^63, before or after its leaves are mutated
 """
@@ -36,6 +37,16 @@ _VALUES = st.sampled_from(
 # code width, past the tables cap, past int-to-str's digit limit for 2^n
 _GRAPH_FILE_SIZES = [0, -1, 64, 1075, 20000, 2**63]
 _GRAPH_FILE = "graph.txt"  # relative to the run's working directory
+
+
+# commands whose report is a JSON document
+_JSON_COMMANDS = ("moments", "feasibility", "adversary")
+
+
+def _not_json(constant):
+    """Refuse NaN, Infinity and -Infinity, which Python writes but JSON
+    has no literal for."""
+    raise AssertionError(f"report holds {constant}, which is not JSON")
 
 
 def _shipped(name):
@@ -116,3 +127,5 @@ def test_mutated_shipped_configs_exit_cleanly(tmp_path_factory, case):
         assert err.endswith("\n") and err.count("\n") == 1, err
     else:
         assert err == ""
+        if COMMANDS[name] in _JSON_COMMANDS:
+            json.loads(out.read_text(), parse_constant=_not_json)

@@ -27,10 +27,10 @@ Claims pinned here:
       standard errors of enumeration, and of the moment-based exact
       reference up to n = CODE_BITS, sparse and dense, with no replicate
       rejected; above it, Monte Carlo is refused before any graph is drawn
-    - Monte Carlo evaluated in blocks of replicates equals a loop over one
-      replicate at a time bit for bit, at every block, coin-buffer and seed
-      chunk size, for one-word and multiword seeds, past one seed chunk, and
-      with a partial last coin buffer
+    - Monte Carlo evaluated in passes of replicates, each one mask build
+      and one closed-form call, equals a loop over one replicate at a time
+      bit for bit, at every pass and seed chunk size, for one-word and
+      multiword seeds, past one seed chunk, and with a partial last pass
     - a one-off graph draw, whose coins come from the package's own stream,
       keeps the pairs numpy's ``default_rng(seed).random`` keeps, across
       one and two rows of stream lanes
@@ -465,7 +465,7 @@ def _mc_one_replicate_at_a_time(spec, policy, reps, seed):
 @pytest.mark.parametrize("policy", POLICIES, ids=["constant", "uniform"])
 @pytest.mark.parametrize("spec", CODE_WIDTH_SPECS, ids=["sparse-63", "dense-40", "dense-63"])
 def test_mc_blocks_equal_one_replicate_at_a_time(spec, policy, monkeypatch):
-    # 23 reps fill no whole number of blocks (4 at n = 63, 10 at n = 40)
+    # 23 reps fill no whole number of passes (8 at n = 63, 20 at n = 40)
     # nor of 5-replicate seed chunks; 2^64 + 5 is a three-word seed
     reps = 23
     assert reps % max(1, er.MC_BLOCK_PAIRS // spec.n**2) != 0
@@ -473,43 +473,46 @@ def test_mc_blocks_equal_one_replicate_at_a_time(spec, policy, monkeypatch):
         want = _mc_one_replicate_at_a_time(spec, policy, reps, seed)
         with monkeypatch.context() as patch:
             assert mc_expected_variance(spec, policy, reps, seed) == want
-            # one replicate per block, the whole run in one
+            # one replicate per pass, the whole run in one
             for pairs in (1, reps * spec.n**2):
                 patch.setattr(er, "MC_BLOCK_PAIRS", pairs)
                 assert mc_expected_variance(spec, policy, reps, seed) == want
-            # one block per coin buffer
-            patch.setattr(er, "MC_COIN_BUFFER", 1)
-            assert mc_expected_variance(spec, policy, reps, seed) == want
             patch.setattr(er, "SEED_CHUNK", 5)
             assert mc_expected_variance(spec, policy, reps, seed) == want
 
 
 @pytest.mark.parametrize(
-    "spec,reps,buffers",
+    "spec,reps,passes",
     [
-        # past one seed chunk, in 36-replicate buffers of 4-replicate
-        # blocks; the last buffer ends in a one-replicate block
-        (ERSpec(60, 1 / 60), er.SEED_CHUNK + 5, [36] * 28 + [21]),
-        # 576-replicate buffers of 72-replicate blocks
-        (ERSpec(15, 1 / 15), 600, [576, 24]),
-        # fewer replicates than one block
+        # past one seed chunk in 9-replicate passes, one of which crosses
+        # the chunk boundary; the last pass holds 3
+        (ERSpec(60, 1 / 60), er.SEED_CHUNK + 5, [9] * 114 + [3]),
+        # 145-replicate passes and a partial last one
+        (ERSpec(15, 1 / 15), 600, [145] * 4 + [20]),
+        # fewer replicates than one pass
         (ERSpec(CODE_BITS, 1 / CODE_BITS), 3, [3]),
     ],
-    ids=["n60-seed-chunk", "n15-partial-buffer", "n63-three"],
+    ids=["n60-seed-chunk", "n15-partial-pass", "n63-three"],
 )
 @pytest.mark.parametrize("policy", POLICIES, ids=["constant", "uniform"])
-def test_mc_coin_buffers_equal_one_replicate_at_a_time(spec, reps, buffers, policy, monkeypatch):
-    block_masks = er._block_masks
-    sizes = []
+def test_mc_passes_equal_one_replicate_at_a_time(spec, reps, passes, policy, monkeypatch):
+    # each pass builds its masks with one call and evaluates them with one
+    block_masks, terms = er._block_masks, er.ht_variance_terms
+    mask_rows, term_rows = [], []
 
     def counted_masks(keep, pairs, out):
-        sizes.append(len(keep))
+        mask_rows.append(len(keep))
         return block_masks(keep, pairs, out)
+
+    def counted_terms(masks, y_a, y_b):
+        term_rows.append(len(masks))
+        return terms(masks, y_a, y_b)
 
     want = _mc_one_replicate_at_a_time(spec, policy, reps, 5)
     monkeypatch.setattr(er, "_block_masks", counted_masks)
+    monkeypatch.setattr(er, "ht_variance_terms", counted_terms)
     assert mc_expected_variance(spec, policy, reps, 5) == want
-    assert sizes == buffers
+    assert mask_rows == term_rows == passes
 
 
 # seeds of 1, 1, 2, 3, 4 and 6 words: the last two carry entropy words past

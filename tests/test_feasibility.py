@@ -8,6 +8,10 @@ Claims pinned here:
       family member
     - witnesses equal the corresponding inverse-probability rule up to an
       assignment-indexed offset summing to zero over the support
+    - the verdict does not depend on the grid's scale or offset ([0, v] for
+      v from 2^-40 to 1e200, and [L, L + 1] for L = 3e9, 1e10, -1e10: bd
+      feasible, crd infeasible, no warning), and a residual past the double
+      range raises OverflowError
     - more than FEASIBILITY_N_CAP units or FEASIBILITY_GRID_CAP grid levels
       is a capacity error; an empty grid, or a grid level that is NaN or
       infinite, is an invalid argument naming the entry
@@ -23,6 +27,7 @@ Claims pinned here:
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +77,33 @@ def test_crd_residual_value():
     # sqrt(2) per level, i.e. residual 2 for the two-level grid.
     cert = unbiased_feasibility(Design("crd", 3, 1), ATE, [0, 1])
     assert cert.min_residual == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [(0.0, v) for v in (2.0**-40, 2.0**-30, 1.0, 2.0**20, 2.0**30, 1e200)]
+    + [(level, level + 1.0) for level in (3e9, 1e10, -1e10)],
+)
+def test_verdict_does_not_depend_on_the_grid_scale(low, high):
+    # unbiasedness is linear in the outcomes, so the verdict on [low, high]
+    # is the verdict on [0, 1], whatever the grid's units or offset; the
+    # residual is reported in the grid's units
+    spread = high - low
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bd = unbiased_feasibility(Design("bd", 3), ATE, [low, high])
+        crd = unbiased_feasibility(Design("crd", 3, 1), ATE, [low, high])
+    assert bd.feasible and bd.min_residual <= FEASIBLE_TOL * spread
+    assert not crd.feasible
+    assert crd.min_residual == pytest.approx(2.0 * spread, rel=1e-12)
+
+
+def test_residual_past_the_double_range_overflows():
+    # the fair-coin witness at n = 6 weighs the level 1e307 by 2^6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="residual past the double range"):
+            unbiased_feasibility(Design("bd", 6), ATE, [0, 1e307])
 
 
 def test_feasible_fair_coin_mean_contrast():
@@ -237,17 +269,19 @@ def test_system_equals_the_dict_build(n, kind, solo, grid):
     assert repr(keys) == repr(list(columns))  # signed zeros kept as first seen
 
     solution, _, rank, singular = np.linalg.lstsq(a_ref, b_ref, rcond=None)
-    residual = float(np.linalg.norm(a_ref @ solution - b_ref))
+    # judged relative to the largest |b|, reported in the grid's units
+    scale = float(np.max(np.abs(b_ref))) or 1.0
+    relative = float(np.linalg.norm((a_ref @ solution - b_ref) / scale))
     try:
         cert = unbiased_feasibility(design, estimand, grid)
     except FeasibilityPrecisionError:
         assert rank > 0 and (
             singular[0] / singular[rank - 1] > _CONDITION_CAP
-            or FEASIBLE_TOL < residual <= INFEASIBLE_TOL
+            or FEASIBLE_TOL < relative <= INFEASIBLE_TOL
         )
         return
     assert cert.rank == rank
-    assert cert.min_residual == residual
+    assert cert.min_residual == scale * relative
     assert cert.n_unknowns == len(columns)
     if cert.feasible:
         assert cert.witness.mapping == {

@@ -6,9 +6,11 @@ Claims pinned here:
       the standard output; every other file is one the run writes, at the
       same path relative to the working directory)
     - the ``*_scale`` configs run the exact layer at the benchmark's size,
-      n = 14, where every support block holds the full 256 codes: HT moments
-      under bd on an ER(14, 0.2) graph, and the MSE adversary for
-      difference in means under crd and for the pure-arm IPW under bd
+      n = 14, where the support spans several full 1024-code blocks
+      (``designs.SUPPORT_BLOCK``; 16 under bd, 3 and a partial one under
+      crd): HT moments under bd on an ER(14, 0.2) graph, and the MSE
+      adversary for difference in means under crd and for the pure-arm IPW
+      under bd
     - ``er_analysis_scale`` runs Monte Carlo at the benchmark's size (n = 15,
       30, 60 along p = 1/n, 500 replicates) with constant outcomes at 1.37,
       and ``er_analysis_uniform`` at n = 60 with uniform outcomes; unlike the
