@@ -38,16 +38,16 @@ class MomentReport(NamedTuple):
 
 
 def _support_values(
-    estimator: Estimator, design: Design, table: PotentialOutcomeTable
+    estimator: Estimator, design: Design, observed
 ) -> tuple[np.ndarray, float]:
     """The estimator's value at every support code, in ascending code order,
-    and the probability p of each code (every design law is uniform on its
-    support, so one p serves all values).  A value past the double range
-    raises OverflowError."""
+    on the outcomes the lookup ``observed`` reveals, and the probability p
+    of each code (every design law is uniform on its support, so one p
+    serves all values).  A value past the double range raises OverflowError."""
     blocks = []
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
         for codes, p in enumerate_support(design):
-            blocks.append(estimator.evaluate(codes, table.observed(codes)))
+            blocks.append(estimator.evaluate(codes, observed(codes)))
     values = np.concatenate(blocks)
     if not np.isfinite(values).all():
         raise OverflowError("estimator value past the double range")
@@ -121,7 +121,7 @@ def exact_moments(
     if table.n != design.n:
         raise InvalidArgumentError(f"table has n={table.n}, design has n={design.n}")
     theta = estimand_value(estimand, table)
-    values, p = _support_values(estimator, design, table)
+    values, p = _support_values(estimator, design, table.observed)
     expectation = _exact_sum(values * p)
     variance = _weighted_square_sum(values, p, expectation)
     mse = _weighted_square_sum(values, p, theta)

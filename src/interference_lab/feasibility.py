@@ -14,13 +14,14 @@ sweeping constant vectors over the grid.  For the solo-treatment estimand
 the family additionally perturbs one single-treated row at a time, since
 constant tables cannot distinguish the single-treated assignments.
 
-Every family table is constant across units on each assignment row, so its
-n units share one length-2^n outcome column.  The unknowns are the distinct
-(code, observed vector) pairs the family reveals, numbered by first
-appearance (table by table, codes ascending).  One stable ``np.lexsort``
-over the stacked (table, code) key rows groups equal keys, comparing them as
-floats, so -0.0 and 0.0 are one unknown that keeps the key it was first seen
-with.
+Every family table is constant across units on each assignment row, so it
+is one length-2^n outcome column that all n units read, and the family is a
+(tables, 2^n) array.  The unknowns are the distinct (code, level) pairs the
+family reveals, numbered by first appearance (table by table, codes
+ascending).  One stable ``np.lexsort`` over the stacked (code, level) key
+rows groups equal keys, comparing them as floats, so -0.0 and 0.0 are one
+unknown that keeps the key it was first seen with.  The targets are scaled
+by a power of two before the solve, exactly, so it never runs on subnormals.
 
 Grid levels should be exact binary fractions so observed-vector keys never
 drift; the shipped defaults use {0, 1}.
@@ -43,16 +44,10 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedDesignError,
 )
-from .estimators import Estimator, TabularEstimator, observed_key
+from .estimators import Estimator, TabularEstimator
 from .exact import _support_values, _weighted_square_sum
 from .graphs import Arbitrary
-from .outcomes import (
-    ATE,
-    Estimand,
-    PotentialOutcomeTable,
-    SoloTreatmentEffect,
-    estimand_value,
-)
+from .outcomes import ATE, Estimand, PotentialOutcomeTable, SoloTreatmentEffect, _estimand
 
 FEASIBLE_TOL = 1e-9
 INFEASIBLE_TOL = 1e-6
@@ -95,52 +90,52 @@ class FeasibilityCertificate(NamedTuple):
         }
 
 
-def _witness_table(
-    n: int, off_value: float, rows: dict[int, float], m_upper: float | None = None
-) -> PotentialOutcomeTable:
-    """The arbitrary-interference table constant at ``off_value`` except on
-    the assignment rows ``rows`` maps (code -> the row's constant value).
-
-    Every row is constant across units, so all n units share one length-2^n
-    outcome column (tables never write to their values); no (2^n, n) matrix
-    is built, and the bounds check scans the column once."""
+def _witness_column(n: int, off_value: float, rows: dict[int, float]) -> np.ndarray:
+    """The witness table constant at ``off_value`` except on the assignment
+    rows ``rows`` maps (code -> the row's value), as the one outcome column
+    every unit reads: entry c is each unit's outcome under code c."""
     column = np.full(1 << n, off_value, dtype=float)
     for code, value in rows.items():
         column[code] = value
-    return PotentialOutcomeTable(Arbitrary(n), [column] * n, m_upper=m_upper)
+    return column
 
 
-def default_witness_family(
-    n: int, estimand: Estimand, grid: tuple[float, ...]
-) -> list[PotentialOutcomeTable]:
-    """The minimal table family that decides unbiasedness for the estimand."""
+def _revealed(column: np.ndarray, n: int):
+    """The outcome lookup of the witness table ``column`` on n units, shaped
+    as ``PotentialOutcomeTable.observed``: each code's entry repeated n
+    times, as a read-only view (no estimator writes to its outcomes)."""
+    return lambda codes: np.broadcast_to(column[codes][:, None], (len(codes), n))
+
+
+def default_witness_family(n: int, estimand: Estimand, grid: tuple[float, ...]) -> np.ndarray:
+    """The minimal table family that decides unbiasedness for the estimand,
+    one witness column per row."""
     all_b = (1 << n) - 1
-    family = [
-        _witness_table(n, y0, {0: a, all_b: b}) for y0, a, b in product(grid, repeat=3)
-    ]
+    family = [_witness_column(n, y0, {0: a, all_b: b}) for y0, a, b in product(grid, repeat=3)]
     if isinstance(estimand, SoloTreatmentEffect):
         for y0 in grid:
             for unit in range(n):
                 for v in grid:
                     if v != y0:
-                        family.append(_witness_table(n, y0, {all_b ^ (1 << unit): v}))
-    return family
+                        family.append(_witness_column(n, y0, {all_b ^ (1 << unit): v}))
+    return np.array(family)
 
 
 def _constraint_system(
-    design: Design, estimand: Estimand, family: list[PotentialOutcomeTable]
+    design: Design, estimand: Estimand, family: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The unbiasedness constraints ``a x = b`` of the family: one row per
-    table, one column per unknown, and ``unknowns``, whose row j is column
-    j's key (the code, then the observed vector).
+    """The unbiasedness constraints ``a x = b`` of the family's witness
+    columns: one row per table, one column per unknown, and ``unknowns``,
+    whose row j is column j's key (the code, then the level every unit
+    observes).
 
-    A table reveals one observed vector per support code, and each distinct
-    (code, observed vector) pair is one unknown, numbered by first
-    appearance: table by table in family order, codes ascending within a
-    table.  One stable ``np.lexsort`` over the (table, code) key rows puts
-    equal keys next to each other; a group starts wherever a sorted row
-    differs from the one before it as floats, so -0.0 and 0.0 merge, and
-    each unknown keeps its earliest row's key, signed zeros as first seen.
+    A table reveals one level per support code, and each distinct (code,
+    level) pair is one unknown, numbered by first appearance: table by table
+    in family order, codes ascending within a table.  One stable
+    ``np.lexsort`` over the (table, code) key rows puts equal keys next to
+    each other; a group starts wherever a sorted row differs from the one
+    before it as floats, so -0.0 and 0.0 merge, and each unknown keeps its
+    earliest row's key, signed zeros as first seen.
     """
     blocks = list(enumerate_support(design))
     # Every design law is uniform on its support, so each column of a row
@@ -148,11 +143,10 @@ def _constraint_system(
     p = blocks[0][1]
     codes = np.concatenate([block for block, _ in blocks])
     # Codes stay below 2^FEASIBILITY_N_CAP, so column 0 holds them exactly.
-    keys = np.empty((len(family), len(codes), design.n + 1))
+    keys = np.empty((len(family), len(codes), 2))
     keys[:, :, 0] = codes
-    for t, table in enumerate(family):
-        keys[t, :, 1:] = table.observed(codes)
-    keys = keys.reshape(-1, design.n + 1)
+    keys[:, :, 1] = family[:, codes]
+    keys = keys.reshape(-1, 2)
     # The sort is stable, so each group's first sorted row is its earliest
     # row. Keys are finite (grid levels are checked), so != groups them.
     order = np.lexsort(keys.T)
@@ -168,7 +162,8 @@ def _constraint_system(
     column[order] = number[np.cumsum(start) - 1]
     a = np.zeros((len(family), len(first)))
     a[np.arange(len(family)).repeat(len(codes)), column] = p
-    b = np.array([estimand_value(estimand, table) for table in family])
+    n = design.n
+    b = np.array([_estimand(estimand, _revealed(witness, n), n) for witness in family])
     return a, b, keys[first[appearance]]
 
 
@@ -193,28 +188,35 @@ def unbiased_feasibility(
         )
     family = default_witness_family(design.n, estimand, grid)
     a, b, unknowns = _constraint_system(design, estimand, family)
-    solution, _, rank, singular = np.linalg.lstsq(a, b, rcond=None)
+    # Unbiasedness is linear in the outcomes: the system is solved in units
+    # of the power of two that brings the largest target |b| into [1, 2) (an
+    # exact division), and the residual is judged relative to that largest
+    # |b|, which no least-squares residual exceeds by more than sqrt(len(b));
+    # shifting every level leaves b and the verdict alone.  Where LAPACK
+    # would not rescale b itself (max |b| within about 1e-292 to 1e291),
+    # every result is the unscaled solve's bit for bit.
+    top = float(np.max(np.abs(b)))
+    unit = math.ldexp(1.0, math.frexp(top or 1.0)[1] - 1)
+    solution, _, rank, singular = np.linalg.lstsq(a, b / unit, rcond=None)
     if rank > 0 and singular[0] / singular[rank - 1] > _CONDITION_CAP:
         raise FeasibilityPrecisionError(
             f"constraint system too ill-conditioned to certify "
             f"(cond ~ {singular[0] / singular[rank - 1]:.2e})"
         )
-    # Unbiasedness is linear in the outcomes, so the residual is judged
-    # relative to the largest target |b|, which no least-squares residual
-    # exceeds by more than sqrt(len(b)); shifting every level leaves b and
-    # the verdict alone.  The norm runs on scaled values so it neither
-    # overflows nor underflows.
-    scale = float(np.max(np.abs(b))) or 1.0
+    scale = top / unit or 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        relative = float(np.linalg.norm((a @ solution - b) / scale))
-    residual = scale * relative  # not finite when relative is not
-    if not math.isfinite(residual):
-        raise OverflowError(f"feasibility residual past the double range on grid {list(grid)}")
+        relative = float(np.linalg.norm((a @ solution - b / unit) / scale))
+        solution *= unit
+    residual = unit * (scale * relative)  # not finite when relative is not
+    if not (math.isfinite(residual) and np.isfinite(solution).all()):
+        raise OverflowError(
+            f"feasibility witness or residual past the double range on grid {list(grid)}"
+        )
     if relative <= FEASIBLE_TOL:
         witness = TabularEstimator(
             {
-                (int(key[0]), observed_key(key[1:])): value
-                for key, value in zip(unknowns.tolist(), solution.tolist())
+                (int(code), (level,) * design.n): value
+                for (code, level), value in zip(unknowns.tolist(), solution.tolist())
             }
         )
         return FeasibilityCertificate(
@@ -262,6 +264,7 @@ def mse_adversary(
 
     The estimand is the mean contrast: the construction realizes its
     targets on constant boundary rows, where it inverts in closed form.
+    Both candidates are witness columns; only the winner becomes a table.
     An ``m_upper`` whose floor M^2/8 falls below the normal double range is
     refused, since a zero or subnormal floor checks nothing.
     """
@@ -276,27 +279,32 @@ def mse_adversary(
         raise InvalidArgumentError(
             f"m_upper: the MSE floor M^2/8 at {m_upper} is below the normal double range"
         )
-    check_enumerable(design)  # before the 2^n-row tables are allocated
+    check_enumerable(design)  # before the 2^n-entry columns are allocated
+    if m == math.inf:  # as the winner's table would refuse it
+        raise InvalidArgumentError(f"m_upper: must be finite and positive, got {m_upper}")
     eps = _EPS_REL * m
     half = m / 2.0
 
-    all_b = (1 << design.n) - 1
+    n = design.n
+    all_b = (1 << n) - 1
     candidates = (
-        _witness_table(design.n, half, {0: half, all_b: half}, m),  # target 0 exactly
-        _witness_table(design.n, half, {0: m - eps, all_b: eps}, m),  # target m - 2 eps
+        _witness_column(n, half, {0: half, all_b: half}),  # target 0 exactly
+        _witness_column(n, half, {0: m - eps, all_b: eps}),  # target m - 2 eps
     )
-    best: tuple[float, PotentialOutcomeTable, float] | None = None
-    for table in candidates:
-        theta = estimand_value(ATE, table)
-        values, p = _support_values(estimator, design, table)
+    best: tuple[float, np.ndarray, float] | None = None
+    for column in candidates:
+        observed = _revealed(column, n)
+        theta = _estimand(ATE, observed, n)
+        values, p = _support_values(estimator, design, observed)
         mse = _weighted_square_sum(values, p, theta)
         if best is None or mse > best[0]:
-            best = (mse, table, theta)
+            best = (mse, column, theta)
     assert best is not None
-    mse, table, theta = best
+    mse, column, theta = best
     floor = m * m / 8.0 * (1.0 - 10.0 * eps / m)
     if mse < floor:
         raise IdentityViolationError(
             f"adversarial MSE {mse} fell below the guaranteed floor {floor}"
         )
+    table = PotentialOutcomeTable(Arbitrary(n), [column] * n, m_upper=m)
     return AdversaryResult(table, mse, floor, theta)

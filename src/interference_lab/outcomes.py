@@ -15,7 +15,8 @@ the assignment code.
 Every read goes through one lookup, ``PotentialOutcomeTable.observed``,
 which gathers the outcomes an int64 block of assignment codes reveals; the
 single-assignment, boundary and solo reads are small blocks.  A table
-therefore holds at most ``designs.CODE_BITS`` units.
+therefore holds at most ``designs.CODE_BITS`` units.  The estimands read
+through any lookup of that shape (``_estimand``), a table's or not.
 
 Random tables do not load ``numpy.random``: they take numpy's
 ``default_rng(seed).uniform`` stream from the package's own PCG64
@@ -25,9 +26,7 @@ Monte Carlo draws on numpy's Generator (see ``er``).
 
 Declared bounds are open intervals: when an upper bound M is given, every
 value must lie strictly inside (0, M); a declared lower bound K tightens
-that to (K, M).  Tables without declared bounds skip the check (the
-feasibility machinery builds witness tables on arbitrary grids, including
-zero).
+that to (K, M).  Tables without declared bounds skip the check.
 
 A table of any structure has one file form, the JSON document ``to_json``
 writes.  ``from_json`` parses it inside one error handler: any failure raises
@@ -86,16 +85,6 @@ def _reference_groups(structure: InterferenceStructure) -> list[list[int]]:
     return groups
 
 
-def _columns(units: list[int]) -> int | slice | np.ndarray:
-    """An index of the ascending ``units``: the unit itself when it is alone,
-    a slice when they run contiguously, else an index array."""
-    if len(units) == 1:
-        return units[0]
-    if units[-1] - units[0] == len(units) - 1:
-        return slice(units[0], units[-1] + 1)
-    return np.array(units)
-
-
 def _integer(spec: dict, key: str) -> int:
     """A table document's ``structure.<key>``, refused unless a JSON integer
     (a float is not truncated, and a boolean is not 0 or 1)."""
@@ -133,16 +122,12 @@ class PotentialOutcomeTable:
             if v.shape != (1 << len(g),):
                 raise InvalidArgumentError(f"unit {i} needs {1 << len(g)} outcomes, got {v.shape}")
             self._values.append(v)
-        # Units sharing a reference group share its key, and units sharing a
-        # value array too (witness tables do) share its gather:
-        # (group, [(columns, values)]) in order of each group's first unit.
-        shared: dict[tuple[int, ...], dict[int, tuple[list[int], np.ndarray]]] = {}
+        # Units sharing a reference group share its key:
+        # (group, [(unit, values)]) in order of each group's first unit.
+        shared: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}
         for i, (g, v) in enumerate(zip(self._groups, self._values)):
-            shared.setdefault(tuple(g), {}).setdefault(id(v), ([], v))[0].append(i)
-        self._gathers = [
-            (g, [(_columns(units), v) for units, v in arrays.values()])
-            for g, arrays in shared.items()
-        ]
+            shared.setdefault(tuple(g), []).append((i, v))
+        self._gathers = list(shared.items())
         self._check_bounds()
 
     def _check_bounds(self) -> None:
@@ -162,8 +147,7 @@ class PotentialOutcomeTable:
         if self.m_upper is None and self.k_lower is None:
             return
         lo = self.k_lower if self.k_lower is not None else 0.0
-        # units may share one value array (witness tables do); scan each once
-        for v in {id(v): v for v in self._values}.values():
+        for v in self._values:
             # fmin/fmax skip unstored (NaN) slots; an all-NaN unit compares False.
             smallest = float(np.fmin.reduce(v))
             if smallest <= lo:
@@ -183,14 +167,14 @@ class PotentialOutcomeTable:
         codes: row r holds the n outcomes under ``codes[r]``.
 
         This is the one outcome lookup; one key per distinct reference
-        group and one array gather per distinct value array serve the whole
-        block.
+        group serves the whole block, and each unit gathers its outcomes by
+        that key.
         """
         y = np.empty((len(codes), self.n))
-        for g, arrays in self._gathers:
+        for g, units in self._gathers:
             key = restrict_codes(codes, g)
-            for columns, v in arrays:
-                y.T[columns] = v[key]  # one column, or broadcast to several
+            for i, v in units:
+                y.T[i] = v[key]
         missing = np.isnan(y)
         if missing.any():  # argwhere alone costs several times more
             row, i = np.argwhere(missing)[0]
@@ -334,14 +318,20 @@ ATE = AverageTreatmentEffect()
 def estimand_value(estimand: Estimand, table: PotentialOutcomeTable) -> float:
     """Evaluate the estimand exactly on a table; a value past the double
     range raises OverflowError."""
-    n = table.n
+    return _estimand(estimand, table.observed, table.n)
+
+
+def _estimand(estimand: Estimand, observed, n: int) -> float:
+    """The estimand on the n outcomes per code that the lookup ``observed``
+    reveals, as ``PotentialOutcomeTable.observed`` does; a value past the
+    double range raises OverflowError."""
     if isinstance(estimand, AverageTreatmentEffect):
-        y_a, y_b = table.boundary_vectors()
+        y_a, y_b = observed(np.array([0, (1 << n) - 1], dtype=np.int64))
         with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
             value = float(np.mean(y_a) - np.mean(y_b))
     elif isinstance(estimand, SoloTreatmentEffect):
         # row i is the vector assigning arm A to unit i alone
-        y = table.observed(((1 << n) - 1) ^ (1 << np.arange(n, dtype=np.int64)))
+        y = observed(((1 << n) - 1) ^ (1 << np.arange(n, dtype=np.int64)))
         value = math.fsum(np.diagonal(y).tolist()) / n
     else:
         raise InvalidArgumentError(f"unknown estimand {estimand!r}")

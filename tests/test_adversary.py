@@ -7,8 +7,10 @@ Claims pinned here:
       gets the full-contrast table, a constant-M estimator the null one
     - returned tables respect the open outcome bounds and are constant off
       the two pure assignments
-    - only the crd and bd designs are accepted
+    - only the crd and bd designs are accepted, and an infinite M is refused
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from interference_lab import (
     ConstantEstimator,
     Design,
     DifferenceInMeans,
+    InvalidArgumentError,
     PureArmIPW,
     SoloTreatedIPW,
     UnsupportedDesignError,
@@ -72,3 +75,6 @@ def test_adversarial_table_shape():
 def test_rejections():
     with pytest.raises(UnsupportedDesignError):
         mse_adversary(ConstantEstimator(0.0), Design("cbd", 4), 1.0)
+    # refused as a table bounded above by it would be, before any column
+    with pytest.raises(InvalidArgumentError, match="m_upper: must be finite and positive, got inf"):
+        mse_adversary(ConstantEstimator(0.0), Design("bd", 4), math.inf)

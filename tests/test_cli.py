@@ -793,12 +793,12 @@ def test_er_graph_of_another_size_exits_2_before_drawing(capsys, er_draws, confi
 
 @pytest.mark.parametrize("n", [15, 24, 64, 2**63])
 def test_adversary_past_the_enumeration_cap_exits_3_before_allocating(capsys, monkeypatch, n):
-    # each worst-case table holds 2^n outcomes (8 GB at n = 30), and past
+    # each worst-case outcome column holds 2^n values (8 GB at n = 30), and past
     # n = 62 the allocation itself fails
     def refuse(*args, **kwargs):
-        raise AssertionError("_witness_table ran")
+        raise AssertionError("_witness_column ran")
 
-    monkeypatch.setattr(feasibility, "_witness_table", refuse)
+    monkeypatch.setattr(feasibility, "_witness_column", refuse)
     argv = ["adversary", "--config", str(CONFIGS / "adversary_bd_ipw_scale.json")]
     assert cli.main([*argv, "--set", f"design.n={n}"]) == 3
     assert capsys.readouterr().err == (
@@ -1018,7 +1018,7 @@ def test_moment_identity_violation_exits_4(monkeypatch, capsys):
 
 def test_mse_floor_violation_exits_4(monkeypatch, capsys):
     # an estimand pinned at 0 lets the estimator's constant answer 0 reach MSE 0
-    monkeypatch.setattr(feasibility, "estimand_value", lambda estimand, table: 0.0)
+    monkeypatch.setattr(feasibility, "_estimand", lambda estimand, observed, n: 0.0)
     assert cli.main(["adversary", "--config", str(CONFIGS / "adversary_diff_means.json")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("identity violation: adversarial MSE")

@@ -9,20 +9,28 @@ Claims pinned here:
     - witnesses equal the corresponding inverse-probability rule up to an
       assignment-indexed offset summing to zero over the support
     - the verdict does not depend on the grid's scale or offset ([0, v] for
-      v from 2^-40 to 1e200, and [L, L + 1] for L = 3e9, 1e10, -1e10: bd
-      feasible, crd infeasible, no warning), and a residual past the double
-      range raises OverflowError
+      v from 2^-40 to 1e200, [L, L + 1] for L = 3e9, 1e10, -1e10, and the
+      subnormal or near-subnormal grids [0, 5e-324], [5e-324, 1e-323] and
+      [2.3e-308, 2.4e-308]: bd feasible, crd infeasible, no warning), and a
+      witness or residual past the double range raises OverflowError
     - more than FEASIBILITY_N_CAP units or FEASIBILITY_GRID_CAP grid levels
       is a capacity error; an empty grid, or a grid level that is NaN or
       infinite, is an invalid argument naming the entry
-    - the constraint system built by one stable np.lexsort equals, bit for
-      bit, the one a dict of (code, observed vector) keys builds table by
-      table: the same matrix, right-hand side, unknowns in order (signed
-      zeros included), rank, residual and witness; the grouping is pinned
-      above the size cap too, at n = 8
-    - a witness table's n units share one outcome column, which reads and
-      serializes exactly as the full (2^n, n) matrix; both n = 14 adversary
-      tables together stay below 0.5 MB of allocations
+    - the constraint system built from witness columns by one stable
+      np.lexsort equals, bit for bit, the one a dict of (code, observed
+      vector) keys builds from full-matrix tables, table by table: the same
+      matrix, right-hand side (on levels such as 0.1 and 1/3, whose n-fold
+      mean is not the level, too), unknowns in order (signed zeros
+      included), rank, residual and witness; the grouping is pinned above
+      the size cap too, at n = 8
+    - a witness column reads as the full (2^n, n) matrix, read-only, and
+      the adversary's table serializes as that matrix does; the adversary's
+      mse, floor and target equal, bit for bit, those of both candidate
+      tables built as full matrices and reduced through the same exact
+      sums (difference in means, the two inverse-probability rules, a
+      constant, and HT on ER graphs at k = 1, 2; crd and bd; n = 3 to 14);
+      a whole n = 14 adversary call allocates below 1.5 MB, less than one
+      (2^14, 14) matrix
 """
 
 import math
@@ -39,10 +47,15 @@ from interference_lab import (
     Arbitrary,
     Assignment,
     CapacityError,
+    ConstantEstimator,
     Design,
+    DifferenceInMeans,
+    ERSpec,
     FeasibilityCertificate,
     FeasibilityPrecisionError,
+    HorvitzThompson,
     InvalidArgumentError,
+    NeighborhoodIndex,
     PotentialOutcomeTable,
     PureArmIPW,
     SoloTreatedIPW,
@@ -50,16 +63,19 @@ from interference_lab import (
     default_witness_family,
     enumerate_support,
     estimand_value,
+    mse_adversary,
+    sample_er_graph,
     unbiased_feasibility,
 )
 from interference_lab.estimators import observed_key
+from interference_lab.exact import _support_values, _weighted_square_sum
 from interference_lab.feasibility import (
     _CONDITION_CAP,
     FEASIBILITY_GRID_CAP,
     FEASIBLE_TOL,
     INFEASIBLE_TOL,
     _constraint_system,
-    _witness_table,
+    _revealed,
 )
 
 
@@ -82,12 +98,14 @@ def test_crd_residual_value():
 @pytest.mark.parametrize(
     "low, high",
     [(0.0, v) for v in (2.0**-40, 2.0**-30, 1.0, 2.0**20, 2.0**30, 1e200)]
-    + [(level, level + 1.0) for level in (3e9, 1e10, -1e10)],
+    + [(level, level + 1.0) for level in (3e9, 1e10, -1e10)]
+    + [(0.0, 5e-324), (5e-324, 1e-323), (2.3e-308, 2.4e-308)],
 )
 def test_verdict_does_not_depend_on_the_grid_scale(low, high):
     # unbiasedness is linear in the outcomes, so the verdict on [low, high]
     # is the verdict on [0, 1], whatever the grid's units or offset; the
-    # residual is reported in the grid's units
+    # residual is reported in the grid's units.  Subnormal targets are
+    # solved in power-of-two units, so least squares never sees them.
     spread = high - low
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -130,7 +148,7 @@ def _support(design):
 
 
 def _witness_reproduces(cert: FeasibilityCertificate, design, estimand, family):
-    for table in family:
+    for table in map(_full_matrix_table, family):
         expectation = math.fsum(
             p * cert.witness(z, table.observed_vector(z))
             for z, p in _support(design)
@@ -220,13 +238,21 @@ def test_certificate_serialization():
     assert doc["family_size"] == 8
 
 
+def _full_matrix_table(column, m_upper=None):
+    """The arbitrary-interference table whose units each store their own
+    copy of the outcome column ``column``: a full (2^n, n) matrix."""
+    n = len(column).bit_length() - 1
+    return PotentialOutcomeTable(Arbitrary(n), np.tile(column, (n, 1)), m_upper=m_upper)
+
+
 def _reference_system(design, estimand, family):
-    """The system as a dict of keys builds it: table by table, each new
-    (code, observed vector) key gets the next column."""
+    """The system as a dict of keys builds it from full-matrix tables: table
+    by table, each new (code, observed vector) key gets the next column."""
     support = list(enumerate_support(design))
     p = support[0][1]
     columns = {}
     rows = []
+    family = [_full_matrix_table(column) for column in family]
     for table in family:
         cols = []
         for codes, _ in support:
@@ -240,8 +266,9 @@ def _reference_system(design, estimand, family):
     return a, b, columns
 
 
-# dyadic levels, so keys are exact; -0.0 and 0.0 are distinct grid levels
-_LEVELS = (-0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, -1.0)
+# -0.0 and 0.0 are distinct grid levels; the mean of n copies of 0.1, 1/3,
+# 7.7 or 3e9 + 0.1 need not be the level, so b's bits are checked
+_LEVELS = (-0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, -1.0, 0.1, 1 / 3, 7.7, 3e9 + 0.1)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -264,7 +291,7 @@ def test_system_equals_the_dict_build(n, kind, solo, grid):
     a_ref, b_ref, columns = _reference_system(design, estimand, family)
     assert np.array_equal(a, a_ref)
     assert np.array_equal(b, b_ref)
-    keys = [(int(row[0]), tuple(row[1:])) for row in unknowns.tolist()]
+    keys = [(int(code), (level,) * n) for code, level in unknowns.tolist()]
     assert keys == list(columns)
     assert repr(keys) == repr(list(columns))  # signed zeros kept as first seen
 
@@ -307,48 +334,84 @@ def test_system_equals_the_dict_build_above_the_cap(design, unknowns):
     assert a.shape == (144, unknowns)
     assert np.array_equal(a, a_ref)
     assert np.array_equal(b, b_ref)
-    keys = [(int(row[0]), tuple(row[1:])) for row in keys.tolist()]
+    keys = [(int(code), (level,) * design.n) for code, level in keys.tolist()]
     assert repr(keys) == repr(list(columns))
 
 
-def _full_matrix_table(n, off_value, rows, m_upper=None):
-    matrix = np.full((1 << n, n), off_value, dtype=float)
-    for code, value in rows.items():
-        matrix[code, :] = value
-    return PotentialOutcomeTable(Arbitrary(n), matrix.T, m_upper=m_upper)
+def _adversary_columns(n, m):
+    """The adversary's two candidate outcome columns, built by hand: M/2
+    everywhere, the pure rows at M/2 (target 0) or at M - eps and eps."""
+    half, eps = m / 2.0, 1e-6 * m
+    columns = []
+    for pure in ((half, half), (m - eps, eps)):
+        column = np.full(1 << n, half)
+        column[0], column[-1] = pure
+        columns.append(column)
+    return columns
+
+
+def _er_ht(n, k):
+    return HorvitzThompson(NeighborhoodIndex.build(sample_er_graph(ERSpec(n, 0.3), n), k))
+
+
+@pytest.mark.parametrize("n", [3, 6, 10, 14])
+@pytest.mark.parametrize("kind", ["crd", "bd"])
+def test_adversary_equals_the_full_matrix_reference(kind, n):
+    design = Design("crd", n, n // 2) if kind == "crd" else Design(kind, n)
+    m = 1.3
+    estimators = [
+        DifferenceInMeans(),
+        PureArmIPW(),
+        SoloTreatedIPW(),
+        ConstantEstimator(0.4),
+        _er_ht(n, 1),
+        _er_ht(n, 2),
+    ]
+    for estimator in estimators:
+        result = mse_adversary(estimator, design, m)
+        reference = []
+        for column in _adversary_columns(n, m):
+            table = _full_matrix_table(column, m)
+            theta = estimand_value(ATE, table)
+            values, p = _support_values(estimator, design, table.observed)
+            reference.append((_weighted_square_sum(values, p, theta), theta))
+        mse, theta = max(reference, key=lambda pair: pair[0])
+        floor = m * m / 8.0 * (1.0 - 10.0 * (1e-6 * m) / m)
+        assert (result.mse, result.floor, result.estimand_target) == (mse, floor, theta)
 
 
 def test_witness_table_writes_the_full_matrix_json(tmp_path):
-    n, all_b = 6, (1 << 6) - 1
-    for off, rows, m in [
-        (0.5, {0: 0.5, all_b: 0.5}, 1.0),
-        (1.5, {0: 3.0 - 3e-6, all_b: 3e-6}, 3.0),
-        (0.0, {all_b ^ 4: 0.25}, None),
-    ]:
-        _witness_table(n, off, rows, m).to_json(tmp_path / "shared.json")
-        _full_matrix_table(n, off, rows, m).to_json(tmp_path / "full.json")
-        assert (tmp_path / "shared.json").read_bytes() == (tmp_path / "full.json").read_bytes()
+    # a constant-0 estimator gets the full-contrast column, a constant-M
+    # one the null column
+    for value, m, winner in [(0.0, 1.0, 1), (3.0, 3.0, 0)]:
+        result = mse_adversary(ConstantEstimator(value), Design("bd", 6), m)
+        column = _adversary_columns(6, m)[winner]
+        result.table.to_json(tmp_path / "adversary.json")
+        _full_matrix_table(column, m).to_json(tmp_path / "full.json")
+        assert (tmp_path / "adversary.json").read_bytes() == (tmp_path / "full.json").read_bytes()
 
 
 def test_witness_table_reads_as_the_full_matrix():
-    n, all_b = 14, (1 << 14) - 1
-    rows = {0: 2.0 - 2e-6, all_b: 2e-6}
+    n = 14
     codes = np.arange(1 << n, dtype=np.int64)
-    shared = _witness_table(n, 1.0, rows, 2.0).observed(codes)
-    assert np.array_equal(shared, _full_matrix_table(n, 1.0, rows, 2.0).observed(codes))
+    for column in _adversary_columns(n, 2.0):
+        revealed = _revealed(column, n)(codes)
+        assert not revealed.flags.writeable
+        assert np.array_equal(revealed, _full_matrix_table(column, 2.0).observed(codes))
 
 
 def test_adversary_tables_allocate_one_column_each():
-    n, m = 14, 1.0
-    all_b, half, eps = (1 << n) - 1, m / 2, 1e-6 * m
-    tracemalloc.start()
-    try:
-        tables = (
-            _witness_table(n, half, {0: half, all_b: half}, m),
-            _witness_table(n, half, {0: m - eps, all_b: eps}, m),
-        )
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(tables) == 2
-    assert peak < 0.5e6
+    # a (2^14, 14) matrix alone is 1.84 MB; the whole call stays below it
+    cases = [
+        (PureArmIPW(), Design("bd", 14)),
+        (DifferenceInMeans(), Design("crd", 14, 7)),
+        (DifferenceInMeans(), Design("bd", 14)),
+    ]
+    for estimator, design in cases:
+        tracemalloc.start()
+        try:
+            mse_adversary(estimator, design, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
