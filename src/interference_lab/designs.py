@@ -92,6 +92,15 @@ def _runs(nodes: Sequence[int]) -> list[tuple[int, int]]:
     return runs
 
 
+def _arms_code(arms: str) -> int:
+    """The bit-packed code of the arm labels ``arms`` (unit 0 first, so its
+    arm is the lowest bit); any label but A and B is refused."""
+    other = arms.replace(ARM_A, "").replace(ARM_B, "")
+    if other:  # checked first, since int() also reads "_", spaces and signs
+        raise InvalidArgumentError(f"arm must be 'A' or 'B', got {other[0]!r}")
+    return int(arms[::-1].replace(ARM_A, "0").replace(ARM_B, "1"), 2) if arms else 0
+
+
 # Records are NamedTuples, which cost no code generation at import.  A record
 # that checks its fields is a subclass of its field tuple, validating in
 # ``__new__`` (a NamedTuple body may not define one).
@@ -113,14 +122,8 @@ class Assignment(_AssignmentFields):
         return super().__new__(cls, code, n)
 
     @classmethod
-    def from_arms(cls, arms: Sequence[str]) -> "Assignment":
-        code = 0
-        for i, arm in enumerate(arms):
-            if arm == ARM_B:
-                code |= 1 << i
-            elif arm != ARM_A:
-                raise InvalidArgumentError(f"arm must be 'A' or 'B', got {arm!r}")
-        return cls(code, len(arms))
+    def from_arms(cls, arms: str) -> "Assignment":
+        return cls(_arms_code(arms), len(arms))
 
     @property
     def labels(self) -> str:

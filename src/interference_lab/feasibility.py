@@ -16,12 +16,13 @@ constant tables cannot distinguish the single-treated assignments.
 
 Every family table is constant across units on each assignment row, so it
 is one length-2^n outcome column that all n units read, and the family is a
-(tables, 2^n) array.  The unknowns are the distinct (code, level) pairs the
-family reveals, numbered by first appearance (table by table, codes
-ascending).  One stable ``np.lexsort`` over the stacked (code, level) key
-rows groups equal keys, comparing them as floats, so -0.0 and 0.0 are one
-unknown that keeps the key it was first seen with.  The targets are scaled
-by a power of two before the solve, exactly, so it never runs on subnormals.
+(tables, 2^n) array.  The unknowns are the (code, level) pairs the family
+reveals, numbered by first appearance (table by table, codes ascending).
+The default family reveals every level at every support code, so the
+system is one comparison of each table's revealed level against each
+distinct level, compared as floats: -0.0 and 0.0 are one unknown that keeps
+the key it was first seen with.  The targets are scaled by a power of two
+before the solve, exactly, so it never runs on subnormals.
 
 Grid levels should be exact binary fractions so observed-vector keys never
 drift; the shipped defaults use {0, 1}.
@@ -130,41 +131,33 @@ def _constraint_system(
     observes).
 
     A table reveals one level per support code, and each distinct (code,
-    level) pair is one unknown, numbered by first appearance: table by table
-    in family order, codes ascending within a table.  One stable
-    ``np.lexsort`` over the (table, code) key rows puts equal keys next to
-    each other; a group starts wherever a sorted row differs from the one
-    before it as floats, so -0.0 and 0.0 merge, and each unknown keeps its
-    earliest row's key, signed zeros as first seen.
+    level) pair is one unknown.  The default family reveals every level at
+    every code, so the unknowns are the support times the distinct levels,
+    and one comparison of each revealed level against each distinct level
+    marks the pairs each table reveals.  Levels compare as floats, so -0.0
+    and 0.0 are one level.  Unknowns are numbered by first appearance:
+    table by table in family order, codes ascending within a table, and
+    each keeps the level its first table reveals, signed zeros as first
+    seen.
     """
     blocks = list(enumerate_support(design))
     # Every design law is uniform on its support, so each column of a row
     # has coefficient p.
     p = blocks[0][1]
     codes = np.concatenate([block for block, _ in blocks])
-    # Codes stay below 2^FEASIBILITY_N_CAP, so column 0 holds them exactly.
-    keys = np.empty((len(family), len(codes), 2))
-    keys[:, :, 0] = codes
-    keys[:, :, 1] = family[:, codes]
-    keys = keys.reshape(-1, 2)
-    # The sort is stable, so each group's first sorted row is its earliest
-    # row. Keys are finite (grid levels are checked), so != groups them.
-    order = np.lexsort(keys.T)
-    ordered = keys[order]
-    start = np.empty(len(keys), dtype=bool)
-    start[0] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=start[1:])
-    first = order[start]
-    appearance = np.argsort(first)
-    number = np.empty(len(first), dtype=np.intp)
-    number[appearance] = np.arange(len(first))
-    column = np.empty(len(keys), dtype=np.intp)
-    column[order] = number[np.cumsum(start) - 1]
-    a = np.zeros((len(family), len(first)))
-    a[np.arange(len(family)).repeat(len(codes)), column] = p
+    seen = family[:, codes]
+    # Levels are finite (the grid is checked), so != drops the repeats.
+    levels = np.sort(seen, axis=None)
+    levels = levels[np.concatenate(([True], levels[1:] != levels[:-1]))]
+    hit = seen[:, :, None] == levels
+    first = hit.argmax(axis=0).ravel()
+    order = np.argsort(first, kind="stable")
+    # take keeps a C-ordered; a @ x rounds differently on the F-ordered [:, order]
+    a = p * hit.reshape(len(family), -1).take(order, axis=1)
+    position = order // len(levels)  # of each unknown's code in codes
     n = design.n
     b = np.array([_estimand(estimand, _revealed(witness, n), n) for witness in family])
-    return a, b, keys[first[appearance]]
+    return a, b, np.stack([codes[position], seen[first[order], position]], axis=1)
 
 
 def unbiased_feasibility(
@@ -212,23 +205,18 @@ def unbiased_feasibility(
         raise OverflowError(
             f"feasibility witness or residual past the double range on grid {list(grid)}"
         )
-    if relative <= FEASIBLE_TOL:
-        witness = TabularEstimator(
-            {
-                (int(code), (level,) * design.n): value
-                for (code, level), value in zip(unknowns.tolist(), solution.tolist())
-            }
+    if FEASIBLE_TOL < relative <= INFEASIBLE_TOL:
+        raise FeasibilityPrecisionError(
+            f"residual {relative:.3e} (relative to the largest target |b|) falls between "
+            f"the feasible ({FEASIBLE_TOL:.0e}) and infeasible ({INFEASIBLE_TOL:.0e}) tolerances"
         )
-        return FeasibilityCertificate(
-            True, residual, len(family), len(unknowns), int(rank), witness
-        )
-    if relative > INFEASIBLE_TOL:
-        return FeasibilityCertificate(
-            False, residual, len(family), len(unknowns), int(rank), None
-        )
-    raise FeasibilityPrecisionError(
-        f"residual {relative:.3e} (relative to the largest target |b|) falls between "
-        f"the feasible ({FEASIBLE_TOL:.0e}) and infeasible ({INFEASIBLE_TOL:.0e}) tolerances"
+    feasible = relative <= FEASIBLE_TOL
+    witness = None
+    if feasible:
+        keys = [(int(code), (level,) * design.n) for code, level in unknowns.tolist()]
+        witness = TabularEstimator(dict(zip(keys, solution.tolist())))
+    return FeasibilityCertificate(
+        feasible, residual, len(family), len(unknowns), int(rank), witness
     )
 
 
@@ -291,16 +279,14 @@ def mse_adversary(
         _witness_column(n, half, {0: half, all_b: half}),  # target 0 exactly
         _witness_column(n, half, {0: m - eps, all_b: eps}),  # target m - 2 eps
     )
-    best: tuple[float, np.ndarray, float] | None = None
+    scored = []
     for column in candidates:
         observed = _revealed(column, n)
         theta = _estimand(ATE, observed, n)
         values, p = _support_values(estimator, design, observed)
-        mse = _weighted_square_sum(values, p, theta)
-        if best is None or mse > best[0]:
-            best = (mse, column, theta)
-    assert best is not None
-    mse, column, theta = best
+        scored.append((_weighted_square_sum(values, p, theta), column, theta))
+    # max keeps the first of equal scores, so a tie goes to target 0
+    mse, column, theta = max(scored, key=lambda s: s[0])
     floor = m * m / 8.0 * (1.0 - 10.0 * eps / m)
     if mse < floor:
         raise IdentityViolationError(

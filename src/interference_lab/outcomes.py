@@ -44,7 +44,7 @@ from typing import Union
 import numpy as np
 
 from ._pcg64 import uniform
-from .designs import CODE_BITS, Assignment, restrict_codes
+from .designs import CODE_BITS, Assignment, _arms_code, restrict_codes
 from .errors import (
     CapacityError,
     IncompleteTableError,
@@ -282,7 +282,7 @@ class PotentialOutcomeTable:
                         raise InvalidArgumentError(
                             f"key {labels!r}: outcome must be a finite number, got {x!r}"
                         )
-                    v[Assignment.from_arms(labels).code] = float(x)
+                    v[_arms_code(labels)] = float(x)
                 values.append(v)
             where = ""
             bounds = {key: doc.get(key) for key in ("k_lower", "m_upper")}

@@ -420,6 +420,9 @@ def _whole(units, n=3):
         ("table.json", _whole([{"AAA": 0.5}, {}, {}, {}]), 2),
         ("table.json", _whole([{"AAAA": 0.5}, {}, {}]), 2),
         ("table.json", _whole([{"AXA": 0.5}, {}, {}]), 2),
+        # int() syntax in a key is no arm either
+        ("table.json", _whole([{"A_B": 0.5}, {}, {}]), 2),
+        ("table.json", _whole([{"BA+": 0.5}, {}, {}]), 2),
         ("table.json", _whole([{}] * 15, n=15), 3),
         ("table.json", "[1, 2]", 2),
         (

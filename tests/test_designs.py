@@ -1,6 +1,8 @@
 """Design laws: support enumeration, the bit gather, exposure probabilities.
 
 Claims pinned here:
+    - an arm vector reads from its labels, unit 0 first, and refuses any
+      label but A and B (int() syntax such as "_", spaces and signs too)
     - the support comes in ascending int64 code blocks of at most
       SUPPORT_BLOCK codes, every block but the last full
     - the enumerated support carries the exact closed-form probability of
@@ -20,6 +22,7 @@ Claims pinned here:
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,8 +56,12 @@ def test_assignment_roundtrip():
 def test_assignment_validation():
     with pytest.raises(InvalidArgumentError):
         Assignment(8, 3)
-    with pytest.raises(InvalidArgumentError):
-        Assignment.from_arms("AXA")
+    # "_", spaces and signs are int() syntax, not arms
+    for labels, arm in [("AXA", "X"), ("A_B", "_"), (" AB", " "), ("+A", "+")]:
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"got {arm!r}")):
+            Assignment.from_arms(labels)
+    with pytest.raises(InvalidArgumentError, match="at least one unit"):
+        Assignment.from_arms("")
 
 
 def test_restrict_code_ascending_order():

@@ -6,8 +6,11 @@ Claims pinned here:
     - the decomposition obeys the coarse 4 M^2/(n-1) envelope at these sizes
     - the exposure-weighted estimator's pairwise closed form reproduces the
       enumerated variance exactly (to 1e-10) on random graphs and tables,
-      at radius k = 0, 1 and 2
-    - mse = variance + bias^2 holds for every report
+      at radius k = 0, 1 and 2; above n = 10 (n = 11 to 14, k = 1 and 2,
+      on ER(n, 1.5/sqrt(n))) the two agree to 1e-13 relative
+    - mse = variance + bias^2 holds for every report, and is checked to
+      1e-9 relative: an MSE sum off by 1e-7 raises IdentityViolationError,
+      one off by 1e-12 does not
     - difference in means is demonstrably biased once interference is
       unrestricted (a concrete table with |bias| > 0.1 M)
     - the array reduction of squared deviations equals the scalar
@@ -37,6 +40,7 @@ from interference_lab import (
     DifferenceInMeans,
     Graph,
     HorvitzThompson,
+    IdentityViolationError,
     InvalidArgumentError,
     KLocal,
     NoInterference,
@@ -173,6 +177,46 @@ def test_ht_closed_form_matches_enumeration(seed):
         assert abs(terms.total - report.variance) <= 1e-10
         # unbiasedness rides along
         assert abs(report.expectation - estimand_value(ATE, table)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [11, 12, 13, 14])
+def test_ht_closed_form_matches_enumeration_above_ten(n):
+    # the 1e-10 gates stop at n = 10; above it the two paths still agree
+    # to a few ulps (6.3e-16 relative at worst over these 24 cases)
+    for seed in range(3):
+        graph = sample_er_graph(ERSpec(n, 1.5 / math.sqrt(n)), 10 * n + seed)
+        for k in (1, 2):
+            structure = KLocal(graph, k)
+            table = PotentialOutcomeTable.random(structure, 0.0, 1.0, seed=20 * n + seed)
+            closed = ht_variance_closed_form(graph, k, table).total
+            report = exact_moments(HorvitzThompson(structure.index), Design("bd", n), table, ATE)
+            assert abs(closed - report.variance) <= 1e-13 * report.variance
+
+
+@pytest.mark.parametrize("rel,raises", [(1e-7, True), (1e-12, False)])
+def test_moment_identity_tolerance(monkeypatch, rel, raises):
+    # the MSE sum alone is perturbed: by 1e-7 it breaks mse = var + bias^2
+    # beyond the 1e-9 relative slack, by 1e-12 it stays within it
+    graph = sample_er_graph(ERSpec(6, 0.5), 7)
+    structure = KLocal(graph, 1)
+    table = PotentialOutcomeTable.random(structure, 0.0, 1.0, seed=7)
+    args = (HorvitzThompson(structure.index), Design("bd", 6), table, ATE)
+    mse = exact_moments(*args).mse_vs_estimand
+    assert mse > 1.0  # so the slack is relative, not the absolute floor
+    sums = []
+
+    def perturbed(values, p, c):
+        sums.append(_weighted_square_sum(values, p, c))
+        # the variance is summed first, then the MSE
+        return sums[-1] * (1.0 + rel) if len(sums) == 2 else sums[-1]
+
+    monkeypatch.setattr(exact, "_weighted_square_sum", perturbed)
+    if raises:
+        with pytest.raises(IdentityViolationError, match="moment identity violated"):
+            exact_moments(*args)
+    else:
+        assert exact_moments(*args).mse_vs_estimand == mse * (1.0 + rel)
+    assert len(sums) == 2
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

@@ -16,13 +16,15 @@ Claims pinned here:
     - more than FEASIBILITY_N_CAP units or FEASIBILITY_GRID_CAP grid levels
       is a capacity error; an empty grid, or a grid level that is NaN or
       infinite, is an invalid argument naming the entry
-    - the constraint system built from witness columns by one stable
-      np.lexsort equals, bit for bit, the one a dict of (code, observed
-      vector) keys builds from full-matrix tables, table by table: the same
-      matrix, right-hand side (on levels such as 0.1 and 1/3, whose n-fold
-      mean is not the level, too), unknowns in order (signed zeros
-      included), rank, residual and witness; the grouping is pinned above
-      the size cap too, at n = 8
+    - the constraint system built from witness columns by one comparison
+      of revealed levels against the distinct levels equals, bit for bit,
+      the one a dict of (code, observed vector) keys builds from full-matrix
+      tables, table by table: the same matrix, right-hand side (on levels
+      such as 0.1 and 1/3, whose n-fold mean is not the level, too),
+      unknowns in order (signed zeros included), rank, residual and
+      witness; the grouping is pinned above the size cap too, at n = 8, and
+      on subnormal and near-overflow levels (5e-324, 1e-310, +-1e307) next
+      to both zeros, where the system alone is compared
     - a witness column reads as the full (2^n, n) matrix, read-only, and
       the adversary's table serializes as that matrix does; the adversary's
       mse, floor and target equal, bit for bit, those of both candidate
@@ -332,6 +334,31 @@ def test_system_equals_the_dict_build_above_the_cap(design, unknowns):
     a, b, keys = _constraint_system(design, estimand, family)
     a_ref, b_ref, columns = _reference_system(design, estimand, family)
     assert a.shape == (144, unknowns)
+    assert np.array_equal(a, a_ref)
+    assert np.array_equal(b, b_ref)
+    keys = [(int(code), (level,) * design.n) for code, level in keys.tolist()]
+    assert repr(keys) == repr(list(columns))
+
+
+@pytest.mark.parametrize(
+    "design,solo,grid",
+    [
+        (Design("bd", 8), True, (5e-324, -0.0, 1e307, 0.0)),
+        (Design("crd", 7, 3), False, (-1e307, 1e-310, 0.0, -0.0)),
+        (Design("cbd", 5), True, (1e-310, 5e-324, -1e307, 1e307)),
+        (Design("bd", 3), False, (-0.0, 5e-324)),
+        (Design("crd", 4, 1), True, (0.0, 1e-310, -0.0, -5e-324)),
+    ],
+    ids=["bd8-solo", "crd7-ate", "cbd5-solo", "bd3-ate", "crd4-solo"],
+)
+def test_system_equals_the_dict_build_at_extreme_levels(design, solo, grid):
+    # the system alone, on levels the solve cannot take: subnormals, the
+    # largest magnitudes, and both zeros, which group by float comparison
+    estimand = SoloTreatmentEffect() if solo else ATE
+    family = default_witness_family(design.n, estimand, grid)
+    a, b, keys = _constraint_system(design, estimand, family)
+    a_ref, b_ref, columns = _reference_system(design, estimand, family)
+    assert a.flags.c_contiguous
     assert np.array_equal(a, a_ref)
     assert np.array_equal(b, b_ref)
     keys = [(int(code), (level,) * design.n) for code, level in keys.tolist()]
