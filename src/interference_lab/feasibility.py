@@ -56,9 +56,10 @@ _CONDITION_CAP = 1e10
 # The adversary's target M is approached within eps = _EPS_REL * M.
 _EPS_REL = 1e-6
 
-# Least-squares systems grow as |grid|^3 * 2^n rows/columns; these caps keep
-# them tiny and well scaled.
-FEASIBILITY_N_CAP = 6
+# The dense system has |grid|^3 rows (plus n |grid| (|grid| - 1) for the solo
+# estimand) and |grid| unknowns per support code, so it grows as |grid|^4 2^n.
+# Four levels bound the worst case, bd solo at the enumeration cap n = 14, to
+# about 2.5 s and 350 MB (2-core x86-64); n itself stops with the enumeration.
 FEASIBILITY_GRID_CAP = 4
 
 
@@ -175,10 +176,7 @@ def unbiased_feasibility(
         raise CapacityError(
             f"feasibility grids capped at {FEASIBILITY_GRID_CAP} levels (got {len(grid)})"
         )
-    if design.n > FEASIBILITY_N_CAP:
-        raise CapacityError(
-            f"feasibility checks capped at n={FEASIBILITY_N_CAP} (got n={design.n})"
-        )
+    check_enumerable(design)  # before the (tables, 2^n) family is allocated
     family = default_witness_family(design.n, estimand, grid)
     a, b, unknowns = _constraint_system(design, estimand, family)
     # Unbiasedness is linear in the outcomes: the system is solved in units

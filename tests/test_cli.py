@@ -9,7 +9,8 @@ Claims pinned here:
       key or path, as do a table entry the run needs but the table does
       not store, printed unquoted, and integers past Python's 4300-digit
       conversion limit, in a config file or a --set value; over-cap sizes,
-      including feasibility systems past their unit or grid-level cap,
+      including feasibility past the enumeration cap or its grid-level cap
+      (before the witness family is built),
       tables and Monte Carlo beyond the 63-node code width, Monte Carlo
       past 2^32 replicates, and tables past 1074 nodes (an ER graph past
       2^22 node pairs among them), before any pair is allocated, exit 3;
@@ -839,15 +840,24 @@ def test_moments_past_the_enumeration_cap_exits_3_before_drawing(tmp_path, capsy
 
 
 @pytest.mark.parametrize(
-    "override", ["design.n=7", "grid=[0, 0.25, 0.5, 0.75, 1]"], ids=["n", "grid"]
+    "override,error",
+    [
+        ("design.n=15", "capacity error: support enumeration capped at n=14 (got n=15)"),
+        ("grid=[0, 0.25, 0.5, 0.75, 1]", "capacity error: feasibility grids capped at 4 levels"),
+    ],
+    ids=["n", "grid"],
 )
-def test_feasibility_beyond_its_caps_exits_3(tmp_path, capsys, override):
+def test_feasibility_beyond_its_caps_exits_3(tmp_path, capsys, monkeypatch, override, error):
+    # refused before the (tables, 2^n) witness family is built
+    built = []
+    monkeypatch.setattr(feasibility, "default_witness_family", lambda *args: built.append(args))
     config = str(CONFIGS / "feasibility_bd.json")
     out = tmp_path / "out.json"
     argv = ["feasibility", "--config", config, "--set", override, "--out", str(out)]
     assert cli.main(argv) == 3
-    assert capsys.readouterr().err.startswith("capacity error: feasibility ")
+    assert capsys.readouterr().err.startswith(error)
     assert not out.exists()
+    assert built == []
 
 
 def test_er_analysis_beyond_bitmask_ceiling_exits_3(tmp_path):

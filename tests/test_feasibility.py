@@ -13,16 +13,22 @@ Claims pinned here:
       subnormal or near-subnormal grids [0, 5e-324], [5e-324, 1e-323] and
       [2.3e-308, 2.4e-308]: bd feasible, crd infeasible, no warning), and a
       witness or residual past the double range raises OverflowError
-    - more than FEASIBILITY_N_CAP units or FEASIBILITY_GRID_CAP grid levels
-      is a capacity error; an empty grid, or a grid level that is NaN or
-      infinite, is an invalid argument naming the entry
+    - more units than support enumeration allows (ENUMERATION_CAP) or more
+      than FEASIBILITY_GRID_CAP grid levels is a capacity error; an empty
+      grid, or a grid level that is NaN or infinite, is an invalid argument
+      naming the entry
+    - above six units every verdict is the named certificate's: for n = 7
+      to 10, bd, cbd and crd with every n_a, ATE and solo, on grids with
+      both zeros and 1e-310 among the levels, and bd and crd ATE at n = 14;
+      at n = 8 the bd solo witness on four levels reproduces the estimand
+      through exact_moments on every family table within 1e-10
     - the constraint system built from witness columns by one comparison
       of revealed levels against the distinct levels equals, bit for bit,
       the one a dict of (code, observed vector) keys builds from full-matrix
       tables, table by table: the same matrix, right-hand side (on levels
       such as 0.1 and 1/3, whose n-fold mean is not the level, too),
       unknowns in order (signed zeros included), rank, residual and
-      witness; the grouping is pinned above the size cap too, at n = 8, and
+      witness; the grouping is pinned at n = 8 too, and
       on subnormal and near-overflow levels (5e-324, 1e-310, +-1e307) next
       to both zeros, where the system alone is compared
     - a witness column reads as the full (2^n, n) matrix, read-only, and
@@ -65,6 +71,7 @@ from interference_lab import (
     default_witness_family,
     enumerate_support,
     estimand_value,
+    exact_moments,
     mse_adversary,
     sample_er_graph,
     unbiased_feasibility,
@@ -170,6 +177,15 @@ def test_witness_reproduces_estimand_on_family():
         )
 
 
+def test_witness_is_unbiased_on_every_family_table_at_n_8():
+    design, estimand, grid = Design("bd", 8), SoloTreatmentEffect(), (0.0, 0.25, 0.5, 1.0)
+    cert = unbiased_feasibility(design, estimand, grid)
+    assert cert.feasible
+    for table in map(_full_matrix_table, default_witness_family(8, estimand, grid)):
+        report = exact_moments(cert.witness, design, table, estimand)
+        assert abs(report.expectation - estimand_value(estimand, table)) <= 1e-10
+
+
 def _offset_against(reference, cert, design, level):
     """witness - reference on the constant-level observed vector, summed
     over the support; zero iff the witness is the reference plus a
@@ -214,6 +230,41 @@ def test_solo_witness_is_solo_rule_plus_zero_sum_offset():
         assert hi - lo == pytest.approx(8 / 3, abs=1e-9)
 
 
+def _certified(design, estimand):
+    """The verdict of the named certificate: the pure-arm rule for bd ATE;
+    the solo-row rule wherever the support holds every solo row (bd, cbd,
+    and crd with n_a = 1) for the solo estimand; otherwise two family
+    tables that reveal the same data on the support but differ in the
+    estimand."""
+    if design.kind == "bd":
+        return True
+    return isinstance(estimand, SoloTreatmentEffect) and (design.kind == "cbd" or design.n_a == 1)
+
+
+def _every_design(n):
+    return [Design("bd", n), Design("cbd", n)] + [Design("crd", n, k) for k in range(1, n)]
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        [
+            (design, estimand, grid)
+            for design in _every_design(n)
+            for estimand in (ATE, SoloTreatmentEffect())
+            for grid in ([0, 1], [-0.0, 0.0, 2], [0, 1e-310, 1])
+        ]
+        for n in range(7, 11)
+    ]
+    + [[(Design("bd", 14), ATE, [0, 1]), (Design("crd", 14, 7), ATE, [0, 1])]],
+    ids=["n7", "n8", "n9", "n10", "n14"],
+)
+def test_verdicts_follow_the_named_certificates(cases):
+    for design, estimand, grid in cases:
+        cert = unbiased_feasibility(design, estimand, grid)
+        assert cert.feasible == _certified(design, estimand), (design, estimand, grid)
+
+
 def test_validation():
     with pytest.raises(InvalidArgumentError):
         unbiased_feasibility(Design("bd", 3), ATE, [])
@@ -224,7 +275,7 @@ def test_validation():
     with pytest.raises(CapacityError):
         unbiased_feasibility(Design("bd", 3), ATE, [0, 0.25, 0.5, 0.75, 1.0])
     with pytest.raises(CapacityError):
-        unbiased_feasibility(Design("bd", 7), ATE, [0, 1])
+        unbiased_feasibility(Design("bd", 15), ATE, [0, 1])
 
 
 def test_witness_keys_come_from_the_grid():
@@ -326,9 +377,8 @@ def test_system_equals_the_dict_build(n, kind, solo, grid):
     [(Design("bd", 8), 768), (Design("crd", 8, 3), 168)],
     ids=["bd", "crd"],
 )
-def test_system_equals_the_dict_build_above_the_cap(design, unknowns):
-    # the builder itself has no cap, so the grouping is checked at a size
-    # unbiased_feasibility refuses
+def test_system_equals_the_dict_build_at_n_8(design, unknowns):
+    # the grouping above the hypothesis cases' six units, on both zeros
     estimand = SoloTreatmentEffect()
     family = default_witness_family(design.n, estimand, (-0.0, 0.0, 0.25, 1.5))
     a, b, keys = _constraint_system(design, estimand, family)
