@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 import sys
 from pathlib import Path
 
@@ -71,9 +72,20 @@ def _csv_lines(header: list[str], rows: list[list]) -> str:
 
 def _witness_csv(witness: TabularEstimator, n: int) -> str:
     """A tabular estimator as CSV: one row per (assignment, observed vector)
-    pair, the vector's outcomes joined by ``|``."""
-    items = sorted(witness.mapping.items())
-    rows = [[Assignment(code, n).labels, "|".join(map(str, y)), v] for (code, y), v in items]
+    pair, the vector's outcomes joined by ``|``.  Each code's labels and
+    each vector's join are formatted once; vectors are told apart by their
+    bytes, since -0.0 == 0.0 would share a dict entry."""
+    labels: dict[int, str] = {}
+    joins: dict[bytes, str] = {}
+    pack = struct.Struct(f"{n}d").pack
+    rows = []
+    for (code, y), v in sorted(witness.mapping.items()):
+        if code not in labels:
+            labels[code] = Assignment(code, n).labels
+        key = pack(*y)
+        if key not in joins:
+            joins[key] = "|".join(map(str, y))
+        rows.append([labels[code], joins[key], v])
     return _csv_lines(["assignment", "ykey", "value"], rows)
 
 

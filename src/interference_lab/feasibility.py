@@ -21,8 +21,20 @@ reveals, numbered by first appearance (table by table, codes ascending).
 The default family reveals every level at every support code, so the
 system is one comparison of each table's revealed level against each
 distinct level, compared as floats: -0.0 and 0.0 are one unknown that keeps
-the key it was first seen with.  The targets are scaled by a power of two
-before the solve, exactly, so it never runs on subnormals.
+the key it was first seen with.  Most unknowns are revealed by exactly the
+same tables (every code off the pure and solo rows, at each level), so no
+dense (tables, unknowns) matrix is built: the unknowns are grouped by their
+pattern of revealing tables, and least squares runs on one column per
+pattern, weighted by the square root of its member count.  Every member
+takes its column's value over that square root, which is the minimum-norm
+solution of the unmerged system.  The targets are computed for the whole
+family at once.
+
+Both scalings below are by powers of two, so they are exact, and the
+witness and the residual are scaled back.  A grid below 1 in magnitude is
+scaled up before the family is built, so that a grid of subnormal levels
+gets targets that do not round in the subnormal range.  The targets are
+scaled before the solve, so least squares never sees subnormals.
 
 Grid levels should be exact binary fractions so observed-vector keys never
 drift; the shipped defaults use {0, 1}.
@@ -56,10 +68,12 @@ _CONDITION_CAP = 1e10
 # The adversary's target M is approached within eps = _EPS_REL * M.
 _EPS_REL = 1e-6
 
-# The dense system has |grid|^3 rows (plus n |grid| (|grid| - 1) for the solo
-# estimand) and |grid| unknowns per support code, so it grows as |grid|^4 2^n.
-# Four levels bound the worst case, bd solo at the enumeration cap n = 14, to
-# about 2.5 s and 350 MB (2-core x86-64); n itself stops with the enumeration.
+# The system has |grid|^3 rows (plus n |grid| (|grid| - 1) for the solo
+# estimand) and |grid| unknowns per support code, and its pattern comparison
+# grows as |grid|^4 2^n.  Four levels bound the worst case, bd solo at the
+# enumeration cap n = 14 (232 tables, 65,536 unknowns, rank 52), to about
+# 0.3 s and 110 MB peak RSS (2-core x86-64); n itself stops with the
+# enumeration.
 FEASIBILITY_GRID_CAP = 4
 
 
@@ -102,11 +116,15 @@ def _witness_column(n: int, off_value: float, rows: dict[int, float]) -> np.ndar
     return column
 
 
-def _revealed(column: np.ndarray, n: int):
-    """The outcome lookup of the witness table ``column`` on n units, shaped
+def _revealed(columns: np.ndarray, n: int):
+    """The outcome lookup of the witness table ``columns`` on n units, shaped
     as ``PotentialOutcomeTable.observed``: each code's entry repeated n
-    times, as a read-only view (no estimator writes to its outcomes)."""
-    return lambda codes: np.broadcast_to(column[codes][:, None], (len(codes), n))
+    times, as a read-only view (no estimator writes to its outcomes).  A
+    family of columns, one per row, gives one such lookup per table along
+    the leading axis."""
+    return lambda codes: np.broadcast_to(
+        columns[..., codes, None], columns.shape[:-1] + (len(codes), n)
+    )
 
 
 def default_witness_family(n: int, estimand: Estimand, grid: tuple[float, ...]) -> np.ndarray:
@@ -125,11 +143,13 @@ def default_witness_family(n: int, estimand: Estimand, grid: tuple[float, ...]) 
 
 def _constraint_system(
     design: Design, estimand: Estimand, family: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The unbiasedness constraints ``a x = b`` of the family's witness
-    columns: one row per table, one column per unknown, and ``unknowns``,
-    whose row j is column j's key (the code, then the level every unit
-    observes).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The unbiasedness constraints of the family's witness columns, with
+    the unknowns that no table tells apart merged: ``(a, inverse, b,
+    unknowns)``.  Row j of ``unknowns`` is unknown j's key (the code, then
+    the level every unit observes), ``inverse[j]`` its column of ``a``, and
+    ``a[:, inverse] x = b`` the system with one row per table and one column
+    per unknown.
 
     A table reveals one level per support code, and each distinct (code,
     level) pair is one unknown.  The default family reveals every level at
@@ -139,26 +159,32 @@ def _constraint_system(
     and 0.0 are one level.  Unknowns are numbered by first appearance:
     table by table in family order, codes ascending within a table, and
     each keeps the level its first table reveals, signed zeros as first
-    seen.
+    seen.  ``a`` has one column per distinct pattern of revealing tables,
+    in the byte order of the packed patterns.
     """
     blocks = list(enumerate_support(design))
     # Every design law is uniform on its support, so each column of a row
     # has coefficient p.
     p = blocks[0][1]
     codes = np.concatenate([block for block, _ in blocks])
-    seen = family[:, codes]
-    # Levels are finite (the grid is checked), so != drops the repeats.
-    levels = np.sort(seen, axis=None)
+    seen = family.T[codes]  # (codes, tables): each code's revealed levels
+    # every level shows at every code, so the first code's tables hold them
+    # all; levels are finite (the grid is checked), so != drops the repeats
+    levels = np.sort(seen[0])
     levels = levels[np.concatenate(([True], levels[1:] != levels[:-1]))]
-    hit = seen[:, :, None] == levels
-    first = hit.argmax(axis=0).ravel()
+    # row c * len(levels) + l: the tables that reveal level l at codes[c]
+    hit = (seen[:, None, :] == levels[:, None]).reshape(-1, len(family))
+    packed = np.packbits(hit, axis=1)
+    patterns = packed.view(f"V{packed.shape[1]}").ravel()
+    _, index, inverse = np.unique(patterns, return_index=True, return_inverse=True)
+    a = p * hit[index].T
+    # members of a column share their first table
+    first = a.argmax(axis=0)[inverse]
     order = np.argsort(first, kind="stable")
-    # take keeps a C-ordered; a @ x rounds differently on the F-ordered [:, order]
-    a = p * hit.reshape(len(family), -1).take(order, axis=1)
     position = order // len(levels)  # of each unknown's code in codes
-    n = design.n
-    b = np.array([_estimand(estimand, _revealed(witness, n), n) for witness in family])
-    return a, b, np.stack([codes[position], seen[first[order], position]], axis=1)
+    keys = np.stack([codes[position], seen[position, first[order]]], axis=1)
+    b = _estimand(estimand, _revealed(family, design.n), design.n)
+    return a, inverse[order], b, keys
 
 
 def unbiased_feasibility(
@@ -177,18 +203,31 @@ def unbiased_feasibility(
             f"feasibility grids capped at {FEASIBILITY_GRID_CAP} levels (got {len(grid)})"
         )
     check_enumerable(design)  # before the (tables, 2^n) family is allocated
-    family = default_witness_family(design.n, estimand, grid)
-    a, b, unknowns = _constraint_system(design, estimand, family)
-    # Unbiasedness is linear in the outcomes: the system is solved in units
-    # of the power of two that brings the largest target |b| into [1, 2) (an
-    # exact division), and the residual is judged relative to that largest
-    # |b|, which no least-squares residual exceeds by more than sqrt(len(b));
-    # shifting every level leaves b and the verdict alone.  Where LAPACK
-    # would not rescale b itself (max |b| within about 1e-292 to 1e291),
-    # every result is the unscaled solve's bit for bit.
+    # Unbiasedness is linear in the outcomes: a grid below 1 in magnitude is
+    # solved scaled by the power of two 2^shift that brings its largest
+    # |level| into [1, 2); a grid that reaches 1 is used as given.
+    shift = max(0, 1 - math.frexp(max(map(abs, grid)))[1])
+    family = default_witness_family(
+        design.n, estimand, tuple(math.ldexp(level, shift) for level in grid)
+    )
+    a, inverse, b, unknowns = _constraint_system(design, estimand, family)
+    # The system is solved in units of the power of two 2^exponent that
+    # brings the largest target |b| into [1, 2) (an exact division), and the
+    # residual is judged relative to that largest |b|, which no
+    # least-squares residual exceeds by more than sqrt(len(b)); shifting
+    # every level leaves b and the verdict alone.
     top = float(np.max(np.abs(b)))
-    unit = math.ldexp(1.0, math.frexp(top or 1.0)[1] - 1)
-    solution, _, rank, singular = np.linalg.lstsq(a, b / unit, rcond=None)
+    exponent = math.frexp(top or 1.0)[1] - 1
+    unit = math.ldexp(1.0, exponent)
+    # Members of a merged column share one value: weighting each column by
+    # the square root of its member count k keeps a a^T, hence the rank,
+    # the singular values and the minimum-norm solution, whose members each
+    # take the column's value over sqrt(k).  rcond is the rank threshold of
+    # the unmerged (tables, unknowns) matrix.
+    weight = np.sqrt(np.bincount(inverse))
+    a *= weight
+    rcond = np.finfo(float).eps * max(a.shape[0], len(inverse))
+    merged, _, rank, singular = np.linalg.lstsq(a, b / unit, rcond=rcond)
     if rank > 0 and singular[0] / singular[rank - 1] > _CONDITION_CAP:
         raise FeasibilityPrecisionError(
             f"constraint system too ill-conditioned to certify "
@@ -196,9 +235,9 @@ def unbiased_feasibility(
         )
     scale = top / unit or 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        relative = float(np.linalg.norm((a @ solution - b / unit) / scale))
-        solution *= unit
-    residual = unit * (scale * relative)  # not finite when relative is not
+        relative = float(np.linalg.norm((a @ merged - b / unit) / scale))
+        solution = np.ldexp((merged / weight)[inverse], exponent - shift)
+        residual = float(np.ldexp(scale * relative, exponent - shift))
     if not (math.isfinite(residual) and np.isfinite(solution).all()):
         raise OverflowError(
             f"feasibility witness or residual past the double range on grid {list(grid)}"
@@ -211,10 +250,11 @@ def unbiased_feasibility(
     feasible = relative <= FEASIBLE_TOL
     witness = None
     if feasible:
-        keys = [(int(code), (level,) * design.n) for code, level in unknowns.tolist()]
+        codes, levels = unknowns[:, 0].tolist(), np.ldexp(unknowns[:, 1], -shift).tolist()
+        keys = [(int(code), (level,) * design.n) for code, level in zip(codes, levels)]
         witness = TabularEstimator(dict(zip(keys, solution.tolist())))
     return FeasibilityCertificate(
-        feasible, residual, len(family), len(unknowns), int(rank), witness
+        feasible, residual, len(family), len(inverse), int(rank), witness
     )
 
 
@@ -280,7 +320,7 @@ def mse_adversary(
     scored = []
     for column in candidates:
         observed = _revealed(column, n)
-        theta = _estimand(ATE, observed, n)
+        theta = float(_estimand(ATE, observed, n))
         values, p = _support_values(estimator, design, observed)
         scored.append((_weighted_square_sum(values, p, theta), column, theta))
     # max keeps the first of equal scores, so a tie goes to target 0

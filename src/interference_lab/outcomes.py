@@ -16,7 +16,8 @@ Every read goes through one lookup, ``PotentialOutcomeTable.observed``,
 which gathers the outcomes an int64 block of assignment codes reveals; the
 single-assignment, boundary and solo reads are small blocks.  A table
 therefore holds at most ``designs.CODE_BITS`` units.  The estimands read
-through any lookup of that shape (``_estimand``), a table's or not.
+through any lookup of that shape (``_estimand``), a table's or not, or of a
+batch of tables at once.
 
 Random tables do not load ``numpy.random``: they take numpy's
 ``default_rng(seed).uniform`` stream from the package's own PCG64
@@ -318,23 +319,30 @@ ATE = AverageTreatmentEffect()
 def estimand_value(estimand: Estimand, table: PotentialOutcomeTable) -> float:
     """Evaluate the estimand exactly on a table; a value past the double
     range raises OverflowError."""
-    return _estimand(estimand, table.observed, table.n)
+    return float(_estimand(estimand, table.observed, table.n))
 
 
-def _estimand(estimand: Estimand, observed, n: int) -> float:
+def _estimand(estimand: Estimand, observed, n: int) -> float | np.ndarray:
     """The estimand on the n outcomes per code that the lookup ``observed``
-    reveals, as ``PotentialOutcomeTable.observed`` does; a value past the
+    reveals, as ``PotentialOutcomeTable.observed`` does, as a numpy float.  A
+    lookup that reveals a batch of tables along leading axes gets one value
+    per table, each the value its table alone would get.  A value past the
     double range raises OverflowError."""
     if isinstance(estimand, AverageTreatmentEffect):
-        y_a, y_b = observed(np.array([0, (1 << n) - 1], dtype=np.int64))
+        y = observed(np.array([0, (1 << n) - 1], dtype=np.int64))
         with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-            value = float(np.mean(y_a) - np.mean(y_b))
+            # each row contiguous, so its sum is the pairwise one np.mean
+            # takes of the row alone
+            means = np.add.reduce(np.ascontiguousarray(y), axis=-1) / n
+            value = means[..., 0] - means[..., 1]
     elif isinstance(estimand, SoloTreatmentEffect):
         # row i is the vector assigning arm A to unit i alone
         y = observed(((1 << n) - 1) ^ (1 << np.arange(n, dtype=np.int64)))
-        value = math.fsum(np.diagonal(y).tolist()) / n
+        diagonal = np.diagonal(y, axis1=-2, axis2=-1)
+        sums = [math.fsum(row) for row in diagonal.reshape(-1, n).tolist()]
+        value = np.reshape(sums, diagonal.shape[:-1]) / n
     else:
         raise InvalidArgumentError(f"unknown estimand {estimand!r}")
-    if not math.isfinite(value):
+    if not np.isfinite(value).all():
         raise OverflowError("estimand value past the double range")
     return value

@@ -6,7 +6,8 @@ Claims pinned here:
     - the pure-arm and solo-treated inverse-probability rules
     - tabular estimators look up, fail loudly on gaps, reproduce a rule
       tabulated over the whole support, and the CLI's one CSV writer
-      writes one that reads back exactly
+      writes one that reads back exactly, with the text a row-by-row build
+      writes (signed zeros apart, on feasibility witnesses at n = 3 and 8)
 """
 
 import csv
@@ -29,9 +30,11 @@ from interference_lab import (
     PotentialOutcomeTable,
     PureArmIPW,
     SoloTreatedIPW,
+    SoloTreatmentEffect,
     TabularEstimator,
     enumerate_support,
     observed_key,
+    unbiased_feasibility,
 )
 from interference_lab.cli import _witness_csv
 from graph_builders import empty_graph
@@ -127,3 +130,21 @@ def test_tabular_csv_roundtrip():
         for r in rows
     }
     assert back == mapping
+
+
+def test_tabular_csv_formats_as_row_by_row():
+    # each code's labels and each vector's join are formatted once; -0.0 ==
+    # 0.0, yet each vector prints its own signs
+    mapping = {(1, (0.0, -0.0)): 1.0, (2, (-0.0, 0.0)): 2.0, (2, (0.5, 1e-310)): 3.0}
+    mapping[(3, (0.0, -0.0))] = 4.0
+    witnesses = [(TabularEstimator(mapping), 2)] + [
+        (unbiased_feasibility(Design("bd", n), SoloTreatmentEffect(), grid).witness, n)
+        for n, grid in [(3, [-0.0, 0.0, 2.0]), (8, [0.0, 0.25, -0.0, 1.5])]
+    ]
+    for witness, n in witnesses:
+        rows = [
+            [Assignment(code, n).labels, "|".join(map(str, y)), v]
+            for (code, y), v in sorted(witness.mapping.items())
+        ]
+        lines = [",".join(map(str, row)) + "\n" for row in [["assignment", "ykey", "value"], *rows]]
+        assert _witness_csv(witness, n) == "".join(lines)

@@ -11,8 +11,9 @@ Claims pinned here:
     - the verdict does not depend on the grid's scale or offset ([0, v] for
       v from 2^-40 to 1e200, [L, L + 1] for L = 3e9, 1e10, -1e10, and the
       subnormal or near-subnormal grids [0, 5e-324], [5e-324, 1e-323] and
-      [2.3e-308, 2.4e-308]: bd feasible, crd infeasible, no warning), and a
-      witness or residual past the double range raises OverflowError
+      [2.3e-308, 2.4e-308]: bd ATE and crd solo with n_a = 1 feasible, crd
+      ATE infeasible, no warning), and a witness or residual past the double
+      range raises OverflowError
     - more units than support enumeration allows (ENUMERATION_CAP) or more
       than FEASIBILITY_GRID_CAP grid levels is a capacity error; an empty
       grid, or a grid level that is NaN or infinite, is an invalid argument
@@ -23,14 +24,22 @@ Claims pinned here:
       at n = 8 the bd solo witness on four levels reproduces the estimand
       through exact_moments on every family table within 1e-10
     - the constraint system built from witness columns by one comparison
-      of revealed levels against the distinct levels equals, bit for bit,
-      the one a dict of (code, observed vector) keys builds from full-matrix
-      tables, table by table: the same matrix, right-hand side (on levels
-      such as 0.1 and 1/3, whose n-fold mean is not the level, too),
-      unknowns in order (signed zeros included), rank, residual and
-      witness; the grouping is pinned at n = 8 too, and
+      of revealed levels against the distinct levels, with the unknowns
+      merged by their pattern of revealing tables, expands through its
+      inverse into, bit for bit, the matrix a dict of (code, observed
+      vector) keys builds from full-matrix tables, table by table, and no
+      two merged columns are equal; the right-hand side (on levels such as
+      0.1 and 1/3, whose n-fold mean is not the level, too), the unknowns
+      in order (signed zeros included), the rank and the verdict are the
+      same; the residual and the witness match the dense least-squares
+      solve within 1e-12 of the largest |b| and |x|, merged unknowns get
+      equal values, and the witness reproduces every family table's
+      estimand within FEASIBLE_TOL; the system is pinned at n = 8 too, and
       on subnormal and near-overflow levels (5e-324, 1e-310, +-1e307) next
       to both zeros, where the system alone is compared
+    - bd solo on four levels at n = 14 (232 tables, 65,536 unknowns) is
+      feasible with rank 52 and peaks below 150 MB under tracemalloc, which
+      the dense float matrix alone (122 MB) would break
     - a witness column reads as the full (2^n, n) matrix, read-only, and
       the adversary's table serializes as that matrix does; the adversary's
       mse, floor and target equal, bit for bit, those of both candidate
@@ -114,13 +123,17 @@ def test_verdict_does_not_depend_on_the_grid_scale(low, high):
     # unbiasedness is linear in the outcomes, so the verdict on [low, high]
     # is the verdict on [0, 1], whatever the grid's units or offset; the
     # residual is reported in the grid's units.  Subnormal targets are
-    # solved in power-of-two units, so least squares never sees them.
+    # solved in power-of-two units, so least squares never sees them, and
+    # a grid below 1 is scaled up before the family is built, so the solo
+    # targets (sums of levels over n) never round in the subnormal range.
     spread = high - low
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         bd = unbiased_feasibility(Design("bd", 3), ATE, [low, high])
         crd = unbiased_feasibility(Design("crd", 3, 1), ATE, [low, high])
+        solo = unbiased_feasibility(Design("crd", 3, 1), SoloTreatmentEffect(), [low, high])
     assert bd.feasible and bd.min_residual <= FEASIBLE_TOL * spread
+    assert solo.feasible and solo.min_residual <= FEASIBLE_TOL * max(abs(low), abs(high))
     assert not crd.feasible
     assert crd.min_residual == pytest.approx(2.0 * spread, rel=1e-12)
 
@@ -265,6 +278,20 @@ def test_verdicts_follow_the_named_certificates(cases):
         assert cert.feasible == _certified(design, estimand), (design, estimand, grid)
 
 
+def test_bd_solo_at_n_14_builds_no_dense_matrix():
+    # the worst case under the caps: 232 tables and 65,536 unknowns, whose
+    # dense float matrix alone would take 122 MB
+    tracemalloc.start()
+    try:
+        cert = unbiased_feasibility(Design("bd", 14), SoloTreatmentEffect(), [0, 0.25, 0.5, 1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.feasible and cert.rank == 52
+    assert (cert.family_size, cert.n_unknowns) == (232, 65536)
+    assert peak < 150e6
+
+
 def test_validation():
     with pytest.raises(InvalidArgumentError):
         unbiased_feasibility(Design("bd", 3), ATE, [])
@@ -324,6 +351,21 @@ def _reference_system(design, estimand, family):
 _LEVELS = (-0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, -1.0, 0.1, 1 / 3, 7.7, 3e9 + 0.1)
 
 
+def _check_system(design, estimand, family):
+    """The merged system against the dict build: its distinct columns
+    expand through ``inverse`` into the dict build's matrix, no two of them
+    are equal, and the targets and the keys in order (signed zeros as
+    first seen) are the same.  Returns ``inverse`` and the dict build."""
+    a, inverse, b, unknowns = _constraint_system(design, estimand, family)
+    a_ref, b_ref, columns = _reference_system(design, estimand, family)
+    assert np.array_equal(a[:, inverse], a_ref)
+    assert len(np.unique(a, axis=1).T) == a.shape[1]
+    assert np.array_equal(b, b_ref)
+    keys = [(int(code), (level,) * design.n) for code, level in unknowns.tolist()]
+    assert repr(keys) == repr(list(columns))
+    return inverse, a_ref, b_ref, columns
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     n=st.integers(2, 6),
@@ -340,14 +382,9 @@ def test_system_equals_the_dict_build(n, kind, solo, grid):
     design = Design("crd", n, n // 2) if kind == "crd" else Design(kind, n)
     estimand = SoloTreatmentEffect() if solo else ATE
     family = default_witness_family(n, estimand, tuple(grid))
-    a, b, unknowns = _constraint_system(design, estimand, family)
-    a_ref, b_ref, columns = _reference_system(design, estimand, family)
-    assert np.array_equal(a, a_ref)
-    assert np.array_equal(b, b_ref)
-    keys = [(int(code), (level,) * n) for code, level in unknowns.tolist()]
-    assert keys == list(columns)
-    assert repr(keys) == repr(list(columns))  # signed zeros kept as first seen
+    inverse, a_ref, b_ref, columns = _check_system(design, estimand, family)
 
+    # the dense least-squares reference, on the unmerged matrix
     solution, _, rank, singular = np.linalg.lstsq(a_ref, b_ref, rcond=None)
     # judged relative to the largest |b|, reported in the grid's units
     scale = float(np.max(np.abs(b_ref))) or 1.0
@@ -361,13 +398,19 @@ def test_system_equals_the_dict_build(n, kind, solo, grid):
         )
         return
     assert cert.rank == rank
-    assert cert.min_residual == scale * relative
+    assert cert.feasible == (relative <= FEASIBLE_TOL)
     assert cert.n_unknowns == len(columns)
+    # the merged solve rounds differently from the dense one
+    assert abs(cert.min_residual - scale * relative) <= 1e-12 * scale
     if cert.feasible:
-        assert cert.witness.mapping == {
-            key: float(solution[col]) for key, col in columns.items()
-        }
         assert repr(list(cert.witness.mapping)) == repr(list(columns))
+        x = np.array(list(cert.witness.mapping.values()))
+        assert np.abs(x - solution).max() <= 1e-12 * np.abs(solution).max()
+        # unknowns no table tells apart get one value
+        for group in range(inverse.max() + 1):
+            assert len(set(x[inverse == group].tolist())) == 1
+        # the witness reproduces every family table's estimand
+        assert np.abs(a_ref @ x - b_ref).max() <= FEASIBLE_TOL * scale
     else:
         assert cert.witness is None
 
@@ -381,13 +424,8 @@ def test_system_equals_the_dict_build_at_n_8(design, unknowns):
     # the grouping above the hypothesis cases' six units, on both zeros
     estimand = SoloTreatmentEffect()
     family = default_witness_family(design.n, estimand, (-0.0, 0.0, 0.25, 1.5))
-    a, b, keys = _constraint_system(design, estimand, family)
-    a_ref, b_ref, columns = _reference_system(design, estimand, family)
-    assert a.shape == (144, unknowns)
-    assert np.array_equal(a, a_ref)
-    assert np.array_equal(b, b_ref)
-    keys = [(int(code), (level,) * design.n) for code, level in keys.tolist()]
-    assert repr(keys) == repr(list(columns))
+    _, a_ref, _, _ = _check_system(design, estimand, family)
+    assert a_ref.shape == (144, unknowns)
 
 
 @pytest.mark.parametrize(
@@ -405,14 +443,7 @@ def test_system_equals_the_dict_build_at_extreme_levels(design, solo, grid):
     # the system alone, on levels the solve cannot take: subnormals, the
     # largest magnitudes, and both zeros, which group by float comparison
     estimand = SoloTreatmentEffect() if solo else ATE
-    family = default_witness_family(design.n, estimand, grid)
-    a, b, keys = _constraint_system(design, estimand, family)
-    a_ref, b_ref, columns = _reference_system(design, estimand, family)
-    assert a.flags.c_contiguous
-    assert np.array_equal(a, a_ref)
-    assert np.array_equal(b, b_ref)
-    keys = [(int(code), (level,) * design.n) for code, level in keys.tolist()]
-    assert repr(keys) == repr(list(columns))
+    _check_system(design, estimand, default_witness_family(design.n, estimand, grid))
 
 
 def _adversary_columns(n, m):
