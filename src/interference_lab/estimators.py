@@ -42,10 +42,8 @@ class DifferenceInMeans:
         out = np.empty(len(codes))
         # Rows sharing an arm-B count reshape into (rows, count) arm blocks,
         # whose row sums add in the same order as one row's masked sum.
-        for k in range(n + 1):
+        for k in np.flatnonzero(np.bincount(n_b)).tolist():
             rows = n_b == k
-            if not rows.any():
-                continue
             y_k, b_k = y[rows], in_b[rows]
             mean_a = y_k[~b_k].reshape(-1, n - k).sum(axis=1) / (n - k) if k < n else 0.0
             mean_b = y_k[b_k].reshape(-1, k).sum(axis=1) / k if k else 0.0

@@ -48,6 +48,10 @@ Claims pinned here:
       BLAS on the calling thread: it sets OPENBLAS_NUM_THREADS to 1 unless
       the variable is already set, and starts no thread; argparse, gettext
       and locale stay unloaded through a run of every command
+    - a CLI process freezes its heap at exit, after a run that exits 0, 2
+      or 3, registering the freeze once however often main runs; main
+      freezes nothing before the process exits, and importing the CLI
+      without calling main freezes nothing
     - a design block of unknown kind, a crd block without n_a, a bd or cbd
       block with n_a, and a table whose size differs from the design's
       exit 2 naming the fault
@@ -962,6 +966,40 @@ def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[1] == "3"
+
+
+def test_cli_freezes_the_heap_at_exit(tmp_path):
+    # main registers gc.freeze with atexit once per process, so its final
+    # collections skip the heap; an atexit observer registered first runs
+    # after that handler (handlers run last in, first out) and sees the
+    # frozen heap after a run that exits 0, 2 or 3; in process, after main
+    # returns, nothing is frozen yet; a second main call registers nothing
+    # more (gc.freeze is wrapped to count its calls); and importing the CLI
+    # without calling main leaves the heap unfrozen
+    regimes = ["regimes", "--config", str(CONFIGS / "regimes.json"), "--out", os.devnull]
+    refused = ["moments", "--config", str(tmp_path / "missing.json")]
+    capped = ["feasibility", "--config", str(CONFIGS / "feasibility_bd.json"),
+              "--set", "design.n=15"]
+    cases = [
+        ([], "0 False\n"),
+        ([regimes, regimes], "0 0\n0 0\n1 True\n"),
+        ([refused], "2 0\n1 True\n"),
+        ([capped], "3 0\n1 True\n"),
+    ]
+    for argvs, expected in cases:
+        code = (
+            "import atexit, gc\n"
+            "freeze, calls = gc.freeze, []\n"
+            "gc.freeze = lambda: (calls.append(1), freeze())\n"
+            "atexit.register(lambda: print(len(calls), gc.get_freeze_count() > 0))\n"
+            "import interference_lab.cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    print(interference_lab.cli.main(argv), gc.get_freeze_count())\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=blas_env(), cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == expected, argvs
 
 
 # int() refuses decimal strings of more than 4300 digits

@@ -40,6 +40,8 @@ Claims pinned here:
     - bd solo on four levels at n = 14 (232 tables, 65,536 unknowns) is
       feasible with rank 52 and peaks below 150 MB under tracemalloc, which
       the dense float matrix alone (122 MB) would break
+    - the least-squares solve on merged columns uses the rank threshold of
+      the unmerged matrix, eps * max(tables, unknowns)
     - a witness column reads as the full (2^n, n) matrix, read-only, and
       the adversary's table serializes as that matrix does; the adversary's
       mse, floor and target equal, bit for bit, those of both candidate
@@ -290,6 +292,25 @@ def test_bd_solo_at_n_14_builds_no_dense_matrix():
     assert cert.feasible and cert.rank == 52
     assert (cert.family_size, cert.n_unknowns) == (232, 65536)
     assert peak < 150e6
+
+
+def test_solve_uses_the_unmerged_rank_threshold(monkeypatch):
+    # merging columns leaves the singular values alone, so the solve keeps
+    # the (tables, unknowns) matrix's rank threshold eps * max(tables,
+    # unknowns); numpy's default would use the merged column count, here
+    # 16 times smaller
+    solves = []
+    lstsq = np.linalg.lstsq
+
+    def spy(a, b, rcond):
+        solves.append((a.shape, rcond))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    cert = unbiased_feasibility(Design("bd", 6), ATE, [0, 1])
+    [(shape, rcond)] = solves
+    assert (cert.family_size, cert.n_unknowns) == (8, 128) and shape == (8, 6)
+    assert rcond == np.finfo(float).eps * 128
 
 
 def test_validation():
