@@ -62,7 +62,6 @@ from .outcomes import (
     ATE,
     PotentialOutcomeTable,
     SoloTreatmentEffect,
-    estimand_value,
 )
 
 
@@ -196,8 +195,8 @@ def _finite(value, key: str) -> float:
     return value
 
 
-def _parse_design(cfg, where="design") -> Design:
-    _check_keys(cfg, where, {"design": str, "n": int}, {"n_a": int})
+def _parse_design(cfg) -> Design:
+    _check_keys(cfg, "design", {"design": str, "n": int}, {"n_a": int})
     return Design(cfg["design"], cfg["n"], cfg.get("n_a"))
 
 
@@ -225,62 +224,62 @@ def _parse_graph(cfg, where: str, n: int) -> Graph:
     return build()
 
 
-def _parse_structure(cfg, n: int, where="structure"):
+def _parse_structure(cfg, n: int):
     kinds = {"none": {}, "k_local": {"k": int, "graph": dict}, "arbitrary": {}}
-    kind = _check_kind(cfg, where, kinds)
+    kind = _check_kind(cfg, "structure", kinds)
     if kind == "none":
         return NoInterference(n)
     if kind == "arbitrary":
         return Arbitrary(n)
     if "graph" not in cfg:
-        raise ConfigError(f"{where}: k_local needs a graph")
-    k = _non_negative(cfg.get("k", 1), f"{where}.k")
-    return KLocal(_parse_graph(cfg["graph"], f"{where}.graph", n), k)
+        raise ConfigError("structure: k_local needs a graph")
+    k = _non_negative(cfg.get("k", 1), "structure.k")
+    return KLocal(_parse_graph(cfg["graph"], "structure.graph", n), k)
 
 
-def _parse_table(cfg, structure, n: int, where="table") -> PotentialOutcomeTable:
+def _parse_table(cfg, structure, n: int) -> PotentialOutcomeTable:
     """The config's table: a random one on the config's ``structure`` block,
     or a ``json_path`` document, which states its own structure."""
-    _check_keys(cfg, where, {}, {"random": dict, "json_path": str})
+    _check_keys(cfg, "table", {}, {"random": dict, "json_path": str})
     if ("random" in cfg) == ("json_path" in cfg):
-        raise ConfigError(f"{where}: give exactly one of random / json_path")
+        raise ConfigError("table: give exactly one of random / json_path")
     if "json_path" in cfg:
         if structure is not None:
-            raise ConfigError(f"structure: a {where}.json_path document states its own")
+            raise ConfigError("structure: a table.json_path document states its own")
         return PotentialOutcomeTable.from_json(cfg["json_path"])
     r = cfg["random"]
-    _check_keys(r, f"{where}.random", {"k_lower": _NUM, "m_upper": _NUM, "seed": int}, {})
-    seed = _non_negative(r["seed"], f"{where}.random.seed")
+    _check_keys(r, "table.random", {"k_lower": _NUM, "m_upper": _NUM, "seed": int}, {})
+    seed = _non_negative(r["seed"], "table.random.seed")
     if structure is None:
-        raise ConfigError(f"{where}: random tables need a structure block")
+        raise ConfigError("table: random tables need a structure block")
     return PotentialOutcomeTable.random(
         _parse_structure(structure, n), float(r["k_lower"]), float(r["m_upper"]), seed
     )
 
 
-def _parse_estimator(cfg, structure, n: int, where="estimator"):
+def _parse_estimator(cfg, structure, n: int):
     plain = dict(diff_means=DifferenceInMeans, pure_arm_ipw=PureArmIPW, solo_ipw=SoloTreatedIPW)
     kinds = {kind: {} for kind in plain}
     kinds.update(constant={"value": _NUM}, horvitz_thompson={"k": int, "graph": dict})
-    kind = _check_kind(cfg, where, kinds)
+    kind = _check_kind(cfg, "estimator", kinds)
     if kind in plain:
         return plain[kind]()
     if kind == "constant":
-        return ConstantEstimator(_finite(cfg.get("value", 0.0), f"{where}.value"))
+        return ConstantEstimator(_finite(cfg.get("value", 0.0), "estimator.value"))
     if isinstance(structure, KLocal):
         if "k" in cfg or "graph" in cfg:
-            raise ConfigError(f"{where}: horvitz_thompson reads k and graph from the structure")
+            raise ConfigError("estimator: horvitz_thompson reads k and graph from the structure")
         return HorvitzThompson(structure.index)
     if "graph" not in cfg:
         raise ConfigError(
-            f"{where}: horvitz_thompson needs a k_local structure or an inline graph"
+            "estimator: horvitz_thompson needs a k_local structure or an inline graph"
         )
-    k = _non_negative(cfg.get("k", 1), f"{where}.k")
-    return HorvitzThompson(KLocal(_parse_graph(cfg["graph"], f"{where}.graph", n), k).index)
+    k = _non_negative(cfg.get("k", 1), "estimator.k")
+    return HorvitzThompson(KLocal(_parse_graph(cfg["graph"], "estimator.graph", n), k).index)
 
 
-def _parse_estimand(cfg, where="estimand"):
-    kind = _check_kind(cfg, where, {"ate": {}, "solo": {}})
+def _parse_estimand(cfg):
+    kind = _check_kind(cfg, "estimand", {"ate": {}, "solo": {}})
     return ATE if kind == "ate" else SoloTreatmentEffect()
 
 
@@ -302,7 +301,6 @@ def cmd_moments(cfg: dict, out: str | None) -> int:
     estimand = _parse_estimand(cfg.get("estimand", {"kind": "ate"}))
     report = exact_moments(estimator, design, table, estimand)
     payload = report._asdict()
-    payload["estimand_value"] = estimand_value(estimand, table)
     if design.kind == "crd" and isinstance(table.structure, NoInterference):
         payload["neyman"] = neyman_variance_terms(table, design.n_a)._asdict()
     _emit(_json_text(payload), out)

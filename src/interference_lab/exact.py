@@ -28,13 +28,14 @@ _IDENTITY_RTOL = 1e-9
 
 
 class MomentReport(NamedTuple):
-    """Design-expectation, variance, and MSE of an estimator, plus the
-    number of support points enumerated."""
+    """Design-expectation, variance, and MSE of an estimator, the number of
+    support points enumerated, and the estimand the MSE is taken against."""
 
     expectation: float
     variance: float
     mse_vs_estimand: float
     support_size: int
+    estimand_value: float
 
 
 def _support_values(
@@ -130,7 +131,7 @@ def exact_moments(
         raise IdentityViolationError(
             f"moment identity violated: mse={mse} vs var+bias^2={check}"
         )
-    return MomentReport(expectation, variance, mse, len(values))
+    return MomentReport(expectation, variance, mse, len(values), theta)
 
 
 class NeymanTerms(NamedTuple):

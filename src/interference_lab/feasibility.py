@@ -30,11 +30,12 @@ takes its column's value over that square root, which is the minimum-norm
 solution of the unmerged system.  The targets are computed for the whole
 family at once.
 
-Both scalings below are by powers of two, so they are exact, and the
-witness and the residual are scaled back.  A grid below 1 in magnitude is
-scaled up before the family is built, so that a grid of subnormal levels
-gets targets that do not round in the subnormal range.  The targets are
-scaled before the solve, so least squares never sees subnormals.
+The targets are computed on the levels scaled by the one power of two that
+brings the grid's largest |level| into [1, 2), and the witness and the
+residual are scaled back.  Every target is then below 4, so none overflows,
+and a grid below 1 is scaled up exactly, so its targets do not round in the
+subnormal range.  The unknowns and their keys keep the grid's own levels,
+which a shift down would flush on a grid spanning more than 2^1022.
 
 Grid levels should be exact binary fractions so observed-vector keys never
 drift; the shipped defaults use {0, 1}.
@@ -85,8 +86,10 @@ class FeasibilityCertificate(NamedTuple):
     tolerance.  Infeasible certificates report the smallest attainable
     residual over the family, which exceeds the infeasibility tolerance.
     Both tolerances are relative to the largest |estimand value| over the
-    family, so the verdict depends on neither the grid's units nor its
-    offset; ``min_residual`` is in the grid's units.
+    family, so the verdict does not depend on the grid's units; an offset
+    far above the grid's spread inflates the solo targets but not the
+    residual.  ``min_residual`` is in the grid's units, so on a subnormal
+    grid an infeasible one can read 0.0; the relative residual decides.
     """
 
     feasible: bool
@@ -142,14 +145,14 @@ def default_witness_family(n: int, estimand: Estimand, grid: tuple[float, ...]) 
 
 
 def _constraint_system(
-    design: Design, estimand: Estimand, family: np.ndarray
+    design: Design, estimand: Estimand, family: np.ndarray, shift: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The unbiasedness constraints of the family's witness columns, with
     the unknowns that no table tells apart merged: ``(a, inverse, b,
     unknowns)``.  Row j of ``unknowns`` is unknown j's key (the code, then
     the level every unit observes), ``inverse[j]`` its column of ``a``, and
     ``a[:, inverse] x = b`` the system with one row per table and one column
-    per unknown.
+    per unknown, its targets ``b`` in units of 2^-shift.
 
     A table reveals one level per support code, and each distinct (code,
     level) pair is one unknown.  The default family reveals every level at
@@ -183,7 +186,8 @@ def _constraint_system(
     order = np.argsort(first, kind="stable")
     position = order // len(levels)  # of each unknown's code in codes
     keys = np.stack([codes[position], seen[position, first[order]]], axis=1)
-    b = _estimand(estimand, _revealed(family, design.n), design.n)
+    revealed = _revealed(family, design.n)
+    b = _estimand(estimand, lambda codes: np.ldexp(revealed(codes), shift), design.n)
     return a, inverse[order], b, keys
 
 
@@ -203,22 +207,14 @@ def unbiased_feasibility(
             f"feasibility grids capped at {FEASIBILITY_GRID_CAP} levels (got {len(grid)})"
         )
     check_enumerable(design)  # before the (tables, 2^n) family is allocated
-    # Unbiasedness is linear in the outcomes: a grid below 1 in magnitude is
-    # solved scaled by the power of two 2^shift that brings its largest
-    # |level| into [1, 2); a grid that reaches 1 is used as given.
-    shift = max(0, 1 - math.frexp(max(map(abs, grid)))[1])
-    family = default_witness_family(
-        design.n, estimand, tuple(math.ldexp(level, shift) for level in grid)
-    )
-    a, inverse, b, unknowns = _constraint_system(design, estimand, family)
-    # The system is solved in units of the power of two 2^exponent that
-    # brings the largest target |b| into [1, 2) (an exact division), and the
-    # residual is judged relative to that largest |b|, which no
-    # least-squares residual exceeds by more than sqrt(len(b)); shifting
-    # every level leaves b and the verdict alone.
-    top = float(np.max(np.abs(b)))
-    exponent = math.frexp(top or 1.0)[1] - 1
-    unit = math.ldexp(1.0, exponent)
+    family = default_witness_family(design.n, estimand, grid)
+    # Unbiasedness is linear in the outcomes: the targets are solved on the
+    # levels scaled by the 2^shift that brings the largest |level| into [1, 2).
+    shift = 1 - math.frexp(max(map(abs, grid)))[1]
+    a, inverse, b, unknowns = _constraint_system(design, estimand, family, shift)
+    # The residual is judged relative to the largest target |b|, which no
+    # least-squares residual exceeds by more than sqrt(len(b)).
+    top = float(np.max(np.abs(b))) or 1.0
     # Members of a merged column share one value: weighting each column by
     # the square root of its member count k keeps a a^T, hence the rank,
     # the singular values and the minimum-norm solution, whose members each
@@ -227,17 +223,16 @@ def unbiased_feasibility(
     weight = np.sqrt(np.bincount(inverse))
     a *= weight
     rcond = np.finfo(float).eps * max(a.shape[0], len(inverse))
-    merged, _, rank, singular = np.linalg.lstsq(a, b / unit, rcond=rcond)
+    merged, _, rank, singular = np.linalg.lstsq(a, b, rcond=rcond)
     if rank > 0 and singular[0] / singular[rank - 1] > _CONDITION_CAP:
         raise FeasibilityPrecisionError(
             f"constraint system too ill-conditioned to certify "
             f"(cond ~ {singular[0] / singular[rank - 1]:.2e})"
         )
-    scale = top / unit or 1.0
+    relative = float(np.linalg.norm((a @ merged - b) / top))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        relative = float(np.linalg.norm((a @ merged - b / unit) / scale))
-        solution = np.ldexp((merged / weight)[inverse], exponent - shift)
-        residual = float(np.ldexp(scale * relative, exponent - shift))
+        solution = np.ldexp((merged / weight)[inverse], -shift)
+        residual = float(np.ldexp(top * relative, -shift))
     if not (math.isfinite(residual) and np.isfinite(solution).all()):
         raise OverflowError(
             f"feasibility witness or residual past the double range on grid {list(grid)}"
@@ -250,8 +245,7 @@ def unbiased_feasibility(
     feasible = relative <= FEASIBLE_TOL
     witness = None
     if feasible:
-        codes, levels = unknowns[:, 0].tolist(), np.ldexp(unknowns[:, 1], -shift).tolist()
-        keys = [(int(code), (level,) * design.n) for code, level in zip(codes, levels)]
+        keys = [(int(code), (level,) * design.n) for code, level in unknowns.tolist()]
         witness = TabularEstimator(dict(zip(keys, solution.tolist())))
     return FeasibilityCertificate(
         feasible, residual, len(family), len(inverse), int(rank), witness

@@ -8,6 +8,7 @@ Claims pinned here:
       enumerated variance exactly (to 1e-10) on random graphs and tables,
       at radius k = 0, 1 and 2; above n = 10 (n = 11 to 14, k = 1 and 2,
       on ER(n, 1.5/sqrt(n))) the two agree to 1e-13 relative
+    - a report carries the estimand its MSE is taken against
     - mse = variance + bias^2 holds for every report, and is checked to
       1e-9 relative: an MSE sum off by 1e-7 raises IdentityViolationError,
       one off by 1e-12 does not
@@ -87,6 +88,7 @@ def test_constant_estimator_moments():
     table = PotentialOutcomeTable.random(NoInterference(4), 0.0, 1.0, seed=6)
     theta = estimand_value(ATE, table)
     report = exact_moments(ConstantEstimator(0.25), Design("crd", 4, 2), table, ATE)
+    assert report.estimand_value == theta
     assert report.variance == 0.0
     assert report.mse_vs_estimand == pytest.approx((0.25 - theta) ** 2, abs=1e-15)
 

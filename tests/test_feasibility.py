@@ -14,6 +14,14 @@ Claims pinned here:
       [2.3e-308, 2.4e-308]: bd ATE and crd solo with n_a = 1 feasible, crd
       ATE infeasible, no warning), and a witness or residual past the double
       range raises OverflowError
+    - scaling the grid by 2^k, k from -1021 to 1000, scales the residual
+      and every witness level and value by 2^k bit for bit, and leaves the
+      status, sizes and rank alone (bd, cbd, crd with n_a = 1 and n / 2,
+      both estimands, five grids with both zeros among them); grids whose
+      n-fold sums overflow decide as the named certificates say (crd (4, 2)
+      solo on [0, 1.7e308] infeasible, bd ATE on [1.7e308] feasible), and
+      grids spanning more than one scale of doubles ([1e-300, 1e300],
+      [0, 5e-324, 1e307]) keep every level as an unknown and a witness key
     - more units than support enumeration allows (ENUMERATION_CAP) or more
       than FEASIBILITY_GRID_CAP grid levels is a capacity error; an empty
       grid, or a grid level that is NaN or infinite, is an invalid argument
@@ -50,11 +58,15 @@ Claims pinned here:
       constant, and HT on ER graphs at k = 1, 2; crd and bd; n = 3 to 14);
       a whole n = 14 adversary call allocates below 1.5 MB, less than one
       (2^14, 14) matrix
+    - tools/feasibility_sweep.py prints one JSON line per case
 """
 
+import importlib.util
+import json
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,10 +136,10 @@ def test_crd_residual_value():
 def test_verdict_does_not_depend_on_the_grid_scale(low, high):
     # unbiasedness is linear in the outcomes, so the verdict on [low, high]
     # is the verdict on [0, 1], whatever the grid's units or offset; the
-    # residual is reported in the grid's units.  Subnormal targets are
-    # solved in power-of-two units, so least squares never sees them, and
-    # a grid below 1 is scaled up before the family is built, so the solo
-    # targets (sums of levels over n) never round in the subnormal range.
+    # residual is reported in the grid's units.  The targets are computed
+    # on the levels scaled by one power of two into [1, 2), so the solo
+    # targets (sums of levels over n) never round in the subnormal range
+    # and least squares never sees subnormals.
     spread = high - low
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -138,6 +150,61 @@ def test_verdict_does_not_depend_on_the_grid_scale(low, high):
     assert solo.feasible and solo.min_residual <= FEASIBLE_TOL * max(abs(low), abs(high))
     assert not crd.feasible
     assert crd.min_residual == pytest.approx(2.0 * spread, rel=1e-12)
+
+
+_EQUIVARIANCE_GRIDS = ((0.0, 1.0), (0.0, 0.25, 0.5, 1.5), (-1.0, 1.5), (1.0,), (-0.0, 0.0, 1.25))
+_EQUIVARIANCE_DESIGNS = (
+    Design("bd", 4), Design("cbd", 5), Design("crd", 5, 1), Design("crd", 6, 3)
+)
+
+
+@pytest.mark.parametrize("grid", _EQUIVARIANCE_GRIDS, ids=repr)
+def test_certificates_scale_bit_for_bit_with_the_grid(grid):
+    # scaling the grid by 2^k scales the residual and the witness (levels
+    # and values) by 2^k exactly and leaves the rest alone, from the
+    # subnormal range (k = -1021) to the top of the double range (k = 1000)
+    for design in _EQUIVARIANCE_DESIGNS:
+        for estimand in (ATE, SoloTreatmentEffect()):
+            base = unbiased_feasibility(design, estimand, grid)
+            for k in (-1021, -600, -1, 1, 600, 1000):
+                scaled = [math.ldexp(level, k) for level in grid]
+                cert = unbiased_feasibility(design, estimand, scaled)
+                case = (design, estimand, grid, k)
+                assert cert.feasible == base.feasible, case
+                assert cert[2:5] == base[2:5], case
+                assert cert.min_residual == math.ldexp(base.min_residual, k), case
+                if not base.feasible:
+                    assert cert.witness is None
+                    continue
+                assert len(cert.witness.mapping) == len(base.witness.mapping)
+                pairs = zip(cert.witness.mapping.items(), base.witness.mapping.items())
+                for ((code, levels), value), ((base_code, base_levels), base_value) in pairs:
+                    assert code == base_code, case
+                    assert levels == tuple(math.ldexp(v, k) for v in base_levels), case
+                    assert value == math.ldexp(base_value, k), case
+
+
+def test_grids_at_the_top_of_the_double_range_decide():
+    # n copies of a level near 1.7e308 overflow in grid units, not after
+    # the scaling: the verdicts are the named certificates'
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        crd = unbiased_feasibility(Design("crd", 4, 2), SoloTreatmentEffect(), [0, 1.7e308])
+        bd = unbiased_feasibility(Design("bd", 3), ATE, [1.7e308])
+    assert not crd.feasible and crd.min_residual == pytest.approx(8.5e307, rel=1e-12)
+    assert bd.feasible and bd.min_residual == 0.0
+    assert set(bd.witness.mapping.values()) == {0.0}
+
+
+@pytest.mark.parametrize(
+    "grid, unknowns", [((1e-300, 1e300), 8), ((0.0, 5e-324, 1e307), 12)], ids=["pm300", "sub307"]
+)
+def test_grids_wider_than_one_scale_keep_their_levels(grid, unknowns):
+    # no power of two brings both ends of these grids into the normal range,
+    # so the unknowns and the witness keys are the grid's own levels
+    cert = unbiased_feasibility(Design("bd", 2), ATE, grid)
+    assert cert.feasible and cert.n_unknowns == unknowns
+    assert {levels[0] for _, levels in cert.witness.mapping} == set(grid)
 
 
 def test_residual_past_the_double_range_overflows():
@@ -377,7 +444,7 @@ def _check_system(design, estimand, family):
     expand through ``inverse`` into the dict build's matrix, no two of them
     are equal, and the targets and the keys in order (signed zeros as
     first seen) are the same.  Returns ``inverse`` and the dict build."""
-    a, inverse, b, unknowns = _constraint_system(design, estimand, family)
+    a, inverse, b, unknowns = _constraint_system(design, estimand, family, 0)
     a_ref, b_ref, columns = _reference_system(design, estimand, family)
     assert np.array_equal(a[:, inverse], a_ref)
     assert len(np.unique(a, axis=1).T) == a.shape[1]
@@ -544,3 +611,16 @@ def test_adversary_tables_allocate_one_column_each():
         finally:
             tracemalloc.stop()
         assert peak < 1.5e6
+
+
+def test_feasibility_sweep_prints_one_line_per_case(capsys):
+    # tools/feasibility_sweep.py on its n <= 3 slice: seven designs, two
+    # estimands and every grid, one JSON certificate or refusal per line
+    path = Path(__file__).resolve().parents[1] / "tools" / "feasibility_sweep.py"
+    spec = importlib.util.spec_from_file_location("feasibility_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    sweep.main(range(2, 4))
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(lines) == 7 * 2 * len(sweep.GRIDS)
+    assert all(("status" in line) != ("error" in line) for line in lines)
