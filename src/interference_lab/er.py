@@ -1,4 +1,4 @@
-"""Random-graph moments, the finite-n variance envelope, and regime sweeps.
+"""Random-graph moments, the exact graph-expected variance, and regime sweeps.
 
 For a graph drawn edge-by-edge with probability p, the degree of a node is
 binomial, so graph-averages of 2^(neighborhood size) have product closed
@@ -7,12 +7,13 @@ Everything here is k=1 (interference through direct neighbors), the regime
 in which the closed forms are available; general radii stay available in the
 exact-analysis module.
 
-The envelope ``h_bound`` plugs those moments into the closed-form variance
-with every outcome product frozen at one level C and the (n-1)/n factors
-dropped, so h(M) bounds E_graph[variance] from above but h(K) does not bound
-it from below (h(1) = 6.879 > 6.145 exact at n = 6, p = 0.3).  Along p = 1/n
-the product moments stay bounded and the envelope decays like 1/n; along
-p = 1/sqrt(n) the per-node moment diverges.
+``h_bound`` plugs those moments into the closed-form variance with every
+outcome product frozen at one level c: by linearity of expectation it is the
+exact graph average R(c) = 2c^2 [M1/n + (n-1)/n (M2 - P0)].  Every
+coefficient of that variance is nonnegative, so for outcomes in [K, M] with
+K >= 0, h(K) <= E_graph[variance] <= h(M).  Along p = 1/n the product
+moments stay bounded and h decays like 1/n; along p = 1/sqrt(n) the
+per-node moment diverges, and so does h(K).
 
 A one-off graph draw (``sample_er_graph``) takes its coins from the
 package's own PCG64 stream (``_pcg64.uniform``), numpy's
@@ -97,16 +98,14 @@ def prob_no_common(spec: ERSpec) -> float:
 
 
 def h_bound(c: float, spec: ERSpec) -> float:
-    """The four-term finite-n envelope at outcome level c (c > 0); an
-    envelope past the double range raises OverflowError."""
+    """The exact graph-expected variance R(c) = 2c^2 [M1/n + (n-1)/n (M2 - P0)]
+    at constant outcome level c (c > 0), so h(K) and h(M) bound it for
+    outcomes in [K, M]; a value past the double range raises OverflowError."""
     if not c > 0:  # NaN fails too
         raise InvalidArgumentError(f"outcome level must be positive, got {c}")
     n = spec.n
-    terms = (
-        (moment_two_pow_nbhd(spec) - 1.0) / n
-        + (moment_two_pow_shared(spec) - 1.0)
-        + 1.0 / n
-        + (1.0 - prob_no_common(spec))
+    terms = moment_two_pow_nbhd(spec) / n + (n - 1) / n * (
+        moment_two_pow_shared(spec) - prob_no_common(spec)
     )
     bound = 2.0 * terms * c * c
     if not math.isfinite(bound):
@@ -115,20 +114,13 @@ def h_bound(c: float, spec: ERSpec) -> float:
 
 
 def dense_lower_bound(n: int, k_lower: float) -> float:
-    """4 e^((n-1)/sqrt(n)) K^2 / n along p = 1/sqrt(n).  Not a lower bound:
-    e^(p(n-1)) exceeds (1+p)^(n-1), so at n = 64 it reads 164.4 against the
-    exact 110.8."""
-    if not k_lower > 0:  # NaN fails too
-        raise InvalidArgumentError(f"k_lower: must be positive, got {k_lower}")
-    arg = (n - 1) / math.sqrt(n)
-    if arg > _EXP_OVERFLOW:
-        return math.inf
-    return 4.0 * math.exp(arg) * k_lower * k_lower / n
+    """The exact floor h(K) along p = 1/sqrt(n)."""
+    return h_bound(k_lower, ERSpec(n, 1 / math.sqrt(n)))
 
 
 class RegimeReport(NamedTuple):
-    """One point of an Example-style sweep: the envelope value at this n and
-    whether it vanishes or diverges with n."""
+    """One point of an Example-style sweep: the exact variance bound at this
+    n and whether it vanishes or diverges with n."""
 
     n: int
     regime: str
@@ -138,11 +130,11 @@ class RegimeReport(NamedTuple):
 
 
 def regime_report(n: int, regime: str, k_lower: float, m_upper: float) -> RegimeReport:
-    """Evaluate the regime's envelope at one n.
+    """Evaluate the regime's bound at one n.
 
-    Sparse (p = 1/n): the upper envelope h(M); n * value stays bounded over
-    a sweep.  Dense (p = 1/sqrt(n)): ``dense_lower_bound`` with K, strictly
-    increasing in n but above the exact variance, so not a lower bound.
+    Sparse (p = 1/n): the upper bound h(M); n * value stays bounded over a
+    sweep.  Dense (p = 1/sqrt(n)): the lower bound h(K), strictly increasing
+    in n.
     """
     if n < 4:
         raise InvalidArgumentError(f"regime sweeps need n >= 4, got {n}")

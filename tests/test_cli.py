@@ -66,7 +66,8 @@ Claims pinned here:
       adversary's MSE, bit for bit
     - re-running any command byte-identically reproduces its output and the
       files it writes, with OPENBLAS_NUM_THREADS unset, 1 and 4, including
-      the least-squares witness of configs/feasibility_bd.json
+      the least-squares witness of configs/feasibility_bd.json (pinned by
+      acceptance criterion 8 in test_acceptance.py)
     - a block refuses, naming it, any key its kind does not read, and a
       top-level seed outside er-analysis, which no draw reads
     - the grammar is COMMAND --config PATH [--out PATH] [--set
@@ -112,13 +113,12 @@ def blas_env(threads=None):
     return env
 
 
-def run_cli(args, threads=None, cwd=None):
+def run_cli(args):
     return subprocess.run(
         [sys.executable, "-m", "interference_lab.cli", *args],
         capture_output=True,
         text=True,
-        env=blas_env(threads),
-        cwd=cwd,
+        env=blas_env(),
     )
 
 
@@ -256,6 +256,25 @@ def test_er_analysis_command(tmp_path):
     assert row[0] == "5" and row[2] == "sparse"
     assert float(row[5]) == pytest.approx(4.0 / 5)  # p=0 degenerate value
     assert float(row[6]) == 0.0
+
+
+def test_er_analysis_bounds_enclose_the_uniform_policy(tmp_path, capsys):
+    cfg = {
+        "cases": [{"n": 6, "p": 0.3}, {"n": 10, "p": 0.1}, {"n": 8, "p": 0.5}],
+        "k_lower": 0.999,
+        "m_upper": 1.0,
+        "policy": {"kind": "uniform"},
+        "reps": 2000,
+        "seed": 7,
+    }
+    assert cli.main(["er-analysis", "--config", write_config(tmp_path, "er.json", cfg)]) == 0
+    header, *lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 3
+    for line in lines:
+        row = dict(zip(header.split(","), line.split(",")))
+        slack = 3 * float(row["mc_stderr"])
+        h_lower, h_upper = float(row["h_lower"]), float(row["h_upper"])
+        assert h_lower - slack <= float(row["mc_mean"]) <= h_upper + slack, line
 
 
 def test_tables_command(tmp_path):
@@ -1299,67 +1318,3 @@ def test_equals_form_last_value_wins_and_sets_apply_in_order(tmp_path, capsys):
     # the other order leaves k_lower at NaN
     assert cli.main(argv[:-3] + ["--set", "k_lower=1.0", argv[-3]]) == 2
     assert capsys.readouterr().err == "error: k_lower: must be positive, got nan\n"
-
-
-@pytest.mark.parametrize(
-    "command,config",
-    [
-        ("moments", MOMENTS_CFG),
-        (
-            "feasibility",
-            {"design": {"design": "bd", "n": 3}, "estimand": {"kind": "ate"}, "grid": [0, 1]},
-        ),
-        (
-            "adversary",
-            {"design": {"design": "crd", "n": 6, "n_a": 3}, "estimator": {"kind": "diff_means"}, "m_upper": 1.0},
-        ),
-        (
-            "er-analysis",
-            {
-                "cases": [{"n": 6, "p": 0.3}],
-                "k_lower": 0.5,
-                "m_upper": 1.0,
-                "reps": 60,
-                "seed": 3,
-            },
-        ),
-        (
-            "regimes",
-            {"n_values": [8, 16], "k_lower": 1.0, "m_upper": 1.0},
-        ),
-        # the least-squares run that writes a witness, relative to the cwd
-        ("feasibility", json.loads((CONFIGS / "feasibility_bd.json").read_text())),
-    ],
-)
-def test_rerun_byte_identical_across_thread_counts(tmp_path, command, config):
-    cfg = write_config(tmp_path, "c.json", config)
-    outputs = []
-    for threads in (None, 1, 4):
-        cwd = tmp_path / f"run_{threads}"
-        cwd.mkdir()
-        result = run_cli([command, "--config", cfg], threads=threads, cwd=cwd)
-        assert result.returncode == 0, result.stderr
-        files = {path.name: path.read_bytes() for path in sorted(cwd.iterdir())}
-        outputs.append((result.stdout, files))
-    if "witness_csv" in config:
-        assert config["witness_csv"] in outputs[0][1]
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
-def test_tables_rerun_byte_identical(tmp_path):
-    (tmp_path / "g.txt").write_text("4\n0 1\n1 2\n")
-    cfg = write_config(
-        tmp_path,
-        "t.json",
-        {"unit": 1, "k": 1, "graph": {"path": str(tmp_path / "g.txt")}, "sweep_n": [64, 256]},
-    )
-    blobs = []
-    for threads in (None, 1, 4):
-        out_dir = tmp_path / f"t{threads}"
-        result = run_cli(["tables", "--config", cfg, "--out", str(out_dir)], threads=threads)
-        assert result.returncode == 0
-        blobs.append(
-            (out_dir / "structure_table.csv").read_bytes()
-            + (out_dir / "limits_table.csv").read_bytes()
-        )
-    assert blobs[0] == blobs[1] == blobs[2]

@@ -8,14 +8,15 @@ Claims pinned here:
       equal a plain-Python enumeration of every graph in exact rational
       arithmetic at n <= 5: bit for bit on dyadic edge probabilities, to
       1e-12 off the grid
-    - the variance oracle equals the moment-based exact reference
-      2c^2 [M1/n + (n-1)/n (M2 - P0)] up to n=10; n=11 is over the cap
+    - ``h_bound``, the exact reference R(c) = 2c^2 [M1/n + (n-1)/n (M2 - P0)],
+      equals the variance oracle to 1e-12 at n in 2..10; n=11 is over the cap
+    - the benchmark's Monte Carlo reference (``perfbench/checks.py``'s
+      ``mc_constant_reference``) agrees with ``h_bound`` to 1e-13
     - the variance oracle, which scans unit 0 and pair (0, 1) once each,
       equals bit for bit a scan of every unit and every pair term, since
       ER nodes are exchangeable
-    - the variance envelope: value 4 C^2/n at p=0, hand value at n=3,
-      monotone non-decreasing in p, and sandwiching the exact
-      graph-expected variance for separated outcome levels
+    - the variance bound: value 4 C^2/n at p=0, hand value at n=3,
+      monotone non-decreasing in p
     - sweep behavior: n * h bounded along p=1/n, strictly increasing lower
       bound along p=1/sqrt(n); a graph exactly on p=1/n classifies as
       sparse and one on p=1/sqrt(n) as dense
@@ -47,9 +48,11 @@ Claims pinned here:
       same stream
 """
 
+import importlib.util
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,20 +177,35 @@ def test_oracles_equal_every_graph_enumeration_off_dyadic(n):
     assert exhaustive_expected_variance(spec, 1.0) == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("n, p", [(8, 0.3), (10, 0.25), (10, 0.3)])
-def test_variance_oracle_matches_moment_reference(n, p):
-    # linearity of expectation over the per-graph closed form, constant c
-    spec = ERSpec(n, p)
-    c = 1.3
-    m1 = moment_two_pow_nbhd(spec)
-    m2 = moment_two_pow_shared(spec)
-    p0 = prob_no_common(spec)
-    want = 2 * c * c * (m1 / n + (n - 1) / n * (m2 - p0))
-    assert exhaustive_expected_variance(spec, c) == pytest.approx(want, rel=1e-12)
+ORACLE_P_GRID = [0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9, 1.0]
 
 
 @pytest.mark.parametrize("n", range(2, 11))
-@pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9, 1.0])
+@pytest.mark.parametrize("p", ORACLE_P_GRID)
+def test_variance_oracle_matches_moment_reference(n, p):
+    # linearity of expectation over the per-graph closed form, constant c
+    spec = ERSpec(n, p)
+    for c in (1.0, 1.37):
+        want = exhaustive_expected_variance(spec, c)
+        assert h_bound(c, spec) == pytest.approx(want, rel=1e-12)
+
+
+def test_benchmark_reference_is_h_bound():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(checks)
+    for n in range(2, 11):
+        for p in ORACLE_P_GRID:
+            spec = ERSpec(n, p)
+            for c in (1.0, 1.37):
+                assert checks.mc_constant_reference(spec, c) == pytest.approx(
+                    h_bound(c, spec), rel=1e-13
+                )
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("p", ORACLE_P_GRID)
 def test_variance_oracle_equals_every_term_scan(n, p):
     sizes = np.arange(n + 1)
     unit_term = np.ldexp(1.0, sizes) - 1.0
@@ -205,8 +223,8 @@ def test_variance_oracle_equals_every_term_scan(n, p):
 
 def test_h_bound_values():
     assert h_bound(1.0, ERSpec(5, 0.0)) == pytest.approx(4.0 / 5)
-    assert h_bound(1.0, ERSpec(3, 0.5)) == pytest.approx(8.5)
-    assert h_bound(2.0, ERSpec(3, 0.5)) == pytest.approx(34.0)  # scales as C^2
+    assert h_bound(1.0, ERSpec(3, 0.5)) == pytest.approx(20.0 / 3)
+    assert h_bound(2.0, ERSpec(3, 0.5)) == pytest.approx(80.0 / 3)  # scales as C^2
     with pytest.raises(InvalidArgumentError):
         h_bound(0.0, ERSpec(3, 0.5))
 
@@ -216,14 +234,6 @@ def test_h_bound_monotone_in_p(n):
     grid = [i * 0.05 for i in range(21)]
     values = [h_bound(1.0, ERSpec(n, p)) for p in grid]
     assert all(b >= a for a, b in zip(values, values[1:]))
-
-
-def test_h_bound_sandwiches_exact_value():
-    # constant outcome level separated from both declared bounds
-    k_lower, level, m_upper = 1.0, 2.0, 3.0
-    for p in (0.1, 0.3, 0.6):
-        exact = exhaustive_expected_variance(ERSpec(6, p), level)
-        assert h_bound(k_lower, ERSpec(6, p)) <= exact <= h_bound(m_upper, ERSpec(6, p))
 
 
 def test_exhaustive_variance_closed_form_at_p_zero():
@@ -250,7 +260,7 @@ def test_regime_reports():
     assert sparse.trend == "vanishing"
     dense = regime_report(100, "dense", 1.0, 1.0)
     assert dense.p == pytest.approx(0.1)
-    assert dense.value == pytest.approx(797.2148175292118)
+    assert dense.value == pytest.approx(507.2726707792203)
     assert dense.trend == "diverging"
     with pytest.raises(InvalidArgumentError):
         regime_report(2, "sparse", 1.0, 1.0)
@@ -277,7 +287,8 @@ def test_dense_sweep_strictly_increases():
 
 
 def test_dense_lower_bound_overflow_guard():
-    assert dense_lower_bound(10**6, 1.0) == math.inf
+    with pytest.raises(OverflowError):
+        dense_lower_bound(10**6, 1.0)
     assert expected_informative_fraction(ERSpec(10**6, 0.5)) == 0.0
 
 
@@ -375,7 +386,7 @@ def test_mc_constant_at_p_zero_is_degenerate():
     assert mc.mean == pytest.approx(4 * 2.0**2 / 5)
     assert mc.stderr == 0.0
     assert mc.reps_rejected == 0
-    # degenerate sandwich: the envelope at the same level coincides
+    # on the empty graph every replicate is the exact value h(2)
     assert mc.mean == pytest.approx(h_bound(2.0, ERSpec(5, 0.0)))
 
 
@@ -427,11 +438,7 @@ POLICIES = [ConstantOutcomes(1.37), UniformOutcomes(0.5, 1.0)]
 def test_mc_at_the_code_width_matches_the_moment_reference(spec):
     # the dense cases carry balls of up to CODE_BITS nodes; every replicate
     # must count, or the average leaves the ER law
-    n = spec.n
-    m1 = moment_two_pow_nbhd(spec)
-    m2 = moment_two_pow_shared(spec)
-    p0 = prob_no_common(spec)
-    want = 2 * (m1 / n + (n - 1) / n * (m2 - p0))  # c = 1
+    want = h_bound(1.0, spec)
     mc = mc_expected_variance(spec, ConstantOutcomes(1.0), reps=400, seed=7)
     assert (mc.reps_used, mc.reps_rejected) == (400, 0)
     assert abs(mc.mean - want) <= 3 * mc.stderr
