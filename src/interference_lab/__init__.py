@@ -34,9 +34,7 @@ from .designs import (
     enumerate_support,
 )
 from .er import (
-    DENSE,
     ORACLE_CAP,
-    SPARSE,
     ConstantOutcomes,
     ERSpec,
     MCVariance,

@@ -25,10 +25,9 @@ from pathlib import Path
 
 from .designs import Assignment, Design, check_enumerable
 from .er import (
-    DENSE,
-    SPARSE,
     ConstantOutcomes,
     ERSpec,
+    RegimeReport,
     UniformOutcomes,
     check_monte_carlo,
     classify_regime,
@@ -65,7 +64,7 @@ from .outcomes import (
 )
 
 
-def _csv_lines(header: list[str], rows: list[list]) -> str:
+def _csv_lines(header: list[str], rows: list) -> str:
     """The one CSV writer: a float prints as its shortest round-trip repr,
     which ``str`` gives."""
     return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
@@ -465,29 +464,8 @@ def cmd_regimes(cfg: dict, out: str | None) -> int:
     k_lower, m_upper = _levels(cfg)
     if m_upper < k_lower:
         raise ConfigError(f"m_upper: must be at least k_lower={k_lower}, got {m_upper}")
-    rows = []
-    for value in _sizes(cfg, "n_values"):
-        sparse = regime_report(value, SPARSE, k_lower, m_upper)
-        dense = regime_report(value, DENSE, k_lower, m_upper)
-        rows.append(
-            [
-                value,
-                sparse.p,
-                sparse.value,
-                value * sparse.value,
-                dense.p,
-                dense.value,
-            ]
-        )
-    header = [
-        "n",
-        "sparse_p",
-        "sparse_h",
-        "n_times_sparse_h",
-        "dense_p",
-        "dense_lower_bound",
-    ]
-    _emit(_csv_lines(header, rows), out)
+    rows = [regime_report(value, k_lower, m_upper) for value in _sizes(cfg, "n_values")]
+    _emit(_csv_lines(list(RegimeReport._fields), rows), out)
     return 0
 
 
@@ -505,10 +483,10 @@ _PROG = "interference-lab"
 _USAGE = f"usage: {_PROG} COMMAND --config PATH [--out PATH] [--set KEY=VALUE]...\n"
 _HELP = (
     _USAGE
-    + """
+    + f"""
 Exact analysis of randomized experiments under network interference
 
-commands: moments, feasibility, adversary, er-analysis, tables, regimes
+commands: {", ".join(_COMMANDS)}
 
 options:
   -h, --help       show this help message and exit

@@ -23,9 +23,10 @@ a fresh stream per replicate and draws n(n-1)/2 coins on each, where numpy
 starts streams and draws faster than ``_pcg64`` (which gives the costs);
 ``_pcg64`` still computes the replicate seeding.
 
-Closed forms are evaluated directly up to the float range and fall back to
-a log-space overflow guard beyond it (n up to 10^6 stays finite wherever
-the true value is finite in double precision).
+Closed forms are evaluated directly, and a power past the double range
+reads as inf.  Along p = 1/sqrt(n) the per-node moment M1 stays finite up
+to n = 503,518 and is inf from n = 503,519, where h, and with it the dense
+floor, raises OverflowError.
 """
 
 from __future__ import annotations
@@ -41,11 +42,6 @@ from .designs import CODE_BITS
 from .errors import CapacityError, InvalidArgumentError
 from .exact import _exact_sum, _weighted_square_sum
 from .graphs import Graph
-
-SPARSE = "sparse"
-DENSE = "dense"
-
-_EXP_OVERFLOW = 709.0  # exp() overflows just above this
 
 
 class _ERSpecFields(NamedTuple):
@@ -67,13 +63,15 @@ class ERSpec(_ERSpecFields):
 
 
 def _guarded_power(base: float, exponent: int) -> float:
-    """base**exponent with a log-space overflow guard (base >= 0, int exp
-    >= 0: every caller passes n - 1 or n - 2, and ``ERSpec`` has n >= 2)."""
-    if base == 0.0:
-        return 1.0 if exponent == 0 else 0.0
-    if exponent * math.log(base) > _EXP_OVERFLOW:
+    """base**exponent, or inf past the double range (base >= 0, int exp
+    >= 0: every caller passes n - 1 or n - 2, and ``ERSpec`` has n >= 2).
+    An exponent past the float range raises OverflowError, whatever the
+    base, since it converts before the power is taken."""
+    exponent = float(exponent)
+    try:
+        return base**exponent
+    except OverflowError:
         return math.inf
-    return base**exponent
 
 
 def moment_two_pow_nbhd(spec: ERSpec) -> float:
@@ -119,40 +117,35 @@ def dense_lower_bound(n: int, k_lower: float) -> float:
 
 
 class RegimeReport(NamedTuple):
-    """One point of an Example-style sweep: the exact variance bound at this
-    n and whether it vanishes or diverges with n."""
+    """One row of the regimes table, its field names the CSV header: the
+    upper bound h(M) along p = 1/n, where n * h stays bounded over a sweep,
+    and the floor h(K) along p = 1/sqrt(n), strictly increasing in n."""
 
     n: int
-    regime: str
-    p: float
-    value: float
-    trend: str
+    sparse_p: float
+    sparse_h: float
+    n_times_sparse_h: float
+    dense_p: float
+    dense_lower_bound: float
 
 
-def regime_report(n: int, regime: str, k_lower: float, m_upper: float) -> RegimeReport:
-    """Evaluate the regime's bound at one n.
-
-    Sparse (p = 1/n): the upper bound h(M); n * value stays bounded over a
-    sweep.  Dense (p = 1/sqrt(n)): the lower bound h(K), strictly increasing
-    in n.
-    """
+def regime_report(n: int, k_lower: float, m_upper: float) -> RegimeReport:
+    """Both regimes' bounds at one n."""
     if n < 4:
         raise InvalidArgumentError(f"regime sweeps need n >= 4, got {n}")
-    if regime == SPARSE:
-        p = 1.0 / n
-        return RegimeReport(n, SPARSE, p, h_bound(m_upper, ERSpec(n, p)), "vanishing")
-    if regime == DENSE:
-        p = 1.0 / math.sqrt(n)
-        return RegimeReport(n, DENSE, p, dense_lower_bound(n, k_lower), "diverging")
-    raise InvalidArgumentError(f"regime must be 'sparse' or 'dense', got {regime!r}")
+    sparse_p = 1.0 / n
+    sparse_h = h_bound(m_upper, ERSpec(n, sparse_p))
+    return RegimeReport(
+        n, sparse_p, sparse_h, n * sparse_h, 1.0 / math.sqrt(n), dense_lower_bound(n, k_lower)
+    )
 
 
 def classify_regime(spec: ERSpec) -> str:
     """Sparse at or below p = 1/n, dense at or above p = 1/sqrt(n)."""
     if spec.p <= 1.0 / spec.n:
-        return SPARSE
+        return "sparse"
     if spec.p >= 1.0 / math.sqrt(spec.n):
-        return DENSE
+        return "dense"
     return "intermediate"
 
 

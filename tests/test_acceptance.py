@@ -210,8 +210,9 @@ def test_criterion_6_example_regimes():
         dense_values = []
         n = 8
         while n <= 1024:
-            sparse_scaled.append(n * regime_report(n, "sparse", 1.0, 1.0).value)
-            dense_values.append(regime_report(n, "dense", 1.0, 1.0).value)
+            report = regime_report(n, 1.0, 1.0)
+            sparse_scaled.append(report.n_times_sparse_h)
+            dense_values.append(report.dense_lower_bound)
             n *= 2
         assert max(sparse_scaled) <= 3.0 * sparse_scaled[0]
         assert all(b > a for a, b in zip(dense_values, dense_values[1:]))

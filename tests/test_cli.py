@@ -1297,6 +1297,12 @@ def test_help_returns_0(capsys, argv):
     assert captured.err == ""
 
 
+def test_help_names_every_command(capsys):
+    assert cli.main(["--help"]) == 0
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("commands: ")]
+    assert line.removeprefix("commands: ").split(", ") == list(cli._COMMANDS)
+
+
 def test_equals_form_last_value_wins_and_sets_apply_in_order(tmp_path, capsys):
     out = tmp_path / "regimes.csv"
     argv = [

@@ -17,9 +17,13 @@ Claims pinned here:
       ER nodes are exchangeable
     - the variance bound: value 4 C^2/n at p=0, hand value at n=3,
       monotone non-decreasing in p
-    - sweep behavior: n * h bounded along p=1/n, strictly increasing lower
-      bound along p=1/sqrt(n); a graph exactly on p=1/n classifies as
-      sparse and one on p=1/sqrt(n) as dense
+    - one regimes row holds h(M) along p=1/n, n times it, and the dense
+      floor along p=1/sqrt(n) (the sweep's trends are acceptance criterion
+      6); a graph exactly on p=1/n classifies as sparse and one on
+      p=1/sqrt(n) as dense
+    - the closed forms stay finite up to the double limit: along
+      p=1/sqrt(n), M1 at n = 503,392 is finite and from n = 503,519 is inf,
+      where the dense floor raises OverflowError
     - the expected effective-treatment count, which is the per-node moment
       under a second name, and the informative fraction hit their analytic
       limits
@@ -254,42 +258,35 @@ def test_exhaustive_caps():
 
 
 def test_regime_reports():
-    sparse = regime_report(100, "sparse", 1.0, 1.0)
-    assert sparse.p == pytest.approx(0.01)
-    assert sparse.value == pytest.approx(h_bound(1.0, ERSpec(100, 0.01)))
-    assert sparse.trend == "vanishing"
-    dense = regime_report(100, "dense", 1.0, 1.0)
-    assert dense.p == pytest.approx(0.1)
-    assert dense.value == pytest.approx(507.2726707792203)
-    assert dense.trend == "diverging"
+    report = regime_report(100, 1.0, 1.0)
+    assert report.n == 100
+    assert report.sparse_p == 0.01
+    assert report.sparse_h == h_bound(1.0, ERSpec(100, 0.01))
+    assert report.n_times_sparse_h == 100 * report.sparse_h
+    assert report.dense_p == 0.1
+    assert report.dense_lower_bound == dense_lower_bound(100, 1.0) == 507.2726707792203
     with pytest.raises(InvalidArgumentError):
-        regime_report(2, "sparse", 1.0, 1.0)
-    with pytest.raises(InvalidArgumentError):
-        regime_report(16, "cluster", 1.0, 1.0)
-
-
-def test_sparse_sweep_stays_bounded():
-    values = []
-    n = 8
-    while n <= 1024:
-        values.append(n * regime_report(n, "sparse", 1.0, 1.0).value)
-        n *= 2
-    assert max(values) <= 3.0 * values[0]
-
-
-def test_dense_sweep_strictly_increases():
-    values = []
-    n = 8
-    while n <= 1024:
-        values.append(regime_report(n, "dense", 1.0, 1.0).value)
-        n *= 2
-    assert all(b > a for a, b in zip(values, values[1:]))
+        regime_report(2, 1.0, 1.0)
 
 
 def test_dense_lower_bound_overflow_guard():
     with pytest.raises(OverflowError):
         dense_lower_bound(10**6, 1.0)
     assert expected_informative_fraction(ERSpec(10**6, 0.5)) == 0.0
+
+
+def test_closed_forms_stay_finite_up_to_the_double_limit():
+    # along p = 1/sqrt(n), M1 = 2 (1+p)^(n-1) last fits a double at n = 503,518
+    finite = 503_392
+    assert moment_two_pow_nbhd(ERSpec(finite, 1 / math.sqrt(finite))) == 1.644165020845661e308
+    assert dense_lower_bound(finite, 1.0) == 6.532344657228009e302
+    overflowed = 503_519
+    assert moment_two_pow_nbhd(ERSpec(overflowed, 1 / math.sqrt(overflowed))) == math.inf
+    with pytest.raises(OverflowError):
+        dense_lower_bound(overflowed, 1.0)
+    # an n past the float range raises rather than reading as an overflowed power
+    with pytest.raises(OverflowError):
+        expected_informative_fraction(ERSpec(10**400, 0.5))
 
 
 def test_classify_regime():
