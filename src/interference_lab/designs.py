@@ -9,7 +9,8 @@ is therefore lexicographic with A sorting first, which fixes a canonical,
 reproducible iteration order.  Code 0 is the all-A vector and code 2^n - 1
 the all-B vector.  Blocks of codes are int64 arrays, so every array-side
 structure (outcome tables, neighborhood bitmasks) stops at ``CODE_BITS``
-units; ``restrict_codes`` gathers a node subset's bits from such a block.
+units; an outcome table reads such a block a byte at a time
+(``outcomes.PotentialOutcomeTable.observed``).
 
 Three designs are supported:
 
@@ -24,7 +25,7 @@ operations are pure; values are immutable.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -42,54 +43,17 @@ ENUMERATION_CAP = 14
 CODE_BITS = 63
 
 # Codes per `enumerate_support` block.  Each block costs a fixed count of
-# numpy calls (a few per run of the gather, per unit and per estimator), so
-# at n = 14 the exact layer is bound by call overhead, not arithmetic: an
-# n = 14 fair-coin MSE adversary makes 1820 gathers with 256-code blocks and
-# 476 with 1024.  Larger blocks save little more time and cost memory: the
-# difference in means' (block, 14) temporaries put peak RSS of the n = 14
-# crd adversary 0.8 MB (2.0%) above 256-code blocks at 2048, and 0.4 MB at
-# 1024.  Results do not depend on the block size.
+# numpy calls (a few per code byte in the outcome gather, a few per unit in
+# the estimator), so at n = 14 the exact layer is bound by call overhead,
+# not arithmetic.  `exact_moments` at n = 14 with 256 / 1024 / 4096-code
+# blocks (medians of 31 calls, 2-core x86-64): the exposure-weighted
+# estimator under bd on a k = 1 graph with 18 edges takes 7.8 / 3.7 / 3.3
+# ms, the difference in means under crd (n_a = 7) 1.6 / 1.4 / 1.6 ms.
+# Past 1024 the (block, 14) temporaries cost more than the calls they save:
+# 4096-code blocks raise both passes' tracemalloc peak to 1.18 MB (0.56 and
+# 0.41 MB at 1024) and the benchmark's enum-moments peak RSS by 1.1 MB.
+# Results do not depend on the block size.
 SUPPORT_BLOCK = 1024
-
-
-def restrict_codes(codes: np.ndarray, nodes: Sequence[int]) -> np.ndarray:
-    """Bit-pack the bits of an int64 block of ``codes`` at ``nodes``: bit
-    ``pos`` of each result is bit ``nodes[pos]`` of its code.
-
-    ``nodes`` splits into maximal runs of consecutive ascending nodes; a run
-    of ``length`` nodes from ``start`` that lands at bit ``pos`` contributes
-    ``((codes >> start) & (2^length - 1)) << pos``, and the runs are OR-ed.
-    An arbitrary-interference group (every unit) is one run, so its key is
-    the code itself; a no-interference group is one bit; a k-local ball is
-    a few runs.  No per-bit array is built.
-    """
-    key = None
-    pos = 0
-    for start, length in _runs(nodes):
-        part = (codes >> start) & ((1 << length) - 1)
-        if pos:
-            part <<= pos
-            key |= part
-        else:
-            key = part
-        pos += length
-    return np.zeros(len(codes), dtype=np.int64) if key is None else key
-
-
-def _runs(nodes: Sequence[int]) -> list[tuple[int, int]]:
-    """``nodes`` as maximal ``(start, length)`` runs of consecutive
-    ascending nodes, in the order given."""
-    runs: list[tuple[int, int]] = []
-    start = end = -1
-    for node in map(int, nodes):
-        if node != end:
-            if end >= 0:
-                runs.append((start, end - start))
-            start = node
-        end = node + 1
-    if end >= 0:
-        runs.append((start, end - start))
-    return runs
 
 
 def _arms_code(arms: str) -> int:

@@ -14,7 +14,7 @@ vector can move a unit's outcome:
 
 The structure induces, per unit i, a reference group G_i (the coordinate
 set) and a count of possible effective treatments (restrictions of the
-assignment to G_i, gathered by ``designs.restrict_codes``).  Under the
+assignment to G_i, read by ``PotentialOutcomeTable.observed``).  Under the
 fair-coin design every effective treatment is equally likely, so the share
 of assignments informative about a unit is one over that count.
 

@@ -8,14 +8,18 @@ length 2^|G_i| indexed by its effective-treatment key (the assignment
 restricted to the reference group G_i, bit-packed in ascending node order);
 NaN marks an entry that is not stored.  A unit's entry cannot depend on
 coordinates outside G_i, so structural consistency holds by construction,
-and memory is sum_i 2^|G_i| outcomes, at most ``TABLE_VALUE_CAP``.
-Arbitrary interference is the case where G_i is every unit and the key is
-the assignment code.
+and memory is sum_i 2^|G_i| outcomes, at most ``TABLE_VALUE_CAP``.  The
+arrays are segments of one flat array, and units given the same array
+object share its segment.  Arbitrary interference is the case where G_i is
+every unit and the key is the assignment code.
 
 Every read goes through one lookup, ``PotentialOutcomeTable.observed``,
 which gathers the outcomes an int64 block of assignment codes reveals; the
-single-assignment, boundary and solo reads are small blocks.  A table
-therefore holds at most ``designs.CODE_BITS`` units.  The estimands read
+single-assignment, boundary and solo reads are small blocks.  It finds
+every unit's flat position with one lookup per byte of the code in a byte
+index (256 rows per byte, one column per unit), built on the table's first
+read, so a table that is never read never builds it.  A table therefore
+holds at most ``designs.CODE_BITS`` units.  The estimands read
 through any lookup of that shape (``_estimand``), a table's or not, or of a
 batch of tables at once.
 
@@ -45,7 +49,7 @@ from typing import Union
 import numpy as np
 
 from ._pcg64 import uniform
-from .designs import CODE_BITS, Assignment, _arms_code, restrict_codes
+from .designs import CODE_BITS, Assignment, _arms_code
 from .errors import (
     CapacityError,
     IncompleteTableError,
@@ -115,20 +119,26 @@ class PotentialOutcomeTable:
         self.k_lower = k_lower
         self.m_upper = m_upper
         self._groups = _reference_groups(structure)
+        values = list(values)  # holds every given array, so their ids stay distinct
         if len(values) != structure.n:
             raise InvalidArgumentError(f"need one outcome array per unit, got {len(values)}")
-        self._values = []
+        # Units holding the same array object share one segment of one flat
+        # value array: (array, segment start) by the id of the given array.
+        segments: dict[int, tuple[np.ndarray, int]] = {}
+        starts, size = [], 0
         for i, (g, v) in enumerate(zip(self._groups, values)):
-            v = np.asarray(v, dtype=float)
-            if v.shape != (1 << len(g),):
-                raise InvalidArgumentError(f"unit {i} needs {1 << len(g)} outcomes, got {v.shape}")
-            self._values.append(v)
-        # Units sharing a reference group share its key:
-        # (group, [(unit, values)]) in order of each group's first unit.
-        shared: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}
-        for i, (g, v) in enumerate(zip(self._groups, self._values)):
-            shared.setdefault(tuple(g), []).append((i, v))
-        self._gathers = list(shared.items())
+            if id(v) not in segments:
+                a = np.asarray(v, dtype=float)
+                segments[id(v)] = (a, size)
+                size += a.size
+            a, start = segments[id(v)]
+            if a.shape != (1 << len(g),):
+                raise InvalidArgumentError(f"unit {i} needs {1 << len(g)} outcomes, got {a.shape}")
+            starts.append(start)
+        self._flat = np.concatenate([a for a, _ in segments.values()])
+        self._starts = np.array(starts, dtype=np.intp)
+        self._values = [self._flat[s : s + (1 << len(g))] for s, g in zip(starts, self._groups)]
+        self._lookup: tuple[np.ndarray, bool] | None = None  # built on the first read
         self._check_bounds()
 
     def _check_bounds(self) -> None:
@@ -148,39 +158,62 @@ class PotentialOutcomeTable:
         if self.m_upper is None and self.k_lower is None:
             return
         lo = self.k_lower if self.k_lower is not None else 0.0
-        for v in self._values:
-            # fmin/fmax skip unstored (NaN) slots; an all-NaN unit compares False.
-            smallest = float(np.fmin.reduce(v))
-            if smallest <= lo:
-                raise InvalidArgumentError(f"outcome {smallest} violates lower bound {lo}")
-            largest = float(np.fmax.reduce(v))
-            if self.m_upper is not None and largest >= self.m_upper:
-                raise InvalidArgumentError(
-                    f"outcome {largest} violates upper bound {self.m_upper}"
-                )
+        # fmin/fmax skip unstored (NaN) slots; an all-NaN table compares False.
+        smallest = float(np.fmin.reduce(self._flat))
+        if smallest <= lo:
+            raise InvalidArgumentError(f"outcome {smallest} violates lower bound {lo}")
+        largest = float(np.fmax.reduce(self._flat))
+        if self.m_upper is not None and largest >= self.m_upper:
+            raise InvalidArgumentError(f"outcome {largest} violates upper bound {self.m_upper}")
 
     @property
     def n(self) -> int:
         return self.structure.n
 
+    def _index(self) -> tuple[np.ndarray, bool]:
+        """The gather index, built on the first read, and whether every
+        outcome is stored.  Row 256 b + v holds, for each unit, what byte b
+        of a code adds to the unit's flat position when that byte reads v:
+        the byte's bits that fall in the unit's reference group, each at
+        its node's place in the sorted group, plus, in byte 0's rows, the
+        start of the unit's segment."""
+        if self._lookup is None:
+            n = self.n
+            nbytes = -(-n // 8)
+            bit = np.zeros((8 * nbytes, n), dtype=np.intp)  # what node k adds to unit i
+            for i, g in enumerate(self._groups):
+                bit[g, i] = 1 << np.arange(len(g))
+            index = np.zeros((nbytes, 256, n), dtype=np.intp)
+            index[0, 0] = self._starts
+            for rows, weights in zip(index, bit.reshape(nbytes, 8, n)):
+                for j, w in enumerate(weights):  # the values with top bit j
+                    np.add(rows[: 1 << j], w, out=rows[1 << j : 2 << j])
+            self._lookup = index.reshape(256 * nbytes, n), not np.isnan(self._flat).any()
+        return self._lookup
+
     def observed(self, codes: np.ndarray) -> np.ndarray:
         """The outcomes revealed by each of an int64 block of assignment
         codes: row r holds the n outcomes under ``codes[r]``.
 
-        This is the one outcome lookup; one key per distinct reference
-        group serves the whole block, and each unit gathers its outcomes by
-        that key.
+        This is the one outcome lookup.  Each unit's position in the flat
+        value array is the sum, over the code's bytes, of one row of the
+        byte index (``_index``); one gather at those positions reveals
+        every unit's outcome.
         """
-        y = np.empty((len(codes), self.n))
-        for g, units in self._gathers:
-            key = restrict_codes(codes, g)
-            for i, v in units:
-                y.T[i] = v[key]
-        missing = np.isnan(y)
-        if missing.any():  # argwhere alone costs several times more
-            row, i = np.argwhere(missing)[0]
-            z = Assignment(int(codes[row]), self.n)
-            raise IncompleteTableError(f"no outcome stored for unit {i} under {z.labels}")
+        index, complete = self._index()
+        at = index.take(codes & 255, axis=0)
+        for b in range(1, len(index) >> 8):
+            rows = codes >> 8 * b
+            rows &= 255
+            rows |= b << 8
+            at += index.take(rows, axis=0)
+        y = self._flat.take(at)
+        if not complete:
+            missing = np.isnan(y)
+            if missing.any():  # argwhere alone costs several times more
+                row, i = np.argwhere(missing)[0]
+                z = Assignment(int(codes[row]), self.n)
+                raise IncompleteTableError(f"no outcome stored for unit {i} under {z.labels}")
         return y
 
     def observed_vector(self, z: Assignment) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Design laws: support enumeration, the bit gather, exposure probabilities.
+"""Design laws: support enumeration, the code-bit gather, exposure probabilities.
 
 Claims pinned here:
     - an arm vector reads from its labels, unit 0 first, and refuses any
@@ -13,12 +13,15 @@ Claims pinned here:
       design kills everything with the wrong arm count
     - the exposure-weighted estimator's weight is 2^|ball|, the inverse of
       the fair-coin exposure probability counted by enumeration
-    - the bit gather packs the node bits in the order given, matches a
-      per-bit reference loop on int64 code blocks, and reads every bit of
-      a CODE_BITS-wide code; it equals that reference (``==``) on sorted
-      node lists built from runs of every length, on unsorted lists, on
-      the empty list, a single node and every unit, for codes up to
-      2^63 - 1
+    - the outcome gather (``PotentialOutcomeTable.observed``) keys each
+      unit by its reference group's bits in ascending node order, matches
+      the one-assignment reads on int64 code blocks, and reads every bit
+      of a CODE_BITS-wide code; each unit's revealed outcome is the entry
+      its own array stores at a per-bit reference loop's key (``==``) on
+      all three structures at up to CODE_BITS units, on groups that span
+      a byte boundary or hold node 62, on runs of consecutive nodes of
+      every length the table cap allows, on arrays shared by units and on
+      the rows of a 2-D array, for codes up to 2^63 - 1
 """
 
 import math
@@ -26,20 +29,26 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from interference_lab import (
+    Arbitrary,
     Assignment,
     CapacityError,
     Design,
     Graph,
     HorvitzThompson,
     InvalidArgumentError,
+    KLocal,
     NeighborhoodIndex,
+    NoInterference,
+    PotentialOutcomeTable,
     enumerate_support,
 )
-from interference_lab.designs import CODE_BITS, SUPPORT_BLOCK, restrict_codes
+from interference_lab.designs import CODE_BITS, SUPPORT_BLOCK
+from interference_lab.graphs import reference_group
+from interference_lab.outcomes import TABLE_VALUE_CAP
 
 
 def test_assignment_roundtrip():
@@ -64,79 +73,131 @@ def test_assignment_validation():
         Assignment.from_arms("")
 
 
-def test_restrict_code_ascending_order():
-    codes = np.array([Assignment.from_arms("ABAB").code], dtype=np.int64)
-    # nodes {1, 3} are both B -> sub-code 0b11
-    assert restrict_codes(codes, [1, 3]).tolist() == [0b11]
-    assert restrict_codes(codes, [0, 2]).tolist() == [0]
-    assert restrict_codes(codes, [0, 1]).tolist() == [0b10]
-    assert restrict_codes(codes, [1, 0]).tolist() == [0b01]  # bit pos holds nodes[pos]
-
-
-def test_restrict_codes_array_matches_scalar():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        n = int(rng.integers(1, 15))
-        nodes = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
-        codes = rng.integers(0, 1 << n, size=64, dtype=np.int64)
-        packed = restrict_codes(codes, nodes)
-        assert packed.dtype == np.int64
-        want = [sum(((c >> i) & 1) << pos for pos, i in enumerate(nodes)) for c in codes.tolist()]
-        assert packed.tolist() == want
-    # n = CODE_BITS: every odd unit and the top unit in arm B
-    wide = Assignment.from_arms("AB" * (CODE_BITS // 2) + "B")
-    codes = np.array([wide.code], dtype=np.int64)
-    assert restrict_codes(codes, [1, 2, CODE_BITS - 2, CODE_BITS - 1]).tolist() == [0b1101]
-    assert restrict_codes(codes, range(CODE_BITS)).tolist() == [wide.code]
-
-
 def _gather_reference(codes, nodes):
-    """The gather one code and one bit at a time, in Python integers."""
+    """The gather one code and one bit at a time, in Python integers: bit
+    ``pos`` of each key is bit ``nodes[pos]`` of its code."""
     return [sum(((c >> i) & 1) << pos for pos, i in enumerate(nodes)) for c in codes]
 
 
+def _keyed_values(structure, layout="own"):
+    """Outcome arrays for ``structure`` whose entries name their unit and
+    key exactly, 2^20 * unit + key, and each unit's sorted reference group.
+    The arrays are one per unit ("own"), one per group size held by every
+    unit of that size, whatever its group ("shared"), or the strided rows
+    of one 2-D array ("2d", for groups of one size)."""
+    groups = [sorted(reference_group(structure, i)) for i in range(structure.n)]
+    own = [float(i << 20) + np.arange(1 << len(g)) for i, g in enumerate(groups)]
+    if layout == "shared":
+        first: dict[int, int] = {}
+        return [own[first.setdefault(len(g), i)] for i, g in enumerate(groups)], groups
+    if layout == "2d":
+        return np.stack(own, axis=1).T, groups
+    return own, groups
+
+
+def _check_gather(structure, codes, layout="own"):
+    """``observed`` on a block of codes reveals, for every unit, the entry
+    its table stores at the per-bit reference key of its reference group;
+    returns the revealed block."""
+    values, groups = _keyed_values(structure, layout)
+    y = PotentialOutcomeTable(structure, values).observed(np.array(codes, dtype=np.int64))
+    assert y.shape == (len(codes), structure.n)
+    for i, g in enumerate(groups):
+        assert y[:, i].tolist() == [values[i][key] for key in _gather_reference(codes, g)]
+    return y
+
+
+def test_observed_keys_pack_the_group_in_ascending_node_order():
+    code = Assignment.from_arms("ABAB").code
+    # groups {0, 2} (both A: key 0) and {1, 3} (both B: key 0b11)
+    y = _check_gather(KLocal(Graph.from_edges(4, [(0, 2), (1, 3)]), 1), [code])
+    assert y[0].tolist() == [0, 1 << 20 | 0b11, 2 << 20, 3 << 20 | 0b11]
+    # group {0, 1}: bit pos holds the pos-th node in ascending order (A, B: key 0b10)
+    y = _check_gather(KLocal(Graph.from_edges(4, [(0, 1), (2, 3)]), 1), [code])
+    assert y[0].tolist() == [0b10, 1 << 20 | 0b10, 2 << 20 | 0b10, 3 << 20 | 0b10]
+
+
+def test_observed_block_matches_the_scalar_reads():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        n = int(rng.integers(1, 15))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2]
+        structure = KLocal(Graph.from_edges(n, pairs), int(rng.integers(1, 3)))
+        codes = rng.integers(0, 1 << n, size=64, dtype=np.int64).tolist()
+        y = _check_gather(structure, codes)
+        table = PotentialOutcomeTable(structure, _keyed_values(structure)[0])
+        for code, row in zip(codes, y.tolist()):
+            assert table.observed_vector(Assignment(code, n)).tolist() == row
+    # n = CODE_BITS: every odd unit and the top unit in arm B; unit 1's
+    # group {1, 2, 61, 62} spans the code's first and last bytes
+    wide = Assignment.from_arms("AB" * (CODE_BITS // 2) + "B")
+    graph = Graph.from_edges(CODE_BITS, [(1, 2), (1, CODE_BITS - 2), (1, CODE_BITS - 1)])
+    y = _check_gather(KLocal(graph, 1), [wide.code])
+    assert y[0, 1] == (1 << 20) + 0b1101
+    # an arbitrary group's key is the code itself
+    codes = list(range(1 << 14))
+    y = _check_gather(Arbitrary(14), codes, "2d")
+    assert (y - (np.arange(14) << 20) == np.array(codes)[:, None]).all()
+
+
 @st.composite
-def _sorted_runs(draw):
-    """A sorted node list made of maximal runs: gaps of at least one
-    missing node between runs of 1..CODE_BITS consecutive nodes."""
-    nodes: list[int] = []
-    node = draw(st.integers(0, CODE_BITS - 1))
-    while node < CODE_BITS:
-        length = draw(st.integers(1, CODE_BITS - node))
-        nodes.extend(range(node, node + length))
-        node += length + draw(st.integers(1, CODE_BITS))
-    return nodes
+def _gather_cases(draw):
+    """(structure, codes, layout): a structure of each kind at up to
+    CODE_BITS units whose table fits ``TABLE_VALUE_CAP`` (an arbitrary one
+    has at most 14 units; a k-local one is drawn on a random graph, or on
+    paths whose balls are runs of consecutive nodes), a block of 1 to 16
+    codes, and an array layout ("2d" only where every group has one size)."""
+    kind = draw(st.sampled_from(["none", "arbitrary", "k_local", "runs"]))
+    n = draw(st.integers(1, 14 if kind == "arbitrary" else CODE_BITS))
+    if kind == "none":
+        structure = NoInterference(n)
+    elif kind == "arbitrary":
+        structure = Arbitrary(n)
+    else:
+        if kind == "runs":  # consecutive nodes joined, runs split at the cuts
+            cuts = set(draw(st.lists(st.integers(1, n), max_size=8)))
+            edges = {(u, u + 1) for u in range(n - 1) if u + 1 not in cuts}
+        else:
+            edges = set()
+            for pair in draw(st.lists(st.integers(0, n * n - 1), max_size=n // 2)):
+                u, v = sorted(divmod(pair, n))
+                if u != v:
+                    edges.add((u, v))
+        k = draw(st.integers(1, 3 if kind == "runs" else 2))
+        structure = KLocal(Graph.from_edges(n, edges), k)
+        sizes = [len(reference_group(structure, i)) for i in range(n)]
+        assume(sum(1 << size for size in sizes) <= TABLE_VALUE_CAP)
+    codes = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=16))
+    one_size = kind != "k_local" and kind != "runs"
+    layout = draw(st.sampled_from(["own", "shared", "2d"] if one_size else ["own", "shared"]))
+    return structure, codes, layout
 
 
-_CODE_BLOCKS = st.lists(st.integers(0, (1 << CODE_BITS) - 1), min_size=1, max_size=16)
-_NODE_LISTS = st.one_of(
-    _sorted_runs(),
-    st.lists(st.integers(0, CODE_BITS - 1), unique=True, max_size=CODE_BITS),
-    st.permutations(range(CODE_BITS)),
-)
+_TOP = (1 << CODE_BITS) - 1
+_RUN_GRAPH = Graph.from_edges(CODE_BITS, [(u, u + 1) for u in range(CODE_BITS - 1)])
 
 
-@settings(derandomize=True, max_examples=300)
-@given(codes=_CODE_BLOCKS, nodes=_NODE_LISTS)
-@example(codes=[0, 1, (1 << CODE_BITS) - 1], nodes=[])
-@example(codes=[0, 1 << (CODE_BITS - 1), (1 << CODE_BITS) - 1], nodes=[CODE_BITS - 1])
-@example(codes=[0, 5, (1 << CODE_BITS) - 2], nodes=[0])
-@example(codes=[0, 12345, (1 << CODE_BITS) - 1], nodes=list(range(CODE_BITS)))
-def test_restrict_codes_equals_the_per_bit_reference(codes, nodes):
-    packed = restrict_codes(np.array(codes, dtype=np.int64), nodes)
-    assert packed.dtype == np.int64 and packed.shape == (len(codes),)
-    assert packed.tolist() == _gather_reference(codes, nodes)
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_gather_cases())
+@example(case=(NoInterference(CODE_BITS), [0, 1 << (CODE_BITS - 1), _TOP], "2d"))
+@example(case=(NoInterference(CODE_BITS), [0, 5, _TOP - 1], "shared"))
+@example(case=(KLocal(_RUN_GRAPH, 3), [0, 12345, 1 << (CODE_BITS - 1), _TOP], "own"))
+@example(case=(Arbitrary(14), [0, 12345, (1 << 14) - 1], "shared"))
+@example(case=(Arbitrary(1), [0, 1], "2d"))
+def test_observed_equals_the_per_bit_reference(case):
+    _check_gather(*case)
 
 
-def test_restrict_codes_runs_of_every_length():
+def test_observed_reads_runs_of_every_length():
+    # a star's center has the run [start, start + length) as its group,
+    # each leaf the two nodes {center, leaf}
     rng = np.random.default_rng(11)
     codes = rng.integers(0, 1 << CODE_BITS, size=32, dtype=np.int64).tolist()
-    codes += [0, (1 << CODE_BITS) - 1]
-    block = np.array(codes, dtype=np.int64)
-    for length in range(1, CODE_BITS + 1):
+    codes += [0, _TOP]
+    for length in range(1, 18):  # 2^17 outcomes for the center: within the table cap
         for start in {0, (CODE_BITS - length) // 2, CODE_BITS - length}:
-            nodes = list(range(start, start + length))
-            assert restrict_codes(block, nodes).tolist() == _gather_reference(codes, nodes)
+            star = [(start, leaf) for leaf in range(start + 1, start + length)]
+            _check_gather(KLocal(Graph.from_edges(CODE_BITS, star), 1), codes)
 
 
 def test_design_validation():

@@ -14,7 +14,9 @@ Claims pinned here:
     - the block gather over a support reveals the same outcomes as the
       one-assignment lookup, units sharing one value array read the same
       outcomes as copies of it, and an unstored entry fails loudly
-      through the gather
+      through the gather; its byte index is built on a table's first
+      read, not by the constructor, and at CODE_BITS units the boundary
+      read peaks below 1.25 times the index's 63 * 8 * 256 entries
     - declared bounds are finite, and outcomes lie strictly inside them
     - a table holds up to CODE_BITS units, the width of an int64
       assignment code; one unit more is a capacity error, raised by the
@@ -33,6 +35,7 @@ Claims pinned here:
 import gc
 import json
 import math
+import tracemalloc
 import warnings
 from itertools import product
 
@@ -282,6 +285,25 @@ def test_table_width_stops_at_the_code_bits(tmp_path):
     path.write_text('{"structure": {"kind": "no_interference", "n": %d}, "units": []}' % wide)
     with pytest.raises(CapacityError):
         PotentialOutcomeTable.from_json(path)
+
+
+def test_the_byte_index_is_built_on_the_first_read_and_no_larger_than_it_needs():
+    # the index has 256 rows per code byte and one column per unit: at
+    # n = CODE_BITS, 63 * 8 * 256 int64 entries, 1,032,192 bytes
+    index_bytes = CODE_BITS * 8 * 256 * np.dtype(np.intp).itemsize
+    tracemalloc.start()
+    try:
+        t = PotentialOutcomeTable.random(NoInterference(CODE_BITS), 0.0, 1.0, seed=0)
+        _, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        y_a, y_b = t.boundary_vectors()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built < index_bytes / 10  # the constructor builds no index
+    assert peak < 1.25 * index_bytes  # the first read builds it, with small temporaries
+    assert y_a.tolist() == [v[0] for v in t._values]
+    assert y_b.tolist() == [v[1] for v in t._values]
 
 
 def test_observed_vector_checks_the_assignment_size():
