@@ -55,7 +55,6 @@ from .er import (
 from .errors import (
     CapacityError,
     ConfigError,
-    FeasibilityPrecisionError,
     GraphFormatError,
     IdentityViolationError,
     IncompleteEstimatorError,

@@ -39,11 +39,5 @@ class GraphFormatError(InterferenceLabError, ValueError):
     """A graph file is malformed (self-loop, duplicate edge, bad index)."""
 
 
-class FeasibilityPrecisionError(InterferenceLabError):
-    """A feasibility residual fell between the feasible and infeasible
-    tolerances, or the constraint system is too ill-conditioned to certify
-    either way."""
-
-
 class ConfigError(InterferenceLabError, ValueError):
     """A run configuration is malformed or contains unknown keys."""

@@ -1,18 +1,22 @@
 """Existence certificates for unbiased estimators, and worst-case MSE tables.
 
-Unbiasedness must hold for *every* admissible outcome table, so a finite
-family of tables yields necessary conditions: one linear constraint per
-table on the unknown estimator values at the (assignment, observed-vector)
-pairs the family can produce.  Solving the stacked system by least squares
-either exhibits a witness estimator (tiny residual) or certifies that even
-the finite family is already contradictory (large residual), which settles
-the infinite problem a fortiori.
+The verdict is exact: an estimator unbiased on every table exists iff every
+assignment code the estimand reads (the two pure codes for the mean
+contrast, the n solo rows for the solo-treatment estimand) is in the
+support, and then the inverse-probability rule is one.  If a code it reads
+is not, two tables that differ only there reveal the same data but have
+different estimands.  The default witness family holds such a pair on every
+grid of two or more levels (compared as floats, so -0.0 and 0.0 are one);
+on a one-level grid every family table is constant, and so is an unbiased
+estimator.
 
-The default family is the smallest one that decides the question: tables
-constant at a grid level off the two pure assignments, with the pure rows
-sweeping constant vectors over the grid.  For the solo-treatment estimand
-the family additionally perturbs one single-treated row at a time, since
-constant tables cannot distinguish the single-treated assignments.
+The family: tables constant at a grid level off the two pure assignments,
+with the pure rows sweeping constant vectors over the grid, and for the
+solo-treatment estimand one single-treated row perturbed at a time.
+Unbiasedness on it is one linear constraint per table on the estimator's
+values at the (assignment, observed-vector) pairs it reveals; least squares
+on that system gives the certificate's minimum-norm witness, its residual,
+and the system's size and rank.
 
 Every family table is constant across units on each assignment row, so it
 is one length-2^n outcome column that all n units read, and the family is a
@@ -53,7 +57,6 @@ import numpy as np
 from .designs import Design, check_enumerable, enumerate_support
 from .errors import (
     CapacityError,
-    FeasibilityPrecisionError,
     IdentityViolationError,
     InvalidArgumentError,
     UnsupportedDesignError,
@@ -61,11 +64,15 @@ from .errors import (
 from .estimators import Estimator, TabularEstimator
 from .exact import _support_values, _weighted_square_sum
 from .graphs import Arbitrary
-from .outcomes import ATE, Estimand, PotentialOutcomeTable, SoloTreatmentEffect, _estimand
+from .outcomes import (
+    ATE,
+    Estimand,
+    PotentialOutcomeTable,
+    SoloTreatmentEffect,
+    _estimand,
+    _estimand_codes,
+)
 
-FEASIBLE_TOL = 1e-9
-INFEASIBLE_TOL = 1e-6
-_CONDITION_CAP = 1e10
 # The adversary's target M is approached within eps = _EPS_REL * M.
 _EPS_REL = 1e-6
 
@@ -79,17 +86,11 @@ FEASIBILITY_GRID_CAP = 4
 
 
 class FeasibilityCertificate(NamedTuple):
-    """Outcome of the least-squares existence check.
-
-    Feasible certificates carry a tabular witness whose design-expectation
-    reproduces the estimand on every family member within the feasibility
-    tolerance.  Infeasible certificates report the smallest attainable
-    residual over the family, which exceeds the infeasibility tolerance.
-    Both tolerances are relative to the largest |estimand value| over the
-    family, so the verdict does not depend on the grid's units; an offset
-    far above the grid's spread inflates the solo targets but not the
-    residual.  ``min_residual`` is in the grid's units, so on a subnormal
-    grid an infeasible one can read 0.0; the relative residual decides.
+    """Outcome of the existence check: the support verdict, with the
+    minimum-norm least-squares witness over the default family when
+    feasible.  ``min_residual`` is that solve's residual in the grid's
+    units, so on a subnormal grid it can read 0.0 for an infeasible case,
+    which the exact verdict makes harmless.
     """
 
     feasible: bool
@@ -194,7 +195,8 @@ def _constraint_system(
 def unbiased_feasibility(
     design: Design, estimand: Estimand, outcome_grid
 ) -> FeasibilityCertificate:
-    """Decide whether any estimator is unbiased across the default witness
+    """Decide whether any estimator is unbiased for the estimand under the
+    design, and solve for the minimum-norm witness over the default witness
     family built on the grid."""
     grid = tuple(float(v) for v in outcome_grid)
     if not grid:
@@ -212,8 +214,12 @@ def unbiased_feasibility(
     # levels scaled by the 2^shift that brings the largest |level| into [1, 2).
     shift = 1 - math.frexp(max(map(abs, grid)))[1]
     a, inverse, b, unknowns = _constraint_system(design, estimand, family, shift)
-    # The residual is judged relative to the largest target |b|, which no
-    # least-squares residual exceeds by more than sqrt(len(b)).
+    # every support code reveals every level, so the unknowns' codes are
+    # the support (compared by ==, since np.isin would import numpy.ma)
+    read = _estimand_codes(estimand, design.n)
+    feasible = len(set(grid)) < 2 or bool((read[:, None] == unknowns[:, 0]).any(axis=1).all())
+    # The residual is measured relative to the largest target |b| and
+    # reported in the grid's units.
     top = float(np.max(np.abs(b))) or 1.0
     # Members of a merged column share one value: weighting each column by
     # the square root of its member count k keeps a a^T, hence the rank,
@@ -223,12 +229,7 @@ def unbiased_feasibility(
     weight = np.sqrt(np.bincount(inverse))
     a *= weight
     rcond = np.finfo(float).eps * max(a.shape[0], len(inverse))
-    merged, _, rank, singular = np.linalg.lstsq(a, b, rcond=rcond)
-    if rank > 0 and singular[0] / singular[rank - 1] > _CONDITION_CAP:
-        raise FeasibilityPrecisionError(
-            f"constraint system too ill-conditioned to certify "
-            f"(cond ~ {singular[0] / singular[rank - 1]:.2e})"
-        )
+    merged, _, rank, _ = np.linalg.lstsq(a, b, rcond=rcond)
     relative = float(np.linalg.norm((a @ merged - b) / top))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
         solution = np.ldexp((merged / weight)[inverse], -shift)
@@ -237,12 +238,6 @@ def unbiased_feasibility(
         raise OverflowError(
             f"feasibility witness or residual past the double range on grid {list(grid)}"
         )
-    if FEASIBLE_TOL < relative <= INFEASIBLE_TOL:
-        raise FeasibilityPrecisionError(
-            f"residual {relative:.3e} (relative to the largest target |b|) falls between "
-            f"the feasible ({FEASIBLE_TOL:.0e}) and infeasible ({INFEASIBLE_TOL:.0e}) tolerances"
-        )
-    feasible = relative <= FEASIBLE_TOL
     witness = None
     if feasible:
         keys = [(int(code), (level,) * design.n) for code, level in unknowns.tolist()]

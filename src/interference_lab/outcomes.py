@@ -355,27 +355,34 @@ def estimand_value(estimand: Estimand, table: PotentialOutcomeTable) -> float:
     return float(_estimand(estimand, table.observed, table.n))
 
 
+def _estimand_codes(estimand: Estimand, n: int) -> np.ndarray:
+    """The int64 codes the estimand reads: all-A and all-B for the mean
+    contrast; for the solo estimand, row i assigns arm A to unit i alone."""
+    all_b = (1 << n) - 1
+    if isinstance(estimand, AverageTreatmentEffect):
+        return np.array([0, all_b], dtype=np.int64)
+    if isinstance(estimand, SoloTreatmentEffect):
+        return all_b ^ (1 << np.arange(n, dtype=np.int64))
+    raise InvalidArgumentError(f"unknown estimand {estimand!r}")
+
+
 def _estimand(estimand: Estimand, observed, n: int) -> float | np.ndarray:
     """The estimand on the n outcomes per code that the lookup ``observed``
     reveals, as ``PotentialOutcomeTable.observed`` does, as a numpy float.  A
     lookup that reveals a batch of tables along leading axes gets one value
     per table, each the value its table alone would get.  A value past the
     double range raises OverflowError."""
+    y = observed(_estimand_codes(estimand, n))
     if isinstance(estimand, AverageTreatmentEffect):
-        y = observed(np.array([0, (1 << n) - 1], dtype=np.int64))
         with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
             # each row contiguous, so its sum is the pairwise one np.mean
             # takes of the row alone
             means = np.add.reduce(np.ascontiguousarray(y), axis=-1) / n
             value = means[..., 0] - means[..., 1]
-    elif isinstance(estimand, SoloTreatmentEffect):
-        # row i is the vector assigning arm A to unit i alone
-        y = observed(((1 << n) - 1) ^ (1 << np.arange(n, dtype=np.int64)))
+    else:
         diagonal = np.diagonal(y, axis1=-2, axis2=-1)
         sums = [math.fsum(row) for row in diagonal.reshape(-1, n).tolist()]
         value = np.reshape(sums, diagonal.shape[:-1]) / n
-    else:
-        raise InvalidArgumentError(f"unknown estimand {estimand!r}")
     if not np.isfinite(value).all():
         raise OverflowError("estimand value past the double range")
     return value

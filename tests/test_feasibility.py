@@ -1,8 +1,16 @@
 """Existence certificates for unbiased estimators.
 
 Claims pinned here:
+    - the verdict is exact: a case is infeasible iff two tables of the
+      default witness family reveal == outcomes at every support code and
+      have different estimands, the estimands compared as Fractions (bd,
+      cbd and crd with every n_a at n <= 8, both estimands, grids with both
+      zeros and levels that are not binary fractions, and offset grids)
+    - crd with n_a > 1 never reveals a solo row, so the solo estimand is
+      infeasible on [L, L + 1] for L from 1e6 to 1e15 and -1e10, n = 3 to
+      8, with no warning
     - designs that kill the two pure assignments admit no unbiased rule for
-      the mean contrast (infeasible, residual well above tolerance)
+      the mean contrast (infeasible, residual above 1e-6)
     - the fair-coin design is feasible for the mean contrast and for the
       solo-treatment estimand; witnesses reproduce the estimand on every
       family member
@@ -42,9 +50,9 @@ Claims pinned here:
       same; the residual and the witness match the dense least-squares
       solve within 1e-12 of the largest |b| and |x|, merged unknowns get
       equal values, and the witness reproduces every family table's
-      estimand within FEASIBLE_TOL; the system is pinned at n = 8 too, and
-      on subnormal and near-overflow levels (5e-324, 1e-310, +-1e307) next
-      to both zeros, where the system alone is compared
+      estimand within 1e-9 of the largest |b|; the system is pinned at
+      n = 8 too, and on subnormal and near-overflow levels (5e-324, 1e-310,
+      +-1e307) next to both zeros, where the system alone is compared
     - bd solo on four levels at n = 14 (232 tables, 65,536 unknowns) is
       feasible with rank 52 and peaks below 150 MB under tracemalloc, which
       the dense float matrix alone (122 MB) would break
@@ -66,6 +74,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +92,6 @@ from interference_lab import (
     DifferenceInMeans,
     ERSpec,
     FeasibilityCertificate,
-    FeasibilityPrecisionError,
     HorvitzThompson,
     InvalidArgumentError,
     NeighborhoodIndex,
@@ -102,10 +110,7 @@ from interference_lab import (
 from interference_lab.estimators import observed_key
 from interference_lab.exact import _support_values, _weighted_square_sum
 from interference_lab.feasibility import (
-    _CONDITION_CAP,
     FEASIBILITY_GRID_CAP,
-    FEASIBLE_TOL,
-    INFEASIBLE_TOL,
     _constraint_system,
     _revealed,
 )
@@ -146,8 +151,8 @@ def test_verdict_does_not_depend_on_the_grid_scale(low, high):
         bd = unbiased_feasibility(Design("bd", 3), ATE, [low, high])
         crd = unbiased_feasibility(Design("crd", 3, 1), ATE, [low, high])
         solo = unbiased_feasibility(Design("crd", 3, 1), SoloTreatmentEffect(), [low, high])
-    assert bd.feasible and bd.min_residual <= FEASIBLE_TOL * spread
-    assert solo.feasible and solo.min_residual <= FEASIBLE_TOL * max(abs(low), abs(high))
+    assert bd.feasible and bd.min_residual <= 1e-9 * spread
+    assert solo.feasible and solo.min_residual <= 1e-9 * max(abs(low), abs(high))
     assert not crd.feasible
     assert crd.min_residual == pytest.approx(2.0 * spread, rel=1e-12)
 
@@ -473,20 +478,13 @@ def test_system_equals_the_dict_build(n, kind, solo, grid):
     inverse, a_ref, b_ref, columns = _check_system(design, estimand, family)
 
     # the dense least-squares reference, on the unmerged matrix
-    solution, _, rank, singular = np.linalg.lstsq(a_ref, b_ref, rcond=None)
+    solution, _, rank, _ = np.linalg.lstsq(a_ref, b_ref, rcond=None)
     # judged relative to the largest |b|, reported in the grid's units
     scale = float(np.max(np.abs(b_ref))) or 1.0
     relative = float(np.linalg.norm((a_ref @ solution - b_ref) / scale))
-    try:
-        cert = unbiased_feasibility(design, estimand, grid)
-    except FeasibilityPrecisionError:
-        assert rank > 0 and (
-            singular[0] / singular[rank - 1] > _CONDITION_CAP
-            or FEASIBLE_TOL < relative <= INFEASIBLE_TOL
-        )
-        return
+    cert = unbiased_feasibility(design, estimand, grid)
     assert cert.rank == rank
-    assert cert.feasible == (relative <= FEASIBLE_TOL)
+    assert cert.feasible == (relative <= 1e-9)
     assert cert.n_unknowns == len(columns)
     # the merged solve rounds differently from the dense one
     assert abs(cert.min_residual - scale * relative) <= 1e-12 * scale
@@ -498,7 +496,7 @@ def test_system_equals_the_dict_build(n, kind, solo, grid):
         for group in range(inverse.max() + 1):
             assert len(set(x[inverse == group].tolist())) == 1
         # the witness reproduces every family table's estimand
-        assert np.abs(a_ref @ x - b_ref).max() <= FEASIBLE_TOL * scale
+        assert np.abs(a_ref @ x - b_ref).max() <= 1e-9 * scale
     else:
         assert cert.witness is None
 
@@ -532,6 +530,72 @@ def test_system_equals_the_dict_build_at_extreme_levels(design, solo, grid):
     # largest magnitudes, and both zeros, which group by float comparison
     estimand = SoloTreatmentEffect() if solo else ATE
     _check_system(design, estimand, default_witness_family(design.n, estimand, grid))
+
+
+_OFFSETS = (1e6, 1e8, 1e10, 1e12, 1e15, -1e10)
+
+
+def _exact_estimand(estimand, column):
+    """The estimand of the witness table ``column`` as a Fraction: the pure
+    rows' contrast, or the mean over units of each unit's solo row."""
+    n = len(column).bit_length() - 1
+    if isinstance(estimand, SoloTreatmentEffect):
+        solo = [column[(len(column) - 1) ^ (1 << unit)] for unit in range(n)]
+        return sum(map(Fraction, solo)) / n
+    return Fraction(column[0]) - Fraction(column[-1])
+
+
+def _refuted(design, estimand, family):
+    """Whether two family tables reveal == outcomes at every support code
+    and have different estimands, so that no estimator is unbiased on both."""
+    codes = np.concatenate([block for block, _ in enumerate_support(design)])
+    revealed = family[:, codes]
+    same = (revealed[:, None] == revealed[None]).all(axis=-1)
+    values = [_exact_estimand(estimand, column) for column in family]
+    return any(values[i] != values[j] for i, j in zip(*np.nonzero(same)))
+
+
+@st.composite
+def _designs(draw):
+    n = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["crd", "cbd", "bd"]))
+    return Design(kind, n, draw(st.integers(1, n - 1))) if kind == "crd" else Design(kind, n)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    design=_designs(),
+    solo=st.booleans(),
+    grid=st.one_of(
+        st.lists(
+            st.sampled_from(_LEVELS), min_size=1, max_size=FEASIBILITY_GRID_CAP, unique_by=repr
+        ),
+        st.sampled_from([(level, level + 1.0) for level in _OFFSETS]),
+    ),
+)
+@example(design=Design("crd", 4, 2), solo=True, grid=(1e10, 1e10 + 1.0))
+@example(design=Design("cbd", 3), solo=False, grid=[-0.0, 0.0])
+def test_infeasible_iff_two_family_tables_refute_every_estimator(design, solo, grid):
+    # no tolerance: the revealed outcomes compare with ==, the estimands
+    # exactly, so a mean that rounds to the same float hides nothing
+    estimand = SoloTreatmentEffect() if solo else ATE
+    family = default_witness_family(design.n, estimand, tuple(map(float, grid)))
+    cert = unbiased_feasibility(design, estimand, grid)
+    assert cert.feasible != _refuted(design, estimand, family)
+    assert (cert.witness is None) != cert.feasible
+
+
+@pytest.mark.parametrize("level", _OFFSETS)
+def test_crd_solo_is_infeasible_on_offset_grids(level):
+    # a solo row assigns arm A to one unit, which crd with n_a > 1 never
+    # does, however far the grid sits from zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(3, 9):
+            for n_a in range(2, n):
+                design = Design("crd", n, n_a)
+                cert = unbiased_feasibility(design, SoloTreatmentEffect(), [level, level + 1.0])
+                assert not cert.feasible and cert.witness is None, design
 
 
 def _adversary_columns(n, m):
