@@ -3,43 +3,32 @@
 The verdict is exact: an estimator unbiased on every table exists iff every
 assignment code the estimand reads (the two pure codes for the mean
 contrast, the n solo rows for the solo-treatment estimand) is in the
-support, and then the inverse-probability rule is one.  If a code it reads
-is not, two tables that differ only there reveal the same data but have
-different estimands.  The default witness family holds such a pair on every
-grid of two or more levels (compared as floats, so -0.0 and 0.0 are one);
-on a one-level grid every family table is constant, and so is an unbiased
-estimator.
+support, and then the inverse-probability rule (Horvitz and Thompson 1952)
+is one.  If a code it reads is not, two tables that differ only there
+reveal the same data but have different estimands.  The default witness
+family holds such a pair on every grid of two or more levels (compared as
+floats, so -0.0 and 0.0 are one); on a one-level grid every family table is
+constant, and so is an unbiased estimator.
+
+The witness is written from that rule, not solved for.  Its keys are every
+(support code, grid level) pair, the level as the vector every unit
+observes; with |S| the support size (every design law is uniform on its
+support, so 1/p), it takes |S| l at the all-A code and -|S| l at the all-B
+code for the mean contrast, |S| l / n at each solo row for the solo
+estimand, and 0 elsewhere, each rounded once from its exact value.
+On a one-level grid it is the constant estimand of the constant table: 0,
+or the level.
 
 The family: tables constant at a grid level off the two pure assignments,
 with the pure rows sweeping constant vectors over the grid, and for the
-solo-treatment estimand one single-treated row perturbed at a time.
-Unbiasedness on it is one linear constraint per table on the estimator's
-values at the (assignment, observed-vector) pairs it reveals; least squares
-on that system gives the certificate's minimum-norm witness, its residual,
-and the system's size and rank.
-
-Every family table is constant across units on each assignment row, so it
-is one length-2^n outcome column that all n units read, and the family is a
-(tables, 2^n) array.  The unknowns are the (code, level) pairs the family
-reveals, numbered by first appearance (table by table, codes ascending).
-The default family reveals every level at every support code, so the
-system is one comparison of each table's revealed level against each
-distinct level, compared as floats: -0.0 and 0.0 are one unknown that keeps
-the key it was first seen with.  Most unknowns are revealed by exactly the
-same tables (every code off the pure and solo rows, at each level), so no
-dense (tables, unknowns) matrix is built: the unknowns are grouped by their
-pattern of revealing tables, and least squares runs on one column per
-pattern, weighted by the square root of its member count.  Every member
-takes its column's value over that square root, which is the minimum-norm
-solution of the unmerged system.  The targets are computed for the whole
-family at once.
-
-The targets are computed on the levels scaled by the one power of two that
-brings the grid's largest |level| into [1, 2), and the witness and the
-residual are scaled back.  Every target is then below 4, so none overflows,
-and a grid below 1 is scaled up exactly, so its targets do not round in the
-subnormal range.  The unknowns and their keys keep the grid's own levels,
-which a shift down would flush on a grid spanning more than 2^1022.
+solo-treatment estimand one single-treated row perturbed at a time.  Every
+family table is constant across units on each assignment row, so it is one
+length-2^n outcome column that all n units read, and the family is a
+(tables, 2^n) array.  Unbiasedness on it is one linear constraint per table
+on an estimator's values at the (code, level) pairs it reveals.  Neither
+the verdict nor the witness reads that system: it is built only for the
+certificate's ``family_size``, ``n_unknowns`` and ``rank``, which perfbench's
+tracing records, and goes with them (ROADMAP item 4).
 
 Grid levels should be exact binary fractions so observed-vector keys never
 drift; the shipped defaults use {0, 1}.
@@ -80,21 +69,19 @@ _EPS_REL = 1e-6
 # estimand) and |grid| unknowns per support code, and its pattern comparison
 # grows as |grid|^4 2^n.  Four levels bound the worst case, bd solo at the
 # enumeration cap n = 14 (232 tables, 65,536 unknowns, rank 52), to about
-# 0.3 s and 110 MB peak RSS (2-core x86-64); n itself stops with the
-# enumeration.
+# 0.13 s and 111 MB peak RSS in a fresh process (2-core x86-64); n itself
+# stops with the enumeration.
 FEASIBILITY_GRID_CAP = 4
 
 
 class FeasibilityCertificate(NamedTuple):
-    """Outcome of the existence check: the support verdict, with the
-    minimum-norm least-squares witness over the default family when
-    feasible.  ``min_residual`` is that solve's residual in the grid's
-    units, so on a subnormal grid it can read 0.0 for an infeasible case,
-    which the exact verdict makes harmless.
+    """Outcome of the existence check: the support verdict, the size and
+    rank of the unbiasedness system over the default family, and when
+    feasible the inverse-probability witness, unbiased on every table up to
+    the rounding of each value to a double.
     """
 
     feasible: bool
-    min_residual: float
     family_size: int
     n_unknowns: int
     rank: int
@@ -103,7 +90,6 @@ class FeasibilityCertificate(NamedTuple):
     def to_json_dict(self) -> dict:
         return {
             "status": "feasible" if self.feasible else "infeasible",
-            "min_residual": self.min_residual,
             "family_size": self.family_size,
             "n_unknowns": self.n_unknowns,
             "rank": self.rank,
@@ -120,15 +106,11 @@ def _witness_column(n: int, off_value: float, rows: dict[int, float]) -> np.ndar
     return column
 
 
-def _revealed(columns: np.ndarray, n: int):
-    """The outcome lookup of the witness table ``columns`` on n units, shaped
+def _revealed(column: np.ndarray, n: int):
+    """The outcome lookup of the witness table ``column`` on n units, shaped
     as ``PotentialOutcomeTable.observed``: each code's entry repeated n
-    times, as a read-only view (no estimator writes to its outcomes).  A
-    family of columns, one per row, gives one such lookup per table along
-    the leading axis."""
-    return lambda codes: np.broadcast_to(
-        columns[..., codes, None], columns.shape[:-1] + (len(codes), n)
-    )
+    times, as a read-only view (no estimator writes to its outcomes)."""
+    return lambda codes: np.broadcast_to(column[codes, None], (len(codes), n))
 
 
 def default_witness_family(n: int, estimand: Estimand, grid: tuple[float, ...]) -> np.ndarray:
@@ -146,58 +128,35 @@ def default_witness_family(n: int, estimand: Estimand, grid: tuple[float, ...]) 
 
 
 def _constraint_system(
-    design: Design, estimand: Estimand, family: np.ndarray, shift: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The unbiasedness constraints of the family's witness columns, with
-    the unknowns that no table tells apart merged: ``(a, inverse, b,
-    unknowns)``.  Row j of ``unknowns`` is unknown j's key (the code, then
-    the level every unit observes), ``inverse[j]`` its column of ``a``, and
-    ``a[:, inverse] x = b`` the system with one row per table and one column
-    per unknown, its targets ``b`` in units of 2^-shift.
+    codes: np.ndarray, family: np.ndarray, levels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The unbiasedness constraints of the family's witness columns on the
+    support ``codes``, with the unknowns that no table tells apart merged:
+    ``(a, inverse)``, where ``a[:, inverse]`` is the 0/1 matrix with one row
+    per table and one column per unknown, and unknown c * len(levels) + l is
+    (codes[c], levels[l]).
 
-    A table reveals one level per support code, and each distinct (code,
-    level) pair is one unknown.  The default family reveals every level at
-    every code, so the unknowns are the support times the distinct levels,
-    and one comparison of each revealed level against each distinct level
-    marks the pairs each table reveals.  Levels compare as floats, so -0.0
-    and 0.0 are one level.  Unknowns are numbered by first appearance:
-    table by table in family order, codes ascending within a table, and
-    each keeps the level its first table reveals, signed zeros as first
-    seen.  ``a`` has one column per distinct pattern of revealing tables,
-    in the byte order of the packed patterns.
+    A table reveals one level per support code.  The default family reveals
+    every level at every code, so one comparison of each revealed level
+    against each distinct level marks the pairs each table reveals; levels
+    compare as floats, so -0.0 and 0.0 are one.  ``a`` has one column per
+    distinct pattern of revealing tables, in the byte order of the packed
+    patterns.
     """
-    blocks = list(enumerate_support(design))
-    # Every design law is uniform on its support, so each column of a row
-    # has coefficient p.
-    p = blocks[0][1]
-    codes = np.concatenate([block for block, _ in blocks])
     seen = family.T[codes]  # (codes, tables): each code's revealed levels
-    # every level shows at every code, so the first code's tables hold them
-    # all; levels are finite (the grid is checked), so != drops the repeats
-    levels = np.sort(seen[0])
-    levels = levels[np.concatenate(([True], levels[1:] != levels[:-1]))]
-    # row c * len(levels) + l: the tables that reveal level l at codes[c]
     hit = (seen[:, None, :] == levels[:, None]).reshape(-1, len(family))
     packed = np.packbits(hit, axis=1)
     patterns = packed.view(f"V{packed.shape[1]}").ravel()
     _, index, inverse = np.unique(patterns, return_index=True, return_inverse=True)
-    a = p * hit[index].T
-    # members of a column share their first table
-    first = a.argmax(axis=0)[inverse]
-    order = np.argsort(first, kind="stable")
-    position = order // len(levels)  # of each unknown's code in codes
-    keys = np.stack([codes[position], seen[position, first[order]]], axis=1)
-    revealed = _revealed(family, design.n)
-    b = _estimand(estimand, lambda codes: np.ldexp(revealed(codes), shift), design.n)
-    return a, inverse[order], b, keys
+    return hit[index].T, inverse
 
 
 def unbiased_feasibility(
     design: Design, estimand: Estimand, outcome_grid
 ) -> FeasibilityCertificate:
     """Decide whether any estimator is unbiased for the estimand under the
-    design, and solve for the minimum-norm witness over the default witness
-    family built on the grid."""
+    design, with the inverse-probability witness when one is.  A witness
+    value past the double range raises OverflowError."""
     grid = tuple(float(v) for v in outcome_grid)
     if not grid:
         raise InvalidArgumentError("outcome grid must be nonempty")
@@ -209,41 +168,50 @@ def unbiased_feasibility(
             f"feasibility grids capped at {FEASIBILITY_GRID_CAP} levels (got {len(grid)})"
         )
     check_enumerable(design)  # before the (tables, 2^n) family is allocated
-    family = default_witness_family(design.n, estimand, grid)
-    # Unbiasedness is linear in the outcomes: the targets are solved on the
-    # levels scaled by the 2^shift that brings the largest |level| into [1, 2).
-    shift = 1 - math.frexp(max(map(abs, grid)))[1]
-    a, inverse, b, unknowns = _constraint_system(design, estimand, family, shift)
-    # every support code reveals every level, so the unknowns' codes are
-    # the support (compared by ==, since np.isin would import numpy.ma)
-    read = _estimand_codes(estimand, design.n)
-    feasible = len(set(grid)) < 2 or bool((read[:, None] == unknowns[:, 0]).any(axis=1).all())
-    # The residual is measured relative to the largest target |b| and
-    # reported in the grid's units.
-    top = float(np.max(np.abs(b))) or 1.0
-    # Members of a merged column share one value: weighting each column by
-    # the square root of its member count k keeps a a^T, hence the rank,
-    # the singular values and the minimum-norm solution, whose members each
-    # take the column's value over sqrt(k).  rcond is the rank threshold of
-    # the unmerged (tables, unknowns) matrix.
-    weight = np.sqrt(np.bincount(inverse))
-    a *= weight
-    rcond = np.finfo(float).eps * max(a.shape[0], len(inverse))
-    merged, _, rank, _ = np.linalg.lstsq(a, b, rcond=rcond)
-    relative = float(np.linalg.norm((a @ merged - b) / top))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        solution = np.ldexp((merged / weight)[inverse], -shift)
-        residual = float(np.ldexp(top * relative, -shift))
-    if not (math.isfinite(residual) and np.isfinite(solution).all()):
-        raise OverflowError(
-            f"feasibility witness or residual past the double range on grid {list(grid)}"
-        )
-    witness = None
-    if feasible:
-        keys = [(int(code), (level,) * design.n) for code, level in unknowns.tolist()]
-        witness = TabularEstimator(dict(zip(keys, solution.tolist())))
-    return FeasibilityCertificate(
-        feasible, residual, len(family), len(inverse), int(rank), witness
+    n = design.n
+    family = default_witness_family(n, estimand, grid)
+    codes = np.concatenate([block for block, _ in enumerate_support(design)])
+    levels = list(dict.fromkeys(grid))  # -0.0 and 0.0 are one, as first seen
+    merged, _ = _constraint_system(codes, family, np.array(levels))
+    rank = int(np.linalg.matrix_rank(merged))
+    read = _estimand_codes(estimand, n)
+    # compared by ==, since np.isin would import numpy.ma
+    feasible = len(levels) < 2 or bool((read[:, None] == codes).any(axis=1).all())
+    witness = _witness(codes.tolist(), n, levels, estimand) if feasible else None
+    return FeasibilityCertificate(feasible, len(family), len(codes) * len(levels), rank, witness)
+
+
+def _witness(codes: list[int], n: int, levels: list[float], estimand: Estimand) -> TabularEstimator:
+    """The inverse-probability witness on the support ``codes`` for the
+    family on ``levels``: its value at (code, level l) is w l / d correctly
+    rounded, with w = |S| at the all-A code and -|S| at the all-B code for
+    the mean contrast (d = 1), w = |S| at each solo row for the solo
+    estimand (d = n), and w = 0 elsewhere.  On one level it is the constant
+    table's estimand: w = 0 for the mean contrast, w = d = 1 at every code
+    for the solo estimand."""
+    size, d = len(codes), 1
+    solo = isinstance(estimand, SoloTreatmentEffect)
+    if len(levels) < 2:
+        weights = dict.fromkeys(codes, 1) if solo else {}
+    elif solo:
+        weights, d = dict.fromkeys(_estimand_codes(estimand, n).tolist(), size), n
+    else:
+        weights = {0: size, (1 << n) - 1: -size}
+    ratios = [level.as_integer_ratio() for level in levels]
+    try:
+        # int / int rounds the exact quotient once
+        values = {
+            w: [w * num / (d * den) for num, den in ratios] for w in {0, *weights.values()}
+        }
+    except OverflowError:
+        raise OverflowError(f"feasibility witness past the double range on grid {levels}") from None
+    vectors = [(level,) * n for level in levels]
+    return TabularEstimator(
+        {
+            (code, vector): value
+            for code in codes
+            for vector, value in zip(vectors, values[weights.get(code, 0)])
+        }
     )
 
 
@@ -309,7 +277,7 @@ def mse_adversary(
     scored = []
     for column in candidates:
         observed = _revealed(column, n)
-        theta = float(_estimand(ATE, observed, n))
+        theta = _estimand(ATE, observed, n)
         values, p = _support_values(estimator, design, observed)
         scored.append((_weighted_square_sum(values, p, theta), column, theta))
     # max keeps the first of equal scores, so a tie goes to target 0

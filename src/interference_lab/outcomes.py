@@ -20,8 +20,7 @@ every unit's flat position with one lookup per byte of the code in a byte
 index (256 rows per byte, one column per unit), built on the table's first
 read, so a table that is never read never builds it.  A table therefore
 holds at most ``designs.CODE_BITS`` units.  The estimands read
-through any lookup of that shape (``_estimand``), a table's or not, or of a
-batch of tables at once.
+through any lookup of that shape (``_estimand``), a table's or not.
 
 Random tables do not load ``numpy.random``: they take numpy's
 ``default_rng(seed).uniform`` stream from the package's own PCG64
@@ -352,7 +351,7 @@ ATE = AverageTreatmentEffect()
 def estimand_value(estimand: Estimand, table: PotentialOutcomeTable) -> float:
     """Evaluate the estimand exactly on a table; a value past the double
     range raises OverflowError."""
-    return float(_estimand(estimand, table.observed, table.n))
+    return _estimand(estimand, table.observed, table.n)
 
 
 def _estimand_codes(estimand: Estimand, n: int) -> np.ndarray:
@@ -366,23 +365,19 @@ def _estimand_codes(estimand: Estimand, n: int) -> np.ndarray:
     raise InvalidArgumentError(f"unknown estimand {estimand!r}")
 
 
-def _estimand(estimand: Estimand, observed, n: int) -> float | np.ndarray:
+def _estimand(estimand: Estimand, observed, n: int) -> float:
     """The estimand on the n outcomes per code that the lookup ``observed``
-    reveals, as ``PotentialOutcomeTable.observed`` does, as a numpy float.  A
-    lookup that reveals a batch of tables along leading axes gets one value
-    per table, each the value its table alone would get.  A value past the
+    reveals, as ``PotentialOutcomeTable.observed`` does.  A value past the
     double range raises OverflowError."""
     y = observed(_estimand_codes(estimand, n))
     if isinstance(estimand, AverageTreatmentEffect):
         with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
             # each row contiguous, so its sum is the pairwise one np.mean
             # takes of the row alone
-            means = np.add.reduce(np.ascontiguousarray(y), axis=-1) / n
-            value = means[..., 0] - means[..., 1]
+            means = np.add.reduce(np.ascontiguousarray(y), axis=1) / n
+            value = float(means[0] - means[1])
     else:
-        diagonal = np.diagonal(y, axis1=-2, axis2=-1)
-        sums = [math.fsum(row) for row in diagonal.reshape(-1, n).tolist()]
-        value = np.reshape(sums, diagonal.shape[:-1]) / n
-    if not np.isfinite(value).all():
+        value = math.fsum(np.diagonal(y).tolist()) / n
+    if not math.isfinite(value):
         raise OverflowError("estimand value past the double range")
     return value

@@ -3,7 +3,7 @@ runtime budget.  Each test prints a single pass line on success; a failing
 criterion shows up as an ordinary pytest failure.
 
 Criterion 8 re-runs every command, the adversary under both of its designs
-(bd and crd), and the shipped least-squares config
+(bd and crd), and the shipped feasibility config
 ``configs/feasibility_bd.json`` with the witness it writes, in fresh
 processes with OPENBLAS_NUM_THREADS unset, 1 and 4, and compares stdout and
 written files byte for byte.
@@ -126,7 +126,7 @@ def test_criterion_2_feasibility_certificates():
         2,
         t,
         "crd/cbd infeasible "
-        f"(residuals {infeasible_crd.min_residual:.2f}/{infeasible_cbd.min_residual:.2f}), "
+        f"(ranks {infeasible_crd.rank}/{infeasible_cbd.rank}, no pure row in the support), "
         "bd feasible for both estimands",
     )
 
@@ -308,7 +308,7 @@ def test_criterion_8_byte_identical_cli(tmp_path):
     crd = dict(configs["adversary"], design={"design": "crd", "n": 6, "n_a": 3})
     (tmp_path / "adversary_crd.json").write_text(json.dumps(crd))
     runs.append(("adversary", tmp_path / "adversary_crd.json"))
-    # the shipped least-squares run, which writes its witness to the cwd
+    # the shipped feasibility run, which writes its witness to the cwd
     runs.append(("feasibility", CONFIGS / "feasibility_bd.json"))
     for command, cfg_path in runs:
         args = [command, "--config", str(cfg_path)]

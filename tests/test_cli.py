@@ -66,7 +66,7 @@ Claims pinned here:
       adversary's MSE, bit for bit
     - re-running any command byte-identically reproduces its output and the
       files it writes, with OPENBLAS_NUM_THREADS unset, 1 and 4, including
-      the least-squares witness of configs/feasibility_bd.json (pinned by
+      the witness of configs/feasibility_bd.json (pinned by
       acceptance criterion 8 in test_acceptance.py)
     - a block refuses, naming it, any key its kind does not read, and a
       top-level seed outside er-analysis, which no draw reads

@@ -10,7 +10,7 @@ Claims pinned here:
       infeasible on [L, L + 1] for L from 1e6 to 1e15 and -1e10, n = 3 to
       8, with no warning
     - designs that kill the two pure assignments admit no unbiased rule for
-      the mean contrast (infeasible, residual above 1e-6)
+      the mean contrast, and no witness
     - the fair-coin design is feasible for the mean contrast and for the
       solo-treatment estimand; witnesses reproduce the estimand on every
       family member
@@ -20,10 +20,18 @@ Claims pinned here:
       v from 2^-40 to 1e200, [L, L + 1] for L = 3e9, 1e10, -1e10, and the
       subnormal or near-subnormal grids [0, 5e-324], [5e-324, 1e-323] and
       [2.3e-308, 2.4e-308]: bd ATE and crd solo with n_a = 1 feasible, crd
-      ATE infeasible, no warning), and a witness or residual past the double
+      ATE infeasible, no warning), and a witness past the double
       range raises OverflowError
-    - scaling the grid by 2^k, k from -1021 to 1000, scales the residual
-      and every witness level and value by 2^k bit for bit, and leaves the
+    - the witness is exactly unbiased on those grids: its expectation over
+      the support, in Fractions, equals every family table's estimand
+    - on offset grids [L, L + 1], L in {1e6, 1e10, 1e15, -1e10}, the
+      witness's expectation in Fractions equals every family table's
+      estimand for the ATE and wherever n divides |S|, and is within
+      2^-52 relative otherwise (bd 3 to 8, cbd 5, crd with n_a = 1)
+    - crd and cbd ATE on [0, 1.7e308] read infeasible (n = 2 to 8), since
+      no witness value is computed for an infeasible case
+    - scaling the grid by 2^k, k from -1021 to 1000, scales every witness
+      level and value by 2^k bit for bit, and leaves the
       status, sizes and rank alone (bd, cbd, crd with n_a = 1 and n / 2,
       both estimands, five grids with both zeros among them); grids whose
       n-fold sums overflow decide as the named certificates say (crd (4, 2)
@@ -44,20 +52,16 @@ Claims pinned here:
       merged by their pattern of revealing tables, expands through its
       inverse into, bit for bit, the matrix a dict of (code, observed
       vector) keys builds from full-matrix tables, table by table, and no
-      two merged columns are equal; the right-hand side (on levels such as
-      0.1 and 1/3, whose n-fold mean is not the level, too), the unknowns
-      in order (signed zeros included), the rank and the verdict are the
-      same; the residual and the witness match the dense least-squares
-      solve within 1e-12 of the largest |b| and |x|, merged unknowns get
-      equal values, and the witness reproduces every family table's
-      estimand within 1e-9 of the largest |b|; the system is pinned at
-      n = 8 too, and on subnormal and near-overflow levels (5e-324, 1e-310,
-      +-1e307) next to both zeros, where the system alone is compared
+      two merged columns are equal; the unknowns (signed zeros included),
+      the sizes and the rank are the same; the witness's keys are the dict
+      build's, and it reproduces every family table's estimand (on levels
+      such as 0.1 and 1/3, whose n-fold mean is not the level, too) within
+      1e-9 of the largest |estimand|; the system is pinned at n = 8 too,
+      and on subnormal and near-overflow levels (5e-324, 1e-310, +-1e307)
+      next to both zeros, where the system alone is compared
     - bd solo on four levels at n = 14 (232 tables, 65,536 unknowns) is
       feasible with rank 52 and peaks below 150 MB under tracemalloc, which
       the dense float matrix alone (122 MB) would break
-    - the least-squares solve on merged columns uses the rank threshold of
-      the unmerged matrix, eps * max(tables, unknowns)
     - a witness column reads as the full (2^n, n) matrix, read-only, and
       the adversary's table serializes as that matrix does; the adversary's
       mse, floor and target equal, bit for bit, those of both candidate
@@ -74,6 +78,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -120,16 +125,7 @@ def test_infeasible_when_pure_vectors_have_no_mass():
     for design in (Design("crd", 3, 1), Design("cbd", 3), Design("cbd", 2), Design("crd", 4, 2)):
         cert = unbiased_feasibility(design, ATE, [0, 1])
         assert not cert.feasible
-        assert cert.min_residual > 1e-6
         assert cert.witness is None
-
-
-def test_crd_residual_value():
-    # all constraints for a fixed off-pure level share one left-hand side
-    # while the targets range over {-1, 0, 1}: least squares leaves
-    # sqrt(2) per level, i.e. residual 2 for the two-level grid.
-    cert = unbiased_feasibility(Design("crd", 3, 1), ATE, [0, 1])
-    assert cert.min_residual == pytest.approx(2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -140,21 +136,23 @@ def test_crd_residual_value():
 )
 def test_verdict_does_not_depend_on_the_grid_scale(low, high):
     # unbiasedness is linear in the outcomes, so the verdict on [low, high]
-    # is the verdict on [0, 1], whatever the grid's units or offset; the
-    # residual is reported in the grid's units.  The targets are computed
-    # on the levels scaled by one power of two into [1, 2), so the solo
-    # targets (sums of levels over n) never round in the subnormal range
-    # and least squares never sees subnormals.
-    spread = high - low
+    # is the verdict on [0, 1], whatever the grid's units or offset, and
+    # the witnesses (2^3 l at the pure rows, l at the solo rows) are exact
+    # on every family table, subnormal levels included
+    grid = (low, high)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bd = unbiased_feasibility(Design("bd", 3), ATE, [low, high])
-        crd = unbiased_feasibility(Design("crd", 3, 1), ATE, [low, high])
-        solo = unbiased_feasibility(Design("crd", 3, 1), SoloTreatmentEffect(), [low, high])
-    assert bd.feasible and bd.min_residual <= 1e-9 * spread
-    assert solo.feasible and solo.min_residual <= 1e-9 * max(abs(low), abs(high))
+        bd = unbiased_feasibility(Design("bd", 3), ATE, grid)
+        crd = unbiased_feasibility(Design("crd", 3, 1), ATE, grid)
+        solo = unbiased_feasibility(Design("crd", 3, 1), SoloTreatmentEffect(), grid)
     assert not crd.feasible
-    assert crd.min_residual == pytest.approx(2.0 * spread, rel=1e-12)
+    for cert, design, estimand in [
+        (bd, Design("bd", 3), ATE),
+        (solo, Design("crd", 3, 1), SoloTreatmentEffect()),
+    ]:
+        assert cert.feasible
+        for column in default_witness_family(3, estimand, grid):
+            assert _exact_expectation(cert, design, column) == _exact_estimand(estimand, column)
 
 
 _EQUIVARIANCE_GRIDS = ((0.0, 1.0), (0.0, 0.25, 0.5, 1.5), (-1.0, 1.5), (1.0,), (-0.0, 0.0, 1.25))
@@ -165,9 +163,9 @@ _EQUIVARIANCE_DESIGNS = (
 
 @pytest.mark.parametrize("grid", _EQUIVARIANCE_GRIDS, ids=repr)
 def test_certificates_scale_bit_for_bit_with_the_grid(grid):
-    # scaling the grid by 2^k scales the residual and the witness (levels
-    # and values) by 2^k exactly and leaves the rest alone, from the
-    # subnormal range (k = -1021) to the top of the double range (k = 1000)
+    # scaling the grid by 2^k scales the witness (levels and values) by 2^k
+    # exactly and leaves the rest alone, from the subnormal range
+    # (k = -1021) to the top of the double range (k = 1000)
     for design in _EQUIVARIANCE_DESIGNS:
         for estimand in (ATE, SoloTreatmentEffect()):
             base = unbiased_feasibility(design, estimand, grid)
@@ -176,8 +174,7 @@ def test_certificates_scale_bit_for_bit_with_the_grid(grid):
                 cert = unbiased_feasibility(design, estimand, scaled)
                 case = (design, estimand, grid, k)
                 assert cert.feasible == base.feasible, case
-                assert cert[2:5] == base[2:5], case
-                assert cert.min_residual == math.ldexp(base.min_residual, k), case
+                assert cert[1:4] == base[1:4], case
                 if not base.feasible:
                     assert cert.witness is None
                     continue
@@ -196,8 +193,8 @@ def test_grids_at_the_top_of_the_double_range_decide():
         warnings.simplefilter("error")
         crd = unbiased_feasibility(Design("crd", 4, 2), SoloTreatmentEffect(), [0, 1.7e308])
         bd = unbiased_feasibility(Design("bd", 3), ATE, [1.7e308])
-    assert not crd.feasible and crd.min_residual == pytest.approx(8.5e307, rel=1e-12)
-    assert bd.feasible and bd.min_residual == 0.0
+    assert not crd.feasible
+    assert bd.feasible
     assert set(bd.witness.mapping.values()) == {0.0}
 
 
@@ -212,26 +209,38 @@ def test_grids_wider_than_one_scale_keep_their_levels(grid, unknowns):
     assert {levels[0] for _, levels in cert.witness.mapping} == set(grid)
 
 
-def test_residual_past_the_double_range_overflows():
-    # the fair-coin witness at n = 6 weighs the level 1e307 by 2^6
+@pytest.mark.parametrize("n", [5, 6])
+def test_witness_past_the_double_range_overflows(n):
+    # the fair-coin witness weighs the level 1e307 by 2^n at the pure rows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowError, match="residual past the double range"):
-            unbiased_feasibility(Design("bd", 6), ATE, [0, 1e307])
+        with pytest.raises(OverflowError, match="witness past the double range"):
+            unbiased_feasibility(Design("bd", n), ATE, [0, 1e307])
+
+
+def test_mean_contrast_is_infeasible_at_the_top_of_the_double_range():
+    # crd and cbd never assign a pure row, so no witness is written and
+    # nothing past the double range is computed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(2, 9):
+            for design in [Design("cbd", n)] + [Design("crd", n, k) for k in range(1, n)]:
+                cert = unbiased_feasibility(design, ATE, [0, 1.7e308])
+                assert not cert.feasible and cert.witness is None, design
 
 
 def test_feasible_fair_coin_mean_contrast():
     for n in (2, 3):
         cert = unbiased_feasibility(Design("bd", n), ATE, [0, 1])
         assert cert.feasible
-        assert cert.min_residual <= 1e-9
-        assert cert.witness is not None
+        _witness_reproduces(cert, Design("bd", n), ATE, default_witness_family(n, ATE, (0.0, 1.0)))
 
 
 def test_feasible_fair_coin_solo_effect():
-    cert = unbiased_feasibility(Design("bd", 3), SoloTreatmentEffect(), [0, 1])
+    solo = SoloTreatmentEffect()
+    cert = unbiased_feasibility(Design("bd", 3), solo, [0, 1])
     assert cert.feasible
-    assert cert.min_residual <= 1e-9
+    _witness_reproduces(cert, Design("bd", 3), solo, default_witness_family(3, solo, (0.0, 1.0)))
 
 
 def _support(design):
@@ -366,25 +375,6 @@ def test_bd_solo_at_n_14_builds_no_dense_matrix():
     assert peak < 150e6
 
 
-def test_solve_uses_the_unmerged_rank_threshold(monkeypatch):
-    # merging columns leaves the singular values alone, so the solve keeps
-    # the (tables, unknowns) matrix's rank threshold eps * max(tables,
-    # unknowns); numpy's default would use the merged column count, here
-    # 16 times smaller
-    solves = []
-    lstsq = np.linalg.lstsq
-
-    def spy(a, b, rcond):
-        solves.append((a.shape, rcond))
-        return lstsq(a, b, rcond=rcond)
-
-    monkeypatch.setattr(np.linalg, "lstsq", spy)
-    cert = unbiased_feasibility(Design("bd", 6), ATE, [0, 1])
-    [(shape, rcond)] = solves
-    assert (cert.family_size, cert.n_unknowns) == (8, 128) and shape == (8, 6)
-    assert rcond == np.finfo(float).eps * 128
-
-
 def test_validation():
     with pytest.raises(InvalidArgumentError):
         unbiased_feasibility(Design("bd", 3), ATE, [])
@@ -440,23 +430,27 @@ def _reference_system(design, estimand, family):
 
 
 # -0.0 and 0.0 are distinct grid levels; the mean of n copies of 0.1, 1/3,
-# 7.7 or 3e9 + 0.1 need not be the level, so b's bits are checked
+# 7.7 or 3e9 + 0.1 need not be the level
 _LEVELS = (-0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, -1.0, 0.1, 1 / 3, 7.7, 3e9 + 0.1)
 
 
-def _check_system(design, estimand, family):
+def _check_system(design, estimand, grid):
     """The merged system against the dict build: its distinct columns
     expand through ``inverse`` into the dict build's matrix, no two of them
-    are equal, and the targets and the keys in order (signed zeros as
-    first seen) are the same.  Returns ``inverse`` and the dict build."""
-    a, inverse, b, unknowns = _constraint_system(design, estimand, family, 0)
+    are equal, the keys are the dict build's (signed zeros as first seen),
+    and the ranks are equal.  Returns the dict build."""
+    family = default_witness_family(design.n, estimand, grid)
+    blocks = list(enumerate_support(design))
+    codes, p = np.concatenate([block for block, _ in blocks]), blocks[0][1]
+    levels = list(dict.fromkeys(grid))
+    a, inverse = _constraint_system(codes, family, np.array(levels))
     a_ref, b_ref, columns = _reference_system(design, estimand, family)
-    assert np.array_equal(a[:, inverse], a_ref)
+    keys = [(code, (level,) * design.n) for code in codes.tolist() for level in levels]
+    assert repr(sorted(keys)) == repr(sorted(columns))
+    assert np.array_equal(p * a[:, inverse], a_ref[:, [columns[key] for key in keys]])
     assert len(np.unique(a, axis=1).T) == a.shape[1]
-    assert np.array_equal(b, b_ref)
-    keys = [(int(code), (level,) * design.n) for code, level in unknowns.tolist()]
-    assert repr(keys) == repr(list(columns))
-    return inverse, a_ref, b_ref, columns
+    assert np.linalg.matrix_rank(a) == np.linalg.matrix_rank(a_ref)
+    return a_ref, b_ref, columns
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -474,28 +468,17 @@ def _check_system(design, estimand, family):
 def test_system_equals_the_dict_build(n, kind, solo, grid):
     design = Design("crd", n, n // 2) if kind == "crd" else Design(kind, n)
     estimand = SoloTreatmentEffect() if solo else ATE
-    family = default_witness_family(n, estimand, tuple(grid))
-    inverse, a_ref, b_ref, columns = _check_system(design, estimand, family)
-
-    # the dense least-squares reference, on the unmerged matrix
-    solution, _, rank, _ = np.linalg.lstsq(a_ref, b_ref, rcond=None)
-    # judged relative to the largest |b|, reported in the grid's units
-    scale = float(np.max(np.abs(b_ref))) or 1.0
-    relative = float(np.linalg.norm((a_ref @ solution - b_ref) / scale))
+    a_ref, b_ref, columns = _check_system(design, estimand, tuple(grid))
     cert = unbiased_feasibility(design, estimand, grid)
-    assert cert.rank == rank
-    assert cert.feasible == (relative <= 1e-9)
-    assert cert.n_unknowns == len(columns)
-    # the merged solve rounds differently from the dense one
-    assert abs(cert.min_residual - scale * relative) <= 1e-12 * scale
+    assert cert.rank == np.linalg.matrix_rank(a_ref)
+    assert (cert.family_size, cert.n_unknowns) == a_ref.shape
     if cert.feasible:
-        assert repr(list(cert.witness.mapping)) == repr(list(columns))
-        x = np.array(list(cert.witness.mapping.values()))
-        assert np.abs(x - solution).max() <= 1e-12 * np.abs(solution).max()
-        # unknowns no table tells apart get one value
-        for group in range(inverse.max() + 1):
-            assert len(set(x[inverse == group].tolist())) == 1
+        assert repr(sorted(cert.witness.mapping)) == repr(sorted(columns))
+        x = np.zeros(len(columns))
+        for key, value in cert.witness.mapping.items():
+            x[columns[key]] = value
         # the witness reproduces every family table's estimand
+        scale = float(np.max(np.abs(b_ref))) or 1.0
         assert np.abs(a_ref @ x - b_ref).max() <= 1e-9 * scale
     else:
         assert cert.witness is None
@@ -508,9 +491,7 @@ def test_system_equals_the_dict_build(n, kind, solo, grid):
 )
 def test_system_equals_the_dict_build_at_n_8(design, unknowns):
     # the grouping above the hypothesis cases' six units, on both zeros
-    estimand = SoloTreatmentEffect()
-    family = default_witness_family(design.n, estimand, (-0.0, 0.0, 0.25, 1.5))
-    _, a_ref, _, _ = _check_system(design, estimand, family)
+    a_ref, _, _ = _check_system(design, SoloTreatmentEffect(), (-0.0, 0.0, 0.25, 1.5))
     assert a_ref.shape == (144, unknowns)
 
 
@@ -526,10 +507,9 @@ def test_system_equals_the_dict_build_at_n_8(design, unknowns):
     ids=["bd8-solo", "crd7-ate", "cbd5-solo", "bd3-ate", "crd4-solo"],
 )
 def test_system_equals_the_dict_build_at_extreme_levels(design, solo, grid):
-    # the system alone, on levels the solve cannot take: subnormals, the
-    # largest magnitudes, and both zeros, which group by float comparison
-    estimand = SoloTreatmentEffect() if solo else ATE
-    _check_system(design, estimand, default_witness_family(design.n, estimand, grid))
+    # the system alone, on subnormals, the largest magnitudes, and both
+    # zeros, which group by float comparison
+    _check_system(design, SoloTreatmentEffect() if solo else ATE, grid)
 
 
 _OFFSETS = (1e6, 1e8, 1e10, 1e12, 1e15, -1e10)
@@ -543,6 +523,16 @@ def _exact_estimand(estimand, column):
         solo = [column[(len(column) - 1) ^ (1 << unit)] for unit in range(n)]
         return sum(map(Fraction, solo)) / n
     return Fraction(column[0]) - Fraction(column[-1])
+
+
+def _exact_expectation(cert, design, column):
+    """The witness's expectation on the witness table ``column`` as a
+    Fraction: each support code's value at the level it reveals, weighted
+    by 1 / |S|."""
+    codes = np.concatenate([block for block, _ in enumerate_support(design)]).tolist()
+    levels = column.tolist()
+    values = Counter(cert.witness.mapping[(code, (levels[code],) * design.n)] for code in codes)
+    return sum(count * Fraction(value) for value, count in values.items()) / len(codes)
 
 
 def _refuted(design, estimand, family):
@@ -596,6 +586,34 @@ def test_crd_solo_is_infeasible_on_offset_grids(level):
                 design = Design("crd", n, n_a)
                 cert = unbiased_feasibility(design, SoloTreatmentEffect(), [level, level + 1.0])
                 assert not cert.feasible and cert.witness is None, design
+
+
+@pytest.mark.parametrize("level", [1e6, 1e10, 1e15, -1e10])
+def test_witness_is_unbiased_on_offset_grids_in_exact_arithmetic(level):
+    # E[tau] over the support, in Fractions, against each family table's
+    # estimand: the pure rows' |S| l is exact, and the solo rows' |S| l / n
+    # rounds once unless n divides |S|
+    grid = (level, level + 1.0)
+    designs = (
+        [Design("bd", n) for n in range(3, 9)]
+        + [Design("cbd", 5)]
+        + [Design("crd", n, 1) for n in range(3, 9)]
+    )
+    for design in designs:
+        size = sum(len(block) for block, _ in enumerate_support(design))
+        for estimand in (ATE, SoloTreatmentEffect()):
+            cert = unbiased_feasibility(design, estimand, grid)
+            assert cert.feasible == _certified(design, estimand), (design, estimand)
+            if not cert.feasible:
+                continue
+            exact = estimand is ATE or size % design.n == 0
+            for column in default_witness_family(design.n, estimand, grid):
+                target = _exact_estimand(estimand, column)
+                bias = _exact_expectation(cert, design, column) - target
+                if exact:
+                    assert bias == 0, (design, estimand)
+                else:
+                    assert abs(bias) <= abs(target) / 2**52, (design, estimand)
 
 
 def _adversary_columns(n, m):

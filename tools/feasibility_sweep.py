@@ -9,10 +9,9 @@ and the same against another checkout's ``src`` (``parent.jsonl``); then
 ``diff parent.jsonl change.jsonl`` lists every case whose certificate or
 refusal moved.  The cases are n = 2 to 12; bd, cbd and crd with every n_a;
 the ATE and the solo-treatment estimand; and the grids in ``GRIDS``.  A
-line holds the case, then the certificate (status, ``repr`` of
-``min_residual``, sizes, rank and a sha256 of the ``repr`` of the sorted
-witness mapping) or the exception's class and message.  The full sweep is
-3,872 cases, about 8 s on one x86-64 core.
+line holds the case, then the certificate (status, sizes, rank and a sha256
+of the ``repr`` of the sorted witness mapping) or the exception's class and
+message.  The full sweep is 3,872 cases, about 8 s on one x86-64 core.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ def case_line(design: Design, solo: bool, grid: tuple[float, ...]) -> str:
         case["error"] = [type(exc).__name__, str(exc)]
     else:
         case.update(cert.to_json_dict())
-        case["min_residual"] = repr(cert.min_residual)
         if cert.witness is not None:
             text = repr(sorted(cert.witness.mapping.items()))
             case["witness_sha256"] = hashlib.sha256(text.encode()).hexdigest()
