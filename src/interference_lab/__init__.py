@@ -6,15 +6,15 @@ potential-outcome tables under three interference structures with one block
 gather of revealed outcomes, estimators with one array body
 ``evaluate(codes, y)`` (``estimator(z, y_obs)`` runs it on one assignment),
 closed-form variance identities cross-checked against enumeration,
-exact existence certificates for unbiased estimators, worst-case MSE
+exact existence certificates for unbiased estimators, read off each
+design's support in closed form, worst-case MSE
 constructions, and random-graph moment formulas with exhaustive and Monte
 Carlo oracles.
 
 Importing the package before numpy sets ``OPENBLAS_NUM_THREADS=1`` unless
 the variable is already set, so BLAS runs on the calling thread: every BLAS
-call here is small (gemv rows of at most 63 entries, the rank of a matrix
-of a few hundred columns), and OpenBLAS's worker threads only cost start-up
-time.
+call here is small (gemv rows of at most 63 entries), and OpenBLAS's worker
+threads only cost start-up time.
 An explicit value is kept, and a caller that imported numpy first keeps its
 BLAS threads.  Results are the same at any BLAS thread count.
 """

@@ -19,11 +19,10 @@ import atexit
 import gc
 import json
 import math
-import struct
 import sys
 from pathlib import Path
 
-from .designs import Assignment, Design, check_enumerable
+from .designs import Design, check_enumerable
 from .er import (
     ConstantOutcomes,
     ERSpec,
@@ -45,7 +44,6 @@ from .estimators import (
     HorvitzThompson,
     PureArmIPW,
     SoloTreatedIPW,
-    TabularEstimator,
 )
 from .exact import exact_moments, neyman_variance_terms
 from .feasibility import mse_adversary, unbiased_feasibility
@@ -68,25 +66,6 @@ def _csv_lines(header: list[str], rows: list) -> str:
     """The one CSV writer: a float prints as its shortest round-trip repr,
     which ``str`` gives."""
     return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
-
-
-def _witness_csv(witness: TabularEstimator, n: int) -> str:
-    """A tabular estimator as CSV: one row per (assignment, observed vector)
-    pair, the vector's outcomes joined by ``|``.  Each code's labels and
-    each vector's join are formatted once; vectors are told apart by their
-    bytes, since -0.0 == 0.0 would share a dict entry."""
-    labels: dict[int, str] = {}
-    joins: dict[bytes, str] = {}
-    pack = struct.Struct(f"{n}d").pack
-    rows = []
-    for (code, y), v in sorted(witness.mapping.items()):
-        if code not in labels:
-            labels[code] = Assignment(code, n).labels
-        key = pack(*y)
-        if key not in joins:
-            joins[key] = "|".join(map(str, y))
-        rows.append([labels[code], joins[key], v])
-    return _csv_lines(["assignment", "ykey", "value"], rows)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -256,8 +235,12 @@ def _parse_table(cfg, structure, n: int) -> PotentialOutcomeTable:
     )
 
 
-def _parse_estimator(cfg, structure, n: int):
-    plain = dict(diff_means=DifferenceInMeans, pure_arm_ipw=PureArmIPW, solo_ipw=SoloTreatedIPW)
+def _parse_estimator(cfg, structure, design: Design):
+    plain = dict(
+        diff_means=DifferenceInMeans,
+        pure_arm_ipw=PureArmIPW,
+        solo_ipw=lambda: SoloTreatedIPW(design),
+    )
     kinds = {kind: {} for kind in plain}
     kinds.update(constant={"value": _NUM}, horvitz_thompson={"k": int, "graph": dict})
     kind = _check_kind(cfg, "estimator", kinds)
@@ -274,7 +257,8 @@ def _parse_estimator(cfg, structure, n: int):
             "estimator: horvitz_thompson needs a k_local structure or an inline graph"
         )
     k = _non_negative(cfg.get("k", 1), "estimator.k")
-    return HorvitzThompson(KLocal(_parse_graph(cfg["graph"], "estimator.graph", n), k).index)
+    graph = _parse_graph(cfg["graph"], "estimator.graph", design.n)
+    return HorvitzThompson(KLocal(graph, k).index)
 
 
 def _parse_estimand(cfg):
@@ -296,7 +280,7 @@ def cmd_moments(cfg: dict, out: str | None) -> int:
     design = _parse_design(cfg["design"])
     check_enumerable(design)  # before any graph is read or table drawn
     table = _parse_table(cfg["table"], cfg.get("structure"), design.n)
-    estimator = _parse_estimator(cfg["estimator"], table.structure, design.n)
+    estimator = _parse_estimator(cfg["estimator"], table.structure, design)
     estimand = _parse_estimand(cfg.get("estimand", {"kind": "ate"}))
     report = exact_moments(estimator, design, table, estimand)
     payload = report._asdict()
@@ -307,23 +291,14 @@ def cmd_moments(cfg: dict, out: str | None) -> int:
 
 
 def cmd_feasibility(cfg: dict, out: str | None) -> int:
-    _check_keys(
-        cfg,
-        "config",
-        {"design": dict, "estimand": dict, "grid": list},
-        {"witness_csv": str},
-    )
+    _check_keys(cfg, "config", {"design": dict, "estimand": dict, "grid": list}, {})
     design = _parse_design(cfg["design"])
     estimand = _parse_estimand(cfg["estimand"])
     grid = cfg["grid"]
     if not all(_is(v, _NUM) for v in grid):
         raise ConfigError("grid: entries must be numbers")
     certificate = unbiased_feasibility(design, estimand, grid)
-    payload = certificate.to_json_dict()
-    if certificate.feasible and cfg.get("witness_csv"):
-        Path(cfg["witness_csv"]).write_text(_witness_csv(certificate.witness, design.n))
-        payload["witness_csv"] = cfg["witness_csv"]
-    _emit(_json_text(payload), out)
+    _emit(_json_text(certificate.to_json_dict()), out)
     return 0
 
 
@@ -335,7 +310,7 @@ def cmd_adversary(cfg: dict, out: str | None) -> int:
         {"table_json": str},
     )
     design = _parse_design(cfg["design"])
-    estimator = _parse_estimator(cfg["estimator"], None, design.n)
+    estimator = _parse_estimator(cfg["estimator"], None, design)
     result = mse_adversary(estimator, design, float(cfg["m_upper"]))
     payload = result.to_json_dict()
     payload["estimator"] = cfg["estimator"]["kind"]

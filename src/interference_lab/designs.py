@@ -18,8 +18,11 @@ Three designs are supported:
 - ``bd``: each unit gets A or B by an independent fair coin;
 - ``cbd``: the fair-coin law conditioned on not being all-A or all-B.
 
-Exact support enumeration is capped at ``ENUMERATION_CAP`` units.  All
-operations are pure; values are immutable.
+Each law is stated once, as its support size (``support_size``) and a
+membership test on int64 codes (``in_support``); every law is uniform on its
+support.  Exact support enumeration is capped at ``ENUMERATION_CAP`` units,
+the membership test at ``CODE_BITS``.  All operations are pure; values are
+immutable.
 """
 
 from __future__ import annotations
@@ -138,26 +141,39 @@ def check_enumerable(design: Design) -> None:
         )
 
 
+def support_size(design: Design) -> int:
+    """|S|, the number of codes with positive probability: 2^n under bd,
+    2^n - 2 under cbd and C(n, n_a) under crd.  Every law is uniform on its
+    support, so each code has probability 1 / |S|."""
+    if design.kind == "crd":
+        return math.comb(design.n, design.n_a)  # type: ignore[arg-type]
+    return (1 << design.n) - (2 if design.kind == "cbd" else 0)
+
+
+def in_support(design: Design, codes: np.ndarray) -> np.ndarray:
+    """Whether each int64 code of the design's n units has positive
+    probability: every code under bd, all but all-A (0) and all-B
+    (2^n - 1) under cbd, and those with n - n_a units in arm B under crd."""
+    if design.kind == "crd":
+        return np.bitwise_count(codes) == design.n - design.n_a  # type: ignore[operator]
+    if design.kind == "cbd":
+        return (codes != 0) & (codes != (1 << design.n) - 1)
+    return np.ones(len(codes), dtype=bool)
+
+
 def enumerate_support(design: Design) -> Iterator[tuple[np.ndarray, float]]:
     """Yield the positive-probability vectors as ``(codes, p)``: ``codes`` an
     int64 block of at most ``SUPPORT_BLOCK`` codes, every code once, in
     ascending order across blocks, and ``p`` the probability of each.
 
-    This is the one statement of the three design laws; each is uniform on
-    its support, so one ``p`` serves every block.  Probabilities sum to 1
-    within 1e-12 over the enumerated support.  Raises ``CapacityError``
-    above ``ENUMERATION_CAP`` units.
+    The support is ``in_support``'s and ``p`` is 1 / ``support_size``, one
+    ``p`` for every block.  Probabilities sum to 1 within 1e-12 over the
+    enumerated support.  Raises ``CapacityError`` above ``ENUMERATION_CAP``
+    units.
     """
     check_enumerable(design)
-    n = design.n
-    codes = np.arange(1 << n, dtype=np.int64)
-    if design.kind == "bd":
-        p = 0.5 ** n
-    elif design.kind == "crd":
-        codes = codes[np.bitwise_count(codes) == n - design.n_a]  # type: ignore[operator]
-        p = 1.0 / math.comb(n, design.n_a)  # type: ignore[arg-type]
-    else:
-        codes = codes[1:-1]
-        p = 1.0 / float((1 << n) - 2)
+    codes = np.arange(1 << design.n, dtype=np.int64)
+    codes = codes[in_support(design, codes)]
+    p = 1 / support_size(design)  # int / int rounds once: 0.5**n under bd
     for start in range(0, len(codes), SUPPORT_BLOCK):
         yield codes[start : start + SUPPORT_BLOCK], p

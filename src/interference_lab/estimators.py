@@ -14,7 +14,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .designs import Assignment
+from .designs import Assignment, Design, support_size
 from .errors import IncompleteEstimatorError, InvalidArgumentError
 from .graphs import NeighborhoodIndex
 
@@ -107,17 +107,26 @@ class PureArmIPW:
 class SoloTreatedIPW:
     """Estimator supported on the n single-treated assignments.
 
-    When exactly one unit is in arm A, returns (2^n / n) times that unit's
-    observed outcome; otherwise 0.  Zero-offset unbiased rule for the
-    average solo-treatment effect under the fair-coin design.
+    When exactly one unit is in arm A, returns |S| / n times that unit's
+    observed outcome, with |S| the design's support size; otherwise 0.
+    Wherever the support holds every single-treated assignment (bd, cbd, and
+    crd with n_a = 1), each has probability 1 / |S|, and this is the
+    zero-offset unbiased rule for the average solo-treatment effect.
     """
 
+    def __init__(self, design: Design) -> None:
+        self.n = design.n
+        # int / int rounds once, so under bd this is 2.0**n / n bit for bit
+        self._weight = support_size(design) / design.n
+
     def evaluate(self, codes: np.ndarray, y: np.ndarray) -> np.ndarray:
-        n = y.shape[1]
+        n = self.n
+        if y.shape[1] != n:
+            raise InvalidArgumentError(f"outcomes for {y.shape[1]} units, design has n={n}")
         out = np.zeros(len(codes))
         for i in range(n):
             solo = codes == ((1 << n) - 1) ^ (1 << i)  # unit i alone in arm A
-            out[solo] = (2.0**n / n) * y[solo, i]
+            out[solo] = self._weight * y[solo, i]
         return out
 
     __call__ = _one_row
@@ -146,7 +155,7 @@ def observed_key(y_obs: Iterable[float]) -> tuple[float, ...]:
 
 class TabularEstimator:
     """A fully explicit estimator: a map from (assignment, observed vector)
-    pairs to values.  Feasibility witnesses come back in this form."""
+    pairs to values."""
 
     def __init__(self, mapping: dict[tuple[int, tuple[float, ...]], float]) -> None:
         self.mapping = dict(mapping)

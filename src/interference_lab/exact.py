@@ -11,6 +11,7 @@ might be partitioned.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -22,9 +23,15 @@ from .estimators import Estimator
 from .graphs import Graph, NeighborhoodIndex, NoInterference
 from .outcomes import Estimand, PotentialOutcomeTable, estimand_value
 
-# mse = variance + bias^2 is exact in real arithmetic; this is the slack we
-# tolerate from rounding before declaring the computation broken.
+# mse = variance + bias^2 is exact in real arithmetic.  Computed, mse and
+# the variance each lie within a few ulps of their own value, which
+# _IDENTITY_RTOL covers.  But the variance is centred on the computed
+# expectation, off by up to about eps * max|v| from the exact one, and that
+# moves mse - variance - bias^2 by up to about 3 eps * max(|v|, |theta|) *
+# |bias|: rounding noise of the summed values' size, not of mse's.  The
+# second term of the slack bounds it with a margin.
 _IDENTITY_RTOL = 1e-9
+_IDENTITY_SCALE_EPS = 8 * sys.float_info.epsilon
 
 
 class MomentReport(NamedTuple):
@@ -126,8 +133,11 @@ def exact_moments(
     expectation = _exact_sum(values * p)
     variance = _weighted_square_sum(values, p, expectation)
     mse = _weighted_square_sum(values, p, theta)
-    check = variance + (expectation - theta) ** 2
-    if abs(mse - check) > _IDENTITY_RTOL * max(1.0, abs(mse)):
+    bias = expectation - theta
+    check = variance + bias**2
+    scale = max(float(np.abs(values).max()), abs(theta))
+    slack = _IDENTITY_RTOL * max(1.0, abs(mse)) + _IDENTITY_SCALE_EPS * scale * abs(bias)
+    if abs(mse - check) > slack:
         raise IdentityViolationError(
             f"moment identity violated: mse={mse} vs var+bias^2={check}"
         )

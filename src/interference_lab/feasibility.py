@@ -3,54 +3,48 @@
 The verdict is exact: an estimator unbiased on every table exists iff every
 assignment code the estimand reads (the two pure codes for the mean
 contrast, the n solo rows for the solo-treatment estimand) is in the
-support, and then the inverse-probability rule (Horvitz and Thompson 1952)
-is one.  If a code it reads is not, two tables that differ only there
-reveal the same data but have different estimands.  The default witness
-family holds such a pair on every grid of two or more levels (compared as
-floats, so -0.0 and 0.0 are one); on a one-level grid every family table is
-constant, and so is an unbiased estimator.
-
-The witness is written from that rule, not solved for.  Its keys are every
-(support code, grid level) pair, the level as the vector every unit
-observes; with |S| the support size (every design law is uniform on its
-support, so 1/p), it takes |S| l at the all-A code and -|S| l at the all-B
-code for the mean contrast, |S| l / n at each solo row for the solo
-estimand, and 0 elsewhere, each rounded once from its exact value.
-On a one-level grid it is the constant estimand of the constant table: 0,
-or the level.
+support, and then an inverse-probability rule (Horvitz and Thompson 1952)
+is one: ``PureArmIPW`` for the mean contrast, whose pure codes only bd
+holds, and ``SoloTreatedIPW`` of the design for the solo estimand.  If a
+code it reads is not, two tables that differ only there reveal the same
+data but have different estimands.  The default witness family holds such a
+pair on every grid of two or more levels (compared as floats, so -0.0 and
+0.0 are one); on a one-level grid every family table is constant, and so is
+an unbiased estimator: the constant estimand of the constant table.  The
+verdict applies the design's membership test (``designs.in_support``) to
+the codes the estimand reads and enumerates nothing, so it decides at any
+n up to ``CODE_BITS``.
 
 The family: tables constant at a grid level off the two pure assignments,
 with the pure rows sweeping constant vectors over the grid, and for the
 solo-treatment estimand one single-treated row perturbed at a time.  Every
 family table is constant across units on each assignment row, so it is one
-length-2^n outcome column that all n units read, and the family is a
-(tables, 2^n) array.  Unbiasedness on it is one linear constraint per table
-on an estimator's values at the (code, level) pairs it reveals.  Neither
-the verdict nor the witness reads that system: it is built only for the
-certificate's ``family_size``, ``n_unknowns`` and ``rank``, which perfbench's
-tracing records, and goes with them (ROADMAP item 4).
-
-Grid levels should be exact binary fractions so observed-vector keys never
-drift; the shipped defaults use {0, 1}.
+length-2^n outcome column that all n units read, and
+``default_witness_family`` lays the family out as a (tables, 2^n) array.
+Unbiasedness on it is one linear constraint per table on an estimator's
+values at the (support code, level) pairs it reveals.  The certificate
+reports that system's size and rank, which perfbench's tracing records, in
+closed form; nothing builds the system.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
-from .designs import Design, check_enumerable, enumerate_support
+from .designs import CODE_BITS, Design, check_enumerable, in_support, support_size
 from .errors import (
     CapacityError,
     IdentityViolationError,
     InvalidArgumentError,
     UnsupportedDesignError,
 )
-from .estimators import Estimator, TabularEstimator
+from .estimators import ConstantEstimator, Estimator, PureArmIPW, SoloTreatedIPW
 from .exact import _support_values, _weighted_square_sum
 from .graphs import Arbitrary
 from .outcomes import (
@@ -65,35 +59,35 @@ from .outcomes import (
 # The adversary's target M is approached within eps = _EPS_REL * M.
 _EPS_REL = 1e-6
 
-# The system has |grid|^3 rows (plus n |grid| (|grid| - 1) for the solo
-# estimand) and |grid| unknowns per support code, and its pattern comparison
-# grows as |grid|^4 2^n.  Four levels bound the worst case, bd solo at the
-# enumeration cap n = 14 (232 tables, 65,536 unknowns, rank 52), to about
-# 0.13 s and 111 MB peak RSS in a fresh process (2-core x86-64); n itself
-# stops with the enumeration.
-FEASIBILITY_GRID_CAP = 4
-
 
 class FeasibilityCertificate(NamedTuple):
     """Outcome of the existence check: the support verdict, the size and
     rank of the unbiasedness system over the default family, and when
-    feasible the inverse-probability witness, unbiased on every table up to
-    the rounding of each value to a double.
+    feasible the witness, an estimator unbiased on every table:
+    ``PureArmIPW``, ``SoloTreatedIPW`` or, on a one-level grid,
+    ``ConstantEstimator``.  The JSON form prints the witness as the CLI
+    ``estimator`` block that builds it.
     """
 
     feasible: bool
     family_size: int
     n_unknowns: int
     rank: int
-    witness: TabularEstimator | None
+    witness: Estimator | None
 
     def to_json_dict(self) -> dict:
-        return {
+        doc = {
             "status": "feasible" if self.feasible else "infeasible",
             "family_size": self.family_size,
             "n_unknowns": self.n_unknowns,
             "rank": self.rank,
         }
+        if isinstance(self.witness, ConstantEstimator):
+            doc["witness"] = {"kind": "constant", "value": self.witness.value}
+        elif self.witness is not None:
+            kind = "solo_ipw" if isinstance(self.witness, SoloTreatedIPW) else "pure_arm_ipw"
+            doc["witness"] = {"kind": kind}
+        return doc
 
 
 def _witness_column(n: int, off_value: float, rows: dict[int, float]) -> np.ndarray:
@@ -127,92 +121,57 @@ def default_witness_family(n: int, estimand: Estimand, grid: tuple[float, ...]) 
     return np.array(family)
 
 
-def _constraint_system(
-    codes: np.ndarray, family: np.ndarray, levels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The unbiasedness constraints of the family's witness columns on the
-    support ``codes``, with the unknowns that no table tells apart merged:
-    ``(a, inverse)``, where ``a[:, inverse]`` is the 0/1 matrix with one row
-    per table and one column per unknown, and unknown c * len(levels) + l is
-    (codes[c], levels[l]).
-
-    A table reveals one level per support code.  The default family reveals
-    every level at every code, so one comparison of each revealed level
-    against each distinct level marks the pairs each table reveals; levels
-    compare as floats, so -0.0 and 0.0 are one.  ``a`` has one column per
-    distinct pattern of revealing tables, in the byte order of the packed
-    patterns.
-    """
-    seen = family.T[codes]  # (codes, tables): each code's revealed levels
-    hit = (seen[:, None, :] == levels[:, None]).reshape(-1, len(family))
-    packed = np.packbits(hit, axis=1)
-    patterns = packed.view(f"V{packed.shape[1]}").ravel()
-    _, index, inverse = np.unique(patterns, return_index=True, return_inverse=True)
-    return hit[index].T, inverse
-
-
 def unbiased_feasibility(
     design: Design, estimand: Estimand, outcome_grid
 ) -> FeasibilityCertificate:
     """Decide whether any estimator is unbiased for the estimand under the
-    design, with the inverse-probability witness when one is.  A witness
-    value past the double range raises OverflowError."""
+    design, with the inverse-probability witness when one is.
+
+    The system over the default family is sized in closed form, with G the
+    grid's length, L its distinct levels and |S| the support size.  Its
+    blocks are the all-A code, the all-B code and, for the solo estimand,
+    each solo row, each counted if it is a distinct support code, plus one
+    for the rest of the support if any is left: every family table reveals
+    one level on all of a block's codes.  With k blocks:
+
+    - ``family_size`` is G^3, plus for the solo estimand n times the ordered
+      pairs of grid entries that differ, G^2 - sum of each level's count
+      squared;
+    - ``n_unknowns`` is |S| L, one per (support code, distinct level);
+    - ``rank`` is 1 + (L - 1) k: the family reveals every combination of
+      block levels, and each row's entries sum to one on every block.
+
+    Raises ``CapacityError`` above ``CODE_BITS`` units, whose codes do not
+    fit an int64."""
     grid = tuple(float(v) for v in outcome_grid)
     if not grid:
         raise InvalidArgumentError("outcome grid must be nonempty")
     for idx, level in enumerate(grid):
         if not math.isfinite(level):
             raise InvalidArgumentError(f"grid[{idx}]: outcome levels must be finite, got {level}")
-    if len(grid) > FEASIBILITY_GRID_CAP:
-        raise CapacityError(
-            f"feasibility grids capped at {FEASIBILITY_GRID_CAP} levels (got {len(grid)})"
-        )
-    check_enumerable(design)  # before the (tables, 2^n) family is allocated
     n = design.n
-    family = default_witness_family(n, estimand, grid)
-    codes = np.concatenate([block for block, _ in enumerate_support(design)])
-    levels = list(dict.fromkeys(grid))  # -0.0 and 0.0 are one, as first seen
-    merged, _ = _constraint_system(codes, family, np.array(levels))
-    rank = int(np.linalg.matrix_rank(merged))
-    read = _estimand_codes(estimand, n)
-    # compared by ==, since np.isin would import numpy.ma
-    feasible = len(levels) < 2 or bool((read[:, None] == codes).any(axis=1).all())
-    witness = _witness(codes.tolist(), n, levels, estimand) if feasible else None
-    return FeasibilityCertificate(feasible, len(family), len(codes) * len(levels), rank, witness)
-
-
-def _witness(codes: list[int], n: int, levels: list[float], estimand: Estimand) -> TabularEstimator:
-    """The inverse-probability witness on the support ``codes`` for the
-    family on ``levels``: its value at (code, level l) is w l / d correctly
-    rounded, with w = |S| at the all-A code and -|S| at the all-B code for
-    the mean contrast (d = 1), w = |S| at each solo row for the solo
-    estimand (d = n), and w = 0 elsewhere.  On one level it is the constant
-    table's estimand: w = 0 for the mean contrast, w = d = 1 at every code
-    for the solo estimand."""
-    size, d = len(codes), 1
+    if n > CODE_BITS:
+        raise CapacityError(
+            f"feasibility reads int64 assignment codes, so n <= {CODE_BITS} (got n={n})"
+        )
+    counts = Counter(grid)  # -0.0 and 0.0 are one level, as first seen
     solo = isinstance(estimand, SoloTreatmentEffect)
-    if len(levels) < 2:
-        weights = dict.fromkeys(codes, 1) if solo else {}
-    elif solo:
-        weights, d = dict.fromkeys(_estimand_codes(estimand, n).tolist(), size), n
-    else:
-        weights = {0: size, (1 << n) - 1: -size}
-    ratios = [level.as_integer_ratio() for level in levels]
-    try:
-        # int / int rounds the exact quotient once
-        values = {
-            w: [w * num / (d * den) for num, den in ratios] for w in {0, *weights.values()}
-        }
-    except OverflowError:
-        raise OverflowError(f"feasibility witness past the double range on grid {levels}") from None
-    vectors = [(level,) * n for level in levels]
-    return TabularEstimator(
-        {
-            (code, vector): value
-            for code in codes
-            for vector, value in zip(vectors, values[weights.get(code, 0)])
-        }
-    )
+    read = _estimand_codes(estimand, n)
+    family_size = len(grid) ** 3
+    if solo:
+        family_size += n * (len(grid) ** 2 - sum(m * m for m in counts.values()))
+    size = support_size(design)
+    blocks = np.array(sorted({0, (1 << n) - 1, *read.tolist()}), dtype=np.int64)
+    k = int(in_support(design, blocks).sum())
+    k += size > k
+    rank = 1 + (len(counts) - 1) * k
+    witness: Estimator | None = None
+    if len(counts) < 2:
+        witness = ConstantEstimator(grid[0] if solo else 0.0)
+    elif in_support(design, read).all():
+        witness = SoloTreatedIPW(design) if solo else PureArmIPW()
+    feasible = witness is not None
+    return FeasibilityCertificate(feasible, family_size, size * len(counts), rank, witness)
 
 
 class AdversaryResult(NamedTuple):

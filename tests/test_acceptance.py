@@ -4,7 +4,7 @@ criterion shows up as an ordinary pytest failure.
 
 Criterion 8 re-runs every command, the adversary under both of its designs
 (bd and crd), and the shipped feasibility config
-``configs/feasibility_bd.json`` with the witness it writes, in fresh
+``configs/feasibility_bd.json`` with the witness it prints, in fresh
 processes with OPENBLAS_NUM_THREADS unset, 1 and 4, and compares stdout and
 written files byte for byte.
 
@@ -106,7 +106,7 @@ def test_criterion_1_unbiasedness_suite():
             rep = exact_moments(PureArmIPW(), Design("bd", n), table, ATE)
             worst = max(worst, abs(rep.expectation - estimand_value(ATE, table)))
             solo = SoloTreatmentEffect()
-            rep = exact_moments(SoloTreatedIPW(), Design("bd", n), table, solo)
+            rep = exact_moments(SoloTreatedIPW(Design("bd", n)), Design("bd", n), table, solo)
             worst = max(worst, abs(rep.expectation - estimand_value(solo, table)))
         assert worst <= 1e-10
     _report(1, t, f"worst enumeration bias {worst:.2e}")
@@ -120,14 +120,18 @@ def test_criterion_2_feasibility_certificates():
         feasible_solo = unbiased_feasibility(Design("bd", 3), SoloTreatmentEffect(), [0, 1])
         assert not infeasible_crd.feasible
         assert not infeasible_cbd.feasible
-        assert feasible_bd.feasible
-        assert feasible_solo.feasible
+        assert feasible_bd.to_json_dict()["witness"] == {"kind": "pure_arm_ipw"}
+        assert feasible_solo.to_json_dict()["witness"] == {"kind": "solo_ipw"}
+        # the support is read in closed form, so the verdicts hold at 63 units
+        wide = [Design("bd", 63), Design("cbd", 63), Design("crd", 63, 31)]
+        assert [unbiased_feasibility(d, ATE, [0, 1]).feasible for d in wide] == [True, False, False]
     _report(
         2,
         t,
         "crd/cbd infeasible "
         f"(ranks {infeasible_crd.rank}/{infeasible_cbd.rank}, no pure row in the support), "
-        "bd feasible for both estimands",
+        "bd feasible for both estimands with the pure-arm and solo-row IPW witnesses, "
+        "the same verdicts at n = 63",
     )
 
 
@@ -308,7 +312,7 @@ def test_criterion_8_byte_identical_cli(tmp_path):
     crd = dict(configs["adversary"], design={"design": "crd", "n": 6, "n_a": 3})
     (tmp_path / "adversary_crd.json").write_text(json.dumps(crd))
     runs.append(("adversary", tmp_path / "adversary_crd.json"))
-    # the shipped feasibility run, which writes its witness to the cwd
+    # the shipped feasibility run, which prints its witness
     runs.append(("feasibility", CONFIGS / "feasibility_bd.json"))
     for command, cfg_path in runs:
         args = [command, "--config", str(cfg_path)]
@@ -319,7 +323,7 @@ def test_criterion_8_byte_identical_cli(tmp_path):
             for threads in (None, 1, 4)
         ]
         assert outputs[0] == outputs[1] == outputs[2], f"{cfg_path.stem} output differs"
-    assert "witness.csv" in outputs[0][1]  # of the last run, feasibility_bd
+    assert b'"witness"' in outputs[0][0]  # of the last run, feasibility_bd
     print("ACCEPTANCE 8: PASS - all six commands, the adversary under bd and crd, "
           "and the shipped feasibility_bd config byte-identical across re-runs "
           "with OPENBLAS_NUM_THREADS unset, 1 and 4", flush=True)

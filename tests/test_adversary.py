@@ -44,7 +44,7 @@ def test_constant_m_estimator_gets_null_contrast():
 @pytest.mark.parametrize("design", [Design("crd", 6, 3), Design("bd", 6)])
 @pytest.mark.parametrize(
     "estimator",
-    [DifferenceInMeans(), ConstantEstimator(0.0), PureArmIPW(), SoloTreatedIPW()],
+    [DifferenceInMeans(), ConstantEstimator(0.0), PureArmIPW(), SoloTreatedIPW(Design("bd", 6))],
 )
 def test_floor_holds_across_estimators(design, estimator):
     result = mse_adversary(estimator, design, 1.0)

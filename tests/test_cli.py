@@ -9,8 +9,7 @@ Claims pinned here:
       key or path, as do a table entry the run needs but the table does
       not store, printed unquoted, and integers past Python's 4300-digit
       conversion limit, in a config file or a --set value; over-cap sizes,
-      including feasibility past the enumeration cap or its grid-level cap
-      (before the witness family is built),
+      including feasibility past the 63-unit code width,
       tables and Monte Carlo beyond the 63-node code width, Monte Carlo
       past 2^32 replicates, and tables past 1074 nodes (an ER graph past
       2^22 node pairs among them), before any pair is allocated, exit 3;
@@ -59,15 +58,14 @@ Claims pinned here:
       finite Monte Carlo mean
     - the exposure-weighted estimator takes an inline graph when the
       structure carries none, and without either it exits 2
-    - the witness CSV that feasibility writes is the in-process
-      certificate's witness through the CLI's one CSV writer, byte for
-      byte, and the worst-case table the adversary writes (``table_json``)
+    - the witness block that feasibility prints is the in-process
+      certificate's, and the worst-case table the adversary writes (``table_json``)
       reads back through ``moments`` (``table.json_path``) to the
       adversary's MSE, bit for bit
     - re-running any command byte-identically reproduces its output and the
       files it writes, with OPENBLAS_NUM_THREADS unset, 1 and 4, including
-      the witness of configs/feasibility_bd.json (pinned by
-      acceptance criterion 8 in test_acceptance.py)
+      configs/feasibility_bd.json (pinned by acceptance criterion 8 in
+      test_acceptance.py)
     - a block refuses, naming it, any key its kind does not read, and a
       top-level seed outside er-analysis, which no draw reads
     - the grammar is COMMAND --config PATH [--out PATH] [--set
@@ -180,23 +178,18 @@ def test_feasibility_command(tmp_path):
     assert result.returncode == 0
     assert json.loads(result.stdout)["status"] == "infeasible"
 
-    witness_csv = tmp_path / "witness.csv"
     cfg2 = write_config(
         tmp_path,
         "f2.json",
-        {
-            "design": {"design": "bd", "n": 3},
-            "estimand": {"kind": "ate"},
-            "grid": [0, 1],
-            "witness_csv": str(witness_csv),
-        },
+        {"design": {"design": "bd", "n": 3}, "estimand": {"kind": "ate"}, "grid": [0, 1]},
     )
     result = run_cli(["feasibility", "--config", cfg2])
     assert result.returncode == 0
-    assert json.loads(result.stdout)["status"] == "feasible"
-    # the written witness is the in-process certificate's, byte for byte
-    witness = feasibility.unbiased_feasibility(Design("bd", 3), ATE, [0, 1]).witness
-    assert witness_csv.read_bytes() == cli._witness_csv(witness, 3).encode()
+    report = json.loads(result.stdout)
+    assert report["status"] == "feasible"
+    # the printed witness is the in-process certificate's
+    cert = feasibility.unbiased_feasibility(Design("bd", 3), ATE, [0, 1])
+    assert report["witness"] == cert.to_json_dict()["witness"] == {"kind": "pure_arm_ipw"}
 
 
 def test_adversary_command(tmp_path):
@@ -575,10 +568,6 @@ def _file_error_args(tmp_path, case):
     if case == "out:missing_dir":
         bad = str(tmp_path / "missing" / "x.json")
         return ["moments", "--config", str(CONFIGS / "moments_ht.json"), "--out", bad], bad
-    if case == "witness_csv:missing_dir":
-        bad = str(tmp_path / "missing" / "w.csv")
-        cfg = str(CONFIGS / "feasibility_bd.json")
-        return ["feasibility", "--config", cfg, "--set", f"witness_csv={bad}"], bad
     if case == "tables_out:existing_file":
         bad = tmp_path / "taken"
         bad.write_text("")
@@ -607,7 +596,7 @@ def _file_error_args(tmp_path, case):
         for where in ("config", "graph", "json_path")
         for kind in ("dir", "non_utf8")
     ]
-    + ["out:missing_dir", "witness_csv:missing_dir", "tables_out:existing_file"],
+    + ["out:missing_dir", "tables_out:existing_file"],
 )
 def test_file_errors_exit_2(tmp_path, case):
     args, bad = _file_error_args(tmp_path, case)
@@ -864,14 +853,11 @@ def test_moments_past_the_enumeration_cap_exits_3_before_drawing(tmp_path, capsy
 
 @pytest.mark.parametrize(
     "override,error",
-    [
-        ("design.n=15", "capacity error: support enumeration capped at n=14 (got n=15)"),
-        ("grid=[0, 0.25, 0.5, 0.75, 1]", "capacity error: feasibility grids capped at 4 levels"),
-    ],
-    ids=["n", "grid"],
+    [("design.n=64", "capacity error: feasibility reads int64 assignment codes, so n <= 63")],
+    ids=["n"],
 )
 def test_feasibility_beyond_its_caps_exits_3(tmp_path, capsys, monkeypatch, override, error):
-    # refused before the (tables, 2^n) witness family is built
+    # no witness family is built, at any n
     built = []
     monkeypatch.setattr(feasibility, "default_witness_family", lambda *args: built.append(args))
     config = str(CONFIGS / "feasibility_bd.json")
@@ -974,7 +960,6 @@ def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
         "print([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n"
     )
     run = [sys.executable, "-c", code]
-    # feasibility writes its witness CSV into the working directory
     result = subprocess.run(run, capture_output=True, text=True, env=blas_env(), cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     threads = "1\n" if linux else ""
@@ -998,7 +983,7 @@ def test_cli_freezes_the_heap_at_exit(tmp_path):
     regimes = ["regimes", "--config", str(CONFIGS / "regimes.json"), "--out", os.devnull]
     refused = ["moments", "--config", str(tmp_path / "missing.json")]
     capped = ["feasibility", "--config", str(CONFIGS / "feasibility_bd.json"),
-              "--set", "design.n=15"]
+              "--set", "design.n=64"]
     cases = [
         ([], "0 False\n"),
         ([regimes, regimes], "0 0\n0 0\n1 True\n"),

@@ -115,7 +115,7 @@ def test_mutated_shipped_configs_exit_cleanly(tmp_path_factory, case):
     out = work / ("out" if COMMANDS[name] == "tables" else "out.txt")
     stderr = io.StringIO()
     cwd = os.getcwd()
-    os.chdir(work)  # a relative output path, like witness.csv, lands here
+    os.chdir(work)  # a relative output path, like an adversary table_json, lands here
     try:
         with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
             code = cli.main([COMMANDS[name], "--config", str(config), "--out", str(out)])

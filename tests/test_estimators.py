@@ -4,14 +4,12 @@ Claims pinned here:
     - difference in means on worked examples
     - the exposure-weighted estimator on the hand-enumerated two-node cases
     - the pure-arm and solo-treated inverse-probability rules
-    - tabular estimators look up, fail loudly on gaps, reproduce a rule
-      tabulated over the whole support, and the CLI's one CSV writer
-      writes one that reads back exactly, with the text a row-by-row build
-      writes (signed zeros apart, on feasibility witnesses at n = 3 and 8)
+    - the solo-treated rule weighs by the design's support size over n:
+      2^n / n under bd, (2^n - 2) / n under cbd, C(n, n_a) / n under crd
+    - tabular estimators look up, fail loudly on gaps, and reproduce a rule
+      tabulated over the whole support
 """
 
-import csv
-import io
 from itertools import combinations
 
 import numpy as np
@@ -26,17 +24,15 @@ from interference_lab import (
     Graph,
     HorvitzThompson,
     IncompleteEstimatorError,
+    InvalidArgumentError,
     NeighborhoodIndex,
     PotentialOutcomeTable,
     PureArmIPW,
     SoloTreatedIPW,
-    SoloTreatmentEffect,
     TabularEstimator,
     enumerate_support,
     observed_key,
-    unbiased_feasibility,
 )
-from interference_lab.cli import _witness_csv
 from graph_builders import empty_graph
 
 
@@ -77,12 +73,17 @@ def test_pure_arm_ipw():
 
 
 def test_solo_treated_ipw():
-    est = SoloTreatedIPW()
+    est = SoloTreatedIPW(Design("bd", 2))
     assert est(Assignment.from_arms("AB"), np.array([4.0, 7.0])) == 8.0
     assert est(Assignment.from_arms("AA"), np.array([4.0, 7.0])) == 0.0
-    assert est(Assignment.from_arms("BAB"), np.array([0.0, 5.0, 0.0])) == pytest.approx(
-        (8 / 3) * 5
-    )
+    bab, y = Assignment.from_arms("BAB"), np.array([0.0, 5.0, 0.0])
+    assert SoloTreatedIPW(Design("bd", 3))(bab, y) == 2.0**3 / 3 * 5
+    # the weight is |S| / n: 6 / 3 under cbd, C(3, 1) / 3 under crd (3, 1)
+    assert SoloTreatedIPW(Design("cbd", 3))(bab, y) == 10.0
+    assert SoloTreatedIPW(Design("crd", 3, 1))(bab, y) == 5.0
+    assert SoloTreatedIPW(Design("crd", 3, 2))(bab, y) == 5.0
+    with pytest.raises(InvalidArgumentError, match="outcomes for 2 units, design has n=3"):
+        SoloTreatedIPW(Design("bd", 3)).evaluate(np.array([1]), np.zeros((1, 2)))
 
 
 def test_constant_estimator():
@@ -115,36 +116,3 @@ def test_tabular_materialization_matches_source():
     for code, row in zip(codes.tolist(), y):
         z = Assignment(code, 2)
         assert tab(z, row) == source(z, row)
-
-
-def test_tabular_csv_roundtrip():
-    # the written text carries every key and value exactly
-    mapping = {
-        (0, observed_key([0.5, 0.5])): 4.0,
-        (3, observed_key([1.0, 0.1])): -4.0 / 3.0,
-    }
-    rows = list(csv.DictReader(io.StringIO(_witness_csv(TabularEstimator(mapping), 2))))
-    back = {
-        (Assignment.from_arms(r["assignment"]).code, tuple(map(float, r["ykey"].split("|")))):
-        float(r["value"])
-        for r in rows
-    }
-    assert back == mapping
-
-
-def test_tabular_csv_formats_as_row_by_row():
-    # each code's labels and each vector's join are formatted once; -0.0 ==
-    # 0.0, yet each vector prints its own signs
-    mapping = {(1, (0.0, -0.0)): 1.0, (2, (-0.0, 0.0)): 2.0, (2, (0.5, 1e-310)): 3.0}
-    mapping[(3, (0.0, -0.0))] = 4.0
-    witnesses = [(TabularEstimator(mapping), 2)] + [
-        (unbiased_feasibility(Design("bd", n), SoloTreatmentEffect(), grid).witness, n)
-        for n, grid in [(3, [-0.0, 0.0, 2.0]), (8, [0.0, 0.25, -0.0, 1.5])]
-    ]
-    for witness, n in witnesses:
-        rows = [
-            [Assignment(code, n).labels, "|".join(map(str, y)), v]
-            for (code, y), v in sorted(witness.mapping.items())
-        ]
-        lines = [",".join(map(str, row)) + "\n" for row in [["assignment", "ykey", "value"], *rows]]
-        assert _witness_csv(witness, n) == "".join(lines)

@@ -97,7 +97,7 @@ def _pure_arm():
 
 def _solo():
     table = PotentialOutcomeTable.random(Arbitrary(8), 0.0, 1.0, seed=6)
-    return SoloTreatedIPW(), _ref_solo, Design("bd", 8), table
+    return SoloTreatedIPW(Design("bd", 8)), _ref_solo, Design("bd", 8), table
 
 
 def _tabular():

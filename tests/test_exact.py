@@ -10,8 +10,12 @@ Claims pinned here:
       on ER(n, 1.5/sqrt(n))) the two agree to 1e-13 relative
     - a report carries the estimand its MSE is taken against
     - mse = variance + bias^2 holds for every report, and is checked to
-      1e-9 relative: an MSE sum off by 1e-7 raises IdentityViolationError,
-      one off by 1e-12 does not
+      1e-9 relative plus 8 eps max(|v|, |theta|) |bias| for the size of the
+      summed values: an MSE sum off by 1e-7 raises IdentityViolationError,
+      one off by 1e-12 does not; one off by 1e-6 max(1, mse) raises on
+      outcomes near 1 and near 1e15, and the solo rule's correct sums near
+      1e15 (crd (5, 1), the witness family) pass
+    - the solo rule is unbiased under bd, cbd and crd with n_a = 1
     - difference in means is demonstrably biased once interference is
       unrestricted (a concrete table with |bias| > 0.1 M)
     - the array reduction of squared deviations equals the scalar
@@ -52,6 +56,9 @@ from interference_lab import (
     neyman_variance_terms,
     sample_er_graph,
     ERSpec,
+    SoloTreatedIPW,
+    SoloTreatmentEffect,
+    default_witness_family,
 )
 from interference_lab import exact
 from interference_lab.exact import _exact_sum, _weighted_square_sum
@@ -223,14 +230,70 @@ def test_moment_identity_tolerance(monkeypatch, rel, raises):
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_pure_arm_and_solo_rules_exactly_unbiased(n):
-    from interference_lab import PureArmIPW, SoloTreatedIPW, SoloTreatmentEffect
+    from interference_lab import PureArmIPW
 
     table = PotentialOutcomeTable.random(Arbitrary(n), 0.0, 1.0, seed=n)
     rep = exact_moments(PureArmIPW(), Design("bd", n), table, ATE)
     assert abs(rep.expectation - estimand_value(ATE, table)) <= 1e-12
     solo = SoloTreatmentEffect()
-    rep = exact_moments(SoloTreatedIPW(), Design("bd", n), table, solo)
+    rep = exact_moments(SoloTreatedIPW(Design("bd", n)), Design("bd", n), table, solo)
     assert abs(rep.expectation - estimand_value(solo, table)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_solo_rule_is_unbiased_wherever_the_support_holds_the_solo_rows(n):
+    # the rule weighs each solo row by |S| / n, its inverse probability; the
+    # fair coin's 2^n / n would be biased by 2^n / (2^n - 2) under cbd
+    solo = SoloTreatmentEffect()
+    table = PotentialOutcomeTable.random(Arbitrary(n), 0.0, 1.0, seed=40 + n)
+    for design in (Design("bd", n), Design("cbd", n), Design("crd", n, 1)):
+        rep = exact_moments(SoloTreatedIPW(design), design, table, solo)
+        assert abs(rep.expectation - estimand_value(solo, table)) <= 1e-10, design
+
+
+def test_identity_holds_on_the_solo_rule_far_from_zero():
+    # crd (5, 1) solo on the witness family over [1e15, 1e15 + 1]: the
+    # summed values sit near 1e15, where a double's ulp is 0.125, so a
+    # correct computation can read mse 0.1625 against var + bias^2 0.18125
+    design, solo = Design("crd", 5, 1), SoloTreatmentEffect()
+    reports = [
+        exact_moments(SoloTreatedIPW(design), design, _column_table(column), solo)
+        for column in default_witness_family(5, solo, (1e15, 1e15 + 1.0))
+    ]
+    assert len(reports) == 18
+    assert max(abs(r.mse_vs_estimand - r.variance - (r.expectation - r.estimand_value) ** 2)
+               for r in reports) > 1e-9
+
+
+def _column_table(column):
+    """The arbitrary-interference table whose units all read ``column``."""
+    n = len(column).bit_length() - 1
+    return PotentialOutcomeTable(Arbitrary(n), [column] * n)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e15])
+def test_identity_off_by_a_millionth_raises_at_every_scale(monkeypatch, offset):
+    # the MSE sum alone is perturbed by 1e-6 max(1, mse), on outcomes in
+    # (offset, offset + 1); the solo rule under bd sums values near 6.4
+    # offset, yet the slack for their size stays far below the perturbation
+    # (at crd (5, 1) above, mse 0.16 sits below the values' rounding, and
+    # no check can see 1e-6 of it)
+    design, solo = Design("bd", 5), SoloTreatmentEffect()
+    outcomes = offset + np.random.default_rng(9).random((5, 32))
+    table = PotentialOutcomeTable(Arbitrary(5), outcomes)
+    args = (SoloTreatedIPW(design), design, table, solo)
+    mse = exact_moments(*args).mse_vs_estimand
+    sums = []
+
+    def perturbed(values, p, c):
+        sums.append(_weighted_square_sum(values, p, c))
+        # the variance is summed first, then the MSE
+        return sums[-1] + 1e-6 * max(1.0, sums[-1]) if len(sums) == 2 else sums[-1]
+
+    monkeypatch.setattr(exact, "_weighted_square_sum", perturbed)
+    with pytest.raises(IdentityViolationError, match="moment identity violated"):
+        exact_moments(*args)
+    assert len(sums) == 2 and sums[1] == mse
 
 
 def test_diff_means_biased_under_arbitrary_interference():

@@ -6,62 +6,54 @@ Claims pinned here:
       have different estimands, the estimands compared as Fractions (bd,
       cbd and crd with every n_a at n <= 8, both estimands, grids with both
       zeros and levels that are not binary fractions, and offset grids)
+    - the verdict holds at every n from 2 to CODE_BITS = 63: bd ATE and
+      solo, cbd solo and crd (n, 1) solo are feasible; crd and cbd ATE and
+      crd solo with n_a > 1 are infeasible; n = 64 is a capacity error
+    - feasibility enumerates nothing: with enumerate_support,
+      default_witness_family, _witness_column and np.linalg.matrix_rank
+      made to raise, every verdict still holds
+    - the closed-form family_size, n_unknowns and rank equal those of the
+      system built from default_witness_family as a 0/1 matrix with
+      np.linalg.matrix_rank: every design and both estimands at n = 1 to
+      10, and five n = 14 cases (bd solo on four levels: 232 tables, 65,536
+      unknowns, rank 52), on grids with both zeros and repeated levels
     - crd with n_a > 1 never reveals a solo row, so the solo estimand is
       infeasible on [L, L + 1] for L from 1e6 to 1e15 and -1e10, n = 3 to
       8, with no warning
     - designs that kill the two pure assignments admit no unbiased rule for
       the mean contrast, and no witness
-    - the fair-coin design is feasible for the mean contrast and for the
-      solo-treatment estimand; witnesses reproduce the estimand on every
-      family member
-    - witnesses equal the corresponding inverse-probability rule up to an
-      assignment-indexed offset summing to zero over the support
+    - a feasible certificate names its witness: PureArmIPW for the bd ATE,
+      SoloTreatedIPW of the design (weight |S| / n) for the solo estimand,
+      the constant estimand on a one-level grid; its JSON form prints the
+      CLI estimator block, and that block, run through ``moments`` under the
+      same design, reproduces the estimand within 1e-10 (n <= 10, cbd solo
+      included); witnesses reproduce the estimand on every family member
     - the verdict does not depend on the grid's scale or offset ([0, v] for
       v from 2^-40 to 1e200, [L, L + 1] for L = 3e9, 1e10, -1e10, and the
       subnormal or near-subnormal grids [0, 5e-324], [5e-324, 1e-323] and
       [2.3e-308, 2.4e-308]: bd ATE and crd solo with n_a = 1 feasible, crd
-      ATE infeasible, no warning), and a witness past the double
-      range raises OverflowError
+      ATE infeasible, no warning), and grids at the top of the double range
+      decide with a named witness
     - the witness is exactly unbiased on those grids: its expectation over
       the support, in Fractions, equals every family table's estimand
     - on offset grids [L, L + 1], L in {1e6, 1e10, 1e15, -1e10}, the
       witness's expectation in Fractions equals every family table's
       estimand for the ATE and wherever n divides |S|, and is within
       2^-52 relative otherwise (bd 3 to 8, cbd 5, crd with n_a = 1)
-    - crd and cbd ATE on [0, 1.7e308] read infeasible (n = 2 to 8), since
-      no witness value is computed for an infeasible case
-    - scaling the grid by 2^k, k from -1021 to 1000, scales every witness
-      level and value by 2^k bit for bit, and leaves the
-      status, sizes and rank alone (bd, cbd, crd with n_a = 1 and n / 2,
-      both estimands, five grids with both zeros among them); grids whose
-      n-fold sums overflow decide as the named certificates say (crd (4, 2)
-      solo on [0, 1.7e308] infeasible, bd ATE on [1.7e308] feasible), and
-      grids spanning more than one scale of doubles ([1e-300, 1e300],
-      [0, 5e-324, 1e307]) keep every level as an unknown and a witness key
-    - more units than support enumeration allows (ENUMERATION_CAP) or more
-      than FEASIBILITY_GRID_CAP grid levels is a capacity error; an empty
-      grid, or a grid level that is NaN or infinite, is an invalid argument
-      naming the entry
+    - crd and cbd ATE on [0, 1.7e308] read infeasible (n = 2 to 8)
+    - scaling the grid by 2^k, k from -1021 to 1000, leaves the status,
+      sizes, rank and witness alone and scales a constant witness's value
+      by 2^k bit for bit (bd, cbd, crd with n_a = 1 and n / 2, both
+      estimands, five grids with both zeros among them); grids spanning
+      more than one scale of doubles ([1e-300, 1e300], [0, 5e-324, 1e307])
+      keep every level as an unknown
+    - an empty grid, or a grid level that is NaN or infinite, is an invalid
+      argument naming the entry
     - above six units every verdict is the named certificate's: for n = 7
       to 10, bd, cbd and crd with every n_a, ATE and solo, on grids with
       both zeros and 1e-310 among the levels, and bd and crd ATE at n = 14;
-      at n = 8 the bd solo witness on four levels reproduces the estimand
-      through exact_moments on every family table within 1e-10
-    - the constraint system built from witness columns by one comparison
-      of revealed levels against the distinct levels, with the unknowns
-      merged by their pattern of revealing tables, expands through its
-      inverse into, bit for bit, the matrix a dict of (code, observed
-      vector) keys builds from full-matrix tables, table by table, and no
-      two merged columns are equal; the unknowns (signed zeros included),
-      the sizes and the rank are the same; the witness's keys are the dict
-      build's, and it reproduces every family table's estimand (on levels
-      such as 0.1 and 1/3, whose n-fold mean is not the level, too) within
-      1e-9 of the largest |estimand|; the system is pinned at n = 8 too,
-      and on subnormal and near-overflow levels (5e-324, 1e-310, +-1e307)
-      next to both zeros, where the system alone is compared
-    - bd solo on four levels at n = 14 (232 tables, 65,536 unknowns) is
-      feasible with rank 52 and peaks below 150 MB under tracemalloc, which
-      the dense float matrix alone (122 MB) would break
+      at n = 8 the bd solo witness reproduces the estimand through
+      exact_moments on every family table on four levels within 1e-10
     - a witness column reads as the full (2^n, n) matrix, read-only, and
       the adversary's table serializes as that matrix does; the adversary's
       mse, floor and target equal, bit for bit, those of both candidate
@@ -70,23 +62,21 @@ Claims pinned here:
       constant, and HT on ER graphs at k = 1, 2; crd and bd; n = 3 to 14);
       a whole n = 14 adversary call allocates below 1.5 MB, less than one
       (2^14, 14) matrix
-    - tools/feasibility_sweep.py prints one JSON line per case
 """
 
-import importlib.util
 import json
 import math
 import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import interference_lab
 from interference_lab import (
     ATE,
     Arbitrary,
@@ -104,21 +94,20 @@ from interference_lab import (
     PureArmIPW,
     SoloTreatedIPW,
     SoloTreatmentEffect,
+    cli,
     default_witness_family,
+    designs,
     enumerate_support,
     estimand_value,
     exact_moments,
+    feasibility,
     mse_adversary,
     sample_er_graph,
     unbiased_feasibility,
 )
-from interference_lab.estimators import observed_key
+from interference_lab.designs import CODE_BITS
 from interference_lab.exact import _support_values, _weighted_square_sum
-from interference_lab.feasibility import (
-    FEASIBILITY_GRID_CAP,
-    _constraint_system,
-    _revealed,
-)
+from interference_lab.feasibility import _revealed
 
 
 def test_infeasible_when_pure_vectors_have_no_mass():
@@ -163,27 +152,20 @@ _EQUIVARIANCE_DESIGNS = (
 
 @pytest.mark.parametrize("grid", _EQUIVARIANCE_GRIDS, ids=repr)
 def test_certificates_scale_bit_for_bit_with_the_grid(grid):
-    # scaling the grid by 2^k scales the witness (levels and values) by 2^k
+    # scaling the grid by 2^k scales a constant witness's value by 2^k
     # exactly and leaves the rest alone, from the subnormal range
     # (k = -1021) to the top of the double range (k = 1000)
     for design in _EQUIVARIANCE_DESIGNS:
         for estimand in (ATE, SoloTreatmentEffect()):
-            base = unbiased_feasibility(design, estimand, grid)
+            base = unbiased_feasibility(design, estimand, grid).to_json_dict()
             for k in (-1021, -600, -1, 1, 600, 1000):
                 scaled = [math.ldexp(level, k) for level in grid]
-                cert = unbiased_feasibility(design, estimand, scaled)
-                case = (design, estimand, grid, k)
-                assert cert.feasible == base.feasible, case
-                assert cert[1:4] == base[1:4], case
-                if not base.feasible:
-                    assert cert.witness is None
-                    continue
-                assert len(cert.witness.mapping) == len(base.witness.mapping)
-                pairs = zip(cert.witness.mapping.items(), base.witness.mapping.items())
-                for ((code, levels), value), ((base_code, base_levels), base_value) in pairs:
-                    assert code == base_code, case
-                    assert levels == tuple(math.ldexp(v, k) for v in base_levels), case
-                    assert value == math.ldexp(base_value, k), case
+                doc = unbiased_feasibility(design, estimand, scaled).to_json_dict()
+                expected = dict(base)
+                if base.get("witness", {}).get("kind") == "constant":
+                    value = math.ldexp(base["witness"]["value"], k)
+                    expected["witness"] = {"kind": "constant", "value": value}
+                assert repr(doc) == repr(expected), (design, estimand, grid, k)
 
 
 def test_grids_at_the_top_of_the_double_range_decide():
@@ -195,7 +177,7 @@ def test_grids_at_the_top_of_the_double_range_decide():
         bd = unbiased_feasibility(Design("bd", 3), ATE, [1.7e308])
     assert not crd.feasible
     assert bd.feasible
-    assert set(bd.witness.mapping.values()) == {0.0}
+    assert bd.to_json_dict()["witness"] == {"kind": "constant", "value": 0.0}
 
 
 @pytest.mark.parametrize(
@@ -203,24 +185,27 @@ def test_grids_at_the_top_of_the_double_range_decide():
 )
 def test_grids_wider_than_one_scale_keep_their_levels(grid, unknowns):
     # no power of two brings both ends of these grids into the normal range,
-    # so the unknowns and the witness keys are the grid's own levels
+    # and every level is still an unknown
     cert = unbiased_feasibility(Design("bd", 2), ATE, grid)
     assert cert.feasible and cert.n_unknowns == unknowns
-    assert {levels[0] for _, levels in cert.witness.mapping} == set(grid)
+    assert cert.to_json_dict()["witness"] == {"kind": "pure_arm_ipw"}
 
 
 @pytest.mark.parametrize("n", [5, 6])
-def test_witness_past_the_double_range_overflows(n):
-    # the fair-coin witness weighs the level 1e307 by 2^n at the pure rows
+def test_witness_past_the_double_range_is_named(n):
+    # the fair-coin witness weighs the level 1e307 by 2^n at the pure rows,
+    # past the double range, but the certificate names the rule and
+    # computes no value of it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowError, match="witness past the double range"):
-            unbiased_feasibility(Design("bd", n), ATE, [0, 1e307])
+        ate = unbiased_feasibility(Design("bd", n), ATE, [0, 1e307])
+        solo = unbiased_feasibility(Design("cbd", n), SoloTreatmentEffect(), [0, 1e307])
+    assert ate.to_json_dict()["witness"] == {"kind": "pure_arm_ipw"}
+    assert solo.to_json_dict()["witness"] == {"kind": "solo_ipw"}
 
 
 def test_mean_contrast_is_infeasible_at_the_top_of_the_double_range():
-    # crd and cbd never assign a pure row, so no witness is written and
-    # nothing past the double range is computed
+    # crd and cbd never assign a pure row, so no witness is named
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n in range(2, 9):
@@ -282,48 +267,24 @@ def test_witness_is_unbiased_on_every_family_table_at_n_8():
         assert abs(report.expectation - estimand_value(estimand, table)) <= 1e-10
 
 
-def _offset_against(reference, cert, design, level):
-    """witness - reference on the constant-level observed vector, summed
-    over the support; zero iff the witness is the reference plus a
-    zero-sum assignment offset."""
-    vec = np.full(design.n, level)
-    total = 0.0
-    for z, _ in _support(design):
-        total += cert.witness(z, vec) - reference(z, vec)
-    return total
-
-
-def test_ate_witness_is_pure_arm_rule_plus_zero_sum_offset():
-    design = Design("bd", 3)
-    cert = unbiased_feasibility(design, ATE, [0, 1])
-    for level in (0.0, 1.0):
-        assert _offset_against(PureArmIPW(), cert, design, level) == pytest.approx(
-            0.0, abs=1e-9
-        )
-    # the off-pure witness values at the family's constant vectors sum to zero
-    for level in (0.0, 1.0):
-        vec = np.full(3, level)
-        interior = [
-            cert.witness(z, vec)
-            for z, _ in _support(design)
-            if z.code not in (0, 7)
-        ]
-        assert math.fsum(interior) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_solo_witness_is_solo_rule_plus_zero_sum_offset():
-    design = Design("bd", 3)
-    cert = unbiased_feasibility(design, SoloTreatmentEffect(), [0, 1])
-    for level in (0.0, 1.0):
-        assert _offset_against(SoloTreatedIPW(), cert, design, level) == pytest.approx(
-            0.0, abs=1e-9
-        )
-    # between grid levels, solo rows move by exactly 2^n / n
-    for unit in range(3):
-        code = (0b111 ^ (1 << unit))
-        lo = cert.witness.mapping[(code, (0.0, 0.0, 0.0))]
-        hi = cert.witness.mapping[(code, (1.0, 1.0, 1.0))]
-        assert hi - lo == pytest.approx(8 / 3, abs=1e-9)
+def test_witness_is_the_named_rule():
+    solo = SoloTreatmentEffect()
+    cases = [
+        (Design("bd", 3), ATE, [0, 1], PureArmIPW, {"kind": "pure_arm_ipw"}),
+        (Design("bd", 3), solo, [0, 1], SoloTreatedIPW, {"kind": "solo_ipw"}),
+        (Design("cbd", 6), solo, [0, 1], SoloTreatedIPW, {"kind": "solo_ipw"}),
+        (Design("crd", 5, 1), solo, [0, 1], SoloTreatedIPW, {"kind": "solo_ipw"}),
+    ]
+    for estimand, grid, value in ((ATE, [0.5], 0.0), (solo, [2, 2.0], 2.0)):
+        block = {"kind": "constant", "value": value}
+        cases.append((Design("crd", 5, 2), estimand, grid, ConstantEstimator, block))
+    for design, estimand, grid, rule, block in cases:
+        cert = unbiased_feasibility(design, estimand, grid)
+        assert type(cert.witness) is rule, design
+        assert cert.to_json_dict()["witness"] == block
+    # the solo rule weighs each solo row by |S| / n: 6 / 3 under cbd (3)
+    z, y = Assignment.from_arms("BAB"), np.array([0.0, 5.0, 0.0])
+    assert unbiased_feasibility(Design("cbd", 3), solo, [0, 1]).witness(z, y) == 10.0
 
 
 def _certified(design, estimand):
@@ -338,7 +299,8 @@ def _certified(design, estimand):
 
 
 def _every_design(n):
-    return [Design("bd", n), Design("cbd", n)] + [Design("crd", n, k) for k in range(1, n)]
+    cbd = [Design("cbd", n)] if n > 1 else []
+    return [Design("bd", n), *cbd] + [Design("crd", n, k) for k in range(1, n)]
 
 
 @pytest.mark.parametrize(
@@ -361,18 +323,145 @@ def test_verdicts_follow_the_named_certificates(cases):
         assert cert.feasible == _certified(design, estimand), (design, estimand, grid)
 
 
-def test_bd_solo_at_n_14_builds_no_dense_matrix():
-    # the worst case under the caps: 232 tables and 65,536 unknowns, whose
-    # dense float matrix alone would take 122 MB
-    tracemalloc.start()
-    try:
-        cert = unbiased_feasibility(Design("bd", 14), SoloTreatmentEffect(), [0, 0.25, 0.5, 1])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert cert.feasible and cert.rank == 52
-    assert (cert.family_size, cert.n_unknowns) == (232, 65536)
-    assert peak < 150e6
+def test_verdicts_hold_up_to_code_bits():
+    for n in range(2, CODE_BITS + 1):
+        for design in _every_design(n):
+            for estimand in (ATE, SoloTreatmentEffect()):
+                cert = unbiased_feasibility(design, estimand, [0, 1])
+                assert cert.feasible == _certified(design, estimand), (design, estimand)
+    # at n = 63 the sizes are those of the closed forms: 8 tables, |S| = 2^63
+    cert = unbiased_feasibility(Design("bd", CODE_BITS), ATE, [0, 1])
+    assert cert[:4] == (True, 8, 2**64, 4)
+    for design in (Design("bd", 64), Design("cbd", 64), Design("crd", 64, 1)):
+        with pytest.raises(CapacityError, match="n <= 63"):
+            unbiased_feasibility(design, ATE, [0, 1])
+
+
+def test_cli_feasibility_decides_at_n_63_and_exits_3_at_64(tmp_path, capsys):
+    config = tmp_path / "feasibility.json"
+    blocks = [{"design": "bd"}, {"design": "cbd"}, {"design": "crd", "n_a": 1}]
+    blocks.append({"design": "crd", "n_a": 31})
+    for block in blocks:
+        for estimand in (ATE, SoloTreatmentEffect()):
+            kind = "ate" if estimand is ATE else "solo"
+            for n in (63, 64):
+                cfg = {"design": {**block, "n": n}, "estimand": {"kind": kind}, "grid": [0, 1]}
+                config.write_text(json.dumps(cfg))
+                code = cli.main(["feasibility", "--config", str(config)])
+                out, err = capsys.readouterr()
+                if n == 64:
+                    assert code == 3 and err.startswith("capacity error: feasibility reads int64")
+                    continue
+                assert code == 0
+                design = Design(block["design"], n, block.get("n_a"))
+                expected = "feasible" if _certified(design, estimand) else "infeasible"
+                assert json.loads(out)["status"] == expected, cfg
+
+
+def test_feasibility_enumerates_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("feasibility enumerated")
+
+    for module in (designs, interference_lab):
+        monkeypatch.setattr(module, "enumerate_support", refuse)
+    for name in ("default_witness_family", "_witness_column"):
+        monkeypatch.setattr(feasibility, name, refuse)
+    monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+    for n in (2, 9, 14, 15, 40, CODE_BITS):
+        for design in _every_design(n)[:4]:
+            for estimand in (ATE, SoloTreatmentEffect()):
+                for grid in ([0, 1], [-0.0, 0.0, 0.5, 1.0, 1.0]):
+                    cert = unbiased_feasibility(design, estimand, grid)
+                    assert cert.feasible == _certified(design, estimand), (design, estimand)
+
+
+def _reference_sizes(design, estimand, grid):
+    """``family_size``, ``n_unknowns`` and ``rank`` of the unbiasedness
+    system, built: one 0/1 row per ``default_witness_family`` table and one
+    column per (support code, distinct level), 1 where the table reveals
+    that level at that code (levels compared as floats).  Columns that every
+    table reveals alike are merged before ``np.linalg.matrix_rank``, which
+    leaves the rank alone."""
+    family = default_witness_family(design.n, estimand, tuple(map(float, grid)))
+    codes = np.concatenate([block for block, _ in enumerate_support(design)])
+    levels = np.array(list(dict.fromkeys(map(float, grid))))
+    # (unknowns, tables): unknown c * len(levels) + l is (codes[c], levels[l])
+    hit = (family.T[codes][:, None, :] == levels[:, None]).reshape(-1, len(family))
+    packed = np.packbits(hit, axis=1)
+    _, first = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True)
+    matrix = hit[first].T.astype(float)
+    return len(family), len(hit), int(np.linalg.matrix_rank(matrix))
+
+
+# both zeros, a repeated level and a one-level grid
+_REFERENCE_GRIDS = ((0.0, 1.0), (-0.0, 0.5, 0.0, 0.5, 2.0), (1.5, 1.5))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_closed_form_sizes_equal_the_built_system(n):
+    for design in _every_design(n):
+        for estimand in (ATE, SoloTreatmentEffect()):
+            for grid in _REFERENCE_GRIDS:
+                cert = unbiased_feasibility(design, estimand, grid)
+                reference = _reference_sizes(design, estimand, grid)
+                assert cert[1:4] == reference, (design, estimand, grid)
+
+
+@pytest.mark.parametrize(
+    "design, solo, grid, sizes",
+    [
+        (Design("bd", 14), True, (0.0, 0.25, 0.5, 1.0), (232, 65536, 52)),
+        (Design("bd", 14), False, (0.0, 1.0), (8, 32768, 4)),
+        (Design("crd", 14, 7), False, (-0.0, 0.0, 1.0), (27, 6864, 2)),
+        (Design("cbd", 14), True, (0.0, 1.0, 1.0), (83, 32764, 16)),
+        (Design("crd", 14, 1), True, (0.0, 0.5, 1.0), (111, 42, 29)),
+    ],
+    ids=["bd-solo", "bd-ate", "crd-ate", "cbd-solo", "crd1-solo"],
+)
+def test_closed_form_sizes_equal_the_built_system_at_n_14(design, solo, grid, sizes):
+    cert = unbiased_feasibility(design, SoloTreatmentEffect() if solo else ATE, grid)
+    assert cert[1:4] == sizes
+    assert _reference_sizes(design, SoloTreatmentEffect() if solo else ATE, grid) == sizes
+
+
+@pytest.mark.parametrize(
+    "design, estimand, grid, table",
+    [
+        ({"design": "bd", "n": 3}, "ate", [0, 1], None),
+        ({"design": "bd", "n": 10}, "ate", [0, 1], None),
+        ({"design": "bd", "n": 6}, "solo", [0, 0.5, 1], None),
+        ({"design": "cbd", "n": 6}, "solo", [0, 1], None),
+        ({"design": "cbd", "n": 10}, "solo", [-0.0, 0.0, 1], None),
+        ({"design": "crd", "n": 7, "n_a": 1}, "solo", [0, 1], None),
+        ({"design": "cbd", "n": 5}, "ate", [0.5], 0.5),
+        ({"design": "crd", "n": 6, "n_a": 3}, "solo", [2.0, 2], 2.0),
+    ],
+    ids=["bd3-ate", "bd10-ate", "bd6-solo", "cbd6-solo", "cbd10-solo", "crd7-solo",
+         "cbd5-const", "crd6-const"],
+)
+def test_printed_witness_reproduces_the_estimand_through_moments(
+    tmp_path, capsys, design, estimand, grid, table
+):
+    # the certificate's witness block is a moments estimator block; on a
+    # one-level grid the witness is unbiased on the constant table at it
+    config = tmp_path / "feasibility.json"
+    config.write_text(json.dumps({"design": design, "estimand": {"kind": estimand}, "grid": grid}))
+    assert cli.main(["feasibility", "--config", str(config)]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["status"] == "feasible"
+    moments = {"design": design, "estimator": cert["witness"], "estimand": {"kind": estimand}}
+    if table is None:
+        moments["structure"] = {"kind": "arbitrary"}
+        moments["table"] = {"random": {"k_lower": 0.0, "m_upper": 1.0, "seed": design["n"]}}
+    else:
+        n = design["n"]
+        constant = PotentialOutcomeTable(Arbitrary(n), np.full((n, 1 << n), table))
+        constant.to_json(tmp_path / "table.json")
+        moments["table"] = {"json_path": str(tmp_path / "table.json")}
+    config.write_text(json.dumps(moments))
+    assert cli.main(["moments", "--config", str(config)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert abs(report["expectation"] - report["estimand_value"]) <= 1e-10
 
 
 def test_validation():
@@ -381,24 +470,17 @@ def test_validation():
     for level in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidArgumentError, match=rf"grid\[1\]: .* finite, got {level}"):
             unbiased_feasibility(Design("bd", 3), ATE, [0, level])
-    # the size caps are capacity limits, not malformed arguments
-    with pytest.raises(CapacityError):
-        unbiased_feasibility(Design("bd", 3), ATE, [0, 0.25, 0.5, 0.75, 1.0])
-    with pytest.raises(CapacityError):
-        unbiased_feasibility(Design("bd", 15), ATE, [0, 1])
-
-
-def test_witness_keys_come_from_the_grid():
-    cert = unbiased_feasibility(Design("bd", 2), ATE, [0, 1])
-    for (_, ykey) in cert.witness.mapping:
-        assert set(ykey) <= {0.0, 1.0}
+    # neither the grid's length nor n up to CODE_BITS is capped
+    cert = unbiased_feasibility(Design("bd", 15), ATE, [0, 0.25, 0.5, 0.75, 1.0])
+    assert cert[:4] == (True, 125, 5 * 2**15, 13)
 
 
 def test_certificate_serialization():
     cert = unbiased_feasibility(Design("crd", 3, 1), ATE, [0, 1])
     doc = cert.to_json_dict()
-    assert doc["status"] == "infeasible"
-    assert doc["family_size"] == 8
+    assert doc == {"status": "infeasible", "family_size": 8, "n_unknowns": 6, "rank": 2}
+    doc = unbiased_feasibility(Design("bd", 3), ATE, [0, 1]).to_json_dict()
+    assert doc["witness"] == {"kind": "pure_arm_ipw"}
 
 
 def _full_matrix_table(column, m_upper=None):
@@ -408,108 +490,9 @@ def _full_matrix_table(column, m_upper=None):
     return PotentialOutcomeTable(Arbitrary(n), np.tile(column, (n, 1)), m_upper=m_upper)
 
 
-def _reference_system(design, estimand, family):
-    """The system as a dict of keys builds it from full-matrix tables: table
-    by table, each new (code, observed vector) key gets the next column."""
-    support = list(enumerate_support(design))
-    p = support[0][1]
-    columns = {}
-    rows = []
-    family = [_full_matrix_table(column) for column in family]
-    for table in family:
-        cols = []
-        for codes, _ in support:
-            keys = zip(codes.tolist(), map(observed_key, table.observed(codes).tolist()))
-            cols.extend(columns.setdefault(key, len(columns)) for key in keys)
-        rows.append(cols)
-    a = np.zeros((len(rows), len(columns)))
-    for r, cols in enumerate(rows):
-        a[r, cols] = p
-    b = np.array([estimand_value(estimand, table) for table in family])
-    return a, b, columns
-
-
 # -0.0 and 0.0 are distinct grid levels; the mean of n copies of 0.1, 1/3,
 # 7.7 or 3e9 + 0.1 need not be the level
 _LEVELS = (-0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, -1.0, 0.1, 1 / 3, 7.7, 3e9 + 0.1)
-
-
-def _check_system(design, estimand, grid):
-    """The merged system against the dict build: its distinct columns
-    expand through ``inverse`` into the dict build's matrix, no two of them
-    are equal, the keys are the dict build's (signed zeros as first seen),
-    and the ranks are equal.  Returns the dict build."""
-    family = default_witness_family(design.n, estimand, grid)
-    blocks = list(enumerate_support(design))
-    codes, p = np.concatenate([block for block, _ in blocks]), blocks[0][1]
-    levels = list(dict.fromkeys(grid))
-    a, inverse = _constraint_system(codes, family, np.array(levels))
-    a_ref, b_ref, columns = _reference_system(design, estimand, family)
-    keys = [(code, (level,) * design.n) for code in codes.tolist() for level in levels]
-    assert repr(sorted(keys)) == repr(sorted(columns))
-    assert np.array_equal(p * a[:, inverse], a_ref[:, [columns[key] for key in keys]])
-    assert len(np.unique(a, axis=1).T) == a.shape[1]
-    assert np.linalg.matrix_rank(a) == np.linalg.matrix_rank(a_ref)
-    return a_ref, b_ref, columns
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(
-    n=st.integers(2, 6),
-    kind=st.sampled_from(["crd", "cbd", "bd"]),
-    solo=st.booleans(),
-    grid=st.lists(
-        st.sampled_from(_LEVELS), min_size=1, max_size=FEASIBILITY_GRID_CAP, unique_by=repr
-    ),
-)
-@example(n=6, kind="bd", solo=True, grid=[0.0, 0.25, 1.5, 2.0])
-@example(n=6, kind="crd", solo=False, grid=[0.0, 0.5, 1.0, 2.0])
-@example(n=4, kind="cbd", solo=True, grid=[-0.0, 1.0, 0.0])
-def test_system_equals_the_dict_build(n, kind, solo, grid):
-    design = Design("crd", n, n // 2) if kind == "crd" else Design(kind, n)
-    estimand = SoloTreatmentEffect() if solo else ATE
-    a_ref, b_ref, columns = _check_system(design, estimand, tuple(grid))
-    cert = unbiased_feasibility(design, estimand, grid)
-    assert cert.rank == np.linalg.matrix_rank(a_ref)
-    assert (cert.family_size, cert.n_unknowns) == a_ref.shape
-    if cert.feasible:
-        assert repr(sorted(cert.witness.mapping)) == repr(sorted(columns))
-        x = np.zeros(len(columns))
-        for key, value in cert.witness.mapping.items():
-            x[columns[key]] = value
-        # the witness reproduces every family table's estimand
-        scale = float(np.max(np.abs(b_ref))) or 1.0
-        assert np.abs(a_ref @ x - b_ref).max() <= 1e-9 * scale
-    else:
-        assert cert.witness is None
-
-
-@pytest.mark.parametrize(
-    "design,unknowns",
-    [(Design("bd", 8), 768), (Design("crd", 8, 3), 168)],
-    ids=["bd", "crd"],
-)
-def test_system_equals_the_dict_build_at_n_8(design, unknowns):
-    # the grouping above the hypothesis cases' six units, on both zeros
-    a_ref, _, _ = _check_system(design, SoloTreatmentEffect(), (-0.0, 0.0, 0.25, 1.5))
-    assert a_ref.shape == (144, unknowns)
-
-
-@pytest.mark.parametrize(
-    "design,solo,grid",
-    [
-        (Design("bd", 8), True, (5e-324, -0.0, 1e307, 0.0)),
-        (Design("crd", 7, 3), False, (-1e307, 1e-310, 0.0, -0.0)),
-        (Design("cbd", 5), True, (1e-310, 5e-324, -1e307, 1e307)),
-        (Design("bd", 3), False, (-0.0, 5e-324)),
-        (Design("crd", 4, 1), True, (0.0, 1e-310, -0.0, -5e-324)),
-    ],
-    ids=["bd8-solo", "crd7-ate", "cbd5-solo", "bd3-ate", "crd4-solo"],
-)
-def test_system_equals_the_dict_build_at_extreme_levels(design, solo, grid):
-    # the system alone, on subnormals, the largest magnitudes, and both
-    # zeros, which group by float comparison
-    _check_system(design, SoloTreatmentEffect() if solo else ATE, grid)
 
 
 _OFFSETS = (1e6, 1e8, 1e10, 1e12, 1e15, -1e10)
@@ -527,11 +510,9 @@ def _exact_estimand(estimand, column):
 
 def _exact_expectation(cert, design, column):
     """The witness's expectation on the witness table ``column`` as a
-    Fraction: each support code's value at the level it reveals, weighted
-    by 1 / |S|."""
-    codes = np.concatenate([block for block, _ in enumerate_support(design)]).tolist()
-    levels = column.tolist()
-    values = Counter(cert.witness.mapping[(code, (levels[code],) * design.n)] for code in codes)
+    Fraction: its value at each support code, weighted by 1 / |S|."""
+    codes = np.concatenate([block for block, _ in enumerate_support(design)])
+    values = Counter(cert.witness.evaluate(codes, _revealed(column, design.n)(codes)).tolist())
     return sum(count * Fraction(value) for value, count in values.items()) / len(codes)
 
 
@@ -558,7 +539,7 @@ def _designs(draw):
     solo=st.booleans(),
     grid=st.one_of(
         st.lists(
-            st.sampled_from(_LEVELS), min_size=1, max_size=FEASIBILITY_GRID_CAP, unique_by=repr
+            st.sampled_from(_LEVELS), min_size=1, max_size=4, unique_by=repr
         ),
         st.sampled_from([(level, level + 1.0) for level in _OFFSETS]),
     ),
@@ -591,8 +572,8 @@ def test_crd_solo_is_infeasible_on_offset_grids(level):
 @pytest.mark.parametrize("level", [1e6, 1e10, 1e15, -1e10])
 def test_witness_is_unbiased_on_offset_grids_in_exact_arithmetic(level):
     # E[tau] over the support, in Fractions, against each family table's
-    # estimand: the pure rows' |S| l is exact, and the solo rows' |S| l / n
-    # rounds once unless n divides |S|
+    # estimand: the pure rows' |S| l is exact, and the solo rows' weight
+    # |S| / n and its product with l round unless n divides |S|
     grid = (level, level + 1.0)
     designs = (
         [Design("bd", n) for n in range(3, 9)]
@@ -640,7 +621,7 @@ def test_adversary_equals_the_full_matrix_reference(kind, n):
     estimators = [
         DifferenceInMeans(),
         PureArmIPW(),
-        SoloTreatedIPW(),
+        SoloTreatedIPW(design),
         ConstantEstimator(0.4),
         _er_ht(n, 1),
         _er_ht(n, 2),
@@ -693,16 +674,3 @@ def test_adversary_tables_allocate_one_column_each():
         finally:
             tracemalloc.stop()
         assert peak < 1.5e6
-
-
-def test_feasibility_sweep_prints_one_line_per_case(capsys):
-    # tools/feasibility_sweep.py on its n <= 3 slice: seven designs, two
-    # estimands and every grid, one JSON certificate or refusal per line
-    path = Path(__file__).resolve().parents[1] / "tools" / "feasibility_sweep.py"
-    spec = importlib.util.spec_from_file_location("feasibility_sweep", path)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    sweep.main(range(2, 4))
-    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert len(lines) == 7 * 2 * len(sweep.GRIDS)
-    assert all(("status" in line) != ("error" in line) for line in lines)

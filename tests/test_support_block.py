@@ -1,12 +1,12 @@
 """The support block size is a pure performance constant.
 
 Claims pinned here:
-    - exact moments, the MSE adversary and the feasibility certificate are
-      equal (``==``) whether ``enumerate_support`` yields blocks of 1, 7,
-      256 or ``SUPPORT_BLOCK`` codes: the exposure-weighted estimator under
-      bd on a k = 1 graph, the difference in means under crd and cbd, the
-      pure-arm rule under bd, and the bd solo and crd mean-contrast
-      certificates
+    - exact moments and the MSE adversary are equal (``==``) whether
+      ``enumerate_support`` yields blocks of 1, 7, 256 or ``SUPPORT_BLOCK``
+      codes: the exposure-weighted estimator under bd on a k = 1 graph, the
+      difference in means under crd and cbd, and the pure-arm rule under bd
+      (the feasibility certificate enumerates nothing; see
+      ``test_feasibility.py``)
 """
 
 import pytest
@@ -22,13 +22,11 @@ from interference_lab import (
     NoInterference,
     PotentialOutcomeTable,
     PureArmIPW,
-    SoloTreatmentEffect,
     designs,
     enumerate_support,
     exact_moments,
     mse_adversary,
     sample_er_graph,
-    unbiased_feasibility,
 )
 
 BLOCK_SIZES = (1, 7, 256, designs.SUPPORT_BLOCK)
@@ -55,20 +53,12 @@ def _adversary(estimator, design):
     return result.mse, result.floor, result.estimand_target
 
 
-def _feasibility(design, estimand):
-    cert = unbiased_feasibility(design, estimand, [0, 0.5, 1])
-    witness = cert.witness.mapping if cert.witness is not None else None
-    return cert.to_json_dict(), witness
-
-
 CASES = {
     "moments-ht-bd-k1": _ht_moments,
     "moments-dim-crd": _dim_moments_crd,
     "moments-dim-cbd": _dim_moments_cbd,
     "adversary-dim-crd": lambda: _adversary(DifferenceInMeans(), Design("crd", 12, 6)),
     "adversary-ipw-bd": lambda: _adversary(PureArmIPW(), Design("bd", 11)),
-    "feasibility-bd-solo": lambda: _feasibility(Design("bd", 5), SoloTreatmentEffect()),
-    "feasibility-crd-ate": lambda: _feasibility(Design("crd", 5, 2), ATE),
 }
 
 

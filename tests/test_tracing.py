@@ -44,10 +44,6 @@ print(json.dumps({"counts": counts, "closed_forms": closed_forms}))
 
 
 def test_tracer_installs_and_counts_a_moments_and_a_feasibility_run(tmp_path):
-    feasibility = json.loads((ROOT / "configs" / "feasibility_bd.json").read_text())
-    del feasibility["witness_csv"]
-    feasibility_path = tmp_path / "feasibility.json"
-    feasibility_path.write_text(json.dumps(feasibility))
     run = subprocess.run(
         [
             sys.executable,
@@ -55,7 +51,7 @@ def test_tracer_installs_and_counts_a_moments_and_a_feasibility_run(tmp_path):
             SCRIPT,
             str(ROOT / "perfbench"),
             str(ROOT / "configs" / "moments_ht.json"),
-            str(feasibility_path),
+            str(ROOT / "configs" / "feasibility_bd.json"),
             str(ROOT / "configs" / "er_analysis.json"),
             str(ROOT / "configs" / "tables.json"),
             str(ROOT / "configs" / "regimes.json"),
@@ -70,7 +66,8 @@ def test_tracer_installs_and_counts_a_moments_and_a_feasibility_run(tmp_path):
     result = json.loads(run.stdout.strip().splitlines()[-1])
     counts = result["counts"]
     assert counts["cli.main.calls"] == 5
-    assert counts["designs.enumerate_support.calls"] == 2
+    # moments enumerates the support; feasibility reads it in closed form
+    assert counts["designs.enumerate_support.calls"] == 1
     assert counts["designs.support_points"] > 0
     assert counts["exact.exact_moments.calls"] == 1
     assert counts["feasibility.unbiased_feasibility.calls"] == 1
