@@ -1,11 +1,11 @@
 """numpy's PCG64 streams, computed by the package itself.
 
 Everything the package knows about numpy's seeding and PCG64 lives here:
-the ``SeedSequence`` hash, PCG64's set-seed step, and a vectorized stream
-that returns ``np.random.default_rng(seed).uniform(low, high, size=count)``
-bit for bit without importing ``numpy.random`` (about 13 ms per process,
-most of it the Cython bit generators and OpenSSL's hash module behind
-``secrets``).
+the ``SeedSequence`` hash and PCG64's set-seed step (``seed_state``), and a
+vectorized stream that returns
+``np.random.default_rng(seed).uniform(low, high, size=count)`` bit for bit
+without importing ``numpy.random`` (about 13 ms per process, most of it the
+Cython bit generators and OpenSSL's hash module behind ``secrets``).
 
 PCG64 (O'Neill 2014, XSL-RR output) advances a 128-bit state by the affine
 step s -> M s + inc mod 2^128, so k steps compose to one affine map
@@ -18,14 +18,14 @@ jumped by L.  So memory is the output plus O(L), and each row costs a
 fixed count of array calls.
 
 The limb arithmetic costs about 20 ns a draw on long streams against
-numpy's 3-6.5 ns, and starting a stream costs 0.1-0.7 ms (the seed hash and
-the doubling rounds) against numpy's 12 us to load a state and draw 1,770
-values (2-core x86-64).  So it serves the bounded, once-per-process draws
-only, where numpy's import would cost more than the draw: a random outcome
-table (at most ``outcomes.TABLE_VALUE_CAP`` values) and a one-off graph's
-coins (``er.sample_er_graph``, at most ``er.ER_DRAW_PAIR_CAP``).  Monte
-Carlo, which starts a stream per replicate and draws millions of coins in
-all, stays on numpy's Generator, seeded from ``seed_states``.
+numpy's 3-6.5 ns, and starting a stream costs 0.05-0.6 ms (15 us of it the
+seed hash, the rest the doubling rounds) against numpy's 12 us to load a
+state and draw 1,770 values (2-core x86-64).  So it serves the bounded,
+once-per-process draws only, where numpy's import would cost more than the
+draw: a random outcome table (at most ``outcomes.TABLE_VALUE_CAP`` values)
+and a one-off graph's coins (``er.sample_er_graph``, at most
+``er.ER_DRAW_PAIR_CAP``).  Monte Carlo, which draws millions of coins in
+all, stays on numpy's Generator.
 """
 
 from __future__ import annotations
@@ -56,48 +56,34 @@ def check_seed(seed: int) -> None:
         raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
 
 
-def seed_words(value: int, count: int) -> list[np.ndarray]:
-    """The entropy words SeedSequence reads from a non-negative int:
-    its 32-bit words, lowest first (one word for 0), each as a uint32
-    array of ``count`` equal lanes."""
-    check_seed(value)
-    words = []
-    while True:
-        words.append(np.full(count, value & _MASK32, dtype=np.uint32))
-        value >>= 32
-        if not value:
-            return words
+def seed_state(seed: int) -> tuple[int, int]:
+    """PCG64 ``(state, inc)`` of ``PCG64(SeedSequence(seed))``, numpy's own
+    state bit for bit.
 
-
-def seed_states(words: list[np.ndarray]) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``PCG64(SeedSequence(entropy))`` for each
-    lane, where lane j's entropy is the j-th element of every uint32 array
-    in ``words``: ``seed_words(seed, 1)`` gives ``SeedSequence(seed)``, and
-    ``seed_words(seed, count)`` plus an array of indices r gives
-    ``SeedSequence([seed, r])``.
-
-    SeedSequence hashes its entropy words into a 4-word pool, and the pool
-    into four 64-bit seed words; PCG64 then runs its set-seed recurrence on
-    them.  Each step is fixed integer arithmetic, so the uint32 hash runs
-    once over arrays of every lane and the 128-bit recurrence on Python
-    ints, giving numpy's own states bit for bit.
+    SeedSequence reads the seed's 32-bit words, lowest first (one word for
+    0), hashes them into a 4-word pool, and the pool into four 64-bit seed
+    words; PCG64 then runs its set-seed recurrence on them.  Each step is
+    fixed integer arithmetic, here on Python ints masked to numpy's widths.
     """
-    count = len(words[0])
+    check_seed(seed)
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
     const = _INIT_A
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
+    def hashmix(value: int) -> int:
         nonlocal const
-        value = value ^ const
+        value ^= const
         const = const * _MULT_A & _MASK32
-        value *= const
-        return value ^ (value >> 16)
+        value = value * const & _MASK32
+        return value ^ value >> 16
 
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return result ^ (result >> 16)
+    def mix(x: int, y: int) -> int:
+        result = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _MASK32
+        return result ^ result >> 16
 
-    zero = np.zeros(count, dtype=np.uint32)
-    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(4)]
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
@@ -110,16 +96,13 @@ def seed_states(words: list[np.ndarray]) -> list[tuple[int, int]]:
     for i in range(8):
         value = pool[i % 4] ^ const
         const = const * _MULT_B & _MASK32
-        value *= const
-        out.append((value ^ (value >> 16)).astype(np.uint64))
+        value = value * const & _MASK32
+        out.append(value ^ value >> 16)
     # the four little-endian 64-bit words: initstate high, low, initseq high, low
-    seeds = [(out[2 * k + 1] << 32 | out[2 * k]).tolist() for k in range(4)]
-    states = []
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*seeds):
-        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
-        state = (((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
+    initstate = out[1] << 96 | out[0] << 64 | out[3] << 32 | out[2]
+    inc = (out[5] << 97 | out[4] << 65 | out[7] << 33 | out[6] << 1 | 1) & _MASK128
+    state = ((initstate + inc) * _PCG64_MULT + inc) & _MASK128
+    return state, inc
 
 
 def _jump(hi: np.ndarray, lo: np.ndarray, a: int, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +138,7 @@ def uniform(seed: int, low: float, high: float, count: int) -> np.ndarray:
     span = high - low
     if not math.isfinite(span):
         raise OverflowError("high - low range exceeds valid bounds")
-    state, inc = seed_states(seed_words(seed, 1))[0]
+    state, inc = seed_state(seed)
     first = (state * _PCG64_MULT + inc) & _MASK128  # each output reads the stepped state
     hi = np.array([first >> 64], dtype=np.uint64)
     lo = np.array([first & _MASK64], dtype=np.uint64)

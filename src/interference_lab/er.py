@@ -18,10 +18,11 @@ per-node moment diverges, and so does h(K).
 A one-off graph draw (``sample_er_graph``) takes its coins from the
 package's own PCG64 stream (``_pcg64.uniform``), numpy's
 ``default_rng(seed).random`` bit for bit, so it does not load
-``numpy.random``.  Monte Carlo alone draws on numpy's Generator: it starts
-a fresh stream per replicate and draws n(n-1)/2 coins on each, where numpy
-starts streams and draws faster than ``_pcg64`` (which gives the costs);
-``_pcg64`` still computes the replicate seeding.
+``numpy.random``.  Monte Carlo alone draws on numpy's Generator: one
+``default_rng(seed)`` stream per call, from which every replicate draws its
+n(n-1)/2 coins in turn, where numpy draws faster than ``_pcg64`` (which
+gives the costs).  Both take the same coins from a seed, so Monte Carlo's
+first replicate under constant outcomes is ``sample_er_graph``'s graph.
 
 Closed forms are evaluated directly, and a power past the double range
 reads as inf.  Along p = 1/sqrt(n) the per-node moment M1 stays finite up
@@ -37,7 +38,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from ._kernels import ORACLE_CAP, er_moment_scan, er_variance_scan, ht_variance_terms
-from ._pcg64 import check_seed, seed_states, seed_words, uniform
+from ._pcg64 import check_seed, uniform
 from .designs import CODE_BITS
 from .errors import CapacityError, InvalidArgumentError
 from .exact import _exact_sum, _weighted_square_sum
@@ -168,13 +169,6 @@ def expected_informative_fraction(spec: ERSpec) -> float:
 # Sampling and Monte Carlo
 
 
-def _draw_edges(spec: ERSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """A Monte Carlo replicate's ER coins: ``out[t]`` is set when candidate
-    node pair t is kept, with probability p, one uniform draw per pair in
-    order (the coins ``sample_er_graph`` draws from its seed)."""
-    return np.less(rng.random(out.size), spec.p, out=out)
-
-
 # Node pairs one explicit graph draw may hold.  Each pair costs about 25
 # bytes while drawn (16 for its two int64 endpoints, 8 for its uniform coin,
 # 1 for its keep flag), so 2^22 pairs (n <= 2896) is about 100 MB.  The
@@ -190,10 +184,10 @@ ER_DRAW_PAIR_CAP = 2**22
 def sample_er_graph(spec: ERSpec, seed: int) -> Graph:
     """One graph draw, deterministic in the seed: node pair t, in
     lexicographic (i, j) order, is kept when the t-th draw of
-    ``default_rng(seed).random`` is below p, the coins ``_draw_edges``
-    draws.  They come from ``_pcg64.uniform``, bit for bit the same, so the
-    draw does not load ``numpy.random``.  More than ``ER_DRAW_PAIR_CAP``
-    pairs are refused before any is made."""
+    ``default_rng(seed).random`` is below p, the coins of Monte Carlo's
+    first replicate.  They come from ``_pcg64.uniform``, bit for bit the
+    same, so the draw does not load ``numpy.random``.  More than
+    ``ER_DRAW_PAIR_CAP`` pairs are refused before any is made."""
     check_seed(seed)
     pairs = spec.n * (spec.n - 1) // 2
     if pairs > ER_DRAW_PAIR_CAP:
@@ -212,7 +206,8 @@ class ConstantOutcomes(NamedTuple):
 
 
 class UniformOutcomes(NamedTuple):
-    """Pure-arm outcomes drawn uniformly in (k_lower, m_upper) per replicate."""
+    """Pure-arm outcomes drawn uniformly in [k_lower, m_upper) per replicate,
+    as numpy's ``uniform`` draws them."""
 
     k_lower: float
     m_upper: float
@@ -262,22 +257,10 @@ def _block_masks(
     return out
 
 
-# Replicates whose stream states are hashed together.  One hash makes about
-# 180 numpy calls, 0.23 ms on 2-core x86-64 at any small count: hashed per
-# Monte Carlo pass (9 replicates at n = 60) that is 26 us per replicate,
-# against 17 us for one SeedSequence and generator; a chunk of 2^10 costs
-# 1.3 us per replicate (2^12: 1.1 us) and keeps memory independent of reps.
-SEED_CHUNK = 2**10
-# Replicate indices below 2^32 are one 32-bit entropy word to SeedSequence.
-MAX_REPS = 2**32
-
-
 def check_monte_carlo(spec: ERSpec, reps: int) -> None:
     """Refuse the runs ``mc_expected_variance`` refuses, before it starts."""
     if reps < 2:
         raise InvalidArgumentError(f"need reps >= 2, got {reps}")
-    if reps > MAX_REPS:
-        raise CapacityError(f"Monte Carlo needs reps <= 2^32, got reps={reps}")
     if spec.n > CODE_BITS:
         raise CapacityError(
             f"Monte Carlo needs n <= {CODE_BITS} (int64 neighborhood bitmasks), got n={spec.n}"
@@ -289,64 +272,51 @@ def mc_expected_variance(
 ) -> MCVariance:
     """Monte Carlo estimate of the graph-expected estimator variance.
 
-    Replicate r runs on the PCG64 stream of ``SeedSequence([seed, r])``:
-    first the coins of ``_draw_edges`` over the node pairs of one
-    ``triu_indices`` per call (the coins ``sample_er_graph`` draws from a
-    seed), then pure-arm outcomes per the policy.  The stream states are
-    computed by one vectorized hash per ``SEED_CHUNK`` replicates
-    (``_pcg64.seed_states``), identical to numpy's own, and loaded into one
-    numpy generator, the one draw in the package that loads
-    ``numpy.random``.  Replicates run in passes of up to ``MC_BLOCK_PAIRS``
-    mask pairs, drawn into the rows of preallocated buffers.  In each pass
-    one ``bitwise_or.at`` builds every closed 1-step neighborhood bitmask
-    from the kept pairs (no ``Graph`` and no BFS), and one
-    ``_kernels.ht_variance_terms`` call evaluates the per-graph pairwise
-    closed form of the exposure-weighted estimator's variance, each graph
-    bit for bit as on its own.  That the closed form equals the variance
-    enumerated over the fair-coin support is checked separately, through
-    ``exact_moments``.  The estimate depends on neither the pass size nor
-    the environment.  Graphs above ``CODE_BITS`` nodes are refused before
-    any is drawn: the closed form reads int64 neighborhood bitmasks, and no
-    ball of at most ``CODE_BITS`` nodes overflows its 2^s weights, so every
-    replicate counts.  More than ``MAX_REPS`` replicates are refused too,
-    since each index hashes as one 32-bit word, and a variance past the
-    double range raises OverflowError.
+    Every replicate draws, in order, from one ``default_rng(seed)`` stream:
+    first one coin per node pair of one ``triu_indices`` per call, the pair
+    kept when its coin is below p (so replicate 0's graph is
+    ``sample_er_graph(spec, seed)``), then, under ``UniformOutcomes`` only,
+    n values for y_a and n for y_b, each ``k_lower + (m_upper - k_lower) u``
+    as numpy's ``uniform`` computes it.  This is the one draw in the package
+    that loads ``numpy.random``.  Replicates run in passes of up to
+    ``MC_BLOCK_PAIRS`` mask pairs, each filling the rows of one
+    preallocated buffer with one ``random`` call; the buffer fills in row
+    order, so the estimate depends on neither the pass size nor the
+    environment.  In each pass one ``bitwise_or.at`` builds every closed
+    1-step neighborhood bitmask from the kept pairs (no ``Graph`` and no
+    BFS), and one ``_kernels.ht_variance_terms`` call evaluates the
+    per-graph pairwise closed form of the exposure-weighted estimator's
+    variance, each graph bit for bit as on its own.  That the closed form
+    equals the variance enumerated over the fair-coin support is checked
+    separately, through ``exact_moments``.  Graphs above ``CODE_BITS``
+    nodes are refused before any is drawn: the closed form reads int64
+    neighborhood bitmasks, and no ball of at most ``CODE_BITS`` nodes
+    overflows its 2^s weights, so every replicate counts.  A variance past
+    the double range raises OverflowError.
     """
     check_monte_carlo(spec, reps)
+    check_seed(seed)
     n = spec.n
     pairs = np.triu_indices(n, 1)
-    rows = min(reps, max(1, MC_BLOCK_PAIRS // (n * n)))
-    keep = np.empty((rows, pairs[0].size), dtype=bool)
-    masks = np.empty((rows, n), dtype=np.int64)
-    y_a = np.empty((rows, n))
-    y_b = np.empty((rows, n))
+    m = pairs[0].size
     constant = isinstance(policy, ConstantOutcomes)
+    rows = min(reps, max(1, MC_BLOCK_PAIRS // (n * n)))
+    draws = np.empty((rows, m if constant else m + 2 * n))
+    keep = np.empty((rows, m), dtype=bool)
+    masks = np.empty((rows, n), dtype=np.int64)
     if constant:
-        y_a.fill(policy.value)
-        y_b.fill(policy.value)
-    rng = np.random.Generator(np.random.PCG64())  # state set per replicate
-    chunks = ((first, min(SEED_CHUNK, reps - first)) for first in range(0, reps, SEED_CHUNK))
-    states = (
-        state
-        for first, count in chunks
-        for state in seed_states(
-            seed_words(seed, count) + [np.arange(first, first + count, dtype=np.uint32)]
-        )
-    )
+        y_a = y_b = np.full((rows, n), policy.value)
+    rng = np.random.default_rng(seed)
     passes = []
     for first in range(0, reps, rows):
         size = min(rows, reps - first)
-        for r, (state, inc) in zip(range(size), states):
-            rng.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            _draw_edges(spec, rng, keep[r])
-            if not constant:
-                y_a[r] = rng.uniform(policy.k_lower, policy.m_upper, size=n)
-                y_b[r] = rng.uniform(policy.k_lower, policy.m_upper, size=n)
+        block = rng.random(out=draws[:size])
+        np.less(block[:, :m], spec.p, out=keep[:size])
+        if not constant:
+            y = block[:, m:]
+            y *= policy.m_upper - policy.k_lower
+            y += policy.k_lower
+            y_a, y_b = y[:, :n], y[:, n:]
         _block_masks(keep[:size], pairs, masks[:size])
         with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
             v_a, v_b, cov = ht_variance_terms(masks[:size], y_a[:size], y_b[:size])

@@ -243,13 +243,22 @@ class PotentialOutcomeTable:
         The draws are one stream, ``default_rng(seed).uniform`` bit for bit,
         taken from the package's own PCG64 (``_pcg64.uniform``), so building
         a table never imports ``numpy.random``; unit by unit, each unit's
-        outcomes by effective-treatment key."""
+        outcomes by effective-treatment key.  Each draw is clipped to the
+        doubles next inside the bounds, which moves only a draw the interior
+        offset failed to keep off a bound (next to a bound's ulp); an
+        interval that holds no double is refused."""
         if not 0 <= k_lower < m_upper < math.inf:
             raise InvalidArgumentError("need 0 <= k_lower < m_upper, both finite")
+        lowest, highest = math.nextafter(k_lower, math.inf), math.nextafter(m_upper, -math.inf)
+        if not lowest < m_upper:
+            raise InvalidArgumentError(
+                f"no double lies strictly between k_lower={k_lower!r} and m_upper={m_upper!r}"
+            )
         groups = _reference_groups(structure)
         eps = _BOUNDS_EPS_REL * (m_upper - k_lower)
         sizes = [1 << len(g) for g in groups]
         draws = uniform(seed, k_lower + eps, m_upper - eps, sum(sizes))
+        np.clip(draws, lowest, highest, out=draws)
         values = np.split(draws, np.cumsum(sizes)[:-1])
         return cls(structure, values, k_lower=k_lower, m_upper=m_upper)
 

@@ -10,8 +10,8 @@ Claims pinned here:
       not store, printed unquoted, and integers past Python's 4300-digit
       conversion limit, in a config file or a --set value; over-cap sizes,
       including feasibility past the 63-unit code width,
-      tables and Monte Carlo beyond the 63-node code width, Monte Carlo
-      past 2^32 replicates, and tables past 1074 nodes (an ER graph past
+      tables and Monte Carlo beyond the 63-node code width, and tables
+      past 1074 nodes (an ER graph past
       2^22 node pairs among them), before any pair is allocated, exit 3;
       moments past the enumeration cap
       exits 3 before it reads a graph or draws a table, and the adversary
@@ -23,7 +23,9 @@ Claims pinned here:
       m_upper, a table file's m_upper), an infinite table bound, and
       er-analysis levels outside 0 < k_lower < m_upper, both finite, a
       constant estimator's or policy's value that is not finite, and a
-      negative radius k, exit 2 naming the entry on one stderr line; a
+      negative radius k, exit 2 naming the entry on one stderr line, as
+      does a random table's interval that holds no double, while one a
+      few ulps wide runs; a
       malformed table file (a bad n, edge or radius included, and a float
       or boolean one, refused rather than truncated) or graph
       file (a node count below 1, an edge line of three fields) exits 2
@@ -338,6 +340,23 @@ def test_malformed_design_block_exits_2(tmp_path, capsys, design, message):
     cfg = {"design": design, "estimand": {"kind": "ate"}, "grid": [0, 1]}
     assert cli.main(["feasibility", "--config", write_config(tmp_path, "f.json", cfg)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_moments_on_a_narrow_random_table(tmp_path, capsys):
+    # a table drawn on (1e15, 1e15 + 1), where the interior offset rounds
+    # away next to the bound's ulp, keeps its draws inside it
+    narrow = {"k_lower": 1e15, "m_upper": 1e15 + 1, "seed": 0}
+    cfg = dict(MOMENTS_CFG, table={"random": narrow})
+    assert cli.main(["moments", "--config", write_config(tmp_path, "m.json", cfg)]) == 0
+    # an interval holding no double is refused, naming both bounds
+    empty = {"k_lower": 1.0, "m_upper": 1.0000000000000002, "seed": 0}
+    cfg = dict(MOMENTS_CFG, table={"random": empty})
+    capsys.readouterr()
+    assert cli.main(["moments", "--config", write_config(tmp_path, "e.json", cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: no double lies strictly between"
+        " k_lower=1.0 and m_upper=1.0000000000000002\n"
+    )
 
 
 def test_table_of_another_size_exits_2(tmp_path, capsys):
@@ -908,14 +927,6 @@ def test_er_analysis_with_a_huge_n_exits_3(tmp_path, capsys):
     }
     assert cli.main(["er-analysis", "--config", write_config(tmp_path, "er.json", cfg)]) == 3
     assert capsys.readouterr().err.startswith("capacity error: Monte Carlo needs n <= 63")
-
-
-def test_er_analysis_with_more_replicates_than_one_index_word_exits_3(capsys):
-    config = str(CONFIGS / "er_analysis.json")
-    assert cli.main(["er-analysis", "--config", config, "--set", "reps=4294967297"]) == 3
-    assert capsys.readouterr().err == (
-        "capacity error: Monte Carlo needs reps <= 2^32, got reps=4294967297\n"
-    )
 
 
 # commands that run no Monte Carlo: a random outcome table and the coins of

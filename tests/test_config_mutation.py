@@ -85,8 +85,8 @@ def _mutated_configs(draw):
             continue
         value = draw(_VALUES)
         # Replicates stay at or below the shipped count: a larger one only
-        # makes a legitimate run longer. This bounds runtime and hides no
-        # defect, since the refusal past er.MAX_REPS is tested on its own.
+        # makes a legitimate run longer, since the count has no cap of its
+        # own. This bounds runtime and hides no defect.
         if last == "reps" and type(value) in (int, float) and value > reps:
             value = reps
         block[last] = value

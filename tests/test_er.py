@@ -32,18 +32,16 @@ Claims pinned here:
       standard errors of enumeration, and of the moment-based exact
       reference up to n = CODE_BITS, sparse and dense, with no replicate
       rejected; above it, Monte Carlo is refused before any graph is drawn
-    - Monte Carlo evaluated in passes of replicates, each one mask build
-      and one closed-form call, equals a loop over one replicate at a time
-      bit for bit, at every pass and seed chunk size, for one-word and
-      multiword seeds, past one seed chunk, and with a partial last pass
+    - Monte Carlo evaluated in passes of replicates, each one draw, one
+      mask build and one closed-form call, equals a loop over one replicate
+      at a time on one ``default_rng(seed)`` stream bit for bit, at every
+      pass size, for one-word and multiword seeds, over many passes, and
+      with a partial last pass
+    - Monte Carlo's first replicate under constant outcomes is the graph
+      ``sample_er_graph`` draws from the same seed
     - a one-off graph draw, whose coins come from the package's own stream,
       keeps the pairs numpy's ``default_rng(seed).random`` keeps, across
       one and two rows of stream lanes
-    - the vectorized replicate seeding (``_pcg64.seed_states``) gives
-      numpy's own PCG64 state of SeedSequence([seed, r]), for seeds of one
-      to six 32-bit words and replicates on both sides of a seed-chunk
-      boundary and up to 2^32 - 1;
-      more than 2^32 replicates are refused before any graph is drawn
     - a Monte Carlo variance past the double range raises OverflowError
     - a graph draw past ``ER_DRAW_PAIR_CAP`` node pairs is refused before
       any pair is allocated, and one at the cap is not
@@ -60,8 +58,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from interference_lab import (
     CapacityError,
@@ -415,8 +411,8 @@ def test_random_streams_pinned_across_versions():
     mc = mc_expected_variance(
         ERSpec(30, 1 / 30), UniformOutcomes(0.5, 1.0), reps=50, seed=7
     )
-    assert mc.mean == 0.41600951264508884
-    assert mc.stderr == 0.016305635265719376
+    assert mc.mean == 0.40073141055341216
+    assert mc.stderr == 0.014474867276729612
     assert (mc.reps_used, mc.reps_rejected) == (50, 0)
 
 
@@ -442,15 +438,16 @@ def test_mc_at_the_code_width_matches_the_moment_reference(spec):
 
 
 def _mc_one_replicate_at_a_time(spec, policy, reps, seed):
-    """Monte Carlo as a loop over replicates: each graph built from its own
-    coin draw, its masks from the BFS balls, and its closed form evaluated
-    as a one-graph block."""
+    """Monte Carlo as a loop over replicates on one stream: each graph built
+    from its own coin draw, its masks from the BFS balls, its outcomes from
+    numpy's ``uniform``, and its closed form evaluated as a one-graph
+    block."""
     n = spec.n
     left, right = np.triu_indices(n, 1)
+    rng = np.random.default_rng(seed)
     values = []
-    for rep in range(reps):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
-        keep = er._draw_edges(spec, rng, np.empty(left.size, dtype=bool))
+    for _ in range(reps):
+        keep = rng.random(left.size) < spec.p
         graph = Graph.from_edges(n, zip(left[keep].tolist(), right[keep].tolist()))
         masks = NeighborhoodIndex.build(graph, 1).masks()
         if isinstance(policy, ConstantOutcomes):
@@ -469,8 +466,8 @@ def _mc_one_replicate_at_a_time(spec, policy, reps, seed):
 @pytest.mark.parametrize("policy", POLICIES, ids=["constant", "uniform"])
 @pytest.mark.parametrize("spec", CODE_WIDTH_SPECS, ids=["sparse-63", "dense-40", "dense-63"])
 def test_mc_blocks_equal_one_replicate_at_a_time(spec, policy, monkeypatch):
-    # 23 reps fill no whole number of passes (8 at n = 63, 20 at n = 40)
-    # nor of 5-replicate seed chunks; 2^64 + 5 is a three-word seed
+    # 23 reps fill no whole number of passes (8 at n = 63, 20 at n = 40);
+    # 2^64 + 5 is a three-word seed
     reps = 23
     assert reps % max(1, er.MC_BLOCK_PAIRS // spec.n**2) != 0
     for seed in (5, 2**64 + 5):
@@ -481,22 +478,19 @@ def test_mc_blocks_equal_one_replicate_at_a_time(spec, policy, monkeypatch):
             for pairs in (1, reps * spec.n**2):
                 patch.setattr(er, "MC_BLOCK_PAIRS", pairs)
                 assert mc_expected_variance(spec, policy, reps, seed) == want
-            patch.setattr(er, "SEED_CHUNK", 5)
-            assert mc_expected_variance(spec, policy, reps, seed) == want
 
 
 @pytest.mark.parametrize(
     "spec,reps,passes",
     [
-        # past one seed chunk in 9-replicate passes, one of which crosses
-        # the chunk boundary; the last pass holds 3
-        (ERSpec(60, 1 / 60), er.SEED_CHUNK + 5, [9] * 114 + [3]),
+        # 114 passes of 9 replicates and a last one of 3
+        (ERSpec(60, 1 / 60), 1029, [9] * 114 + [3]),
         # 145-replicate passes and a partial last one
         (ERSpec(15, 1 / 15), 600, [145] * 4 + [20]),
         # fewer replicates than one pass
         (ERSpec(CODE_BITS, 1 / CODE_BITS), 3, [3]),
     ],
-    ids=["n60-seed-chunk", "n15-partial-pass", "n63-three"],
+    ids=["n60-many-passes", "n15-partial-pass", "n63-three"],
 )
 @pytest.mark.parametrize("policy", POLICIES, ids=["constant", "uniform"])
 def test_mc_passes_equal_one_replicate_at_a_time(spec, reps, passes, policy, monkeypatch):
@@ -519,36 +513,24 @@ def test_mc_passes_equal_one_replicate_at_a_time(spec, reps, passes, policy, mon
     assert mask_rows == term_rows == passes
 
 
-# seeds of 1, 1, 2, 3, 4 and 6 words: the last two carry entropy words past
-# SeedSequence's 4-word pool
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(
-    seed=st.integers(0, 2**200),
-    start=st.integers(0, er.MAX_REPS - 4),
-    count=st.integers(1, 4),
-)
-@example(seed=0, start=0, count=er.SEED_CHUNK + 1)
-@example(seed=2**32 - 1, start=0, count=er.SEED_CHUNK + 1)
-@example(seed=2**32, start=0, count=er.SEED_CHUNK + 1)
-@example(seed=2**64 + 1, start=0, count=er.SEED_CHUNK + 1)
-@example(seed=2**127, start=0, count=er.SEED_CHUNK + 1)
-@example(seed=2**160 + 9, start=0, count=er.SEED_CHUNK + 1)
-@example(seed=2**160 + 9, start=er.MAX_REPS - 2, count=2)
-def test_replicate_states_equal_numpy_seeding(seed, start, count):
-    want = []
-    for r in range(start, start + count):
-        state = np.random.PCG64(np.random.SeedSequence([seed, r])).state["state"]
-        want.append((state["state"], state["inc"]))
-    words = _pcg64.seed_words(seed, count) + [np.arange(start, start + count, dtype=np.uint32)]
-    assert _pcg64.seed_states(words) == want
+@pytest.mark.parametrize("n", [2, 15, CODE_BITS])
+def test_mc_first_replicate_is_the_seeds_graph(n, monkeypatch):
+    # under constant outcomes the stream opens with replicate 0's coins,
+    # the ones a one-off draw takes from the same seed
+    spec, seed = ERSpec(n, 0.3), 11
+    block_masks, first_rows = er._block_masks, []
 
+    def recorded_masks(keep, pairs, out):
+        if not first_rows:
+            first_rows.append(keep[0].copy())
+        return block_masks(keep, pairs, out)
 
-def test_mc_refuses_more_replicates_than_one_index_word(monkeypatch):
-    drawn = []
-    monkeypatch.setattr(er, "_draw_edges", lambda spec, rng, out: drawn.append(spec.n))
-    with pytest.raises(CapacityError, match=r"reps <= 2\^32"):
-        mc_expected_variance(ERSpec(6, 0.3), ConstantOutcomes(1.0), er.MAX_REPS + 1, seed=7)
-    assert drawn == []
+    monkeypatch.setattr(er, "_block_masks", recorded_masks)
+    mc_expected_variance(spec, ConstantOutcomes(1.0), reps=3, seed=seed)
+    left, right = np.triu_indices(n, 1)
+    (keep,) = first_rows
+    edges = set(zip(left[keep].tolist(), right[keep].tolist()))
+    assert edges == sample_er_graph(spec, seed).edges
 
 
 @pytest.mark.parametrize(
@@ -561,14 +543,14 @@ def test_mc_past_the_double_range_raises_overflow(policy):
 
 def test_mc_refuses_wide_graphs_before_drawing(monkeypatch):
     drawn = []
-    draw_edges = er._draw_edges
+    block_masks = er._block_masks
 
-    def counted_draw(spec, rng, out):
-        drawn.append(spec.n)
-        return draw_edges(spec, rng, out)
+    def counted_masks(keep, pairs, out):
+        drawn.extend([out.shape[1]] * len(keep))
+        return block_masks(keep, pairs, out)
 
-    monkeypatch.setattr(er, "_draw_edges", counted_draw)
-    # positive control: at the code width, every replicate draws through it
+    monkeypatch.setattr(er, "_block_masks", counted_masks)
+    # positive control: at the code width, every replicate's graph is built
     mc_expected_variance(ERSpec(CODE_BITS, 0.01), ConstantOutcomes(1.0), reps=10, seed=7)
     assert drawn == [CODE_BITS] * 10
     drawn.clear()
@@ -585,7 +567,7 @@ def test_masks_from_edges_equal_the_bfs_balls(n):
     pairs = np.triu_indices(n, 1)
     keep = np.empty((len(draws), pairs[0].size), dtype=bool)
     for row, (spec, seed) in zip(keep, draws):
-        er._draw_edges(spec, np.random.default_rng(seed), row)
+        row[:] = np.random.default_rng(seed).random(row.size) < spec.p
     masks = er._block_masks(keep, pairs, np.empty((len(draws), n), dtype=np.int64))
     for row, (spec, seed) in zip(masks, draws):
         graph = sample_er_graph(spec, seed)

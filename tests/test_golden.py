@@ -17,16 +17,25 @@ Claims pinned here:
       shipped c = 1.0 config, whose terms are integers below 2^53 and so
       sum to the same bits in any order, these pin the closed form's float
       summation order
+    - every row of each recorded ``er_analysis*`` output holds a Monte Carlo
+      mean within three of its standard errors of the exact reference:
+      ``h_bound`` at the constant policy's level, and, for the uniform
+      policy, the envelope [h(K), h(M)] widened by three standard errors;
+      so a re-recorded golden must be statistically right, not only
+      reproducible
 
 Unlike the re-runs of acceptance criterion 8, which compare two runs of the
 same code, the recordings compare this version with the one that wrote them.
 A change that alters output on purpose records the new output and says why.
 """
 
+import csv
+import json
 from pathlib import Path
 
 import pytest
 
+from interference_lab import ERSpec, h_bound
 from interference_lab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,3 +80,20 @@ def test_shipped_config_output_matches_recording(name, tmp_path, monkeypatch, ca
     produced = _files(tmp_path)
     produced["stdout"] = capsys.readouterr().out.encode()
     assert produced == _files(GOLDEN / name)
+
+
+ER_ANALYSES = [name for name in sorted(COMMANDS) if COMMANDS[name] == "er-analysis"]
+
+
+@pytest.mark.parametrize("name", ER_ANALYSES)
+def test_recorded_monte_carlo_lies_within_three_stderr_of_the_reference(name):
+    policy = json.loads((ROOT / "configs" / f"{name}.json").read_text()).get("policy", {})
+    rows = list(csv.DictReader((GOLDEN / name / "stdout").read_text().splitlines()))
+    assert rows
+    for row in rows:
+        spec = ERSpec(int(row["N"]), float(row["p"]))
+        mean, se = float(row["mc_mean"]), float(row["mc_stderr"])
+        if policy.get("kind", "constant") == "constant":
+            assert abs(mean - h_bound(policy.get("value", 1.0), spec)) <= 3 * se
+        else:
+            assert float(row["h_lower"]) - 3 * se <= mean <= float(row["h_upper"]) + 3 * se

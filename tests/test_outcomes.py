@@ -6,7 +6,10 @@ Claims pinned here:
     - the mean contrast is antisymmetric under swapping the roles of the
       two arms
     - the random generator honors the open bounds, is seed-deterministic,
-      and respects the declared structure
+      and respects the declared structure; on an interval a few ulps wide,
+      where the interior offset rounds away, its draws still lie strictly
+      inside, and an interval that holds no double is refused naming both
+      bounds
     - tables of every structure round-trip through the one JSON document
       with equal structure, bounds and outcomes under every code, unstored
       entries and absent bounds left out, and literal documents, an
@@ -140,6 +143,24 @@ def test_generator_bounds_and_determinism():
     assert values != [
         shifted.observed_vector(Assignment(code, 3))[i] for code in range(8) for i in range(3)
     ]
+
+
+@pytest.mark.parametrize(
+    "k_lower,m_upper",
+    [(1e15, 1e15 + 1), (0.0, 2e-323), (0.5, math.nextafter(math.nextafter(0.5, 1), 1))],
+)
+def test_generator_draws_inside_a_narrow_interval(k_lower, m_upper):
+    t = PotentialOutcomeTable.random(NoInterference(4), k_lower, m_upper, seed=0)
+    assert all(k_lower < v < m_upper for v in t._flat.tolist())
+
+
+@pytest.mark.parametrize("k_lower,m_upper", [(1.0, math.nextafter(1.0, 2)), (0.0, 5e-324)])
+def test_generator_refuses_an_interval_holding_no_double(k_lower, m_upper):
+    with pytest.raises(InvalidArgumentError) as refusal:
+        PotentialOutcomeTable.random(NoInterference(4), k_lower, m_upper, seed=0)
+    assert str(refusal.value) == (
+        f"no double lies strictly between k_lower={k_lower!r} and m_upper={m_upper!r}"
+    )
 
 
 def test_generator_respects_declared_lower_bound():

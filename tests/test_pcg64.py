@@ -1,6 +1,8 @@
 """The package's own PCG64 stream against numpy's Generator.
 
 Claims pinned here:
+    - ``_pcg64.seed_state(seed)`` is numpy's own PCG64 state of
+      ``SeedSequence(seed)``, for seeds of one to six 32-bit words
     - ``_pcg64.uniform(seed, low, high, count)`` equals
       ``np.random.default_rng(seed).uniform(low, high, size=count)`` bit for
       bit, for seeds of one to six 32-bit words, counts on both sides of the
@@ -45,6 +47,21 @@ from interference_lab.outcomes import _BOUNDS_EPS_REL, TABLE_VALUE_CAP
 
 LANES = _pcg64.LANES
 COUNTS = [1, 2, 3, LANES - 1, LANES, LANES + 1, 2 * LANES - 1, 2 * LANES + 1, TABLE_VALUE_CAP]
+
+
+# seeds of 1, 1, 2, 3, 4 and 6 words: the last two carry entropy words past
+# SeedSequence's 4-word pool
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**192 - 1))
+@example(seed=0)
+@example(seed=2**32 - 1)
+@example(seed=2**32)
+@example(seed=2**64 + 1)
+@example(seed=2**127)
+@example(seed=2**160 + 9)
+def test_seed_state_equals_numpy_seeding(seed):
+    state = np.random.PCG64(np.random.SeedSequence(seed)).state["state"]
+    assert _pcg64.seed_state(seed) == (state["state"], state["inc"])
 
 
 def _numpy_uniform(seed, low, high, count):
