@@ -23,11 +23,20 @@ membership test on int64 codes (``in_support``); every law is uniform on its
 support.  Exact support enumeration is capped at ``ENUMERATION_CAP`` units,
 the membership test at ``CODE_BITS``.  All operations are pure; values are
 immutable.
+
+The package's seeded draws outside Monte Carlo, a random outcome table and
+a one-off ER graph's coins, both read one stream (``_uniform_draws``):
+Python's Mersenne Twister, ``random.Random(seed).random()``, whose sequence
+for a given seed Python keeps across versions.  numpy's own import loads
+``random``, so it costs nothing to import, where ``numpy.random`` costs
+10-15 ms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -177,3 +186,18 @@ def enumerate_support(design: Design) -> Iterator[tuple[np.ndarray, float]]:
     p = 1 / support_size(design)  # int / int rounds once: 0.5**n under bd
     for start in range(0, len(codes), SUPPORT_BLOCK):
         yield codes[start : start + SUPPORT_BLOCK], p
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a negative seed: ``random.Random`` would seed -s as s, and
+    numpy refuses it."""
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
+
+
+def _uniform_draws(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` values of ``random.Random(seed).random()``, in
+    [0, 1), as a float64 array filled without a list of Python floats."""
+    check_seed(seed)
+    draws = itertools.starmap(random.Random(seed).random, itertools.repeat((), count))
+    return np.fromiter(draws, dtype=np.float64, count=count)

@@ -15,14 +15,13 @@ K >= 0, h(K) <= E_graph[variance] <= h(M).  Along p = 1/n the product
 moments stay bounded and h decays like 1/n; along p = 1/sqrt(n) the
 per-node moment diverges, and so does h(K).
 
-A one-off graph draw (``sample_er_graph``) takes its coins from the
-package's own PCG64 stream (``_pcg64.uniform``), numpy's
-``default_rng(seed).random`` bit for bit, so it does not load
-``numpy.random``.  Monte Carlo alone draws on numpy's Generator: one
-``default_rng(seed)`` stream per call, from which every replicate draws its
-n(n-1)/2 coins in turn, where numpy draws faster than ``_pcg64`` (which
-gives the costs).  Both take the same coins from a seed, so Monte Carlo's
-first replicate under constant outcomes is ``sample_er_graph``'s graph.
+A one-off graph draw (``sample_er_graph``) takes its coins from
+``random.Random(seed)`` (``designs._uniform_draws``), as random outcome
+tables do, so it does not load ``numpy.random``.  Monte Carlo alone draws
+on numpy's Generator: one ``default_rng(seed)`` stream per call, from which
+every replicate draws its n(n-1)/2 coins in turn, where numpy draws about
+ten times faster per coin.  Both keep a pair when its coin is below p, in the
+same pair order, but from different streams.
 
 Closed forms are evaluated directly, and a power past the double range
 reads as inf.  Along p = 1/sqrt(n) the per-node moment M1 stays finite up
@@ -38,8 +37,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from ._kernels import ORACLE_CAP, er_moment_scan, er_variance_scan, ht_variance_terms
-from ._pcg64 import check_seed, uniform
-from .designs import CODE_BITS
+from .designs import CODE_BITS, _uniform_draws, check_seed
 from .errors import CapacityError, InvalidArgumentError
 from .exact import _exact_sum, _weighted_square_sum
 from .graphs import Graph
@@ -172,30 +170,27 @@ def expected_informative_fraction(spec: ERSpec) -> float:
 # Node pairs one explicit graph draw may hold.  Each pair costs about 25
 # bytes while drawn (16 for its two int64 endpoints, 8 for its uniform coin,
 # 1 for its keep flag), so 2^22 pairs (n <= 2896) is about 100 MB.  The
-# coins come from the package's own stream (``_pcg64``), which beats
-# numpy's import plus draw below about 1M pairs and loses past it: 2^22
-# pairs take 59 ms against numpy's 15 ms plus its 15-20 ms import (2-core
-# x86-64).  No command draws that many: ``tables`` stops at n = 1074
-# (576,201 pairs, 7.9 ms against 1.4 ms plus the import) and ``moments``
-# at 91 pairs.
+# coins come from ``random.Random(seed)``, which beats numpy's import plus
+# draw below about 300,000 pairs and loses past it: 2^22 coins take about
+# 170 ms against numpy's 13 ms plus its 9-17 ms import (2-core x86-64).
+# No command draws that many: ``tables`` stops at n = 1074 (576,201 coins,
+# about 35 ms against 2.5 ms plus the import), and ``moments`` at 91 pairs.
 ER_DRAW_PAIR_CAP = 2**22
 
 
 def sample_er_graph(spec: ERSpec, seed: int) -> Graph:
     """One graph draw, deterministic in the seed: node pair t, in
-    lexicographic (i, j) order, is kept when the t-th draw of
-    ``default_rng(seed).random`` is below p, the coins of Monte Carlo's
-    first replicate.  They come from ``_pcg64.uniform``, bit for bit the
-    same, so the draw does not load ``numpy.random``.  More than
-    ``ER_DRAW_PAIR_CAP`` pairs are refused before any is made."""
-    check_seed(seed)
+    lexicographic (i, j) order, is kept when the t-th value of
+    ``random.Random(seed).random()`` is below p, so the draw does not load
+    ``numpy.random``.  More than ``ER_DRAW_PAIR_CAP`` pairs are refused
+    before any is made."""
     pairs = spec.n * (spec.n - 1) // 2
     if pairs > ER_DRAW_PAIR_CAP:
         raise CapacityError(
             f"ER graph draws capped at {ER_DRAW_PAIR_CAP} node pairs, got n={spec.n} ({pairs} pairs)"
         )
     left, right = np.triu_indices(spec.n, 1)
-    keep = uniform(seed, 0.0, 1.0, left.size) < spec.p
+    keep = _uniform_draws(seed, left.size) < spec.p
     return Graph.from_edges(spec.n, zip(left[keep].tolist(), right[keep].tolist()))
 
 
@@ -274,8 +269,7 @@ def mc_expected_variance(
 
     Every replicate draws, in order, from one ``default_rng(seed)`` stream:
     first one coin per node pair of one ``triu_indices`` per call, the pair
-    kept when its coin is below p (so replicate 0's graph is
-    ``sample_er_graph(spec, seed)``), then, under ``UniformOutcomes`` only,
+    kept when its coin is below p, then, under ``UniformOutcomes`` only,
     n values for y_a and n for y_b, each ``k_lower + (m_upper - k_lower) u``
     as numpy's ``uniform`` computes it.  This is the one draw in the package
     that loads ``numpy.random``.  Replicates run in passes of up to

@@ -22,11 +22,10 @@ read, so a table that is never read never builds it.  A table therefore
 holds at most ``designs.CODE_BITS`` units.  The estimands read
 through any lookup of that shape (``_estimand``), a table's or not.
 
-Random tables do not load ``numpy.random``: they take numpy's
-``default_rng(seed).uniform`` stream from the package's own PCG64
-(``_pcg64``, which says what that costs), one value per stored outcome, so
-at most ``TABLE_VALUE_CAP`` draws.  One-off graph coins do the same; only
-Monte Carlo draws on numpy's Generator (see ``er``).
+Random tables do not load ``numpy.random``: they draw from
+``random.Random(seed)`` (``designs._uniform_draws``), one value per stored
+outcome, so at most ``TABLE_VALUE_CAP`` draws.  One-off graph coins do the
+same; only Monte Carlo draws on numpy's Generator (see ``er``).
 
 Declared bounds are open intervals: when an upper bound M is given, every
 value must lie strictly inside (0, M); a declared lower bound K tightens
@@ -47,8 +46,7 @@ from typing import Union
 
 import numpy as np
 
-from ._pcg64 import uniform
-from .designs import CODE_BITS, Assignment, _arms_code
+from .designs import CODE_BITS, Assignment, _arms_code, _uniform_draws
 from .errors import (
     CapacityError,
     IncompleteTableError,
@@ -240,10 +238,11 @@ class PotentialOutcomeTable:
         """Independent uniform draws in the open interval (k_lower, m_upper),
         one per (unit, effective treatment); deterministic given seed.
 
-        The draws are one stream, ``default_rng(seed).uniform`` bit for bit,
-        taken from the package's own PCG64 (``_pcg64.uniform``), so building
-        a table never imports ``numpy.random``; unit by unit, each unit's
-        outcomes by effective-treatment key.  Each draw is clipped to the
+        The draws are one stream, ``random.Random(seed).random()``
+        (``designs._uniform_draws``), so building a table never imports
+        ``numpy.random``: unit by unit, each unit's outcomes by
+        effective-treatment key, each value ``low + (high - low) u`` on the
+        bounds moved in by the interior offset.  Each draw is clipped to the
         doubles next inside the bounds, which moves only a draw the interior
         offset failed to keep off a bound (next to a bound's ulp); an
         interval that holds no double is refused."""
@@ -257,7 +256,10 @@ class PotentialOutcomeTable:
         groups = _reference_groups(structure)
         eps = _BOUNDS_EPS_REL * (m_upper - k_lower)
         sizes = [1 << len(g) for g in groups]
-        draws = uniform(seed, k_lower + eps, m_upper - eps, sum(sizes))
+        low, high = k_lower + eps, m_upper - eps
+        draws = _uniform_draws(seed, sum(sizes))
+        draws *= high - low
+        draws += low
         np.clip(draws, lowest, highest, out=draws)
         values = np.split(draws, np.cumsum(sizes)[:-1])
         return cls(structure, values, k_lower=k_lower, m_upper=m_upper)

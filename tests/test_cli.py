@@ -930,8 +930,8 @@ def test_er_analysis_with_a_huge_n_exits_3(tmp_path, capsys):
 
 
 # commands that run no Monte Carlo: a random outcome table and the coins of
-# an inline graph.er block (tables, moments_ht) come from the package's own
-# PCG64 stream
+# an inline graph.er block (tables, moments_ht) come from Python's
+# random.Random(seed)
 NO_MONTE_CARLO_RUNS = [
     ("moments", "moments_crd.json"),
     ("feasibility", "feasibility_bd.json"),

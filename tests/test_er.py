@@ -37,22 +37,23 @@ Claims pinned here:
       at a time on one ``default_rng(seed)`` stream bit for bit, at every
       pass size, for one-word and multiword seeds, over many passes, and
       with a partial last pass
-    - Monte Carlo's first replicate under constant outcomes is the graph
-      ``sample_er_graph`` draws from the same seed
-    - a one-off graph draw, whose coins come from the package's own stream,
-      keeps the pairs numpy's ``default_rng(seed).random`` keeps, across
-      one and two rows of stream lanes
+    - a one-off graph draw keeps the pairs whose coins from
+      ``random.Random(seed).random()`` are below p, in lexicographic order,
+      up to the largest tables graph
+    - a negative seed is refused with one ``InvalidArgumentError`` by every
+      draw: a random table, an ER graph and Monte Carlo
     - a Monte Carlo variance past the double range raises OverflowError
     - a graph draw past ``ER_DRAW_PAIR_CAP`` node pairs is refused before
       any pair is allocated, and one at the cap is not
     - each row of a block's neighborhood masks, built from the coin rows of
-      the one coin draw, equals the BFS balls of the graph drawn from the
-      same stream
+      the one coin draw, equals the BFS balls of the graph built from the
+      same coin row
 """
 
 import importlib.util
 import itertools
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,7 +67,9 @@ from interference_lab import (
     ERSpec,
     Graph,
     InvalidArgumentError,
+    NoInterference,
     ORACLE_CAP,
+    PotentialOutcomeTable,
     UniformOutcomes,
     classify_regime,
     dense_lower_bound,
@@ -82,7 +85,6 @@ from interference_lab import (
     regime_report,
     sample_er_graph,
 )
-from interference_lab import _pcg64
 from interference_lab._kernels import _mean, _pair_settings, ht_variance_terms
 from interference_lab.designs import CODE_BITS
 from graph_builders import empty_graph
@@ -345,17 +347,28 @@ def test_sample_er_graph_determinism_and_extremes():
     assert sample_er_graph(ERSpec(5, 1.0), seed=1) == complete
 
 
-# pair counts 8128, 8256, 16471 and 576201: one row of stream lanes, just
-# past one, just past two, and the largest tables graph
-@pytest.mark.parametrize("n,lane_rows", [(128, 1), (129, 2), (182, 3), (1074, 71)])
+# 1074 nodes (576,201 pairs) is the largest tables graph
+@pytest.mark.parametrize("n", [5, 128, 1074])
 @pytest.mark.parametrize("seed", [7, 2**32 + 7])
-def test_graph_coins_equal_numpy_random(n, lane_rows, seed):
-    assert -(-n * (n - 1) // 2 // _pcg64.LANES) == lane_rows
+def test_graph_coins_equal_the_stdlib_stream(n, seed):
     p = 4 / n
     left, right = np.triu_indices(n, 1)
-    keep = np.random.default_rng(seed).random(left.size) < p
+    coin = random.Random(seed).random
+    keep = np.array([coin() < p for _ in range(left.size)], dtype=bool)
     want = set(zip(left[keep].tolist(), right[keep].tolist()))
     assert sample_er_graph(ERSpec(n, p), seed).edges == want
+
+
+def test_every_draw_refuses_a_negative_seed():
+    # random.Random(-1) would draw Random(1)'s stream, so the refusal is
+    # what keeps -1 and 1 apart
+    refusal = "^seed must be non-negative, got -1$"
+    with pytest.raises(InvalidArgumentError, match=refusal):
+        PotentialOutcomeTable.random(NoInterference(3), 0.0, 1.0, seed=-1)
+    with pytest.raises(InvalidArgumentError, match=refusal):
+        sample_er_graph(ERSpec(6, 0.3), -1)
+    with pytest.raises(InvalidArgumentError, match=refusal):
+        mc_expected_variance(ERSpec(6, 0.3), ConstantOutcomes(1.0), reps=2, seed=-1)
 
 
 @pytest.mark.parametrize("n,refused", [(2896, False), (2897, True)])
@@ -396,18 +409,21 @@ def test_mc_determinism():
 def test_random_streams_pinned_across_versions():
     # One scalar draw per node pair in lexicographic order is the reference
     # stream; the literals below were recorded from it, so a change to the
-    # sampler cannot shift the graphs, or the outcome draws that follow them,
-    # without failing here.
+    # sampler cannot shift the graphs, the table draws or the Monte Carlo
+    # outcome draws without failing here.
     for n in (2, 5, 15):
         for seed in range(10):
-            rng = np.random.default_rng(seed)
+            rng = random.Random(seed)
             loop = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
             assert sample_er_graph(ERSpec(n, 0.3), seed).edges == loop
     edges = sorted(sample_er_graph(ERSpec(8, 0.4), 5).edges)
     assert edges == [
-        (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 6),
-        (2, 6), (3, 5), (3, 7), (4, 6), (5, 7),
+        (0, 7), (1, 6), (2, 3), (2, 6), (2, 7), (3, 4), (3, 7),
+        (4, 6), (5, 6), (5, 7),
     ]
+    y_a, y_b = PotentialOutcomeTable.random(NoInterference(2), 0.0, 1.0, 3).boundary_vectors()
+    assert y_a.tolist() == [0.23796462761596213, 0.369955166808169]
+    assert y_b.tolist() == [0.5442292252074934, 0.6039200383883544]
     mc = mc_expected_variance(
         ERSpec(30, 1 / 30), UniformOutcomes(0.5, 1.0), reps=50, seed=7
     )
@@ -513,26 +529,6 @@ def test_mc_passes_equal_one_replicate_at_a_time(spec, reps, passes, policy, mon
     assert mask_rows == term_rows == passes
 
 
-@pytest.mark.parametrize("n", [2, 15, CODE_BITS])
-def test_mc_first_replicate_is_the_seeds_graph(n, monkeypatch):
-    # under constant outcomes the stream opens with replicate 0's coins,
-    # the ones a one-off draw takes from the same seed
-    spec, seed = ERSpec(n, 0.3), 11
-    block_masks, first_rows = er._block_masks, []
-
-    def recorded_masks(keep, pairs, out):
-        if not first_rows:
-            first_rows.append(keep[0].copy())
-        return block_masks(keep, pairs, out)
-
-    monkeypatch.setattr(er, "_block_masks", recorded_masks)
-    mc_expected_variance(spec, ConstantOutcomes(1.0), reps=3, seed=seed)
-    left, right = np.triu_indices(n, 1)
-    (keep,) = first_rows
-    edges = set(zip(left[keep].tolist(), right[keep].tolist()))
-    assert edges == sample_er_graph(spec, seed).edges
-
-
 @pytest.mark.parametrize(
     "policy", [ConstantOutcomes(1e200), UniformOutcomes(1e200, 2e200)], ids=["constant", "uniform"]
 )
@@ -569,9 +565,9 @@ def test_masks_from_edges_equal_the_bfs_balls(n):
     for row, (spec, seed) in zip(keep, draws):
         row[:] = np.random.default_rng(seed).random(row.size) < spec.p
     masks = er._block_masks(keep, pairs, np.empty((len(draws), n), dtype=np.int64))
-    for row, (spec, seed) in zip(masks, draws):
-        graph = sample_er_graph(spec, seed)
-        want = NeighborhoodIndex.build(graph, 1).masks()
+    for row, coins in zip(masks, keep):
+        edges = zip(pairs[0][coins].tolist(), pairs[1][coins].tolist())
+        want = NeighborhoodIndex.build(Graph.from_edges(n, edges), 1).masks()
         assert row.dtype == want.dtype and (row == want).all()
 
 

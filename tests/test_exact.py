@@ -17,7 +17,8 @@ Claims pinned here:
       1e15 (crd (5, 1), the witness family) pass
     - the solo rule is unbiased under bd, cbd and crd with n_a = 1
     - difference in means is demonstrably biased once interference is
-      unrestricted (a concrete table with |bias| > 0.1 M)
+      unrestricted: on a pure-spillover table under crd(4, 2) its bias is
+      exactly -1, the whole ATE
     - the array reduction of squared deviations equals the scalar
       ``math.fsum(p * (v - c) ** 2 ...)`` bit for bit, and raises
       OverflowError wherever that does
@@ -297,10 +298,14 @@ def test_identity_off_by_a_millionth_raises_at_every_scale(monkeypatch, offset):
 
 
 def test_diff_means_biased_under_arbitrary_interference():
-    table = PotentialOutcomeTable.random(Arbitrary(4), 0.0, 1.0, seed=0)
+    # pure spillover: every unit's outcome is the share of units in arm A,
+    # so the ATE is 1, while crd(4, 2) always puts two units in each arm
+    # and the difference in means reads 0 at every support code
+    spill = np.array([(4 - code.bit_count()) / 4 for code in range(16)])
+    table = PotentialOutcomeTable(Arbitrary(4), [spill] * 4)
     report = exact_moments(DifferenceInMeans(), Design("crd", 4, 2), table, ATE)
-    bias = report.expectation - estimand_value(ATE, table)
-    assert abs(bias) > 0.1  # M = 1 here
+    assert estimand_value(ATE, table) == 1.0
+    assert report.expectation - estimand_value(ATE, table) == -1.0
 
 
 # |v - c| stays below 2e300, so a deviation never overflows before it is

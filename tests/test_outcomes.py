@@ -6,7 +6,11 @@ Claims pinned here:
     - the mean contrast is antisymmetric under swapping the roles of the
       two arms
     - the random generator honors the open bounds, is seed-deterministic,
-      and respects the declared structure; on an interval a few ulps wide,
+      and respects the declared structure; its draws are one
+      ``random.Random(seed).random()`` stream u in unit order, each unit's
+      outcomes by key, each ``low + (high - low) u`` on the bounds moved in
+      by the interior offset, for every structure, up to TABLE_VALUE_CAP
+      draws and bounds up to (5e-324, 1.7e308); on an interval a few ulps wide,
       where the interior offset rounds away, its draws still lie strictly
       inside, and an interval that holds no double is refused naming both
       bounds
@@ -38,6 +42,7 @@ Claims pinned here:
 import gc
 import json
 import math
+import random
 import tracemalloc
 import warnings
 from itertools import product
@@ -66,8 +71,8 @@ from interference_lab import (
     exact_moments,
     reference_group,
 )
-from interference_lab.designs import CODE_BITS
-from interference_lab.outcomes import TABLE_VALUE_CAP
+from interference_lab.designs import CODE_BITS, _uniform_draws
+from interference_lab.outcomes import _BOUNDS_EPS_REL, TABLE_VALUE_CAP
 from graph_builders import path_graph
 
 
@@ -143,6 +148,54 @@ def test_generator_bounds_and_determinism():
     assert values != [
         shifted.observed_vector(Assignment(code, 3))[i] for code in range(8) for i in range(3)
     ]
+
+
+# 654 values is the largest draw over the benchmark's seeds 1-59; 2^192 - 1
+# is a six-word seed
+SEEDS = [0, 2**32 + 7, 2**192 - 1]
+
+
+@pytest.mark.parametrize("count", [0, 1, 654, TABLE_VALUE_CAP])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_draws_equal_the_stdlib_stream(seed, count):
+    rng = random.Random(seed)
+    want = [rng.random() for _ in range(count)]
+    got = _uniform_draws(seed, count)
+    assert got.dtype == np.float64 and got.shape == (count,)
+    assert got.tolist() == want
+
+
+def _stdlib_table(structure, k_lower, m_upper, seed):
+    """A random table's outcome arrays, drawn one scalar at a time."""
+    rng = random.Random(seed)
+    eps = _BOUNDS_EPS_REL * (m_upper - k_lower)
+    low, high = k_lower + eps, m_upper - eps
+    lowest, highest = math.nextafter(k_lower, math.inf), math.nextafter(m_upper, -math.inf)
+    sizes = [1 << len(reference_group(structure, i)) for i in range(structure.n)]
+    return [
+        [min(max(low + (high - low) * rng.random(), lowest), highest) for _ in range(size)]
+        for size in sizes
+    ]
+
+
+_GRAPH = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (1, 5)])
+STRUCTURES = {
+    "none": NoInterference(9),
+    "k_local-1": KLocal(_GRAPH, 1),
+    "k_local-2": KLocal(_GRAPH, 2),
+    "arbitrary-5": Arbitrary(5),
+    "arbitrary-14": Arbitrary(14),  # TABLE_VALUE_CAP values
+}
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("k_lower,m_upper", [(0.5, 1.7e308), (5e-324, 1.7e308), (0.0, 1.0)])
+def test_random_table_equals_the_stdlib_draws(name, seed, k_lower, m_upper):
+    structure = STRUCTURES[name]
+    table = PotentialOutcomeTable.random(structure, k_lower, m_upper, seed)
+    want = _stdlib_table(structure, k_lower, m_upper, seed)
+    assert [v.tolist() for v in table._values] == want
 
 
 @pytest.mark.parametrize(
