@@ -55,16 +55,17 @@ ENUMERATION_CAP = 14
 CODE_BITS = 63
 
 # Codes per `enumerate_support` block.  Each block costs a fixed count of
-# numpy calls (a few per code byte in the outcome gather, a few per unit in
-# the estimator), so at n = 14 the exact layer is bound by call overhead,
-# not arithmetic.  `exact_moments` at n = 14 with 256 / 1024 / 4096-code
-# blocks (medians of 31 calls, 2-core x86-64): the exposure-weighted
-# estimator under bd on a k = 1 graph with 18 edges takes 7.8 / 3.7 / 3.3
-# ms, the difference in means under crd (n_a = 7) 1.6 / 1.4 / 1.6 ms.
-# Past 1024 the (block, 14) temporaries cost more than the calls they save:
-# 4096-code blocks raise both passes' tracemalloc peak to 1.18 MB (0.56 and
-# 0.41 MB at 1024) and the benchmark's enum-moments peak RSS by 1.1 MB.
-# Results do not depend on the block size.
+# numpy calls (a few per code byte in the outcome gather; in the estimator a
+# few whole-block passes plus, for the exposure-weighted one, an add per
+# unit), so at n = 14 the exact layer is bound by call overhead, not
+# arithmetic.  `exact_moments` at n = 14 with 256 / 512 / 1024 / 2048 /
+# 4096-code blocks (medians of 101 calls, 2-core x86-64): the exposure-
+# weighted estimator under bd on a k = 1 graph with 21 edges (ER(14, 0.2),
+# seed 5) takes 3.4 / 2.9 / 2.6 / 2.7 / 3.1 ms, the difference in means
+# under crd (n_a = 7) 0.93 / 0.81 / 0.74 / 0.70 / 0.94 ms.  Past 1024 the
+# time stops falling while the (block, 14) temporaries grow: the two
+# passes' tracemalloc peaks are 0.62 and 0.29 MB at 1024, 1.33 and 0.86 MB
+# at 4096.  Results do not depend on the block size.
 SUPPORT_BLOCK = 1024
 
 

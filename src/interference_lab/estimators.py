@@ -6,6 +6,13 @@ reveals, it returns one value per code.  ``estimator(z, y_obs) -> float`` is
 that body on the single assignment ``z``.  ``y_obs`` is the length-n vector
 of outcomes actually revealed by ``z``; no estimator peeks at unrevealed
 potential outcomes.
+
+The difference in means, the exposure-weighted and the solo-treated rules
+evaluate a block in a few whole-block numpy passes (plus one add per unit
+row for the exposure-weighted estimator, and a pass per arm-B count for the
+difference in means when a block mixes counts), and each value takes its
+floating-point operations in the order the rule takes them on one
+assignment, so no value depends on the block it is evaluated in.
 """
 
 from __future__ import annotations
@@ -27,6 +34,18 @@ def _one_row(self, z: Assignment, y_obs: np.ndarray) -> float:
     return float(self.evaluate(np.array([z.code], dtype=np.int64), y[None, :])[0])
 
 
+def _arm_contrast(y: np.ndarray, in_b: np.ndarray, k: int) -> np.ndarray:
+    """Arm-A mean minus arm-B mean of each row of ``y``, every row with k
+    units in arm B.  The arm values, gathered in row order from the
+    flattened block, reshape into (rows, count) arm blocks, whose row sums
+    add in the same order as one row's masked sum."""
+    n_a = y.shape[1] - k
+    flat_y, flat_b = y.ravel(), in_b.ravel()
+    mean_a = flat_y.compress(~flat_b).reshape(-1, n_a).sum(axis=1) / n_a if n_a else 0.0
+    mean_b = flat_y.compress(flat_b).reshape(-1, k).sum(axis=1) / k if k else 0.0
+    return mean_a - mean_b
+
+
 class DifferenceInMeans:
     """Mean observed outcome in arm A minus mean in arm B.
 
@@ -37,17 +56,18 @@ class DifferenceInMeans:
 
     def evaluate(self, codes: np.ndarray, y: np.ndarray) -> np.ndarray:
         n = y.shape[1]
-        in_b = ((codes[:, None] >> np.arange(n)) & 1).astype(bool)
+        # row r's arm-B bits, unit 0 first: the low n bits of its code's
+        # little-endian bytes
+        code_bytes = np.ascontiguousarray(codes, dtype="<i8").view(np.uint8).reshape(-1, 8)
+        in_b = np.unpackbits(code_bytes, axis=1, count=n, bitorder="little").view(bool)
         n_b = np.bitwise_count(codes)
+        counts = np.flatnonzero(np.bincount(n_b)).tolist()
+        if len(counts) == 1:  # one arm-B count covers the block, as under crd
+            return _arm_contrast(y, in_b, counts[0])
         out = np.empty(len(codes))
-        # Rows sharing an arm-B count reshape into (rows, count) arm blocks,
-        # whose row sums add in the same order as one row's masked sum.
-        for k in np.flatnonzero(np.bincount(n_b)).tolist():
+        for k in counts:
             rows = n_b == k
-            y_k, b_k = y[rows], in_b[rows]
-            mean_a = y_k[~b_k].reshape(-1, n - k).sum(axis=1) / (n - k) if k < n else 0.0
-            mean_b = y_k[b_k].reshape(-1, k).sum(axis=1) / k if k else 0.0
-            out[rows] = mean_a - mean_b
+            out[rows] = _arm_contrast(y[rows], in_b[rows], k)
         return out
 
     __call__ = _one_row
@@ -65,20 +85,30 @@ class HorvitzThompson:
 
     def __init__(self, index: NeighborhoodIndex) -> None:
         self.index = index
-        self._masks = [int(m) for m in index.masks()]
-        self._weights = [2.0 ** len(ball) for ball in index.closed]
+        # (n, 1) columns, so a block of codes broadcasts to (n, len(codes))
+        self._masks = np.asarray(index.masks(), dtype=np.int64)[:, None]
+        self._weights = np.array([2.0 ** len(ball) for ball in index.closed])[:, None]
 
     def evaluate(self, codes: np.ndarray, y: np.ndarray) -> np.ndarray:
         n = self.index.n
         if y.shape[1] != n:
             raise InvalidArgumentError(f"outcomes for {y.shape[1]} units, index has n={n}")
+        ball = codes & self._masks  # row i: 0 if unit i's ball is all in A, mask if all in B
+        in_a, in_b = ball == 0, ball == self._masks
+        # Unit i's coefficient overwrites row i of `ball` in place: +w_i where
+        # its ball is all in arm A, -w_i where all in B, 0.0 where mixed.  0.0
+        # times a finite outcome is a zero of either sign, and either zero
+        # leaves a sum that starts at +0.0 as it was.
+        terms = ball.view(np.float64)
+        np.multiply(in_a, self._weights, out=terms)
+        np.copyto(terms, -self._weights, where=in_b)
+        terms *= y.T
+        # One add per unit row, so every code sums its terms in unit order
+        # whatever the block's length (numpy reduces a one-row block's unit
+        # axis pairwise).
         total = np.zeros(len(codes))
-        # Unit by unit, so each row adds its terms in unit order; adding 0.0
-        # for a unit whose ball is mixed is exact.
-        for i, (mask, weight) in enumerate(zip(self._masks, self._weights)):
-            ball = codes & mask  # 0: ball all in arm A; mask: all in arm B
-            term = weight * y[:, i]
-            total += np.where(ball == 0, term, np.where(ball == mask, -term, 0.0))
+        for row in terms:
+            total += row
         return total / n
 
     __call__ = _one_row
@@ -123,10 +153,12 @@ class SoloTreatedIPW:
         n = self.n
         if y.shape[1] != n:
             raise InvalidArgumentError(f"outcomes for {y.shape[1]} units, design has n={n}")
+        # unit i alone in arm A iff the code's arm-A bits are 2^i, so i is
+        # the popcount of 2^i - 1
+        arm_a = codes ^ ((1 << n) - 1)
+        solo = np.flatnonzero((arm_a != 0) & ((arm_a & (arm_a - 1)) == 0))
         out = np.zeros(len(codes))
-        for i in range(n):
-            solo = codes == ((1 << n) - 1) ^ (1 << i)  # unit i alone in arm A
-            out[solo] = self._weight * y[solo, i]
+        out[solo] = self._weight * y[solo, np.bitwise_count(arm_a[solo] - 1)]
         return out
 
     __call__ = _one_row
