@@ -5,7 +5,9 @@ Everything here is deterministic: support iteration follows the canonical
 ascending-code order, and every support-sized sum goes through
 ``_exact_sum``, a vectorized exact summation that returns ``math.fsum``'s
 correctly rounded result bit for bit, so results do not depend on how work
-might be partitioned.
+might be partitioned.  Every squared deviation in the variance and MSE is
+an IEEE product, ``d * d``: correctly rounded, computed with no libm call,
+and so the same whatever ``pow`` the platform's libm provides.
 """
 
 from __future__ import annotations
@@ -105,14 +107,14 @@ def _exact_sum(values: np.ndarray) -> float:
 
 
 def _weighted_square_sum(values: np.ndarray, p: float, c: float) -> float:
-    """``math.fsum(p * (v - c) ** 2 for v in values)`` over a float64 array,
-    bit for bit: ``np.float_power(x, 2.0)`` rounds as CPython's ``x ** 2``
-    does, where ``x * x`` and ``np.square`` do not.  One buffer is updated
-    in place.  numpy returns inf where ``**`` raises, so a square past the
-    double range raises ``OverflowError`` here too."""
+    """``math.fsum(p * ((v - c) * (v - c)) for v in values)`` over a float64
+    array, bit for bit.  Each square is an IEEE product, so it is correctly
+    rounded and calls no libm ``pow``, whose ``x ** 2`` is not on every
+    platform.  One buffer is updated in place.  A square past the double
+    range raises ``OverflowError``."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
         buf = np.subtract(values, c)
-        np.float_power(buf, 2.0, out=buf)
+        np.multiply(buf, buf, out=buf)
     if not np.isfinite(buf).all():
         raise OverflowError(f"squared deviation from {c} past the double range")
     buf *= p
@@ -134,7 +136,7 @@ def exact_moments(
     variance = _weighted_square_sum(values, p, expectation)
     mse = _weighted_square_sum(values, p, theta)
     bias = expectation - theta
-    check = variance + bias**2
+    check = variance + bias * bias
     scale = max(float(np.abs(values).max()), abs(theta))
     slack = _IDENTITY_RTOL * max(1.0, abs(mse)) + _IDENTITY_SCALE_EPS * scale * abs(bias)
     if abs(mse - check) > slack:

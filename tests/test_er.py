@@ -475,7 +475,7 @@ def _mc_one_replicate_at_a_time(spec, policy, reps, seed):
         v_a, v_b, cov = (float(t[0]) for t in terms)
         values.append(v_a + v_b - 2.0 * cov)
     mean = math.fsum(values) / reps
-    sample_var = math.fsum((v - mean) ** 2 for v in values) / (reps - 1)
+    sample_var = math.fsum((v - mean) * (v - mean) for v in values) / (reps - 1)
     return er.MCVariance(mean, math.sqrt(sample_var / reps), reps, 0)
 
 

@@ -20,8 +20,13 @@ Claims pinned here:
       unrestricted: on a pure-spillover table under crd(4, 2) its bias is
       exactly -1, the whole ATE
     - the array reduction of squared deviations equals the scalar
-      ``math.fsum(p * (v - c) ** 2 ...)`` bit for bit, and raises
-      OverflowError wherever that does
+      ``math.fsum(p * ((v - c) * (v - c)) ...)`` bit for bit, and raises
+      OverflowError exactly where a square is infinite or fsum overflows;
+      each square is the IEEE product, correctly rounded (checked against
+      exact rationals), not libm's ``pow``, which misrounds some
+    - under unrestricted interference and bd, the pure-arm rule on the
+      table reading M at the all-A code and 0 elsewhere has expectation M
+      and variance = MSE = (2^n - 1) M^2 exactly, for n = 1 to 14
     - the vectorized exact sum equals ``math.fsum`` bit for bit, the sign
       of a zero included, or raises the same exception class: on mixed
       signs and exponents, subnormals, values near the double range,
@@ -30,6 +35,8 @@ Claims pinned here:
 """
 
 import math
+import sys
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -297,6 +304,23 @@ def test_identity_off_by_a_millionth_raises_at_every_scale(monkeypatch, offset):
     assert len(sums) == 2 and sums[1] == mse
 
 
+@pytest.mark.parametrize("m", [1.0, 2.5])
+def test_pure_arm_variance_grows_as_two_to_the_n_without_structure(m):
+    # the M-table of the unrestricted pair: every unit reads M at the all-A
+    # code and 0 elsewhere, so the rule reads 2^n M there, -0.0 at all-B
+    # and 0 elsewhere, and its variance is (2^n - 1) M^2, exact in doubles
+    from interference_lab import PureArmIPW
+
+    for n in range(1, 15):
+        column = np.zeros(1 << n)
+        column[0] = m
+        rep = exact_moments(PureArmIPW(), Design("bd", n), _column_table(column), ATE)
+        assert rep.estimand_value == m
+        assert rep.expectation == m
+        assert rep.variance == (2**n - 1) * m * m
+        assert rep.mse_vs_estimand == rep.variance
+
+
 def test_diff_means_biased_under_arbitrary_interference():
     # pure spillover: every unit's outcome is the share of units in arm A,
     # so the ATE is 1, while crd(4, 2) always puts two units in each arm
@@ -311,13 +335,18 @@ def test_diff_means_biased_under_arbitrary_interference():
 # |v - c| stays below 2e300, so a deviation never overflows before it is
 # squared; squares of deviations near 1e200 do, and fsum's sum can too.
 _DOUBLES = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300))
+# The largest deviation whose square (1.7976931348623155e308) is finite;
+# the next double's square is inf.
+_SQRT_MAX = math.sqrt(sys.float_info.max)
 
 
 def _check_square_reduction(values, p, c):
     values = np.array(values, dtype=float)
     try:
-        expected = math.fsum(p * (v - c) ** 2 for v in values.tolist())
-    except OverflowError:
+        expected = math.fsum(p * ((v - c) * (v - c)) for v in values.tolist())
+    except OverflowError:  # finite squares whose sum passes the double range
+        expected = math.inf
+    if expected == math.inf:  # or an infinite square
         with pytest.raises(OverflowError):
             _weighted_square_sum(values, p, c)
         return
@@ -332,18 +361,22 @@ def _check_square_reduction(values, p, c):
 )
 @example(values=[1e200, -3.0], p=0.5, c=0.0)
 @example(values=[1.3e154, 1.3e154], p=1.0, c=0.0)
+@example(values=[_SQRT_MAX], p=1.0, c=0.0)  # square 1.7976931348623155e308
+@example(values=[math.nextafter(_SQRT_MAX, math.inf)], p=1.0, c=0.0)  # square inf
 def test_square_reduction_matches_the_scalar_fsum(values, p, c):
     _check_square_reduction(values, p, c)
 
 
 def test_square_reduction_matches_on_uniform_draws():
-    # x * x and np.square round differently from x ** 2 on about one such
-    # draw in a thousand, a difference a long sum rounds away, so each draw
-    # is reduced alone; np.float_power rounds as ** does
+    # each square is the correctly rounded square of the rounded deviation,
+    # and p = 2^-14 scales it exactly; CPython's (v - c) ** 2 (glibc pow on
+    # x86-64) misses it on 14 of these 20,000 draws, a difference a long sum
+    # rounds away, so each draw is reduced alone (about 1 s of tier-1)
     rng = np.random.default_rng(0)
     c = rng.uniform(-1.0, 1.0)
     for v in rng.uniform(-10.0, 10.0, 20000).tolist():
-        _check_square_reduction([v], 0.5**14, c)
+        want = float(Fraction(v - c) ** 2) * 2.0**-14
+        assert _weighted_square_sum(np.array([v]), 0.5**14, c) == want
 
 
 # Every finite double (subnormals, +-0.0 and +-max included), small values,
