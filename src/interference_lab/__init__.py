@@ -59,10 +59,8 @@ from .errors import (
     GraphFormatError,
     IdentityViolationError,
     IncompleteEstimatorError,
-    IncompleteTableError,
     InterferenceLabError,
     InvalidArgumentError,
-    UnsupportedDesignError,
 )
 from .estimators import (
     ConstantEstimator,

@@ -14,10 +14,6 @@ class InvalidArgumentError(InterferenceLabError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class UnsupportedDesignError(InterferenceLabError):
-    """The operation has closed forms only for a different design family."""
-
-
 class CapacityError(InterferenceLabError):
     """Exact enumeration was requested beyond the configured size cap."""
 
@@ -25,10 +21,6 @@ class CapacityError(InterferenceLabError):
 class IdentityViolationError(InterferenceLabError):
     """A result broke an identity that holds in exact arithmetic (the moment
     identity, the MSE floor) by more than rounding explains."""
-
-
-class IncompleteTableError(InterferenceLabError):
-    """A potential-outcome table lacks an entry the query needs."""
 
 
 class IncompleteEstimatorError(InterferenceLabError):

@@ -178,7 +178,10 @@ def neyman_variance_terms(table: PotentialOutcomeTable, n_a: int) -> NeymanTerms
     variance = v_a / n_a + v_b / (n - n_a) - v_theta / n
     bound = None
     if table.m_upper is not None:
-        bound = 4.0 * table.m_upper**2 / (n - 1)
+        # 4 M^2 / (n - 1) in exact integers, rounded once by the division
+        # (which raises OverflowError past the double range)
+        num, den = table.m_upper.as_integer_ratio()
+        bound = 4 * num * num / (den * den * (n - 1))
     return NeymanTerms(v_a, v_b, v_theta, variance, bound)
 
 

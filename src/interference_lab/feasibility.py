@@ -38,12 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .designs import CODE_BITS, Design, check_enumerable, in_support, support_size
-from .errors import (
-    CapacityError,
-    IdentityViolationError,
-    InvalidArgumentError,
-    UnsupportedDesignError,
-)
+from .errors import CapacityError, IdentityViolationError, InvalidArgumentError
 from .estimators import ConstantEstimator, Estimator, PureArmIPW, SoloTreatedIPW
 from .exact import _support_values, _weighted_square_sum
 from .graphs import Arbitrary
@@ -204,16 +199,20 @@ def mse_adversary(
     equal pure rows, and M, approached within the offset eps = _EPS_REL * M)
     are enumerated and the worse one for the estimator is returned.
 
+    Every design is taken.  Under crd and cbd, whose supports hold neither
+    pure assignment, both candidates reveal M/2 on every support code, so
+    the estimator has one law under both; its MSEs against targets 0 and
+    M - 2 eps sum to at least (M - 2 eps)^2 / 2, so the worse is at least
+    (M - 2 eps)^2 / 4, above M^2/8.  Under every design the enumerated MSE
+    is checked against the floor, and a shortfall raises
+    ``IdentityViolationError``.
+
     The estimand is the mean contrast: the construction realizes its
     targets on constant boundary rows, where it inverts in closed form.
     Both candidates are witness columns; only the winner becomes a table.
     An ``m_upper`` whose floor M^2/8 falls below the normal double range is
     refused, since a zero or subnormal floor checks nothing.
     """
-    if design.kind not in ("crd", "bd"):
-        raise UnsupportedDesignError(
-            f"the MSE floor is established for crd and bd, got {design.kind!r}"
-        )
     if not m_upper > 0:  # NaN fails too
         raise InvalidArgumentError(f"m_upper: must be positive, got {m_upper}")
     m = float(m_upper)

@@ -5,10 +5,11 @@ its effective treatments.  Outcomes are plain numbers in the units of the
 measured response; they carry no noise (the randomization law is the only
 source of randomness in this package).  Unit i stores a float array of
 length 2^|G_i| indexed by its effective-treatment key (the assignment
-restricted to the reference group G_i, bit-packed in ascending node order);
-NaN marks an entry that is not stored.  A unit's entry cannot depend on
-coordinates outside G_i, so structural consistency holds by construction,
-and memory is sum_i 2^|G_i| outcomes, at most ``TABLE_VALUE_CAP``.  The
+restricted to the reference group G_i, bit-packed in ascending node order),
+and every entry is a finite number: a table is a total function of the
+assignment.  A unit's entry cannot depend on coordinates outside G_i, so
+structural consistency holds by construction, and memory is
+sum_i 2^|G_i| outcomes, at most ``TABLE_VALUE_CAP``.  The
 arrays are segments of one flat array, and units given the same array
 object share its segment.  Arbitrary interference is the case where G_i is
 every unit and the key is the assignment code.
@@ -23,7 +24,7 @@ holds at most ``designs.CODE_BITS`` units.  The estimands read
 through any lookup of that shape (``_estimand``), a table's or not.
 
 Random tables do not load ``numpy.random``: they draw from
-``random.Random(seed)`` (``designs._uniform_draws``), one value per stored
+``random.Random(seed)`` (``designs._uniform_draws``), one value per
 outcome, so at most ``TABLE_VALUE_CAP`` draws.  One-off graph coins do the
 same; only Monte Carlo draws on numpy's Generator (see ``er``).
 
@@ -32,9 +33,10 @@ value must lie strictly inside (0, M); a declared lower bound K tightens
 that to (K, M).  Tables without declared bounds skip the check.
 
 A table of any structure has one file form, the JSON document ``to_json``
-writes.  ``from_json`` parses it inside one error handler: any failure raises
-one ``InvalidArgumentError`` (``CapacityError`` past a cap) led by the path
-and the unit at fault; an unopenable file, its ``OSError``.
+writes: the structure, any declared bounds, and each unit's value array as
+a list.  ``from_json`` parses it inside one error handler: any failure
+raises one ``InvalidArgumentError`` (``CapacityError`` past a cap) led by
+the path and the unit at fault; an unopenable file, its ``OSError``.
 """
 
 from __future__ import annotations
@@ -46,12 +48,8 @@ from typing import Union
 
 import numpy as np
 
-from .designs import CODE_BITS, Assignment, _arms_code, _uniform_draws
-from .errors import (
-    CapacityError,
-    IncompleteTableError,
-    InvalidArgumentError,
-)
+from .designs import CODE_BITS, Assignment, _uniform_draws
+from .errors import CapacityError, InvalidArgumentError
 from .graphs import (
     Arbitrary,
     Graph,
@@ -72,7 +70,7 @@ _BOUNDS_EPS_REL = 1e-9
 def _reference_groups(structure: InterferenceStructure) -> list[list[int]]:
     """Each unit's reference group in ascending node order, once a table on
     ``structure`` fits its size caps: ``CODE_BITS`` units (tables are read
-    by int64 assignment codes) and ``TABLE_VALUE_CAP`` stored outcomes.
+    by int64 assignment codes) and ``TABLE_VALUE_CAP`` outcomes.
     Every constructor calls this before it allocates."""
     n = structure.n
     if n > CODE_BITS:
@@ -135,7 +133,10 @@ class PotentialOutcomeTable:
         self._flat = np.concatenate([a for a, _ in segments.values()])
         self._starts = np.array(starts, dtype=np.intp)
         self._values = [self._flat[s : s + (1 << len(g))] for s, g in zip(starts, self._groups)]
-        self._lookup: tuple[np.ndarray, bool] | None = None  # built on the first read
+        self._lookup: np.ndarray | None = None  # built on the first read
+        if not np.isfinite(self._flat).all():
+            i = next(i for i, v in enumerate(self._values) if not np.isfinite(v).all())
+            raise InvalidArgumentError(f"unit {i}: outcomes must be finite numbers")
         self._check_bounds()
 
     def _check_bounds(self) -> None:
@@ -155,11 +156,10 @@ class PotentialOutcomeTable:
         if self.m_upper is None and self.k_lower is None:
             return
         lo = self.k_lower if self.k_lower is not None else 0.0
-        # fmin/fmax skip unstored (NaN) slots; an all-NaN table compares False.
-        smallest = float(np.fmin.reduce(self._flat))
+        smallest = float(self._flat.min())
         if smallest <= lo:
             raise InvalidArgumentError(f"outcome {smallest} violates lower bound {lo}")
-        largest = float(np.fmax.reduce(self._flat))
+        largest = float(self._flat.max())
         if self.m_upper is not None and largest >= self.m_upper:
             raise InvalidArgumentError(f"outcome {largest} violates upper bound {self.m_upper}")
 
@@ -167,13 +167,12 @@ class PotentialOutcomeTable:
     def n(self) -> int:
         return self.structure.n
 
-    def _index(self) -> tuple[np.ndarray, bool]:
-        """The gather index, built on the first read, and whether every
-        outcome is stored.  Row 256 b + v holds, for each unit, what byte b
-        of a code adds to the unit's flat position when that byte reads v:
-        the byte's bits that fall in the unit's reference group, each at
-        its node's place in the sorted group, plus, in byte 0's rows, the
-        start of the unit's segment."""
+    def _index(self) -> np.ndarray:
+        """The gather index, built on the first read.  Row 256 b + v holds,
+        for each unit, what byte b of a code adds to the unit's flat
+        position when that byte reads v: the byte's bits that fall in the
+        unit's reference group, each at its node's place in the sorted
+        group, plus, in byte 0's rows, the start of the unit's segment."""
         if self._lookup is None:
             n = self.n
             nbytes = -(-n // 8)
@@ -185,7 +184,7 @@ class PotentialOutcomeTable:
             for rows, weights in zip(index, bit.reshape(nbytes, 8, n)):
                 for j, w in enumerate(weights):  # the values with top bit j
                     np.add(rows[: 1 << j], w, out=rows[1 << j : 2 << j])
-            self._lookup = index.reshape(256 * nbytes, n), not np.isnan(self._flat).any()
+            self._lookup = index.reshape(256 * nbytes, n)
         return self._lookup
 
     def observed(self, codes: np.ndarray) -> np.ndarray:
@@ -197,21 +196,14 @@ class PotentialOutcomeTable:
         byte index (``_index``); one gather at those positions reveals
         every unit's outcome.
         """
-        index, complete = self._index()
+        index = self._index()
         at = index.take(codes & 255, axis=0)
         for b in range(1, len(index) >> 8):
             rows = codes >> 8 * b
             rows &= 255
             rows |= b << 8
             at += index.take(rows, axis=0)
-        y = self._flat.take(at)
-        if not complete:
-            missing = np.isnan(y)
-            if missing.any():  # argwhere alone costs several times more
-                row, i = np.argwhere(missing)[0]
-                z = Assignment(int(codes[row]), self.n)
-                raise IncompleteTableError(f"no outcome stored for unit {i} under {z.labels}")
-        return y
+        return self._flat.take(at)
 
     def observed_vector(self, z: Assignment) -> np.ndarray:
         """All n outcomes revealed by assignment z."""
@@ -269,9 +261,9 @@ class PotentialOutcomeTable:
 
     def to_json(self, path: str | Path) -> None:
         """Write the document ``from_json`` reads: the structure, any declared
-        bounds, and each unit's stored outcomes keyed by the arms of its
-        reference group in ascending node order, codes ascending; unstored
-        entries are left out."""
+        bounds, and each unit's value array as a list.  Entry c of unit i's
+        list is its outcome when bit j of c gives the arm (1 for B) of the
+        j-th node of G_i in ascending order: AA, BA, AB, BB for G_i = {0, 1}."""
         s = self.structure
         kind = {NoInterference: "no_interference", KLocal: "k_local", Arbitrary: "arbitrary"}
         spec = {"kind": kind[type(s)], "n": s.n}
@@ -281,19 +273,15 @@ class PotentialOutcomeTable:
         for key, bound in (("k_lower", self.k_lower), ("m_upper", self.m_upper)):
             if bound is not None:
                 doc[key] = bound
-        keys: dict[int, list[str]] = {}  # the arms of every code, by group size
-        doc["units"] = []
-        for g, v in zip(self._groups, self._values):
-            if len(g) not in keys:
-                keys[len(g)] = [Assignment(code, len(g)).labels for code in range(len(v))]
-            stored = zip(keys[len(g)], v.tolist())
-            doc["units"].append({labels: x for labels, x in stored if not math.isnan(x)})
+        doc["units"] = [v.tolist() for v in self._values]
         Path(path).write_text(json.dumps(doc) + "\n")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PotentialOutcomeTable":
         """Read a table document: a no-interference, k-local or arbitrary
-        structure, whose units key their outcomes as ``to_json`` writes."""
+        structure, whose units list their outcomes as ``to_json`` writes.
+        Unit i must be a list of exactly 2^|G_i| JSON numbers (a boolean is
+        not one)."""
         where = ""  # context: the unit being parsed
         try:
             doc = json.loads(Path(path).read_text())
@@ -310,24 +298,16 @@ class PotentialOutcomeTable:
             groups = _reference_groups(structure)
             units = doc["units"]
             if not isinstance(units, list) or len(units) != structure.n:
-                raise InvalidArgumentError(f"units: need one object per unit (n={structure.n})")
+                raise InvalidArgumentError(f"units: need one list per unit (n={structure.n})")
             values = []
             for i, (g, entry) in enumerate(zip(groups, units)):
                 where = f"unit {i}: "
-                if not isinstance(entry, dict):
-                    raise InvalidArgumentError("expected an object")
-                v = np.full(1 << len(g), np.nan)
-                for labels, x in entry.items():
-                    if len(labels) != len(g):
-                        raise InvalidArgumentError(
-                            f"key {labels!r} does not match its reference group size {len(g)}"
-                        )
-                    if not (_is_number(x) and math.isfinite(x)):
-                        raise InvalidArgumentError(
-                            f"key {labels!r}: outcome must be a finite number, got {x!r}"
-                        )
-                    v[_arms_code(labels)] = float(x)
-                values.append(v)
+                size = 1 << len(g)
+                # a JSON number loads as an int or a float; type() refuses a bool
+                numbers = isinstance(entry, list) and {*map(type, entry)} <= {int, float}
+                if not numbers or len(entry) != size:
+                    raise InvalidArgumentError(f"need a list of {size} numbers")
+                values.append(np.array(entry, dtype=float))
             where = ""
             bounds = {key: doc.get(key) for key in ("k_lower", "m_upper")}
             for key, bound in bounds.items():

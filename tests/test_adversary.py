@@ -7,7 +7,10 @@ Claims pinned here:
       gets the full-contrast table, a constant-M estimator the null one
     - returned tables respect the open outcome bounds and are constant off
       the two pure assignments
-    - only the crd and bd designs are accepted, and an infinite M is refused
+    - every design is accepted: under cbd, over n = 2 to 14, every shipped
+      estimator's worse MSE is at least (M - 2 eps)^2 / 4, the bound two
+      candidates with one revealed law force, for M = 1 and 2.5
+    - an infinite M is refused
 """
 
 import math
@@ -20,12 +23,15 @@ from interference_lab import (
     ConstantEstimator,
     Design,
     DifferenceInMeans,
+    HorvitzThompson,
     InvalidArgumentError,
+    KLocal,
     PureArmIPW,
     SoloTreatedIPW,
-    UnsupportedDesignError,
     mse_adversary,
 )
+from interference_lab.feasibility import _EPS_REL
+from graph_builders import path_graph
 
 
 def test_constant_zero_estimator_gets_full_contrast():
@@ -72,9 +78,26 @@ def test_adversarial_table_shape():
     )
 
 
+@pytest.mark.parametrize("m", [1.0, 2.5])
+def test_cbd_floor_holds_for_every_estimator(m):
+    # cbd holds neither pure code, so both candidates reveal M/2 on the
+    # whole support and the worse MSE is at least (M - 2 eps)^2 / 4
+    for n in range(2, 15):
+        design = Design("cbd", n)
+        estimators = [
+            ConstantEstimator(0.0),
+            ConstantEstimator(1.0),
+            DifferenceInMeans(),
+            PureArmIPW(),
+            SoloTreatedIPW(design),
+            HorvitzThompson(KLocal(path_graph(n), 1).index),
+        ]
+        for estimator in estimators:
+            result = mse_adversary(estimator, design, m)
+            assert result.mse >= (m - 2 * _EPS_REL * m) ** 2 / 4 > result.floor
+
+
 def test_rejections():
-    with pytest.raises(UnsupportedDesignError):
-        mse_adversary(ConstantEstimator(0.0), Design("cbd", 4), 1.0)
     # refused as a table bounded above by it would be, before any column
     with pytest.raises(InvalidArgumentError, match="m_upper: must be finite and positive, got inf"):
         mse_adversary(ConstantEstimator(0.0), Design("bd", 4), math.inf)

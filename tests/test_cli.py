@@ -6,8 +6,8 @@ Claims pinned here:
     - malformed JSON, unknown keys, JSON booleans where numbers belong,
       missing, unreadable, non-UTF-8 or incomplete input files, and
       unwritable outputs exit 2 without a traceback, naming the offending
-      key or path, as do a table entry the run needs but the table does
-      not store, printed unquoted, and integers past Python's 4300-digit
+      key or path, as do a table unit that lists fewer outcomes than its
+      reference group needs, naming the unit, and integers past Python's 4300-digit
       conversion limit, in a config file or a --set value; over-cap sizes,
       including feasibility past the 63-unit code width,
       tables and Monte Carlo beyond the 63-node code width, and tables
@@ -27,7 +27,8 @@ Claims pinned here:
       does a random table's interval that holds no double, while one a
       few ulps wide runs; a
       malformed table file (a bad n, edge or radius included, and a float
-      or boolean one, refused rather than truncated) or graph
+      or boolean one, refused rather than truncated; a unit that is not a
+      list of 2^|G_i| finite JSON numbers) or graph
       file (a node count below 1, an edge line of three fields) exits 2
       naming the file; tables without --out, with a sweep size it
       cannot evaluate or a unit outside its graph, and an ER graph whose n
@@ -37,7 +38,7 @@ Claims pinned here:
       is 2^|ball| of the unit's ball, read from one search from the unit
       without building every node's ball; a table document
       past the outcome budget (63 units of 19-node balls) exits 3 before it
-      allocates, and one beside a structure block exits 2 naming the
+      reads a unit, and one beside a structure block exits 2 naming the
       block; a broken moment
       identity or MSE floor exits 4 without a
       traceback; a negative seed, in any of its three keys, and a float
@@ -60,6 +61,7 @@ Claims pinned here:
       finite Monte Carlo mean
     - the exposure-weighted estimator takes an inline graph when the
       structure carries none, and without either it exits 2
+    - the adversary runs under cbd
     - the witness block that feasibility prints is the in-process
       certificate's, and the worst-case table the adversary writes (``table_json``)
       reads back through ``moments`` (``table.json_path``) to the
@@ -227,6 +229,64 @@ def test_adversary_table_reads_back_to_its_mse(tmp_path, capsys, estimator):
     assert repr(json.loads(capsys.readouterr().out)["mse_vs_estimand"]) == repr(mse)
 
 
+def test_adversary_runs_under_cbd(tmp_path, capsys):
+    cfg = {"design": {"design": "cbd", "n": 6}, "estimator": {"kind": "diff_means"}, "m_upper": 1.0}
+    assert cli.main(["adversary", "--config", write_config(tmp_path, "a.json", cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["mse"] >= (1.0 - 2e-6) ** 2 / 4 > report["floor"]
+
+
+_NO_STRUCTURE = {k: v for k, v in MOMENTS_CFG.items() if k != "structure"}
+
+
+@pytest.mark.parametrize(
+    "command,config,overrides,message",
+    [
+        ("moments", [1], [], "{path}: top level must be a JSON object"),
+        ("moments", "moments_crd.json", ["design"], "--set needs key=value, got 'design'"),
+        (
+            "moments",
+            "moments_crd.json",
+            ["design.n.x=1"],
+            "--set path 'design.n.x' crosses a non-object",
+        ),
+        ("er-analysis", "er_analysis.json", ["cases=[1]"], "cases[0]: expected an object"),
+        (
+            "er-analysis",
+            "er_analysis.json",
+            ["policy.value=Infinity"],
+            "policy.value: must be finite, got inf",
+        ),
+        (
+            "moments",
+            "moments_ht.json",
+            ["structure.graph={}"],
+            "structure.graph: give exactly one of path / er",
+        ),
+        (
+            "moments",
+            "moments_ht.json",
+            ['structure={"kind": "k_local"}'],
+            "structure: k_local needs a graph",
+        ),
+        ("moments", "moments_crd.json", ["table={}"], "table: give exactly one of random / json_path"),
+        ("moments", _NO_STRUCTURE, [], "table: random tables need a structure block"),
+        ("regimes", "regimes.json", ["m_upper=0.5"], "m_upper: must be at least k_lower=1.0, got 0.5"),
+        ("regimes", "regimes.json", ["m_upper=Infinity"], "m_upper: must be finite, got inf"),
+    ],
+)
+def test_config_refusals_exit_2_on_one_line(tmp_path, capsys, command, config, overrides, message):
+    if isinstance(config, str):
+        path = str(CONFIGS / config)
+    else:
+        path = write_config(tmp_path, "c.json", config)
+    argv = [command, "--config", path]
+    for item in overrides:
+        argv += ["--set", item]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
 def test_er_analysis_command(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -361,7 +421,7 @@ def test_moments_on_a_narrow_random_table(tmp_path, capsys):
 
 def test_table_of_another_size_exits_2(tmp_path, capsys):
     table = tmp_path / "t.json"
-    doc = {"structure": {"kind": "no_interference", "n": 4}, "units": [{"A": 1.0, "B": 0.5}] * 4}
+    doc = {"structure": {"kind": "no_interference", "n": 4}, "units": [[1.0, 0.5]] * 4}
     table.write_text(json.dumps(doc))
     cfg = dict(MOMENTS_CFG, table={"json_path": str(table)})
     cfg.pop("structure")
@@ -369,14 +429,14 @@ def test_table_of_another_size_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: table has n=4, design has n=6\n"
 
 
-def test_missing_table_entry_exits_2_unquoted(tmp_path, capsys):
+def test_short_table_unit_exits_2_naming_it(tmp_path, capsys):
     table = tmp_path / "t.json"
-    doc = {"structure": {"kind": "no_interference", "n": 2}, "units": [{"A": 1.0}, {"A": 1.0, "B": 0.5}]}
+    doc = {"structure": {"kind": "no_interference", "n": 2}, "units": [[1.0, 0.5], [1.0]]}
     table.write_text(json.dumps(doc))
     cfg = dict(MOMENTS_CFG, design={"design": "crd", "n": 2, "n_a": 1}, table={"json_path": str(table)})
     cfg.pop("structure")
     assert cli.main(["moments", "--config", write_config(tmp_path, "m.json", cfg)]) == 2
-    assert capsys.readouterr().err == "error: no outcome stored for unit 0 under BB\n"
+    assert capsys.readouterr().err == f"error: {table}: unit 1: need a list of 2 numbers\n"
 
 
 def test_structure_beside_a_table_document_exits_2(tmp_path, capsys):
@@ -392,20 +452,15 @@ def test_structure_beside_a_table_document_exits_2(tmp_path, capsys):
     )
 
 
-def test_table_document_past_the_value_cap_exits_3_before_allocating(
-    tmp_path, capsys, monkeypatch
-):
+def test_table_document_past_the_value_cap_exits_3_before_allocating(tmp_path, capsys):
     # 63 units, each with a closed ball of 19 nodes (every node joined to the
-    # nine on either side): 63 * 2^19 outcomes, refused before a slot is
-    # allocated and before the table's size is held against the design's
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.full ran")
-
+    # nine on either side): 63 * 2^19 outcomes, refused before a unit is
+    # read (each empty list would exit 2) and before the table's size is
+    # held against the design's
     edges = sorted([i, (i + d) % 63] for i in range(63) for d in range(1, 10))
     structure = {"kind": "k_local", "n": 63, "k": 1, "edges": edges}
     table = tmp_path / "t.json"
-    table.write_text(json.dumps({"structure": structure, "units": [{}] * 63}))
-    monkeypatch.setattr(np, "full", refuse)
+    table.write_text(json.dumps({"structure": structure, "units": [[]] * 63}))
     cfg = dict(MOMENTS_CFG, table={"json_path": str(table)})
     cfg.pop("structure")
     assert cli.main(["moments", "--config", write_config(tmp_path, "m.json", cfg)]) == 3
@@ -429,7 +484,7 @@ def test_missing_table_file_exits_2(tmp_path):
 
 def test_table_json_without_structure_exits_2(tmp_path):
     path = tmp_path / "table.json"
-    path.write_text(json.dumps({"units": [{"A": 1.0, "B": 0.0}] * 6}))
+    path.write_text(json.dumps({"units": [[1.0, 0.0]] * 6}))
     result = _moments_with_table(tmp_path, {"json_path": str(path)})
     assert result.returncode == 2
     assert "structure" in result.stderr
@@ -437,10 +492,11 @@ def test_table_json_without_structure_exits_2(tmp_path):
 
 
 _HUB_EDGES = [[0, j] for j in range(1, 22)]  # unit 0's reference group has 22 units
-_ARM_UNITS = [{"A": 1.0, "B": 0.5}]
-_BELOW_ONE = [{"A": 0.75, "B": 0.5}]  # a unit inside the bounds (0, 1)
+_ARM_UNITS = [[1.0, 0.5]]
+_BELOW_ONE = [[0.75, 0.5]]  # a unit inside the bounds (0, 1)
 # units of a k = 1 table on n = 6 with the one edge (0, 1)
-_PAIR_UNITS = [{"AA": 1.0, "AB": 0.75, "BA": 0.75, "BB": 0.5}] * 2 + _ARM_UNITS * 4
+_PAIR_UNITS = [[1.0, 0.75, 0.75, 0.5]] * 2 + _ARM_UNITS * 4
+_EIGHT = [0.5] * 8  # a unit of an arbitrary table on 3 units
 
 
 def _whole(units, n=3):
@@ -451,15 +507,16 @@ def _whole(units, n=3):
 @pytest.mark.parametrize(
     "name,text,code",
     [
-        ("table.json", _whole([["AAA", 0.5], {}, {}]), 2),
-        ("table.json", _whole([{"AAA": "x"}, {}, {}]), 2),
-        ("table.json", _whole([{"AAA": 0.5}, {}, {}, {}]), 2),
-        ("table.json", _whole([{"AAAA": 0.5}, {}, {}]), 2),
-        ("table.json", _whole([{"AXA": 0.5}, {}, {}]), 2),
-        # int() syntax in a key is no arm either
-        ("table.json", _whole([{"A_B": 0.5}, {}, {}]), 2),
-        ("table.json", _whole([{"BA+": 0.5}, {}, {}]), 2),
-        ("table.json", _whole([{}] * 15, n=15), 3),
+        # a unit is a list of 2^|G_i| numbers: not an object keyed by arms,
+        # not a list of another length, not a list holding a non-number
+        ("table.json", _whole([{"AAA": 0.5}, _EIGHT, _EIGHT]), 2),
+        ("table.json", _whole([["x", *_EIGHT[1:]], _EIGHT, _EIGHT]), 2),
+        ("table.json", _whole([_EIGHT] * 4), 2),
+        ("table.json", _whole([_EIGHT * 2, _EIGHT, _EIGHT]), 2),
+        ("table.json", _whole([_EIGHT[1:], _EIGHT, _EIGHT]), 2),
+        ("table.json", _whole([[[0.5]] * 8, _EIGHT, _EIGHT]), 2),
+        ("table.json", _whole([[None] * 8, _EIGHT, _EIGHT]), 2),
+        ("table.json", _whole([[]] * 15, n=15), 3),
         ("table.json", "[1, 2]", 2),
         (
             "table.json",
@@ -471,7 +528,7 @@ def _whole(units, n=3):
             json.dumps(
                 {
                     "structure": {"kind": "k_local", "n": 22, "k": 1, "edges": _HUB_EDGES},
-                    "units": [{}] * 22,
+                    "units": [[]] * 22,
                 }
             ),
             3,
@@ -485,7 +542,7 @@ def _whole(units, n=3):
                     {
                         "m_upper": bound,
                         "structure": {"kind": "no_interference", "n": 6},
-                        "units": [{"A": 1.0, "B": 0.5}] * 6,
+                        "units": _ARM_UNITS * 6,
                     }
                 ),
                 2,
@@ -494,7 +551,7 @@ def _whole(units, n=3):
         ),
         # a malformed structure fails inside the reader, naming the file
         *(
-            ("table.json", json.dumps({"structure": s, "units": [{"A": 1.0, "B": 0.5}] * 6}), 2)
+            ("table.json", json.dumps({"structure": s, "units": _ARM_UNITS * 6}), 2)
             for s in (
                 {"kind": "no_interference", "n": "abc"},
                 {"kind": "k_local", "n": 6, "k": 1, "edges": [[0, 1, 2]]},
@@ -519,8 +576,9 @@ def _whole(units, n=3):
             )
         ),
         # an outcome must be a finite JSON number and a bound a JSON number:
-        # a boolean is not 1 or 0, a string is not parsed, and "nan" is not
-        # an unstored entry (each table loads once the entry is a number)
+        # a boolean is not 1 or 0, a string is not parsed, and NaN and
+        # Infinity, which JSON-loading Python accepts, are not outcomes
+        # (each table loads once the entry is a finite number)
         *(
             (
                 "table.json",
@@ -534,9 +592,11 @@ def _whole(units, n=3):
                 2,
             )
             for bounds, unit in (
-                ({}, {"A": True, "B": 0.5}),
-                ({}, {"A": 0.75, "B": "1e3"}),
-                ({}, {"A": 0.75, "B": "nan"}),
+                ({}, [True, 0.5]),
+                ({}, [0.75, "1e3"]),
+                ({}, [0.75, "nan"]),
+                ({}, [0.75, math.nan]),
+                ({}, [-math.inf, 0.5]),
                 ({"m_upper": True}, _BELOW_ONE[0]),
                 ({"k_lower": False, "m_upper": 1.0}, _BELOW_ONE[0]),
             )

@@ -3,7 +3,10 @@
 Claims pinned here:
     - difference in means is unbiased under the fixed-count design with no
       interference, and its variance matches the three-term decomposition
-    - the decomposition obeys the coarse 4 M^2/(n-1) envelope at these sizes
+    - the decomposition obeys the coarse 4 M^2/(n-1) envelope at these sizes,
+      and the envelope is 4 M^2 / (n - 1) rounded once, as exact rationals
+      give it (2,000 seeded M in (0, 10) and n in 2..14, on which the
+      product of roundings misses 371)
     - the exposure-weighted estimator's pairwise closed form reproduces the
       enumerated variance exactly (to 1e-10) on random graphs and tables,
       at radius k = 0, 1 and 2; above n = 10 (n = 11 to 14, k = 1 and 2,
@@ -35,6 +38,7 @@ Claims pinned here:
 """
 
 import math
+import random
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -142,6 +146,18 @@ def test_neyman_bound_value():
     assert terms.bound == pytest.approx(1.0)
 
 
+def test_neyman_bound_is_rounded_once():
+    # moments_crd at n = 6 with this M prints the exact 4 M^2 / 5 rounded
+    # once; squaring and dividing in floats reads 1.5623107532762606
+    table = PotentialOutcomeTable.random(NoInterference(6), 0.0, 1.3974578496667889, seed=0)
+    assert neyman_variance_terms(table, n_a=3).bound == 1.5623107532762603
+    rng = random.Random(117)
+    for _ in range(2000):
+        m, n = rng.uniform(0.0, 10.0), rng.randint(2, 14)
+        table = PotentialOutcomeTable(NoInterference(n), [[m / 2, m / 2]] * n, m_upper=m)
+        assert neyman_variance_terms(table, n_a=1).bound == float(4 * Fraction(m) ** 2 / (n - 1))
+
+
 @pytest.mark.parametrize("n,n_a,seed", [(6, 3, 0), (6, 2, 1), (8, 3, 2), (12, 5, 3), (12, 1, 4)])
 def test_neyman_identity_matches_enumeration(n, n_a, seed):
     table = PotentialOutcomeTable.random(NoInterference(n), 0.0, 1.0, seed=seed)
@@ -171,6 +187,12 @@ def test_ht_closed_form_empty_graph_covariance():
     table = PotentialOutcomeTable(NoInterference(3), [[1.5, 1.5]] * 3)
     terms = ht_variance_closed_form(empty_graph(3), 1, table)
     assert terms.cov == pytest.approx(-(1.5**2) / 3)
+
+
+def test_ht_closed_form_refuses_a_table_of_another_size():
+    table = PotentialOutcomeTable(NoInterference(3), [[1.5, 1.5]] * 3)
+    with pytest.raises(InvalidArgumentError, match="^table has n=3, graph has n=4$"):
+        ht_variance_closed_form(empty_graph(4), 1, table)
 
 
 def test_ht_closed_form_single_node():

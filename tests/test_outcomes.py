@@ -15,15 +15,22 @@ Claims pinned here:
       inside, and an interval that holds no double is refused naming both
       bounds
     - tables of every structure round-trip through the one JSON document
-      with equal structure, bounds and outcomes under every code, unstored
-      entries and absent bounds left out, and literal documents, an
-      arbitrary one included, load with the outcomes they store
+      with equal structure, bounds and outcomes under every code (the
+      arbitrary table at n = 14 too, in at most 4.7 MB), each unit written
+      as its value list, absent bounds left out; literal documents, an
+      arbitrary one included, load with the outcomes they list, entry c of
+      unit i read under the codes whose bits on G_i spell c, and so does
+      README's example; a unit that is not a list of 2^|G_i| JSON numbers
+      (a boolean is not one), or lists a NaN or an infinity, is refused
+      naming the file and the unit, as are bounds that are not numbers or
+      not ordered and an unknown structure kind
+    - every outcome is finite: a NaN or infinite outcome is refused at
+      construction, naming the unit
     - the block gather over a support reveals the same outcomes as the
-      one-assignment lookup, units sharing one value array read the same
-      outcomes as copies of it, and an unstored entry fails loudly
-      through the gather; its byte index is built on a table's first
-      read, not by the constructor, and at CODE_BITS units the boundary
-      read peaks below 1.25 times the index's 63 * 8 * 256 entries
+      one-assignment lookup, and units sharing one value array read the
+      same outcomes as copies of it; its byte index is built on a table's
+      first read, not by the constructor, and at CODE_BITS units the
+      boundary read peaks below 1.25 times the index's 63 * 8 * 256 entries
     - declared bounds are finite, and outcomes lie strictly inside them
     - a table holds up to CODE_BITS units, the width of an int64
       assignment code; one unit more is a capacity error, raised by the
@@ -43,9 +50,11 @@ import gc
 import json
 import math
 import random
+import re
 import tracemalloc
 import warnings
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,7 +69,6 @@ from interference_lab import (
     ConstantEstimator,
     Design,
     Graph,
-    IncompleteTableError,
     InterferenceLabError,
     InvalidArgumentError,
     KLocal,
@@ -247,7 +255,7 @@ def _document(structure, units) -> str:
     return json.dumps({"structure": spec, "units": units})
 
 
-def test_generator_caps(tmp_path, monkeypatch):
+def test_generator_caps(tmp_path):
     hub = Graph.from_edges(22, [(0, j) for j in range(1, 22)])
     # every node joined to the seven on either side: twenty closed balls of
     # 15 nodes, 20 * 2^15 = 655,360 outcomes
@@ -260,17 +268,13 @@ def test_generator_caps(tmp_path, monkeypatch):
         # direct construction checks the cap before it reads the values
         with pytest.raises(CapacityError):
             PotentialOutcomeTable(structure, [])
-    # the loader checks the cap, and the code width, before it allocates
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.full ran")
-
-    monkeypatch.setattr(np, "full", refuse)
+    # the loader checks the cap, and the code width, before it reads a unit
+    # and allocates its values: each empty list would be refused otherwise
     for i, structure in enumerate([*past, Arbitrary(CODE_BITS + 1)]):
         path = tmp_path / f"past{i}.json"
-        path.write_text(_document(structure, [{}] * structure.n))
+        path.write_text(_document(structure, [[]] * structure.n))
         with pytest.raises(CapacityError):
             PotentialOutcomeTable.from_json(path)
-    monkeypatch.undo()
     # the largest arbitrary table fills the budget exactly
     table = PotentialOutcomeTable.random(Arbitrary(14), 0.0, 1.0, seed=0)
     assert sum(v.size for v in table._values) == TABLE_VALUE_CAP
@@ -294,17 +298,16 @@ def test_declared_bounds_are_enforced():
         PotentialOutcomeTable(NoInterference(2), [[0.5, 0.5], [0.5, 0.5]], k_lower=math.inf)
 
 
-def test_missing_entry_raises():
-    values = [[1.0, np.nan], [1.0, 2.0]]  # unit 0 lacks its arm-B entry
-    t = PotentialOutcomeTable(NoInterference(2), values)
-    with pytest.raises(IncompleteTableError):
-        t.observed_vector(Assignment.from_arms("BA"))[0]
-    matrix = np.full((4, 2), np.nan)
-    matrix[0] = [1.0, 2.0]
-    t2 = PotentialOutcomeTable(Arbitrary(2), matrix.T)
-    assert t2.observed_vector(Assignment(0, 2))[0] == 1.0
-    with pytest.raises(IncompleteTableError):
-        t2.observed_vector(Assignment((1 << 2) - 1, 2))[0]
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_outcomes_are_refused_naming_the_unit(bad):
+    values = [[1.0, 2.0], [1.0, 2.0], [1.0, bad]]
+    with pytest.raises(InvalidArgumentError, match="^unit 2: outcomes must be finite"):
+        PotentialOutcomeTable(NoInterference(3), values)
+    # units sharing one array are named by the first that reads it
+    column = np.full(8, 0.5)
+    column[5] = bad
+    with pytest.raises(InvalidArgumentError, match="^unit 1: "):
+        PotentialOutcomeTable(Arbitrary(3), [np.full(8, 0.5), column, column])
 
 
 @pytest.mark.parametrize(
@@ -333,14 +336,6 @@ def test_shared_value_arrays_gather_as_copies(owners):
     copies = PotentialOutcomeTable(Arbitrary(5), [columns[k].copy() for k in owners])
     codes = np.arange(1 << 5, dtype=np.int64)
     assert shared.observed(codes).tolist() == copies.observed(codes).tolist()
-
-
-def test_unstored_entry_raises_through_the_gather():
-    matrix = np.full((8, 3), 0.5)
-    matrix[5, 2] = np.nan
-    t = PotentialOutcomeTable(Arbitrary(3), matrix.T)
-    with pytest.raises(IncompleteTableError, match="unit 2 under BAB"):
-        exact_moments(ConstantEstimator(0.0), Design("bd", 3), t, ATE)
 
 
 def test_table_width_stops_at_the_code_bits(tmp_path):
@@ -402,17 +397,25 @@ def test_json_roundtrip(tmp_path, structure):
     assert np.array_equal(back.observed(codes), t.observed(codes))
 
 
-def test_json_leaves_unstored_entries_and_absent_bounds_out(tmp_path):
+def test_json_writes_value_lists_and_leaves_absent_bounds_out(tmp_path):
     path = tmp_path / "table.json"
-    PotentialOutcomeTable(NoInterference(2), [[1.0, math.nan], [-0.0, 4.0]]).to_json(path)
+    PotentialOutcomeTable(NoInterference(2), [[1.0, 2.5], [-0.0, 4.0]]).to_json(path)
     structure = {"kind": "no_interference", "n": 2}
-    units = [{"A": 1.0}, {"A": -0.0, "B": 4.0}]
+    units = [[1.0, 2.5], [-0.0, 4.0]]
     assert json.loads(path.read_text()) == {"structure": structure, "units": units}
     back = PotentialOutcomeTable.from_json(path)
     assert (back.k_lower, back.m_upper) == (None, None)
     assert math.copysign(1.0, back.observed_vector(Assignment.from_arms("AA"))[1]) == -1.0
-    with pytest.raises(IncompleteTableError):
-        back.observed_vector(Assignment.from_arms("BA"))
+    assert back.observed_vector(Assignment.from_arms("BA")).tolist() == [2.5, -0.0]
+
+
+def test_json_roundtrip_of_the_largest_arbitrary_table(tmp_path):
+    t = PotentialOutcomeTable.random(Arbitrary(14), 0.0, 1.0, seed=3)
+    path = tmp_path / "table.json"
+    t.to_json(path)
+    assert path.stat().st_size <= 4.7e6
+    codes = np.arange(1 << 14, dtype=np.int64)
+    assert (PotentialOutcomeTable.from_json(path).observed(codes) == t.observed(codes)).all()
 
 
 def test_json_load_closes_its_file(tmp_path):
@@ -426,13 +429,10 @@ def test_json_load_closes_its_file(tmp_path):
 
 
 def test_json_reads_literal_documents(tmp_path):
-    # path 0-1-2 at k = 1: unit i keys its outcome by the arms of its
-    # closed ball, in ascending node order
+    # path 0-1-2 at k = 1: entry c of unit i is its outcome when bit j of c
+    # gives the arm of the j-th node of its closed ball, in ascending order
     balls = [(0, 1), (0, 1, 2), (1, 2)]
-    units = [
-        {"".join(arms): 10.0 * i + code for code, arms in enumerate(product("AB", repeat=len(g)))}
-        for i, g in enumerate(balls)
-    ]
+    units = [[10.0 * i + c for c in range(1 << len(g))] for i, g in enumerate(balls)]
     doc = {"structure": {"kind": "k_local", "n": 3, "k": 1, "edges": [[0, 1], [1, 2]]}, "units": units}
     path = tmp_path / "table.json"
     path.write_text(json.dumps(doc))
@@ -440,28 +440,80 @@ def test_json_reads_literal_documents(tmp_path):
     assert t.structure == KLocal(path_graph(3), 1)
     for code in range(8):
         z = Assignment(code, 3)
-        want = [units[i]["".join(z.labels[j] for j in g)] for i, g in enumerate(balls)]
-        assert t.observed_vector(z).tolist() == want
+        keys = [sum(((code >> node) & 1) << j for j, node in enumerate(g)) for g in balls]
+        assert t.observed_vector(z).tolist() == [units[i][c] for i, c in enumerate(keys)]
 
     flat = {
         "structure": {"kind": "no_interference", "n": 2},
         "m_upper": 5.0,
-        "units": [{"A": 1.0, "B": 3.0}, {"A": 2.0, "B": 4.0}],
+        "units": [[1.0, 3.0], [2, 4]],  # a JSON integer is a number too
     }
     path.write_text(json.dumps(flat))
     t = PotentialOutcomeTable.from_json(path)
     assert t.m_upper == 5.0
     assert t.observed_vector(Assignment.from_arms("AB")).tolist() == [1.0, 4.0]
 
-    # under arbitrary interference every unit keys by the whole assignment
-    whole = [{"AA": 1.0, "BA": 2.0, "AB": 3.0, "BB": 4.0}, {"AA": 5.0, "BA": 6.0, "AB": 7.0}]
+    # under arbitrary interference every unit lists AA, BA, AB, BB
+    whole = [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]
     path.write_text(json.dumps({"structure": {"kind": "arbitrary", "n": 2}, "units": whole}))
     t = PotentialOutcomeTable.from_json(path)
     assert t.structure == Arbitrary(2)
     assert t.observed_vector(Assignment.from_arms("BA")).tolist() == [2.0, 6.0]
     assert t.observed_vector(Assignment.from_arms("AB")).tolist() == [3.0, 7.0]
-    with pytest.raises(IncompleteTableError):
-        t.observed_vector(Assignment.from_arms("BB"))
+    assert t.observed_vector(Assignment.from_arms("BB")).tolist() == [4.0, 8.0]
+
+
+@pytest.mark.parametrize(
+    "unit,message",
+    [
+        ([5.0, 6.0, 7.0], "unit 1: need a list of 4 numbers"),
+        ([5.0, 6.0, 7.0, 8.0, 9.0], "unit 1: need a list of 4 numbers"),
+        ({"AA": 5.0, "BA": 6.0, "AB": 7.0, "BB": 8.0}, "unit 1: need a list of 4 numbers"),
+        ([5.0, True, 7.0, 8.0], "unit 1: need a list of 4 numbers"),
+        ([5.0, "6", 7.0, 8.0], "unit 1: need a list of 4 numbers"),
+        ([5.0, None, 7.0, 8.0], "unit 1: need a list of 4 numbers"),
+        ([5.0, math.nan, 7.0, 8.0], "unit 1: outcomes must be finite"),
+        ([5.0, 6.0, -math.inf, 8.0], "unit 1: outcomes must be finite"),
+        ([5.0, 6.0, 7.0, 10**400], "unit 1: int too large to convert to float"),
+    ],
+)
+def test_json_refuses_a_unit_that_is_not_its_value_list(tmp_path, unit, message):
+    path = tmp_path / "table.json"
+    units = [[1.0, 2.0, 3.0, 4.0], unit]
+    path.write_text(json.dumps({"structure": {"kind": "arbitrary", "n": 2}, "units": units}))
+    with pytest.raises(InvalidArgumentError) as caught:
+        PotentialOutcomeTable.from_json(path)
+    assert str(caught.value).startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"k_lower": 2.0, "m_upper": 1.0}, "bounds must satisfy k_lower < m_upper"),
+        ({"k_lower": "0"}, "k_lower: must be a number, got '0'"),
+        ({"structure": {"kind": "ring", "n": 1}}, "unknown structure kind 'ring'"),
+    ],
+)
+def test_json_refuses_bounds_and_structure_kinds(tmp_path, change, message):
+    doc = {"structure": {"kind": "no_interference", "n": 1}, "units": [[0.5, 0.75]], **change}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        PotentialOutcomeTable.from_json(path)
+
+
+def test_readme_table_example_loads(tmp_path):
+    # the documented format is the one the reader reads
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Table files", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "table.json"
+    path.write_text(example)
+    t = PotentialOutcomeTable.from_json(path)
+    assert t.structure == KLocal(path_graph(3), 1)
+    # under ABB unit 1 reads its ball (0, 1, 2) in arms A, B, B: entry 0b110
+    doc = json.loads(example)
+    assert t.observed_vector(Assignment.from_arms("ABB"))[1] == doc["units"][1][6]
 
 
 # Input files that are valid or broken in a few places, kept small: a
@@ -494,7 +546,7 @@ def _graph_files(draw):
 @st.composite
 def _json_files(draw):
     """A table document of any structure kind, up to two fields dropped or
-    junk, maybe a stray key."""
+    junk, maybe a stray entry."""
     n = draw(st.integers(1, 6))
     kind = draw(st.sampled_from(["no_interference", "k_local", "arbitrary"]))
     k = draw(st.integers(0, 2))
@@ -503,7 +555,7 @@ def _json_files(draw):
         width = n
     else:
         width = 1 if kind == "no_interference" or k == 0 else draw(st.integers(1, 4))
-    entry = st.dictionaries(st.text("AB", min_size=width, max_size=width), st.floats(0.1, 0.9))
+    entry = st.lists(st.floats(0.1, 0.9), min_size=1 << width, max_size=1 << width)
     structure = {"kind": kind, "n": n, "k": k, "edges": edges}
     units = draw(st.lists(entry, min_size=n, max_size=n))
     doc = {"structure": structure, "units": units, "m_upper": 1.0}
@@ -514,8 +566,8 @@ def _json_files(draw):
             block.pop(key, None)
         else:
             block[key] = draw(_JUNK)
-    if draw(st.booleans()) and isinstance(units[-1], dict):  # one stray key
-        units[-1][draw(st.text("ABX", max_size=3))] = draw(_JUNK)
+    if draw(st.booleans()) and isinstance(units[-1], list):  # one stray entry
+        units[-1] = [*units[-1], draw(_JUNK)]
     return _encoded(draw, json.dumps(doc))
 
 
